@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from contextlib import contextmanager
-from datetime import date
 from typing import Optional
 
 import numpy as np
@@ -30,24 +28,25 @@ from .errors import (
 )
 from .graph import (
     build_transition_graph,
-    canonicalize_title,
     extract_parent_child_pairs,
     load_pairs,
     load_records,
+    person_sequences,
     write_pairs,
     write_records,
 )
 from .model import (
     FeaturePipeline,
     TrainConfig,
+    clamp_k,
     forward_probabilities,
     load_model,
+    rank_classes,
     save_model,
     train,
 )
-
-logger = logging.getLogger(__name__)
 from .poincare import HyperbolicEmbeddingTable, PoincareConfig, train_poincare
+from .schema import accepts, build, field_specs
 from .semantic import (
     HashedNgramProvider,
     PrecomputedProvider,
@@ -58,115 +57,78 @@ from .semantic import (
 from .syntactic import Taxonomy
 
 # ---------------------------------------------------------------------------
-# Config schema: section -> key -> (types, default). `None` default with
-# `str` type means an optional path. Unknown keys anywhere are rejected.
+# Config schema: section -> key -> (type, default). The `dims`, `datagen`,
+# `poincare` and `train` sections are the fields of the config dataclasses
+# (each `seed` comes from `seeds`, `d_h`/`d_b`/`d_r` from `dims`) plus a few
+# CLI-only keys. A `None` default means an optional path. Unknown keys
+# anywhere are rejected.
 
-_PATH = ((str, type(None)), None)
+_DIMS = ("d_h", "d_b", "d_r")
+
+
+def _dataclass_section(cls) -> dict:
+    return {k: v for k, v in field_specs(cls).items() if k != "seed" and k not in _DIMS}
+
 
 SCHEMA = {
-    "output_dir": ((str,), "__required__"),
-    "provider": ((str,), "hashed"),
-    "provider_fallback": ((bool,), True),
-    "semantic_seed": ((int,), 0),
-    "seeds": {
-        "data": ((int,), 0),
-        "poincare": ((int,), 0),
-        "train": ((int,), 0),
-        "linkpred": ((int,), 0),
-    },
-    "dims": {
-        "d_h": ((int,), 128),
-        "d_b": ((int,), 128),
-        "d_r": ((int,), 64),
-    },
-    "data": {
-        "taxonomy": _PATH,
-        "labels": _PATH,
-        "resumes": _PATH,
-        "pairs": _PATH,
-        "hyperbolic": _PATH,
-        "titles": _PATH,
-        "vectors": _PATH,
-        "model": _PATH,
-    },
-    "datagen": {
-        "groups": ((int,), 10),
-        "synonyms": ((int,), 3),
-        "max_noise_ops": ((int,), 3),
-        "persons": ((int,), 100),
-        "jobs_per_person": ((int,), 5),
-        "self_transition_bias": ((float, int), 0.6),
-        "transition_concentration": ((float, int), 0.3),
-        "include_standard_labels": ((bool,), True),
-    },
-    "poincare": {
-        "epochs": ((int,), 50),
-        "lr": ((float, int), 0.1),
-        "negatives": ((int,), 10),
-        "burn_in_epochs": ((int,), 10),
-        "burn_in_lr_factor": ((float, int), 0.1),
-        "export_2d": ((bool,), False),
-    },
-    "train": {
-        "lr": ((float, int), 1e-3),
-        "batch_size": ((int,), 256),
-        "max_epochs": ((int,), 200),
-        "patience": ((int,), 20),
-        "split": ((list,), [0.64, 0.16, 0.20]),
-        "logic_weight": ((float, int), 1.0),
-        "clause_weight": ((float, int), 0.1),
-        "variant": ((str,), "full"),
-        "fusion_lr_multiplier": ((float, int), 1.0),
-        "fusion_weight_decay": ((float, int), 0.0),
-    },
-    "map": {
-        "k": ((int,), 10),
-    },
-    "linkpred": {
-        "epochs": ((int,), 100),
-        "lr": ((float, int), 0.05),
-    },
+    "output_dir": (str, "__required__"),
+    "provider": (str, "hashed"),
+    "provider_fallback": (bool, True),
+    "semantic_seed": (int, 0),
+    "seeds": dict.fromkeys(("data", "poincare", "train", "linkpred"), (int, 0)),
+    "dims": {k: field_specs(TrainConfig)[k] for k in _DIMS},
+    "data": dict.fromkeys(
+        ("taxonomy", "labels", "resumes", "pairs", "hyperbolic", "titles", "vectors", "model"),
+        (str, None),
+    ),
+    "datagen": {**_dataclass_section(SynthConfig), "include_standard_labels": (bool, True)},
+    "poincare": {**_dataclass_section(PoincareConfig), "export_2d": (bool, False)},
+    "train": _dataclass_section(TrainConfig),
+    "map": {"k": (int, 10)},
+    "linkpred": {"epochs": (int, 100), "lr": (float, 0.05)},
 }
+
+
+def _resolve(raw, schema: dict, prefix: str) -> dict:
+    resolved = {}
+    for key in raw:
+        if key not in schema:
+            raise ConfigError(f"unknown config key '{prefix}{key}'")
+    for key, spec in schema.items():
+        name = prefix + key
+        if isinstance(spec, dict):
+            section = raw.get(key, {})
+            if not isinstance(section, dict):
+                raise ConfigError(f"config key '{name}' must be an object")
+            resolved[key] = _resolve(section, spec, name + ".")
+            continue
+        kind, default = spec
+        if default == "__required__" and key not in raw:
+            raise ConfigError(f"config key '{name}' is required")
+        value = raw.get(key, default)
+        if not (value is None and default is None) and not accepts(kind, value):
+            raise ConfigError(f"config key '{name}' has type {type(value).__name__}")
+        resolved[key] = value
+    return resolved
 
 
 def resolve_config(raw: dict) -> dict:
     """Validate against the schema, reject unknown keys, fill every default."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    resolved: dict = {}
-    for key in raw:
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown config key {key!r}")
-    for key, spec in SCHEMA.items():
-        if isinstance(spec, dict):
-            section = raw.get(key, {})
-            if not isinstance(section, dict):
-                raise ConfigError(f"config key {key!r} must be an object")
-            for sub in section:
-                if sub not in spec:
-                    raise ConfigError(f"unknown config key '{key}.{sub}'")
-            resolved[key] = {}
-            for sub, (types, default) in spec.items():
-                value = section.get(sub, default)
-                if value is not None and not isinstance(value, types):
-                    raise ConfigError(
-                        f"config key '{key}.{sub}' has type {type(value).__name__}"
-                    )
-                resolved[key][sub] = value
-        else:
-            types, default = spec
-            if default == "__required__" and key not in raw:
-                raise ConfigError(f"config key {key!r} is required")
-            value = raw.get(key, default)
-            if value is not None and not isinstance(value, types):
-                raise ConfigError(f"config key {key!r} has type {type(value).__name__}")
-            resolved[key] = value
+    resolved = _resolve(raw, SCHEMA, "")
     provider = resolved["provider"]
     if provider != "hashed" and not provider.startswith("precomputed:"):
         raise ConfigError(
             "provider must be 'hashed' or 'precomputed:<path>', got " + repr(provider)
         )
     return resolved
+
+
+def _dataclass_from(config: dict, cls, section: str, seed: str):
+    """The `cls` instance a resolved config describes, range-checked."""
+    values = {**config["dims"], **config[section], "seed": config["seeds"][seed]}
+    return build(cls, {k: values[k] for k in field_specs(cls)})
 
 
 def load_config(path) -> dict:
@@ -263,42 +225,18 @@ def _read_titles(path) -> list[str]:
     return titles
 
 
-def _trajectories(records) -> list[list[str]]:
-    by_person: dict = {}
-    for idx, rec in enumerate(records):
-        end_key = rec.end if rec.end is not None else date.max
-        by_person.setdefault(rec.person_id, []).append(
-            (rec.start, end_key, idx, canonicalize_title(rec.title))
-        )
-    out = []
-    for rows in by_person.values():
-        rows.sort()
-        out.append([title for _, _, _, title in rows])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
 def cmd_gen_data(config: dict) -> None:
     out = config["output_dir"]
-    dg = config["datagen"]
-    synth = SynthConfig(
-        groups=dg["groups"],
-        synonyms=dg["synonyms"],
-        max_noise_ops=dg["max_noise_ops"],
-        persons=dg["persons"],
-        jobs_per_person=dg["jobs_per_person"],
-        self_transition_bias=float(dg["self_transition_bias"]),
-        transition_concentration=float(dg["transition_concentration"]),
-        seed=config["seeds"]["data"],
-    )
+    synth = _dataclass_from(config, SynthConfig, "datagen", "data")
     taxonomy, labeled = gen_taxonomy(synth)
     records = gen_resumes(synth, taxonomy, labeled)
     with _atomic(os.path.join(out, "taxonomy.tsv")) as tmp:
         taxonomy.write_tsv(tmp)
     rows = list(labeled)
-    if dg["include_standard_labels"]:
+    if config["datagen"]["include_standard_labels"]:
         rows.extend((t, t) for t in taxonomy.titles)
     with _atomic(os.path.join(out, "labels.tsv")) as tmp:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -325,21 +263,13 @@ def cmd_build_graph(config: dict) -> None:
 def cmd_train_poincare(config: dict) -> None:
     out = config["output_dir"]
     (pairs_path,) = _require(config, "data.pairs")
+    poincare_config = _dataclass_from(config, PoincareConfig, "poincare", "poincare")
     pairs = load_pairs(pairs_path)
-    pc = config["poincare"]
-    base = dict(
-        epochs=pc["epochs"],
-        lr=float(pc["lr"]),
-        negatives=pc["negatives"],
-        burn_in_epochs=pc["burn_in_epochs"],
-        burn_in_lr_factor=float(pc["burn_in_lr_factor"]),
-        seed=config["seeds"]["poincare"],
-    )
-    table = train_poincare(pairs, m=config["dims"]["d_h"], config=PoincareConfig(**base))
+    table = train_poincare(pairs, m=config["dims"]["d_h"], config=poincare_config)
     with _atomic(os.path.join(out, "hyperbolic.tsv")) as tmp:
         table.export_tsv(tmp)
-    if pc["export_2d"]:
-        flat = train_poincare(pairs, m=2, config=PoincareConfig(**base))
+    if config["poincare"]["export_2d"]:
+        flat = train_poincare(pairs, m=2, config=poincare_config)
         with _atomic(os.path.join(out, "hyperbolic_2d.tsv")) as tmp:
             flat.export_tsv(tmp)
     _write_echo(config, "train-poincare")
@@ -358,26 +288,10 @@ def cmd_encode_semantic(config: dict) -> None:
 def cmd_train(config: dict) -> None:
     out = config["output_dir"]
     taxonomy_path, labels_path = _require(config, "data.taxonomy", "data.labels")
+    train_config = _dataclass_from(config, TrainConfig, "train", "train")
     taxonomy = Taxonomy.load_tsv(taxonomy_path)
     examples = _read_labeled(labels_path, taxonomy)
     pipeline = _load_pipeline(config, taxonomy)
-    tc = config["train"]
-    train_config = TrainConfig(
-        d_h=config["dims"]["d_h"],
-        d_b=config["dims"]["d_b"],
-        d_r=config["dims"]["d_r"],
-        lr=float(tc["lr"]),
-        batch_size=tc["batch_size"],
-        max_epochs=tc["max_epochs"],
-        patience=tc["patience"],
-        split=tuple(tc["split"]),
-        seed=config["seeds"]["train"],
-        logic_weight=float(tc["logic_weight"]),
-        clause_weight=float(tc["clause_weight"]),
-        variant=tc["variant"],
-        fusion_lr_multiplier=float(tc["fusion_lr_multiplier"]),
-        fusion_weight_decay=float(tc["fusion_weight_decay"]),
-    )
     result = train(examples, pipeline, train_config)
     with _atomic(os.path.join(out, "model.json")) as tmp:
         save_model(result.model, tmp)
@@ -418,20 +332,16 @@ def cmd_map(config: dict) -> None:
     (titles_path,) = _require(config, "data.titles")
     model, pipeline = _load_model_pipeline(config)
     titles = _read_titles(titles_path)
-    k = config["map"]["k"]
-    if k > len(model.taxonomy):
-        logger.warning("map: k=%d clamped to taxonomy size %d", k, len(model.taxonomy))
-        k = len(model.taxonomy)
+    k = clamp_k(config["map"]["k"], len(model.taxonomy))
     probs = forward_probabilities(model, pipeline, titles)
-    n_classes = len(model.taxonomy)
+    top = rank_classes(probs)[:, :k]
     with _atomic(os.path.join(out, "mappings.tsv")) as tmp:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("#mappings\ttitle\trank\tstandard_title\tprobability\n")
-            for row, title in enumerate(titles):
-                order = np.lexsort((np.arange(n_classes), -probs[row]))
-                for rank, class_idx in enumerate(order[:k], start=1):
+            for title, row, order in zip(titles, probs, top):
+                for rank, class_idx in enumerate(order, start=1):
                     std = model.taxonomy.titles[class_idx]
-                    fh.write(f"{title}\t{rank}\t{std}\t{float(probs[row, class_idx])!r}\n")
+                    fh.write(f"{title}\t{rank}\t{std}\t{float(row[class_idx])!r}\n")
     _write_echo(config, "map")
 
 
@@ -443,10 +353,7 @@ def cmd_eval(config: dict) -> None:
     titles = [raw for raw, _ in examples]
     labels = [model.taxonomy.index(std) for _, std in examples]
     probs = forward_probabilities(model, pipeline, titles)
-    n_classes = len(model.taxonomy)
-    rankings = [
-        list(np.lexsort((np.arange(n_classes), -probs[i]))) for i in range(len(titles))
-    ]
+    rankings = [list(order) for order in rank_classes(probs)]
     results = ev.RankingResult(rankings=rankings, relevant=[{l} for l in labels])
     report = {
         "queries": len(titles),
@@ -501,7 +408,7 @@ def cmd_mobility(config: dict) -> None:
     out = config["output_dir"]
     (resumes_path,) = _require(config, "data.resumes")
     model, pipeline = _load_model_pipeline(config)
-    trajectories = _trajectories(load_records(resumes_path))
+    trajectories = person_sequences(load_records(resumes_path))
     unique_titles = sorted({t for seq in trajectories for t in seq})
     probs = forward_probabilities(model, pipeline, unique_titles)
     top1 = {

@@ -10,7 +10,7 @@ single titles are 1-row matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -65,7 +65,7 @@ class CoAttentionParams:
         )
 
     def tensors(self) -> list[Tensor]:
-        return [getattr(self, f.name) for f in fields(self)]
+        return list(nx.tensor_fields(self).values())
 
 
 class Affinities(NamedTuple):

@@ -84,7 +84,7 @@ def canonicalize_title(raw: str) -> str:
     return canonical
 
 
-def _person_sequences(records: Iterable[JobRecord]) -> list[list[str]]:
+def person_sequences(records: Iterable[JobRecord]) -> list[list[str]]:
     """Canonical title sequences per person, ordered by start date.
 
     Ties on start date break by end date (open-ended jobs last), then by
@@ -106,7 +106,7 @@ def _person_sequences(records: Iterable[JobRecord]) -> list[list[str]]:
 def build_transition_graph(records: Iterable[JobRecord]) -> TransitionGraph:
     """Count every consecutive per-person transition, including self-loops."""
     graph = TransitionGraph()
-    for seq in _person_sequences(records):
+    for seq in person_sequences(records):
         graph.nodes.update(seq)
         for earlier, later in zip(seq, seq[1:]):
             key = (earlier, later)
@@ -120,7 +120,7 @@ def extract_parent_child_pairs(records: Iterable[JobRecord]) -> list[ParentChild
     Duplicates are preserved: pair frequency drives hyperbolic sampling.
     """
     pairs = []
-    for seq in _person_sequences(records):
+    for seq in person_sequences(records):
         for earlier, later in zip(seq, seq[1:]):
             if earlier != later:
                 pairs.append(ParentChildPair(parent=later, child=earlier))

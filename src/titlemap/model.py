@@ -24,6 +24,7 @@ from . import reasoning as rs
 from .errors import ConfigError, DataError, DegenerateInputError, FormatError
 from .numerics import Tensor
 from .poincare import HyperbolicEmbeddingTable
+from .schema import accepts, build
 from .semantic import SemanticProvider
 from .syntactic import Taxonomy, syntactic_matrix
 from .graph import canonicalize_title
@@ -34,6 +35,9 @@ VARIANTS = ("full", "concat", "semantic_only")
 
 MODEL_FORMAT = "titlemap-model"
 MODEL_VERSION = 1
+
+# inference rows per forward pass; bounds peak memory on long title lists
+_CHUNK_ROWS = 512
 
 
 @dataclass
@@ -58,12 +62,20 @@ class TrainConfig:
     fusion_weight_decay: float = 0.0
 
     def __post_init__(self):
+        if len(self.split) != 3 or not all(accepts(float, f) for f in self.split):
+            raise ConfigError(f"split {self.split} must be three numbers")
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise ConfigError(f"split fractions {self.split} must sum to 1")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown model variant {self.variant!r}")
         if min(self.d_h, self.d_b, self.d_r) < 1:
             raise ConfigError("dimensions must be positive")
+        if min(self.batch_size, self.max_epochs) < 1:
+            raise ConfigError("batch_size and max_epochs must be >= 1")
+        if self.patience < 0:
+            raise ConfigError("patience must be >= 0")
+        if not self.lr > 0:
+            raise ConfigError("lr must be positive")
         if self.fusion_lr_multiplier <= 0:
             raise ConfigError("fusion_lr_multiplier must be positive")
 
@@ -94,14 +106,7 @@ class MapperModel:
         return self.taxonomy.version_id
 
     def trainable_tensors(self) -> list[Tensor]:
-        tensors = [self.fusion_w, self.fusion_b]
-        if self.coatt is not None:
-            tensors.extend(self.coatt.tensors())
-        if self.reason_b is not None:
-            tensors.extend(self.reason_b.tensors())
-        if self.reason_s is not None:
-            tensors.extend(self.reason_s.tensors())
-        return tensors
+        return list(_tensor_registry(self).values())
 
 
 def fused_width(variant: str, d_h: int, d_b: int, d_s: int, d_r: int) -> int:
@@ -316,11 +321,10 @@ def _probs_from_views(
     x_s: np.ndarray,
     v_b: Tensor,
     v_s: Tensor,
-    chunk_size: int = 512,
 ) -> np.ndarray:
     rows = []
-    for start in range(0, x_h.shape[0], chunk_size):
-        sl = slice(start, start + chunk_size)
+    for start in range(0, x_h.shape[0], _CHUNK_ROWS):
+        sl = slice(start, start + _CHUNK_ROWS)
         parts = _forward(model, x_h[sl], x_b[sl], x_s[sl], v_b, v_s)
         rows.append(nx.softmax(parts["logits"], axis=-1).data)
     return np.concatenate(rows, axis=0) if rows else np.zeros((0, len(model.taxonomy)))
@@ -330,13 +334,27 @@ def forward_probabilities(
     model: MapperModel,
     pipeline: FeaturePipeline,
     titles: Sequence[str],
-    chunk_size: int = 512,
 ) -> np.ndarray:
     """Inference-mode class distribution per title, shape (n, |Y|)."""
     v_b = Tensor(pipeline.standard_semantic())
     v_s = Tensor(pipeline.standard_syntactic())
     x_h, x_b, x_s = pipeline.title_views(titles)
-    return _probs_from_views(model, x_h, x_b, x_s, v_b, v_s, chunk_size)
+    return _probs_from_views(model, x_h, x_b, x_s, v_b, v_s)
+
+
+def rank_classes(probs: np.ndarray) -> np.ndarray:
+    """Class indices of each row by descending probability; ties keep the
+    lower taxonomy index."""
+    return np.argsort(-probs, axis=1, kind="stable")
+
+
+def clamp_k(k: int, n_classes: int) -> int:
+    """Check a top-k size; one above the taxonomy size is clamped with a warning."""
+    if k < 1:
+        raise ConfigError(f"top-k size must be >= 1, got k={k}")
+    if k > n_classes:
+        logger.warning("k=%d clamped to taxonomy size %d", k, n_classes)
+    return min(k, n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +372,7 @@ class TrainResult:
 def _hit_at(probs: np.ndarray, labels: np.ndarray, n: int) -> float:
     if probs.shape[0] == 0:
         return 0.0
-    top = np.argsort(-probs, kind="stable", axis=1)[:, :n]
+    top = rank_classes(probs)[:, :n]
     return float(np.mean([labels[i] in top[i] for i in range(len(labels))]))
 
 
@@ -494,13 +512,9 @@ def map_topk(
     k: int,
 ) -> RankedMapping:
     """Top-k standard titles by probability; ties break on lower taxonomy index."""
-    n_classes = len(model.taxonomy)
-    if k > n_classes:
-        logger.warning("map_topk: k=%d clamped to taxonomy size %d", k, n_classes)
-        k = n_classes
-    probs = forward_probabilities(model, pipeline, [title])[0]
-    order = np.lexsort((np.arange(n_classes), -probs))
-    entries = [(model.taxonomy.titles[i], float(probs[i])) for i in order[:k]]
+    k = clamp_k(k, len(model.taxonomy))
+    probs = forward_probabilities(model, pipeline, [title])
+    entries = [(model.taxonomy.titles[i], float(probs[0, i])) for i in rank_classes(probs)[0, :k]]
     return RankedMapping(title=title, entries=entries)
 
 
@@ -508,22 +522,15 @@ def map_topk(
 # Artifact serialization (single JSON file; floats survive round-trip exactly)
 
 def _tensor_registry(model: MapperModel) -> dict[str, Tensor]:
+    """Artifact name -> tensor for every trainable tensor, in optimizer order."""
     reg = {"fusion.w": model.fusion_w, "fusion.b": model.fusion_b}
-    if model.coatt is not None:
-        for name in (
-            "w_aff_hb", "w_aff_hs", "w_aff_bs", "w_self_h", "w_self_b", "w_self_s",
-            "w_cross_bh", "w_cross_sh", "w_cross_hb", "w_cross_sb", "w_cross_hs",
-            "w_cross_bs",
-        ):
-            reg[f"coattention.{name}"] = getattr(model.coatt, name)
-    for view, params in (("b", model.reason_b), ("s", model.reason_s)):
-        if params is None:
-            continue
-        for name in (
-            "enc_w1_j", "enc_w1_v", "enc_b1", "enc_w2", "enc_b2",
-            "not_w", "not_b", "or_w_left", "or_w_right", "or_b", "true_anchor",
-        ):
-            reg[f"reasoning_{view}.{name}"] = getattr(params, name)
+    for prefix, params in (
+        ("coattention", model.coatt),
+        ("reasoning_b", model.reason_b),
+        ("reasoning_s", model.reason_s),
+    ):
+        if params is not None:
+            reg.update({f"{prefix}.{name}": t for name, t in nx.tensor_fields(params).items()})
     return reg
 
 
@@ -557,9 +564,10 @@ def load_model(path) -> MapperModel:
         raise FormatError(f"{path}: not a {MODEL_FORMAT} artifact")
     if doc.get("version") != MODEL_VERSION:
         raise FormatError(f"{path}: unsupported artifact version {doc.get('version')}")
-    cfg_doc = dict(doc["train_config"])
-    cfg_doc["split"] = tuple(cfg_doc["split"])
-    config = TrainConfig(**cfg_doc)
+    try:
+        config = build(TrainConfig, doc.get("train_config"))
+    except ConfigError as e:
+        raise FormatError(f"{path}: train_config: {e}") from None
     taxonomy = Taxonomy(titles=doc["taxonomy_titles"], groups=doc["taxonomy_groups"])
     if taxonomy.version_id != doc["taxonomy_hash"]:
         raise DataError(f"{path}: taxonomy hash mismatch; artifact is inconsistent")
@@ -572,7 +580,10 @@ def load_model(path) -> MapperModel:
         raise FormatError(f"{path}: tensor set does not match the {config.variant} variant")
     for name, t in registry.items():
         entry = stored[name]
-        arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        try:
+            arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise FormatError(f"{path}: tensor {name} is malformed ({e!r})") from None
         if arr.shape != t.data.shape:
             raise FormatError(
                 f"{path}: tensor {name} has shape {arr.shape}, expected {t.data.shape}"

@@ -15,6 +15,7 @@ any cross-platform comparison).
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,6 +24,7 @@ from .errors import ContractError, DegenerateInputError, DimensionError, DomainE
 
 __all__ = [
     "Tensor",
+    "tensor_fields",
     "GradTape",
     "Adam",
     "add",
@@ -104,6 +106,12 @@ class Tensor:
 
 def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
+
+
+def tensor_fields(params) -> dict[str, Tensor]:
+    """Tensor-valued fields of a parameter dataclass, by name in field order."""
+    values = {f.name: getattr(params, f.name) for f in fields(params)}
+    return {name: v for name, v in values.items() if isinstance(v, Tensor)}
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,12 @@ class PoincareConfig:
     burn_in_lr_factor: float = 0.1
     seed: int = 0
 
+    def __post_init__(self):
+        if min(self.epochs, self.negatives) < 0:
+            raise ConfigError("poincare epochs and negatives must be >= 0")
+        if not self.lr > 0:
+            raise ConfigError("poincare lr must be positive")
+
 
 @dataclass
 class HyperbolicEmbeddingTable:

@@ -81,11 +81,7 @@ class ReasoningParams:
         )
 
     def tensors(self) -> list[Tensor]:
-        return [
-            self.enc_w1_j, self.enc_w1_v, self.enc_b1, self.enc_w2, self.enc_b2,
-            self.not_w, self.not_b, self.or_w_left, self.or_w_right, self.or_b,
-            self.true_anchor,
-        ]
+        return list(nx.tensor_fields(self).values())
 
     def renormalize_anchor(self) -> None:
         self.true_anchor.data /= np.linalg.norm(self.true_anchor.data)
@@ -100,9 +96,14 @@ def encode_event(j_vec: Tensor, v_vec: Tensor, params: ReasoningParams) -> Tenso
         )
     pre = (
         nx.matmul(j_vec, nx.transpose(params.enc_w1_j))
-        + nx.matmul(v_vec, nx.transpose(params.enc_w1_v))
+        + candidate_projection(v_vec, params)
         + params.enc_b1
     )
+    return _event_head(pre, params)
+
+
+def _event_head(pre: Tensor, params: ReasoningParams) -> Tensor:
+    """Second encoder layer: event vectors from first-layer pre-activations."""
     return nx.matmul(nx.tanh(pre), nx.transpose(params.enc_w2)) + params.enc_b2
 
 
@@ -136,6 +137,11 @@ def candidate_projection(candidates: Tensor, params: ReasoningParams) -> Tensor:
     return nx.matmul(candidates, nx.transpose(params.enc_w1_v))
 
 
+def title_projection(titles: Tensor, params: ReasoningParams) -> Tensor:
+    """First-layer projection of every title row, bias included."""
+    return nx.matmul(titles, nx.transpose(params.enc_w1_j)) + params.enc_b1
+
+
 def clause_representation(
     j_matrix: Tensor,
     candidates: Tensor,
@@ -152,14 +158,13 @@ def clause_representation(
     n_cand = candidates.data.shape[0]
     if n_cand == 0:
         raise DegenerateInputError("clause_representation: empty candidate set")
-    j_pre = nx.matmul(j_matrix, nx.transpose(params.enc_w1_j)) + params.enc_b1
+    j_pre = title_projection(j_matrix, params)
     v_pre = candidate_projection(candidates, params)
     events: list[Optional[Tensor]] = [None] * n_cand
     fold = None
     sequence = range(n_cand) if order is None else order
     for k in sequence:
-        hidden = nx.tanh(j_pre + nx.take_rows(v_pre, np.array([k])))
-        e_k = nx.matmul(hidden, nx.transpose(params.enc_w2)) + params.enc_b2
+        e_k = _event_head(j_pre + nx.take_rows(v_pre, np.array([k])), params)
         if return_events:
             events[k] = e_k
         negated = not_op(e_k, params)
@@ -174,18 +179,16 @@ def correct_events(
     params: ReasoningParams,
 ) -> Tensor:
     """Event vector of each row's gold candidate (training only)."""
-    j_pre = nx.matmul(j_matrix, nx.transpose(params.enc_w1_j)) + params.enc_b1
+    j_pre = title_projection(j_matrix, params)
     v_pre = nx.take_rows(candidate_projection(candidates, params), labels)
-    hidden = nx.tanh(j_pre + v_pre)
-    return nx.matmul(hidden, nx.transpose(params.enc_w2)) + params.enc_b2
+    return _event_head(j_pre + v_pre, params)
 
 
 def project_view_vectors(matrix: Tensor, params: ReasoningParams, side: str) -> Tensor:
     """Encode bare view vectors into reasoning space by zero-padding the other
     event slot: side "j" encodes concat(x, 0), side "v" encodes concat(0, x)."""
     w = params.enc_w1_j if side == "j" else params.enc_w1_v
-    hidden = nx.tanh(nx.matmul(matrix, nx.transpose(w)) + params.enc_b1)
-    return nx.matmul(hidden, nx.transpose(params.enc_w2)) + params.enc_b2
+    return _event_head(nx.matmul(matrix, nx.transpose(w)) + params.enc_b1, params)
 
 
 def clause_truth_loss(x_prime: Tensor, e_correct: Tensor, params: ReasoningParams) -> Tensor:

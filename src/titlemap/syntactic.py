@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -20,22 +20,19 @@ from .graph import canonicalize_title
 
 
 @lru_cache(maxsize=131072)
-def gram_set(text: str, n: int = 3, pad: bool = True) -> frozenset:
-    """Set of character n-grams of `text`, padded with '^'/'$' runs.
+def gram_set(text: str) -> frozenset:
+    """Set of character 3-grams of `text`, padded with '^^'/'$$'.
 
-    "abcd" -> {^^a, ^ab, abc, bcd, cd$, d$$} for n=3.
+    "abcd" -> {^^a, ^ab, abc, bcd, cd$, d$$}.
     """
-    if pad:
-        text = "^" * (n - 1) + text + "$" * (n - 1)
-    if len(text) < n:
-        return frozenset((text,))
-    return frozenset(text[i : i + n] for i in range(len(text) - n + 1))
+    text = "^^" + text + "$$"
+    return frozenset(text[i : i + 3] for i in range(len(text) - 2))
 
 
-def string_cosine(a: str, b: str, n: int = 3, pad: bool = True) -> float:
-    """|A & B| / sqrt(|A| * |B|) over n-gram sets. Symmetric, in [0, 1]."""
-    ga = gram_set(canonicalize_title(a), n, pad)
-    gb = gram_set(canonicalize_title(b), n, pad)
+def string_cosine(a: str, b: str) -> float:
+    """|A & B| / sqrt(|A| * |B|) over 3-gram sets. Symmetric, in [0, 1]."""
+    ga = gram_set(canonicalize_title(a))
+    gb = gram_set(canonicalize_title(b))
     return len(ga & gb) / float(np.sqrt(len(ga) * len(gb)))
 
 
@@ -96,28 +93,12 @@ class Taxonomy:
         return cls(titles=titles, groups=groups)
 
 
-@dataclass
-class SyntacticVector:
-    values: np.ndarray  # one score in [0, 1] per standard title
-    taxonomy_version: str
-
-
-def build_syntactic_vector(
-    title: str, taxonomy: Taxonomy, n: int = 3, pad: bool = True
-) -> SyntacticVector:
-    """Similarities of `title` against every standard title, in taxonomy order."""
+def syntactic_matrix(titles: Sequence[str], taxonomy: Taxonomy) -> np.ndarray:
+    """Similarity of each title against every standard title, shape
+    (len(titles), |Y|), columns in taxonomy order."""
     if len(taxonomy) == 0:
-        raise DegenerateInputError("build_syntactic_vector: empty taxonomy")
-    values = np.array(
-        [string_cosine(title, v, n, pad) for v in taxonomy.titles], dtype=np.float64
-    )
-    return SyntacticVector(values=values, taxonomy_version=taxonomy.version_id)
-
-
-def syntactic_matrix(
-    titles: Sequence[str], taxonomy: Taxonomy, n: int = 3, pad: bool = True
-) -> np.ndarray:
-    """Stacked syntactic vectors for a list of titles, shape (len(titles), |Y|)."""
-    return np.stack(
-        [build_syntactic_vector(t, taxonomy, n, pad).values for t in titles]
-    ) if titles else np.zeros((0, len(taxonomy)))
+        raise DegenerateInputError("syntactic_matrix: empty taxonomy")
+    matrix = np.empty((len(titles), len(taxonomy)), dtype=np.float64)
+    for row, title in enumerate(titles):
+        matrix[row] = [string_cosine(title, v) for v in taxonomy.titles]
+    return matrix

@@ -47,9 +47,36 @@ def test_bad_provider_string_is_rejected():
 
 def test_defaults_are_filled_in():
     resolved = resolve_config({"output_dir": "x"})
-    assert resolved["seeds"]["train"] == 0
-    assert resolved["train"]["batch_size"] == 256
-    assert resolved["provider"] == "hashed"
+    expected = {
+        "output_dir": "x",
+        "provider": "hashed",
+        "provider_fallback": True,
+        "semantic_seed": 0,
+        "seeds": {"data": 0, "poincare": 0, "train": 0, "linkpred": 0},
+        "dims": {"d_h": 128, "d_b": 128, "d_r": 64},
+        "data": dict.fromkeys(
+            ("taxonomy", "labels", "resumes", "pairs", "hyperbolic", "titles", "vectors", "model")
+        ),
+        "datagen": {
+            "groups": 10, "synonyms": 3, "max_noise_ops": 3, "persons": 100,
+            "jobs_per_person": 5, "self_transition_bias": 0.6,
+            "transition_concentration": 0.3, "include_standard_labels": True,
+        },
+        "poincare": {
+            "epochs": 50, "lr": 0.1, "negatives": 10, "burn_in_epochs": 10,
+            "burn_in_lr_factor": 0.1, "export_2d": False,
+        },
+        "train": {
+            "lr": 0.001, "batch_size": 256, "max_epochs": 200, "patience": 20,
+            "split": [0.64, 0.16, 0.2], "logic_weight": 1.0, "clause_weight": 0.1,
+            "variant": "full", "fusion_lr_multiplier": 1.0, "fusion_weight_decay": 0.0,
+        },
+        "map": {"k": 10},
+        "linkpred": {"epochs": 100, "lr": 0.05},
+    }
+    assert resolved == expected
+    # the echo is JSON, so an int default turning into a float (or back) is drift too
+    assert json.dumps(resolved, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 def test_invalid_config_key_exits_2(tmp_path, capsys):
@@ -178,3 +205,81 @@ def test_encode_semantic_writes_embeddings(tmp_path):
     lines = (out / "semantic.tsv").read_text().splitlines()
     assert lines[0] == "#embeddings d=16 normalize=false"
     assert len(lines) == 3
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """Data paths of a small pipeline run through gen-data, build-graph,
+    train-poincare and train."""
+    tmp = tmp_path_factory.mktemp("trained")
+    out = tmp / "out"
+    data = {
+        "taxonomy": str(out / "taxonomy.tsv"),
+        "labels": str(out / "labels.tsv"),
+        "resumes": str(out / "resumes.jsonl"),
+        "pairs": str(out / "pairs.tsv"),
+        "hyperbolic": str(out / "hyperbolic.tsv"),
+        "model": str(out / "model.json"),
+        "titles": str(tmp / "titles.txt"),
+    }
+    (tmp / "titles.txt").write_text("data analyst\n")
+    path, _ = write_config(tmp, {"data": data})
+    for command in ("gen-data", "build-graph", "train-poincare", "train"):
+        assert main([command, "--config", str(path)]) == 0
+    return tmp, data
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("train", {"train": {"split": ["a", "b", "c"]}}),
+        ("train", {"train": {"batch_size": 0}}),
+        ("train", {"train": {"max_epochs": True}}),
+        ("train", {"train": {"max_epochs": 0}}),
+        ("train", {"train": {"patience": -1}}),
+        ("train", {"train": {"lr": 0}}),
+        ("map", {"map": {"k": 0}}),
+        ("map", {"map": {"k": -1}}),
+        ("train-poincare", {"poincare": {"negatives": -2}}),
+        ("train-poincare", {"poincare": {"lr": 0}}),
+    ],
+    ids=["split-of-strings", "batch-size-0", "max-epochs-bool", "max-epochs-0",
+         "patience-negative", "train-lr-0", "map-k-0", "map-k-negative",
+         "negatives-negative", "poincare-lr-0"],
+)
+def test_bad_config_value_exits_2(trained, command, overrides, capsys):
+    tmp, data = trained
+    path, _ = write_config(
+        tmp, {"output_dir": str(tmp / "rejected"), "data": data, **overrides}, name="bad.json"
+    )
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "kind=config" in err
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda doc: doc["train_config"].update(warmup=5),
+        lambda doc: doc["train_config"].pop("batch_size"),
+        lambda doc: doc["train_config"].update(batch_size="x"),
+        lambda doc: doc["tensors"]["fusion.b"].pop("shape"),
+    ],
+    ids=["extra-key", "missing-key", "wrong-type", "tensor-without-shape"],
+)
+def test_corrupt_model_artifact_exits_3(trained, corrupt, capsys):
+    tmp, data = trained
+    doc = json.loads((tmp / "out" / "model.json").read_text())
+    corrupt(doc)
+    model = tmp / "corrupt_model.json"
+    model.write_text(json.dumps(doc))
+    path, _ = write_config(
+        tmp,
+        {"output_dir": str(tmp / "rejected"), "data": {**data, "model": str(model)}},
+        name="corrupt.json",
+    )
+    assert main(["map", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "kind=data" in err

@@ -145,8 +145,9 @@ def test_training_is_reproducible_bit_for_bit(tmp_path):
 
 def test_patience_zero_stops_one_epoch_past_first_plateau():
     taxonomy, pipeline, examples = tiny_world()
-    # lr 0 never improves after the first epoch's metric is recorded
-    config = small_config(lr=0.0, max_epochs=50, patience=0)
+    # lr must be positive; one this small leaves every weight bit-identical,
+    # so the metric never improves after the first epoch's value is recorded
+    config = small_config(lr=1e-300, max_epochs=50, patience=0)
     result = train(examples, pipeline, config)
     assert result.best_epoch == 0
     assert len(result.history) == 2

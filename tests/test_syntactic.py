@@ -4,7 +4,6 @@ import pytest
 from titlemap.errors import DataError, DegenerateInputError, FormatError
 from titlemap.syntactic import (
     Taxonomy,
-    build_syntactic_vector,
     gram_set,
     string_cosine,
     syntactic_matrix,
@@ -78,10 +77,9 @@ def test_taxonomy_version_tracks_order():
 
 def test_vector_peaks_at_own_index():
     taxonomy = Taxonomy(titles=["data analyst", "chef", "pilot", "embedded engineer"])
-    vec = build_syntactic_vector("Embedded   Engineer", taxonomy)
-    assert vec.values[3] == 1.0
-    assert len(vec.values) == 4
-    assert vec.taxonomy_version == taxonomy.version_id
+    vec = syntactic_matrix(["Embedded   Engineer"], taxonomy)
+    assert vec.shape == (1, 4)
+    assert vec[0, 3] == 1.0
 
 
 def test_vector_matches_elementwise_brute_force():
@@ -90,15 +88,15 @@ def test_vector_matches_elementwise_brute_force():
     words = ["data", "sales", "chef", "pilot", "manager", "junior"]
     for _ in range(50):
         title = " ".join(rng.choice(words, size=rng.integers(1, 4)))
-        vec = build_syntactic_vector(title, taxonomy).values
+        vec = syntactic_matrix([title], taxonomy)[0]
         oracle = [brute_force_gram_cosine(title, v) for v in taxonomy.titles]
         assert list(vec) == oracle
 
 
 def test_vector_is_pure_function_of_inputs():
     taxonomy = Taxonomy(titles=["a b", "c d"])
-    v1 = build_syntactic_vector("a c", taxonomy).values
-    v2 = build_syntactic_vector("a c", taxonomy).values
+    v1 = syntactic_matrix(["a c"], taxonomy)
+    v2 = syntactic_matrix(["a c"], taxonomy)
     assert np.array_equal(v1, v2)
 
 
