@@ -12,20 +12,14 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import evaluation as ev
 from .datagen import SynthConfig, gen_resumes, gen_taxonomy
-from .errors import (
-    ConfigError,
-    DataError,
-    EvaluationError,
-    NumericError,
-    TitlemapError,
-)
+from .errors import ConfigError, DataError, EvaluationError, NumericError, TitlemapError
+from .formats import read_lines, read_rows, write_rows
 from .graph import (
     build_transition_graph,
     extract_parent_child_pairs,
@@ -139,14 +133,17 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file {path} does not exist") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path} is not valid JSON ({e.msg})") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path} is not valid UTF-8") from None
     return resolve_config(raw)
 
 
-@contextmanager
-def _atomic(path):
+def _save(out: str, name: str, write: Callable, *args) -> None:
+    """`write(path, *args)` into a temp file, renamed to `out/name` on success."""
+    path = os.path.join(out, name)
     tmp = f"{path}.tmp{os.getpid()}"
     try:
-        yield tmp
+        write(tmp, *args)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -154,14 +151,20 @@ def _atomic(path):
 
 
 def _write_json(path, payload: dict) -> None:
-    with _atomic(path) as tmp:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def _write_curve(path, history: list) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("epoch,train_loss,val_hit_at_10\n")
+        for epoch, loss, hit in history:
+            fh.write(f"{epoch},{loss!r},{hit!r}\n")
 
 
 def _write_echo(config: dict, command: str) -> None:
-    _write_json(os.path.join(config["output_dir"], f"{command}_config.json"), config)
+    _save(config["output_dir"], f"{command}_config.json", _write_json, config)
 
 
 def _require(config: dict, *keys: str) -> list:
@@ -199,27 +202,19 @@ def _load_pipeline(config: dict, taxonomy: Taxonomy) -> FeaturePipeline:
     return FeaturePipeline(hyperbolic=table, semantic=_build_provider(config), taxonomy=taxonomy)
 
 
-def _read_labeled(path, taxonomy: Optional[Taxonomy] = None) -> list[tuple[str, str]]:
+def _read_labeled(path, taxonomy: Taxonomy) -> list[tuple[str, str]]:
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected raw_title<TAB>standard_title")
-            raw, std = parts
-            if taxonomy is not None and std not in taxonomy:
-                raise DataError(f"{path}:{lineno}: standard title {std!r} not in taxonomy")
-            rows.append((raw, std))
+    for lineno, (raw, std) in read_rows(path, ("raw_title", "standard_title"))[1]:
+        if std not in taxonomy:
+            raise DataError(f"{path}:{lineno}: standard title {std!r} not in taxonomy")
+        rows.append((raw, std))
     if not rows:
         raise DataError(f"{path}: no labeled rows")
     return rows
 
 
 def _read_titles(path) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        titles = [line.rstrip("\n") for line in fh if line.strip()]
+    titles = [title for _, (title,) in read_rows(path, ("title",))[1]]
     if not titles:
         raise DataError(f"{path}: no titles")
     return titles
@@ -233,17 +228,12 @@ def cmd_gen_data(config: dict) -> None:
     synth = _dataclass_from(config, SynthConfig, "datagen", "data")
     taxonomy, labeled = gen_taxonomy(synth)
     records = gen_resumes(synth, taxonomy, labeled)
-    with _atomic(os.path.join(out, "taxonomy.tsv")) as tmp:
-        taxonomy.write_tsv(tmp)
+    _save(out, "taxonomy.tsv", taxonomy.write_tsv)
     rows = list(labeled)
     if config["datagen"]["include_standard_labels"]:
         rows.extend((t, t) for t in taxonomy.titles)
-    with _atomic(os.path.join(out, "labels.tsv")) as tmp:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            for raw, std in rows:
-                fh.write(f"{raw}\t{std}\n")
-    with _atomic(os.path.join(out, "resumes.jsonl")) as tmp:
-        write_records(tmp, records)
+    _save(out, "labels.tsv", write_rows, rows)
+    _save(out, "resumes.jsonl", write_records, records)
     _write_echo(config, "gen-data")
 
 
@@ -253,10 +243,9 @@ def cmd_build_graph(config: dict) -> None:
     records = load_records(resumes_path)
     graph = build_transition_graph(records)
     pairs = extract_parent_child_pairs(records)
-    with _atomic(os.path.join(out, "pairs.tsv")) as tmp:
-        write_pairs(tmp, pairs)
+    _save(out, "pairs.tsv", write_pairs, pairs)
     summary = {**graph.summary(), "pairs": len(pairs), "weight_sum": sum(graph.weights.values())}
-    _write_json(os.path.join(out, "graph_summary.json"), summary)
+    _save(out, "graph_summary.json", _write_json, summary)
     _write_echo(config, "build-graph")
 
 
@@ -266,12 +255,10 @@ def cmd_train_poincare(config: dict) -> None:
     poincare_config = _dataclass_from(config, PoincareConfig, "poincare", "poincare")
     pairs = load_pairs(pairs_path)
     table = train_poincare(pairs, m=config["dims"]["d_h"], config=poincare_config)
-    with _atomic(os.path.join(out, "hyperbolic.tsv")) as tmp:
-        table.export_tsv(tmp)
+    _save(out, "hyperbolic.tsv", table.export_tsv)
     if config["poincare"]["export_2d"]:
         flat = train_poincare(pairs, m=2, config=poincare_config)
-        with _atomic(os.path.join(out, "hyperbolic_2d.tsv")) as tmp:
-            flat.export_tsv(tmp)
+        _save(out, "hyperbolic_2d.tsv", flat.export_tsv)
     _write_echo(config, "train-poincare")
 
 
@@ -280,8 +267,7 @@ def cmd_encode_semantic(config: dict) -> None:
     (titles_path,) = _require(config, "data.titles")
     provider = _build_provider(config)
     cache = embed_titles(provider, _read_titles(titles_path))
-    with _atomic(os.path.join(out, "semantic.tsv")) as tmp:
-        write_embeddings(tmp, cache)
+    _save(out, "semantic.tsv", write_embeddings, cache)
     _write_echo(config, "encode-semantic")
 
 
@@ -293,26 +279,17 @@ def cmd_train(config: dict) -> None:
     examples = _read_labeled(labels_path, taxonomy)
     pipeline = _load_pipeline(config, taxonomy)
     result = train(examples, pipeline, train_config)
-    with _atomic(os.path.join(out, "model.json")) as tmp:
-        save_model(result.model, tmp)
-    with _atomic(os.path.join(out, "training_curve.csv")) as tmp:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("epoch,train_loss,val_hit_at_10\n")
-            for epoch, loss, hit in result.history:
-                fh.write(f"{epoch},{loss!r},{hit!r}\n")
+    _save(out, "model.json", lambda path: save_model(result.model, path))
+    _save(out, "training_curve.csv", _write_curve, result.history)
     for name, idx in result.split_indices.items():
-        with _atomic(os.path.join(out, f"split_{name}.tsv")) as tmp:
-            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-                for i in idx:
-                    raw, std = examples[int(i)]
-                    fh.write(f"{raw}\t{std}\n")
+        _save(out, f"split_{name}.tsv", write_rows, (examples[int(i)] for i in idx))
     report = {
         "best_epoch": result.best_epoch,
         "epochs_run": len(result.history),
         "metrics": result.metrics,
         "seeds": config["seeds"],
     }
-    _write_json(os.path.join(out, "train_report.json"), report)
+    _save(out, "train_report.json", _write_json, report)
     _write_echo(config, "train")
 
 
@@ -335,13 +312,13 @@ def cmd_map(config: dict) -> None:
     k = clamp_k(config["map"]["k"], len(model.taxonomy))
     probs = forward_probabilities(model, pipeline, titles)
     top = rank_classes(probs)[:, :k]
-    with _atomic(os.path.join(out, "mappings.tsv")) as tmp:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("#mappings\ttitle\trank\tstandard_title\tprobability\n")
-            for title, row, order in zip(titles, probs, top):
-                for rank, class_idx in enumerate(order, start=1):
-                    std = model.taxonomy.titles[class_idx]
-                    fh.write(f"{title}\t{rank}\t{std}\t{float(row[class_idx])!r}\n")
+    rows = (
+        (title, str(rank), model.taxonomy.titles[class_idx], repr(float(row[class_idx])))
+        for title, row, order in zip(titles, probs, top)
+        for rank, class_idx in enumerate(order, start=1)
+    )
+    header = "#mappings\ttitle\trank\tstandard_title\tprobability"
+    _save(out, "mappings.tsv", write_rows, rows, header)
     _write_echo(config, "map")
 
 
@@ -362,14 +339,12 @@ def cmd_eval(config: dict) -> None:
         "ndcg_at_10": ev.ndcg_at_n(results, 10),
         "seeds": config["seeds"],
     }
-    _write_json(os.path.join(out, "eval_report.json"), report)
+    _save(out, "eval_report.json", _write_json, report)
     _write_echo(config, "eval")
 
 
 def _load_vectors(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-    if header.startswith("#poincare"):
+    if next(read_lines(path), (1, ""))[1].startswith("#poincare"):
         return dict(HyperbolicEmbeddingTable.load_tsv(path).vectors)
     return dict(load_precomputed(path).vectors)
 
@@ -400,7 +375,7 @@ def cmd_linkpred(config: dict) -> None:
         "test_auc": result.test_auc,
         "seeds": config["seeds"],
     }
-    _write_json(os.path.join(out, "linkpred_report.json"), report)
+    _save(out, "linkpred_report.json", _write_json, report)
     _write_echo(config, "linkpred")
 
 
@@ -424,7 +399,7 @@ def cmd_mobility(config: dict) -> None:
         "mapped_minus_unmapped": mapped - unmapped,
         "seeds": config["seeds"],
     }
-    _write_json(os.path.join(out, "mobility_report.json"), report)
+    _save(out, "mobility_report.json", _write_json, report)
     _write_echo(config, "mobility")
 
 

@@ -17,11 +17,7 @@ import numpy as np
 
 from . import numerics as nx
 from .numerics import Tensor
-
-
-def _uniform_param(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
-    bound = 1.0 / np.sqrt(cols)
-    return Tensor(rng.uniform(-bound, bound, size=(rows, cols)), requires_grad=True)
+from .reasoning import _uniform_param
 
 
 @dataclass

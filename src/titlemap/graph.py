@@ -9,15 +9,12 @@ globally normalized transition frequencies.
 from __future__ import annotations
 
 import json
-import re
-import unicodedata
 from dataclasses import dataclass, field
 from datetime import date
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import DataError, DegenerateInputError, FormatError
-
-_WS_RE = re.compile(r"\s+")
+from .errors import DataError, FormatError
+from .formats import canonicalize_title, read_lines, read_rows, write_rows
 
 RECORD_FIELDS = ("person_id", "title", "company_id", "start", "end")
 
@@ -73,17 +70,6 @@ class TransitionGraph:
         }
 
 
-def canonicalize_title(raw: str) -> str:
-    """Lowercase, strip control characters, collapse whitespace. Idempotent."""
-    cleaned = "".join(
-        ch for ch in raw if unicodedata.category(ch) not in ("Cc", "Cf")
-    )
-    canonical = _WS_RE.sub(" ", cleaned).strip().lower()
-    if not canonical:
-        raise DegenerateInputError(f"title {raw!r} is empty after normalization")
-    return canonical
-
-
 def person_sequences(records: Iterable[JobRecord]) -> list[list[str]]:
     """Canonical title sequences per person, ordered by start date.
 
@@ -133,78 +119,54 @@ def extract_parent_child_pairs(records: Iterable[JobRecord]) -> list[ParentChild
 def load_records(path) -> list[JobRecord]:
     """Read resume JSONL. Field names must be exactly the documented five."""
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise FormatError(f"{path}:{lineno}: invalid JSON ({e.msg})") from None
-            if not isinstance(obj, dict) or set(obj) != set(RECORD_FIELDS):
-                raise FormatError(
-                    f"{path}:{lineno}: expected fields {list(RECORD_FIELDS)}, got {sorted(obj) if isinstance(obj, dict) else type(obj).__name__}"
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise FormatError(f"{path}:{lineno}: invalid JSON ({e.msg})") from None
+        if not isinstance(obj, dict) or set(obj) != set(RECORD_FIELDS):
+            raise FormatError(
+                f"{path}:{lineno}: expected fields {list(RECORD_FIELDS)}, got {sorted(obj) if isinstance(obj, dict) else type(obj).__name__}"
+            )
+        try:
+            start = date.fromisoformat(obj["start"])
+            end = None if obj["end"] is None else date.fromisoformat(obj["end"])
+        except (TypeError, ValueError) as e:
+            raise FormatError(f"{path}:{lineno}: bad date ({e})") from None
+        try:
+            records.append(
+                JobRecord(
+                    person_id=str(obj["person_id"]),
+                    title=str(obj["title"]),
+                    company_id=str(obj["company_id"]),
+                    start=start,
+                    end=end,
                 )
-            try:
-                start = date.fromisoformat(obj["start"])
-                end = None if obj["end"] is None else date.fromisoformat(obj["end"])
-            except (TypeError, ValueError) as e:
-                raise FormatError(f"{path}:{lineno}: bad date ({e})") from None
-            try:
-                records.append(
-                    JobRecord(
-                        person_id=str(obj["person_id"]),
-                        title=str(obj["title"]),
-                        company_id=str(obj["company_id"]),
-                        start=start,
-                        end=end,
-                    )
-                )
-            except DataError as e:
-                raise DataError(f"{path}:{lineno}: {e}") from None
+            )
+        except DataError as e:
+            raise DataError(f"{path}:{lineno}: {e}") from None
     return records
 
 
 def write_records(path, records: Iterable[JobRecord]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "person_id": rec.person_id,
-                        "title": rec.title,
-                        "company_id": rec.company_id,
-                        "start": rec.start.isoformat(),
-                        "end": rec.end.isoformat() if rec.end else None,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+            end = rec.end.isoformat() if rec.end else None
+            row = {**vars(rec), "start": rec.start.isoformat(), "end": end}
+            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
 PAIRS_HEADER = "#pairs\tchild\tparent"
 
 
 def write_pairs(path, pairs: Iterable[ParentChildPair]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(PAIRS_HEADER + "\n")
-        for pair in pairs:
-            fh.write(f"{pair.child}\t{pair.parent}\n")
+    write_rows(path, ((pair.child, pair.parent) for pair in pairs), PAIRS_HEADER)
 
 
 def load_pairs(path) -> list[ParentChildPair]:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != PAIRS_HEADER:
-            raise FormatError(f"{path}:1: expected header {PAIRS_HEADER!r}")
-        pairs = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 2 tab-separated fields")
-            child, parent = parts
-            pairs.append(ParentChildPair(parent=parent, child=child))
-    return pairs
+    header, rows = read_rows(path, ("child", "parent"), header=True)
+    if header != PAIRS_HEADER:
+        raise FormatError(f"{path}:1: expected header {PAIRS_HEADER!r}")
+    return [ParentChildPair(parent=parent, child=child) for _, (child, parent) in rows]

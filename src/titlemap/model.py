@@ -21,7 +21,7 @@ import numpy as np
 from . import coattention as ca
 from . import numerics as nx
 from . import reasoning as rs
-from .errors import ConfigError, DataError, DegenerateInputError, FormatError
+from .errors import ConfigError, DataError, DegenerateInputError, FormatError, NumericError
 from .numerics import Tensor
 from .poincare import HyperbolicEmbeddingTable
 from .schema import accepts, build
@@ -451,40 +451,47 @@ def train(
     best_epoch = -1
     best_snap = _snapshot(model)
     history = []
-    for epoch in range(config.max_epochs):
-        order = shuffle_rng.permutation(idx_train)
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, len(order), config.batch_size):
-            rows = order[start : start + config.batch_size]
-            with nx.GradTape() as tape:
-                loss, _ = loss_on_batch(
-                    model, x_h[rows], x_b[rows], x_s[rows], labels_all[rows], v_b, v_s, ctx
-                )
-            tape.backward(loss)
-            for optimizer in optimizers:
-                optimizer.step()
-            if config.fusion_weight_decay > 0:
-                model.fusion_w.data *= 1.0 - config.lr * config.fusion_lr_multiplier * config.fusion_weight_decay
-            for params in (model.reason_b, model.reason_s):
-                if params is not None:
-                    params.renormalize_anchor()
-            epoch_loss += loss.item()
-            n_batches += 1
-        val_probs = _probs_from_views(
-            model, x_h[idx_val], x_b[idx_val], x_s[idx_val], v_b, v_s
-        )
-        val_hit10 = _hit_at(val_probs, labels_all[idx_val], 10)
-        train_loss = epoch_loss / max(n_batches, 1)
-        history.append((epoch, train_loss, val_hit10))
-        if on_epoch is not None:
-            on_epoch(epoch, train_loss, val_hit10)
-        if val_hit10 > best_metric:
-            best_metric = val_hit10
-            best_epoch = epoch
-            best_snap = _snapshot(model)
-        elif epoch - best_epoch > config.patience:
-            break
+    # a diverging run overflows in this loop; the finiteness checks report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.max_epochs):
+            order = shuffle_rng.permutation(idx_train)
+            epoch_loss = 0.0
+            n_batches = 0
+            for start in range(0, len(order), config.batch_size):
+                rows = order[start : start + config.batch_size]
+                with nx.GradTape() as tape:
+                    loss, _ = loss_on_batch(
+                        model, x_h[rows], x_b[rows], x_s[rows], labels_all[rows], v_b, v_s, ctx
+                    )
+                loss_value = loss.item()
+                if not np.isfinite(loss_value):
+                    raise NumericError(f"training loss is {loss_value} at epoch {epoch}")
+                tape.backward(loss)
+                for optimizer in optimizers:
+                    optimizer.step()
+                if config.fusion_weight_decay > 0:
+                    model.fusion_w.data *= 1.0 - config.lr * config.fusion_lr_multiplier * config.fusion_weight_decay
+                for params in (model.reason_b, model.reason_s):
+                    if params is not None:
+                        params.renormalize_anchor()
+                epoch_loss += loss_value
+                n_batches += 1
+            val_probs = _probs_from_views(
+                model, x_h[idx_val], x_b[idx_val], x_s[idx_val], v_b, v_s
+            )
+            if not np.isfinite(val_probs).all():
+                raise NumericError(f"validation probabilities are not finite at epoch {epoch}")
+            val_hit10 = _hit_at(val_probs, labels_all[idx_val], 10)
+            train_loss = epoch_loss / max(n_batches, 1)
+            history.append((epoch, train_loss, val_hit10))
+            if on_epoch is not None:
+                on_epoch(epoch, train_loss, val_hit10)
+            if val_hit10 > best_metric:
+                best_metric = val_hit10
+                best_epoch = epoch
+                best_snap = _snapshot(model)
+            elif epoch - best_epoch > config.patience:
+                break
     _restore(model, best_snap)
 
     test_probs = _probs_from_views(
@@ -554,12 +561,34 @@ def save_model(model: MapperModel, path) -> None:
         fh.write("\n")
 
 
+def _str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _positive_int(value) -> bool:
+    return accepts(int, value) and value >= 1
+
+
+# the artifact fields read besides train_config, each with the check its value must pass
+_ARTIFACT_FIELDS = {
+    "taxonomy_titles": lambda v: _str_list(v) and len(v) > 0,
+    "taxonomy_groups": lambda v: v is None or _str_list(v),
+    "taxonomy_hash": lambda v: isinstance(v, str),
+    "dims": lambda v: isinstance(v, dict) and all(_positive_int(v.get(k)) for k in ("d_h", "d_b")),
+    "tensors": lambda v: isinstance(v, dict),
+}
+
+
 def load_model(path) -> MapperModel:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise FormatError(f"{path}: not valid JSON ({e.msg})") from None
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: not valid UTF-8") from None
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: the JSON root is not an object")
     if doc.get("format") != MODEL_FORMAT:
         raise FormatError(f"{path}: not a {MODEL_FORMAT} artifact")
     if doc.get("version") != MODEL_VERSION:
@@ -568,6 +597,9 @@ def load_model(path) -> MapperModel:
         config = build(TrainConfig, doc.get("train_config"))
     except ConfigError as e:
         raise FormatError(f"{path}: train_config: {e}") from None
+    for key, valid in _ARTIFACT_FIELDS.items():
+        if key not in doc or not valid(doc[key]):
+            raise FormatError(f"{path}: field {key!r} is missing or ill-typed")
     taxonomy = Taxonomy(titles=doc["taxonomy_titles"], groups=doc["taxonomy_groups"])
     if taxonomy.version_id != doc["taxonomy_hash"]:
         raise DataError(f"{path}: taxonomy hash mismatch; artifact is inconsistent")
@@ -588,5 +620,7 @@ def load_model(path) -> MapperModel:
             raise FormatError(
                 f"{path}: tensor {name} has shape {arr.shape}, expected {t.data.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise NumericError(f"{path}: tensor {name} has a non-finite value")
         t.data[...] = arr
     return model

@@ -17,14 +17,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DataError,
-    DegenerateInputError,
-    DomainError,
-    FormatError,
-    NumericError,
-)
+from .errors import ConfigError, DataError, DegenerateInputError, DomainError, NumericError
+from .formats import read_vectors, write_vectors
 from .graph import ParentChildPair
 
 BOUNDARY_EPS = 1e-5
@@ -143,59 +137,21 @@ class HyperbolicEmbeddingTable:
     seed: int
     vectors: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def __contains__(self, title: str) -> bool:
-        return title in self.vectors
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
     def get(self, title: str) -> np.ndarray:
         return self.vectors[title]
 
     def export_tsv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"#poincare m={self.dim} seed={self.seed}\n")
-            for title in sorted(self.vectors):
-                coords = ",".join(repr(float(v)) for v in self.vectors[title])
-                fh.write(f"{title}\t{coords}\n")
+        write_vectors(path, f"#poincare m={self.dim} seed={self.seed}", self.vectors)
 
     @classmethod
     def load_tsv(cls, path) -> "HyperbolicEmbeddingTable":
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            m = _parse_poincare_header(header, path)
-            dim, seed = m
-            table = cls(dim=dim, seed=seed)
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                parts = line.rstrip("\n").split("\t")
-                if len(parts) != 2:
-                    raise FormatError(f"{path}:{lineno}: expected title<TAB>coords")
-                title, coord_str = parts
-                vec = np.array([float(tok) for tok in coord_str.split(",")], dtype=np.float64)
-                if vec.shape[0] != dim:
-                    raise FormatError(
-                        f"{path}:{lineno}: expected {dim} coordinates, got {vec.shape[0]}"
-                    )
-                if float(np.linalg.norm(vec)) >= 1.0:
-                    raise DataError(f"{path}:{lineno}: point is not inside the unit ball")
-                if title in table.vectors:
-                    raise FormatError(f"{path}:{lineno}: duplicate title {title!r}")
-                table.vectors[title] = vec
+        dim, seed, rows = read_vectors(path, "#poincare", "m", "seed", int)
+        table = cls(dim=dim, seed=seed)
+        for lineno, title, vec in rows:
+            if np.abs(vec).max() >= 1.0 or float(np.linalg.norm(vec)) >= 1.0:
+                raise DataError(f"{path}:{lineno}: point is not inside the unit ball")
+            table.vectors[title] = vec
         return table
-
-
-def _parse_poincare_header(header: str, path) -> tuple[int, int]:
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != "#poincare":
-        raise FormatError(f"{path}:1: expected '#poincare m=<dim> seed=<seed>' header")
-    try:
-        dim = int(parts[1].removeprefix("m="))
-        seed = int(parts[2].removeprefix("seed="))
-    except ValueError:
-        raise FormatError(f"{path}:1: malformed header {header!r}") from None
-    return dim, seed
 
 
 def train_poincare(

@@ -18,7 +18,8 @@ from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInputError, FormatError, MissingTitleError
+from .errors import ConfigError, DegenerateInputError, FormatError, MissingTitleError, NumericError
+from .formats import read_vectors, write_vectors
 from .graph import canonicalize_title
 
 UNIT_NORM_TOL = 1e-9
@@ -89,9 +90,6 @@ class EmbeddingCache:
     vectors: dict[str, np.ndarray] = field(default_factory=dict)
     provenance: dict[str, str] = field(default_factory=dict)
 
-    def __contains__(self, title: str) -> bool:
-        return title in self.vectors
-
     def __len__(self) -> int:
         return len(self.vectors)
 
@@ -150,47 +148,23 @@ def embed_titles(provider: SemanticProvider, titles: Sequence[str]) -> Embedding
 # ---------------------------------------------------------------------------
 # Embedding TSV: "#embeddings d=<dim> normalize=<bool>" then title<TAB>v1,v2,...
 
-def write_embeddings(path, cache: EmbeddingCache, normalize: bool = False) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"#embeddings d={cache.dimension} normalize={str(normalize).lower()}\n")
-        for title in sorted(cache.vectors):
-            coords = ",".join(repr(float(v)) for v in cache.vectors[title])
-            fh.write(f"{title}\t{coords}\n")
+def write_embeddings(path, cache: EmbeddingCache) -> None:
+    write_vectors(path, f"#embeddings d={cache.dimension} normalize=false", cache.vectors)
 
 
 def load_precomputed(path) -> EmbeddingCache:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        parts = header.split()
-        if len(parts) != 3 or parts[0] != "#embeddings":
-            raise FormatError(
-                f"{path}:1: expected '#embeddings d=<dim> normalize=<bool>' header"
-            )
-        try:
-            dim = int(parts[1].removeprefix("d="))
-            normalize = {"true": True, "false": False}[parts[2].removeprefix("normalize=")]
-        except (ValueError, KeyError):
-            raise FormatError(f"{path}:1: malformed header {header!r}") from None
-        cache = EmbeddingCache(dimension=dim)
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected title<TAB>coords")
-            title, coord_str = parts
-            vec = np.array([float(tok) for tok in coord_str.split(",")], dtype=np.float64)
-            if vec.shape[0] != dim:
-                raise FormatError(
-                    f"{path}:{lineno}: expected {dim} values, got {vec.shape[0]}"
-                )
-            if title in cache.vectors:
-                raise FormatError(f"{path}:{lineno}: duplicate title {title!r}")
-            if normalize:
+    bools = {"true": True, "false": False}
+    dim, normalize, rows = read_vectors(path, "#embeddings", "d", "normalize", bools.__getitem__)
+    cache = EmbeddingCache(dimension=dim)
+    for lineno, title, vec in rows:
+        if normalize:
+            with np.errstate(over="ignore"):
                 norm = float(np.linalg.norm(vec))
-                if norm == 0.0:
-                    raise FormatError(f"{path}:{lineno}: zero vector cannot be normalized")
-                vec = vec / norm
-            cache.vectors[title] = vec
-            cache.provenance[title] = f"file:{path}"
+            if norm == 0.0:
+                raise FormatError(f"{path}:{lineno}: zero vector cannot be normalized")
+            if norm == np.inf:
+                raise NumericError(f"{path}:{lineno}: vector norm overflows to inf")
+            vec = vec / norm
+        cache.vectors[title] = vec
+        cache.provenance[title] = f"file:{path}"
     return cache

@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, DegenerateInputError, FormatError
+from .errors import DataError, DegenerateInputError
+from .formats import read_rows, write_rows
 from .graph import canonicalize_title
 
 
@@ -69,28 +70,15 @@ class Taxonomy:
         return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:16]
 
     def write_tsv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for i, title in enumerate(self.titles):
-                group = self.groups[i] if self.groups else ""
-                fh.write(f"{title}\t{group}\n")
+        groups = self.groups or [""] * len(self.titles)
+        write_rows(path, zip(self.titles, groups))
 
     @classmethod
     def load_tsv(cls, path) -> "Taxonomy":
-        titles, groups = [], []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                parts = line.rstrip("\n").split("\t")
-                if len(parts) != 2:
-                    raise FormatError(
-                        f"{path}:{lineno}: expected standard_title<TAB>group"
-                    )
-                titles.append(parts[0])
-                groups.append(parts[1])
-        if not titles:
+        rows = [row for _, row in read_rows(path, ("standard_title", "group"))[1]]
+        if not rows:
             raise DataError(f"{path}: taxonomy file is empty")
-        return cls(titles=titles, groups=groups)
+        return cls(titles=[t for t, _ in rows], groups=[g for _, g in rows])
 
 
 def syntactic_matrix(titles: Sequence[str], taxonomy: Taxonomy) -> np.ndarray:

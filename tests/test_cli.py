@@ -265,21 +265,141 @@ def test_bad_config_value_exits_2(trained, command, overrides, capsys):
         lambda doc: doc["train_config"].pop("batch_size"),
         lambda doc: doc["train_config"].update(batch_size="x"),
         lambda doc: doc["tensors"]["fusion.b"].pop("shape"),
+        lambda doc: doc.pop("taxonomy_titles"),
+        lambda doc: doc.pop("taxonomy_groups"),
+        lambda doc: doc.pop("taxonomy_hash"),
+        lambda doc: doc["dims"].pop("d_h"),
+        lambda doc: doc["dims"].pop("d_b"),
+        lambda doc: doc.update(taxonomy_titles="data analyst"),
+        lambda doc: doc.update(taxonomy_groups=[1, 2]),
+        lambda doc: doc.update(taxonomy_hash=7),
+        lambda doc: doc["dims"].update(d_h="6"),
+        lambda doc: doc["dims"].update(d_b=0),
+        lambda doc: doc.update(dims=[6, 16]),
     ],
-    ids=["extra-key", "missing-key", "wrong-type", "tensor-without-shape"],
+    ids=["extra-key", "missing-key", "wrong-type", "tensor-without-shape",
+         "no-taxonomy-titles", "no-taxonomy-groups", "no-taxonomy-hash", "no-d-h", "no-d-b",
+         "titles-not-list", "groups-not-strings", "hash-not-string", "d-h-string",
+         "d-b-zero", "dims-not-object"],
 )
 def test_corrupt_model_artifact_exits_3(trained, corrupt, capsys):
     tmp, data = trained
     doc = json.loads((tmp / "out" / "model.json").read_text())
     corrupt(doc)
+    assert run_map_with_model(trained, json.dumps(doc), capsys) == (3, "kind=data")
+
+
+def run_map_with_model(trained, text, capsys):
+    """Exit code and error kind of `map` on a model artifact with this text;
+    the error must be one stderr line."""
+    tmp, data = trained
     model = tmp / "corrupt_model.json"
-    model.write_text(json.dumps(doc))
+    model.write_text(text)
     path, _ = write_config(
         tmp,
         {"output_dir": str(tmp / "rejected"), "data": {**data, "model": str(model)}},
         name="corrupt.json",
     )
-    assert main(["map", "--config", str(path)]) == 3
+    code = main(["map", "--config", str(path)])
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert "kind=data" in err
+    return code, err.split()[1]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_model_tensor_exits_4(trained, value, capsys):
+    tmp, _ = trained
+    doc = json.loads((tmp / "out" / "model.json").read_text())
+    doc["tensors"]["fusion.w"]["data"][3] = value
+    assert run_map_with_model(trained, json.dumps(doc), capsys) == (4, "kind=numeric")
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_training_loss_exits_4(trained, capsys):
+    tmp, data = trained
+    path, _ = write_config(
+        tmp, {"output_dir": str(tmp / "rejected"), "data": data, "train": {"lr": 1e300}},
+        name="huge_lr.json",
+    )
+    assert main(["train", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "kind=numeric" in err and "training loss" in err
+    assert not (tmp / "rejected" / "model.json").exists()
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"output_dir": "\xff"}')
+    assert main(["gen-data", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "kind=config" in err and "config.json" in err
+
+
+EMBEDDINGS_D16 = "#embeddings d=16 normalize=true\n"
+
+# one malformed file per on-disk format: (command, data key or the provider,
+# file content, exit code, error kind)
+MALFORMED_INPUTS = {
+    "taxonomy-three-fields": ("train", "taxonomy", b"a\tb\tc\n", 3, "kind=data"),
+    "taxonomy-not-utf8": ("train", "taxonomy", b"data analyst\t\xff\n", 3, "kind=data"),
+    "labels-one-field": ("train", "labels", b"data analyst\n", 3, "kind=data"),
+    "titles-with-tab": ("map", "titles", b"data\tanalyst\n", 3, "kind=data"),
+    "pairs-no-header": ("train-poincare", "pairs", b"a\tb\n", 3, "kind=data"),
+    "resumes-not-utf8": ("build-graph", "resumes", b"\xff\n", 3, "kind=data"),
+    "hyperbolic-nan": ("train", "hyperbolic", b"#poincare m=6 seed=0\nchef\tnan,0,0,0,0,0\n", 4,
+                       "kind=numeric"),
+    "hyperbolic-not-a-number": ("train", "hyperbolic",
+                                b"#poincare m=6 seed=0\nchef\tabc,0,0,0,0,0\n", 3, "kind=data"),
+    "hyperbolic-not-utf8": ("train", "hyperbolic", b"#poincare m=6 seed=0\n\xff\t0,0,0,0,0,0\n", 3,
+                            "kind=data"),
+    "vectors-not-a-number": ("linkpred", "vectors",
+                             b"#embeddings d=2 normalize=false\nchef\tabc,1\n", 3, "kind=data"),
+    "vectors-nan": ("linkpred", "vectors", b"#embeddings d=2 normalize=false\nchef\t1,nan\n", 4,
+                    "kind=numeric"),
+    "embeddings-inf": ("train", "provider", (EMBEDDINGS_D16 + "chef\tinf" + ",1" * 15 + "\n").encode(),
+                       4, "kind=numeric"),
+    "embeddings-norm-overflows": ("train", "provider",
+                                  (EMBEDDINGS_D16 + "chef\t1e308" + ",1e308" * 15 + "\n").encode(),
+                                  4, "kind=numeric"),
+    "model-root-not-object": ("map", "model", b"[1, 2]\n", 3, "kind=data"),
+    "model-not-utf8": ("map", "model", b'{"format": "\xff"}', 3, "kind=data"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", MALFORMED_INPUTS)
+def test_malformed_input_file_exits_with_its_code(trained, case, capsys):
+    command, key, content, code, kind = MALFORMED_INPUTS[case]
+    tmp, data = trained
+    bad = tmp / f"malformed-{case}"
+    bad.write_bytes(content)
+    overrides = {"output_dir": str(tmp / "rejected"), "data": {**data, "vectors": data["hyperbolic"]}}
+    if key == "provider":
+        overrides["provider"] = f"precomputed:{bad}"
+    else:
+        overrides["data"][key] = str(bad)
+    path, _ = write_config(tmp, overrides, name="malformed.json")
+    assert main([command, "--config", str(path)]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert kind in err and str(bad) in err
+
+
+def test_precomputed_key_is_canonicalized_on_load(trained, capsys):
+    tmp, data = trained
+    title = (tmp / "out" / "taxonomy.tsv").read_text().split("\t")[0]
+    raw_key = "  " + title.upper().replace(" ", "  ")
+    emb = tmp / "precomputed.tsv"
+    emb.write_text(EMBEDDINGS_D16 + raw_key + "\t" + ",".join(["0.25"] * 16) + "\n")
+    (tmp / "one_title.txt").write_text(title + "\n")
+    path, _ = write_config(
+        tmp,
+        {"output_dir": str(tmp / "encoded"), "provider": f"precomputed:{emb}",
+         "provider_fallback": False, "data": {**data, "titles": str(tmp / "one_title.txt")}},
+        name="precomputed.json",
+    )
+    assert main(["encode-semantic", "--config", str(path)]) == 0
+    rows = (tmp / "encoded" / "semantic.tsv").read_text().splitlines()
+    assert rows[1] == f"{title}\t" + ",".join(["0.25"] * 16)
