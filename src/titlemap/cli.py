@@ -436,8 +436,9 @@ def main(argv: Optional[list] = None) -> int:
     except (DataError, EvaluationError) as e:
         print(f"error kind=data code=3: {_one_line(e)}", file=sys.stderr)
         return 3
-    except FileNotFoundError as e:
-        print(f"error kind=data code=3: no such file: {e.filename}", file=sys.stderr)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as e:
+        what = "is a directory" if isinstance(e, IsADirectoryError) else "no such file"
+        print(f"error kind=data code=3: {what}: {e.filename}", file=sys.stderr)
         return 3
     except (NumericError, TitlemapError) as e:
         print(f"error kind=numeric code=4: {_one_line(e)}", file=sys.stderr)

@@ -42,23 +42,29 @@ class CoAttentionParams:
     w_cross_hs: Tensor  # d_s x d_h
     w_cross_bs: Tensor  # d_s x d_b
 
+    @staticmethod
+    def shapes(d_h: int, d_b: int, d_s: int) -> dict[str, tuple[int, int]]:
+        """Field name -> shape of every weight, in field order."""
+        return {
+            "w_aff_hb": (d_h, d_b),
+            "w_aff_hs": (d_h, d_s),
+            "w_aff_bs": (d_b, d_s),
+            "w_self_h": (d_h, d_h),
+            "w_self_b": (d_b, d_b),
+            "w_self_s": (d_s, d_s),
+            "w_cross_bh": (d_h, d_b),
+            "w_cross_sh": (d_h, d_s),
+            "w_cross_hb": (d_b, d_h),
+            "w_cross_sb": (d_b, d_s),
+            "w_cross_hs": (d_s, d_h),
+            "w_cross_bs": (d_s, d_b),
+        }
+
     @classmethod
     def init(cls, d_h: int, d_b: int, d_s: int, seed: int = 0) -> "CoAttentionParams":
         rng = np.random.default_rng(seed)
-        return cls(
-            w_aff_hb=_uniform_param(rng, d_h, d_b),
-            w_aff_hs=_uniform_param(rng, d_h, d_s),
-            w_aff_bs=_uniform_param(rng, d_b, d_s),
-            w_self_h=_uniform_param(rng, d_h, d_h),
-            w_self_b=_uniform_param(rng, d_b, d_b),
-            w_self_s=_uniform_param(rng, d_s, d_s),
-            w_cross_bh=_uniform_param(rng, d_h, d_b),
-            w_cross_sh=_uniform_param(rng, d_h, d_s),
-            w_cross_hb=_uniform_param(rng, d_b, d_h),
-            w_cross_sb=_uniform_param(rng, d_b, d_s),
-            w_cross_hs=_uniform_param(rng, d_s, d_h),
-            w_cross_bs=_uniform_param(rng, d_s, d_b),
-        )
+        shapes = cls.shapes(d_h, d_b, d_s)
+        return cls(**{name: _uniform_param(rng, *shape) for name, shape in shapes.items()})
 
     def tensors(self) -> list[Tensor]:
         return list(nx.tensor_fields(self).values())

@@ -31,6 +31,16 @@ def canonicalize_title(raw: str) -> str:
     return canonical
 
 
+def is_utf8(text: str) -> bool:
+    """Whether `text` has a UTF-8 encoding. A JSON escape such as `\\ud800`
+    decodes to a lone surrogate, which has none."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def read_lines(path) -> Iterator[tuple[int, str]]:
     """(line number, text) of every line, without its `\\n` or `\\r\\n` ending.
     A line that is not UTF-8 raises `FormatError`."""

@@ -14,7 +14,7 @@ from datetime import date
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import DataError, FormatError
-from .formats import canonicalize_title, read_lines, read_rows, write_rows
+from .formats import canonicalize_title, is_utf8, read_lines, read_rows, write_rows
 
 RECORD_FIELDS = ("person_id", "title", "company_id", "start", "end")
 
@@ -130,6 +130,8 @@ def load_records(path) -> list[JobRecord]:
             raise FormatError(
                 f"{path}:{lineno}: expected fields {list(RECORD_FIELDS)}, got {sorted(obj) if isinstance(obj, dict) else type(obj).__name__}"
             )
+        if not all(is_utf8(v) for v in obj.values() if isinstance(v, str)):
+            raise FormatError(f"{path}:{lineno}: a field is not valid UTF-8 (lone surrogate)")
         try:
             start = date.fromisoformat(obj["start"])
             end = None if obj["end"] is None else date.fromisoformat(obj["end"])

@@ -27,6 +27,7 @@ from .poincare import HyperbolicEmbeddingTable
 from .schema import accepts, build
 from .semantic import SemanticProvider
 from .syntactic import Taxonomy, syntactic_matrix
+from .formats import is_utf8
 from .graph import canonicalize_title
 
 logger = logging.getLogger(__name__)
@@ -541,6 +542,21 @@ def _tensor_registry(model: MapperModel) -> dict[str, Tensor]:
     return reg
 
 
+def _tensor_shapes(config: TrainConfig, d_h: int, d_b: int, d_s: int) -> dict[str, tuple[int, int]]:
+    """Artifact name -> shape of every tensor `_tensor_registry` lists for a
+    model of these dimensions, computed without building the model."""
+    width = fused_width(config.variant, d_h, d_b, d_s, config.d_r)
+    shapes = {"fusion.w": (d_s, width), "fusion.b": (1, d_s)}
+    if config.variant == "full":
+        for prefix, params in (
+            ("coattention", ca.CoAttentionParams.shapes(d_h, d_b, d_s)),
+            ("reasoning_b", rs.ReasoningParams.shapes(d_b, config.d_r)),
+            ("reasoning_s", rs.ReasoningParams.shapes(d_s, config.d_r)),
+        ):
+            shapes.update({f"{prefix}.{name}": shape for name, shape in params.items()})
+    return shapes
+
+
 def save_model(model: MapperModel, path) -> None:
     doc = {
         "format": MODEL_FORMAT,
@@ -562,7 +578,7 @@ def save_model(model: MapperModel, path) -> None:
 
 
 def _str_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    return isinstance(value, list) and all(isinstance(v, str) and is_utf8(v) for v in value)
 
 
 def _positive_int(value) -> bool:
@@ -603,24 +619,31 @@ def load_model(path) -> MapperModel:
     taxonomy = Taxonomy(titles=doc["taxonomy_titles"], groups=doc["taxonomy_groups"])
     if taxonomy.version_id != doc["taxonomy_hash"]:
         raise DataError(f"{path}: taxonomy hash mismatch; artifact is inconsistent")
-    model = init_model(
-        taxonomy, config, d_h=doc["dims"]["d_h"], d_b=doc["dims"]["d_b"]
-    )
-    registry = _tensor_registry(model)
+    d_h, d_b = doc["dims"]["d_h"], doc["dims"]["d_b"]
+    if (d_h, d_b) != (config.d_h, config.d_b):
+        raise FormatError(
+            f"{path}: dims d_h={d_h} d_b={d_b} differ from train_config "
+            f"d_h={config.d_h} d_b={config.d_b}"
+        )
+    # every stored tensor is checked against the shape the dimensions imply
+    # before the model is built, so a false dimension cannot ask for memory
+    expected = _tensor_shapes(config, d_h, d_b, len(taxonomy))
     stored = doc["tensors"]
-    if set(stored) != set(registry):
+    if set(stored) != set(expected):
         raise FormatError(f"{path}: tensor set does not match the {config.variant} variant")
-    for name, t in registry.items():
+    arrays = {}
+    for name, shape in expected.items():
         entry = stored[name]
         try:
             arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
         except (KeyError, TypeError, ValueError) as e:
             raise FormatError(f"{path}: tensor {name} is malformed ({e!r})") from None
-        if arr.shape != t.data.shape:
-            raise FormatError(
-                f"{path}: tensor {name} has shape {arr.shape}, expected {t.data.shape}"
-            )
+        if arr.shape != shape:
+            raise FormatError(f"{path}: tensor {name} has shape {arr.shape}, expected {shape}")
         if not np.isfinite(arr).all():
             raise NumericError(f"{path}: tensor {name} has a non-finite value")
-        t.data[...] = arr
+        arrays[name] = arr
+    model = init_model(taxonomy, config, d_h=d_h, d_b=d_b)
+    for name, t in _tensor_registry(model).items():
+        t.data[...] = arrays[name]
     return model

@@ -29,11 +29,6 @@ def _uniform_param(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
     return Tensor(rng.uniform(-bound, bound, size=(rows, cols)), requires_grad=True)
 
 
-def _uniform_bias(rng: np.random.Generator, size: int) -> Tensor:
-    bound = 1.0 / np.sqrt(size)
-    return Tensor(rng.uniform(-bound, bound, size=(1, size)), requires_grad=True)
-
-
 @dataclass
 class ReasoningParams:
     """Event encoder (two-layer, tanh hidden), NOT and OR modules, TRUE anchor.
@@ -58,26 +53,36 @@ class ReasoningParams:
     or_b: Tensor  # 1 x d_r
     true_anchor: Tensor  # 1 x d_r, unit norm
 
+    @staticmethod
+    def shapes(view_dim: int, d_r: int) -> dict[str, tuple[int, int]]:
+        """Field name -> shape of every tensor, in field order. A bias is one
+        row, so `_uniform_param` draws it with bound 1/sqrt(its width)."""
+        hidden = 2 * d_r
+        return {
+            "enc_w1_j": (hidden, view_dim),
+            "enc_w1_v": (hidden, view_dim),
+            "enc_b1": (1, hidden),
+            "enc_w2": (d_r, hidden),
+            "enc_b2": (1, d_r),
+            "not_w": (d_r, d_r),
+            "not_b": (1, d_r),
+            "or_w_left": (d_r, d_r),
+            "or_w_right": (d_r, d_r),
+            "or_b": (1, d_r),
+            "true_anchor": (1, d_r),
+        }
+
     @classmethod
     def init(cls, view_dim: int, d_r: int, seed: int = 0) -> "ReasoningParams":
         rng = np.random.default_rng(seed)
-        hidden = 2 * d_r
-        anchor = rng.standard_normal((1, d_r))
+        shapes = cls.shapes(view_dim, d_r)
+        anchor = rng.standard_normal(shapes.pop("true_anchor"))
         anchor /= np.linalg.norm(anchor)
         return cls(
             view_dim=view_dim,
             d_r=d_r,
-            enc_w1_j=_uniform_param(rng, hidden, view_dim),
-            enc_w1_v=_uniform_param(rng, hidden, view_dim),
-            enc_b1=_uniform_bias(rng, hidden),
-            enc_w2=_uniform_param(rng, d_r, hidden),
-            enc_b2=_uniform_bias(rng, d_r),
-            not_w=_uniform_param(rng, d_r, d_r),
-            not_b=_uniform_bias(rng, d_r),
-            or_w_left=_uniform_param(rng, d_r, d_r),
-            or_w_right=_uniform_param(rng, d_r, d_r),
-            or_b=_uniform_bias(rng, d_r),
             true_anchor=Tensor(anchor, requires_grad=True),
+            **{name: _uniform_param(rng, *shape) for name, shape in shapes.items()},
         )
 
     def tensors(self) -> list[Tensor]:

@@ -83,10 +83,26 @@ class Taxonomy:
 
 def syntactic_matrix(titles: Sequence[str], taxonomy: Taxonomy) -> np.ndarray:
     """Similarity of each title against every standard title, shape
-    (len(titles), |Y|), columns in taxonomy order."""
+    (len(titles), |Y|), columns in taxonomy order. Equal, bit for bit, to
+    `string_cosine` of every pair.
+
+    Scored through an inverted index of the taxonomy's grams: a title's
+    shared-gram count with every standard title is one bincount over the
+    columns listed under each of its grams."""
     if len(taxonomy) == 0:
         raise DegenerateInputError("syntactic_matrix: empty taxonomy")
+    # taxonomy titles are canonical already (`Taxonomy.__post_init__`)
+    columns: dict[str, list[int]] = {}
+    for col, standard in enumerate(taxonomy.titles):
+        for gram in gram_set(standard):
+            columns.setdefault(gram, []).append(col)
+    postings = {gram: np.array(cols, dtype=np.intp) for gram, cols in columns.items()}
+    sizes = np.array([len(gram_set(t)) for t in taxonomy.titles], dtype=np.int64)
+    no_hits = [np.empty(0, dtype=np.intp)]
     matrix = np.empty((len(titles), len(taxonomy)), dtype=np.float64)
     for row, title in enumerate(titles):
-        matrix[row] = [string_cosine(title, v) for v in taxonomy.titles]
+        grams = gram_set(canonicalize_title(title))
+        hits = [postings[g] for g in grams if g in postings] or no_hits
+        shared = np.bincount(np.concatenate(hits), minlength=len(taxonomy))
+        matrix[row] = shared / np.sqrt(len(grams) * sizes)
     return matrix

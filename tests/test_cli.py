@@ -276,11 +276,17 @@ def test_bad_config_value_exits_2(trained, command, overrides, capsys):
         lambda doc: doc["dims"].update(d_h="6"),
         lambda doc: doc["dims"].update(d_b=0),
         lambda doc: doc.update(dims=[6, 16]),
+        # both claims agree, so only the tensor shapes can catch it, and they
+        # must be checked before a 50000-wide model is built
+        lambda doc: (doc["dims"].update(d_h=50000), doc["train_config"].update(d_h=50000)),
+        lambda doc: doc["dims"].update(d_h=7),
+        lambda doc: doc["taxonomy_titles"].__setitem__(0, "head \ud800 chef"),
     ],
     ids=["extra-key", "missing-key", "wrong-type", "tensor-without-shape",
          "no-taxonomy-titles", "no-taxonomy-groups", "no-taxonomy-hash", "no-d-h", "no-d-b",
          "titles-not-list", "groups-not-strings", "hash-not-string", "d-h-string",
-         "d-b-zero", "dims-not-object"],
+         "d-b-zero", "dims-not-object", "d-h-50000", "dims-differ-from-train-config",
+         "lone-surrogate-title"],
 )
 def test_corrupt_model_artifact_exits_3(trained, corrupt, capsys):
     tmp, data = trained
@@ -348,6 +354,9 @@ MALFORMED_INPUTS = {
     "titles-with-tab": ("map", "titles", b"data\tanalyst\n", 3, "kind=data"),
     "pairs-no-header": ("train-poincare", "pairs", b"a\tb\n", 3, "kind=data"),
     "resumes-not-utf8": ("build-graph", "resumes", b"\xff\n", 3, "kind=data"),
+    "resumes-lone-surrogate": ("build-graph", "resumes",
+                               b'{"person_id": "p1", "title": "head \\ud800 chef", "company_id": '
+                               b'"c1", "start": "2010-01-01", "end": null}\n', 3, "kind=data"),
     "hyperbolic-nan": ("train", "hyperbolic", b"#poincare m=6 seed=0\nchef\tnan,0,0,0,0,0\n", 4,
                        "kind=numeric"),
     "hyperbolic-not-a-number": ("train", "hyperbolic",
@@ -385,6 +394,20 @@ def test_malformed_input_file_exits_with_its_code(trained, case, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert kind in err and str(bad) in err
+
+
+@pytest.mark.parametrize("where", ["directory", "under-a-file"])
+def test_data_path_that_is_not_a_file_exits_3(trained, where, capsys):
+    tmp, data = trained
+    bad = tmp if where == "directory" else tmp / "out" / "taxonomy.tsv" / "resumes.jsonl"
+    path, _ = write_config(
+        tmp, {"output_dir": str(tmp / "rejected"), "data": {**data, "resumes": str(bad)}},
+        name="not_a_file.json",
+    )
+    assert main(["build-graph", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "kind=data" in err and str(bad) in err
 
 
 def test_precomputed_key_is_canonicalized_on_load(trained, capsys):

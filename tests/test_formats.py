@@ -139,7 +139,7 @@ def test_random_bytes_load_or_end_in_its_exit_code(fmt, scratch, blob):
 
 
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=8),
+    st.none() | st.booleans() | st.integers(-3, 10**6) | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )

@@ -9,10 +9,13 @@ from titlemap.datagen import SynthConfig, gen_resumes, gen_taxonomy
 from titlemap.errors import ConfigError, DataError
 from titlemap.graph import extract_parent_child_pairs
 from titlemap.model import (
+    VARIANTS,
     FeaturePipeline,
     MapperModel,
     TrainConfig,
     _TrainContext,
+    _tensor_registry,
+    _tensor_shapes,
     forward_probabilities,
     init_model,
     load_model,
@@ -229,3 +232,13 @@ def test_variant_artifacts_round_trip(tmp_path):
             forward_probabilities(result.model, pipeline, probe),
             forward_probabilities(loaded, pipeline, probe),
         )
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_tensor_shapes_match_the_built_model(variant):
+    taxonomy = Taxonomy(titles=["data analyst", "chef", "pilot"])
+    config = small_config(d_h=5, d_b=7, d_r=3, variant=variant)
+    model = init_model(taxonomy, config, d_h=5, d_b=7)
+    built = {name: t.data.shape for name, t in _tensor_registry(model).items()}
+    assert _tensor_shapes(config, 5, 7, 3) == built
+    assert list(_tensor_shapes(config, 5, 7, 3)) == list(built)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from titlemap.errors import DataError, DegenerateInputError, FormatError
+from titlemap.graph import canonicalize_title
 from titlemap.syntactic import (
     Taxonomy,
     gram_set,
@@ -122,3 +125,41 @@ def test_taxonomy_tsv_rejects_malformed_rows(tmp_path):
     path.write_text("only one field\n")
     with pytest.raises(FormatError):
         Taxonomy.load_tsv(path)
+
+
+def _canonical_or_none(raw):
+    try:
+        return canonicalize_title(raw)
+    except DegenerateInputError:
+        return None
+
+
+# lowercase and uppercase letters, repeated spaces, control (Cc) and format
+# (Cf) characters, and non-ASCII letters, one of which lowercases to two
+# code points; `xyz` appears in no standard title
+_RAW_TITLE = st.text(alphabet="abcde ABC  \t\n\x00\x07\u200b\u200eéßİ中", min_size=1, max_size=12)
+_NO_SHARED_GRAM = st.text(alphabet="xyzXYZ \u200b", min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    standards=st.lists(_RAW_TITLE.filter(_canonical_or_none), min_size=1, max_size=6,
+                       unique_by=_canonical_or_none),
+    titles=st.lists(st.one_of(_RAW_TITLE, _NO_SHARED_GRAM).filter(_canonical_or_none), max_size=6),
+    repeats=st.integers(0, 3),
+)
+@example(standards=["chef"], titles=["Chef", "CHEF  ", "sous chef", "xyz"], repeats=0)
+@example(standards=["data analyst", "chef"], titles=[], repeats=0)
+@example(standards=["data analyst", "chef"], titles=["X Y Z", "zzz"], repeats=2)
+def test_matrix_is_bit_identical_to_pairwise_oracles(standards, titles, repeats):
+    titles = titles + titles[:repeats]
+    taxonomy = Taxonomy(titles=standards)
+    matrix = syntactic_matrix(titles, taxonomy)
+    assert matrix.shape == (len(titles), len(taxonomy))
+    for title, row in zip(titles, matrix):
+        oracle = np.array([brute_force_gram_cosine(canonicalize_title(title), v) for v in taxonomy.titles])
+        pairwise = np.array([string_cosine(title, v) for v in taxonomy.titles])
+        assert np.array_equal(row.view(np.int64), oracle.view(np.int64))
+        assert np.array_equal(row.view(np.int64), pairwise.view(np.int64))
+        if set(canonicalize_title(title)) <= set("xyz "):
+            assert not row.any()
