@@ -19,7 +19,7 @@ import numpy as np
 from . import evaluation as ev
 from .datagen import SynthConfig, gen_resumes, gen_taxonomy
 from .errors import ConfigError, DataError, EvaluationError, NumericError, TitlemapError
-from .formats import read_lines, read_rows, write_rows
+from .formats import is_utf8, read_lines, read_rows, write_rows
 from .graph import (
     build_transition_graph,
     extract_parent_child_pairs,
@@ -102,6 +102,8 @@ def _resolve(raw, schema: dict, prefix: str) -> dict:
         value = raw.get(key, default)
         if not (value is None and default is None) and not accepts(kind, value):
             raise ConfigError(f"config key '{name}' has type {type(value).__name__}")
+        if isinstance(value, str) and not is_utf8(value):
+            raise ConfigError(f"config key '{name}' is not valid UTF-8 (lone surrogate)")
         resolved[key] = value
     return resolved
 
@@ -256,6 +258,13 @@ def cmd_train_poincare(config: dict) -> None:
     pairs = load_pairs(pairs_path)
     table = train_poincare(pairs, m=config["dims"]["d_h"], config=poincare_config)
     _save(out, "hyperbolic.tsv", table.export_tsv)
+    report = {
+        "pairs": len(pairs),
+        "titles": len(table.vectors),
+        "epochs": table.history,
+        "seeds": config["seeds"],
+    }
+    _save(out, "poincare_report.json", _write_json, report)
     if config["poincare"]["export_2d"]:
         flat = train_poincare(pairs, m=2, config=poincare_config)
         _save(out, "hyperbolic_2d.tsv", flat.export_tsv)

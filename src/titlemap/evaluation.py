@@ -209,8 +209,10 @@ def link_prediction_auc(
     """Fit a logistic classifier on train edges per operator, select the
     operator on dev AUC, report test AUC. Train negatives are resampled 1:1
     each epoch from non-edges."""
-    needed = set()
-    for edge_list in (split.train_edges, split.dev_pos, split.dev_neg, split.test_pos, split.test_neg):
+    edge_lists = (split.train_edges, split.dev_pos, split.dev_neg, split.test_pos, split.test_neg)
+    # sampled train negatives may be any node, so every node needs a vector
+    needed = set(split.nodes)
+    for edge_list in edge_lists:
         for u, v in edge_list:
             needed.update((u, v))
     missing = sorted(t for t in needed if t not in node_vectors)
@@ -218,6 +220,9 @@ def link_prediction_auc(
         raise MissingTitleError(
             f"no vector for {len(missing)} node(s): {missing[:10]}"
         )
+    keys = sorted(needed)
+    row = {t: i for i, t in enumerate(keys)}
+    matrix = np.stack([np.asarray(node_vectors[t], dtype=np.float64) for t in keys])
 
     rng = np.random.default_rng(seed)
     nodes = split.nodes
@@ -233,20 +238,24 @@ def link_prediction_auc(
             out.append((u, v))
         return out
 
-    def features(edge_list: list, operator: str) -> np.ndarray:
-        return np.stack(
-            [edge_embed(node_vectors[u], node_vectors[v], operator) for u, v in edge_list]
-        )
+    def endpoints(edge_list: list) -> tuple[np.ndarray, np.ndarray]:
+        return (np.array([row[u] for u, _ in edge_list], dtype=np.intp),
+                np.array([row[v] for _, v in edge_list], dtype=np.intp))
 
+    def features(ends: tuple[np.ndarray, np.ndarray], operator: str) -> np.ndarray:
+        return edge_embed(matrix[ends[0]], matrix[ends[1]], operator)
+
+    train_pos, dev_pos, dev_neg, test_pos, test_neg = (endpoints(e) for e in edge_lists)
     per_operator = {}
     for operator in EDGE_OPERATORS:
-        pos_feats = features(split.train_edges, operator)
+        pos_feats = features(train_pos, operator)
         dim = pos_feats.shape[1]
         w = Tensor(np.zeros(dim), requires_grad=True)
         b = Tensor(np.zeros(1), requires_grad=True)
         optimizer = nx.Adam([w, b], lr=lr)
         for _ in range(epochs):
-            neg_feats = features(sample_train_negatives(len(split.train_edges)), operator)
+            negatives = endpoints(sample_train_negatives(len(split.train_edges)))
+            neg_feats = features(negatives, operator)
             feats = np.concatenate([pos_feats, neg_feats])
             y = np.concatenate([np.ones(len(pos_feats)), np.zeros(len(neg_feats))])
             p = _sigmoid(feats @ w.data + b.data[0])
@@ -255,12 +264,11 @@ def link_prediction_auc(
             b.grad = np.array([resid.sum()])
             optimizer.step()
 
-        def score(edge_list):
-            feats = features(edge_list, operator)
-            return feats @ w.data + b.data[0]
+        def score(ends):
+            return features(ends, operator) @ w.data + b.data[0]
 
-        dev_auc = auc_score(score(split.dev_pos), score(split.dev_neg))
-        test_auc = auc_score(score(split.test_pos), score(split.test_neg))
+        dev_auc = auc_score(score(dev_pos), score(dev_neg))
+        test_auc = auc_score(score(test_pos), score(test_neg))
         per_operator[operator] = {"dev_auc": dev_auc, "test_auc": test_auc}
 
     best_operator = max(EDGE_OPERATORS, key=lambda op: per_operator[op]["dev_auc"])

@@ -24,6 +24,16 @@ from .graph import ParentChildPair
 BOUNDARY_EPS = 1e-5
 _ACOSH_GUARD = 1e-30
 
+# (child, parent) pairs per Riemannian SGD step. Rows shared within a block
+# sum their gradients; 32 keeps link AUC and mean parent rank at the per-pair
+# trainer's level while paying numpy's per-call cost once per 32 pairs.
+_BATCH_PAIRS = 32
+
+# Rows whose squared norm reaches this are handed to `project_to_ball`, which
+# decides exactly; the margin covers the few ulps by which a row-wise sum can
+# differ from its own norm.
+_NEAR_LIMIT_SQ = (1.0 - BOUNDARY_EPS) ** 2 * (1.0 - 1e-12)
+
 
 def _check_inside(x: np.ndarray, name: str) -> float:
     sq = float(np.dot(x, x))
@@ -51,10 +61,11 @@ def conformal_factor(x: np.ndarray) -> float:
 
 
 def riemannian_rescale(x: np.ndarray, euclid_grad: np.ndarray) -> np.ndarray:
-    """Rescale a Euclidean gradient by the inverse metric at x."""
+    """Rescale a Euclidean gradient by the inverse metric at x; a stack of
+    rows is rescaled row by row, each by its own metric."""
     x = np.asarray(x, dtype=np.float64)
-    sq = float(np.dot(x, x))
-    return ((1.0 - sq) ** 2 / 4.0) * np.asarray(euclid_grad, dtype=np.float64)
+    sq = np.einsum("...i,...i->...", x, x)
+    return ((1.0 - sq) ** 2 / 4.0)[..., None] * np.asarray(euclid_grad, dtype=np.float64)
 
 
 def project_to_ball(x: np.ndarray, eps: float = BOUNDARY_EPS) -> np.ndarray:
@@ -77,19 +88,21 @@ def project_to_ball(x: np.ndarray, eps: float = BOUNDARY_EPS) -> np.ndarray:
 
 
 def _distance_batch(u: np.ndarray, cands: np.ndarray):
-    """Distances and intermediates from one point to a stack of candidates."""
-    alpha = 1.0 - float(np.dot(u, u))
-    beta = 1.0 - np.einsum("ij,ij->i", cands, cands)
-    diff = u[None, :] - cands
-    sq_diff = np.einsum("ij,ij->i", diff, diff)
-    gamma = 1.0 + 2.0 * sq_diff / (alpha * beta)
+    """Distances from each point u[b] to its candidates cands[b, k], plus the
+    intermediates the gradients reuse. u is (..., m), cands (..., K, m)."""
+    alpha = 1.0 - np.einsum("...i,...i->...", u, u)
+    beta = 1.0 - np.einsum("...i,...i->...", cands, cands)
+    diff = u[..., None, :] - cands
+    sq_diff = np.einsum("...i,...i->...", diff, diff)
+    gamma = 1.0 + 2.0 * sq_diff / (alpha[..., None] * beta)
     gamma = np.maximum(gamma, 1.0)
     dist = np.log(gamma + np.sqrt(gamma * gamma - 1.0))
     return dist, alpha, beta, gamma
 
 
-def _distance_gradients(u, cands, alpha, beta, gamma):
-    """d d(u, c_i)/du and /dc_i, rows aligned with cands.
+def _distance_gradients(u, cands, alpha, beta, gamma, weights):
+    """Gradients of sum_k weights[..., k] * d(u, c_k): with respect to u,
+    shaped like u, and with respect to each c_k, shaped like cands.
 
     Coincident points (gamma ~ 1) take the zero limit gradient explicitly:
     near the arcosh singularity the analytic 0/0 would otherwise amplify
@@ -97,18 +110,19 @@ def _distance_gradients(u, cands, alpha, beta, gamma):
     """
     live = (gamma - 1.0) > 1e-12
     denom = np.sqrt(np.maximum(gamma * gamma - 1.0, _ACOSH_GUARD))
-    dot_uc = cands @ u
+    dot_uc = np.einsum("...ki,...i->...k", cands, u)
+    u_sq = (1.0 - alpha)[..., None]
     c_sq = 1.0 - beta
-    u_sq = 1.0 - alpha
-    coeff_u = np.where(live, 4.0 / (beta * denom), 0.0)
-    grad_u = coeff_u[:, None] * (
-        ((c_sq - 2.0 * dot_uc + 1.0) / alpha**2)[:, None] * u[None, :]
-        - cands / alpha
+    alpha = alpha[..., None]
+    coeff_u = np.where(live, 4.0 / (beta * denom), 0.0) * weights
+    grad_u = (
+        np.sum(coeff_u * (c_sq - 2.0 * dot_uc + 1.0), axis=-1)[..., None] / alpha**2 * u
+        - np.einsum("...k,...ki->...i", coeff_u, cands) / alpha
     )
-    coeff_c = np.where(live, 4.0 / (alpha * denom), 0.0)
-    grad_c = coeff_c[:, None] * (
-        ((u_sq - 2.0 * dot_uc + 1.0) / (beta**2))[:, None] * cands
-        - u[None, :] / beta[:, None]
+    coeff_c = np.where(live, 4.0 / (alpha * denom), 0.0) * weights
+    grad_c = (
+        (coeff_c * (u_sq - 2.0 * dot_uc + 1.0) / beta**2)[..., None] * cands
+        - (coeff_c / beta)[..., None] * u[..., None, :]
     )
     return grad_u, grad_c
 
@@ -131,11 +145,17 @@ class PoincareConfig:
 
 @dataclass
 class HyperbolicEmbeddingTable:
-    """Frozen title -> ball point map produced by training."""
+    """Frozen title -> ball point map produced by training.
+
+    `history` holds one entry per training epoch: the mean -log p(parent)
+    over the epoch's pairs (`loss`) and the rows projected back inside the
+    ball (`clamped_rows`). A loaded table has none.
+    """
 
     dim: int
     seed: int
     vectors: dict[str, np.ndarray] = field(default_factory=dict)
+    history: list[dict] = field(default_factory=list)
 
     def get(self, title: str) -> np.ndarray:
         return self.vectors[title]
@@ -154,6 +174,98 @@ class HyperbolicEmbeddingTable:
         return table
 
 
+class _NegativeSampler:
+    """Distinct negatives drawn uniformly from each child's non-parents, for
+    a block of children at once.
+
+    The non-parents are never listed. With B the child's sorted parents, its
+    j-th non-parent is j + #{i : B_i - i <= j}; one `searchsorted` over every
+    child's (B_i - i), offset by child index so that the keys stay sorted,
+    counts that for a whole block. Memory is one key per distinct pair.
+    """
+
+    def __init__(self, pair_idx: np.ndarray, n: int):
+        links = np.unique(pair_idx, axis=0)  # distinct (child, parent), sorted
+        parents = np.bincount(links[:, 0], minlength=n)
+        self._starts = np.concatenate(([0], np.cumsum(parents)))
+        rank = np.arange(len(links)) - self._starts[links[:, 0]]
+        self._stride = n + 1
+        self._keys = links[:, 0] * self._stride + links[:, 1] - rank
+        self.pool_sizes = n - parents
+
+    def draw(self, rng: np.random.Generator, children: np.ndarray, negatives: int):
+        """(title indices, validity mask), both (len(children), K): row r holds
+        min(negatives, pool size) distinct non-parents of children[r] in its
+        valid columns. The child itself is a legal draw."""
+        pool = self.pool_sizes[children]
+        k = np.minimum(negatives, pool)
+        width = int(k.max())
+        valid = np.arange(width) < k[:, None]
+        # Floyd's algorithm: column i draws from [0, pool - k + i] and takes
+        # that bound instead when it repeats an earlier column, which leaves
+        # each row a uniform k-subset of [0, pool). Rows whose draws are all
+        # distinct need no replacement, so only the others are walked.
+        bounds = (pool - k)[:, None] + np.arange(width)
+        picks = np.where(valid, rng.integers(0, bounds + 1), -1 - np.arange(width))
+        ordered = np.sort(picks, axis=1)
+        for r in np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)):
+            row = picks[r]
+            for i in range(1, k[r]):
+                if row[i] in row[:i]:
+                    row[i] = bounds[r, i]
+        picks[~valid] = 0
+        query = children[:, None] * self._stride + picks
+        skipped = np.searchsorted(self._keys, query, side="right") - self._starts[children, None]
+        return picks + skipped, valid
+
+
+def _rsgd_step(
+    vectors: np.ndarray,
+    block: np.ndarray,
+    sampler: _NegativeSampler,
+    rng: np.random.Generator,
+    negatives: int,
+    lr: float,
+) -> tuple[float, int]:
+    """One Riemannian SGD step on a block of (child, parent) index rows.
+
+    Updates `vectors` in place; returns the block's summed -log p(parent)
+    and the number of rows the projection moved.
+    """
+    children = block[:, 0]
+    negs, valid = sampler.draw(rng, children, negatives)
+    cand_idx = np.concatenate((block[:, 1:], negs), axis=1)
+    valid = np.concatenate((np.ones((len(block), 1), dtype=bool), valid), axis=1)
+    u = vectors[children]
+    cands = vectors[cand_idx]
+    dist, alpha, beta, gamma = _distance_batch(u, cands)
+    nearest = np.where(valid, dist, np.inf).min(axis=1, keepdims=True)
+    e = np.where(valid, np.exp(nearest - dist), 0.0)
+    total = e.sum(axis=1, keepdims=True)
+    loss = float(np.sum(dist[:, :1] - nearest + np.log(total)))
+    coeff = -e / total  # d loss / d dist: one-hot parent minus softmax
+    coeff[:, 0] += 1.0
+    grad_u, grad_c = _distance_gradients(u, cands, alpha, beta, gamma, coeff)
+
+    m = vectors.shape[1]
+    rows, slot = np.unique(np.concatenate((children, cand_idx.ravel())), return_inverse=True)
+    step = np.concatenate((grad_u, grad_c.reshape(-1, m)))
+    # scatter-add over a flat view: one-dimensional `np.add.at` is the fast one
+    grad = np.zeros(len(rows) * m)
+    np.add.at(grad, (slot[:, None] * m + np.arange(m)).ravel(), step.ravel())
+    x = vectors[rows]
+    x -= lr * riemannian_rescale(x, grad.reshape(-1, m))
+    if not np.all(np.isfinite(x)):
+        raise NumericError("train_poincare: an update produced non-finite coordinates")
+    clamped = 0
+    for r in np.flatnonzero(np.einsum("ij,ij->i", x, x) >= _NEAR_LIMIT_SQ):
+        projected = project_to_ball(x[r])
+        clamped += not np.array_equal(projected, x[r])
+        x[r] = projected
+    vectors[rows] = x
+    return loss, clamped
+
+
 def train_poincare(
     pairs: Sequence[ParentChildPair],
     m: int,
@@ -163,8 +275,10 @@ def train_poincare(
     """Train ball embeddings from (child, parent) pairs.
 
     Loss per pair is a softmax over distances from the child to the parent
-    plus `config.negatives` negatives drawn uniformly from titles that are
-    not parents of that child. Fully deterministic for a fixed seed.
+    plus min(`config.negatives`, pool) distinct negatives drawn uniformly
+    from the pool of titles that are not parents of that child. Each epoch
+    shuffles the pairs and takes one mini-batched Riemannian SGD step per
+    block of `_BATCH_PAIRS` of them. Fully deterministic for a fixed seed.
     """
     if m < 2:
         raise ConfigError(f"poincare dimension must be >= 2, got {m}")
@@ -176,53 +290,24 @@ def train_poincare(
     pair_idx = np.array(
         [(index[p.child], index[p.parent]) for p in pairs], dtype=np.intp
     )
-    parents_of: dict[int, set[int]] = {}
-    for child, parent in pair_idx:
-        parents_of.setdefault(int(child), set()).add(int(parent))
-
     n = len(titles)
     rng = np.random.default_rng(config.seed)
     vectors = rng.uniform(-0.001, 0.001, size=(n, m))
+    sampler = _NegativeSampler(pair_idx, n)
 
-    # Uniform negatives over non-parents of the child (the child itself is a
-    # legal draw; its zero-gradient self-distance term is harmless).
-    populations: dict[int, np.ndarray] = {}
-
-    def negative_pool(child: int) -> np.ndarray:
-        pool = populations.get(child)
-        if pool is None:
-            banned = parents_of[child]
-            pool = np.array([i for i in range(n) if i not in banned], dtype=np.intp)
-            populations[child] = pool
-        return pool
-
+    history = []
     for epoch in range(config.epochs):
         lr = config.lr * (config.burn_in_lr_factor if epoch < config.burn_in_epochs else 1.0)
         order = rng.permutation(len(pairs))
-        for step in order:
-            child, parent = int(pair_idx[step, 0]), int(pair_idx[step, 1])
-            pool = negative_pool(child)
-            k = min(config.negatives, pool.shape[0])
-            if k > 0:
-                negs = rng.choice(pool, size=k, replace=False)
-                cand_idx = np.concatenate(([parent], negs))
-            else:
-                cand_idx = np.array([parent], dtype=np.intp)
-            u = vectors[child]
-            cands = vectors[cand_idx]
-            dist, alpha, beta, gamma = _distance_batch(u, cands)
-            shifted = -dist + dist.min()
-            e = np.exp(shifted)
-            p = e / e.sum()
-            coeff = -p
-            coeff[0] += 1.0
-            grad_u_rows, grad_c_rows = _distance_gradients(u, cands, alpha, beta, gamma)
-            grad_u = coeff @ grad_u_rows
-            vectors[child] = project_to_ball(u - lr * riemannian_rescale(u, grad_u))
-            for row, ci in enumerate(cand_idx):
-                c = vectors[ci]
-                step_grad = coeff[row] * grad_c_rows[row]
-                vectors[ci] = project_to_ball(c - lr * riemannian_rescale(c, step_grad))
+        loss, clamped = 0.0, 0
+        for start in range(0, len(order), _BATCH_PAIRS):
+            block = pair_idx[order[start : start + _BATCH_PAIRS]]
+            block_loss, block_clamped = _rsgd_step(
+                vectors, block, sampler, rng, config.negatives, lr
+            )
+            loss += block_loss
+            clamped += block_clamped
+        history.append({"loss": loss / len(pairs), "clamped_rows": clamped})
         if on_epoch is not None:
             on_epoch(epoch, {t: vectors[index[t]] for t in titles})
 
@@ -230,6 +315,7 @@ def train_poincare(
         dim=m,
         seed=config.seed,
         vectors={t: vectors[index[t]].copy() for t in titles},
+        history=history,
     )
 
 
@@ -240,14 +326,14 @@ def mean_parent_rank(table: HyperbolicEmbeddingTable, pairs: Sequence[ParentChil
     titles = sorted(table.vectors)
     matrix = np.stack([table.vectors[t] for t in titles])
     index = {t: i for i, t in enumerate(titles)}
-    ranks = []
+    parents_of: dict[int, list[int]] = {}
     for pair in pairs:
-        child = index[pair.child]
-        parent = index[pair.parent]
-        dist, _, _, _ = _distance_batch(matrix[child], matrix)
-        target = dist[parent]
-        closer = sum(
-            1 for i in range(len(titles)) if i not in (child, parent) and dist[i] < target
-        )
-        ranks.append(closer + 1)
+        parents_of.setdefault(index[pair.child], []).append(index[pair.parent])
+    ranks = []
+    for child, parents in parents_of.items():
+        dist = _distance_batch(matrix[child], matrix)[0]
+        target = dist[parents]
+        # the parent never counts itself (equal distance); the child must be left out
+        closer = np.count_nonzero(dist < target[:, None], axis=1) - (dist[child] < target)
+        ranks.extend(closer + 1)
     return float(np.mean(ranks))

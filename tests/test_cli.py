@@ -343,6 +343,40 @@ def test_non_utf8_config_exits_2(tmp_path, capsys):
     assert "kind=config" in err and "config.json" in err
 
 
+@pytest.mark.parametrize(
+    "key, name",
+    [("output_dir", "out\ud800"), ("data", {"resumes": "resumes\udfff.jsonl"})],
+    ids=["output-dir", "data-path"],
+)
+def test_lone_surrogate_in_config_string_exits_2(tmp_path, capsys, key, name):
+    config = {"output_dir": str(tmp_path / "out")}
+    config[key] = str(tmp_path / name) if isinstance(name, str) else name
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))  # ensure_ascii writes the JSON escape
+    assert main(["build-graph", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "kind=config" in err and "UTF-8" in err
+
+
+def test_train_poincare_writes_a_deterministic_report(trained):
+    tmp, data = trained
+    report = json.loads((tmp / "out" / "poincare_report.json").read_text())
+    pair_rows = len((tmp / "out" / "pairs.tsv").read_text().splitlines()) - 1
+    table_rows = len((tmp / "out" / "hyperbolic.tsv").read_text().splitlines()) - 1
+    assert report["pairs"] == pair_rows and report["titles"] == table_rows
+    assert len(report["epochs"]) == 5
+    for epoch in report["epochs"]:
+        assert set(epoch) == {"loss", "clamped_rows"}
+        assert epoch["loss"] > 0 and epoch["clamped_rows"] >= 0
+    path, _ = write_config(
+        tmp, {"output_dir": str(tmp / "again"), "data": data}, name="again.json"
+    )
+    assert main(["train-poincare", "--config", str(path)]) == 0
+    for name in ("poincare_report.json", "hyperbolic.tsv"):
+        assert (tmp / "again" / name).read_bytes() == (tmp / "out" / name).read_bytes()
+
+
 EMBEDDINGS_D16 = "#embeddings d=16 normalize=true\n"
 
 # one malformed file per on-disk format: (command, data key or the provider,
