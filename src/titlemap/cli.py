@@ -40,7 +40,7 @@ from .model import (
     train,
 )
 from .poincare import HyperbolicEmbeddingTable, PoincareConfig, train_poincare
-from .schema import accepts, build, field_specs
+from .schema import accepts, build, field_specs, rejection
 from .semantic import (
     HashedNgramProvider,
     PrecomputedProvider,
@@ -101,7 +101,7 @@ def _resolve(raw, schema: dict, prefix: str) -> dict:
             raise ConfigError(f"config key '{name}' is required")
         value = raw.get(key, default)
         if not (value is None and default is None) and not accepts(kind, value):
-            raise ConfigError(f"config key '{name}' has type {type(value).__name__}")
+            raise ConfigError(f"config key '{name}' {rejection(value)}")
         if isinstance(value, str) and not is_utf8(value):
             raise ConfigError(f"config key '{name}' is not valid UTF-8 (lone surrogate)")
         resolved[key] = value
@@ -361,10 +361,14 @@ def _load_vectors(path) -> dict:
 def cmd_linkpred(config: dict) -> None:
     out = config["output_dir"]
     resumes_path, vectors_path = _require(config, "data.resumes", "data.vectors")
+    lp = config["linkpred"]
+    if lp["epochs"] < 1 or not lp["lr"] > 0:
+        raise ConfigError(
+            f"linkpred needs epochs >= 1 and lr > 0, got epochs={lp['epochs']} lr={lp['lr']}"
+        )
     graph = build_transition_graph(load_records(resumes_path))
     vectors = _load_vectors(vectors_path)
     split = ev.make_link_split(graph, seed=config["seeds"]["linkpred"])
-    lp = config["linkpred"]
     result = ev.link_prediction_auc(
         split,
         vectors,

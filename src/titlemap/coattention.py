@@ -66,9 +66,6 @@ class CoAttentionParams:
         shapes = cls.shapes(d_h, d_b, d_s)
         return cls(**{name: _uniform_param(rng, *shape) for name, shape in shapes.items()})
 
-    def tensors(self) -> list[Tensor]:
-        return list(nx.tensor_fields(self).values())
-
 
 class Affinities(NamedTuple):
     a_hb: Tensor  # (batch, 1) each, values in (-1, 1)

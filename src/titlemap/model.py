@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -59,12 +59,10 @@ class TrainConfig:
     # layer needs far larger weights than the rest of the model; a separate
     # Adam group with a scaled lr closes that gap at desk scale
     fusion_lr_multiplier: float = 1.0
-    # decoupled L2 shrink on the fusion weight matrix only; 0 disables
-    fusion_weight_decay: float = 0.0
 
     def __post_init__(self):
         if len(self.split) != 3 or not all(accepts(float, f) for f in self.split):
-            raise ConfigError(f"split {self.split} must be three numbers")
+            raise ConfigError(f"split {self.split} must be three finite numbers")
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise ConfigError(f"split fractions {self.split} must sum to 1")
         if self.variant not in VARIANTS:
@@ -79,14 +77,6 @@ class TrainConfig:
             raise ConfigError("lr must be positive")
         if self.fusion_lr_multiplier <= 0:
             raise ConfigError("fusion_lr_multiplier must be positive")
-
-
-@dataclass
-class RankedMapping:
-    """Top-k standard titles for one input, probabilities descending."""
-
-    title: str
-    entries: list  # (standard title, probability), deterministic tie-break
 
 
 @dataclass
@@ -208,7 +198,6 @@ class FeaturePipeline:
 
 @dataclass
 class _TrainContext:
-    labels: np.ndarray
     fold_rng: np.random.Generator
     reg_rng: np.random.Generator
 
@@ -390,7 +379,6 @@ def train(
     examples: Sequence[tuple[str, str]],
     pipeline: FeaturePipeline,
     config: TrainConfig,
-    on_epoch: Optional[Callable[[int, float, float], None]] = None,
 ) -> TrainResult:
     """Split, fit with Adam, early-stop on validation hit@10, return the best
     checkpoint. `examples` are (raw title, standard title) pairs."""
@@ -412,7 +400,6 @@ def train(
     split_rng = np.random.default_rng(seeds[0])
     shuffle_rng = np.random.default_rng(seeds[1])
     ctx = _TrainContext(
-        labels=labels_all,
         fold_rng=np.random.default_rng(seeds[2]),
         reg_rng=np.random.default_rng(seeds[3]),
     )
@@ -470,8 +457,6 @@ def train(
                 tape.backward(loss)
                 for optimizer in optimizers:
                     optimizer.step()
-                if config.fusion_weight_decay > 0:
-                    model.fusion_w.data *= 1.0 - config.lr * config.fusion_lr_multiplier * config.fusion_weight_decay
                 for params in (model.reason_b, model.reason_s):
                     if params is not None:
                         params.renormalize_anchor()
@@ -485,8 +470,6 @@ def train(
             val_hit10 = _hit_at(val_probs, labels_all[idx_val], 10)
             train_loss = epoch_loss / max(n_batches, 1)
             history.append((epoch, train_loss, val_hit10))
-            if on_epoch is not None:
-                on_epoch(epoch, train_loss, val_hit10)
             if val_hit10 > best_metric:
                 best_metric = val_hit10
                 best_epoch = epoch
@@ -511,19 +494,6 @@ def train(
         split_indices={"train": idx_train, "val": idx_val, "test": idx_test},
         metrics=metrics,
     )
-
-
-def map_topk(
-    title: str,
-    model: MapperModel,
-    pipeline: FeaturePipeline,
-    k: int,
-) -> RankedMapping:
-    """Top-k standard titles by probability; ties break on lower taxonomy index."""
-    k = clamp_k(k, len(model.taxonomy))
-    probs = forward_probabilities(model, pipeline, [title])
-    entries = [(model.taxonomy.titles[i], float(probs[0, i])) for i in rank_classes(probs)[0, :k]]
-    return RankedMapping(title=title, entries=entries)
 
 
 # ---------------------------------------------------------------------------

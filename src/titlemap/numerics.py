@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError, DimensionError, DomainError
+from .errors import ContractError, DimensionError, DomainError
 
 __all__ = [
     "Tensor",
@@ -36,8 +36,6 @@ __all__ = [
     "transpose",
     "tanh",
     "relu",
-    "exp",
-    "log",
     "sqrt",
     "softmax",
     "log_softmax",
@@ -47,7 +45,6 @@ __all__ = [
     "take_rows",
     "gather_rows",
     "clip",
-    "cosine_sim",
 ]
 
 
@@ -65,43 +62,14 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
 
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
     def item(self) -> float:
         return float(self.data)
 
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __sub__(self, other):
         return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __repr__(self):
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor({self.data!r}{flag})"
 
 
 def _as_tensor(value) -> Tensor:
@@ -289,17 +257,6 @@ def relu(a: Tensor) -> Tensor:
     return _make(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-    return _make(out_data, (a,), lambda g: (g * out_data,))
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
-        raise DomainError("log: input must be strictly positive")
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
 def sqrt(a: Tensor) -> Tensor:
     if np.any(a.data < 0):
         raise DomainError("sqrt: input must be non-negative")
@@ -406,19 +363,6 @@ def gather_rows(a: Tensor, column_indices: np.ndarray) -> Tensor:
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     mask = (a.data > lo) & (a.data < hi)
     return _make(np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,))
-
-
-def cosine_sim(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity of two 1-D tensors, clamped to [-1, 1]."""
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape:
-        raise DimensionError(
-            f"cosine_sim: expected equal-length vectors, got {a.data.shape} and {b.data.shape}"
-        )
-    if not np.any(a.data) or not np.any(b.data):
-        raise DegenerateInputError("cosine_sim: zero vector has no direction")
-    num = tsum(mul(a, b))
-    denom = mul(sqrt(tsum(mul(a, a))), sqrt(tsum(mul(b, b))))
-    return clip(div(num, denom), -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

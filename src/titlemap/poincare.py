@@ -54,12 +54,6 @@ def poincare_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.log(arg + np.sqrt(arg * arg - 1.0)))
 
 
-def conformal_factor(x: np.ndarray) -> float:
-    """Scale factor 2 / (1 - ||x||^2); the metric tensor is its square."""
-    sq = _check_inside(np.asarray(x, dtype=np.float64), "conformal_factor")
-    return 2.0 / (1.0 - sq)
-
-
 def riemannian_rescale(x: np.ndarray, euclid_grad: np.ndarray) -> np.ndarray:
     """Rescale a Euclidean gradient by the inverse metric at x; a stack of
     rows is rescaled row by row, each by its own metric."""
@@ -156,9 +150,6 @@ class HyperbolicEmbeddingTable:
     seed: int
     vectors: dict[str, np.ndarray] = field(default_factory=dict)
     history: list[dict] = field(default_factory=list)
-
-    def get(self, title: str) -> np.ndarray:
-        return self.vectors[title]
 
     def export_tsv(self, path) -> None:
         write_vectors(path, f"#poincare m={self.dim} seed={self.seed}", self.vectors)

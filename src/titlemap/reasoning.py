@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import numerics as nx
-from .errors import DegenerateInputError, DimensionError
+from .errors import DegenerateInputError
 from .numerics import Tensor
 
 
@@ -39,8 +39,6 @@ class ReasoningParams:
     is renormalized to unit length after every optimizer step.
     """
 
-    view_dim: int
-    d_r: int
     enc_w1_j: Tensor  # hidden x view_dim
     enc_w1_v: Tensor  # hidden x view_dim
     enc_b1: Tensor  # 1 x hidden
@@ -79,32 +77,12 @@ class ReasoningParams:
         anchor = rng.standard_normal(shapes.pop("true_anchor"))
         anchor /= np.linalg.norm(anchor)
         return cls(
-            view_dim=view_dim,
-            d_r=d_r,
             true_anchor=Tensor(anchor, requires_grad=True),
             **{name: _uniform_param(rng, *shape) for name, shape in shapes.items()},
         )
 
-    def tensors(self) -> list[Tensor]:
-        return list(nx.tensor_fields(self).values())
-
     def renormalize_anchor(self) -> None:
         self.true_anchor.data /= np.linalg.norm(self.true_anchor.data)
-
-
-def encode_event(j_vec: Tensor, v_vec: Tensor, params: ReasoningParams) -> Tensor:
-    """Event vector for aligned (title, candidate) rows. Deterministic."""
-    if j_vec.data.shape[-1] != params.view_dim or v_vec.data.shape[-1] != params.view_dim:
-        raise DimensionError(
-            f"encode_event: view width {params.view_dim} expected, got "
-            f"{j_vec.data.shape} and {v_vec.data.shape}"
-        )
-    pre = (
-        nx.matmul(j_vec, nx.transpose(params.enc_w1_j))
-        + candidate_projection(v_vec, params)
-        + params.enc_b1
-    )
-    return _event_head(pre, params)
 
 
 def _event_head(pre: Tensor, params: ReasoningParams) -> Tensor:

@@ -9,6 +9,7 @@ each dataclass's `__post_init__`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 from typing import get_type_hints
 
@@ -17,14 +18,22 @@ from .errors import ConfigError
 
 def accepts(kind: type, value) -> bool:
     """JSON type check. A bool is neither an int nor a float; an int is a
-    float; a tuple field is a JSON list."""
+    float, and a float must be finite (`json` reads NaN, Infinity and 1e400);
+    a tuple field is a JSON list."""
     if isinstance(value, bool):
         return kind is bool
     if kind is float:
-        return isinstance(value, (int, float))
+        return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
     if kind is tuple:
         return isinstance(value, list)
     return isinstance(value, kind)
+
+
+def rejection(value) -> str:
+    """Why `accepts` turned `value` down, worded to follow a key's name."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"is {value}, not a finite number"
+    return f"has type {type(value).__name__}"
 
 
 def field_specs(cls) -> dict:
@@ -52,6 +61,6 @@ def build(cls, values):
     for name, (kind, _) in specs.items():
         value = values[name]
         if not accepts(kind, value):
-            raise ConfigError(f"{cls.__name__}.{name} has type {type(value).__name__}")
+            raise ConfigError(f"{cls.__name__}.{name} {rejection(value)}")
         kwargs[name] = float(value) if kind is float else tuple(value) if kind is tuple else value
     return cls(**kwargs)

@@ -27,11 +27,8 @@ UNIT_NORM_TOL = 1e-9
 
 class SemanticProvider(Protocol):
     dimension: int
-    provider_id: str
 
     def embed(self, title: str) -> np.ndarray: ...
-
-    def provenance(self, title: str) -> str: ...
 
 
 def _token_hash(seed: int, token: str) -> int:
@@ -73,25 +70,17 @@ class HashedNgramProvider:
             raise ConfigError(f"semantic dimension must be >= 8, got {dimension}")
         self.dimension = dimension
         self.seed = seed
-        self.provider_id = f"hashed:d={dimension},seed={seed}"
 
     def embed(self, title: str) -> np.ndarray:
         return hashed_ngram_embed(title, self.dimension, self.seed)
 
-    def provenance(self, title: str) -> str:
-        return self.provider_id
-
 
 @dataclass
 class EmbeddingCache:
-    """Title -> vector map with per-entry provenance."""
+    """Title -> vector map."""
 
     dimension: int
     vectors: dict[str, np.ndarray] = field(default_factory=dict)
-    provenance: dict[str, str] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.vectors)
 
 
 class PrecomputedProvider:
@@ -105,7 +94,6 @@ class PrecomputedProvider:
         self.cache = cache
         self.fallback = fallback
         self.dimension = cache.dimension
-        self.provider_id = f"precomputed:entries={len(cache)}"
 
     def embed(self, title: str) -> np.ndarray:
         key = canonicalize_title(title)
@@ -115,14 +103,6 @@ class PrecomputedProvider:
         if self.fallback is None:
             raise MissingTitleError(f"no precomputed embedding for title {title!r}")
         return self.fallback.embed(key)
-
-    def provenance(self, title: str) -> str:
-        key = canonicalize_title(title)
-        if key in self.cache.vectors:
-            return self.cache.provenance.get(key, self.provider_id)
-        if self.fallback is None:
-            raise MissingTitleError(f"no precomputed embedding for title {title!r}")
-        return self.fallback.provenance(key)
 
 
 def embed_titles(provider: SemanticProvider, titles: Sequence[str]) -> EmbeddingCache:
@@ -135,7 +115,6 @@ def embed_titles(provider: SemanticProvider, titles: Sequence[str]) -> Embedding
             continue
         try:
             cache.vectors[key] = provider.embed(key)
-            cache.provenance[key] = provider.provenance(key)
         except MissingTitleError:
             missing.append(key)
     if missing:
@@ -166,5 +145,4 @@ def load_precomputed(path) -> EmbeddingCache:
                 raise NumericError(f"{path}:{lineno}: vector norm overflows to inf")
             vec = vec / norm
         cache.vectors[title] = vec
-        cache.provenance[title] = f"file:{path}"
     return cache

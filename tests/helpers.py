@@ -37,6 +37,15 @@ def finite_difference_check(make_loss, params, h=1e-5):
     return worst
 
 
+def event_oracle(params, j: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Plain-numpy event encoder over aligned (or broadcast) title rows `j`
+    and candidate rows `v`: tanh(j W1jᵀ + v W1vᵀ + b1) W2ᵀ + b2."""
+    hidden = np.tanh(
+        j @ params.enc_w1_j.data.T + v @ params.enc_w1_v.data.T + params.enc_b1.data
+    )
+    return hidden @ params.enc_w2.data.T + params.enc_b2.data
+
+
 def scalar_adam_reference(x0, grads, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
     """Independent scalar Adam trace, plain Python floats."""
     x, m, v = float(x0), 0.0, 0.0

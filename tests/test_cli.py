@@ -69,7 +69,7 @@ def test_defaults_are_filled_in():
         "train": {
             "lr": 0.001, "batch_size": 256, "max_epochs": 200, "patience": 20,
             "split": [0.64, 0.16, 0.2], "logic_weight": 1.0, "clause_weight": 0.1,
-            "variant": "full", "fusion_lr_multiplier": 1.0, "fusion_weight_decay": 0.0,
+            "variant": "full", "fusion_lr_multiplier": 1.0,
         },
         "map": {"k": 10},
         "linkpred": {"epochs": 100, "lr": 0.05},
@@ -221,6 +221,7 @@ def trained(tmp_path_factory):
         "hyperbolic": str(out / "hyperbolic.tsv"),
         "model": str(out / "model.json"),
         "titles": str(tmp / "titles.txt"),
+        "vectors": str(out / "hyperbolic.tsv"),
     }
     (tmp / "titles.txt").write_text("data analyst\n")
     path, _ = write_config(tmp, {"data": data})
@@ -242,10 +243,14 @@ def trained(tmp_path_factory):
         ("map", {"map": {"k": -1}}),
         ("train-poincare", {"poincare": {"negatives": -2}}),
         ("train-poincare", {"poincare": {"lr": 0}}),
+        ("linkpred", {"linkpred": {"epochs": 0}}),
+        ("linkpred", {"linkpred": {"lr": 0}}),
+        ("linkpred", {"linkpred": {"lr": -0.05}}),
     ],
     ids=["split-of-strings", "batch-size-0", "max-epochs-bool", "max-epochs-0",
          "patience-negative", "train-lr-0", "map-k-0", "map-k-negative",
-         "negatives-negative", "poincare-lr-0"],
+         "negatives-negative", "poincare-lr-0", "linkpred-epochs-0", "linkpred-lr-0",
+         "linkpred-lr-negative"],
 )
 def test_bad_config_value_exits_2(trained, command, overrides, capsys):
     tmp, data = trained
@@ -258,12 +263,35 @@ def test_bad_config_value_exits_2(trained, command, overrides, capsys):
     assert "kind=config" in err
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize(
+    "command, section, value",
+    [("linkpred", "linkpred", {"lr": "@"}), ("train", "train", {"split": ["@", 0.5, 0.5]})],
+    ids=["linkpred-lr", "train-split"],
+)
+def test_non_finite_config_number_exits_2(trained, command, section, value, literal, capsys):
+    """`json` reads these literals as floats; none may reach a run or its echo."""
+    tmp, data = trained
+    out = tmp / f"non-finite-{command}"
+    path, _ = write_config(tmp, {"output_dir": str(out), "data": data, section: value},
+                           name="non_finite.json")
+    path.write_text(path.read_text().replace('"@"', literal))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "kind=config" in err and next(iter(value)) in err
+    assert not (out / f"{command}_config.json").exists()
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
         lambda doc: doc["train_config"].update(warmup=5),
         lambda doc: doc["train_config"].pop("batch_size"),
         lambda doc: doc["train_config"].update(batch_size="x"),
+        lambda doc: doc["train_config"].update(clause_weight=float("nan")),
+        # a key the config no longer has, as an older artifact carries it
+        lambda doc: doc["train_config"].update(fusion_weight_decay=0.0),
         lambda doc: doc["tensors"]["fusion.b"].pop("shape"),
         lambda doc: doc.pop("taxonomy_titles"),
         lambda doc: doc.pop("taxonomy_groups"),
@@ -282,7 +310,8 @@ def test_bad_config_value_exits_2(trained, command, overrides, capsys):
         lambda doc: doc["dims"].update(d_h=7),
         lambda doc: doc["taxonomy_titles"].__setitem__(0, "head \ud800 chef"),
     ],
-    ids=["extra-key", "missing-key", "wrong-type", "tensor-without-shape",
+    ids=["extra-key", "missing-key", "wrong-type", "clause-weight-nan", "fusion-weight-decay",
+         "tensor-without-shape",
          "no-taxonomy-titles", "no-taxonomy-groups", "no-taxonomy-hash", "no-d-h", "no-d-b",
          "titles-not-list", "groups-not-strings", "hash-not-string", "d-h-string",
          "d-b-zero", "dims-not-object", "d-h-50000", "dims-differ-from-train-config",
@@ -418,7 +447,7 @@ def test_malformed_input_file_exits_with_its_code(trained, case, capsys):
     tmp, data = trained
     bad = tmp / f"malformed-{case}"
     bad.write_bytes(content)
-    overrides = {"output_dir": str(tmp / "rejected"), "data": {**data, "vectors": data["hyperbolic"]}}
+    overrides = {"output_dir": str(tmp / "rejected"), "data": dict(data)}
     if key == "provider":
         overrides["provider"] = f"precomputed:{bad}"
     else:

@@ -84,7 +84,7 @@ def test_key_gradients_match_finite_differences(params, views):
         out = ca.co_attend(x_h, x_b, x_s, params)
         return nx.tsum(out.x_hat_h) + nx.tsum(out.x_hat_b) + nx.tsum(out.x_hat_s)
 
-    err = finite_difference_check(loss, params.tensors())
+    err = finite_difference_check(loss, list(nx.tensor_fields(params).values()))
     assert err <= 1e-4
 
 

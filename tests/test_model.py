@@ -16,11 +16,12 @@ from titlemap.model import (
     _TrainContext,
     _tensor_registry,
     _tensor_shapes,
+    clamp_k,
     forward_probabilities,
     init_model,
     load_model,
     loss_on_batch,
-    map_topk,
+    rank_classes,
     save_model,
     train,
 )
@@ -84,7 +85,7 @@ def test_uniform_prediction_cross_entropy_is_log_classes():
     model.fusion_w.data[...] = 0.0
     model.fusion_b.data[...] = 0.0
     rng = np.random.default_rng(0)
-    ctx = _TrainContext(labels=None, fold_rng=rng, reg_rng=rng)
+    ctx = _TrainContext(fold_rng=rng, reg_rng=rng)
     x_b = rng.uniform(-1, 1, (5, 16))
     loss, _ = loss_on_batch(
         model, np.zeros((5, 6)), x_b, np.zeros((5, 4)), np.array([0, 1, 2, 3, 0]),
@@ -104,7 +105,7 @@ def test_perfect_prediction_drives_loss_to_zero():
     x_b = np.zeros((4, 8))
     x_b[np.arange(4), np.arange(4)] = 1.0
     rng = np.random.default_rng(0)
-    ctx = _TrainContext(labels=None, fold_rng=rng, reg_rng=rng)
+    ctx = _TrainContext(fold_rng=rng, reg_rng=rng)
     loss, _ = loss_on_batch(
         model, np.zeros((4, 6)), x_b, np.zeros((4, 4)), np.arange(4),
         Tensor(np.zeros((4, 8))), Tensor(np.zeros((4, 4))), ctx,
@@ -116,7 +117,7 @@ def test_label_outside_taxonomy_is_data_error():
     taxonomy, pipeline, examples = tiny_world()
     model = init_model(taxonomy, small_config(), d_h=6, d_b=16)
     rng = np.random.default_rng(0)
-    ctx = _TrainContext(labels=None, fold_rng=rng, reg_rng=rng)
+    ctx = _TrainContext(fold_rng=rng, reg_rng=rng)
     x_h, x_b, x_s = pipeline.title_views([examples[0][0]])
     with pytest.raises(DataError):
         loss_on_batch(model, x_h, x_b, x_s, np.array([len(taxonomy)]),
@@ -126,9 +127,8 @@ def test_label_outside_taxonomy_is_data_error():
 
 def test_training_loss_decreases_on_separable_data():
     taxonomy, pipeline, examples = tiny_world()
-    losses = []
-    train(examples, pipeline, small_config(max_epochs=5, patience=5),
-          on_epoch=lambda e, l, h: losses.append(l))
+    result = train(examples, pipeline, small_config(max_epochs=5, patience=5))
+    losses = [loss for _, loss, _ in result.history]
     assert len(losses) == 5
     assert losses[-1] < losses[0]
     assert all(b < a for a, b in zip(losses, losses[1:]))
@@ -193,24 +193,25 @@ def test_tampered_taxonomy_hash_is_rejected(tmp_path):
         load_model(path)
 
 
-def test_map_topk_full_permutation_and_determinism():
+def test_rank_classes_full_permutation_and_determinism():
     taxonomy, pipeline, examples = tiny_world()
     model = init_model(taxonomy, small_config(), d_h=6, d_b=16)
-    ranked = map_topk(examples[0][0], model, pipeline, k=len(taxonomy))
-    titles = [t for t, _ in ranked.entries]
-    assert sorted(titles) == sorted(taxonomy.titles)
-    probs = [p for _, p in ranked.entries]
-    assert probs == sorted(probs, reverse=True)
-    again = map_topk(examples[0][0], model, pipeline, k=len(taxonomy))
-    assert again.entries == ranked.entries
+    probs = forward_probabilities(model, pipeline, [examples[0][0]])
+    order = rank_classes(probs)[0]
+    assert sorted(order) == list(range(len(taxonomy)))
+    assert list(probs[0, order]) == sorted(probs[0], reverse=True)
+    again = rank_classes(forward_probabilities(model, pipeline, [examples[0][0]]))[0]
+    assert np.array_equal(again, order)
 
 
-def test_map_topk_clamps_large_k(caplog):
-    taxonomy, pipeline, examples = tiny_world()
-    model = init_model(taxonomy, small_config(), d_h=6, d_b=16)
+def test_rank_classes_breaks_ties_on_lower_taxonomy_index():
+    probs = np.array([[0.1, 0.3, 0.3, 0.2, 0.1], [0.2, 0.2, 0.2, 0.2, 0.2]])
+    assert rank_classes(probs).tolist() == [[1, 2, 3, 0, 4], [0, 1, 2, 3, 4]]
+
+
+def test_clamp_k_clamps_large_k(caplog):
     with caplog.at_level(logging.WARNING):
-        ranked = map_topk(examples[0][0], model, pipeline, k=10 * len(taxonomy))
-    assert len(ranked.entries) == len(taxonomy)
+        assert clamp_k(60, 6) == 6
     assert any("clamped" in rec.message for rec in caplog.records)
 
 

@@ -16,7 +16,6 @@ from titlemap.poincare import (
     BOUNDARY_EPS,
     HyperbolicEmbeddingTable,
     PoincareConfig,
-    conformal_factor,
     mean_parent_rank,
     poincare_distance,
     project_to_ball,
@@ -77,26 +76,6 @@ def test_distance_matches_oracle_on_random_pairs():
 def test_distance_rejects_boundary_points():
     with pytest.raises(DomainError):
         poincare_distance(np.array([1.0, 0.0]), np.zeros(2))
-
-
-def test_conformal_factor_at_origin():
-    assert conformal_factor(np.zeros(3)) == 2.0
-
-
-def test_conformal_factor_at_half_norm_squared():
-    x = np.array([np.sqrt(0.5), 0.0])
-    assert conformal_factor(x) == pytest.approx(4.0, rel=1e-12)
-
-
-def test_conformal_factor_monotone_along_ray():
-    direction = np.array([1.0, 1.0]) / np.sqrt(2)
-    values = [conformal_factor(r * direction) for r in np.linspace(0, 0.95, 20)]
-    assert all(b > a for a, b in zip(values, values[1:]))
-
-
-def test_conformal_factor_rejects_boundary():
-    with pytest.raises(DomainError):
-        conformal_factor(np.array([0.0, 1.0]))
 
 
 def test_rescale_at_origin_quarters_gradient():
@@ -199,11 +178,11 @@ def test_tree_children_end_up_near_their_parents():
     parent_of = {p.child: p.parent for p in pairs}
     child_parent, child_random = [], []
     for child, parent in parent_of.items():
-        child_parent.append(poincare_distance(table.get(child), table.get(parent)))
+        child_parent.append(poincare_distance(table.vectors[child], table.vectors[parent]))
         ancestors = {child, parent, "n"}
         others = [t for t in titles if t not in ancestors and not child.startswith(t)]
         pick = others[int(rng.integers(len(others)))]
-        child_random.append(poincare_distance(table.get(child), table.get(pick)))
+        child_random.append(poincare_distance(table.vectors[child], table.vectors[pick]))
     assert np.mean(child_parent) < np.mean(child_random)
 
 
@@ -320,8 +299,8 @@ def test_mean_parent_rank_matches_a_pairwise_count():
     table = train_poincare(pairs, m=3, config=PoincareConfig(epochs=30, lr=0.5, seed=5))
     ranks = []
     for pair in pairs:
-        child = table.get(pair.child)
-        target = poincare_distance(child, table.get(pair.parent))
+        child = table.vectors[pair.child]
+        target = poincare_distance(child, table.vectors[pair.parent])
         closer = sum(
             1
             for title, vec in table.vectors.items()

@@ -6,7 +6,7 @@ from titlemap import reasoning as rs
 from titlemap.errors import DegenerateInputError, DimensionError
 from titlemap.numerics import Tensor
 
-from helpers import finite_difference_check
+from helpers import event_oracle, finite_difference_check
 
 D_VIEW, D_R = 6, 8
 
@@ -20,31 +20,38 @@ def rand_rows(rng, n, d):
     return Tensor(rng.uniform(-1, 1, (n, d)))
 
 
-def test_encode_event_is_deterministic(params):
+def test_correct_events_are_deterministic(params):
     rng = np.random.default_rng(0)
     j = rand_rows(rng, 3, D_VIEW)
     v = rand_rows(rng, 3, D_VIEW)
-    assert np.array_equal(rs.encode_event(j, v, params).data, rs.encode_event(j, v, params).data)
+    labels = np.array([2, 0, 1])
+    first = rs.correct_events(j, v, labels, params).data
+    assert np.array_equal(first, rs.correct_events(j, v, labels, params).data)
 
 
-def test_encode_event_output_dimension(params):
+def test_correct_events_output_dimension(params):
     rng = np.random.default_rng(1)
-    out = rs.encode_event(rand_rows(rng, 4, D_VIEW), rand_rows(rng, 4, D_VIEW), params)
+    j, v = rand_rows(rng, 4, D_VIEW), rand_rows(rng, 4, D_VIEW)
+    out = rs.correct_events(j, v, np.arange(4), params)
     assert out.data.shape == (4, D_R)
 
 
-def test_encode_event_rejects_wrong_width(params):
+def test_correct_events_reject_wrong_width(params):
+    wide, right = Tensor(np.zeros((2, D_VIEW + 1))), Tensor(np.zeros((2, D_VIEW)))
     with pytest.raises(DimensionError):
-        rs.encode_event(Tensor(np.zeros((2, D_VIEW + 1))), Tensor(np.zeros((2, D_VIEW))), params)
+        rs.correct_events(wide, right, np.arange(2), params)
+    with pytest.raises(DimensionError):
+        rs.correct_events(right, wide, np.arange(2), params)
 
 
 def test_encoder_gradients_match_finite_differences(params):
     rng = np.random.default_rng(2)
     j = rand_rows(rng, 2, D_VIEW)
-    v = rand_rows(rng, 2, D_VIEW)
+    v = rand_rows(rng, 3, D_VIEW)
+    labels = np.array([2, 0])
     w = Tensor(rng.uniform(-1, 1, (2, D_R)))
     err = finite_difference_check(
-        lambda: nx.tsum(nx.mul(rs.encode_event(j, v, params), w)),
+        lambda: nx.tsum(nx.mul(rs.correct_events(j, v, labels, params), w)),
         [params.enc_w1_j, params.enc_w1_v, params.enc_b1, params.enc_w2, params.enc_b2],
     )
     assert err <= 1e-4
@@ -62,8 +69,7 @@ def test_clause_single_candidate_is_negated_event(params):
     j = rand_rows(rng, 3, D_VIEW)
     v = rand_rows(rng, 1, D_VIEW)
     out = rs.clause_representation(j, v, params)
-    event = rs.encode_event(j, Tensor(np.repeat(v.data, 3, axis=0)), params)
-    expected = rs.not_op(event, params)
+    expected = rs.not_op(Tensor(event_oracle(params, j.data, v.data)), params)
     assert np.allclose(out.x_prime.data, expected.data, atol=1e-12)
 
 
@@ -90,8 +96,7 @@ def test_clause_fold_matches_hand_unrolled_oracle(params):
     out = rs.clause_representation(j, v, params, order=order)
 
     def event(k):
-        vk = Tensor(np.repeat(v.data[k : k + 1], 2, axis=0))
-        return rs.encode_event(j, vk, params)
+        return Tensor(event_oracle(params, j.data, v.data[k : k + 1]))
 
     folded = rs.not_op(event(1), params)
     folded = rs.or_op(folded, rs.not_op(event(2), params), params)
@@ -105,11 +110,7 @@ def test_correct_events_pick_label_rows(params):
     v = rand_rows(rng, 4, D_VIEW)
     labels = np.array([2, 0, 3])
     out = rs.correct_events(j, v, labels, params)
-    for row, label in enumerate(labels):
-        single = rs.encode_event(
-            Tensor(j.data[row : row + 1]), Tensor(v.data[label : label + 1]), params
-        )
-        assert np.allclose(out.data[row], single.data[0], atol=1e-12)
+    assert np.allclose(out.data, event_oracle(params, j.data, v.data[labels]), atol=1e-12)
 
 
 def test_truth_loss_formula_and_range(params):
@@ -163,7 +164,7 @@ def test_regularizers_differentiable_end_to_end(params):
 def train_regularizers_only(params, steps, seed=0, lr=1e-2, batch_size=64):
     """Minimize the six logical penalties alone on fixed random unit vectors."""
     rng = np.random.default_rng(seed)
-    batch_data = rng.standard_normal((batch_size, params.d_r))
+    batch_data = rng.standard_normal((batch_size, D_R))
     batch_data /= np.linalg.norm(batch_data, axis=1, keepdims=True)
     batch = Tensor(batch_data)
     trainables = [params.not_w, params.not_b, params.or_w_left, params.or_w_right,

@@ -62,9 +62,9 @@ def test_small_dimension_rejected():
 
 def test_embed_titles_counts():
     provider = HashedNgramProvider(dimension=32, seed=0)
-    assert len(embed_titles(provider, [])) == 0
+    assert len(embed_titles(provider, []).vectors) == 0
     cache = embed_titles(provider, ["a b", "c", "d e f"])
-    assert len(cache) == 3
+    assert len(cache.vectors) == 3
     assert all(abs(np.linalg.norm(v) - 1) <= 1e-9 for v in cache.vectors.values())
 
 
@@ -102,15 +102,14 @@ def test_load_normalize_flag_renormalizes(tmp_path):
     assert np.allclose(cache.vectors["chef"], [0.6, 0.8])
 
 
-def test_precomputed_provider_with_fallback_tracks_provenance(tmp_path):
+def test_precomputed_provider_falls_back_for_missing_titles(tmp_path):
     provider = HashedNgramProvider(dimension=16, seed=3)
-    cache = embed_titles(provider, ["chef"])
     path = tmp_path / "emb.tsv"
-    write_embeddings(path, cache)
+    path.write_text("#embeddings d=16 normalize=false\nchef\t" + ",".join(["0.25"] * 16) + "\n")
     mixed = PrecomputedProvider(load_precomputed(path), fallback=provider)
     out = embed_titles(mixed, ["chef", "pilot"])
-    assert out.provenance["chef"].startswith("file:")
-    assert out.provenance["pilot"].startswith("hashed:")
+    assert np.array_equal(out.vectors["chef"], np.full(16, 0.25))
+    assert np.array_equal(out.vectors["pilot"], provider.embed("pilot"))
 
 
 def test_precomputed_provider_without_fallback_lists_missing():
