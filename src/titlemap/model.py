@@ -220,15 +220,10 @@ def _forward(
         n_cand = len(model.taxonomy)
         order_b = ctx.fold_rng.permutation(n_cand) if training else None
         order_s = ctx.fold_rng.permutation(n_cand) if training else None
-        clause_b = rs.clause_representation(
-            tb, v_b, model.reason_b, order_b, return_events=training
-        )
-        clause_s = rs.clause_representation(
-            ts, v_s, model.reason_s, order_s, return_events=training
-        )
+        clause_b = rs.clause_representation(tb, v_b, model.reason_b, order_b)
+        clause_s = rs.clause_representation(ts, v_s, model.reason_s, order_s)
         fused = nx.concat(
-            [attended.x_hat_h, attended.x_hat_b, attended.x_hat_s,
-             clause_b.x_prime, clause_s.x_prime],
+            [attended.x_hat_h, attended.x_hat_b, attended.x_hat_s, clause_b, clause_s],
             axis=1,
         )
         if training:
@@ -246,7 +241,6 @@ def _forward(
 def _reg_batch(
     model: MapperModel,
     view: str,
-    clause: rs.ClauseOutput,
     view_input: Tensor,
     standards: Tensor,
     ctx: _TrainContext,
@@ -257,9 +251,10 @@ def _reg_batch(
     params = model.reason_b if view == "b" else model.reason_s
     n_cand = standards.data.shape[0]
     batch_size = view_input.data.shape[0]
-    pieces = []
-    for k in ctx.reg_rng.choice(n_cand, size=min(2, n_cand), replace=False):
-        pieces.append(clause.events[int(k)])
+    pieces = [
+        rs.correct_events(view_input, standards, np.full(batch_size, k), params)
+        for k in ctx.reg_rng.choice(n_cand, size=min(2, n_cand), replace=False)
+    ]
     pieces.append(rs.project_view_vectors(view_input, params, side="j"))
     sample = ctx.reg_rng.choice(n_cand, size=min(n_cand, batch_size), replace=False)
     pieces.append(
@@ -291,9 +286,9 @@ def loss_on_batch(
             params = model.reason_b if view == "b" else model.reason_s
             clause = parts["clauses"][view]
             e_gold = rs.correct_events(parts["view_inputs"][view], standards, labels, params)
-            truth = rs.clause_truth_loss(clause.x_prime, e_gold, params)
+            truth = rs.clause_truth_loss(clause, e_gold, params)
             regs = rs.logical_regularizers(
-                _reg_batch(model, view, clause, parts["view_inputs"][view], standards, ctx),
+                _reg_batch(model, view, parts["view_inputs"][view], standards, ctx),
                 params,
             )
             detail[f"truth_{view}"] = truth
@@ -543,7 +538,7 @@ def save_model(model: MapperModel, path) -> None:
         },
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        fh.write(json.dumps(doc, sort_keys=True))
         fh.write("\n")
 
 

@@ -45,6 +45,8 @@ __all__ = [
     "take_rows",
     "gather_rows",
     "clip",
+    "recording",
+    "fused_op",
 ]
 
 
@@ -149,13 +151,24 @@ def _active_tape() -> Optional[GradTape]:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
+def recording(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op over `inputs` goes on the tape: a tape is active and some
+    input requires a gradient."""
+    return _active_tape() is not None and any(t.requires_grad for t in inputs)
+
+
 def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward: Callable) -> Tensor:
     out = Tensor(out_data)
-    tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if recording(inputs):
         out.requires_grad = True
-        tape._record(out, inputs, backward)
+        _active_tape()._record(out, inputs, backward)
     return out
+
+
+def fused_op(out_data: np.ndarray, inputs: Sequence[Tensor], backward: Callable) -> Tensor:
+    """One tape node for a hand-written composite op. `backward(g)` returns
+    one gradient (or None) per input, in the order of `inputs`."""
+    return _make(out_data, tuple(inputs), backward)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

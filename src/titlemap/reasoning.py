@@ -9,13 +9,15 @@ complementation) against learnable TRUE/FALSE anchors.
 
 The fold that feeds the classifier is label-free: the correct candidate's
 positive literal only ever appears inside `clause_truth_loss`, a training-time
-auxiliary, so the classifier input cannot encode the answer.
+auxiliary, so the classifier input cannot encode the answer. The whole fold
+is one tape node whatever the number of candidates; its backward runs through
+the fold in reverse, step by step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -110,11 +112,6 @@ def row_cosine(a: Tensor, b: Tensor) -> Tensor:
     return nx.clip(nx.div(num, nx.mul(na, nb)), -1.0, 1.0)
 
 
-class ClauseOutput(NamedTuple):
-    x_prime: Tensor  # (batch, d_r) label-free clause representation
-    events: list  # per-candidate event tensors, taxonomy order
-
-
 def candidate_projection(candidates: Tensor, params: ReasoningParams) -> Tensor:
     """First-layer projection of every candidate row; computed once per batch."""
     return nx.matmul(candidates, nx.transpose(params.enc_w1_v))
@@ -130,29 +127,71 @@ def clause_representation(
     candidates: Tensor,
     params: ReasoningParams,
     order: Optional[np.ndarray] = None,
-    return_events: bool = False,
-) -> ClauseOutput:
-    """Left-fold OR over the NOT of every candidate event.
+) -> Tensor:
+    """Left-fold OR over the NOT of every candidate event: the (batch, d_r)
+    label-free clause representation.
 
     `order` permutes the fold (shuffled per training step, natural taxonomy
     order at inference). The output never sees the gold candidate's positive
-    literal.
+    literal. The fold is one tape node with a hand-written backward through
+    time; its per-step arrays are kept only while a tape records it.
     """
     n_cand = candidates.data.shape[0]
     if n_cand == 0:
         raise DegenerateInputError("clause_representation: empty candidate set")
     j_pre = title_projection(j_matrix, params)
     v_pre = candidate_projection(candidates, params)
-    events: list[Optional[Tensor]] = [None] * n_cand
+    sequence = np.arange(n_cand) if order is None else np.asarray(order, dtype=np.intp)
+    weights = (params.enc_w2, params.enc_b2, params.not_w, params.not_b,
+               params.or_w_left, params.or_w_right, params.or_b)
+    inputs = (j_pre, v_pre) + weights
+    w2, b2, w_not, b_not, w_left, w_right, b_or = (t.data for t in weights)
+    j, v = j_pre.data, v_pre.data
+    steps, batch, d_r = len(sequence), j.shape[0], w_not.shape[0]
+    stash = nx.recording(inputs)
+    if stash:  # time-major, so every step reads and writes contiguous blocks
+        hidden = np.empty((steps,) + j.shape)
+        events, negated, states = (np.empty((steps, batch, d_r)) for _ in range(3))
     fold = None
-    sequence = range(n_cand) if order is None else order
-    for k in sequence:
-        e_k = _event_head(j_pre + nx.take_rows(v_pre, np.array([k])), params)
-        if return_events:
-            events[k] = e_k
-        negated = not_op(e_k, params)
-        fold = negated if fold is None else or_op(fold, negated, params)
-    return ClauseOutput(x_prime=fold, events=events if return_events else [])
+    for t, k in enumerate(sequence):
+        h = np.tanh(j + v[k], out=hidden[t] if stash else None)
+        e = h @ w2.T + b2
+        n = np.tanh(e @ w_not.T + b_not)
+        fold = n if fold is None else np.tanh(fold @ w_left.T + n @ w_right.T + b_or)
+        if stash:
+            events[t], negated[t], states[t] = e, n, fold
+
+    def backward(g):
+        g_j, g_v = np.zeros_like(j), np.zeros_like(v)
+        g_w2, g_b2, g_not, g_bnot, g_left, g_right, g_bor = (
+            np.zeros_like(w) for w in (w2, b2, w_not, b_not, w_left, w_right, b_or)
+        )
+        ones = np.ones(batch)  # `ones @ x` sums rows several times faster than x.sum(0)
+        g_state = g
+        for t in range(steps - 1, -1, -1):
+            if t > 0:
+                s = states[t]
+                g_or = g_state * (1.0 - s * s)
+                g_left += g_or.T @ states[t - 1]
+                g_right += g_or.T @ negated[t]
+                g_bor += ones @ g_or
+                g_neg = g_or @ w_right
+                g_state = g_or @ w_left  # the only sequential dependency
+            else:
+                g_neg = g_state
+            n, h = negated[t], hidden[t]
+            g_n = g_neg * (1.0 - n * n)
+            g_not += g_n.T @ events[t]
+            g_bnot += ones @ g_n
+            g_e = g_n @ w_not
+            g_w2 += g_e.T @ h
+            g_b2 += ones @ g_e
+            g_pre = (g_e @ w2) * (1.0 - h * h)
+            g_j += g_pre
+            g_v[sequence[t]] += ones @ g_pre
+        return g_j, g_v, g_w2, g_b2, g_not, g_bnot, g_left, g_right, g_bor
+
+    return nx.fused_op(fold, inputs, backward)
 
 
 def correct_events(

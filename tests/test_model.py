@@ -1,3 +1,4 @@
+import io
 import json
 import logging
 
@@ -179,6 +180,17 @@ def test_checkpoint_round_trip_is_bit_identical(tmp_path):
     after = forward_probabilities(loaded, pipeline, probe_titles)
     assert np.array_equal(before, after)
     assert loaded.taxonomy.titles == taxonomy.titles
+
+
+def test_saved_model_bytes_match_the_streaming_encoder(tmp_path):
+    taxonomy = Taxonomy(titles=["data analyst", "café owner", "pilot"])
+    model = init_model(taxonomy, small_config(), d_h=6, d_b=16)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    written = path.read_bytes()
+    oracle = io.StringIO()
+    json.dump(json.loads(written), oracle, sort_keys=True)
+    assert written == (oracle.getvalue() + "\n").encode("utf-8")
 
 
 def test_tampered_taxonomy_hash_is_rejected(tmp_path):

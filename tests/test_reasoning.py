@@ -64,13 +64,25 @@ def test_not_and_or_preserve_shape(params):
     assert rs.or_op(e, e, params).data.shape == (5, D_R)
 
 
+def unrolled_fold(j, v, params, order):
+    """Tape-unrolled oracle: one not_op/or_op per candidate, each event from
+    `correct_events` with every row labelled with that candidate."""
+    folded = None
+    for k in order:
+        event = rs.correct_events(j, v, np.full(j.data.shape[0], k), params)
+        negated = rs.not_op(event, params)
+        folded = negated if folded is None else rs.or_op(folded, negated, params)
+    return folded
+
+
 def test_clause_single_candidate_is_negated_event(params):
     rng = np.random.default_rng(4)
     j = rand_rows(rng, 3, D_VIEW)
     v = rand_rows(rng, 1, D_VIEW)
     out = rs.clause_representation(j, v, params)
     expected = rs.not_op(Tensor(event_oracle(params, j.data, v.data)), params)
-    assert np.allclose(out.x_prime.data, expected.data, atol=1e-12)
+    assert np.allclose(out.data, expected.data, atol=1e-12)
+    assert np.array_equal(out.data, unrolled_fold(j, v, params, [0]).data)
 
 
 def test_clause_rejects_empty_candidates(params):
@@ -85,7 +97,7 @@ def test_clause_is_reproducible_for_fixed_order(params):
     order = np.array([2, 0, 3, 1])
     a = rs.clause_representation(j, v, params, order=order)
     b = rs.clause_representation(j, v, params, order=order)
-    assert np.array_equal(a.x_prime.data, b.x_prime.data)
+    assert np.array_equal(a.data, b.data)
 
 
 def test_clause_fold_matches_hand_unrolled_oracle(params):
@@ -101,7 +113,66 @@ def test_clause_fold_matches_hand_unrolled_oracle(params):
     folded = rs.not_op(event(1), params)
     folded = rs.or_op(folded, rs.not_op(event(2), params), params)
     folded = rs.or_op(folded, rs.not_op(event(0), params), params)
-    assert np.allclose(out.x_prime.data, folded.data, atol=1e-12)
+    assert np.allclose(out.data, folded.data, atol=1e-12)
+    assert np.array_equal(out.data, unrolled_fold(j, v, params, order).data)
+
+
+# (batch rows, candidates, shuffled fold order)
+FOLD_SHAPES = [(3, 5, True), (1, 4, True), (3, 1, False), (4, 6, False)]
+
+
+def fold_inputs(batch, n_cand, shuffled, seed):
+    rng = np.random.default_rng(seed)
+    j = Tensor(rng.uniform(-1, 1, (batch, D_VIEW)), requires_grad=True)
+    v = Tensor(rng.uniform(-1, 1, (n_cand, D_VIEW)), requires_grad=True)
+    order = rng.permutation(n_cand) if shuffled else np.arange(n_cand)
+    weights = Tensor(rng.uniform(-1, 1, (batch, D_R)))
+    return j, v, order, weights
+
+
+@pytest.mark.parametrize("batch,n_cand,shuffled", FOLD_SHAPES)
+def test_taped_and_untaped_fold_are_bit_identical(params, batch, n_cand, shuffled):
+    j, v, order, _ = fold_inputs(batch, n_cand, shuffled, seed=12)
+    plain = rs.clause_representation(j, v, params, order)
+    with nx.GradTape():
+        taped = rs.clause_representation(j, v, params, order)
+    assert taped.requires_grad and not plain.requires_grad
+    assert np.array_equal(taped.data, plain.data)
+    assert np.array_equal(taped.data, unrolled_fold(j, v, params, order).data)
+
+
+def gradients(make_output, j, v, weights, params):
+    leaves = {"j": j, "v": v, **{k: t for k, t in nx.tensor_fields(params).items()
+                                 if k != "true_anchor"}}
+    for t in leaves.values():
+        t.grad = None
+    with nx.GradTape() as tape:
+        loss = nx.tsum(nx.mul(make_output(), weights))
+    tape.backward(loss)
+    # a leaf the oracle's tape never reached (the OR weights at one candidate)
+    # has no gradient, which is a zero one
+    return {k: np.zeros_like(t.data) if t.grad is None else t.grad for k, t in leaves.items()}
+
+
+@pytest.mark.parametrize("batch,n_cand,shuffled", FOLD_SHAPES)
+def test_fused_fold_gradients_match_tape_unrolled_oracle(params, batch, n_cand, shuffled):
+    j, v, order, weights = fold_inputs(batch, n_cand, shuffled, seed=13)
+    fused = gradients(lambda: rs.clause_representation(j, v, params, order), j, v, weights, params)
+    oracle = gradients(lambda: unrolled_fold(j, v, params, order), j, v, weights, params)
+    assert len(fused) == 12
+    for name, expected in oracle.items():
+        scale = max(np.max(np.abs(expected)), 1e-300)
+        assert np.max(np.abs(fused[name] - expected)) <= 1e-12 * scale, name
+
+
+def test_fused_fold_gradients_match_finite_differences(params):
+    j, v, order, weights = fold_inputs(2, 4, True, seed=14)
+    trainables = [j, v] + [t for k, t in nx.tensor_fields(params).items() if k != "true_anchor"]
+    err = finite_difference_check(
+        lambda: nx.tsum(nx.mul(rs.clause_representation(j, v, params, order), weights)),
+        trainables,
+    )
+    assert err <= 1e-6
 
 
 def test_correct_events_pick_label_rows(params):
