@@ -8,6 +8,7 @@ reported for one relevant item per query.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -111,7 +112,8 @@ def make_link_split(graph: TransitionGraph, seed: int = 0) -> LinkSplit:
     train_edges = [edges[i] for i in sorted(order[n_test + n_dev :])]
 
     edge_set = set(edges)
-    capacity = len(nodes) * (len(nodes) - 1) - len(edge_set)
+    # self-loops are edges but not among the n(n-1) ordered pairs
+    capacity = len(nodes) * (len(nodes) - 1) - sum(u != v for u, v in edge_set)
     if capacity < n_test + n_dev:
         raise DataError(
             f"graph too dense to sample {n_test + n_dev} negative links "
@@ -192,6 +194,54 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+_MAX_DRAW = 1 << 16  # pairs per rejection round, which bounds its memory
+
+
+class PairSampler:
+    """I.i.d. uniform ordered pairs (u, v) of node indices in range(n), with
+    u != v and (u, v) not a forbidden pair; repeats allowed.
+
+    Rejection sampling on pair ids u * n + v: the forbidden ids are sorted once
+    and each round's draws are looked up with one `searchsorted`.
+    """
+
+    def __init__(self, n: int, forbidden: Sequence[tuple[int, int]]):
+        u, v = np.asarray(forbidden, dtype=np.int64).reshape(-1, 2).T
+        off_diagonal = u != v
+        self.n = n
+        self.forbidden = np.sort(u[off_diagonal] * n + v[off_diagonal])
+        # counted without np.unique, which imports numpy.ma (about 1 MB) on first use
+        distinct = np.count_nonzero(self.forbidden[1:] != self.forbidden[:-1]) + 1
+        self.allowed = n * (n - 1) - (distinct if self.forbidden.size else 0)
+        if self.allowed < 1:
+            raise DataError(
+                f"no ordered pair of the {n} node(s) is free to sample as a negative"
+            )
+
+    def sample(self, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """`count` pairs as two index arrays, taken in draw order from the
+        accepted draws, so the result is a function of the rng state alone."""
+        n, forbidden = self.n, self.forbidden
+        rate = self.allowed / (n * n)
+        out = np.empty((2, count), dtype=np.int64)
+        filled = 0
+        while filled < count:
+            need = count - filled
+            # acceptances are binomial(m, rate): aim 4 standard deviations
+            # above `need` so that a second round is rare
+            m = min(_MAX_DRAW, math.ceil((need + 4 * math.sqrt(need * (1 - rate)) + 1) / rate))
+            uv = rng.integers(n, size=(2, m))
+            ids = uv[0] * n + uv[1]
+            keep = uv[0] != uv[1]
+            if forbidden.size:
+                at = np.minimum(np.searchsorted(forbidden, ids), forbidden.size - 1)
+                keep &= forbidden[at] != ids
+            kept = uv[:, keep][:, :need]
+            out[:, filled : filled + kept.shape[1]] = kept
+            filled += kept.shape[1]
+        return out[0], out[1]
+
+
 @dataclass
 class LinkPredictionReport:
     per_operator: dict  # operator -> {"dev_auc": float, "test_auc": float}
@@ -208,7 +258,8 @@ def link_prediction_auc(
 ) -> LinkPredictionReport:
     """Fit a logistic classifier on train edges per operator, select the
     operator on dev AUC, report test AUC. Train negatives are resampled 1:1
-    each epoch from non-edges."""
+    each epoch, i.i.d. uniform over the ordered pairs of `split.nodes` that
+    are neither self-pairs nor train, dev or test positives."""
     edge_lists = (split.train_edges, split.dev_pos, split.dev_neg, split.test_pos, split.test_neg)
     # sampled train negatives may be any node, so every node needs a vector
     needed = set(split.nodes)
@@ -224,19 +275,16 @@ def link_prediction_auc(
     row = {t: i for i, t in enumerate(keys)}
     matrix = np.stack([np.asarray(node_vectors[t], dtype=np.float64) for t in keys])
 
+    index = {t: i for i, t in enumerate(split.nodes)}
+    # a positive with an endpoint outside split.nodes can never be drawn
+    forbidden = [
+        (index[u], index[v])
+        for u, v in split.train_edges + split.dev_pos + split.test_pos
+        if u in index and v in index
+    ]
+    sampler = PairSampler(len(index), forbidden)
+    node_rows = np.array([row[t] for t in split.nodes], dtype=np.intp)
     rng = np.random.default_rng(seed)
-    nodes = split.nodes
-    forbidden = set(split.train_edges) | set(split.dev_pos) | set(split.test_pos)
-
-    def sample_train_negatives(count: int) -> list:
-        out = []
-        while len(out) < count:
-            u = nodes[int(rng.integers(len(nodes)))]
-            v = nodes[int(rng.integers(len(nodes)))]
-            if u == v or (u, v) in forbidden:
-                continue
-            out.append((u, v))
-        return out
 
     def endpoints(edge_list: list) -> tuple[np.ndarray, np.ndarray]:
         return (np.array([row[u] for u, _ in edge_list], dtype=np.intp),
@@ -254,8 +302,8 @@ def link_prediction_auc(
         b = Tensor(np.zeros(1), requires_grad=True)
         optimizer = nx.Adam([w, b], lr=lr)
         for _ in range(epochs):
-            negatives = endpoints(sample_train_negatives(len(split.train_edges)))
-            neg_feats = features(negatives, operator)
+            neg_u, neg_v = sampler.sample(len(split.train_edges), rng)
+            neg_feats = features((node_rows[neg_u], node_rows[neg_v]), operator)
             feats = np.concatenate([pos_feats, neg_feats])
             y = np.concatenate([np.ones(len(pos_feats)), np.zeros(len(neg_feats))])
             p = _sigmoid(feats @ w.data + b.data[0])

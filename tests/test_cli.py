@@ -406,6 +406,18 @@ def test_train_poincare_writes_a_deterministic_report(trained):
         assert (tmp / "again" / name).read_bytes() == (tmp / "out" / name).read_bytes()
 
 
+def test_linkpred_rerun_writes_an_identical_report(trained):
+    tmp, data = trained
+    reports = []
+    for run in ("linkpred-a", "linkpred-b"):
+        path, _ = write_config(tmp, {"output_dir": str(tmp / run), "data": data,
+                                     "linkpred": {"epochs": 20}}, name=f"{run}.json")
+        assert main(["linkpred", "--config", str(path)]) == 0
+        reports.append((tmp / run / "linkpred_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert 0.0 <= json.loads(reports[0])["test_auc"] <= 1.0
+
+
 EMBEDDINGS_D16 = "#embeddings d=16 normalize=true\n"
 
 # one malformed file per on-disk format: (command, data key or the provider,

@@ -3,7 +3,7 @@ import pytest
 
 from titlemap import evaluation as ev
 from titlemap.errors import DataError, EvaluationError, MissingTitleError
-from titlemap.graph import JobRecord, build_transition_graph
+from titlemap.graph import JobRecord, TransitionGraph, build_transition_graph
 
 from datetime import date
 
@@ -101,6 +101,20 @@ def test_link_split_needs_ten_edges():
         ev.make_link_split(chain_graph(5), seed=0)
 
 
+def test_link_split_capacity_ignores_self_loops():
+    # 5 nodes: 14 of the 20 ordered pairs are edges, plus all 5 self-loops.
+    # 19 edges need 3 test and 3 dev negatives, and exactly 6 non-edges exist.
+    nodes = [f"n{i}" for i in range(5)]
+    pairs = [(u, v) for u in nodes for v in nodes if u != v]
+    non_edges = set(pairs[::3][:6])
+    edges = [p for p in pairs if p not in non_edges] + [(u, u) for u in nodes]
+    graph = TransitionGraph(nodes=set(nodes), edge_counts=dict.fromkeys(edges, 1))
+    split = ev.make_link_split(graph, seed=0)
+    negatives = split.test_neg + split.dev_neg
+    assert len(split.test_neg) == 3 and len(split.dev_neg) == 3
+    assert set(negatives) == non_edges
+
+
 def test_edge_operators():
     u = np.array([1.0, 2.0])
     v = np.array([3.0, 4.0])
@@ -165,6 +179,72 @@ def test_link_prediction_requires_vectors_for_all_nodes():
     split = ev.make_link_split(graph, seed=0)
     with pytest.raises(MissingTitleError):
         ev.link_prediction_auc(split, vectors)
+
+
+def test_link_prediction_is_deterministic_per_seed():
+    graph = chain_graph(40)
+    rng = np.random.default_rng(0)
+    vectors = {node: rng.normal(size=4) for node in sorted(graph.nodes)}
+    split = ev.make_link_split(graph, seed=5)
+    first = ev.link_prediction_auc(split, vectors, seed=5, epochs=10)
+    assert ev.link_prediction_auc(split, vectors, seed=5, epochs=10) == first
+
+
+def test_link_prediction_without_a_free_pair_raises():
+    one_node = ev.LinkSplit(nodes=["a"], train_edges=[("a", "a")],
+                            dev_pos=[], dev_neg=[], test_pos=[], test_neg=[])
+    with pytest.raises(DataError):
+        ev.link_prediction_auc(one_node, {"a": np.ones(2)}, epochs=1)
+    # every ordered pair of three nodes is a positive somewhere in the split
+    complete = ev.LinkSplit(nodes=["a", "b", "c"],
+                            train_edges=[("a", "b"), ("b", "a"), ("a", "c"), ("b", "b")],
+                            dev_pos=[("c", "a")], dev_neg=[("a", "a")],
+                            test_pos=[("b", "c"), ("c", "b")], test_neg=[("c", "c")])
+    vectors = {t: np.ones(2) for t in "abc"}
+    with pytest.raises(DataError):
+        ev.link_prediction_auc(complete, vectors, epochs=1)
+
+
+# ---------------------------------------------------------------------------
+# Train-negative sampler
+
+def test_pair_sampler_returns_count_allowed_pairs():
+    forbidden = [(0, 1), (1, 2), (2, 0), (3, 3), (0, 1)]
+    sampler = ev.PairSampler(5, forbidden)
+    assert sampler.allowed == 5 * 4 - 3  # the self-pair and the repeat count once
+    u, v = sampler.sample(1000, np.random.default_rng(0))
+    assert u.shape == v.shape == (1000,)
+    pairs = set(zip(u.tolist(), v.tolist()))
+    assert all(a != b for a, b in pairs)
+    assert not pairs & set(forbidden)
+
+
+def test_pair_sampler_is_deterministic_per_seed():
+    sampler = ev.PairSampler(6, [(0, 1), (2, 3)])
+    a = sampler.sample(300, np.random.default_rng(4))
+    b = sampler.sample(300, np.random.default_rng(4))
+    c = sampler.sample(300, np.random.default_rng(5))
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+
+
+def test_pair_sampler_terminates_with_one_allowed_pair():
+    forbidden = [(u, v) for u in range(4) for v in range(4) if u != v and (u, v) != (2, 1)]
+    u, v = ev.PairSampler(4, forbidden).sample(50, np.random.default_rng(0))
+    assert u.tolist() == [2] * 50 and v.tolist() == [1] * 50
+
+
+def test_pair_sampler_is_uniform_over_allowed_pairs():
+    forbidden = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    allowed = [(u, v) for u in range(4) for v in range(4) if u != v and (u, v) not in forbidden]
+    draws = 40_000
+    u, v = ev.PairSampler(4, forbidden).sample(draws, np.random.default_rng(11))
+    counts = np.zeros((4, 4), dtype=int)
+    np.add.at(counts, (u, v), 1)
+    expected = draws / len(allowed)  # 5,000; a binomial sd of about 66
+    for a, b in allowed:
+        assert abs(counts[a, b] - expected) <= 0.05 * expected  # about 3.8 sd
+    assert counts.sum() == sum(counts[a, b] for a, b in allowed)
 
 
 # ---------------------------------------------------------------------------
