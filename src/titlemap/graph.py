@@ -28,13 +28,15 @@ class JobRecord:
     company_id: str
     start: date
     end: Optional[date]  # None = still employed
+    canonical_title: str = field(init=False, repr=False, compare=False)  # derived from title
 
     def __post_init__(self):
         if self.end is not None and self.start > self.end:
             raise DataError(
                 f"job record for person {self.person_id!r}: start {self.start} is after end {self.end}"
             )
-        canonicalize_title(self.title)  # raises on titles that normalize to nothing
+        # raises on titles that normalize to nothing
+        self.canonical_title = canonicalize_title(self.title)
 
 
 class ParentChildPair(NamedTuple):
@@ -80,7 +82,7 @@ def person_sequences(records: Iterable[JobRecord]) -> list[list[str]]:
     for idx, rec in enumerate(records):
         end_key = rec.end if rec.end is not None else date.max
         by_person.setdefault(rec.person_id, []).append(
-            (rec.start, end_key, idx, canonicalize_title(rec.title))
+            (rec.start, end_key, idx, rec.canonical_title)
         )
     sequences = []
     for person in by_person.values():
@@ -155,8 +157,8 @@ def load_records(path) -> list[JobRecord]:
 def write_records(path, records: Iterable[JobRecord]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in records:
-            end = rec.end.isoformat() if rec.end else None
-            row = {**vars(rec), "start": rec.start.isoformat(), "end": end}
+            row = {name: getattr(rec, name) for name in RECORD_FIELDS}
+            row.update(start=rec.start.isoformat(), end=rec.end.isoformat() if rec.end else None)
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 

@@ -75,6 +75,8 @@ class TrainConfig:
             raise ConfigError("patience must be >= 0")
         if not self.lr > 0:
             raise ConfigError("lr must be positive")
+        if min(self.logic_weight, self.clause_weight) < 0:
+            raise ConfigError("logic_weight and clause_weight must be >= 0")
         if self.fusion_lr_multiplier <= 0:
             raise ConfigError("fusion_lr_multiplier must be positive")
 
@@ -220,15 +222,17 @@ def _forward(
         n_cand = len(model.taxonomy)
         order_b = ctx.fold_rng.permutation(n_cand) if training else None
         order_s = ctx.fold_rng.permutation(n_cand) if training else None
-        clause_b = rs.clause_representation(tb, v_b, model.reason_b, order_b)
-        clause_s = rs.clause_representation(ts, v_s, model.reason_s, order_s)
+        pre_b = rs.encode_views(tb, v_b, model.reason_b)
+        pre_s = rs.encode_views(ts, v_s, model.reason_s)
+        clause_b = rs.clause_representation(*pre_b, model.reason_b, order_b)
+        clause_s = rs.clause_representation(*pre_s, model.reason_s, order_s)
         fused = nx.concat(
             [attended.x_hat_h, attended.x_hat_b, attended.x_hat_s, clause_b, clause_s],
             axis=1,
         )
         if training:
             out["clauses"] = {"b": clause_b, "s": clause_s}
-            out["view_inputs"] = {"b": tb, "s": ts}
+            out["projections"] = {"b": pre_b, "s": pre_s}
     elif model.config.variant == "concat":
         fused = nx.concat([th, tb, ts], axis=1)
     else:  # semantic_only
@@ -239,28 +243,23 @@ def _forward(
 
 
 def _reg_batch(
-    model: MapperModel,
-    view: str,
-    view_input: Tensor,
-    standards: Tensor,
+    j_pre: Tensor,
+    v_pre: Tensor,
+    params: rs.ReasoningParams,
     ctx: _TrainContext,
 ) -> Tensor:
-    """Vectors fed to the logical regularizers for one view: the events of a
-    couple of sampled candidates plus encoder projections of the batch titles
-    and of sampled standard titles."""
-    params = model.reason_b if view == "b" else model.reason_s
-    n_cand = standards.data.shape[0]
-    batch_size = view_input.data.shape[0]
-    pieces = [
-        rs.correct_events(view_input, standards, np.full(batch_size, k), params)
+    """Vectors fed to the logical regularizers for one view, encoded in one
+    pass from the view's projections: the events of a couple of sampled
+    candidates, then each batch title and each sampled standard title alone,
+    with the other event slot zero."""
+    n_cand, batch_size = v_pre.data.shape[0], j_pre.data.shape[0]
+    pre = [
+        j_pre + nx.take_rows(v_pre, np.full(batch_size, k))
         for k in ctx.reg_rng.choice(n_cand, size=min(2, n_cand), replace=False)
     ]
-    pieces.append(rs.project_view_vectors(view_input, params, side="j"))
     sample = ctx.reg_rng.choice(n_cand, size=min(n_cand, batch_size), replace=False)
-    pieces.append(
-        rs.project_view_vectors(nx.take_rows(standards, np.sort(sample)), params, side="v")
-    )
-    return nx.concat(pieces, axis=0)
+    pre += [j_pre, nx.take_rows(v_pre, np.sort(sample)) + params.enc_b1]
+    return rs.event_head(nx.concat(pre, axis=0), params)
 
 
 def loss_on_batch(
@@ -282,15 +281,11 @@ def loss_on_batch(
     detail = {"cross_entropy": ce}
     if model.config.variant == "full":
         cfg = model.config
-        for view, standards in (("b", v_b), ("s", v_s)):
-            params = model.reason_b if view == "b" else model.reason_s
-            clause = parts["clauses"][view]
-            e_gold = rs.correct_events(parts["view_inputs"][view], standards, labels, params)
-            truth = rs.clause_truth_loss(clause, e_gold, params)
-            regs = rs.logical_regularizers(
-                _reg_batch(model, view, parts["view_inputs"][view], standards, ctx),
-                params,
-            )
+        for view, params in (("b", model.reason_b), ("s", model.reason_s)):
+            j_pre, v_pre = parts["projections"][view]
+            e_gold = rs.correct_events(j_pre, v_pre, labels, params)
+            truth = rs.clause_truth_loss(parts["clauses"][view], e_gold, params)
+            regs = rs.logical_regularizers(_reg_batch(j_pre, v_pre, params, ctx), params)
             detail[f"truth_{view}"] = truth
             detail[f"regs_{view}"] = regs
             total = total + nx.mul(regs.total, Tensor(cfg.logic_weight)) + nx.mul(

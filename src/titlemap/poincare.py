@@ -131,10 +131,10 @@ class PoincareConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.epochs, self.negatives) < 0:
-            raise ConfigError("poincare epochs and negatives must be >= 0")
-        if not self.lr > 0:
-            raise ConfigError("poincare lr must be positive")
+        if min(self.epochs, self.negatives, self.burn_in_epochs) < 0:
+            raise ConfigError("poincare epochs, negatives and burn_in_epochs must be >= 0")
+        if not min(self.lr, self.burn_in_lr_factor) > 0:
+            raise ConfigError("poincare lr and burn_in_lr_factor must be positive")
 
 
 @dataclass

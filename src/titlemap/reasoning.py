@@ -7,11 +7,14 @@ hard-coded - the logical behaviour of NOT/OR is only encouraged by the six
 regularizers (negation, double negation, identity, annihilator, idempotence,
 complementation) against learnable TRUE/FALSE anchors.
 
-The fold that feeds the classifier is label-free: the correct candidate's
-positive literal only ever appears inside `clause_truth_loss`, a training-time
-auxiliary, so the classifier input cannot encode the answer. The whole fold
-is one tape node whatever the number of candidates; its backward runs through
-the fold in reverse, step by step.
+The encoder's first layer is linear in each event slot, so `encode_views`
+projects a view's title rows and candidate rows once per forward pass; the
+fold, the gold events and the regularizer batch all take rows from those two
+projections. The fold that feeds the classifier is label-free: the correct
+candidate's positive literal only ever appears inside `clause_truth_loss`, a
+training-time auxiliary, so the classifier input cannot encode the answer.
+The whole fold is one tape node whatever the number of candidates; its
+backward runs through the fold in reverse, step by step.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ class ReasoningParams:
         self.true_anchor.data /= np.linalg.norm(self.true_anchor.data)
 
 
-def _event_head(pre: Tensor, params: ReasoningParams) -> Tensor:
+def event_head(pre: Tensor, params: ReasoningParams) -> Tensor:
     """Second encoder layer: event vectors from first-layer pre-activations."""
     return nx.matmul(nx.tanh(pre), nx.transpose(params.enc_w2)) + params.enc_b2
 
@@ -112,35 +115,35 @@ def row_cosine(a: Tensor, b: Tensor) -> Tensor:
     return nx.clip(nx.div(num, nx.mul(na, nb)), -1.0, 1.0)
 
 
-def candidate_projection(candidates: Tensor, params: ReasoningParams) -> Tensor:
-    """First-layer projection of every candidate row; computed once per batch."""
-    return nx.matmul(candidates, nx.transpose(params.enc_w1_v))
-
-
-def title_projection(titles: Tensor, params: ReasoningParams) -> Tensor:
-    """First-layer projection of every title row, bias included."""
-    return nx.matmul(titles, nx.transpose(params.enc_w1_j)) + params.enc_b1
+def encode_views(
+    j_matrix: Tensor, candidates: Tensor, params: ReasoningParams
+) -> tuple[Tensor, Tensor]:
+    """First-layer projections of one view: `j_pre` = x W1jᵀ + b1 per title
+    row and `v_pre` = V W1vᵀ per candidate row. The pre-activation of event
+    (j, k) is `j_pre[j] + v_pre[k]`; with the title slot zero it is
+    `v_pre[k] + b1`, with the candidate slot zero `j_pre[j]`."""
+    j_pre = nx.matmul(j_matrix, nx.transpose(params.enc_w1_j)) + params.enc_b1
+    v_pre = nx.matmul(candidates, nx.transpose(params.enc_w1_v))
+    return j_pre, v_pre
 
 
 def clause_representation(
-    j_matrix: Tensor,
-    candidates: Tensor,
+    j_pre: Tensor,
+    v_pre: Tensor,
     params: ReasoningParams,
     order: Optional[np.ndarray] = None,
 ) -> Tensor:
     """Left-fold OR over the NOT of every candidate event: the (batch, d_r)
-    label-free clause representation.
+    label-free clause representation, from the projections of `encode_views`.
 
     `order` permutes the fold (shuffled per training step, natural taxonomy
     order at inference). The output never sees the gold candidate's positive
     literal. The fold is one tape node with a hand-written backward through
     time; its per-step arrays are kept only while a tape records it.
     """
-    n_cand = candidates.data.shape[0]
+    n_cand = v_pre.data.shape[0]
     if n_cand == 0:
         raise DegenerateInputError("clause_representation: empty candidate set")
-    j_pre = title_projection(j_matrix, params)
-    v_pre = candidate_projection(candidates, params)
     sequence = np.arange(n_cand) if order is None else np.asarray(order, dtype=np.intp)
     weights = (params.enc_w2, params.enc_b2, params.not_w, params.not_b,
                params.or_w_left, params.or_w_right, params.or_b)
@@ -195,22 +198,13 @@ def clause_representation(
 
 
 def correct_events(
-    j_matrix: Tensor,
-    candidates: Tensor,
+    j_pre: Tensor,
+    v_pre: Tensor,
     labels: np.ndarray,
     params: ReasoningParams,
 ) -> Tensor:
     """Event vector of each row's gold candidate (training only)."""
-    j_pre = title_projection(j_matrix, params)
-    v_pre = nx.take_rows(candidate_projection(candidates, params), labels)
-    return _event_head(j_pre + v_pre, params)
-
-
-def project_view_vectors(matrix: Tensor, params: ReasoningParams, side: str) -> Tensor:
-    """Encode bare view vectors into reasoning space by zero-padding the other
-    event slot: side "j" encodes concat(x, 0), side "v" encodes concat(0, x)."""
-    w = params.enc_w1_j if side == "j" else params.enc_w1_v
-    return _event_head(nx.matmul(matrix, nx.transpose(w)) + params.enc_b1, params)
+    return event_head(j_pre + nx.take_rows(v_pre, labels), params)
 
 
 def clause_truth_loss(x_prime: Tensor, e_correct: Tensor, params: ReasoningParams) -> Tensor:

@@ -239,18 +239,24 @@ def trained(tmp_path_factory):
         ("train", {"train": {"max_epochs": 0}}),
         ("train", {"train": {"patience": -1}}),
         ("train", {"train": {"lr": 0}}),
+        ("train", {"train": {"logic_weight": -5}}),
+        ("train", {"train": {"clause_weight": -5}}),
         ("map", {"map": {"k": 0}}),
         ("map", {"map": {"k": -1}}),
         ("train-poincare", {"poincare": {"negatives": -2}}),
         ("train-poincare", {"poincare": {"lr": 0}}),
+        ("train-poincare", {"poincare": {"burn_in_epochs": -1}}),
+        ("train-poincare", {"poincare": {"burn_in_lr_factor": -50}}),
+        ("train-poincare", {"poincare": {"burn_in_lr_factor": 0}}),
         ("linkpred", {"linkpred": {"epochs": 0}}),
         ("linkpred", {"linkpred": {"lr": 0}}),
         ("linkpred", {"linkpred": {"lr": -0.05}}),
     ],
     ids=["split-of-strings", "batch-size-0", "max-epochs-bool", "max-epochs-0",
-         "patience-negative", "train-lr-0", "map-k-0", "map-k-negative",
-         "negatives-negative", "poincare-lr-0", "linkpred-epochs-0", "linkpred-lr-0",
-         "linkpred-lr-negative"],
+         "patience-negative", "train-lr-0", "logic-weight-negative", "clause-weight-negative",
+         "map-k-0", "map-k-negative", "negatives-negative", "poincare-lr-0",
+         "burn-in-epochs-negative", "burn-in-lr-factor-negative", "burn-in-lr-factor-0",
+         "linkpred-epochs-0", "linkpred-lr-0", "linkpred-lr-negative"],
 )
 def test_bad_config_value_exits_2(trained, command, overrides, capsys):
     tmp, data = trained
@@ -290,6 +296,7 @@ def test_non_finite_config_number_exits_2(trained, command, section, value, lite
         lambda doc: doc["train_config"].pop("batch_size"),
         lambda doc: doc["train_config"].update(batch_size="x"),
         lambda doc: doc["train_config"].update(clause_weight=float("nan")),
+        lambda doc: doc["train_config"].update(logic_weight=-5.0),
         # a key the config no longer has, as an older artifact carries it
         lambda doc: doc["train_config"].update(fusion_weight_decay=0.0),
         lambda doc: doc["tensors"]["fusion.b"].pop("shape"),
@@ -310,7 +317,8 @@ def test_non_finite_config_number_exits_2(trained, command, section, value, lite
         lambda doc: doc["dims"].update(d_h=7),
         lambda doc: doc["taxonomy_titles"].__setitem__(0, "head \ud800 chef"),
     ],
-    ids=["extra-key", "missing-key", "wrong-type", "clause-weight-nan", "fusion-weight-decay",
+    ids=["extra-key", "missing-key", "wrong-type", "clause-weight-nan", "logic-weight-negative",
+         "fusion-weight-decay",
          "tensor-without-shape",
          "no-taxonomy-titles", "no-taxonomy-groups", "no-taxonomy-hash", "no-d-h", "no-d-b",
          "titles-not-list", "groups-not-strings", "hash-not-string", "d-h-string",

@@ -6,6 +6,7 @@ import pytest
 
 from titlemap.errors import DataError, DegenerateInputError, FormatError
 from titlemap.graph import (
+    RECORD_FIELDS,
     JobRecord,
     ParentChildPair,
     build_transition_graph,
@@ -180,6 +181,14 @@ def test_jsonl_round_trip(tmp_path):
     write_records(path, records)
     loaded = load_records(path)
     assert loaded == records
+
+
+def test_written_record_line_holds_exactly_the_five_fields(tmp_path):
+    record = rec("p1", "  Café   Manager ", "2019-01-01")
+    assert record.canonical_title == "café manager"
+    path = tmp_path / "resumes.jsonl"
+    write_records(path, [record])
+    assert list(json.loads(path.read_text())) == list(RECORD_FIELDS)
 
 
 def test_jsonl_bad_json_names_line(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from titlemap import numerics as nx
+from titlemap import reasoning as rs
 from titlemap.datagen import SynthConfig, gen_resumes, gen_taxonomy
 from titlemap.errors import ConfigError, DataError
 from titlemap.graph import extract_parent_child_pairs
@@ -15,6 +16,7 @@ from titlemap.model import (
     MapperModel,
     TrainConfig,
     _TrainContext,
+    _reg_batch,
     _tensor_registry,
     _tensor_shapes,
     clamp_k,
@@ -30,6 +32,8 @@ from titlemap.numerics import Tensor
 from titlemap.poincare import PoincareConfig, train_poincare
 from titlemap.semantic import HashedNgramProvider
 from titlemap.syntactic import Taxonomy
+
+from helpers import event_oracle
 
 
 def tiny_world(groups=6, synonyms=3, persons=60, seed=0, d_h=6, d_b=16):
@@ -124,6 +128,28 @@ def test_label_outside_taxonomy_is_data_error():
         loss_on_batch(model, x_h, x_b, x_s, np.array([len(taxonomy)]),
                       Tensor(pipeline.standard_semantic()),
                       Tensor(pipeline.standard_syntactic()), ctx)
+
+
+@pytest.mark.parametrize("batch,n_cand", [(3, 5), (4, 2)])
+def test_regularizer_batch_rows_are_encoder_events(batch, n_cand):
+    """Two sampled-candidate events, then each title and each sampled
+    standard title encoded alone with the other event slot zero."""
+    params = rs.ReasoningParams.init(6, 4, seed=0)
+    rng = np.random.default_rng(1)
+    x, v = rng.uniform(-1, 1, (batch, 6)), rng.uniform(-1, 1, (n_cand, 6))
+    ctx = _TrainContext(fold_rng=np.random.default_rng(2), reg_rng=np.random.default_rng(3))
+    out = _reg_batch(*rs.encode_views(Tensor(x), Tensor(v), params), params, ctx).data
+    replay = np.random.default_rng(3)
+    k1, k2 = replay.choice(n_cand, size=2, replace=False)
+    sample = np.sort(replay.choice(n_cand, size=min(n_cand, batch), replace=False))
+    expected = np.concatenate([
+        event_oracle(params, x, v[[k1]]),
+        event_oracle(params, x, v[[k2]]),
+        event_oracle(params, x, np.zeros((1, 6))),
+        event_oracle(params, np.zeros((1, 6)), v[sample]),
+    ])
+    assert out.shape == expected.shape
+    assert np.allclose(out, expected, rtol=0, atol=1e-12)
 
 
 def test_training_loss_decreases_on_separable_data():

@@ -25,23 +25,24 @@ def test_correct_events_are_deterministic(params):
     j = rand_rows(rng, 3, D_VIEW)
     v = rand_rows(rng, 3, D_VIEW)
     labels = np.array([2, 0, 1])
-    first = rs.correct_events(j, v, labels, params).data
-    assert np.array_equal(first, rs.correct_events(j, v, labels, params).data)
+    first = rs.correct_events(*rs.encode_views(j, v, params), labels, params).data
+    again = rs.correct_events(*rs.encode_views(j, v, params), labels, params).data
+    assert np.array_equal(first, again)
 
 
 def test_correct_events_output_dimension(params):
     rng = np.random.default_rng(1)
     j, v = rand_rows(rng, 4, D_VIEW), rand_rows(rng, 4, D_VIEW)
-    out = rs.correct_events(j, v, np.arange(4), params)
+    out = rs.correct_events(*rs.encode_views(j, v, params), np.arange(4), params)
     assert out.data.shape == (4, D_R)
 
 
 def test_correct_events_reject_wrong_width(params):
     wide, right = Tensor(np.zeros((2, D_VIEW + 1))), Tensor(np.zeros((2, D_VIEW)))
     with pytest.raises(DimensionError):
-        rs.correct_events(wide, right, np.arange(2), params)
+        rs.encode_views(wide, right, params)
     with pytest.raises(DimensionError):
-        rs.correct_events(right, wide, np.arange(2), params)
+        rs.encode_views(right, wide, params)
 
 
 def test_encoder_gradients_match_finite_differences(params):
@@ -51,7 +52,9 @@ def test_encoder_gradients_match_finite_differences(params):
     labels = np.array([2, 0])
     w = Tensor(rng.uniform(-1, 1, (2, D_R)))
     err = finite_difference_check(
-        lambda: nx.tsum(nx.mul(rs.correct_events(j, v, labels, params), w)),
+        lambda: nx.tsum(nx.mul(
+            rs.correct_events(*rs.encode_views(j, v, params), labels, params), w
+        )),
         [params.enc_w1_j, params.enc_w1_v, params.enc_b1, params.enc_w2, params.enc_b2],
     )
     assert err <= 1e-4
@@ -66,10 +69,12 @@ def test_not_and_or_preserve_shape(params):
 
 def unrolled_fold(j, v, params, order):
     """Tape-unrolled oracle: one not_op/or_op per candidate, each event from
-    `correct_events` with every row labelled with that candidate."""
+    its own `encode_views` and `correct_events` with every row labelled with
+    that candidate."""
     folded = None
     for k in order:
-        event = rs.correct_events(j, v, np.full(j.data.shape[0], k), params)
+        labels = np.full(j.data.shape[0], k)
+        event = rs.correct_events(*rs.encode_views(j, v, params), labels, params)
         negated = rs.not_op(event, params)
         folded = negated if folded is None else rs.or_op(folded, negated, params)
     return folded
@@ -79,7 +84,7 @@ def test_clause_single_candidate_is_negated_event(params):
     rng = np.random.default_rng(4)
     j = rand_rows(rng, 3, D_VIEW)
     v = rand_rows(rng, 1, D_VIEW)
-    out = rs.clause_representation(j, v, params)
+    out = rs.clause_representation(*rs.encode_views(j, v, params), params)
     expected = rs.not_op(Tensor(event_oracle(params, j.data, v.data)), params)
     assert np.allclose(out.data, expected.data, atol=1e-12)
     assert np.array_equal(out.data, unrolled_fold(j, v, params, [0]).data)
@@ -87,7 +92,10 @@ def test_clause_single_candidate_is_negated_event(params):
 
 def test_clause_rejects_empty_candidates(params):
     with pytest.raises(DegenerateInputError):
-        rs.clause_representation(Tensor(np.zeros((2, D_VIEW))), Tensor(np.zeros((0, D_VIEW))), params)
+        rs.clause_representation(
+            *rs.encode_views(Tensor(np.zeros((2, D_VIEW))), Tensor(np.zeros((0, D_VIEW))), params),
+            params,
+        )
 
 
 def test_clause_is_reproducible_for_fixed_order(params):
@@ -95,8 +103,8 @@ def test_clause_is_reproducible_for_fixed_order(params):
     j = rand_rows(rng, 2, D_VIEW)
     v = rand_rows(rng, 4, D_VIEW)
     order = np.array([2, 0, 3, 1])
-    a = rs.clause_representation(j, v, params, order=order)
-    b = rs.clause_representation(j, v, params, order=order)
+    a = rs.clause_representation(*rs.encode_views(j, v, params), params, order=order)
+    b = rs.clause_representation(*rs.encode_views(j, v, params), params, order=order)
     assert np.array_equal(a.data, b.data)
 
 
@@ -105,7 +113,7 @@ def test_clause_fold_matches_hand_unrolled_oracle(params):
     j = rand_rows(rng, 2, D_VIEW)
     v = rand_rows(rng, 3, D_VIEW)
     order = np.array([1, 2, 0])
-    out = rs.clause_representation(j, v, params, order=order)
+    out = rs.clause_representation(*rs.encode_views(j, v, params), params, order=order)
 
     def event(k):
         return Tensor(event_oracle(params, j.data, v.data[k : k + 1]))
@@ -133,9 +141,9 @@ def fold_inputs(batch, n_cand, shuffled, seed):
 @pytest.mark.parametrize("batch,n_cand,shuffled", FOLD_SHAPES)
 def test_taped_and_untaped_fold_are_bit_identical(params, batch, n_cand, shuffled):
     j, v, order, _ = fold_inputs(batch, n_cand, shuffled, seed=12)
-    plain = rs.clause_representation(j, v, params, order)
+    plain = rs.clause_representation(*rs.encode_views(j, v, params), params, order)
     with nx.GradTape():
-        taped = rs.clause_representation(j, v, params, order)
+        taped = rs.clause_representation(*rs.encode_views(j, v, params), params, order)
     assert taped.requires_grad and not plain.requires_grad
     assert np.array_equal(taped.data, plain.data)
     assert np.array_equal(taped.data, unrolled_fold(j, v, params, order).data)
@@ -157,7 +165,10 @@ def gradients(make_output, j, v, weights, params):
 @pytest.mark.parametrize("batch,n_cand,shuffled", FOLD_SHAPES)
 def test_fused_fold_gradients_match_tape_unrolled_oracle(params, batch, n_cand, shuffled):
     j, v, order, weights = fold_inputs(batch, n_cand, shuffled, seed=13)
-    fused = gradients(lambda: rs.clause_representation(j, v, params, order), j, v, weights, params)
+    fused = gradients(
+        lambda: rs.clause_representation(*rs.encode_views(j, v, params), params, order),
+        j, v, weights, params,
+    )
     oracle = gradients(lambda: unrolled_fold(j, v, params, order), j, v, weights, params)
     assert len(fused) == 12
     for name, expected in oracle.items():
@@ -169,7 +180,9 @@ def test_fused_fold_gradients_match_finite_differences(params):
     j, v, order, weights = fold_inputs(2, 4, True, seed=14)
     trainables = [j, v] + [t for k, t in nx.tensor_fields(params).items() if k != "true_anchor"]
     err = finite_difference_check(
-        lambda: nx.tsum(nx.mul(rs.clause_representation(j, v, params, order), weights)),
+        lambda: nx.tsum(nx.mul(
+            rs.clause_representation(*rs.encode_views(j, v, params), params, order), weights
+        )),
         trainables,
     )
     assert err <= 1e-6
@@ -180,7 +193,7 @@ def test_correct_events_pick_label_rows(params):
     j = rand_rows(rng, 3, D_VIEW)
     v = rand_rows(rng, 4, D_VIEW)
     labels = np.array([2, 0, 3])
-    out = rs.correct_events(j, v, labels, params)
+    out = rs.correct_events(*rs.encode_views(j, v, params), labels, params)
     assert np.allclose(out.data, event_oracle(params, j.data, v.data[labels]), atol=1e-12)
 
 

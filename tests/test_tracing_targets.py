@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 
 from titlemap import reasoning as rs
+from titlemap.model import TrainConfig, _TrainContext, init_model, loss_on_batch
 from titlemap.numerics import Tensor
+from titlemap.syntactic import Taxonomy
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -41,7 +43,35 @@ def test_traced_clause_fold_counts_one_step_per_candidate():
     installed = tracing.install(recorder)
     try:
         params = rs.ReasoningParams.init(3, 4, seed=0)
-        rs.clause_representation(Tensor(np.ones((2, 3))), Tensor(np.ones((5, 3))), params, None)
+        pre = rs.encode_views(Tensor(np.ones((2, 3))), Tensor(np.ones((5, 3))), params)
+        rs.clause_representation(*pre, params, None)
     finally:
         tracing.restore(installed)
     assert recorder.counts["reasoning.clause_representation.fold_steps"] == 5
+
+
+def test_traced_training_step_records_every_reasoning_layer():
+    # the benchmark's per-layer reasoning metrics read these spans; a step that
+    # stopped calling one of the traced names would read 0 without failing
+    taxonomy = Taxonomy(titles=["aa bb", "cc dd", "ee ff", "gg hh", "ii jj"])
+    n_cand, d_h, d_b = len(taxonomy), 3, 4
+    config = TrainConfig(d_h=d_h, d_b=d_b, d_r=2, batch_size=6, seed=0)
+    model = init_model(taxonomy, config, d_h=d_h, d_b=d_b)
+    rng = np.random.default_rng(0)
+    batch = 6
+    tracing = load_tracing()
+    recorder = tracing.Recorder("tier-1")
+    installed = tracing.install(recorder)
+    try:
+        loss_on_batch(
+            model, rng.uniform(-1, 1, (batch, d_h)), rng.uniform(-1, 1, (batch, d_b)),
+            rng.uniform(0, 1, (batch, n_cand)), np.arange(batch) % n_cand,
+            Tensor(rng.uniform(-1, 1, (n_cand, d_b))), Tensor(rng.uniform(0, 1, (n_cand, n_cand))),
+            _TrainContext(fold_rng=np.random.default_rng(1), reg_rng=np.random.default_rng(2)),
+        )
+    finally:
+        tracing.restore(installed)
+    spans = {record[1] for record in recorder.spans}
+    for name in ("correct_events", "clause_representation", "logical_regularizers"):
+        assert f"reasoning.{name}" in spans, name
+    assert recorder.counts["reasoning.clause_representation.fold_steps"] == 2 * n_cand
