@@ -11,6 +11,7 @@ from the config seed.
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 from dataclasses import asdict, dataclass
@@ -35,7 +36,10 @@ logger = logging.getLogger(__name__)
 VARIANTS = ("full", "concat", "semantic_only")
 
 MODEL_FORMAT = "titlemap-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
+
+# every tensor is stored as the base64 of these raw bytes
+_TENSOR_DTYPE = np.dtype("<f8")
 
 # inference rows per forward pass; bounds peak memory on long title lists
 _CHUNK_ROWS = 512
@@ -315,11 +319,20 @@ def forward_probabilities(
     pipeline: FeaturePipeline,
     titles: Sequence[str],
 ) -> np.ndarray:
-    """Inference-mode class distribution per title, shape (n, |Y|)."""
+    """Inference-mode class distribution per title, shape (n, |Y|).
+
+    Each distinct canonical title is scored once and its row is copied to
+    every title that shares it. The forward pass is row-independent
+    (co-attention, the clause fold and the head each act per row), so every
+    row is bit-identical to the row of scoring that title alone."""
     v_b = Tensor(pipeline.standard_semantic())
     v_s = Tensor(pipeline.standard_syntactic())
-    x_h, x_b, x_s = pipeline.title_views(titles)
-    return _probs_from_views(model, x_h, x_b, x_s, v_b, v_s)
+    key_of = {raw: canonicalize_title(raw) for raw in dict.fromkeys(titles)}
+    keys = list(dict.fromkeys(key_of.values()))
+    row_of = {key: row for row, key in enumerate(keys)}
+    inverse = np.array([row_of[key_of[raw]] for raw in titles], dtype=np.intp)
+    x_h, x_b, x_s = pipeline.title_views(keys)
+    return _probs_from_views(model, x_h, x_b, x_s, v_b, v_s)[inverse]
 
 
 def rank_classes(probs: np.ndarray) -> np.ndarray:
@@ -487,7 +500,9 @@ def train(
 
 
 # ---------------------------------------------------------------------------
-# Artifact serialization (single JSON file; floats survive round-trip exactly)
+# Artifact serialization: a single JSON file. Each tensor keeps its `shape`
+# and stores `data` as the base64 of its little-endian float64 bytes, so
+# every value, -0.0 and subnormals included, survives the round-trip exactly.
 
 def _tensor_registry(model: MapperModel) -> dict[str, Tensor]:
     """Artifact name -> tensor for every trainable tensor, in optimizer order."""
@@ -528,7 +543,10 @@ def save_model(model: MapperModel, path) -> None:
         "taxonomy_groups": model.taxonomy.groups,
         "train_config": {**asdict(model.config), "split": list(model.config.split)},
         "tensors": {
-            name: {"shape": list(t.data.shape), "data": t.data.reshape(-1).tolist()}
+            name: {
+                "shape": list(t.data.shape),
+                "data": base64.b64encode(t.data.astype(_TENSOR_DTYPE).tobytes()).decode("ascii"),
+            }
             for name, t in sorted(_tensor_registry(model).items())
         },
     }
@@ -594,12 +612,18 @@ def load_model(path) -> MapperModel:
     arrays = {}
     for name, shape in expected.items():
         entry = stored[name]
+        if not isinstance(entry, dict) or entry.get("shape") != list(shape):
+            raise FormatError(f"{path}: tensor {name} is not stored with shape {list(shape)}")
         try:
-            arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise FormatError(f"{path}: tensor {name} is malformed ({e!r})") from None
-        if arr.shape != shape:
-            raise FormatError(f"{path}: tensor {name} has shape {arr.shape}, expected {shape}")
+            payload = base64.b64decode(entry.get("data"), validate=True)
+        except (TypeError, ValueError):
+            raise FormatError(f"{path}: tensor {name} data is not base64") from None
+        n_bytes = _TENSOR_DTYPE.itemsize * int(np.prod(shape))
+        if len(payload) != n_bytes:
+            raise FormatError(
+                f"{path}: tensor {name} holds {len(payload)} bytes, expected {n_bytes}"
+            )
+        arr = np.frombuffer(payload, dtype=_TENSOR_DTYPE).reshape(shape)
         if not np.isfinite(arr).all():
             raise NumericError(f"{path}: tensor {name} has a non-finite value")
         arrays[name] = arr

@@ -1,6 +1,8 @@
+import base64
 import json
 import os
 
+import numpy as np
 import pytest
 
 from titlemap.cli import main, resolve_config
@@ -289,6 +291,22 @@ def test_non_finite_config_number_exits_2(trained, command, section, value, lite
     assert not (out / f"{command}_config.json").exists()
 
 
+def tensor_values(entry):
+    """The float64 values of one artifact tensor entry, as a writable array."""
+    return np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").copy()
+
+
+def set_tensor_values(entry, values):
+    entry["data"] = base64.b64encode(values.astype("<f8").tobytes()).decode("ascii")
+
+
+def as_version_1(doc):
+    """Rewrite an artifact in the version-1 layout: tensor data as a JSON list."""
+    doc["version"] = 1
+    for entry in doc["tensors"].values():
+        entry["data"] = tensor_values(entry).tolist()
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -316,6 +334,10 @@ def test_non_finite_config_number_exits_2(trained, command, section, value, lite
         lambda doc: (doc["dims"].update(d_h=50000), doc["train_config"].update(d_h=50000)),
         lambda doc: doc["dims"].update(d_h=7),
         lambda doc: doc["taxonomy_titles"].__setitem__(0, "head \ud800 chef"),
+        lambda doc: doc["tensors"]["fusion.b"].update(data="not base64!"),
+        lambda doc: set_tensor_values(doc["tensors"]["fusion.b"],
+                                      tensor_values(doc["tensors"]["fusion.b"])[:-1]),
+        as_version_1,
     ],
     ids=["extra-key", "missing-key", "wrong-type", "clause-weight-nan", "logic-weight-negative",
          "fusion-weight-decay",
@@ -323,7 +345,8 @@ def test_non_finite_config_number_exits_2(trained, command, section, value, lite
          "no-taxonomy-titles", "no-taxonomy-groups", "no-taxonomy-hash", "no-d-h", "no-d-b",
          "titles-not-list", "groups-not-strings", "hash-not-string", "d-h-string",
          "d-b-zero", "dims-not-object", "d-h-50000", "dims-differ-from-train-config",
-         "lone-surrogate-title"],
+         "lone-surrogate-title", "payload-not-base64", "payload-wrong-length",
+         "version-1-list-payload"],
 )
 def test_corrupt_model_artifact_exits_3(trained, corrupt, capsys):
     tmp, data = trained
@@ -353,8 +376,32 @@ def run_map_with_model(trained, text, capsys):
 def test_non_finite_model_tensor_exits_4(trained, value, capsys):
     tmp, _ = trained
     doc = json.loads((tmp / "out" / "model.json").read_text())
-    doc["tensors"]["fusion.w"]["data"][3] = value
+    entry = doc["tensors"]["fusion.w"]
+    values = tensor_values(entry)
+    values[3] = value
+    set_tensor_values(entry, values)
     assert run_map_with_model(trained, json.dumps(doc), capsys) == (4, "kind=numeric")
+
+
+def test_map_writes_one_block_per_input_line_for_repeated_titles(trained):
+    tmp, data = trained
+    lines = ["data analyst", "head chef", "data analyst", "Data  Analyst", "head chef"]
+    titles = tmp / "repeated_titles.txt"
+    titles.write_text("\n".join(lines) + "\n")
+    out = tmp / "repeated"
+    path, _ = write_config(
+        tmp, {"output_dir": str(out), "data": {**data, "titles": str(titles)}, "map": {"k": 3}},
+        name="repeated.json",
+    )
+    assert main(["map", "--config", str(path)]) == 0
+    rows = [row.split("\t") for row in (out / "mappings.tsv").read_text().splitlines()[1:]]
+    assert len(rows) == 3 * len(lines)
+    blocks = [rows[3 * i : 3 * i + 3] for i in range(len(lines))]
+    for line, block in zip(lines, blocks):
+        assert [row[:2] for row in block] == [[line, "1"], [line, "2"], [line, "3"]]
+    assert blocks[0] == blocks[2] and blocks[1] == blocks[4]
+    # a canonical twin gets the same ranking and probabilities
+    assert [row[2:] for row in blocks[3]] == [row[2:] for row in blocks[0]]
 
 
 @pytest.mark.filterwarnings("error")

@@ -5,6 +5,7 @@ import logging
 import numpy as np
 import pytest
 
+from titlemap import model as model_module
 from titlemap import numerics as nx
 from titlemap import reasoning as rs
 from titlemap.datagen import SynthConfig, gen_resumes, gen_taxonomy
@@ -219,6 +220,22 @@ def test_saved_model_bytes_match_the_streaming_encoder(tmp_path):
     assert written == (oracle.getvalue() + "\n").encode("utf-8")
 
 
+def test_saved_tensors_round_trip_bit_for_bit(tmp_path):
+    taxonomy = Taxonomy(titles=["data analyst", "café owner", "pilot"])
+    model = init_model(taxonomy, small_config(), d_h=6, d_b=16)
+    rng = np.random.default_rng(7)
+    for t in model.trainable_tensors():
+        scale = 10.0 ** rng.integers(-300, 300, t.data.shape)
+        t.data[...] = rng.standard_normal(t.data.shape) * scale
+    edge = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+    model.fusion_w.data.reshape(-1)[: len(edge)] = edge
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    for before, after in zip(model.trainable_tensors(), loaded.trainable_tensors()):
+        assert np.array_equal(before.data.view(np.int64), after.data.view(np.int64))
+
+
 def test_tampered_taxonomy_hash_is_rejected(tmp_path):
     taxonomy, pipeline, examples = tiny_world()
     result = train(examples, pipeline, small_config(max_epochs=2, patience=2))
@@ -229,6 +246,42 @@ def test_tampered_taxonomy_hash_is_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(DataError):
         load_model(path)
+
+
+def test_repeated_and_twin_titles_score_like_each_title_alone():
+    taxonomy, pipeline, examples = tiny_world()
+    result = train(examples, pipeline, small_config(max_epochs=2, patience=2))
+    raw = [t for t, _ in examples[:5]]
+    titles = raw + ["Data  Analyst", raw[0], "data analyst", raw[3], "DATA ANALYST", raw[0]]
+    probs = forward_probabilities(result.model, pipeline, titles)
+    assert probs.shape == (len(titles), len(taxonomy))
+    for title, row in zip(titles, probs):
+        assert np.array_equal(row, forward_probabilities(result.model, pipeline, [title])[0])
+
+
+def test_each_distinct_canonical_title_is_embedded_and_scored_once(monkeypatch):
+    taxonomy, pipeline, examples = tiny_world()
+    model = init_model(taxonomy, small_config(), d_h=6, d_b=16)
+    # fill the standard-title caches first, so only the input titles are counted
+    pipeline.standard_semantic()
+    pipeline.standard_syntactic()
+    scored, embedded = [], []
+    matrix, embed = model_module.syntactic_matrix, pipeline.semantic.embed
+
+    def counted_matrix(titles, tax):
+        scored.extend(titles)
+        return matrix(titles, tax)
+
+    def counted_embed(title):
+        embedded.append(title)
+        return embed(title)
+
+    monkeypatch.setattr(model_module, "syntactic_matrix", counted_matrix)
+    monkeypatch.setattr(pipeline.semantic, "embed", counted_embed)
+    titles = ["Data  Analyst", "pilot", "data analyst", "Pilot", "DATA ANALYST", "chef", "pilot"]
+    forward_probabilities(model, pipeline, titles)
+    assert scored == ["data analyst", "pilot", "chef"]
+    assert embedded == ["data analyst", "pilot", "chef"]
 
 
 def test_rank_classes_full_permutation_and_determinism():

@@ -8,9 +8,12 @@ from pathlib import Path
 
 import numpy as np
 
+from titlemap import model as mapper
 from titlemap import reasoning as rs
-from titlemap.model import TrainConfig, _TrainContext, init_model, loss_on_batch
+from titlemap.model import FeaturePipeline, TrainConfig, _TrainContext, init_model, loss_on_batch
 from titlemap.numerics import Tensor
+from titlemap.poincare import HyperbolicEmbeddingTable
+from titlemap.semantic import HashedNgramProvider
 from titlemap.syntactic import Taxonomy
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -75,3 +78,27 @@ def test_traced_training_step_records_every_reasoning_layer():
     for name in ("correct_events", "clause_representation", "logical_regularizers"):
         assert f"reasoning.{name}" in spans, name
     assert recorder.counts["reasoning.clause_representation.fold_steps"] == 2 * n_cand
+
+
+def test_traced_serving_counts_input_rows_and_distinct_scored_rows():
+    # forward_probabilities' rows probe reads the input titles, while the
+    # syntactic view is built once per distinct canonical title plus once for
+    # the standard titles, so the view's unique_ratio reads what it names
+    taxonomy = Taxonomy(titles=["aa bb", "cc dd", "ee ff", "gg hh", "ii jj"])
+    d_h, d_b = 3, 8
+    model = init_model(taxonomy, TrainConfig(d_h=d_h, d_b=d_b, d_r=2), d_h=d_h, d_b=d_b)
+    pipeline = FeaturePipeline(
+        HyperbolicEmbeddingTable(dim=d_h, seed=0), HashedNgramProvider(dimension=d_b), taxonomy
+    )
+    titles = ["aa bb", "Aa  Bb", "cc xx", "aa bb", "zz", "CC XX"]
+    tracing = load_tracing()
+    recorder = tracing.Recorder("tier-1")
+    installed = tracing.install(recorder)
+    try:
+        # called through the module, where the tracer installs its wrapper
+        probs = mapper.forward_probabilities(model, pipeline, titles)
+    finally:
+        tracing.restore(installed)
+    assert probs.shape == (6, len(taxonomy))
+    assert recorder.counts["model.forward_probabilities.rows"] == 6
+    assert recorder.counts["syntactic.syntactic_matrix.rows"] == 3 + len(taxonomy)
