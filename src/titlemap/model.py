@@ -322,9 +322,11 @@ def forward_probabilities(
     """Inference-mode class distribution per title, shape (n, |Y|).
 
     Each distinct canonical title is scored once and its row is copied to
-    every title that shares it. The forward pass is row-independent
-    (co-attention, the clause fold and the head each act per row), so every
-    row is bit-identical to the row of scoring that title alone."""
+    every title that shares it, so titles with the same canonical form get
+    identical rows. Every step of the forward pass acts per row, but the
+    BLAS products are not bitwise row-independent: a row can differ in its
+    last bits (up to about 1e-14 relative) from scoring that title alone or
+    among other titles."""
     v_b = Tensor(pipeline.standard_semantic())
     v_s = Tensor(pipeline.standard_syntactic())
     key_of = {raw: canonicalize_title(raw) for raw in dict.fromkeys(titles)}

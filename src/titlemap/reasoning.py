@@ -14,7 +14,8 @@ projections. The fold that feeds the classifier is label-free: the correct
 candidate's positive literal only ever appears inside `clause_truth_loss`, a
 training-time auxiliary, so the classifier input cannot encode the answer.
 The whole fold is one tape node whatever the number of candidates; its
-backward runs through the fold in reverse, step by step.
+backward runs through the fold in reverse, step by step. The six
+regularizers with their cosines are one tape node per call as well.
 """
 
 from __future__ import annotations
@@ -224,31 +225,119 @@ class RegularizerValues(NamedTuple):
     total: Tensor  # sum of r1..r6 divided by the batch size
 
 
-def _sim(a: Tensor, b: Tensor) -> Tensor:
-    # cosine mapped to [0, 1] so every regularizer term is non-negative
-    return nx.mul(row_cosine(a, b) + Tensor(1.0), Tensor(0.5))
+# The six cosines of the regularizers, as (a, b) rows of the stacked vectors
+# [x, NOT x, NOT NOT x, OR(x, FALSE), OR(x, TRUE), OR(x, x), OR(x, NOT x),
+# TRUE]; r1 is sim(x, NOT x) summed, r2..r6 are 1 - sim(a, b) summed.
+_COS_PAIRS = ((0, 1), (0, 2), (3, 0), (4, 7), (5, 0), (6, 7))
+_COS_A, _COS_B = (np.array(side) for side in zip(*_COS_PAIRS))
+_COS_SIGN = np.array([1.0, -1.0, -1.0, -1.0, -1.0, -1.0])[:, None]
+_TRUE = 7
 
 
 def logical_regularizers(batch: Tensor, params: ReasoningParams) -> RegularizerValues:
-    """The six logical-law penalties over a (n, d_r) batch of vectors.
+    """The six logical-law penalties over a (n, d_r) batch of vectors x:
 
-    Each r_q is a sum over rows of terms in [0, 1]; `total` is their sum
-    averaged over the batch size. FALSE is NOT(TRUE), not an independent
-    parameter.
+        r1 = sum sim(x, NOT x)                r4 = sum 1 - sim(OR(x, TRUE), TRUE)
+        r2 = sum 1 - sim(x, NOT NOT x)        r5 = sum 1 - sim(OR(x, x), x)
+        r3 = sum 1 - sim(OR(x, FALSE), x)     r6 = sum 1 - sim(OR(x, NOT x), TRUE)
+
+    with sim(a, b) = (cos(a, b) + 1) / 2 and the row cosine clipped to
+    [-1, 1], so each term is in [0, 1]. FALSE is NOT(TRUE), not an
+    independent parameter. `total`, the six sums added and divided by the
+    batch size, is one tape node; r1..r6 are plain values.
+
+    The forward keeps the operation order of composing `not_op`, `or_op` and
+    `row_cosine` on the tape, and the backward adds each vector's gradient
+    terms in the order that tape's reverse sweep added them, so values and
+    gradients are bit-identical to that composition.
     """
     n = batch.data.shape[0]
     if n == 0:
         zero = Tensor(0.0)
         return RegularizerValues(zero, zero, zero, zero, zero, zero, zero)
-    one = Tensor(1.0)
-    true_row = params.true_anchor
-    false_row = not_op(true_row, params)
-    not_x = not_op(batch, params)
-    r1 = nx.tsum(_sim(batch, not_x))
-    r2 = nx.tsum(one - _sim(batch, not_op(not_x, params)))
-    r3 = nx.tsum(one - _sim(or_op(batch, false_row, params), batch))
-    r4 = nx.tsum(one - _sim(or_op(batch, true_row, params), true_row))
-    r5 = nx.tsum(one - _sim(or_op(batch, batch, params), batch))
-    r6 = nx.tsum(one - _sim(or_op(batch, not_x, params), true_row))
-    total = nx.mul(r1 + r2 + r3 + r4 + r5 + r6, Tensor(1.0 / n))
-    return RegularizerValues(r1, r2, r3, r4, r5, r6, total)
+    inputs = (batch, params.not_w, params.not_b, params.or_w_left,
+              params.or_w_right, params.or_b, params.true_anchor)
+    x, w_not, b_not, w_left, w_right, b_or, anchor = (t.data for t in inputs)
+    false_row = np.tanh(anchor @ w_not.T + b_not)
+    # the cosine operands, one (n, d_r) block each, written in place
+    vecs = np.empty((8,) + x.shape)
+    vecs[0], vecs[_TRUE] = x, anchor
+    not_x = np.tanh(x @ w_not.T + b_not, out=vecs[1])
+    np.tanh(not_x @ w_not.T + b_not, out=vecs[2])
+    x_left, ors = x @ w_left.T, vecs[3:7]
+    rights = (false_row, anchor, x, not_x)  # second operand of each OR
+    for k, right in enumerate(rights):
+        np.add(x_left, right @ w_right.T, out=ors[k])
+    ors += b_or
+    np.tanh(ors, out=ors)
+    norms = np.sqrt((vecs * vecs).sum(axis=2))
+    dots = (vecs[_COS_A] * vecs[_COS_B]).sum(axis=2)
+    den = norms[_COS_A] * norms[_COS_B]
+    ratio = dots / den
+    sims = (np.clip(ratio, -1.0, 1.0) + 1.0) * 0.5
+    r1, r2, r3, r4, r5, r6 = np.concatenate([sims[:1], 1.0 - sims[1:]]).sum(axis=1)
+    total = (r1 + r2 + r3 + r4 + r5 + r6) * (1.0 / n)
+
+    def backward(g):
+        # per cosine: d/d ratio, zero where the clip saturates (nx.clip's
+        # strict mask), then through ratio = dots / (|a| |b|) to the dot
+        # product, to |a|² and to |b|; TRUE's |b| is one value for all rows
+        g_ratio = _COS_SIGN * ((g * (1.0 / n)) * 0.5) * ((ratio > -1.0) & (ratio < 1.0))
+        g_dots = g_ratio / den
+        g_den = -g_ratio * dots / (den * den)
+        g_sq_a = g_den * norms[_COS_B] * 0.5 / norms[_COS_A]
+        g_norm_b = g_den * norms[_COS_A]
+        acc: dict = {}  # gradient so far, by index in vecs, "false" or parameter name
+
+        def add(key, term):  # every term is a fresh array: keep the first, add in place
+            if key in acc:
+                acc[key] += term
+            else:
+                acc[key] = term
+
+        def row_sum(term):  # gradient of a (1, d_r) row broadcast over the batch
+            return term.sum(axis=0, keepdims=True)
+
+        def cosine(k):
+            a, b = _COS_PAIRS[k]
+            if b == _TRUE:
+                vec_b, g_sq_b = anchor, g_norm_b[k].sum() * 0.5 / norms[b, 0]
+            else:
+                vec_b, g_sq_b = vecs[b], (g_norm_b[k] * 0.5 / norms[b])[:, None]
+            for key, term in ((b, g_sq_b * vec_b), (a, g_sq_a[k][:, None] * vecs[a])):
+                add(key, term)  # |v|² is sum(v * v): the product feeds v twice
+                add(key, term)
+            add(a, g_dots[k][:, None] * vec_b)  # a * b
+            g_b = g_dots[k][:, None] * vecs[a]
+            add(b, row_sum(g_b) if b == _TRUE else g_b)
+
+        def negation(key, out, operand, operand_key):
+            g_pre = acc.pop(key) * (1.0 - out * out)
+            add("not_b", row_sum(g_pre))
+            add(operand_key, g_pre @ w_not)
+            add("not_w", (operand.T @ g_pre).T)
+
+        # the composed tape's reverse sweep: each OR after the cosine reading
+        # it, last OR first; then NOT NOT x, NOT x and FALSE, each after the
+        # cosine that reads it
+        for k, right_key in zip((3, 2, 1, 0), (1, 0, _TRUE, "false")):
+            cosine(k + 2)
+            g_pre = acc.pop(k + 3) * (1.0 - ors[k] * ors[k])
+            add("or_b", row_sum(g_pre))
+            g_right = g_pre if k >= 2 else row_sum(g_pre)  # FALSE and TRUE are one row
+            add(right_key, g_right @ w_right)
+            add("or_w_right", (rights[k].T @ g_right).T)
+            add(0, g_pre @ w_left)
+            add("or_w_left", (x.T @ g_pre).T)
+        cosine(1)
+        negation(2, vecs[2], not_x, 1)
+        cosine(0)
+        negation(1, not_x, x, 0)
+        negation("false", false_row, anchor, _TRUE)
+        return (acc[0], acc["not_w"], acc["not_b"], acc["or_w_left"],
+                acc["or_w_right"], acc["or_b"], acc[_TRUE])
+
+    return RegularizerValues(
+        *(Tensor(r) for r in (r1, r2, r3, r4, r5, r6)),
+        total=nx.fused_op(total, inputs, backward),
+    )

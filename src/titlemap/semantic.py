@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Protocol, Sequence
 
 import numpy as np
@@ -31,11 +32,15 @@ class SemanticProvider(Protocol):
     def embed(self, title: str) -> np.ndarray: ...
 
 
-def _token_hash(seed: int, token: str) -> int:
+@lru_cache(maxsize=131072)
+def _token_feature(seed: int, d_b: int, token: str) -> tuple[int, float]:
+    """(bucket, sign) of one hashed token; titles share most of their tokens,
+    so each distinct token is hashed once."""
     digest = hashlib.blake2b(
         f"{seed}\x1f{token}".encode("utf-8"), digest_size=8
     ).digest()
-    return int.from_bytes(digest, "little")
+    h = int.from_bytes(digest, "little")
+    return h % d_b, 1.0 if (h >> 62) & 1 else -1.0
 
 
 def hashed_ngram_embed(title: str, d_b: int, seed: int) -> np.ndarray:
@@ -49,13 +54,10 @@ def hashed_ngram_embed(title: str, d_b: int, seed: int) -> np.ndarray:
     canonical = canonicalize_title(title)
     padded = "^^" + canonical + "$$"
     grams = [padded[i : i + 3] for i in range(len(padded) - 2)]
-    tokens = grams + canonical.split(" ")
-    vec = np.zeros(d_b, dtype=np.float64)
-    for token in tokens:
-        h = _token_hash(seed, token)
-        bucket = h % d_b
-        sign = 1.0 if (h >> 62) & 1 else -1.0
-        vec[bucket] += sign
+    buckets, signs = zip(*(
+        _token_feature(seed, d_b, token) for token in grams + canonical.split(" ")
+    ))
+    vec = np.bincount(buckets, weights=signs, minlength=d_b)
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise DegenerateInputError(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from titlemap import numerics as nx
+from titlemap import reasoning as rs
 from titlemap.graph import ParentChildPair
 
 
@@ -44,6 +45,28 @@ def event_oracle(params, j: np.ndarray, v: np.ndarray) -> np.ndarray:
         j @ params.enc_w1_j.data.T + v @ params.enc_w1_v.data.T + params.enc_b1.data
     )
     return hidden @ params.enc_w2.data.T + params.enc_b2.data
+
+
+def _sim(a, b):
+    # cosine mapped to [0, 1] so every regularizer term is non-negative
+    return nx.mul(rs.row_cosine(a, b) + nx.Tensor(1.0), nx.Tensor(0.5))
+
+
+def taped_regularizers(batch, params):
+    """Tape-composed oracle of `logical_regularizers`: r1..r6 and `total`
+    built from `not_op`, `or_op` and `row_cosine`, one tape node per op."""
+    one = nx.Tensor(1.0)
+    true_row = params.true_anchor
+    false_row = rs.not_op(true_row, params)
+    not_x = rs.not_op(batch, params)
+    r1 = nx.tsum(_sim(batch, not_x))
+    r2 = nx.tsum(one - _sim(batch, rs.not_op(not_x, params)))
+    r3 = nx.tsum(one - _sim(rs.or_op(batch, false_row, params), batch))
+    r4 = nx.tsum(one - _sim(rs.or_op(batch, true_row, params), true_row))
+    r5 = nx.tsum(one - _sim(rs.or_op(batch, batch, params), batch))
+    r6 = nx.tsum(one - _sim(rs.or_op(batch, not_x, params), true_row))
+    total = nx.mul(r1 + r2 + r3 + r4 + r5 + r6, nx.Tensor(1.0 / batch.data.shape[0]))
+    return rs.RegularizerValues(r1, r2, r3, r4, r5, r6, total)
 
 
 def scalar_adam_reference(x0, grads, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):

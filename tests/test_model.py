@@ -10,7 +10,7 @@ from titlemap import numerics as nx
 from titlemap import reasoning as rs
 from titlemap.datagen import SynthConfig, gen_resumes, gen_taxonomy
 from titlemap.errors import ConfigError, DataError
-from titlemap.graph import extract_parent_child_pairs
+from titlemap.graph import canonicalize_title, extract_parent_child_pairs
 from titlemap.model import (
     VARIANTS,
     FeaturePipeline,
@@ -30,7 +30,7 @@ from titlemap.model import (
     train,
 )
 from titlemap.numerics import Tensor
-from titlemap.poincare import PoincareConfig, train_poincare
+from titlemap.poincare import HyperbolicEmbeddingTable, PoincareConfig, train_poincare
 from titlemap.semantic import HashedNgramProvider
 from titlemap.syntactic import Taxonomy
 
@@ -153,6 +153,29 @@ def test_regularizer_batch_rows_are_encoder_events(batch, n_cand):
     assert np.allclose(out, expected, rtol=0, atol=1e-12)
 
 
+def tape_nodes_of_one_step(n_cand, batch=8, d_h=4, d_b=8):
+    taxonomy = Taxonomy(titles=[f"title {chr(97 + i // 26)}{chr(97 + i % 26)}"
+                                for i in range(n_cand)])
+    model = init_model(taxonomy, small_config(d_h=d_h, d_b=d_b), d_h=d_h, d_b=d_b)
+    rng = np.random.default_rng(0)
+    ctx = _TrainContext(fold_rng=np.random.default_rng(1), reg_rng=np.random.default_rng(2))
+    with nx.GradTape() as tape:
+        loss_on_batch(
+            model, rng.uniform(-1, 1, (batch, d_h)), rng.uniform(-1, 1, (batch, d_b)),
+            rng.uniform(0, 1, (batch, n_cand)), np.arange(batch) % n_cand,
+            Tensor(rng.uniform(-1, 1, (n_cand, d_b))),
+            Tensor(rng.uniform(0, 1, (n_cand, n_cand))), ctx,
+        )
+    return len(tape._nodes)
+
+
+def test_training_step_tape_is_small_and_independent_of_taxonomy_size():
+    # the clause fold and the six regularizers are one tape node each per view
+    small, large = tape_nodes_of_one_step(12), tape_nodes_of_one_step(60)
+    assert small == large
+    assert small < 300
+
+
 def test_training_loss_decreases_on_separable_data():
     taxonomy, pipeline, examples = tiny_world()
     result = train(examples, pipeline, small_config(max_epochs=5, patience=5))
@@ -257,6 +280,26 @@ def test_repeated_and_twin_titles_score_like_each_title_alone():
     assert probs.shape == (len(titles), len(taxonomy))
     for title, row in zip(titles, probs):
         assert np.array_equal(row, forward_probabilities(result.model, pipeline, [title])[0])
+
+
+def test_rows_equal_the_distinct_batch_and_agree_with_scoring_alone_at_desk_dims():
+    # at d_b 128 and |Y| 50 the BLAS products are not row-independent: a
+    # title's row can differ in its last bits from scoring that title alone
+    taxonomy, labeled = gen_taxonomy(SynthConfig(groups=50, synonyms=2, seed=3))
+    d_h, d_b = 8, 128
+    pipeline = FeaturePipeline(
+        HyperbolicEmbeddingTable(dim=d_h, seed=0), HashedNgramProvider(dimension=d_b), taxonomy
+    )
+    model = init_model(taxonomy, TrainConfig(d_h=d_h, d_b=d_b, d_r=16, seed=0), d_h=d_h, d_b=d_b)
+    raw = [t for t, _ in labeled[:40]]
+    titles = raw + [t.upper() for t in raw[:10]] + raw[:5]
+    keys = list(dict.fromkeys(canonicalize_title(t) for t in titles))
+    inverse = [keys.index(canonicalize_title(t)) for t in titles]
+    distinct = forward_probabilities(model, pipeline, keys)
+    assert np.array_equal(forward_probabilities(model, pipeline, titles), distinct[inverse])
+    alone = np.concatenate([forward_probabilities(model, pipeline, [key]) for key in keys])
+    assert np.allclose(alone, distinct, rtol=1e-12, atol=0)
+    assert np.array_equal(rank_classes(alone), rank_classes(distinct))
 
 
 def test_each_distinct_canonical_title_is_embedded_and_scored_once(monkeypatch):

@@ -6,7 +6,7 @@ from titlemap import reasoning as rs
 from titlemap.errors import DegenerateInputError, DimensionError
 from titlemap.numerics import Tensor
 
-from helpers import event_oracle, finite_difference_check
+from helpers import event_oracle, finite_difference_check, taped_regularizers
 
 D_VIEW, D_R = 6, 8
 
@@ -243,6 +243,74 @@ def test_regularizers_differentiable_end_to_end(params):
         lambda: rs.logical_regularizers(batch, params).total, trainables
     )
     assert err <= 1e-4
+
+
+REG_PARAMS = ("not_w", "not_b", "or_w_left", "or_w_right", "or_b", "true_anchor")
+
+
+def regularizer_batch(params, n, case, seed):
+    """A (n, D_R) batch; "saturated" zeroes NOT's weight, so NOT x is one
+    constant row, and scales that row, so some clipped cosines round to 1."""
+    rng = np.random.default_rng(seed)
+    if case == "saturated":
+        params.not_w.data[...] = 0.0
+        rows = np.linspace(0.3, 3.0, n)[:, None] * np.tanh(params.not_b.data)
+    else:
+        rows = rng.uniform(-1, 1, (n, D_R))
+    return Tensor(rows, requires_grad=True)
+
+
+def regularizer_gradients(make_regs, batch, params, weight):
+    leaves = [batch] + [getattr(params, name) for name in REG_PARAMS]
+    for t in leaves:
+        t.grad = None
+    with nx.GradTape() as tape:
+        regs = make_regs(batch, params)
+        loss = nx.mul(regs.total, Tensor(weight))
+    tape.backward(loss)
+    return regs, [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("n,case", [(1, "random"), (2, "random"), (7, "random"),
+                                    (40, "random"), (12, "saturated")])
+def test_fused_regularizers_are_bit_identical_to_taped_composition(params, n, case):
+    batch = regularizer_batch(params, n, case, seed=20 + n)
+    fused, fused_grads = regularizer_gradients(rs.logical_regularizers, batch, params, 0.7)
+    taped, taped_grads = regularizer_gradients(taped_regularizers, batch, params, 0.7)
+    if case == "saturated":  # the clip's strict mask drops some rows, keeps others
+        q = rs.row_cosine(batch, rs.not_op(batch, params)).data
+        assert np.any(q >= 1.0) and np.any(q < 1.0)
+    for name, value, expected in zip(rs.RegularizerValues._fields, fused, taped):
+        assert np.array_equal(value.data, expected.data), name
+    for name, grad, expected in zip(("batch",) + REG_PARAMS, fused_grads, taped_grads):
+        assert np.array_equal(grad, expected), name
+
+
+def test_fused_regularizers_record_one_tape_node(params):
+    batch = Tensor(np.random.default_rng(21).uniform(-1, 1, (5, D_R)), requires_grad=True)
+    with nx.GradTape() as tape:
+        regs = rs.logical_regularizers(batch, params)
+    assert len(tape._nodes) == 1
+    assert regs.total.requires_grad
+    assert not any(r.requires_grad for r in regs[:6])
+
+
+def test_regularizer_gradients_match_finite_differences_for_batch_and_params(params):
+    batch = Tensor(np.random.default_rng(22).uniform(-1, 1, (3, D_R)), requires_grad=True)
+    trainables = [batch] + [getattr(params, name) for name in REG_PARAMS]
+    err = finite_difference_check(
+        lambda: nx.mul(rs.logical_regularizers(batch, params).total, Tensor(0.7)), trainables
+    )
+    assert err <= 1e-6
+
+
+def test_zero_row_makes_regularizer_total_non_finite(params):
+    # a zero vector has no cosine; training must see NaN and stop (exit 4)
+    rows = np.random.default_rng(23).uniform(-1, 1, (4, D_R))
+    rows[2] = 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        regs = rs.logical_regularizers(Tensor(rows, requires_grad=True), params)
+    assert not np.isfinite(regs.total.item())
 
 
 def train_regularizers_only(params, steps, seed=0, lr=1e-2, batch_size=64):
