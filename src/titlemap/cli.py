@@ -319,13 +319,17 @@ def cmd_map(config: dict) -> None:
     model, pipeline = _load_model_pipeline(config)
     titles = _read_titles(titles_path)
     k = clamp_k(config["map"]["k"], len(model.taxonomy))
-    probs = forward_probabilities(model, pipeline, titles)
+    distinct = list(dict.fromkeys(titles))  # a resume stream repeats titles
+    probs = forward_probabilities(model, pipeline, distinct)
     top = rank_classes(probs)[:, :k]
-    rows = (
-        (title, str(rank), model.taxonomy.titles[class_idx], repr(float(row[class_idx])))
-        for title, row, order in zip(titles, probs, top)
-        for rank, class_idx in enumerate(order, start=1)
-    )
+    block_of = {
+        title: [
+            (title, str(rank), model.taxonomy.titles[class_idx], repr(float(row[class_idx])))
+            for rank, class_idx in enumerate(order, start=1)
+        ]
+        for title, row, order in zip(distinct, probs, top)
+    }
+    rows = (row for title in titles for row in block_of[title])
     header = "#mappings\ttitle\trank\tstandard_title\tprobability"
     _save(out, "mappings.tsv", write_rows, rows, header)
     _write_echo(config, "map")
@@ -339,13 +343,14 @@ def cmd_eval(config: dict) -> None:
     titles = [raw for raw, _ in examples]
     labels = [model.taxonomy.index(std) for _, std in examples]
     probs = forward_probabilities(model, pipeline, titles)
-    rankings = [list(order) for order in rank_classes(probs)]
+    cutoffs = (1, 5, 10)  # the report reads no rank below the last
+    rankings = [list(order) for order in rank_classes(probs)[:, : cutoffs[-1]]]
     results = ev.RankingResult(rankings=rankings, relevant=[{l} for l in labels])
     report = {
         "queries": len(titles),
-        "precision_at": {str(n): ev.precision_at_n(results, n) for n in (1, 5, 10)},
-        "hit_rate_at": {str(n): ev.hit_rate_at_n(results, n) for n in (1, 5, 10)},
-        "ndcg_at_10": ev.ndcg_at_n(results, 10),
+        "precision_at": {str(n): ev.precision_at_n(results, n) for n in cutoffs},
+        "hit_rate_at": {str(n): ev.hit_rate_at_n(results, n) for n in cutoffs},
+        "ndcg_at_10": ev.ndcg_at_n(results, cutoffs[-1]),
         "seeds": config["seeds"],
     }
     _save(out, "eval_report.json", _write_json, report)

@@ -216,14 +216,15 @@ def neg(a: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Element-wise product with numpy broadcasting."""
+    """Element-wise product with numpy broadcasting; the backward skips the
+    gradient of an input that does not require one."""
     _check_broadcast(a, b, "elementwise_mul")
     return _make(
         a.data * b.data,
         (a, b),
         lambda g: (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
+            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
         ),
     )
 
@@ -241,7 +242,8 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Strict 2-D matrix product; gradient is g@b^T / a^T@g."""
+    """Strict 2-D matrix product; gradient is g@b^T / a^T@g, computed only
+    for an input that requires one."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(
             f"matmul: shapes {a.data.shape} and {b.data.shape} are incompatible"
@@ -249,7 +251,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(
         a.data @ b.data,
         (a, b),
-        lambda g: (g @ b.data.T, a.data.T @ g),
+        lambda g: (
+            g @ b.data.T if a.requires_grad else None,
+            a.data.T @ g if b.requires_grad else None,
+        ),
     )
 
 

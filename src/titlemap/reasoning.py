@@ -14,8 +14,13 @@ projections. The fold that feeds the classifier is label-free: the correct
 candidate's positive literal only ever appears inside `clause_truth_loss`, a
 training-time auxiliary, so the classifier input cannot encode the answer.
 The whole fold is one tape node whatever the number of candidates; its
-backward runs through the fold in reverse, step by step. The six
-regularizers with their cosines are one tape node per call as well.
+backward runs through the fold in reverse, step by step. Inside it, NOT is
+composed with the event head's second layer once per call, and each step
+keeps its hidden layer and one `[previous state | literal]` block, which
+OR multiplies in one product. The composed weight rounds differently from
+`not_op(event_head(...))`, so the fold agrees with that composition within
+1e-12 relative (the tests' bound), not bit for bit. The six regularizers
+with their cosines are one tape node per call as well.
 """
 
 from __future__ import annotations
@@ -140,7 +145,19 @@ def clause_representation(
     `order` permutes the fold (shuffled per training step, natural taxonomy
     order at inference). The output never sees the gold candidate's positive
     literal. The fold is one tape node with a hand-written backward through
-    time; its per-step arrays are kept only while a tape records it.
+    time. NOT is composed with the event head once per call, so each literal
+    NOT(e_k) = tanh(h_k W_negᵀ + b_neg), with W_neg = not_w enc_w2 and
+    b_neg = enc_b2 not_wᵀ + not_b, is one product; each OR is one product of
+    the `[state | literal]` block with `[or_w_left | or_w_right]`. Per step
+    it keeps h_k and that block, 4·d_r floats per row, and only while a tape
+    records it; an untaped call reuses one buffer of each. The backward maps
+    the gradients of W_neg and b_neg back to the four stored tensors once,
+    after the loop.
+
+    The composed weight rounds differently from applying the head and NOT
+    in turn, so value and gradients agree with that composition within
+    1e-12 relative, not bit for bit. Taped and untaped calls are
+    bit-identical.
     """
     n_cand = v_pre.data.shape[0]
     if n_cand == 0:
@@ -150,50 +167,66 @@ def clause_representation(
                params.or_w_left, params.or_w_right, params.or_b)
     inputs = (j_pre, v_pre) + weights
     w2, b2, w_not, b_not, w_left, w_right, b_or = (t.data for t in weights)
+    w_neg = w_not @ w2  # NOT after the event head's linear layer
+    b_neg = b2 @ w_not.T + b_not
+    w_or = np.concatenate([w_left, w_right], axis=1)
+    # BLAS multiplies by a contiguous right operand faster than by a transposed view
+    w_neg_t, w_or_t = np.ascontiguousarray(w_neg.T), np.ascontiguousarray(w_or.T)
     j, v = j_pre.data, v_pre.data
     steps, batch, d_r = len(sequence), j.shape[0], w_not.shape[0]
-    stash = nx.recording(inputs)
-    if stash:  # time-major, so every step reads and writes contiguous blocks
-        hidden = np.empty((steps,) + j.shape)
-        events, negated, states = (np.empty((steps, batch, d_r)) for _ in range(3))
-    fold = None
+    kept = steps if nx.recording(inputs) else 1
+    # time-major, so every step reads and writes contiguous blocks; pairs[t]
+    # is [state after step t - 1 | literal of step t]
+    hidden = np.empty((kept,) + j.shape)
+    pairs = np.empty((kept, batch, 2 * d_r))
     for t, k in enumerate(sequence):
-        h = np.tanh(j + v[k], out=hidden[t] if stash else None)
-        e = h @ w2.T + b2
-        n = np.tanh(e @ w_not.T + b_not)
-        fold = n if fold is None else np.tanh(fold @ w_left.T + n @ w_right.T + b_or)
-        if stash:
-            events[t], negated[t], states[t] = e, n, fold
+        h, pair = hidden[t % kept], pairs[t % kept]
+        np.tanh(np.add(j, v[k], out=h), out=h)
+        literal = h @ w_neg_t
+        literal += b_neg
+        np.tanh(literal, out=pair[:, d_r:])
+        if t == 0:
+            fold = pair[:, d_r:]
+        else:
+            fold = pair @ w_or_t
+            fold += b_or
+            np.tanh(fold, out=fold)
+        if t + 1 < steps:
+            pairs[(t + 1) % kept, :, :d_r] = fold
+    fold = fold.copy() if steps == 1 else fold  # one step leaves a view of the stash
 
     def backward(g):
         g_j, g_v = np.zeros_like(j), np.zeros_like(v)
-        g_w2, g_b2, g_not, g_bnot, g_left, g_right, g_bor = (
-            np.zeros_like(w) for w in (w2, b2, w_not, b_not, w_left, w_right, b_or)
-        )
+        g_or_w, g_w_neg = np.zeros_like(w_or), np.zeros_like(w_neg)
+        g_or_rows, g_neg_rows = np.zeros_like(g), np.zeros_like(g)
         ones = np.ones(batch)  # `ones @ x` sums rows several times faster than x.sum(0)
-        g_state = g
+
+        # gradient of the last step's pre-activation: an OR's, or with one
+        # candidate the only literal's
+        g_or = g * (1.0 - fold * fold)
         for t in range(steps - 1, -1, -1):
             if t > 0:
-                s = states[t]
-                g_or = g_state * (1.0 - s * s)
-                g_left += g_or.T @ states[t - 1]
-                g_right += g_or.T @ negated[t]
-                g_bor += ones @ g_or
-                g_neg = g_or @ w_right
-                g_state = g_or @ w_left  # the only sequential dependency
+                pair = pairs[t]
+                g_or_rows += g_or
+                g_or_w += g_or.T @ pair
+                # through both tanhs behind [state | literal] at once: the left
+                # half becomes the previous step's pre-activation gradient
+                g_pair = g_or @ w_or
+                g_pair *= 1.0 - pair * pair
+                g_or, g_n = g_pair[:, :d_r], g_pair[:, d_r:]
             else:
-                g_neg = g_state
-            n, h = negated[t], hidden[t]
-            g_n = g_neg * (1.0 - n * n)
-            g_not += g_n.T @ events[t]
-            g_bnot += ones @ g_n
-            g_e = g_n @ w_not
-            g_w2 += g_e.T @ h
-            g_b2 += ones @ g_e
-            g_pre = (g_e @ w2) * (1.0 - h * h)
+                g_n = g_or  # the first state is the first literal
+            h = hidden[t]
+            g_neg_rows += g_n
+            g_w_neg += g_n.T @ h
+            g_pre = g_n @ w_neg
+            g_pre *= 1.0 - h * h
             g_j += g_pre
             g_v[sequence[t]] += ones @ g_pre
-        return g_j, g_v, g_w2, g_b2, g_not, g_bnot, g_left, g_right, g_bor
+        g_b_or, g_b_neg = ones @ g_or_rows, ones @ g_neg_rows
+        g_not = g_w_neg @ w2.T + np.outer(g_b_neg, b2)
+        return (g_j, g_v, w_not.T @ g_w_neg, (g_b_neg @ w_not)[None], g_not,
+                g_b_neg[None], g_or_w[:, :d_r], g_or_w[:, d_r:], g_b_or[None])
 
     return nx.fused_op(fold, inputs, backward)
 

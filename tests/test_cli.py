@@ -383,25 +383,40 @@ def test_non_finite_model_tensor_exits_4(trained, value, capsys):
     assert run_map_with_model(trained, json.dumps(doc), capsys) == (4, "kind=numeric")
 
 
-def test_map_writes_one_block_per_input_line_for_repeated_titles(trained):
+def map_blocks(trained, lines, name, k=3):
+    """The `map` output for a titles file of `lines`: one block of k
+    tab-split rows per line, in input order."""
     tmp, data = trained
-    lines = ["data analyst", "head chef", "data analyst", "Data  Analyst", "head chef"]
-    titles = tmp / "repeated_titles.txt"
+    titles = tmp / f"{name}.txt"
     titles.write_text("\n".join(lines) + "\n")
-    out = tmp / "repeated"
+    out = tmp / name
     path, _ = write_config(
-        tmp, {"output_dir": str(out), "data": {**data, "titles": str(titles)}, "map": {"k": 3}},
-        name="repeated.json",
+        tmp, {"output_dir": str(out), "data": {**data, "titles": str(titles)}, "map": {"k": k}},
+        name=f"{name}.json",
     )
     assert main(["map", "--config", str(path)]) == 0
     rows = [row.split("\t") for row in (out / "mappings.tsv").read_text().splitlines()[1:]]
-    assert len(rows) == 3 * len(lines)
-    blocks = [rows[3 * i : 3 * i + 3] for i in range(len(lines))]
+    assert len(rows) == k * len(lines)
+    return [rows[k * i : k * i + k] for i in range(len(lines))]
+
+
+def test_map_writes_one_block_per_input_line_for_repeated_titles(trained):
+    lines = ["data analyst", "head chef", "data analyst", "Data  Analyst", "head chef",
+             "HEAD CHEF"]
+    blocks = map_blocks(trained, lines, "repeated")
     for line, block in zip(lines, blocks):
         assert [row[:2] for row in block] == [[line, "1"], [line, "2"], [line, "3"]]
     assert blocks[0] == blocks[2] and blocks[1] == blocks[4]
     # a canonical twin gets the same ranking and probabilities
     assert [row[2:] for row in blocks[3]] == [row[2:] for row in blocks[0]]
+    assert [row[2:] for row in blocks[5]] == [row[2:] for row in blocks[1]]
+    for i, (line, block) in enumerate(zip(lines, blocks)):
+        (alone,) = map_blocks(trained, [line], f"alone{i}")
+        assert [row[:3] for row in block] == [row[:3] for row in alone]
+        # scoring one row alone may round the last bits differently (BLAS
+        # products are not row-independent)
+        for row, ref in zip(block, alone):
+            assert float(row[3]) == pytest.approx(float(ref[3]), rel=1e-12, abs=0)
 
 
 @pytest.mark.filterwarnings("error")

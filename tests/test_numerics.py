@@ -141,6 +141,26 @@ def test_backward_of_constant_is_zero():
     assert np.array_equal(x.grad, np.zeros(3))
 
 
+def test_products_skip_the_gradient_of_a_constant_operand():
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
+    c = Tensor(rng.uniform(-1, 1, (4, 2)))
+    d = Tensor(rng.uniform(-1, 1, (3, 2)))
+    with nx.GradTape() as tape:
+        prod = nx.matmul(x, c)
+        loss = nx.tsum(nx.mul(d, prod))
+    g = rng.uniform(-1, 1, (3, 2))
+    (_, _, matmul_backward), (_, _, mul_backward), _ = tape._nodes
+    g_x, g_c = matmul_backward(g)
+    g_d, g_prod = mul_backward(g)
+    assert g_c is None and g_d is None
+    assert np.array_equal(g_x, g @ c.data.T)
+    assert np.array_equal(g_prod, g * d.data)
+    tape.backward(loss)
+    assert np.array_equal(x.grad, d.data @ c.data.T)
+    assert c.grad is None and d.grad is None
+
+
 def test_backward_rejects_non_scalar_loss():
     x = Tensor(np.ones(3), requires_grad=True)
     with nx.GradTape() as tape:
