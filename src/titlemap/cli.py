@@ -371,6 +371,8 @@ def cmd_linkpred(config: dict) -> None:
         raise ConfigError(
             f"linkpred needs epochs >= 1 and lr > 0, got epochs={lp['epochs']} lr={lp['lr']}"
         )
+    if config["seeds"]["linkpred"] < 0:
+        raise ConfigError(f"seeds.linkpred must be >= 0, got {config['seeds']['linkpred']}")
     graph = build_transition_graph(load_records(resumes_path))
     vectors = _load_vectors(vectors_path)
     split = ev.make_link_split(graph, seed=config["seeds"]["linkpred"])

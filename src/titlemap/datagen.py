@@ -62,6 +62,8 @@ class SynthConfig:
             raise ConfigError("transition_concentration must be positive")
         if self.max_noise_ops < 0:
             raise ConfigError("max_noise_ops must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"data seed must be >= 0, got {self.seed}")
 
 
 def _seed_streams(config: SynthConfig) -> list[np.random.Generator]:

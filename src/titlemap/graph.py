@@ -132,6 +132,10 @@ def load_records(path) -> list[JobRecord]:
             raise FormatError(
                 f"{path}:{lineno}: expected fields {list(RECORD_FIELDS)}, got {sorted(obj) if isinstance(obj, dict) else type(obj).__name__}"
             )
+        for name in ("person_id", "title", "company_id"):
+            if not isinstance(obj[name], str):
+                raise FormatError(f"{path}:{lineno}: {name} must be a JSON string, "
+                                  f"got {type(obj[name]).__name__}")
         if not all(is_utf8(v) for v in obj.values() if isinstance(v, str)):
             raise FormatError(f"{path}:{lineno}: a field is not valid UTF-8 (lone surrogate)")
         try:
@@ -142,9 +146,9 @@ def load_records(path) -> list[JobRecord]:
         try:
             records.append(
                 JobRecord(
-                    person_id=str(obj["person_id"]),
-                    title=str(obj["title"]),
-                    company_id=str(obj["company_id"]),
+                    person_id=obj["person_id"],
+                    title=obj["title"],
+                    company_id=obj["company_id"],
                     start=start,
                     end=end,
                 )

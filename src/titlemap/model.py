@@ -83,6 +83,8 @@ class TrainConfig:
             raise ConfigError("logic_weight and clause_weight must be >= 0")
         if self.fusion_lr_multiplier <= 0:
             raise ConfigError("fusion_lr_multiplier must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"train seed must be >= 0, got {self.seed}")
 
 
 @dataclass

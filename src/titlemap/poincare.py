@@ -135,6 +135,8 @@ class PoincareConfig:
             raise ConfigError("poincare epochs, negatives and burn_in_epochs must be >= 0")
         if not min(self.lr, self.burn_in_lr_factor) > 0:
             raise ConfigError("poincare lr and burn_in_lr_factor must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"poincare seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -20,7 +20,8 @@ keeps its hidden layer and one `[previous state | literal]` block, which
 OR multiplies in one product. The composed weight rounds differently from
 `not_op(event_head(...))`, so the fold agrees with that composition within
 1e-12 relative (the tests' bound), not bit for bit. The six regularizers
-with their cosines are one tape node per call as well.
+with their cosines are one tape node per call as well, and agree with
+composing `not_op`, `or_op` and `row_cosine` within the same bound.
 """
 
 from __future__ import annotations
@@ -264,7 +265,6 @@ class RegularizerValues(NamedTuple):
 _COS_PAIRS = ((0, 1), (0, 2), (3, 0), (4, 7), (5, 0), (6, 7))
 _COS_A, _COS_B = (np.array(side) for side in zip(*_COS_PAIRS))
 _COS_SIGN = np.array([1.0, -1.0, -1.0, -1.0, -1.0, -1.0])[:, None]
-_TRUE = 7
 
 
 def logical_regularizers(batch: Tensor, params: ReasoningParams) -> RegularizerValues:
@@ -279,10 +279,11 @@ def logical_regularizers(batch: Tensor, params: ReasoningParams) -> RegularizerV
     independent parameter. `total`, the six sums added and divided by the
     batch size, is one tape node; r1..r6 are plain values.
 
-    The forward keeps the operation order of composing `not_op`, `or_op` and
-    `row_cosine` on the tape, and the backward adds each vector's gradient
-    terms in the order that tape's reverse sweep added them, so values and
-    gradients are bit-identical to that composition.
+    The four ORs share one left product, and their right operands are two
+    full blocks (x, NOT x) and two rows (FALSE, TRUE). The sums run in
+    another order than composing `not_op`, `or_op` and `row_cosine` on the
+    tape, so values and gradients agree with that composition within 1e-12
+    relative (the tests' bound), not bit for bit.
     """
     n = batch.data.shape[0]
     if n == 0:
@@ -291,20 +292,19 @@ def logical_regularizers(batch: Tensor, params: ReasoningParams) -> RegularizerV
     inputs = (batch, params.not_w, params.not_b, params.or_w_left,
               params.or_w_right, params.or_b, params.true_anchor)
     x, w_not, b_not, w_left, w_right, b_or, anchor = (t.data for t in inputs)
-    false_row = np.tanh(anchor @ w_not.T + b_not)
-    # the cosine operands, one (n, d_r) block each, written in place
-    vecs = np.empty((8,) + x.shape)
-    vecs[0], vecs[_TRUE] = x, anchor
-    not_x = np.tanh(x @ w_not.T + b_not, out=vecs[1])
-    np.tanh(not_x @ w_not.T + b_not, out=vecs[2])
-    x_left, ors = x @ w_left.T, vecs[3:7]
-    rights = (false_row, anchor, x, not_x)  # second operand of each OR
-    for k, right in enumerate(rights):
-        np.add(x_left, right @ w_right.T, out=ors[k])
-    ors += b_or
+    consts = np.concatenate([np.tanh(anchor @ w_not.T + b_not), anchor])  # FALSE, TRUE
+    vecs = np.empty((8,) + x.shape)  # the cosine operands, one (n, d_r) block each
+    vecs[0], vecs[7] = x, anchor
+    np.tanh(x @ w_not.T + b_not, out=vecs[1])
+    np.tanh(vecs[1] @ w_not.T + b_not, out=vecs[2])
+    full = vecs[:2].reshape(2 * n, -1)  # x and NOT x, the full right operands
+    left, ors = x @ w_left.T + b_or, vecs[3:7]
+    np.add(left, (consts @ w_right.T)[:, None], out=ors[:2])
+    np.add(left, (full @ w_right.T).reshape(2, n, -1), out=ors[2:])
     np.tanh(ors, out=ors)
-    norms = np.sqrt((vecs * vecs).sum(axis=2))
-    dots = (vecs[_COS_A] * vecs[_COS_B]).sum(axis=2)
+    sq = np.einsum("kij,kij->ki", vecs, vecs)
+    dots = np.einsum("kij,kij->ki", vecs[_COS_A], vecs[_COS_B])
+    norms = np.sqrt(sq)
     den = norms[_COS_A] * norms[_COS_B]
     ratio = dots / den
     sims = (np.clip(ratio, -1.0, 1.0) + 1.0) * 0.5
@@ -312,63 +312,36 @@ def logical_regularizers(batch: Tensor, params: ReasoningParams) -> RegularizerV
     total = (r1 + r2 + r3 + r4 + r5 + r6) * (1.0 / n)
 
     def backward(g):
-        # per cosine: d/d ratio, zero where the clip saturates (nx.clip's
-        # strict mask), then through ratio = dots / (|a| |b|) to the dot
-        # product, to |a|² and to |b|; TRUE's |b| is one value for all rows
-        g_ratio = _COS_SIGN * ((g * (1.0 / n)) * 0.5) * ((ratio > -1.0) & (ratio < 1.0))
-        g_dots = g_ratio / den
-        g_den = -g_ratio * dots / (den * den)
-        g_sq_a = g_den * norms[_COS_B] * 0.5 / norms[_COS_A]
-        g_norm_b = g_den * norms[_COS_A]
-        acc: dict = {}  # gradient so far, by index in vecs, "false" or parameter name
-
-        def add(key, term):  # every term is a fresh array: keep the first, add in place
-            if key in acc:
-                acc[key] += term
-            else:
-                acc[key] = term
-
-        def row_sum(term):  # gradient of a (1, d_r) row broadcast over the batch
-            return term.sum(axis=0, keepdims=True)
-
-        def cosine(k):
-            a, b = _COS_PAIRS[k]
-            if b == _TRUE:
-                vec_b, g_sq_b = anchor, g_norm_b[k].sum() * 0.5 / norms[b, 0]
-            else:
-                vec_b, g_sq_b = vecs[b], (g_norm_b[k] * 0.5 / norms[b])[:, None]
-            for key, term in ((b, g_sq_b * vec_b), (a, g_sq_a[k][:, None] * vecs[a])):
-                add(key, term)  # |v|² is sum(v * v): the product feeds v twice
-                add(key, term)
-            add(a, g_dots[k][:, None] * vec_b)  # a * b
-            g_b = g_dots[k][:, None] * vecs[a]
-            add(b, row_sum(g_b) if b == _TRUE else g_b)
-
-        def negation(key, out, operand, operand_key):
-            g_pre = acc.pop(key) * (1.0 - out * out)
-            add("not_b", row_sum(g_pre))
-            add(operand_key, g_pre @ w_not)
-            add("not_w", (operand.T @ g_pre).T)
-
-        # the composed tape's reverse sweep: each OR after the cosine reading
-        # it, last OR first; then NOT NOT x, NOT x and FALSE, each after the
-        # cosine that reads it
-        for k, right_key in zip((3, 2, 1, 0), (1, 0, _TRUE, "false")):
-            cosine(k + 2)
-            g_pre = acc.pop(k + 3) * (1.0 - ors[k] * ors[k])
-            add("or_b", row_sum(g_pre))
-            g_right = g_pre if k >= 2 else row_sum(g_pre)  # FALSE and TRUE are one row
-            add(right_key, g_right @ w_right)
-            add("or_w_right", (rights[k].T @ g_right).T)
-            add(0, g_pre @ w_left)
-            add("or_w_left", (x.T @ g_pre).T)
-        cosine(1)
-        negation(2, vecs[2], not_x, 1)
-        cosine(0)
-        negation(1, not_x, x, 0)
-        negation("false", false_row, anchor, _TRUE)
-        return (acc[0], acc["not_w"], acc["not_b"], acc["or_w_left"],
-                acc["or_w_right"], acc["or_b"], acc[_TRUE])
+        # d/d ratio, zero where the clip saturates (nx.clip's strict mask);
+        # ratio = a·b / (|a| |b|) gives a the gradient b/den - ratio a/|a|²
+        g_ratio = _COS_SIGN * (g * 0.5 / n) * ((ratio > -1.0) & (ratio < 1.0))
+        c, c_ratio = (g_ratio / den)[..., None], (g_ratio * ratio)[..., None]
+        c_a, c_b = c_ratio / sq[_COS_A, :, None], c_ratio / sq[_COS_B, :, None]
+        g_vecs = np.zeros_like(vecs)
+        for k, (a, b) in enumerate(_COS_PAIRS):
+            g_vecs[a] += c[k] * vecs[b] - c_a[k] * vecs[a]
+            g_vecs[b] += c[k] * vecs[a] - c_b[k] * vecs[b]
+        # the four ORs, as one block of pre-activation gradients; a constant
+        # right operand is one row, so its OR's gradient is summed over rows
+        g_ors = g_vecs[3:7] * (1.0 - ors * ors)
+        g_left, g_const_ors = g_ors.sum(axis=0), g_ors[:2].sum(axis=1)
+        g_full = g_ors[2:].reshape(2 * n, -1)
+        g_w_right = g_full.T @ full + g_const_ors.T @ consts
+        g_vecs[:2] += (g_full @ w_right).reshape(2, n, -1)
+        g_vecs[0] += g_left @ w_left
+        g_consts = g_const_ors @ w_right
+        g_consts[1] += g_vecs[7].sum(axis=0)  # TRUE's own cosine terms
+        # NOT NOT x, NOT x and FALSE, each a NOT of the operand before it
+        g_w_not, g_b_not = np.zeros_like(w_not), np.zeros_like(b_not)
+        for out, g_out, operand, g_operand in ((vecs[2], g_vecs[2], vecs[1], g_vecs[1]),
+                                               (vecs[1], g_vecs[1], x, g_vecs[0]),
+                                               (consts[:1], g_consts[:1], anchor, g_consts[1:])):
+            g_pre = g_out * (1.0 - out * out)
+            g_w_not += g_pre.T @ operand
+            g_b_not += g_pre.sum(axis=0)
+            g_operand += g_pre @ w_not
+        return (g_vecs[0], g_w_not, g_b_not, g_left.T @ x, g_w_right,
+                g_left.sum(axis=0, keepdims=True), g_consts[1:])
 
     return RegularizerValues(
         *(Tensor(r) for r in (r1, r2, r3, r4, r5, r6)),

@@ -253,12 +253,18 @@ def trained(tmp_path_factory):
         ("linkpred", {"linkpred": {"epochs": 0}}),
         ("linkpred", {"linkpred": {"lr": 0}}),
         ("linkpred", {"linkpred": {"lr": -0.05}}),
+        ("gen-data", {"seeds": {"data": -1}}),
+        ("train-poincare", {"seeds": {"poincare": -1}}),
+        ("train", {"seeds": {"train": -1}}),
+        ("linkpred", {"seeds": {"linkpred": -1}}),
     ],
     ids=["split-of-strings", "batch-size-0", "max-epochs-bool", "max-epochs-0",
          "patience-negative", "train-lr-0", "logic-weight-negative", "clause-weight-negative",
          "map-k-0", "map-k-negative", "negatives-negative", "poincare-lr-0",
          "burn-in-epochs-negative", "burn-in-lr-factor-negative", "burn-in-lr-factor-0",
-         "linkpred-epochs-0", "linkpred-lr-0", "linkpred-lr-negative"],
+         "linkpred-epochs-0", "linkpred-lr-0", "linkpred-lr-negative",
+         "data-seed-negative", "poincare-seed-negative", "train-seed-negative",
+         "linkpred-seed-negative"],
 )
 def test_bad_config_value_exits_2(trained, command, overrides, capsys):
     tmp, data = trained
@@ -315,6 +321,7 @@ def as_version_1(doc):
         lambda doc: doc["train_config"].update(batch_size="x"),
         lambda doc: doc["train_config"].update(clause_weight=float("nan")),
         lambda doc: doc["train_config"].update(logic_weight=-5.0),
+        lambda doc: doc["train_config"].update(seed=-1),
         # a key the config no longer has, as an older artifact carries it
         lambda doc: doc["train_config"].update(fusion_weight_decay=0.0),
         lambda doc: doc["tensors"]["fusion.b"].pop("shape"),
@@ -340,7 +347,7 @@ def as_version_1(doc):
         as_version_1,
     ],
     ids=["extra-key", "missing-key", "wrong-type", "clause-weight-nan", "logic-weight-negative",
-         "fusion-weight-decay",
+         "seed-negative", "fusion-weight-decay",
          "tensor-without-shape",
          "no-taxonomy-titles", "no-taxonomy-groups", "no-taxonomy-hash", "no-d-h", "no-d-b",
          "titles-not-list", "groups-not-strings", "hash-not-string", "d-h-string",
@@ -502,6 +509,15 @@ MALFORMED_INPUTS = {
     "resumes-lone-surrogate": ("build-graph", "resumes",
                                b'{"person_id": "p1", "title": "head \\ud800 chef", "company_id": '
                                b'"c1", "start": "2010-01-01", "end": null}\n', 3, "kind=data"),
+    "resumes-title-null": ("build-graph", "resumes",
+                           b'{"person_id": "p1", "title": null, "company_id": "c1", '
+                           b'"start": "2010-01-01", "end": null}\n', 3, "kind=data"),
+    "resumes-person-id-number": ("build-graph", "resumes",
+                                 b'{"person_id": 7, "title": "chef", "company_id": "c1", '
+                                 b'"start": "2010-01-01", "end": null}\n', 3, "kind=data"),
+    "resumes-company-id-number": ("build-graph", "resumes",
+                                  b'{"person_id": "p1", "title": "chef", "company_id": 3, '
+                                  b'"start": "2010-01-01", "end": null}\n', 3, "kind=data"),
     "hyperbolic-nan": ("train", "hyperbolic", b"#poincare m=6 seed=0\nchef\tnan,0,0,0,0,0\n", 4,
                        "kind=numeric"),
     "hyperbolic-not-a-number": ("train", "hyperbolic",

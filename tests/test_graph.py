@@ -205,6 +205,18 @@ def test_jsonl_wrong_fields_rejected(tmp_path):
         load_records(path)
 
 
+@pytest.mark.parametrize("field, value", [("person_id", 7), ("title", None), ("company_id", ["c"])],
+                         ids=["person-id-number", "title-null", "company-id-list"])
+def test_jsonl_non_string_id_or_title_rejected(tmp_path, field, value):
+    # not coerced: a null title would read as "none", person 7 would merge with "7"
+    row = {"person_id": "p", "title": "chef", "company_id": "c", "start": "2020-01-01",
+           "end": None, field: value}
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps({**row, field: "ok"}) + "\n" + json.dumps(row) + "\n")
+    with pytest.raises(FormatError, match=f"bad.jsonl:2: {field} must be a JSON string"):
+        load_records(path)
+
+
 def test_jsonl_bad_date_names_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(
