@@ -144,7 +144,10 @@ def make_link_split(graph: TransitionGraph, seed: int = 0) -> LinkSplit:
     )
 
 
-def edge_embed(u_vec: np.ndarray, v_vec: np.ndarray, operator: str) -> np.ndarray:
+def edge_embed(
+    u_vec: np.ndarray, v_vec: np.ndarray, operator: str, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The edge feature of each (u, v) row pair, written into `out` if given."""
     u_vec = np.asarray(u_vec, dtype=np.float64)
     v_vec = np.asarray(v_vec, dtype=np.float64)
     if u_vec.shape != v_vec.shape:
@@ -152,13 +155,13 @@ def edge_embed(u_vec: np.ndarray, v_vec: np.ndarray, operator: str) -> np.ndarra
             f"edge_embed: endpoint shapes {u_vec.shape} and {v_vec.shape} differ"
         )
     if operator == "average":
-        return (u_vec + v_vec) / 2.0
+        return np.divide(np.add(u_vec, v_vec, out=out), 2.0, out=out)
     if operator == "hadamard":
-        return u_vec * v_vec
+        return np.multiply(u_vec, v_vec, out=out)
     if operator == "weighted_l1":
-        return np.abs(u_vec - v_vec)
+        return np.abs(np.subtract(u_vec, v_vec, out=out), out=out)
     if operator == "weighted_l2":
-        return (u_vec - v_vec) ** 2
+        return np.square(np.subtract(u_vec, v_vec, out=out), out=out)
     raise ConfigError(f"unknown edge operator {operator!r}")
 
 
@@ -294,18 +297,21 @@ def link_prediction_auc(
         return edge_embed(matrix[ends[0]], matrix[ends[1]], operator)
 
     train_pos, dev_pos, dev_neg, test_pos, test_neg = (endpoints(e) for e in edge_lists)
+    n_pos, dim = len(split.train_edges), matrix.shape[1]
+    # the train positives, then one epoch's sampled negatives
+    feats = np.empty((2 * n_pos, dim))
+    y = np.concatenate([np.ones(n_pos), np.zeros(n_pos)])
+    neg_ends = (np.empty((n_pos, dim)), np.empty((n_pos, dim)))
     per_operator = {}
     for operator in EDGE_OPERATORS:
-        pos_feats = features(train_pos, operator)
-        dim = pos_feats.shape[1]
+        feats[:n_pos] = features(train_pos, operator)
         w = Tensor(np.zeros(dim), requires_grad=True)
         b = Tensor(np.zeros(1), requires_grad=True)
         optimizer = nx.Adam([w, b], lr=lr)
         for _ in range(epochs):
-            neg_u, neg_v = sampler.sample(len(split.train_edges), rng)
-            neg_feats = features((node_rows[neg_u], node_rows[neg_v]), operator)
-            feats = np.concatenate([pos_feats, neg_feats])
-            y = np.concatenate([np.ones(len(pos_feats)), np.zeros(len(neg_feats))])
+            for out, drawn in zip(neg_ends, sampler.sample(n_pos, rng)):
+                np.take(matrix, node_rows[drawn], axis=0, out=out, mode="clip")
+            edge_embed(*neg_ends, operator, out=feats[n_pos:])
             p = _sigmoid(feats @ w.data + b.data[0])
             resid = (p - y) / len(y)
             w.grad = feats.T @ resid

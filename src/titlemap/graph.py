@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import DataError, FormatError
+from .errors import DataError, DegenerateInputError, FormatError
 from .formats import canonicalize_title, is_utf8, read_lines, read_rows, write_rows
 
 RECORD_FIELDS = ("person_id", "title", "company_id", "start", "end")
@@ -174,7 +174,22 @@ def write_pairs(path, pairs: Iterable[ParentChildPair]) -> None:
 
 
 def load_pairs(path) -> list[ParentChildPair]:
+    """Read a pairs file. Both titles of every row are canonicalized, each
+    distinct title once; one that normalizes to nothing names its line."""
     header, rows = read_rows(path, ("child", "parent"), header=True)
     if header != PAIRS_HEADER:
         raise FormatError(f"{path}:1: expected header {PAIRS_HEADER!r}")
-    return [ParentChildPair(parent=parent, child=child) for _, (child, parent) in rows]
+    canonical: dict[str, str] = {}
+
+    def canon(title: str, lineno: int) -> str:
+        if title not in canonical:
+            try:
+                canonical[title] = canonicalize_title(title)
+            except DegenerateInputError as e:
+                raise FormatError(f"{path}:{lineno}: {e}") from None
+        return canonical[title]
+
+    return [
+        ParentChildPair(parent=canon(parent, lineno), child=canon(child, lineno))
+        for lineno, (child, parent) in rows
+    ]

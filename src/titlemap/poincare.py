@@ -12,6 +12,7 @@ with arcosh(x) = ln(x + sqrt(x^2 - 1)) and the argument clamped to >= 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -54,12 +55,17 @@ def poincare_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.log(arg + np.sqrt(arg * arg - 1.0)))
 
 
+def _inverse_metric(x: np.ndarray) -> np.ndarray:
+    """(1 - ||x||^2)^2 / 4 for each row of x."""
+    sq = np.einsum("...i,...i->...", x, x)
+    return (1.0 - sq) ** 2 / 4.0
+
+
 def riemannian_rescale(x: np.ndarray, euclid_grad: np.ndarray) -> np.ndarray:
     """Rescale a Euclidean gradient by the inverse metric at x; a stack of
     rows is rescaled row by row, each by its own metric."""
     x = np.asarray(x, dtype=np.float64)
-    sq = np.einsum("...i,...i->...", x, x)
-    return ((1.0 - sq) ** 2 / 4.0)[..., None] * np.asarray(euclid_grad, dtype=np.float64)
+    return _inverse_metric(x)[..., None] * np.asarray(euclid_grad, dtype=np.float64)
 
 
 def project_to_ball(x: np.ndarray, eps: float = BOUNDARY_EPS) -> np.ndarray:
@@ -81,12 +87,12 @@ def project_to_ball(x: np.ndarray, eps: float = BOUNDARY_EPS) -> np.ndarray:
     return x
 
 
-def _distance_batch(u: np.ndarray, cands: np.ndarray):
+def _distance_batch(u: np.ndarray, cands: np.ndarray, diff: np.ndarray):
     """Distances from each point u[b] to its candidates cands[b, k], plus the
-    intermediates the gradients reuse. u is (..., m), cands (..., K, m)."""
+    intermediates the gradients reuse. u is (..., m), cands (..., K, m) and
+    diff holds u[b] - cands[b, k]."""
     alpha = 1.0 - np.einsum("...i,...i->...", u, u)
     beta = 1.0 - np.einsum("...i,...i->...", cands, cands)
-    diff = u[..., None, :] - cands
     sq_diff = np.einsum("...i,...i->...", diff, diff)
     gamma = 1.0 + 2.0 * sq_diff / (alpha[..., None] * beta)
     gamma = np.maximum(gamma, 1.0)
@@ -96,7 +102,8 @@ def _distance_batch(u: np.ndarray, cands: np.ndarray):
 
 def _distance_gradients(u, cands, alpha, beta, gamma, weights):
     """Gradients of sum_k weights[..., k] * d(u, c_k): with respect to u,
-    shaped like u, and with respect to each c_k, shaped like cands.
+    shaped like u, and with respect to each c_k as the coefficients (a, b),
+    shaped (..., K), of a[..., k] * c_k - b[..., k] * u.
 
     Coincident points (gamma ~ 1) take the zero limit gradient explicitly:
     near the arcosh singularity the analytic 0/0 would otherwise amplify
@@ -114,11 +121,7 @@ def _distance_gradients(u, cands, alpha, beta, gamma, weights):
         - np.einsum("...k,...ki->...i", coeff_u, cands) / alpha
     )
     coeff_c = np.where(live, 4.0 / (alpha * denom), 0.0) * weights
-    grad_c = (
-        (coeff_c * (u_sq - 2.0 * dot_uc + 1.0) / beta**2)[..., None] * cands
-        - (coeff_c / beta)[..., None] * u[..., None, :]
-    )
-    return grad_u, grad_c
+    return grad_u, coeff_c * (u_sq - 2.0 * dot_uc + 1.0) / beta**2, coeff_c / beta
 
 
 @dataclass
@@ -202,14 +205,48 @@ class _NegativeSampler:
         picks = np.where(valid, rng.integers(0, bounds + 1), -1 - np.arange(width))
         ordered = np.sort(picks, axis=1)
         for r in np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)):
-            row = picks[r]
+            row, bound = picks[r].tolist(), bounds[r].tolist()
             for i in range(1, k[r]):
                 if row[i] in row[:i]:
-                    row[i] = bounds[r, i]
+                    row[i] = bound[i]
+            picks[r] = row
         picks[~valid] = 0
         query = children[:, None] * self._stride + picks
         skipped = np.searchsorted(self._keys, query, side="right") - self._starts[children, None]
         return picks + skipped, valid
+
+
+class _StepWork:
+    """Work arrays for `_rsgd_step`, allocated once per training run.
+
+    They are flat and sized for the widest block the sampler can return:
+    `pairs` (child, parent) rows, each with `width` candidates (its parent
+    and up to `width - 1` negatives). A step takes contiguous views of its
+    own block's shape from the front of each, so that no step allocates a
+    block-sized array: freed after every step, such arrays go back to the
+    system and are faulted in again, page by page, by the next.
+    """
+
+    def __init__(self, pairs: int, width: int, n: int, m: int):
+        block = pairs * width * m
+        entries = pairs * (1 + width)  # each child, then its candidates
+        rows = min(n, entries)  # distinct titles a block can touch
+        self.cands = np.empty(block)
+        self.u_rows = np.empty(block)  # each child's row, once per candidate
+        self.diff = np.empty(block)
+        self.terms = (np.empty(block), np.empty(block))
+        self.step = np.empty(entries * m)
+        self.index = np.empty(entries * m, dtype=np.intp)
+        self.grad = np.empty(rows * m)
+        self.x = np.empty(rows * m)
+        self.update = np.empty(rows * m)
+        # flat[r, i] = r * m + i: where row r's column i sits in a flat `grad`
+        self.flat = np.arange(rows * m).reshape(rows, m)
+
+
+def _view(buffer: np.ndarray, *shape: int) -> np.ndarray:
+    """The contiguous front of a flat work array, shaped `shape`."""
+    return buffer[: math.prod(shape)].reshape(shape)
 
 
 def _rsgd_step(
@@ -219,35 +256,62 @@ def _rsgd_step(
     rng: np.random.Generator,
     negatives: int,
     lr: float,
+    work: _StepWork,
 ) -> tuple[float, int]:
     """One Riemannian SGD step on a block of (child, parent) index rows.
 
     Updates `vectors` in place; returns the block's summed -log p(parent)
-    and the number of rows the projection moved.
+    and the number of rows the projection moved. Block-sized intermediates
+    live in `work`. Each is formed from operands of its own shape, a
+    broadcast operand being copied out with `np.copyto` first, because a
+    ufunc that broadcasts allocates a buffer of up to `np.getbufsize()`
+    elements per call.
     """
     children = block[:, 0]
     negs, valid = sampler.draw(rng, children, negatives)
     cand_idx = np.concatenate((block[:, 1:], negs), axis=1)
     valid = np.concatenate((np.ones((len(block), 1), dtype=bool), valid), axis=1)
+    b, k = cand_idx.shape
+    m = vectors.shape[1]
     u = vectors[children]
-    cands = vectors[cand_idx]
-    dist, alpha, beta, gamma = _distance_batch(u, cands)
+    # mode "clip" (the indices are in range): with "raise", `take` would
+    # write through a fresh copy of `out`
+    cands = np.take(vectors, cand_idx, axis=0, out=_view(work.cands, b, k, m), mode="clip")
+    u_rows = _view(work.u_rows, b, k, m)
+    np.copyto(u_rows, u[:, None, :])
+    diff = np.subtract(u_rows, cands, out=_view(work.diff, b, k, m))
+    dist, alpha, beta, gamma = _distance_batch(u, cands, diff)
     nearest = np.where(valid, dist, np.inf).min(axis=1, keepdims=True)
     e = np.where(valid, np.exp(nearest - dist), 0.0)
     total = e.sum(axis=1, keepdims=True)
     loss = float(np.sum(dist[:, :1] - nearest + np.log(total)))
     coeff = -e / total  # d loss / d dist: one-hot parent minus softmax
     coeff[:, 0] += 1.0
-    grad_u, grad_c = _distance_gradients(u, cands, alpha, beta, gamma, coeff)
+    grad_u, along_c, along_u = _distance_gradients(u, cands, alpha, beta, gamma, coeff)
 
-    m = vectors.shape[1]
+    # the gradient rows to scatter: each child's, then its candidates'
+    step = _view(work.step, b + b * k, m)
+    step[:b] = grad_u
+    c_term, u_term = (_view(t, b, k, m) for t in work.terms)
+    np.copyto(c_term, along_c[..., None])
+    c_term *= cands
+    np.copyto(u_term, along_u[..., None])
+    u_term *= u_rows
+    np.subtract(c_term, u_term, out=step[b:].reshape(b, k, m))
+
     rows, slot = np.unique(np.concatenate((children, cand_idx.ravel())), return_inverse=True)
-    step = np.concatenate((grad_u, grad_c.reshape(-1, m)))
     # scatter-add over a flat view: one-dimensional `np.add.at` is the fast one
-    grad = np.zeros(len(rows) * m)
-    np.add.at(grad, (slot[:, None] * m + np.arange(m)).ravel(), step.ravel())
-    x = vectors[rows]
-    x -= lr * riemannian_rescale(x, grad.reshape(-1, m))
+    index = np.take(work.flat, slot, axis=0, out=_view(work.index, len(slot), m), mode="clip")
+    grad = _view(work.grad, len(rows), m)
+    grad.fill(0.0)
+    np.add.at(grad.reshape(-1), index.reshape(-1), step.reshape(-1))
+    x = np.take(vectors, rows, axis=0, out=_view(work.x, len(rows), m), mode="clip")
+    # the Riemannian step lr * (inverse metric * grad)
+    update = _view(work.update, len(rows), m)
+    np.copyto(update, _inverse_metric(x)[:, None])
+    update *= grad
+    update *= lr
+    x -= update
     if not np.all(np.isfinite(x)):
         raise NumericError("train_poincare: an update produced non-finite coordinates")
     clamped = 0
@@ -287,16 +351,19 @@ def train_poincare(
     rng = np.random.default_rng(config.seed)
     vectors = rng.uniform(-0.001, 0.001, size=(n, m))
     sampler = _NegativeSampler(pair_idx, n)
+    # read at call time: the block size is not fixed at import
+    batch = min(_BATCH_PAIRS, len(pairs))
+    work = _StepWork(batch, 1 + min(config.negatives, n), n, m)
 
     history = []
     for epoch in range(config.epochs):
         lr = config.lr * (config.burn_in_lr_factor if epoch < config.burn_in_epochs else 1.0)
         order = rng.permutation(len(pairs))
         loss, clamped = 0.0, 0
-        for start in range(0, len(order), _BATCH_PAIRS):
-            block = pair_idx[order[start : start + _BATCH_PAIRS]]
+        for start in range(0, len(order), batch):
+            block = pair_idx[order[start : start + batch]]
             block_loss, block_clamped = _rsgd_step(
-                vectors, block, sampler, rng, config.negatives, lr
+                vectors, block, sampler, rng, config.negatives, lr, work
             )
             loss += block_loss
             clamped += block_clamped
@@ -324,7 +391,8 @@ def mean_parent_rank(table: HyperbolicEmbeddingTable, pairs: Sequence[ParentChil
         parents_of.setdefault(index[pair.child], []).append(index[pair.parent])
     ranks = []
     for child, parents in parents_of.items():
-        dist = _distance_batch(matrix[child], matrix)[0]
+        u = matrix[child]
+        dist = _distance_batch(u, matrix, u - matrix)[0]
         target = dist[parents]
         # the parent never counts itself (equal distance); the child must be left out
         closer = np.count_nonzero(dist < target[:, None], axis=1) - (dist[child] < target)

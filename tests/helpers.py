@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from titlemap import numerics as nx
+from titlemap import poincare
 from titlemap import reasoning as rs
 from titlemap.graph import ParentChildPair
 
@@ -67,6 +68,83 @@ def taped_regularizers(batch, params):
     r6 = nx.tsum(one - _sim(rs.or_op(batch, not_x, params), true_row))
     total = nx.mul(r1 + r2 + r3 + r4 + r5 + r6, nx.Tensor(1.0 / batch.data.shape[0]))
     return rs.RegularizerValues(r1, r2, r3, r4, r5, r6, total)
+
+
+def allocating_negative_draw(sampler, rng, children, negatives):
+    """`_NegativeSampler.draw` with the Floyd walk over numpy scalars."""
+    pool = sampler.pool_sizes[children]
+    k = np.minimum(negatives, pool)
+    width = int(k.max())
+    valid = np.arange(width) < k[:, None]
+    bounds = (pool - k)[:, None] + np.arange(width)
+    picks = np.where(valid, rng.integers(0, bounds + 1), -1 - np.arange(width))
+    ordered = np.sort(picks, axis=1)
+    for r in np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)):
+        row = picks[r]
+        for i in range(1, k[r]):
+            if row[i] in row[:i]:
+                row[i] = bounds[r, i]
+    picks[~valid] = 0
+    query = children[:, None] * sampler._stride + picks
+    skipped = np.searchsorted(sampler._keys, query, side="right") - sampler._starts[children, None]
+    return picks + skipped, valid
+
+
+def allocating_rsgd_step(vectors, block, sampler, rng, negatives, lr):
+    """Oracle of `poincare._rsgd_step`: the same Riemannian SGD step with every
+    intermediate freshly allocated and broadcast, and its own negative draw.
+    Updates `vectors` in place; returns (summed loss, rows clamped)."""
+    children = block[:, 0]
+    negs, valid = allocating_negative_draw(sampler, rng, children, negatives)
+    cand_idx = np.concatenate((block[:, 1:], negs), axis=1)
+    valid = np.concatenate((np.ones((len(block), 1), dtype=bool), valid), axis=1)
+    u = vectors[children]
+    cands = vectors[cand_idx]
+    # distances
+    alpha = 1.0 - np.einsum("...i,...i->...", u, u)
+    beta = 1.0 - np.einsum("...i,...i->...", cands, cands)
+    diff = u[..., None, :] - cands
+    sq_diff = np.einsum("...i,...i->...", diff, diff)
+    gamma = np.maximum(1.0 + 2.0 * sq_diff / (alpha[..., None] * beta), 1.0)
+    dist = np.log(gamma + np.sqrt(gamma * gamma - 1.0))
+    nearest = np.where(valid, dist, np.inf).min(axis=1, keepdims=True)
+    e = np.where(valid, np.exp(nearest - dist), 0.0)
+    total = e.sum(axis=1, keepdims=True)
+    loss = float(np.sum(dist[:, :1] - nearest + np.log(total)))
+    coeff = -e / total
+    coeff[:, 0] += 1.0
+    # gradients of the distances
+    live = (gamma - 1.0) > 1e-12
+    denom = np.sqrt(np.maximum(gamma * gamma - 1.0, poincare._ACOSH_GUARD))
+    dot_uc = np.einsum("...ki,...i->...k", cands, u)
+    u_sq = (1.0 - alpha)[..., None]
+    c_sq = 1.0 - beta
+    alpha = alpha[..., None]
+    coeff_u = np.where(live, 4.0 / (beta * denom), 0.0) * coeff
+    grad_u = (
+        np.sum(coeff_u * (c_sq - 2.0 * dot_uc + 1.0), axis=-1)[..., None] / alpha**2 * u
+        - np.einsum("...k,...ki->...i", coeff_u, cands) / alpha
+    )
+    coeff_c = np.where(live, 4.0 / (alpha * denom), 0.0) * coeff
+    grad_c = (
+        (coeff_c * (u_sq - 2.0 * dot_uc + 1.0) / beta**2)[..., None] * cands
+        - (coeff_c / beta)[..., None] * u[..., None, :]
+    )
+    # scatter, rescale, project
+    m = vectors.shape[1]
+    rows, slot = np.unique(np.concatenate((children, cand_idx.ravel())), return_inverse=True)
+    step = np.concatenate((grad_u, grad_c.reshape(-1, m)))
+    grad = np.zeros(len(rows) * m)
+    np.add.at(grad, (slot[:, None] * m + np.arange(m)).ravel(), step.ravel())
+    x = vectors[rows]
+    x -= lr * poincare.riemannian_rescale(x, grad.reshape(-1, m))
+    clamped = 0
+    for r in np.flatnonzero(np.einsum("ij,ij->i", x, x) >= poincare._NEAR_LIMIT_SQ):
+        projected = poincare.project_to_ball(x[r])
+        clamped += not np.array_equal(projected, x[r])
+        x[r] = projected
+    vectors[rows] = x
+    return loss, clamped
 
 
 def scalar_adam_reference(x0, grads, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):

@@ -505,6 +505,9 @@ MALFORMED_INPUTS = {
     "labels-one-field": ("train", "labels", b"data analyst\n", 3, "kind=data"),
     "titles-with-tab": ("map", "titles", b"data\tanalyst\n", 3, "kind=data"),
     "pairs-no-header": ("train-poincare", "pairs", b"a\tb\n", 3, "kind=data"),
+    "pairs-title-empty-after-canonicalization": ("train-poincare", "pairs",
+                                                 b"#pairs\tchild\tparent\n\x01 \tchef\n", 3,
+                                                 "kind=data"),
     "resumes-not-utf8": ("build-graph", "resumes", b"\xff\n", 3, "kind=data"),
     "resumes-lone-surrogate": ("build-graph", "resumes",
                                b'{"person_id": "p1", "title": "head \\ud800 chef", "company_id": '

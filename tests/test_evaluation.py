@@ -124,6 +124,19 @@ def test_edge_operators():
     assert np.array_equal(ev.edge_embed(u, v, "weighted_l2"), [4.0, 4.0])
 
 
+@pytest.mark.parametrize("operator", ev.EDGE_OPERATORS)
+def test_edge_operator_written_into_out_is_bit_identical(operator):
+    rng = np.random.default_rng(0)
+    u, v = rng.uniform(-1, 1, (2, 7, 5))
+    out = np.full((7, 5), np.nan)
+    assert ev.edge_embed(u, v, operator, out=out) is out
+    assert np.array_equal(out, ev.edge_embed(u, v, operator))
+    # each operator as a plain numpy expression
+    expected = {"average": (u + v) / 2.0, "hadamard": u * v,
+                "weighted_l1": np.abs(u - v), "weighted_l2": (u - v) ** 2}[operator]
+    assert np.array_equal(out, expected)
+
+
 def test_auc_perfect_separation():
     assert ev.auc_score(np.array([3.0, 4.0, 5.0]), np.array([0.0, 1.0, 2.0])) == 1.0
 

@@ -234,6 +234,22 @@ def test_pairs_file_round_trip(tmp_path):
     assert load_pairs(path) == pairs
 
 
+def test_pairs_file_titles_are_canonicalized(tmp_path):
+    # two spellings of one title are one node, as build-graph would write them
+    path = tmp_path / "pairs.tsv"
+    path.write_text("#pairs\tchild\tparent\nData Analyst\tsenior analyst\n"
+                    "data  analyst\tSenior Analyst\n")
+    assert load_pairs(path) == [ParentChildPair("senior analyst", "data analyst")] * 2
+
+
+@pytest.mark.parametrize("row", ["\u200b\tchef", "chef\t \x01 "])
+def test_pairs_file_title_empty_after_canonicalization_names_line(tmp_path, row):
+    path = tmp_path / "pairs.tsv"
+    path.write_text(f"#pairs\tchild\tparent\ncook\tchef\n{row}\n")
+    with pytest.raises(FormatError, match=r"pairs\.tsv:3: "):
+        load_pairs(path)
+
+
 def test_pairs_file_header_enforced(tmp_path):
     path = tmp_path / "pairs.tsv"
     path.write_text("a\tb\n")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from titlemap.poincare import (
     _NegativeSampler,
 )
 
-from helpers import balanced_tree_pairs
+from helpers import allocating_rsgd_step, balanced_tree_pairs
 
 
 def oracle_distance(a, b, dps=50):
@@ -308,6 +310,67 @@ def test_mean_parent_rank_matches_a_pairwise_count():
         )
         ranks.append(closer + 1)
     assert mean_parent_rank(table, pairs) == np.mean(ranks)
+
+
+def random_index_pairs(n, count, seed):
+    """`count` (child, parent) index rows over n titles, no self-pairs."""
+    rng = np.random.default_rng(seed)
+    child = rng.integers(0, n, count)
+    parent = (child + rng.integers(1, n, count)) % n
+    return np.stack([child, parent], axis=1).astype(np.intp)
+
+
+# (pair rows, titles, m, negatives, lr, rows the work arrays are sized for,
+# rows of each step's block)
+STEP_CASES = {
+    # the embed-g200 block: 32 pairs, 10 negatives, m 32
+    "embed-block": (random_index_pairs(300, 400, 0), 300, 32, 10, 0.1, 32, [32] * 6),
+    "partial-last-block": (random_index_pairs(300, 400, 1), 300, 32, 10, 0.1, 32, [32, 7, 32, 7]),
+    # child 0's pool of non-parents (3) is narrower than 6 negatives
+    "pools-narrower-than-negatives": (multi_parent_index_pairs(), 8, 5, 6, 0.1, 9, [9, 4, 9]),
+    "no-negatives": (random_index_pairs(50, 80, 2), 50, 6, 0, 0.1, 32, [32, 32, 16]),
+    "negatives-beyond-titles": (multi_parent_index_pairs(), 8, 5, 10**6, 0.1, 9, [9, 5, 9]),
+    # a step this large throws points past the boundary, where they are clamped
+    "clamps-rows": (random_index_pairs(30, 60, 3), 30, 4, 5, 500.0, 32, [32, 28, 32, 28]),
+}
+
+
+@pytest.mark.parametrize("case", STEP_CASES)
+def test_rsgd_step_is_bit_identical_to_allocating_step(case):
+    pair_idx, n, m, negatives, lr, rows, blocks = STEP_CASES[case]
+    sampler = _NegativeSampler(pair_idx, n)
+    work = poincare._StepWork(rows, 1 + min(negatives, n), n, m)
+    ours = np.random.default_rng(4).uniform(-0.6, 0.6, (n, m)) / np.sqrt(m)
+    theirs = ours.copy()
+    rng_ours, rng_theirs, rng_blocks = (np.random.default_rng(s) for s in (5, 5, 6))
+    clamped = 0
+    for size in blocks:
+        block = pair_idx[rng_blocks.permutation(len(pair_idx))[:size]]
+        loss, moved = poincare._rsgd_step(ours, block, sampler, rng_ours, negatives, lr, work)
+        assert (loss, moved) == allocating_rsgd_step(theirs, block, sampler, rng_theirs, negatives, lr)
+        assert np.array_equal(ours, theirs)
+        clamped += moved
+    assert (clamped > 0) == (case == "clamps-rows")
+    # sized by the titles, never by `negatives`
+    assert work.cands.size <= rows * (1 + n) * m
+
+
+def test_rsgd_step_allocates_no_block_sized_array():
+    pair_idx, n, m, negatives, lr, rows, _ = STEP_CASES["embed-block"]
+    sampler = _NegativeSampler(pair_idx, n)
+    work = poincare._StepWork(rows, 1 + negatives, n, m)
+    vectors = np.random.default_rng(0).uniform(-0.1, 0.1, (n, m))
+    rng = np.random.default_rng(1)
+    blocks = (pair_idx[i : i + rows] for i in range(0, 2 * rows, rows))
+    poincare._rsgd_step(vectors, next(blocks), sampler, rng, negatives, lr, work)
+    tracemalloc.start()
+    try:
+        poincare._rsgd_step(vectors, next(blocks), sampler, rng, negatives, lr, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (32, 11, 32) float64 block is 88 KB; the allocating step peaked at 634 KB
+    assert peak <= 256 * 1024
 
 
 # Mean parent rank of the per-pair trainer on this graph (G=50, S=5, 200

@@ -9,12 +9,15 @@ from pathlib import Path
 import numpy as np
 
 from titlemap import model as mapper
+from titlemap import poincare
 from titlemap import reasoning as rs
 from titlemap.model import FeaturePipeline, TrainConfig, _TrainContext, init_model, loss_on_batch
 from titlemap.numerics import Tensor
-from titlemap.poincare import HyperbolicEmbeddingTable
+from titlemap.poincare import HyperbolicEmbeddingTable, PoincareConfig
 from titlemap.semantic import HashedNgramProvider
 from titlemap.syntactic import Taxonomy
+
+from helpers import balanced_tree_pairs
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -102,3 +105,21 @@ def test_traced_serving_counts_input_rows_and_distinct_scored_rows():
     assert probs.shape == (6, len(taxonomy))
     assert recorder.counts["model.forward_probabilities.rows"] == 6
     assert recorder.counts["syntactic.syntactic_matrix.rows"] == 3 + len(taxonomy)
+
+
+def test_traced_poincare_training_counts_every_clamp():
+    # the project_to_ball probes count calls through the module global; a step
+    # that stopped calling it would read 0 calls without failing
+    config = PoincareConfig(epochs=6, lr=500.0, burn_in_epochs=0, seed=2)
+    tracing = load_tracing()
+    recorder = tracing.Recorder("tier-1")
+    installed = tracing.install(recorder)
+    try:
+        table = poincare.train_poincare(balanced_tree_pairs(), m=4, config=config)
+    finally:
+        tracing.restore(installed)
+    clamped = sum(epoch["clamped_rows"] for epoch in table.history)
+    assert clamped > 0
+    assert recorder.counts["poincare.project_to_ball.calls"] >= clamped
+    assert recorder.counts["poincare.project_to_ball.clamped"] == clamped
+    assert "poincare.train_poincare" in {record[1] for record in recorder.spans}
