@@ -19,7 +19,15 @@ import numpy as np
 from . import evaluation as ev
 from .datagen import SynthConfig, gen_resumes, gen_taxonomy
 from .errors import ConfigError, DataError, EvaluationError, NumericError, TitlemapError
-from .formats import is_utf8, read_lines, read_rows, write_rows
+from .formats import (
+    canonicalize_title,
+    is_utf8,
+    line_keys,
+    read_lines,
+    read_rows,
+    write_lines,
+    write_rows,
+)
 from .graph import (
     build_transition_graph,
     extract_parent_child_pairs,
@@ -204,15 +212,20 @@ def _load_pipeline(config: dict, taxonomy: Taxonomy) -> FeaturePipeline:
     return FeaturePipeline(hyperbolic=table, semantic=_build_provider(config), taxonomy=taxonomy)
 
 
-def _read_labeled(path, taxonomy: Taxonomy) -> list[tuple[str, str]]:
-    rows = []
+def _read_labeled(path, taxonomy: Taxonomy) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
+    """The (raw title, standard title) rows of a labels file as written, and
+    the same rows as canonical keys; each distinct raw title is canonicalized
+    once."""
+    rows, keys, key_of = [], [], line_keys(path)
     for lineno, (raw, std) in read_rows(path, ("raw_title", "standard_title"))[1]:
-        if std not in taxonomy:
+        title, standard = key_of(raw, lineno), key_of(std, lineno)
+        if standard not in taxonomy:
             raise DataError(f"{path}:{lineno}: standard title {std!r} not in taxonomy")
         rows.append((raw, std))
+        keys.append((title, standard))
     if not rows:
         raise DataError(f"{path}: no labeled rows")
-    return rows
+    return rows, keys
 
 
 def _read_titles(path) -> list[str]:
@@ -275,7 +288,8 @@ def cmd_encode_semantic(config: dict) -> None:
     out = config["output_dir"]
     (titles_path,) = _require(config, "data.titles")
     provider = _build_provider(config)
-    cache = embed_titles(provider, _read_titles(titles_path))
+    keys = [canonicalize_title(title) for title in dict.fromkeys(_read_titles(titles_path))]
+    cache = embed_titles(provider, keys)
     _save(out, "semantic.tsv", write_embeddings, cache)
     _write_echo(config, "encode-semantic")
 
@@ -285,13 +299,13 @@ def cmd_train(config: dict) -> None:
     taxonomy_path, labels_path = _require(config, "data.taxonomy", "data.labels")
     train_config = _dataclass_from(config, TrainConfig, "train", "train")
     taxonomy = Taxonomy.load_tsv(taxonomy_path)
-    examples = _read_labeled(labels_path, taxonomy)
+    rows, examples = _read_labeled(labels_path, taxonomy)
     pipeline = _load_pipeline(config, taxonomy)
     result = train(examples, pipeline, train_config)
     _save(out, "model.json", lambda path: save_model(result.model, path))
     _save(out, "training_curve.csv", _write_curve, result.history)
     for name, idx in result.split_indices.items():
-        _save(out, f"split_{name}.tsv", write_rows, (examples[int(i)] for i in idx))
+        _save(out, f"split_{name}.tsv", write_rows, (rows[int(i)] for i in idx))
     report = {
         "best_epoch": result.best_epoch,
         "epochs_run": len(result.history),
@@ -322,16 +336,15 @@ def cmd_map(config: dict) -> None:
     distinct = list(dict.fromkeys(titles))  # a resume stream repeats titles
     probs = forward_probabilities(model, pipeline, distinct)
     top = rank_classes(probs)[:, :k]
-    block_of = {
-        title: [
-            (title, str(rank), model.taxonomy.titles[class_idx], repr(float(row[class_idx])))
-            for rank, class_idx in enumerate(order, start=1)
-        ]
-        for title, row, order in zip(distinct, probs, top)
-    }
-    rows = (row for title in titles for row in block_of[title])
+    names = model.taxonomy.titles
+    block_of = {}
+    for title, row, order in zip(distinct, probs, top):
+        lines = zip(range(1, k + 1), order.tolist(), row[order].tolist())
+        block_of[title] = "".join(
+            f"{title}\t{rank}\t{names[class_idx]}\t{prob!r}\n" for rank, class_idx, prob in lines
+        )
     header = "#mappings\ttitle\trank\tstandard_title\tprobability"
-    _save(out, "mappings.tsv", write_rows, rows, header)
+    _save(out, "mappings.tsv", write_lines, (block_of[title] for title in titles), header)
     _write_echo(config, "map")
 
 
@@ -339,8 +352,8 @@ def cmd_eval(config: dict) -> None:
     out = config["output_dir"]
     (labels_path,) = _require(config, "data.labels")
     model, pipeline = _load_model_pipeline(config)
-    examples = _read_labeled(labels_path, model.taxonomy)
-    titles = [raw for raw, _ in examples]
+    _, examples = _read_labeled(labels_path, model.taxonomy)
+    titles = [title for title, _ in examples]
     labels = [model.taxonomy.index(std) for _, std in examples]
     probs = forward_probabilities(model, pipeline, titles)
     cutoffs = (1, 5, 10)  # the report reads no rank below the last

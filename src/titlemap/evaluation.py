@@ -174,15 +174,12 @@ def auc_score(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
         raise EvaluationError("AUC needs both positive and negative examples")
     scores = np.concatenate([pos_scores, neg_scores])
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=np.float64)
     sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # average of 1-based ranks
-        i = j + 1
+    # each run of equal sorted scores [first, last] shares the average of its 1-based ranks
+    first = np.flatnonzero(np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1])))
+    last = np.append(first[1:], scores.size) - 1
+    ranks = np.empty(scores.size, dtype=np.float64)
+    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
     n_pos = pos_scores.size
     rank_sum = ranks[:n_pos].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * neg_scores.size))

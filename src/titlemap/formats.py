@@ -5,6 +5,12 @@ one row per non-blank line with a fixed number of tab-separated fields. A
 vector file has a `<tag> <dim_key>=<int> <meta_key>=<value>` header and
 `title<TAB>v1,v2,...` rows: the title is canonicalized on load (two rows with
 the same canonical title are a duplicate) and every value must be finite.
+
+Titles are canonicalized at the edge: the readers of titles from files
+(`read_vectors` here, `graph.load_records`, `graph.load_pairs`,
+`Taxonomy.load_tsv`, the CLI's label reader) and the entry of
+`model.forward_probabilities` turn each distinct raw title into its canonical
+key once. Everything below them takes canonical keys and never canonicalizes.
 """
 
 from __future__ import annotations
@@ -22,13 +28,32 @@ _WS_RE = re.compile(r"\s+")
 
 def canonicalize_title(raw: str) -> str:
     """Lowercase, strip control characters, collapse whitespace. Idempotent."""
-    cleaned = "".join(
+    # a printable string holds no Cc or Cf character, so the filter would keep it whole
+    cleaned = raw if raw.isprintable() else "".join(
         ch for ch in raw if unicodedata.category(ch) not in ("Cc", "Cf")
     )
     canonical = _WS_RE.sub(" ", cleaned).strip().lower()
     if not canonical:
         raise DegenerateInputError(f"title {raw!r} is empty after normalization")
     return canonical
+
+
+def line_keys(path) -> Callable[[str, int], str]:
+    """A function (raw title, line number) -> canonical key for the titles
+    read from `path`. Each distinct raw title is canonicalized once; one that
+    normalizes to nothing raises `FormatError` naming `path:line`."""
+    keys: dict[str, str] = {}
+
+    def key_of(raw: str, lineno: int) -> str:
+        key = keys.get(raw)
+        if key is None:
+            try:
+                key = keys[raw] = canonicalize_title(raw)
+            except DegenerateInputError as e:
+                raise FormatError(f"{path}:{lineno}: {e}") from None
+        return key
+
+    return key_of
 
 
 def is_utf8(text: str) -> bool:
@@ -90,13 +115,13 @@ def read_vectors(
         meta = parse_meta(parts[2].removeprefix(meta_key + "="))
     except (KeyError, ValueError):
         raise FormatError(f"{path}:1: malformed header {header!r}") from None
-    vectors, seen = [], set()
+    vectors, seen, key_of = [], set(), line_keys(path)
     for lineno, (title, values) in rows:
         try:
             vec = np.array([float(tok) for tok in values.split(",")], dtype=np.float64)
-            key = canonicalize_title(title)
-        except (ValueError, DegenerateInputError) as e:
+        except ValueError as e:
             raise FormatError(f"{path}:{lineno}: {e}") from None
+        key = key_of(title, lineno)
         if vec.shape[0] != dim:
             raise FormatError(f"{path}:{lineno}: expected {dim} values, got {vec.shape[0]}")
         if not np.isfinite(vec).all():
@@ -108,12 +133,18 @@ def read_vectors(
     return dim, meta, vectors
 
 
-def write_rows(path, rows: Iterable[Sequence[str]], header: Optional[str] = None) -> None:
-    """Write `header` (if any) and one tab-joined line per row."""
+def write_lines(path, chunks: Iterable[str], header: Optional[str] = None) -> None:
+    """Write `header` (if any) as a line, then each chunk as it is; a chunk
+    holds one or more whole `\n`-ended lines."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if header is not None:
             fh.write(header + "\n")
-        fh.writelines("\t".join(row) + "\n" for row in rows)
+        fh.writelines(chunks)
+
+
+def write_rows(path, rows: Iterable[Sequence[str]], header: Optional[str] = None) -> None:
+    """Write `header` (if any) and one tab-joined line per row."""
+    write_lines(path, ("\t".join(row) + "\n" for row in rows), header)
 
 
 def write_vectors(path, header: str, vectors: dict[str, np.ndarray]) -> None:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from datetime import date
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import DataError, DegenerateInputError, FormatError
-from .formats import canonicalize_title, is_utf8, read_lines, read_rows, write_rows
+from .errors import DataError, FormatError
+from .formats import canonicalize_title, is_utf8, line_keys, read_lines, read_rows, write_rows
 
 RECORD_FIELDS = ("person_id", "title", "company_id", "start", "end")
 
@@ -28,15 +28,17 @@ class JobRecord:
     company_id: str
     start: date
     end: Optional[date]  # None = still employed
-    canonical_title: str = field(init=False, repr=False, compare=False)  # derived from title
+    # derived from title unless a reader that has canonicalized it passes it
+    canonical_title: Optional[str] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.end is not None and self.start > self.end:
             raise DataError(
                 f"job record for person {self.person_id!r}: start {self.start} is after end {self.end}"
             )
-        # raises on titles that normalize to nothing
-        self.canonical_title = canonicalize_title(self.title)
+        if self.canonical_title is None:
+            # raises on titles that normalize to nothing
+            self.canonical_title = canonicalize_title(self.title)
 
 
 class ParentChildPair(NamedTuple):
@@ -119,8 +121,9 @@ def extract_parent_child_pairs(records: Iterable[JobRecord]) -> list[ParentChild
 # File formats
 
 def load_records(path) -> list[JobRecord]:
-    """Read resume JSONL. Field names must be exactly the documented five."""
-    records = []
+    """Read resume JSONL. Field names must be exactly the documented five.
+    Each distinct title is canonicalized once."""
+    records, key_of = [], line_keys(path)
     for lineno, line in read_lines(path):
         if not line.strip():
             continue
@@ -143,6 +146,7 @@ def load_records(path) -> list[JobRecord]:
             end = None if obj["end"] is None else date.fromisoformat(obj["end"])
         except (TypeError, ValueError) as e:
             raise FormatError(f"{path}:{lineno}: bad date ({e})") from None
+        key = key_of(obj["title"], lineno)
         try:
             records.append(
                 JobRecord(
@@ -151,6 +155,7 @@ def load_records(path) -> list[JobRecord]:
                     company_id=obj["company_id"],
                     start=start,
                     end=end,
+                    canonical_title=key,
                 )
             )
         except DataError as e:
@@ -175,21 +180,16 @@ def write_pairs(path, pairs: Iterable[ParentChildPair]) -> None:
 
 def load_pairs(path) -> list[ParentChildPair]:
     """Read a pairs file. Both titles of every row are canonicalized, each
-    distinct title once; one that normalizes to nothing names its line."""
+    distinct title once; one that normalizes to nothing names its line, and
+    so does a row whose child and parent are the same title, which
+    `extract_parent_child_pairs` never writes."""
     header, rows = read_rows(path, ("child", "parent"), header=True)
     if header != PAIRS_HEADER:
         raise FormatError(f"{path}:1: expected header {PAIRS_HEADER!r}")
-    canonical: dict[str, str] = {}
-
-    def canon(title: str, lineno: int) -> str:
-        if title not in canonical:
-            try:
-                canonical[title] = canonicalize_title(title)
-            except DegenerateInputError as e:
-                raise FormatError(f"{path}:{lineno}: {e}") from None
-        return canonical[title]
-
-    return [
-        ParentChildPair(parent=canon(parent, lineno), child=canon(child, lineno))
-        for lineno, (child, parent) in rows
-    ]
+    pairs, key_of = [], line_keys(path)
+    for lineno, (child, parent) in rows:
+        pair = ParentChildPair(parent=key_of(parent, lineno), child=key_of(child, lineno))
+        if pair.parent == pair.child:
+            raise FormatError(f"{path}:{lineno}: child and parent are the same title {pair.child!r}")
+        pairs.append(pair)
+    return pairs

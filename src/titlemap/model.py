@@ -156,8 +156,9 @@ def init_model(taxonomy: Taxonomy, config: TrainConfig, d_h: int, d_b: int) -> M
 # Feature assembly
 
 class FeaturePipeline:
-    """Builds the frozen (X_h, X_b, X_s) views; titles unseen in the transition
-    graph receive the zero topological vector."""
+    """Builds the frozen (X_h, X_b, X_s) views of canonical titles, each view
+    in one pass over the batch; titles unseen in the transition graph receive
+    the zero topological vector."""
 
     def __init__(
         self,
@@ -179,23 +180,18 @@ class FeaturePipeline:
     def d_b(self) -> int:
         return self.semantic.dimension
 
-    def title_views(self, titles: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        keys = [canonicalize_title(t) for t in titles]
-        x_h = np.stack(
-            [
-                self.hyperbolic.vectors.get(k, np.zeros(self.d_h))
-                for k in keys
-            ]
-        ) if keys else np.zeros((0, self.d_h))
-        x_b = np.stack([self.semantic.embed(k) for k in keys]) if keys else np.zeros((0, self.d_b))
+    def title_views(self, keys: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The three views of canonical keys, one row per key."""
+        unseen = np.zeros(self.d_h)
+        vectors = self.hyperbolic.vectors
+        x_h = np.array([vectors.get(k, unseen) for k in keys]).reshape(len(keys), self.d_h)
+        x_b = self.semantic.embed_batch(keys)
         x_s = syntactic_matrix(keys, self.taxonomy)
         return x_h, x_b, x_s
 
     def standard_semantic(self) -> np.ndarray:
         if self._standard_semantic is None:
-            self._standard_semantic = np.stack(
-                [self.semantic.embed(t) for t in self.taxonomy.titles]
-            )
+            self._standard_semantic = self.semantic.embed_batch(self.taxonomy.titles)
         return self._standard_semantic
 
     def standard_syntactic(self) -> np.ndarray:
@@ -321,9 +317,10 @@ def forward_probabilities(
     pipeline: FeaturePipeline,
     titles: Sequence[str],
 ) -> np.ndarray:
-    """Inference-mode class distribution per title, shape (n, |Y|).
+    """Inference-mode class distribution per raw title, shape (n, |Y|).
 
-    Each distinct canonical title is scored once and its row is copied to
+    This is an edge: each distinct raw title is canonicalized once, and each
+    distinct canonical title is scored once and its row is copied to
     every title that shares it, so titles with the same canonical form get
     identical rows. Every step of the forward pass acts per row, but the
     BLAS products are not bitwise row-independent: a row can differ in its
@@ -388,7 +385,8 @@ def train(
     config: TrainConfig,
 ) -> TrainResult:
     """Split, fit with Adam, early-stop on validation hit@10, return the best
-    checkpoint. `examples` are (raw title, standard title) pairs."""
+    checkpoint. `examples` are (title, standard title) pairs of canonical
+    keys."""
     taxonomy = pipeline.taxonomy
     if pipeline.d_h != config.d_h:
         raise ConfigError(

@@ -8,6 +8,10 @@ two providers with the same contract (deterministic, unit-norm output):
   dependency-free.
 * `PrecomputedProvider` — vectors loaded from an embedding TSV, with an
   optional fallback encoder for titles missing from the file.
+
+Providers take canonical keys (see `formats`) and never canonicalize.
+`embed_batch` builds the whole batch in one pass; `embed` is its one-title
+case.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, FormatError, MissingTitleError, NumericError
 from .formats import read_vectors, write_vectors
-from .graph import canonicalize_title
 
 UNIT_NORM_TOL = 1e-9
 
@@ -30,6 +33,8 @@ class SemanticProvider(Protocol):
     dimension: int
 
     def embed(self, title: str) -> np.ndarray: ...
+
+    def embed_batch(self, titles: Sequence[str]) -> np.ndarray: ...
 
 
 @lru_cache(maxsize=131072)
@@ -43,27 +48,41 @@ def _token_feature(seed: int, d_b: int, token: str) -> tuple[int, float]:
     return h % d_b, 1.0 if (h >> 62) & 1 else -1.0
 
 
-def hashed_ngram_embed(title: str, d_b: int, seed: int) -> np.ndarray:
-    """Deterministic unit vector from signed hashed character/word features.
+def hashed_ngram_matrix(titles: Sequence[str], d_b: int, seed: int) -> np.ndarray:
+    """Deterministic unit vectors, shape (len(titles), d_b), from the signed
+    hashed character 3-grams and words of each canonical title.
 
     Signed hashing keeps the expected inner product of token-disjoint titles
-    at zero.
+    at zero. Every title's features are summed by one bincount over
+    row-offset buckets; the sums are integers, so they do not depend on the
+    batch.
     """
     if d_b < 8:
         raise ConfigError(f"semantic dimension must be >= 8, got {d_b}")
-    canonical = canonicalize_title(title)
-    padded = "^^" + canonical + "$$"
-    grams = [padded[i : i + 3] for i in range(len(padded) - 2)]
-    buckets, signs = zip(*(
-        _token_feature(seed, d_b, token) for token in grams + canonical.split(" ")
-    ))
-    vec = np.bincount(buckets, weights=signs, minlength=d_b)
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
+    buckets, signs, counts = [], [], []
+    for title in titles:
+        padded = "^^" + title + "$$"
+        tokens = [padded[i : i + 3] for i in range(len(padded) - 2)] + title.split(" ")
+        for token in tokens:
+            bucket, sign = _token_feature(seed, d_b, token)
+            buckets.append(bucket)
+            signs.append(sign)
+        counts.append(len(tokens))
+    offsets = np.repeat(np.arange(len(titles), dtype=np.intp) * d_b, counts)
+    sums = np.bincount(offsets + np.array(buckets, dtype=np.intp), weights=signs,
+                       minlength=len(titles) * d_b).reshape(len(titles), d_b)
+    norms = np.sqrt(np.einsum("ij,ij->i", sums, sums))
+    cancelled = np.flatnonzero(norms == 0.0)
+    if cancelled.size:
         raise DegenerateInputError(
-            f"hashed embedding of {title!r} cancelled to the zero vector"
+            f"hashed embedding of {titles[cancelled[0]]!r} cancelled to the zero vector"
         )
-    return vec / norm
+    return sums / norms[:, None]
+
+
+def hashed_ngram_embed(title: str, d_b: int, seed: int) -> np.ndarray:
+    """The unit vector of one canonical title (`hashed_ngram_matrix`)."""
+    return hashed_ngram_matrix([title], d_b, seed)[0]
 
 
 class HashedNgramProvider:
@@ -74,7 +93,10 @@ class HashedNgramProvider:
         self.seed = seed
 
     def embed(self, title: str) -> np.ndarray:
-        return hashed_ngram_embed(title, self.dimension, self.seed)
+        return self.embed_batch([title])[0]
+
+    def embed_batch(self, titles: Sequence[str]) -> np.ndarray:
+        return hashed_ngram_matrix(titles, self.dimension, self.seed)
 
 
 @dataclass
@@ -98,32 +120,34 @@ class PrecomputedProvider:
         self.dimension = cache.dimension
 
     def embed(self, title: str) -> np.ndarray:
-        key = canonicalize_title(title)
-        vec = self.cache.vectors.get(key)
-        if vec is not None:
-            return vec
-        if self.fallback is None:
-            raise MissingTitleError(f"no precomputed embedding for title {title!r}")
-        return self.fallback.embed(key)
+        return self.embed_batch([title])[0]
+
+    def embed_batch(self, titles: Sequence[str]) -> np.ndarray:
+        """Stored vectors where the cache has the title, the fallback's batch
+        for the rest; without a fallback every missing title is listed."""
+        vectors = self.cache.vectors
+        have = np.array([title in vectors for title in titles], dtype=bool)
+        out = np.empty((len(titles), self.dimension))
+        if have.any():
+            out[have] = np.stack([vectors[title] for title in titles if title in vectors])
+        missing = [title for title in titles if title not in vectors]
+        if missing:
+            if self.fallback is None:
+                distinct = sorted(set(missing))
+                raise MissingTitleError(
+                    f"no embedding available for {len(distinct)} title(s): {distinct}"
+                )
+            out[~have] = self.fallback.embed_batch(missing)
+        return out
 
 
 def embed_titles(provider: SemanticProvider, titles: Sequence[str]) -> EmbeddingCache:
-    """Embed a title set; missing titles are reported together, not one by one."""
-    cache = EmbeddingCache(dimension=provider.dimension)
-    missing = []
-    for title in titles:
-        key = canonicalize_title(title)
-        if key in cache.vectors:
-            continue
-        try:
-            cache.vectors[key] = provider.embed(key)
-        except MissingTitleError:
-            missing.append(key)
-    if missing:
-        raise MissingTitleError(
-            f"no embedding available for {len(missing)} title(s): {sorted(missing)}"
-        )
-    return cache
+    """Embed a set of canonical keys in one batch; missing titles are
+    reported together, not one by one."""
+    keys = list(dict.fromkeys(titles))
+    return EmbeddingCache(
+        dimension=provider.dimension, vectors=dict(zip(keys, provider.embed_batch(keys)))
+    )
 
 
 # ---------------------------------------------------------------------------

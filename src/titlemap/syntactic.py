@@ -39,7 +39,11 @@ def string_cosine(a: str, b: str) -> float:
 
 @dataclass
 class Taxonomy:
-    """Ordered standard titles; row order defines the class indices."""
+    """Ordered standard titles; row order defines the class indices.
+
+    The constructor canonicalizes the titles it is given, so a taxonomy read
+    from a file or an artifact holds canonical keys. Membership and `index`
+    take canonical keys."""
 
     titles: list[str]
     groups: Optional[list[str]] = None
@@ -55,13 +59,12 @@ class Taxonomy:
     def __len__(self) -> int:
         return len(self.titles)
 
-    def __contains__(self, title: str) -> bool:
-        return canonicalize_title(title) in self._index
+    def __contains__(self, key: str) -> bool:
+        return key in self._index
 
-    def index(self, title: str) -> int:
-        key = canonicalize_title(title)
+    def index(self, key: str) -> int:
         if key not in self._index:
-            raise DataError(f"title {title!r} is not in the taxonomy")
+            raise DataError(f"title {key!r} is not in the taxonomy")
         return self._index[key]
 
     @property
@@ -82,27 +85,34 @@ class Taxonomy:
 
 
 def syntactic_matrix(titles: Sequence[str], taxonomy: Taxonomy) -> np.ndarray:
-    """Similarity of each title against every standard title, shape
+    """Similarity of each canonical title against every standard title, shape
     (len(titles), |Y|), columns in taxonomy order. Equal, bit for bit, to
     `string_cosine` of every pair.
 
-    Scored through an inverted index of the taxonomy's grams: a title's
-    shared-gram count with every standard title is one bincount over the
-    columns listed under each of its grams."""
-    if len(taxonomy) == 0:
+    Scored through an inverted index of the taxonomy's grams: the shared-gram
+    counts of the whole batch are one bincount over the columns listed under
+    each title's grams, each offset by the title's row."""
+    n_cols = len(taxonomy)
+    if n_cols == 0:
         raise DegenerateInputError("syntactic_matrix: empty taxonomy")
-    # taxonomy titles are canonical already (`Taxonomy.__post_init__`)
     columns: dict[str, list[int]] = {}
     for col, standard in enumerate(taxonomy.titles):
         for gram in gram_set(standard):
             columns.setdefault(gram, []).append(col)
     postings = {gram: np.array(cols, dtype=np.intp) for gram, cols in columns.items()}
     sizes = np.array([len(gram_set(t)) for t in taxonomy.titles], dtype=np.int64)
-    no_hits = [np.empty(0, dtype=np.intp)]
-    matrix = np.empty((len(titles), len(taxonomy)), dtype=np.float64)
+    hits, hit_rows, title_sizes = [], [], np.empty(len(titles), dtype=np.int64)
     for row, title in enumerate(titles):
-        grams = gram_set(canonicalize_title(title))
-        hits = [postings[g] for g in grams if g in postings] or no_hits
-        shared = np.bincount(np.concatenate(hits), minlength=len(taxonomy))
-        matrix[row] = shared / np.sqrt(len(grams) * sizes)
-    return matrix
+        grams = gram_set(title)
+        title_sizes[row] = len(grams)
+        for gram in grams:
+            cols = postings.get(gram)
+            if cols is not None:
+                hits.append(cols)
+                hit_rows.append(row)
+    lengths = np.array([len(cols) for cols in hits], dtype=np.intp)
+    flat = np.repeat(np.array(hit_rows, dtype=np.intp) * n_cols, lengths)
+    if hits:
+        flat += np.concatenate(hits)
+    shared = np.bincount(flat, minlength=len(titles) * n_cols).reshape(len(titles), n_cols)
+    return shared / np.sqrt(title_sizes[:, None] * sizes)

@@ -2,12 +2,36 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
+import titlemap.cli  # noqa: F401  (imports every module that may hold canonicalize_title)
+from titlemap import formats
 from titlemap import numerics as nx
 from titlemap import poincare
 from titlemap import reasoning as rs
+from titlemap.errors import DegenerateInputError
 from titlemap.graph import ParentChildPair
+from titlemap.semantic import _token_feature
+
+
+def record_canonicalize_calls(monkeypatch) -> list[str]:
+    """Replace `canonicalize_title` by a recording wrapper in every package
+    module that holds it, as the benchmark's tracer does; returns the list of
+    raw titles it is then called with."""
+    original, calls = formats.canonicalize_title, []
+
+    def recording(raw):
+        calls.append(raw)
+        return original(raw)
+
+    for name, module in list(sys.modules.items()):
+        if name == "titlemap" or name.startswith("titlemap."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, recording)
+    return calls
 
 
 def rel_err(a: float, b: float) -> float:
@@ -193,6 +217,40 @@ def brute_force_gram_cosine(a: str, b: str, n: int = 3) -> float:
         if g in gb:
             shared += 1
     return shared / np.sqrt(len(ga) * len(gb))
+
+
+def looped_auc_score(pos_scores, neg_scores):
+    """Oracle of `evaluation.auc_score`: the same rank statistic with ties
+    ranked by a per-score loop."""
+    scores = np.concatenate([np.asarray(pos_scores, float), np.asarray(neg_scores, float)])
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(scores.size, dtype=np.float64)
+    sorted_scores = scores[order]
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # average of 1-based ranks
+        i = j + 1
+    n_pos, n_neg = len(pos_scores), len(neg_scores)
+    rank_sum = ranks[:n_pos].sum()
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def per_title_hashed_embed(title, d_b, seed):
+    """Oracle of `semantic.hashed_ngram_matrix` for one canonical title: its
+    features summed by a bincount of their own, divided by `np.linalg.norm`."""
+    padded = "^^" + title + "$$"
+    grams = [padded[i : i + 3] for i in range(len(padded) - 2)]
+    buckets, signs = zip(*(
+        _token_feature(seed, d_b, token) for token in grams + title.split(" ")
+    ))
+    vec = np.bincount(buckets, weights=signs, minlength=d_b)
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        raise DegenerateInputError(f"hashed embedding of {title!r} cancelled to the zero vector")
+    return vec / norm
 
 
 def pairwise_auc_oracle(pos, neg):

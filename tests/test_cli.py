@@ -1,12 +1,18 @@
 import base64
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from titlemap.cli import main, resolve_config
 from titlemap.errors import ConfigError
+from titlemap.model import FeaturePipeline, forward_probabilities, load_model
+from titlemap.poincare import HyperbolicEmbeddingTable
+from titlemap.semantic import HashedNgramProvider
+
+from helpers import record_canonicalize_calls
 
 
 def write_config(tmp_path, overrides=None, name="config.json"):
@@ -426,6 +432,48 @@ def test_map_writes_one_block_per_input_line_for_repeated_titles(trained):
             assert float(row[3]) == pytest.approx(float(ref[3]), rel=1e-12, abs=0)
 
 
+def test_map_canonicalizes_each_title_once_at_the_edge(trained, monkeypatch):
+    # one call per distinct raw input line, per standard title of the model
+    # and per row of the hyperbolic table; none below the edge
+    tmp, data = trained
+    standard = json.loads((tmp / "out" / "model.json").read_text())["taxonomy_titles"]
+    hyperbolic = [line.split("\t")[0] for line in
+                  (tmp / "out" / "hyperbolic.tsv").read_text().splitlines()[1:]]
+    lines = ["data analyst", "Data  Analyst", "data analyst", "HEAD CHEF", "head chef",
+             "Data  Analyst", "never seen title"]
+    calls = record_canonicalize_calls(monkeypatch)
+    map_blocks(trained, lines, "edge")
+    assert Counter(calls) == Counter(dict.fromkeys(lines, 1)) + Counter(standard) + Counter(hyperbolic)
+
+
+def test_benchmark_check_calls_reproduce_eval(trained):
+    # the same package calls `check_map_agrees_with_eval` in perfbench/run.py
+    # makes, so a change to the serving path cannot break that check unseen
+    tmp, data = trained
+    path, _ = write_config(tmp, {"output_dir": str(tmp / "bench"), "data": data},
+                           name="bench.json")
+    assert main(["eval", "--config", str(path)]) == 0
+    report = json.loads((tmp / "bench" / "eval_report.json").read_text())
+    model = load_model(tmp / "out" / "model.json")
+    pipeline = FeaturePipeline(
+        hyperbolic=HyperbolicEmbeddingTable.load_tsv(tmp / "out" / "hyperbolic.tsv"),
+        semantic=HashedNgramProvider(dimension=model.d_b, seed=0),
+        taxonomy=model.taxonomy,
+    )
+    labels = [tuple(line.split("\t")) for line in
+              (tmp / "out" / "labels.tsv").read_text(encoding="utf-8").splitlines() if line.strip()]
+    titles = [raw for raw, _ in labels]
+    probs = forward_probabilities(model, pipeline, titles)
+    n_classes = len(model.taxonomy)
+    rankings = [np.lexsort((np.arange(n_classes), -row))[:10] for row in probs]
+    gold = [model.taxonomy.index(std) for _, std in labels]
+    hits = {n: float(np.mean([g in r[:n] for g, r in zip(gold, rankings)])) for n in (1, 10)}
+    assert hits == {n: report["hit_rate_at"][str(n)] for n in hits}
+    _, _, x_s = pipeline.title_views(titles)
+    best = [np.lexsort((np.arange(n_classes), -row))[0] for row in x_s]
+    assert float(np.mean([g == b for g, b in zip(gold, best)])) >= 0.9
+
+
 @pytest.mark.filterwarnings("error")
 def test_non_finite_training_loss_exits_4(trained, capsys):
     tmp, data = trained
@@ -505,6 +553,8 @@ MALFORMED_INPUTS = {
     "labels-one-field": ("train", "labels", b"data analyst\n", 3, "kind=data"),
     "titles-with-tab": ("map", "titles", b"data\tanalyst\n", 3, "kind=data"),
     "pairs-no-header": ("train-poincare", "pairs", b"a\tb\n", 3, "kind=data"),
+    "pairs-self-transition": ("train-poincare", "pairs", b"#pairs\tchild\tparent\nChef\tchef\n", 3,
+                              "kind=data"),
     "pairs-title-empty-after-canonicalization": ("train-poincare", "pairs",
                                                  b"#pairs\tchild\tparent\n\x01 \tchef\n", 3,
                                                  "kind=data"),

@@ -7,7 +7,7 @@ from titlemap.graph import JobRecord, TransitionGraph, build_transition_graph
 
 from datetime import date
 
-from helpers import pairwise_auc_oracle
+from helpers import looped_auc_score, pairwise_auc_oracle
 
 
 def result(rankings, relevant):
@@ -154,6 +154,22 @@ def test_auc_matches_pairwise_oracle_including_ties():
     pos = np.round(rng.uniform(size=100), 1)
     neg = np.round(rng.uniform(size=100), 1)
     assert ev.auc_score(pos, neg) == pytest.approx(pairwise_auc_oracle(pos, neg), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "pos, neg",
+    [
+        (np.round(np.random.default_rng(2).uniform(size=300), 1),
+         np.round(np.random.default_rng(3).uniform(size=200), 1)),  # many ties
+        (np.random.default_rng(4).normal(size=257), np.random.default_rng(5).normal(size=130)),
+        (np.zeros(5), np.zeros(7)),  # one tie group
+        (np.array([1.0, 2.0, np.nan]), np.array([np.nan, 0.5, 2.0, 2.0])),
+        (np.array([0.25]), np.array([0.75])),
+    ],
+    ids=["many-ties", "no-ties", "all-tied", "nan-and-ties", "one-each"],
+)
+def test_auc_equals_the_looped_tie_ranking_bit_for_bit(pos, neg):
+    assert ev.auc_score(pos, neg) == looped_auc_score(pos, neg)
 
 
 def test_auc_rejects_single_class():

@@ -250,6 +250,14 @@ def test_pairs_file_title_empty_after_canonicalization_names_line(tmp_path, row)
         load_pairs(path)
 
 
+def test_pairs_file_self_transition_names_line(tmp_path):
+    # extract_parent_child_pairs never writes one; a parent is another title
+    path = tmp_path / "pairs.tsv"
+    path.write_text("#pairs\tchild\tparent\ncook\tchef\nChef\t chef\n")
+    with pytest.raises(FormatError, match=r"pairs\.tsv:3: .*same title 'chef'"):
+        load_pairs(path)
+
+
 def test_pairs_file_header_enforced(tmp_path):
     path = tmp_path / "pairs.tsv"
     path.write_text("a\tb\n")

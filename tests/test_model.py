@@ -316,18 +316,18 @@ def test_each_distinct_canonical_title_is_embedded_and_scored_once(monkeypatch):
     pipeline.standard_semantic()
     pipeline.standard_syntactic()
     scored, embedded = [], []
-    matrix, embed = model_module.syntactic_matrix, pipeline.semantic.embed
+    matrix, embed_batch = model_module.syntactic_matrix, pipeline.semantic.embed_batch
 
     def counted_matrix(titles, tax):
         scored.extend(titles)
         return matrix(titles, tax)
 
-    def counted_embed(title):
-        embedded.append(title)
-        return embed(title)
+    def counted_embed_batch(titles):
+        embedded.extend(titles)
+        return embed_batch(titles)
 
     monkeypatch.setattr(model_module, "syntactic_matrix", counted_matrix)
-    monkeypatch.setattr(pipeline.semantic, "embed", counted_embed)
+    monkeypatch.setattr(pipeline.semantic, "embed_batch", counted_embed_batch)
     titles = ["Data  Analyst", "pilot", "data analyst", "Pilot", "DATA ANALYST", "chef", "pilot"]
     forward_probabilities(model, pipeline, titles)
     assert scored == ["data analyst", "pilot", "chef"]

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
 
-from titlemap.errors import ConfigError, FormatError, MissingTitleError
+from titlemap.errors import ConfigError, DegenerateInputError, FormatError, MissingTitleError
 from titlemap.semantic import (
     EmbeddingCache,
     HashedNgramProvider,
     PrecomputedProvider,
     embed_titles,
     hashed_ngram_embed,
+    hashed_ngram_matrix,
     load_precomputed,
     write_embeddings,
 )
+
+from helpers import per_title_hashed_embed
+
+# at d_b 8 and seed 0 the six signed features of "agy" cancel pairwise
+CANCELLING_TITLE = "agy"
 
 
 def test_embedding_is_bit_deterministic():
@@ -126,3 +132,46 @@ def test_fallback_dimension_must_match():
     cache = EmbeddingCache(dimension=8)
     with pytest.raises(ConfigError):
         PrecomputedProvider(cache, fallback=HashedNgramProvider(dimension=16))
+
+
+def test_hashed_batch_equals_the_per_title_oracle_bit_for_bit():
+    # the bucket sums are integers, so the batch cannot move a bit: repeated
+    # titles, titles of one character and the empty batch
+    titles = ["software engineer", "chef", "x", "senior ml engineer", "chef",
+              "data analyst", "software engineer", "zz top"]
+    for d_b, seed in ((8, 0), (64, 3), (128, 0)):
+        matrix = hashed_ngram_matrix(titles, d_b, seed)
+        assert matrix.shape == (len(titles), d_b)
+        for title, row in zip(titles, matrix):
+            oracle = per_title_hashed_embed(title, d_b, seed)
+            assert np.array_equal(row.view(np.int64), oracle.view(np.int64))
+            assert np.array_equal(hashed_ngram_embed(title, d_b, seed), oracle)
+        assert hashed_ngram_matrix([], d_b, seed).shape == (0, d_b)
+    provider = HashedNgramProvider(dimension=32, seed=1)
+    assert np.array_equal(provider.embed_batch(titles)[1], provider.embed("chef"))
+
+
+def test_cancelled_hashed_vector_names_its_title_in_a_batch():
+    with pytest.raises(DegenerateInputError, match=CANCELLING_TITLE):
+        per_title_hashed_embed(CANCELLING_TITLE, 8, 0)
+    with pytest.raises(DegenerateInputError, match=f"'{CANCELLING_TITLE}'"):
+        hashed_ngram_matrix(["chef", CANCELLING_TITLE, "pilot"], 8, 0)
+    with pytest.raises(DegenerateInputError, match=f"'{CANCELLING_TITLE}'"):
+        HashedNgramProvider(dimension=8, seed=0).embed(CANCELLING_TITLE)
+
+
+def test_precomputed_batch_stacks_hits_and_sends_misses_to_the_fallback():
+    fallback = HashedNgramProvider(dimension=8, seed=0)
+    cache = EmbeddingCache(dimension=8)
+    cache.vectors["chef"] = np.full(8, 0.25)
+    cache.vectors["pilot"] = np.arange(8.0)
+    provider = PrecomputedProvider(cache, fallback=fallback)
+    titles = ["pilot", "nurse", "chef", "nurse", "clerk"]
+    out = provider.embed_batch(titles)
+    for title, row in zip(titles, out):
+        expected = cache.vectors.get(title)
+        if expected is None:
+            expected = per_title_hashed_embed(title, 8, 0)
+        assert np.array_equal(row, expected)
+        assert np.array_equal(provider.embed(title), expected)
+    assert provider.embed_batch([]).shape == (0, 8)

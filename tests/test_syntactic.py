@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from titlemap.datagen import SynthConfig, gen_taxonomy
 from titlemap.errors import DataError, DegenerateInputError, FormatError
 from titlemap.graph import canonicalize_title
 from titlemap.syntactic import (
@@ -80,7 +81,7 @@ def test_taxonomy_version_tracks_order():
 
 def test_vector_peaks_at_own_index():
     taxonomy = Taxonomy(titles=["data analyst", "chef", "pilot", "embedded engineer"])
-    vec = syntactic_matrix(["Embedded   Engineer"], taxonomy)
+    vec = syntactic_matrix([canonicalize_title("Embedded   Engineer")], taxonomy)
     assert vec.shape == (1, 4)
     assert vec[0, 3] == 1.0
 
@@ -154,7 +155,7 @@ _NO_SHARED_GRAM = st.text(alphabet="xyzXYZ \u200b", min_size=1, max_size=6)
 def test_matrix_is_bit_identical_to_pairwise_oracles(standards, titles, repeats):
     titles = titles + titles[:repeats]
     taxonomy = Taxonomy(titles=standards)
-    matrix = syntactic_matrix(titles, taxonomy)
+    matrix = syntactic_matrix([canonicalize_title(title) for title in titles], taxonomy)
     assert matrix.shape == (len(titles), len(taxonomy))
     for title, row in zip(titles, matrix):
         oracle = np.array([brute_force_gram_cosine(canonicalize_title(title), v) for v in taxonomy.titles])
@@ -163,3 +164,28 @@ def test_matrix_is_bit_identical_to_pairwise_oracles(standards, titles, repeats)
         assert np.array_equal(row.view(np.int64), pairwise.view(np.int64))
         if set(canonicalize_title(title)) <= set("xyz "):
             assert not row.any()
+
+
+def test_batch_equals_each_title_alone_and_the_oracle_bit_for_bit():
+    # the counts are integers, so scoring a batch cannot move a bit: repeated
+    # titles, a title that shares no gram with the taxonomy and the empty batch
+    taxonomy, labeled = gen_taxonomy(SynthConfig(groups=30, synonyms=3, seed=4))
+    titles = [t for t, _ in labeled] + [t for t, _ in labeled[:7]] + ["xyz", "qqq qqq"]
+    matrix = syntactic_matrix(titles, taxonomy)
+    assert matrix.shape == (len(titles), len(taxonomy))
+    for title, row in zip(titles, matrix):
+        alone = syntactic_matrix([title], taxonomy)[0]
+        oracle = np.array([brute_force_gram_cosine(title, v) for v in taxonomy.titles])
+        assert np.array_equal(row.view(np.int64), alone.view(np.int64))
+        assert np.array_equal(row.view(np.int64), oracle.view(np.int64))
+    assert not matrix[-2:].any()
+    assert syntactic_matrix([], taxonomy).shape == (0, len(taxonomy))
+
+
+def test_membership_and_index_take_canonical_keys():
+    taxonomy = Taxonomy(titles=["Data  Analyst", "chef"])
+    assert taxonomy.titles == ["data analyst", "chef"]
+    assert "data analyst" in taxonomy and taxonomy.index("data analyst") == 0
+    assert "Data  Analyst" not in taxonomy
+    with pytest.raises(DataError):
+        taxonomy.index("CHEF")
