@@ -6,6 +6,12 @@ group's standard (noise draws are retried until that holds), and careers are
 Markov walks over groups so the transition graph clusters by group. Noise is
 calibrated to keep the abbreviation edit hard for pure string matching: the
 first token collapses to a single letter, which guts its gram overlap.
+
+Dominance is checked through one `GramIndex` of the standard titles, the
+inverted index the syntactic view scores with: a candidate's shared-gram
+counts against all G standards are one row, built from the postings of its
+own few grams, so one check costs O(grams x postings + G) rather than G set
+intersections.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .graph import JobRecord
-from .syntactic import Taxonomy, gram_set
+from .syntactic import GramIndex, Taxonomy
 
 DOMAINS = [
     "software", "data", "network", "security", "cloud", "product", "marketing",
@@ -89,10 +95,13 @@ def _apply_noise(title: str, ops: Sequence[str], rng: np.random.Generator) -> st
     return " ".join(tokens)
 
 
-def _dominates_own_group(variant: str, own: frozenset, others: list[frozenset]) -> bool:
-    grams = gram_set(variant)
-    own_overlap = len(grams & own)
-    return all(len(grams & other) < own_overlap for other in others)
+def _dominates(index: GramIndex, variant: str, own: int) -> bool:
+    """Whether `variant` shares strictly more grams with standard `own` than
+    with any other standard of `index`; always true for a lone standard."""
+    counts = index.shared_counts([variant])[0]
+    own_count = counts[own]
+    counts[own] = -1
+    return bool(own_count > counts.max())
 
 
 def gen_taxonomy(config: SynthConfig) -> tuple[Taxonomy, list[tuple[str, str]]]:
@@ -112,11 +121,10 @@ def gen_taxonomy(config: SynthConfig) -> tuple[Taxonomy, list[tuple[str, str]]]:
     groups = [combos[i][0] for i in picks]
     taxonomy = Taxonomy(titles=list(standards), groups=groups)
 
-    gram_sets = [gram_set(s) for s in standards]
+    index = GramIndex(standards)
     taken = set(standards)
     labeled: list[tuple[str, str]] = []
     for gi, standard in enumerate(standards):
-        others = gram_sets[:gi] + gram_sets[gi + 1 :]
         for _ in range(config.synonyms):
             variant = standard
             if config.max_noise_ops > 0:
@@ -125,9 +133,7 @@ def gen_taxonomy(config: SynthConfig) -> tuple[Taxonomy, list[tuple[str, str]]]:
                     k = 1 + int(rng.integers(config.max_noise_ops))
                     ops = [_NOISE_OPS[int(rng.integers(len(_NOISE_OPS)))] for _ in range(k)]
                     cand = _apply_noise(standard, ops, rng)
-                    if cand and cand not in taken and _dominates_own_group(
-                        cand, gram_sets[gi], others
-                    ):
+                    if cand and cand not in taken and _dominates(index, cand, gi):
                         variant = cand
                         break
                 if variant is None:
@@ -138,9 +144,7 @@ def gen_taxonomy(config: SynthConfig) -> tuple[Taxonomy, list[tuple[str, str]]]:
                     for pos in range(len(t) - 1):
                         tokens[longest] = t[:pos] + t[pos + 1] + t[pos] + t[pos + 2 :]
                         cand = " ".join(tokens)
-                        if cand not in taken and _dominates_own_group(
-                            cand, gram_sets[gi], others
-                        ):
+                        if cand not in taken and _dominates(index, cand, gi):
                             variant = cand
                             break
                 if variant is None:

@@ -116,9 +116,20 @@ def fused_width(variant: str, d_h: int, d_b: int, d_s: int, d_r: int) -> int:
     return d_b
 
 
+# The parameter sets the full variant adds to the fusion head: artifact name
+# prefix, MapperModel field, parameter class, and the dimensions (from d_h,
+# d_b, d_s, d_r) its `shapes` and `init` take. Initialization, the tensor
+# registry, the expected artifact shapes and loading all follow this table.
+_PARAM_SETS = (
+    ("coattention", "coatt", ca.CoAttentionParams, lambda d_h, d_b, d_s, d_r: (d_h, d_b, d_s)),
+    ("reasoning_b", "reason_b", rs.ReasoningParams, lambda d_h, d_b, d_s, d_r: (d_b, d_r)),
+    ("reasoning_s", "reason_s", rs.ReasoningParams, lambda d_h, d_b, d_s, d_r: (d_s, d_r)),
+)
+
+
 def init_model(taxonomy: Taxonomy, config: TrainConfig, d_h: int, d_b: int) -> MapperModel:
     d_s = len(taxonomy)
-    seeds = np.random.SeedSequence(config.seed).spawn(4)
+    seeds = np.random.SeedSequence(config.seed).spawn(1 + len(_PARAM_SETS))
     rng = np.random.default_rng(seeds[0])
     width = fused_width(config.variant, d_h, d_b, d_s, config.d_r)
     # relu-softmax heads die when early logits are chaotic: collapsing every
@@ -127,28 +138,21 @@ def init_model(taxonomy: Taxonomy, config: TrainConfig, d_h: int, d_b: int) -> M
     # plus a positive bias start the head uniform AND fully relu-active.
     fusion_w = Tensor(rng.uniform(-0.01, 0.01, size=(d_s, width)), requires_grad=True)
     fusion_b = Tensor(np.ones((1, d_s)), requires_grad=True)
-    coatt = reason_b = reason_s = None
+    params = {field: None for _, field, _, _ in _PARAM_SETS}
     if config.variant == "full":
-        coatt = ca.CoAttentionParams.init(
-            d_h, d_b, d_s, seed=seeds[1].generate_state(1)[0]
-        )
-        reason_b = rs.ReasoningParams.init(
-            d_b, config.d_r, seed=seeds[2].generate_state(1)[0]
-        )
-        reason_s = rs.ReasoningParams.init(
-            d_s, config.d_r, seed=seeds[3].generate_state(1)[0]
-        )
+        for (_, field, cls, dims), seed in zip(_PARAM_SETS, seeds[1:]):
+            params[field] = cls.init(
+                *dims(d_h, d_b, d_s, config.d_r), seed=seed.generate_state(1)[0]
+            )
     return MapperModel(
         taxonomy=taxonomy,
         config=config,
         d_h=d_h,
         d_b=d_b,
         d_s=d_s,
-        coatt=coatt,
-        reason_b=reason_b,
-        reason_s=reason_s,
         fusion_w=fusion_w,
         fusion_b=fusion_b,
+        **params,
     )
 
 
@@ -509,11 +513,8 @@ def train(
 def _tensor_registry(model: MapperModel) -> dict[str, Tensor]:
     """Artifact name -> tensor for every trainable tensor, in optimizer order."""
     reg = {"fusion.w": model.fusion_w, "fusion.b": model.fusion_b}
-    for prefix, params in (
-        ("coattention", model.coatt),
-        ("reasoning_b", model.reason_b),
-        ("reasoning_s", model.reason_s),
-    ):
+    for prefix, field, _, _ in _PARAM_SETS:
+        params = getattr(model, field)
         if params is not None:
             reg.update({f"{prefix}.{name}": t for name, t in nx.tensor_fields(params).items()})
     return reg
@@ -525,12 +526,9 @@ def _tensor_shapes(config: TrainConfig, d_h: int, d_b: int, d_s: int) -> dict[st
     width = fused_width(config.variant, d_h, d_b, d_s, config.d_r)
     shapes = {"fusion.w": (d_s, width), "fusion.b": (1, d_s)}
     if config.variant == "full":
-        for prefix, params in (
-            ("coattention", ca.CoAttentionParams.shapes(d_h, d_b, d_s)),
-            ("reasoning_b", rs.ReasoningParams.shapes(d_b, config.d_r)),
-            ("reasoning_s", rs.ReasoningParams.shapes(d_s, config.d_r)),
-        ):
-            shapes.update({f"{prefix}.{name}": shape for name, shape in params.items()})
+        for prefix, _, cls, dims in _PARAM_SETS:
+            field_shapes = cls.shapes(*dims(d_h, d_b, d_s, config.d_r))
+            shapes.update({f"{prefix}.{name}": shape for name, shape in field_shapes.items()})
     return shapes
 
 
@@ -611,7 +609,7 @@ def load_model(path) -> MapperModel:
     stored = doc["tensors"]
     if set(stored) != set(expected):
         raise FormatError(f"{path}: tensor set does not match the {config.variant} variant")
-    arrays = {}
+    tensors: dict[str, dict[str, Tensor]] = {}  # prefix -> field -> tensor
     for name, shape in expected.items():
         entry = stored[name]
         if not isinstance(entry, dict) or entry.get("shape") != list(shape):
@@ -628,8 +626,22 @@ def load_model(path) -> MapperModel:
         arr = np.frombuffer(payload, dtype=_TENSOR_DTYPE).reshape(shape)
         if not np.isfinite(arr).all():
             raise NumericError(f"{path}: tensor {name} has a non-finite value")
-        arrays[name] = arr
-    model = init_model(taxonomy, config, d_h=d_h, d_b=d_b)
-    for name, t in _tensor_registry(model).items():
-        t.data[...] = arrays[name]
-    return model
+        prefix, field = name.split(".")
+        copy = np.array(arr, dtype=np.float64)  # writable, unlike the payload
+        tensors.setdefault(prefix, {})[field] = Tensor(copy, requires_grad=True)
+    # built straight from the stored arrays: drawing an initialization only to
+    # overwrite it would import numpy.random into every serving stage
+    params = {
+        field: cls(**tensors[prefix]) if prefix in tensors else None
+        for prefix, field, cls, _ in _PARAM_SETS
+    }
+    return MapperModel(
+        taxonomy=taxonomy,
+        config=config,
+        d_h=d_h,
+        d_b=d_b,
+        d_s=len(taxonomy),
+        fusion_w=tensors["fusion"]["w"],
+        fusion_b=tensors["fusion"]["b"],
+        **params,
+    )

@@ -84,35 +84,45 @@ class Taxonomy:
         return cls(titles=[t for t, _ in rows], groups=[g for _, g in rows])
 
 
+class GramIndex:
+    """Inverted index of the 3-grams of a list of standard titles: each gram
+    lists the positions of the standards that hold it. Built once, it counts
+    the grams any batch of titles shares with every standard."""
+
+    def __init__(self, standards: Sequence[str]):
+        columns: dict[str, list[int]] = {}
+        for col, standard in enumerate(standards):
+            for gram in gram_set(standard):
+                columns.setdefault(gram, []).append(col)
+        self._postings = {gram: np.array(cols, dtype=np.intp) for gram, cols in columns.items()}
+        self.sizes = np.array([len(gram_set(s)) for s in standards], dtype=np.int64)
+
+    def shared_counts(self, titles: Sequence[str]) -> np.ndarray:
+        """|A & B| for the grams A of each title and B of each standard, shape
+        (len(titles), len(standards)): one bincount over the positions listed
+        under each title's grams, each offset by the title's row."""
+        n_cols = len(self.sizes)
+        hits, hit_rows = [], []
+        for row, title in enumerate(titles):
+            for gram in gram_set(title):
+                cols = self._postings.get(gram)
+                if cols is not None:
+                    hits.append(cols)
+                    hit_rows.append(row)
+        lengths = np.array([len(cols) for cols in hits], dtype=np.intp)
+        flat = np.repeat(np.array(hit_rows, dtype=np.intp) * n_cols, lengths)
+        if hits:
+            flat += np.concatenate(hits)
+        return np.bincount(flat, minlength=len(titles) * n_cols).reshape(len(titles), n_cols)
+
+
 def syntactic_matrix(titles: Sequence[str], taxonomy: Taxonomy) -> np.ndarray:
     """Similarity of each canonical title against every standard title, shape
     (len(titles), |Y|), columns in taxonomy order. Equal, bit for bit, to
-    `string_cosine` of every pair.
-
-    Scored through an inverted index of the taxonomy's grams: the shared-gram
-    counts of the whole batch are one bincount over the columns listed under
-    each title's grams, each offset by the title's row."""
-    n_cols = len(taxonomy)
-    if n_cols == 0:
+    `string_cosine` of every pair: the shared-gram counts of the taxonomy's
+    `GramIndex` over sqrt(|A| * |B|)."""
+    if len(taxonomy) == 0:
         raise DegenerateInputError("syntactic_matrix: empty taxonomy")
-    columns: dict[str, list[int]] = {}
-    for col, standard in enumerate(taxonomy.titles):
-        for gram in gram_set(standard):
-            columns.setdefault(gram, []).append(col)
-    postings = {gram: np.array(cols, dtype=np.intp) for gram, cols in columns.items()}
-    sizes = np.array([len(gram_set(t)) for t in taxonomy.titles], dtype=np.int64)
-    hits, hit_rows, title_sizes = [], [], np.empty(len(titles), dtype=np.int64)
-    for row, title in enumerate(titles):
-        grams = gram_set(title)
-        title_sizes[row] = len(grams)
-        for gram in grams:
-            cols = postings.get(gram)
-            if cols is not None:
-                hits.append(cols)
-                hit_rows.append(row)
-    lengths = np.array([len(cols) for cols in hits], dtype=np.intp)
-    flat = np.repeat(np.array(hit_rows, dtype=np.intp) * n_cols, lengths)
-    if hits:
-        flat += np.concatenate(hits)
-    shared = np.bincount(flat, minlength=len(titles) * n_cols).reshape(len(titles), n_cols)
-    return shared / np.sqrt(title_sizes[:, None] * sizes)
+    index = GramIndex(taxonomy.titles)
+    title_sizes = np.array([len(gram_set(t)) for t in titles], dtype=np.int64)
+    return index.shared_counts(titles) / np.sqrt(title_sizes[:, None] * index.sizes)

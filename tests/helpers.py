@@ -14,6 +14,7 @@ from titlemap import reasoning as rs
 from titlemap.errors import DegenerateInputError
 from titlemap.graph import ParentChildPair
 from titlemap.semantic import _token_feature
+from titlemap.syntactic import gram_set
 
 
 def record_canonicalize_calls(monkeypatch) -> list[str]:
@@ -217,6 +218,14 @@ def brute_force_gram_cosine(a: str, b: str, n: int = 3) -> float:
         if g in gb:
             shared += 1
     return shared / np.sqrt(len(ga) * len(gb))
+
+
+def dominates_own_group(variant: str, own: frozenset, others: list[frozenset]) -> bool:
+    """Pairwise oracle of `datagen._dominates`: the variant's 3-grams
+    intersected with its own standard's and with every other standard's."""
+    grams = gram_set(variant)
+    own_overlap = len(grams & own)
+    return all(len(grams & other) < own_overlap for other in others)
 
 
 def looped_auc_score(pos_scores, neg_scores):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from titlemap import datagen
 from titlemap.datagen import (
     SynthConfig,
     build_transition_matrix,
@@ -10,6 +11,8 @@ from titlemap.datagen import (
 from titlemap.errors import ConfigError
 from titlemap.graph import build_transition_graph
 from titlemap.syntactic import gram_set
+
+from helpers import dominates_own_group
 
 
 def test_taxonomy_counts():
@@ -39,6 +42,53 @@ def test_variants_dominate_their_own_group_by_shared_grams():
         for k, other in enumerate(standard_grams):
             if k != taxonomy.index(standard):
                 assert len(grams & other) < own
+
+
+def _pairwise_run(monkeypatch, config):
+    """`gen_taxonomy` with every dominance check made by the pairwise oracle
+    over the taxonomy's standard titles."""
+    taxonomy, _ = gen_taxonomy(config)
+    grams = [gram_set(t) for t in taxonomy.titles]
+
+    def pairwise(index, variant, own):
+        return dominates_own_group(variant, grams[own], grams[:own] + grams[own + 1 :])
+
+    monkeypatch.setattr(datagen, "_dominates", pairwise)
+    return gen_taxonomy(config)
+
+
+@pytest.mark.parametrize("max_noise_ops", [0, 3, 6])
+@pytest.mark.parametrize("groups", [1, 2, 30, 200])
+def test_index_checks_equal_the_pairwise_oracle(monkeypatch, groups, max_noise_ops):
+    config = SynthConfig(groups=groups, synonyms=4, max_noise_ops=max_noise_ops, seed=groups)
+    taxonomy, labeled = gen_taxonomy(config)
+    oracle_taxonomy, oracle_labeled = _pairwise_run(monkeypatch, config)
+    assert taxonomy == oracle_taxonomy
+    assert labeled == oracle_labeled
+
+
+def test_fallback_swap_checks_equal_the_pairwise_oracle(monkeypatch):
+    # one noise draw per variant: every variant whose draw is not kept comes
+    # from the fallback's adjacent swaps (or is the standard itself); with
+    # seed 1 some of those swaps fail the check and are passed over
+    monkeypatch.setattr(datagen, "_MAX_ATTEMPTS", 1)
+    apply_noise, drawn = datagen._apply_noise, []
+
+    def recording_noise(*args):
+        drawn.append(apply_noise(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(datagen, "_apply_noise", recording_noise)
+    config = SynthConfig(groups=200, synonyms=4, max_noise_ops=6, seed=1)
+    taxonomy, labeled = gen_taxonomy(config)
+    assert len(drawn) == len(labeled)
+    fallback = [v for (v, standard), d in zip(labeled, drawn) if v != d and v != standard]
+    assert len(fallback) >= 10
+    grams = [gram_set(t) for t in taxonomy.titles]
+    for variant, standard in labeled:
+        own = taxonomy.index(standard)
+        assert dominates_own_group(variant, grams[own], grams[:own] + grams[own + 1 :])
+    assert (taxonomy, labeled) == _pairwise_run(monkeypatch, config)
 
 
 def test_word_bank_exhaustion_is_config_error():

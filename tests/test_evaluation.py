@@ -190,7 +190,7 @@ def test_link_prediction_selects_operator_and_reports_auc():
             person += 1
     graph = build_transition_graph(records)
     vectors = {}
-    for node in graph.nodes:
+    for node in sorted(graph.nodes):  # draw order independent of string hashing
         block = 1.0 if node.startswith("b1") else -1.0
         vectors[node] = np.concatenate([np.full(4, block), rng.normal(0, 0.05, 4)])
     split = ev.make_link_split(graph, seed=3)

@@ -24,6 +24,7 @@ from titlemap.poincare import (
     riemannian_rescale,
     train_poincare,
     _NegativeSampler,
+    _distinct_pairs,
 )
 
 from helpers import allocating_rsgd_step, balanced_tree_pairs
@@ -227,6 +228,17 @@ def multi_parent_index_pairs():
     one of them listed twice; children 1, 6 and 7 have one parent each."""
     rows = [(0, 1), (0, 2), (0, 4), (0, 5), (0, 7), (0, 2), (1, 3), (7, 2), (6, 0)]
     return np.array(rows, dtype=np.intp)
+
+
+def test_distinct_pairs_equal_numpy_unique_rows():
+    rng = np.random.default_rng(4)
+    pair_idx = np.concatenate(
+        (multi_parent_index_pairs(), rng.integers(0, 9, size=(60, 2)).astype(np.intp))
+    )
+    rows = _distinct_pairs(pair_idx, 9)
+    expected = np.unique(pair_idx, axis=0)
+    assert len(expected) < len(pair_idx)  # the pairs repeat
+    assert rows.dtype == expected.dtype and np.array_equal(rows, expected)
 
 
 @pytest.mark.parametrize("negatives", [0, 1, 2, 3, 6, 7, 50])

@@ -7,6 +7,7 @@ from titlemap.datagen import SynthConfig, gen_taxonomy
 from titlemap.errors import DataError, DegenerateInputError, FormatError
 from titlemap.graph import canonicalize_title
 from titlemap.syntactic import (
+    GramIndex,
     Taxonomy,
     gram_set,
     string_cosine,
@@ -95,6 +96,23 @@ def test_vector_matches_elementwise_brute_force():
         vec = syntactic_matrix([title], taxonomy)[0]
         oracle = [brute_force_gram_cosine(title, v) for v in taxonomy.titles]
         assert list(vec) == oracle
+
+
+def test_index_counts_equal_brute_force_intersections():
+    rng = np.random.default_rng(5)
+    words = ["data", "sales", "chef", "pilot", "manager", "junior", "ai", "x"]
+
+    def title():
+        return " ".join(rng.choice(words, size=rng.integers(1, 4)))
+
+    standards = list(dict.fromkeys(title() for _ in range(12)))
+    titles = [title() for _ in range(40)] + [standards[0], "qqq"]
+    index = GramIndex(standards)
+    counts = index.shared_counts(titles)
+    assert counts.shape == (len(titles), len(standards))
+    assert counts.tolist() == [[len(gram_set(t) & gram_set(s)) for s in standards] for t in titles]
+    assert index.sizes.tolist() == [len(gram_set(s)) for s in standards]
+    assert index.shared_counts([]).shape == (0, len(standards))
 
 
 def test_vector_is_pure_function_of_inputs():
