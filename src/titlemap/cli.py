@@ -4,6 +4,11 @@ plus a fully-resolved config echo into the output directory.
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric error. All
 randomness flows from the config's seeds; output files are written atomically
 (temp file + rename) so a crashed run never leaves half-written artifacts.
+
+Each stage runs as its own process, and without a bytecode cache every module
+it imports is compiled again. So this module imports only what the config
+schema needs (`config`, `errors`, `formats`, `schema`), and each subcommand
+imports the modules it runs inside its own body.
 """
 
 from __future__ import annotations
@@ -12,12 +17,11 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from . import evaluation as ev
-from .datagen import SynthConfig, gen_resumes, gen_taxonomy
+from .config import PoincareConfig, SynthConfig, TrainConfig
 from .errors import ConfigError, DataError, EvaluationError, NumericError, TitlemapError
 from .formats import (
     canonicalize_title,
@@ -28,35 +32,11 @@ from .formats import (
     write_lines,
     write_rows,
 )
-from .graph import (
-    build_transition_graph,
-    extract_parent_child_pairs,
-    load_pairs,
-    load_records,
-    person_sequences,
-    write_pairs,
-    write_records,
-)
-from .model import (
-    FeaturePipeline,
-    TrainConfig,
-    clamp_k,
-    forward_probabilities,
-    load_model,
-    rank_classes,
-    save_model,
-    train,
-)
-from .poincare import HyperbolicEmbeddingTable, PoincareConfig, train_poincare
 from .schema import accepts, build, field_specs, rejection
-from .semantic import (
-    HashedNgramProvider,
-    PrecomputedProvider,
-    embed_titles,
-    load_precomputed,
-    write_embeddings,
-)
-from .syntactic import Taxonomy
+
+if TYPE_CHECKING:
+    from .model import FeaturePipeline
+    from .syntactic import Taxonomy
 
 # ---------------------------------------------------------------------------
 # Config schema: section -> key -> (type, default). The `dims`, `datagen`,
@@ -141,11 +121,26 @@ def load_config(path) -> dict:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file {path} does not exist") from None
+    except IsADirectoryError:
+        raise ConfigError(f"config file {path} is a directory") from None
+    except NotADirectoryError:
+        raise ConfigError(f"config file {path} is not a file (a parent is a file)") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path} is not valid JSON ({e.msg})") from None
     except UnicodeDecodeError:
         raise ConfigError(f"config file {path} is not valid UTF-8") from None
     return resolve_config(raw)
+
+
+def _make_output_dir(path: str) -> None:
+    if not path:
+        raise ConfigError("config key 'output_dir' is empty")
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(
+            f"config key 'output_dir' is not a usable directory: {path} ({e.strerror})"
+        ) from None
 
 
 def _save(out: str, name: str, write: Callable, *args) -> None:
@@ -189,6 +184,8 @@ def _require(config: dict, *keys: str) -> list:
 
 
 def _build_provider(config: dict):
+    from .semantic import HashedNgramProvider, PrecomputedProvider, load_precomputed
+
     spec = config["provider"]
     d_b = config["dims"]["d_b"]
     hashed = HashedNgramProvider(dimension=d_b, seed=config["semantic_seed"])
@@ -203,6 +200,9 @@ def _build_provider(config: dict):
 
 
 def _load_pipeline(config: dict, taxonomy: Taxonomy) -> FeaturePipeline:
+    from .model import FeaturePipeline
+    from .poincare import HyperbolicEmbeddingTable
+
     (hyperbolic_path,) = _require(config, "data.hyperbolic")
     table = HyperbolicEmbeddingTable.load_tsv(hyperbolic_path)
     if table.dim != config["dims"]["d_h"]:
@@ -239,6 +239,9 @@ def _read_titles(path) -> list[str]:
 # Subcommands
 
 def cmd_gen_data(config: dict) -> None:
+    from .datagen import gen_resumes, gen_taxonomy
+    from .graph import write_records
+
     out = config["output_dir"]
     synth = _dataclass_from(config, SynthConfig, "datagen", "data")
     taxonomy, labeled = gen_taxonomy(synth)
@@ -253,6 +256,8 @@ def cmd_gen_data(config: dict) -> None:
 
 
 def cmd_build_graph(config: dict) -> None:
+    from .graph import build_transition_graph, extract_parent_child_pairs, load_records, write_pairs
+
     out = config["output_dir"]
     (resumes_path,) = _require(config, "data.resumes")
     records = load_records(resumes_path)
@@ -265,6 +270,9 @@ def cmd_build_graph(config: dict) -> None:
 
 
 def cmd_train_poincare(config: dict) -> None:
+    from .graph import load_pairs
+    from .poincare import train_poincare
+
     out = config["output_dir"]
     (pairs_path,) = _require(config, "data.pairs")
     poincare_config = _dataclass_from(config, PoincareConfig, "poincare", "poincare")
@@ -285,6 +293,8 @@ def cmd_train_poincare(config: dict) -> None:
 
 
 def cmd_encode_semantic(config: dict) -> None:
+    from .semantic import embed_titles, write_embeddings
+
     out = config["output_dir"]
     (titles_path,) = _require(config, "data.titles")
     provider = _build_provider(config)
@@ -295,6 +305,9 @@ def cmd_encode_semantic(config: dict) -> None:
 
 
 def cmd_train(config: dict) -> None:
+    from .model import save_model, train
+    from .syntactic import Taxonomy
+
     out = config["output_dir"]
     taxonomy_path, labels_path = _require(config, "data.taxonomy", "data.labels")
     train_config = _dataclass_from(config, TrainConfig, "train", "train")
@@ -317,6 +330,8 @@ def cmd_train(config: dict) -> None:
 
 
 def _load_model_pipeline(config: dict):
+    from .model import load_model
+
     (model_path,) = _require(config, "data.model")
     model = load_model(model_path)
     pipeline = _load_pipeline(config, model.taxonomy)
@@ -328,6 +343,8 @@ def _load_model_pipeline(config: dict):
 
 
 def cmd_map(config: dict) -> None:
+    from .model import clamp_k, forward_probabilities, rank_classes
+
     out = config["output_dir"]
     (titles_path,) = _require(config, "data.titles")
     model, pipeline = _load_model_pipeline(config)
@@ -349,6 +366,9 @@ def cmd_map(config: dict) -> None:
 
 
 def cmd_eval(config: dict) -> None:
+    from . import evaluation as ev
+    from .model import forward_probabilities, rank_classes
+
     out = config["output_dir"]
     (labels_path,) = _require(config, "data.labels")
     model, pipeline = _load_model_pipeline(config)
@@ -372,11 +392,18 @@ def cmd_eval(config: dict) -> None:
 
 def _load_vectors(path) -> dict:
     if next(read_lines(path), (1, ""))[1].startswith("#poincare"):
+        from .poincare import HyperbolicEmbeddingTable
+
         return dict(HyperbolicEmbeddingTable.load_tsv(path).vectors)
+    from .semantic import load_precomputed
+
     return dict(load_precomputed(path).vectors)
 
 
 def cmd_linkpred(config: dict) -> None:
+    from . import evaluation as ev
+    from .graph import build_transition_graph, load_records
+
     out = config["output_dir"]
     resumes_path, vectors_path = _require(config, "data.resumes", "data.vectors")
     lp = config["linkpred"]
@@ -413,6 +440,10 @@ def cmd_linkpred(config: dict) -> None:
 
 
 def cmd_mobility(config: dict) -> None:
+    from . import evaluation as ev
+    from .graph import load_records, person_sequences
+    from .model import forward_probabilities
+
     out = config["output_dir"]
     (resumes_path,) = _require(config, "data.resumes")
     model, pipeline = _load_model_pipeline(config)
@@ -461,7 +492,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
-        os.makedirs(config["output_dir"], exist_ok=True)
+        _make_output_dir(config["output_dir"])
         COMMANDS[args.command](config)
     except ConfigError as e:
         print(f"error kind=config code=2: {_one_line(e)}", file=sys.stderr)

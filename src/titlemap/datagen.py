@@ -16,12 +16,12 @@ intersections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Sequence
 
 import numpy as np
 
+from .config import SynthConfig
 from .errors import ConfigError
 from .graph import JobRecord
 from .syntactic import GramIndex, Taxonomy
@@ -46,30 +46,6 @@ ROLES = [
 
 _NOISE_OPS = ("swap", "drop", "abbrev")
 _MAX_ATTEMPTS = 40
-
-
-@dataclass
-class SynthConfig:
-    groups: int = 10  # G standard titles
-    synonyms: int = 3  # S noisy variants per group
-    max_noise_ops: int = 3  # edits per variant drawn from {1..max}; 0 = exact copies
-    persons: int = 100
-    jobs_per_person: int = 5
-    self_transition_bias: float = 0.6
-    transition_concentration: float = 0.3  # Dirichlet alpha over other groups
-    seed: int = 0
-
-    def __post_init__(self):
-        if min(self.groups, self.synonyms, self.persons, self.jobs_per_person) < 1:
-            raise ConfigError("groups, synonyms, persons and jobs_per_person must be >= 1")
-        if not 0.0 <= self.self_transition_bias <= 1.0:
-            raise ConfigError("self_transition_bias must lie in [0, 1]")
-        if self.transition_concentration <= 0:
-            raise ConfigError("transition_concentration must be positive")
-        if self.max_noise_ops < 0:
-            raise ConfigError("max_noise_ops must be >= 0")
-        if self.seed < 0:
-            raise ConfigError(f"data seed must be >= 0, got {self.seed}")
 
 
 def _seed_streams(config: SynthConfig) -> list[np.random.Generator]:

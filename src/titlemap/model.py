@@ -22,6 +22,7 @@ import numpy as np
 from . import coattention as ca
 from . import numerics as nx
 from . import reasoning as rs
+from .config import VARIANTS, TrainConfig  # noqa: F401  (VARIANTS is re-exported)
 from .errors import ConfigError, DataError, DegenerateInputError, FormatError, NumericError
 from .numerics import Tensor
 from .poincare import HyperbolicEmbeddingTable
@@ -33,8 +34,6 @@ from .graph import canonicalize_title
 
 logger = logging.getLogger(__name__)
 
-VARIANTS = ("full", "concat", "semantic_only")
-
 MODEL_FORMAT = "titlemap-model"
 MODEL_VERSION = 2
 
@@ -43,48 +42,6 @@ _TENSOR_DTYPE = np.dtype("<f8")
 
 # inference rows per forward pass; bounds peak memory on long title lists
 _CHUNK_ROWS = 512
-
-
-@dataclass
-class TrainConfig:
-    d_h: int = 128
-    d_b: int = 128
-    d_r: int = 64
-    lr: float = 1e-3
-    batch_size: int = 256
-    max_epochs: int = 200
-    patience: int = 20
-    split: tuple = (0.64, 0.16, 0.20)
-    seed: int = 0
-    logic_weight: float = 1.0
-    clause_weight: float = 0.1
-    variant: str = "full"
-    # the co-attended features carry a 1/d softmax factor, so the fusion
-    # layer needs far larger weights than the rest of the model; a separate
-    # Adam group with a scaled lr closes that gap at desk scale
-    fusion_lr_multiplier: float = 1.0
-
-    def __post_init__(self):
-        if len(self.split) != 3 or not all(accepts(float, f) for f in self.split):
-            raise ConfigError(f"split {self.split} must be three finite numbers")
-        if abs(sum(self.split) - 1.0) > 1e-9:
-            raise ConfigError(f"split fractions {self.split} must sum to 1")
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown model variant {self.variant!r}")
-        if min(self.d_h, self.d_b, self.d_r) < 1:
-            raise ConfigError("dimensions must be positive")
-        if min(self.batch_size, self.max_epochs) < 1:
-            raise ConfigError("batch_size and max_epochs must be >= 1")
-        if self.patience < 0:
-            raise ConfigError("patience must be >= 0")
-        if not self.lr > 0:
-            raise ConfigError("lr must be positive")
-        if min(self.logic_weight, self.clause_weight) < 0:
-            raise ConfigError("logic_weight and clause_weight must be >= 0")
-        if self.fusion_lr_multiplier <= 0:
-            raise ConfigError("fusion_lr_multiplier must be positive")
-        if self.seed < 0:
-            raise ConfigError(f"train seed must be >= 0, got {self.seed}")
 
 
 @dataclass

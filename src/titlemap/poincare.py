@@ -18,6 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .config import PoincareConfig
 from .errors import ConfigError, DataError, DegenerateInputError, DomainError, NumericError
 from .formats import read_vectors, write_vectors
 from .graph import ParentChildPair
@@ -122,24 +123,6 @@ def _distance_gradients(u, cands, alpha, beta, gamma, weights):
     )
     coeff_c = np.where(live, 4.0 / (alpha * denom), 0.0) * weights
     return grad_u, coeff_c * (u_sq - 2.0 * dot_uc + 1.0) / beta**2, coeff_c / beta
-
-
-@dataclass
-class PoincareConfig:
-    epochs: int = 50
-    lr: float = 0.1
-    negatives: int = 10
-    burn_in_epochs: int = 10
-    burn_in_lr_factor: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self):
-        if min(self.epochs, self.negatives, self.burn_in_epochs) < 0:
-            raise ConfigError("poincare epochs, negatives and burn_in_epochs must be >= 0")
-        if not min(self.lr, self.burn_in_lr_factor) > 0:
-            raise ConfigError("poincare lr and burn_in_lr_factor must be positive")
-        if self.seed < 0:
-            raise ConfigError(f"poincare seed must be >= 0, got {self.seed}")
 
 
 @dataclass

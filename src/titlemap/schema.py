@@ -1,5 +1,6 @@
 """Typed fields of the config dataclasses (`SynthConfig`, `PoincareConfig`,
-`TrainConfig`), read from the classes themselves.
+`TrainConfig`, all three defined in `config.py`), read from the classes
+themselves.
 
 The CLI derives its config sections from `field_specs`, and both the CLI and
 the model artifact loader construct a dataclass through `build`, so a field's

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-import sys
+import importlib
+import pkgutil
 
 import numpy as np
 
-import titlemap.cli  # noqa: F401  (imports every module that may hold canonicalize_title)
+import titlemap
 from titlemap import formats
 from titlemap import numerics as nx
 from titlemap import poincare
@@ -27,11 +28,17 @@ def record_canonicalize_calls(monkeypatch) -> list[str]:
         calls.append(raw)
         return original(raw)
 
-    for name, module in list(sys.modules.items()):
-        if name == "titlemap" or name.startswith("titlemap."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, recording)
+    # Import every module first: then each one that holds the function is
+    # patched, and none is first imported while the wrapper is installed,
+    # which would leave it holding the wrapper once the patch is undone.
+    modules = [titlemap] + [
+        importlib.import_module(f"titlemap.{info.name}")
+        for info in pkgutil.iter_modules(titlemap.__path__)
+    ]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, recording)
     return calls
 
 

@@ -96,8 +96,29 @@ def test_invalid_config_key_exits_2(tmp_path, capsys):
     assert "nope" in err and "kind=config" in err
 
 
-def test_missing_config_file_exits_2(tmp_path, capsys):
-    assert main(["gen-data", "--config", str(tmp_path / "absent.json")]) == 2
+@pytest.mark.parametrize(
+    "name", ["absent.json", "", "file.json/x"], ids=["missing", "directory", "under-a-file"]
+)
+def test_missing_config_file_exits_2(tmp_path, capsys, name):
+    (tmp_path / "file.json").write_text("{}")
+    path = str(tmp_path / name)
+    assert main(["gen-data", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "kind=config" in err and path in err
+
+
+@pytest.mark.parametrize(
+    "output_dir", ["config.json", "config.json/out", ""],
+    ids=["existing-file", "under-a-file", "empty"],
+)
+def test_unusable_output_dir_exits_2(tmp_path, capsys, output_dir):
+    path, _ = write_config(tmp_path, {"output_dir": output_dir and str(tmp_path / output_dir)})
+    assert main(["gen-data", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "kind=config" in err and "output_dir" in err
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_missing_input_file_exits_3(tmp_path, capsys):

@@ -1,12 +1,14 @@
-"""Stages import no numpy submodule they do not use.
+"""Stages import no module they do not use.
 
-`train-poincare` finds its distinct pairs without `np.unique` (which imports
-`numpy.ma`), and the serving stages build a loaded model without an
-initialization draw (which imports `numpy.random`). Each stage runs in a fresh
-interpreter, as on the command line, so an import made anywhere in the stage
-shows in `sys.modules` afterwards. numpy 1.x loads its public submodules on
-`import numpy` itself, so there a module already loaded before the stage runs
-skips the check.
+`import titlemap.cli` loads only the config schema's modules, and each
+subcommand imports the package modules it runs: without a bytecode cache,
+every module a stage loads is compiled again on every run. `train-poincare`
+finds its distinct pairs without `np.unique` (which imports `numpy.ma`), and
+the serving stages build a loaded model without an initialization draw (which
+imports `numpy.random`). Each stage runs in a fresh interpreter, as on the
+command line, so an import made anywhere in the stage shows in `sys.modules`
+afterwards. numpy 1.x loads its public submodules on `import numpy` itself,
+so there a module already loaded before the stage runs skips the check.
 """
 
 import json
@@ -62,20 +64,60 @@ def fixture_dir(tmp_path_factory):
     return root
 
 
+_ENV = {**os.environ, "PYTHONPATH": str(Path(titlemap.__file__).parents[1])}
+
+# every package module that only some stages run
+_PIPELINE = [
+    f"titlemap.{name}" for name in (
+        "model", "reasoning", "coattention", "numerics", "poincare", "datagen",
+        "evaluation", "semantic", "syntactic",
+    )
+]
+
+
+def _run_stage(fixture_dir, stage: str, modules: list[str]) -> dict:
+    """Run `stage` in a fresh interpreter; which of `modules` it loaded."""
+    result = subprocess.run(
+        [sys.executable, "-c", _STAGE_SCRIPT, ",".join(modules),
+         stage, "--config", str(fixture_dir / "config.json")],
+        env=_ENV, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report["status"] == 0
+    return report
+
+
+def test_cli_import_loads_only_the_config_modules():
+    script = "import json, sys, titlemap.cli; print(json.dumps(sorted(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=_ENV, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = [m for m in json.loads(result.stdout) if m.startswith("titlemap.")]
+    assert loaded == [
+        "titlemap.cli", "titlemap.config", "titlemap.errors", "titlemap.formats", "titlemap.schema",
+    ]
+
+
+@pytest.mark.parametrize(
+    "stage, absent",
+    [
+        ("build-graph", _PIPELINE),
+        ("train-poincare", [m for m in _PIPELINE if m != "titlemap.poincare"]),
+        ("map", ["titlemap.datagen", "titlemap.evaluation"]),
+    ],
+)
+def test_stage_loads_no_package_module_it_does_not_run(fixture_dir, stage, absent):
+    assert _run_stage(fixture_dir, stage, absent)["imported"] == []
+
+
 @pytest.mark.parametrize(
     "stage, absent",
     [("train-poincare", ["numpy.ma"]), ("map", ["numpy.ma", "numpy.random"])],
 )
 def test_stage_leaves_unused_numpy_modules_unimported(fixture_dir, stage, absent):
-    env = {**os.environ, "PYTHONPATH": str(Path(titlemap.__file__).parents[1])}
-    result = subprocess.run(
-        [sys.executable, "-c", _STAGE_SCRIPT, ",".join(absent),
-         stage, "--config", str(fixture_dir / "config.json")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    report = json.loads(result.stdout.splitlines()[-1])
+    report = _run_stage(fixture_dir, stage, absent)
     if report["preloaded"]:
         pytest.skip(f"import numpy alone loads {report['preloaded']} (numpy {np.__version__})")
-    assert report["status"] == 0
     assert report["imported"] == []
