@@ -103,9 +103,9 @@ def read_rows(
 def read_vectors(
     path, tag: str, dim_key: str, meta_key: str, parse_meta: Callable[[str], object]
 ) -> tuple[int, object, list[tuple[int, str, np.ndarray]]]:
-    """A vector file with the header `<tag> <dim_key>=<int> <meta_key>=<value>`:
-    its dimension, `parse_meta(value)`, and the (line number, canonical title,
-    float64 vector) of each row."""
+    """A vector file with the header `<tag> <dim_key>=<int> <meta_key>=<value>`,
+    whose dimension is at least 1: that dimension, `parse_meta(value)`, and
+    the (line number, canonical title, float64 vector) of each row."""
     header, rows = read_rows(path, ("title", "values"), header=True)
     parts = header.split()
     if len(parts) != 3 or parts[0] != tag:
@@ -115,6 +115,8 @@ def read_vectors(
         meta = parse_meta(parts[2].removeprefix(meta_key + "="))
     except (KeyError, ValueError):
         raise FormatError(f"{path}:1: malformed header {header!r}") from None
+    if dim < 1:
+        raise FormatError(f"{path}:1: malformed header {header!r}: {dim_key} must be >= 1")
     vectors, seen, key_of = [], set(), line_keys(path)
     for lineno, (title, values) in rows:
         try:
@@ -149,6 +151,7 @@ def write_rows(path, rows: Iterable[Sequence[str]], header: Optional[str] = None
 
 def write_vectors(path, header: str, vectors: dict[str, np.ndarray]) -> None:
     """A vector file: `header`, then one row per title in sorted order, each
-    value written so that it reads back exactly."""
-    rows = ((t, ",".join(repr(float(v)) for v in vectors[t])) for t in sorted(vectors))
+    value written as the repr of a Python float, the shortest text that reads
+    back exactly."""
+    rows = ((t, ",".join(map(repr, vectors[t].tolist()))) for t in sorted(vectors))
     write_rows(path, rows, header)

@@ -13,15 +13,21 @@ fold, the gold events and the regularizer batch all take rows from those two
 projections. The fold that feeds the classifier is label-free: the correct
 candidate's positive literal only ever appears inside `clause_truth_loss`, a
 training-time auxiliary, so the classifier input cannot encode the answer.
-The whole fold is one tape node whatever the number of candidates; its
-backward runs through the fold in reverse, step by step. Inside it, NOT is
-composed with the event head's second layer once per call, and each step
-keeps its hidden layer and one `[previous state | literal]` block, which
-OR multiplies in one product. The composed weight rounds differently from
-`not_op(event_head(...))`, so the fold agrees with that composition within
-1e-12 relative (the tests' bound), not bit for bit. The six regularizers
-with their cosines are one tape node per call as well, and agree with
-composing `not_op`, `or_op` and `row_cosine` within the same bound.
+The whole fold is one tape node whatever the number of candidates. Inside
+it, NOT is composed with the event head's second layer once per call, and
+the steps run in blocks whose length comes from a working-set budget for
+the block's hidden layer (`_FOLD_BLOCK_BYTES`, see `fold_block_steps`). The
+work that does not read the fold state (hidden layers, literals, the
+literals' share of OR, and in the backward the weight, literal and hidden
+gradients) is a few wide array operations per block; only the OR
+recurrence runs step by step, forward and then in reverse. A taped call
+keeps 4·d_r floats per row per step, an untaped one a single block. The
+composed weight and the split OR product round differently from
+`or_op(..., not_op(event_head(...)))`, so the fold agrees with that
+composition within 1e-12 relative (the tests' bound), not bit for bit.
+The six regularizers with their cosines are one tape node per call as
+well, and agree with composing `not_op`, `or_op` and `row_cosine` within
+the same bound.
 """
 
 from __future__ import annotations
@@ -134,6 +140,19 @@ def encode_views(
     return j_pre, v_pre
 
 
+# Working-set budget of one block of fold steps, in bytes of the block's
+# hidden layer: (steps, batch, 2·d_r) floats. At d_r 16 that is 8 steps at
+# batch 192, 3 at batch 512 and 25 at batch 60.
+_FOLD_BLOCK_BYTES = 384 * 1024
+
+
+def fold_block_steps(batch: int, width: int) -> int:
+    """Steps per block of the clause fold over `batch` rows whose hidden
+    layer is `width` floats wide: as many as `_FOLD_BLOCK_BYTES` holds, at
+    least one."""
+    return max(1, _FOLD_BLOCK_BYTES // max(1, batch * width * 8))
+
+
 def clause_representation(
     j_pre: Tensor,
     v_pre: Tensor,
@@ -144,21 +163,31 @@ def clause_representation(
     label-free clause representation, from the projections of `encode_views`.
 
     `order` permutes the fold (shuffled per training step, natural taxonomy
-    order at inference). The output never sees the gold candidate's positive
-    literal. The fold is one tape node with a hand-written backward through
-    time. NOT is composed with the event head once per call, so each literal
-    NOT(e_k) = tanh(h_k W_negᵀ + b_neg), with W_neg = not_w enc_w2 and
-    b_neg = enc_b2 not_wᵀ + not_b, is one product; each OR is one product of
-    the `[state | literal]` block with `[or_w_left | or_w_right]`. Per step
-    it keeps h_k and that block, 4·d_r floats per row, and only while a tape
-    records it; an untaped call reuses one buffer of each. The backward maps
-    the gradients of W_neg and b_neg back to the four stored tensors once,
-    after the loop.
+    order at inference) and may repeat a candidate. The output never sees
+    the gold candidate's positive literal. The fold is one tape node with a
+    hand-written backward through time.
 
-    The composed weight rounds differently from applying the head and NOT
-    in turn, so value and gradients agree with that composition within
-    1e-12 relative, not bit for bit. Taped and untaped calls are
-    bit-identical.
+    NOT is composed with the event head once per call: literal t is
+    tanh(h_t W_negᵀ + b_neg), with hidden layer h_t = tanh(j_pre +
+    v_pre[order[t]]), W_neg = not_w enc_w2 and b_neg = enc_b2 not_wᵀ +
+    not_b. The steps run in blocks of `fold_block_steps(batch, 2·d_r)`, and
+    everything that does not read the fold state is done once per block over
+    a (steps, batch, ·) array: one add and one tanh for the hidden layers,
+    one product for the literals and one for their OR terms r_t = literal_t
+    W_rightᵀ + b_or. Only state_t = tanh(state_{t-1} W_leftᵀ + r_t) runs per
+    step; the first state is the first literal. The backward mirrors this:
+    per step only the recurrence g ← (g W_left) ⊙ (1 − state_{t-1}²), per
+    block one product or reduction for each weight gradient, the literal
+    and hidden gradients, g_j and the g_v rows, and after the loop one
+    scatter-add of those rows (an `order` may repeat a candidate).
+
+    A taped call keeps every step's hidden layer, literal and state, 4·d_r
+    floats per row per step; an untaped call keeps one block of each and the
+    last state. Composing NOT with the head and taking OR as
+    state W_leftᵀ + r_t round differently from applying `event_head`,
+    `not_op` and `or_op` in turn, so value and gradients agree with that
+    composition within 1e-12 relative, not bit for bit. Taped and untaped
+    calls run the same block shapes and are bit-identical.
     """
     n_cand = v_pre.data.shape[0]
     if n_cand == 0:
@@ -170,64 +199,83 @@ def clause_representation(
     w2, b2, w_not, b_not, w_left, w_right, b_or = (t.data for t in weights)
     w_neg = w_not @ w2  # NOT after the event head's linear layer
     b_neg = b2 @ w_not.T + b_not
-    w_or = np.concatenate([w_left, w_right], axis=1)
     # BLAS multiplies by a contiguous right operand faster than by a transposed view
-    w_neg_t, w_or_t = np.ascontiguousarray(w_neg.T), np.ascontiguousarray(w_or.T)
+    w_neg_t, w_left_t, w_right_t = (np.ascontiguousarray(w.T) for w in (w_neg, w_left, w_right))
     j, v = j_pre.data, v_pre.data
-    steps, batch, d_r = len(sequence), j.shape[0], w_not.shape[0]
-    kept = steps if nx.recording(inputs) else 1
-    # time-major, so every step reads and writes contiguous blocks; pairs[t]
-    # is [state after step t - 1 | literal of step t]
-    hidden = np.empty((kept,) + j.shape)
-    pairs = np.empty((kept, batch, 2 * d_r))
-    for t, k in enumerate(sequence):
-        h, pair = hidden[t % kept], pairs[t % kept]
-        np.tanh(np.add(j, v[k], out=h), out=h)
-        literal = h @ w_neg_t
-        literal += b_neg
-        np.tanh(literal, out=pair[:, d_r:])
-        if t == 0:
-            fold = pair[:, d_r:]
-        else:
-            fold = pair @ w_or_t
-            fold += b_or
-            np.tanh(fold, out=fold)
-        if t + 1 < steps:
-            pairs[(t + 1) % kept, :, :d_r] = fold
-    fold = fold.copy() if steps == 1 else fold  # one step leaves a view of the stash
+    steps, (batch, width), d_r = len(sequence), j.shape, w_not.shape[0]
+    # the biases repeated per batch row: numpy adds a (batch, d_r) operand
+    # to a block over batch·d_r-long runs, a (d_r,) one over d_r-long runs
+    bias_neg, bias_or = np.tile(b_neg, (batch, 1)), np.tile(b_or, (batch, 1))
+    block = min(steps, fold_block_steps(batch, width))
+    starts = range(0, steps, block)
+    taped = nx.recording(inputs)
+    # time-major, so a block of steps is one contiguous slab of each
+    kept = steps if taped else block
+    hidden = np.empty((kept, batch, width))
+    literals = np.empty((kept, batch, d_r))
+    states = np.empty((kept, batch, d_r))
+    for s in starts:
+        n = min(block, steps - s)
+        at = slice(s, s + n) if taped else slice(n)
+        h, lit, st = hidden[at], literals[at], states[at]
+        np.add(j, v[sequence[s : s + n], None], out=h)
+        np.tanh(h, out=h)
+        np.matmul(h.reshape(-1, width), w_neg_t, out=lit.reshape(-1, d_r))
+        lit += bias_neg
+        np.tanh(lit, out=lit)
+        np.matmul(lit.reshape(-1, d_r), w_right_t, out=st.reshape(-1, d_r))
+        st += bias_or
+        for i in range(n):
+            if s + i == 0:
+                st[0] = lit[0]  # the first state is the first literal
+            else:
+                st[i] += (st[i - 1] if i else fold) @ w_left_t
+                np.tanh(st[i], out=st[i])
+        fold = st[n - 1].copy()
 
     def backward(g):
-        g_j, g_v = np.zeros_like(j), np.zeros_like(v)
-        g_or_w, g_w_neg = np.zeros_like(w_or), np.zeros_like(w_neg)
-        g_or_rows, g_neg_rows = np.zeros_like(g), np.zeros_like(g)
-        ones = np.ones(batch)  # `ones @ x` sums rows several times faster than x.sum(0)
-
-        # gradient of the last step's pre-activation: an OR's, or with one
-        # candidate the only literal's
-        g_or = g * (1.0 - fold * fold)
-        for t in range(steps - 1, -1, -1):
-            if t > 0:
-                pair = pairs[t]
-                g_or_rows += g_or
-                g_or_w += g_or.T @ pair
-                # through both tanhs behind [state | literal] at once: the left
-                # half becomes the previous step's pre-activation gradient
-                g_pair = g_or @ w_or
-                g_pair *= 1.0 - pair * pair
-                g_or, g_n = g_pair[:, :d_r], g_pair[:, d_r:]
-            else:
-                g_n = g_or  # the first state is the first literal
-            h = hidden[t]
-            g_neg_rows += g_n
-            g_w_neg += g_n.T @ h
-            g_pre = g_n @ w_neg
-            g_pre *= 1.0 - h * h
-            g_j += g_pre
-            g_v[sequence[t]] += ones @ g_pre
-        g_b_or, g_b_neg = ones @ g_or_rows, ones @ g_neg_rows
+        g_w_left, g_w_right, g_w_neg = (np.zeros_like(w) for w in (w_left, w_right, w_neg))
+        g_b_or, g_b_neg, g_j = np.zeros(d_r), np.zeros(d_r), np.zeros_like(j)
+        g_v_rows = np.empty((steps, width))  # one row per step, scattered after the loop
+        ones = np.ones(block * batch)  # `ones @ x` sums rows several times faster than x.sum(0)
+        # per block: pre-activation gradients of OR, literal and hidden layer,
+        # and the tanh slopes 1 - y² of states, literals and hidden layer
+        g_ors, g_lits = np.empty((block, batch, d_r)), np.empty((block, batch, d_r))
+        g_hs, slopes_h = np.empty((block, batch, width)), np.empty((block, batch, width))
+        slopes = np.empty((block, batch, d_r))
+        g_state = g  # gradient of the state after the step in hand
+        for s in reversed(starts):
+            n = min(block, steps - s)
+            h, lit, st = hidden[s : s + n], literals[s : s + n], states[s : s + n]
+            g_or, g_lit, g_h = g_ors[:n], g_lits[:n], g_hs[:n]
+            slope, slope_h = slopes[:n], slopes_h[:n]
+            np.subtract(1.0, np.square(st, out=slope), out=slope)
+            for i in range(n - 1, -1, -1):
+                np.multiply(g_state, slope[i], out=g_or[i])
+                if s + i:
+                    g_state = g_or[i] @ w_left
+            # step 0 has no OR: its slot holds the first literal's gradient
+            first = 1 if s == 0 else 0
+            ors = g_or[first:].reshape(-1, d_r)
+            g_w_left += ors.T @ states[s + first - 1 : s + n - 1].reshape(-1, d_r)
+            g_w_right += ors.T @ lit[first:].reshape(-1, d_r)
+            g_b_or += ones[: len(ors)] @ ors
+            lits = g_lit.reshape(-1, d_r)
+            np.matmul(g_or.reshape(-1, d_r), w_right, out=lits)
+            g_lit *= np.subtract(1.0, np.square(lit, out=slope), out=slope)
+            if first:
+                g_lit[0] = g_or[0]
+            g_w_neg += lits.T @ h.reshape(-1, width)
+            g_b_neg += ones[: len(lits)] @ lits
+            np.matmul(lits, w_neg, out=g_h.reshape(-1, width))
+            g_h *= np.subtract(1.0, np.square(h, out=slope_h), out=slope_h)
+            g_j += g_h.sum(axis=0)
+            np.matmul(ones[:batch], g_h, out=g_v_rows[s : s + n])
+        g_v = np.zeros_like(v)
+        np.add.at(g_v, sequence, g_v_rows)
         g_not = g_w_neg @ w2.T + np.outer(g_b_neg, b2)
         return (g_j, g_v, w_not.T @ g_w_neg, (g_b_neg @ w_not)[None], g_not,
-                g_b_neg[None], g_or_w[:, :d_r], g_or_w[:, d_r:], g_b_or[None])
+                g_b_neg[None], g_w_left, g_w_right, g_b_or[None])
 
     return nx.fused_op(fold, inputs, backward)
 

@@ -534,6 +534,36 @@ def test_lone_surrogate_in_config_string_exits_2(tmp_path, capsys, key, name):
     assert "kind=config" in err and "UTF-8" in err
 
 
+def test_seeded_train_report_is_pinned(tmp_path):
+    """A small seeded `train` whose clause fold spans several step blocks
+    (57 training rows and 30 candidates at d_r 32) reports the same split
+    metrics and best epoch as when these figures were recorded. A rewrite of
+    the training step may move `model.json` in its last bits; it must not
+    move these."""
+    out = tmp_path / "out"
+    data = {name: str(out / f"{name}.{ext}") for name, ext in (
+        ("taxonomy", "tsv"), ("labels", "tsv"), ("resumes", "jsonl"), ("pairs", "tsv"),
+        ("hyperbolic", "tsv"))}
+    path, _ = write_config(tmp_path, {
+        "data": data,
+        "dims": {"d_h": 6, "d_b": 16, "d_r": 32},
+        "datagen": {"groups": 30, "synonyms": 2, "persons": 40, "jobs_per_person": 4},
+        "poincare": {"epochs": 2},
+        "train": {"batch_size": 64, "max_epochs": 6, "patience": 6, "lr": 0.01,
+                  "fusion_lr_multiplier": 10},
+    })
+    for command in ("gen-data", "build-graph", "train-poincare", "train"):
+        assert main([command, "--config", str(path)]) == 0
+    report = json.loads((out / "train_report.json").read_text())
+    assert report["best_epoch"] == 2
+    assert report["metrics"] == {
+        "best_val_hit_at_10": 3 / 7,
+        "test_hit_at_1": 1 / 19,
+        "test_hit_at_5": 3 / 19,
+        "test_hit_at_10": 4 / 19,
+    }
+
+
 def test_train_poincare_writes_a_deterministic_report(trained):
     tmp, data = trained
     report = json.loads((tmp / "out" / "poincare_report.json").read_text())
@@ -598,6 +628,9 @@ MALFORMED_INPUTS = {
                                 b"#poincare m=6 seed=0\nchef\tabc,0,0,0,0,0\n", 3, "kind=data"),
     "hyperbolic-not-utf8": ("train", "hyperbolic", b"#poincare m=6 seed=0\n\xff\t0,0,0,0,0,0\n", 3,
                             "kind=data"),
+    "hyperbolic-dim-0": ("map", "hyperbolic", b"#poincare m=0 seed=0\n", 3, "kind=data"),
+    "vectors-dim-negative": ("linkpred", "vectors", b"#embeddings d=-3 normalize=false\nchef\t1\n",
+                             3, "kind=data"),
     "vectors-not-a-number": ("linkpred", "vectors",
                              b"#embeddings d=2 normalize=false\nchef\tabc,1\n", 3, "kind=data"),
     "vectors-nan": ("linkpred", "vectors", b"#embeddings d=2 normalize=false\nchef\t1,nan\n", 4,

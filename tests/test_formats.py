@@ -24,7 +24,7 @@ from titlemap.errors import (
     NumericError,
     TitlemapError,
 )
-from titlemap.formats import read_rows, write_rows
+from titlemap.formats import read_rows, write_rows, write_vectors
 from titlemap.graph import load_pairs, load_records
 from titlemap.model import TrainConfig, init_model, load_model, save_model
 from titlemap.poincare import HyperbolicEmbeddingTable
@@ -235,10 +235,16 @@ def test_rows_round_trip(scratch, rows):
         ("hyperbolic", "#poincare m=2 seed=0\n\u200b\t0.1,0.1\n", FormatError, ":2:"),
         ("titles", "chef\npilot\tcaptain\n", FormatError, ":2:"),
         ("pairs", b"#pairs\tchild\tparent\n\xff\n", FormatError, ":2: not valid UTF-8"),
+        ("hyperbolic", "#poincare m=0 seed=0\n", FormatError, ":1: malformed header"),
+        ("hyperbolic", "#poincare m=-3 seed=0\nchef\t0.1\n", FormatError, ":1: malformed header"),
+        ("embeddings", "#embeddings d=0 normalize=false\n", FormatError, ":1: malformed header"),
+        ("embeddings", "#embeddings d=-3 normalize=false\nchef\t1\n", FormatError,
+         ":1: malformed header"),
     ],
     ids=["embeddings-duplicate-after-canonicalization", "hyperbolic-duplicate",
          "embeddings-nan", "embeddings-inf-normalized", "hyperbolic-not-a-number",
-         "hyperbolic-empty-title", "titles-tab", "pairs-not-utf8"],
+         "hyperbolic-empty-title", "titles-tab", "pairs-not-utf8", "hyperbolic-dim-0",
+         "hyperbolic-dim-negative", "embeddings-dim-0", "embeddings-dim-negative"],
 )
 def test_rule_violation_names_its_line(fmt, text, error, where, scratch):
     path = scratch / f"rule.{fmt}"
@@ -254,3 +260,20 @@ def test_vector_titles_are_canonical_keys(scratch):
     cache = load_precomputed(path)
     assert list(cache.vectors) == ["data engineer"]
     assert np.array_equal(cache.vectors["data engineer"], [0.5, 0.25])
+
+
+def test_vector_rows_are_written_like_the_per_element_writer(scratch):
+    # signed zero, the smallest subnormal, values whose shortest repr switches
+    # to exponent form, and one that is not exact in binary
+    vectors = {
+        "chef": np.array([-0.0, 5e-324, 1e-05, 1e16, 0.1]),
+        "pilot": np.array([0.0, -1e-05, 1.5e-323, -1e16, 1 / 3]),
+    }
+    path = scratch / "vectors.tsv"
+    write_vectors(path, "#embeddings d=5 normalize=false", vectors)
+    rows = "".join(f"{t}\t" + ",".join(repr(float(v)) for v in vectors[t]) + "\n"
+                   for t in sorted(vectors))
+    assert path.read_bytes() == ("#embeddings d=5 normalize=false\n" + rows).encode()
+    loaded = load_precomputed(path).vectors
+    for title, vec in vectors.items():
+        assert loaded[title].tobytes() == vec.tobytes()

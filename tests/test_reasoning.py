@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,16 +138,39 @@ def test_clause_fold_matches_hand_unrolled_oracle(params):
     assert_fold_close(out.data, unrolled_fold(j, v, params, order).data)
 
 
-# (batch rows, candidates, shuffled fold order); the last is the README desk
-# shape of a training batch against |Y| = 50
-FOLD_SHAPES = [(3, 5, True), (1, 4, True), (3, 1, False), (4, 6, False), (64, 50, True)]
+# The fold runs in blocks of steps whose length falls with the batch; at this
+# batch a block is a few steps, so the shapes below cross block boundaries.
+BLOCK_BATCH = 384
+BLOCK = rs.fold_block_steps(BLOCK_BATCH, 2 * D_R)
+
+# (batch rows, candidates, fold order): True a shuffled order, False the
+# natural one, REPEATED as many steps as candidates, drawn with repeats from
+# the first four, so a candidate recurs within and across blocks. The
+# shapes: one candidate, batch 1, step counts one below, at and one above the
+# block length, more than two blocks with a ragged last one, and the README
+# desk shape of a training batch against |Y| = 50.
+REPEATED = "repeated"
+FOLD_SHAPES = [
+    (3, 5, True), (1, 4, True), (3, 1, False), (4, 6, False), (64, 50, True),
+    (BLOCK_BATCH, 1, False), (BLOCK_BATCH, BLOCK - 1, True), (BLOCK_BATCH, BLOCK, False),
+    (BLOCK_BATCH, BLOCK + 1, True), (BLOCK_BATCH, 2 * BLOCK + 3, True),
+    (BLOCK_BATCH, 3 * BLOCK + 1, False), (BLOCK_BATCH, 2 * BLOCK + 3, REPEATED),
+]
+
+
+def test_block_shapes_cross_block_boundaries():
+    assert 2 < BLOCK and 3 * BLOCK + 1 < 50
+    assert rs.fold_block_steps(10**9, 2 * D_R) == 1
 
 
 def fold_inputs(batch, n_cand, shuffled, seed):
     rng = np.random.default_rng(seed)
     j = Tensor(rng.uniform(-1, 1, (batch, D_VIEW)), requires_grad=True)
     v = Tensor(rng.uniform(-1, 1, (n_cand, D_VIEW)), requires_grad=True)
-    order = rng.permutation(n_cand) if shuffled else np.arange(n_cand)
+    if shuffled == REPEATED:
+        order = rng.integers(0, min(n_cand, 4), n_cand)
+    else:
+        order = rng.permutation(n_cand) if shuffled else np.arange(n_cand)
     weights = Tensor(rng.uniform(-1, 1, (batch, D_R)))
     return j, v, order, weights
 
@@ -185,6 +210,23 @@ def test_fused_fold_gradients_match_tape_unrolled_oracle(params, batch, n_cand, 
     assert len(fused) == 12
     for name, expected in oracle.items():
         assert_fold_close(fused[name], expected, name)
+
+
+def test_untaped_fold_keeps_one_block_not_every_step():
+    # serving shape: a 512-row chunk against |Y| = 200 at d_r 16, where a
+    # taped call's stash of 4·d_r floats per row per step is 52 MB
+    d_r, batch, n_cand = 16, 512, 200
+    params = rs.ReasoningParams.init(D_VIEW, d_r, seed=0)
+    rng = np.random.default_rng(16)
+    j_pre, v_pre = rs.encode_views(Tensor(rng.uniform(-1, 1, (batch, D_VIEW))),
+                                   Tensor(rng.uniform(-1, 1, (n_cand, D_VIEW))), params)
+    tracemalloc.start()
+    try:
+        rs.clause_representation(j_pre, v_pre, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * rs._FOLD_BLOCK_BYTES
 
 
 def test_fused_fold_gradients_match_finite_differences(params):
