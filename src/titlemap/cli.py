@@ -92,6 +92,8 @@ def _resolve(raw, schema: dict, prefix: str) -> dict:
             raise ConfigError(f"config key '{name}' {rejection(value)}")
         if isinstance(value, str) and not is_utf8(value):
             raise ConfigError(f"config key '{name}' is not valid UTF-8 (lone surrogate)")
+        if isinstance(value, str) and "\0" in value:
+            raise ConfigError(f"config key '{name}' holds a NUL character")
         resolved[key] = value
     return resolved
 

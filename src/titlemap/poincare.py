@@ -8,6 +8,11 @@ are projected back inside the ball after every update. Distances follow
     d(a, b) = arcosh(1 + 2 ||a-b||^2 / ((1 - ||a||^2)(1 - ||b||^2)))
 
 with arcosh(x) = ln(x + sqrt(x^2 - 1)) and the argument clamped to >= 1.
+
+The index work of an epoch is planned in one pass right after its shuffle:
+every step's negatives come from one draw, and every step's distinct rows
+and scatter slots from one sort. A step then only does arithmetic on the
+vectors, in work arrays allocated once per training run.
 """
 
 from __future__ import annotations
@@ -145,12 +150,12 @@ class HyperbolicEmbeddingTable:
     @classmethod
     def load_tsv(cls, path) -> "HyperbolicEmbeddingTable":
         dim, seed, rows = read_vectors(path, "#poincare", "m", "seed", int)
-        table = cls(dim=dim, seed=seed)
-        for lineno, title, vec in rows:
-            if np.abs(vec).max() >= 1.0 or float(np.linalg.norm(vec)) >= 1.0:
-                raise DataError(f"{path}:{lineno}: point is not inside the unit ball")
-            table.vectors[title] = vec
-        return table
+        if rows:
+            points = np.stack([vec for _, _, vec in rows])
+            outside = np.flatnonzero(np.einsum("ij,ij->i", points, points) >= 1.0)
+            if len(outside):
+                raise DataError(f"{path}:{rows[outside[0]][0]}: point is not inside the unit ball")
+        return cls(dim=dim, seed=seed, vectors={title: vec for _, title, vec in rows})
 
 
 def _distinct_pairs(pair_idx: np.ndarray, n: int) -> np.ndarray:
@@ -166,12 +171,12 @@ def _distinct_pairs(pair_idx: np.ndarray, n: int) -> np.ndarray:
 
 class _NegativeSampler:
     """Distinct negatives drawn uniformly from each child's non-parents, for
-    a block of children at once.
+    a whole epoch of children at once.
 
     The non-parents are never listed. With B the child's sorted parents, its
     j-th non-parent is j + #{i : B_i - i <= j}; one `searchsorted` over every
     child's (B_i - i), offset by child index so that the keys stay sorted,
-    counts that for a whole block. Memory is one key per distinct pair.
+    counts that for the whole epoch. Memory is one key per distinct pair.
     """
 
     def __init__(self, pair_idx: np.ndarray, n: int):
@@ -183,31 +188,44 @@ class _NegativeSampler:
         self._keys = links[:, 0] * self._stride + links[:, 1] - rank
         self.pool_sizes = n - parents
 
-    def draw(self, rng: np.random.Generator, children: np.ndarray, negatives: int):
-        """(title indices, validity mask), both (len(children), K): row r holds
-        min(negatives, pool size) distinct non-parents of children[r] in its
-        valid columns. The child itself is a legal draw."""
+    def draw(self, rng: np.random.Generator, children: np.ndarray, negatives: int, batch: int):
+        """Negatives for an epoch's children, taken in blocks of `batch`:
+        (title indices, validity mask), both (len(children), W), and each
+        block's width. Row r holds min(negatives, pool size) distinct
+        non-parents of children[r] in its valid columns; a block is as wide
+        as the most negatives any of its rows takes, W is the widest block,
+        and columns beyond a row's block are invalid. The child itself is a
+        legal draw.
+
+        Each block draws all of its columns, valid or not, row by row, in
+        one `rng.integers` call over every block's bounds: the generator
+        yields the values and ends in the state that one call per block
+        would leave.
+        """
         pool = self.pool_sizes[children]
         k = np.minimum(negatives, pool)
-        width = int(k.max())
-        valid = np.arange(width) < k[:, None]
+        widths = np.maximum.reduceat(k, np.arange(0, len(k), batch))
+        cols = np.arange(widths.max())
+        drawn = cols < np.repeat(widths, batch)[: len(k), None]
+        valid = cols < k[:, None]
         # Floyd's algorithm: column i draws from [0, pool - k + i] and takes
         # that bound instead when it repeats an earlier column, which leaves
         # each row a uniform k-subset of [0, pool). Rows whose draws are all
-        # distinct need no replacement, so only the others are walked.
-        bounds = (pool - k)[:, None] + np.arange(width)
-        picks = np.where(valid, rng.integers(0, bounds + 1), -1 - np.arange(width))
-        ordered = np.sort(picks, axis=1)
-        for r in np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)):
-            row, bound = picks[r].tolist(), bounds[r].tolist()
-            for i in range(1, k[r]):
-                if row[i] in row[:i]:
-                    row[i] = bound[i]
-            picks[r] = row
+        # distinct need no replacement; the others are repaired column by
+        # column, each column against the final values of the earlier ones.
+        low = pool - k
+        picks = np.broadcast_to(-1 - cols, drawn.shape).copy()  # distinct, below any draw
+        picks[valid] = rng.integers(0, (low[:, None] + cols)[drawn] + 1)[valid[drawn]]
+        repeats = np.flatnonzero((np.diff(np.sort(picks, axis=1), axis=1) == 0).any(axis=1))
+        sub = picks[repeats]
+        for i in range(1, len(cols)):
+            hit = (sub[:, :i] == sub[:, i, None]).any(axis=1)
+            sub[hit, i] = low[repeats[hit]] + i
+        picks[repeats] = sub
         picks[~valid] = 0
-        query = children[:, None] * self._stride + picks
-        skipped = np.searchsorted(self._keys, query, side="right") - self._starts[children, None]
-        return picks + skipped, valid
+        picks += np.searchsorted(self._keys, children[:, None] * self._stride + picks, side="right")
+        picks -= self._starts[children, None]
+        return picks, valid, widths
 
 
 class _StepWork:
@@ -243,28 +261,98 @@ def _view(buffer: np.ndarray, *shape: int) -> np.ndarray:
     return buffer[: math.prod(shape)].reshape(shape)
 
 
-def _rsgd_step(
-    vectors: np.ndarray,
-    block: np.ndarray,
+def _plan_epoch(
+    block_pairs: np.ndarray,
     sampler: _NegativeSampler,
     rng: np.random.Generator,
     negatives: int,
+    batch: int,
+    n: int,
+) -> list[tuple[np.ndarray, ...]]:
+    """The index work of an epoch's steps, done in one pass: for each block
+    of `batch` consecutive (child, parent) rows of `block_pairs`, the
+    arguments (children, cand_idx, valid, rows, slot) of its `_rsgd_step`.
+
+    cand_idx holds each child's parent, then its negatives, and `valid`
+    masks the columns that hold none. A step scatters its gradient rows,
+    each child's and then each candidate's, onto the distinct titles `rows`
+    it touches, sorted: row i onto rows[slot[i]]. One sort of the keys
+    block * n + title finds them for every block at once (`np.unique` finds
+    the same, but holds about seven key-sized arrays at once).
+    """
+    count = len(block_pairs)
+    children = np.ascontiguousarray(block_pairs[:, 0])
+    negs, valid, widths = sampler.draw(rng, children, negatives, batch)
+    starts = np.arange(0, count, batch)
+    sizes = np.diff(starts, append=count)
+    # each block's candidates, row after row, as wide as its widest row
+    keep = np.arange(1 + negs.shape[1]) <= np.repeat(widths, sizes)[:, None]
+    cand_idx = np.concatenate((block_pairs[:, 1:], negs), axis=1)[keep]
+    valid = np.concatenate((np.ones((count, 1), dtype=bool), valid), axis=1)[keep]
+    del negs, keep  # each `del` here lowers the plan's peak by a key-sized array
+    cand_sizes = sizes * (1 + widths)
+    cand_ends = np.cumsum(cand_sizes)
+    spans = list(zip(starts.tolist(), (starts + sizes).tolist(),
+                     (cand_ends - cand_sizes).tolist(), cand_ends.tolist()))
+
+    # A block's titles in the order of its gradient rows, keyed block * n +
+    # title: sorted, a block's keys are consecutive, so a key's rank among
+    # the distinct keys, less the ranks of the blocks before it, is the
+    # title's slot in its block's rows.
+    keys = np.concatenate([
+        part for start, end, c_start, c_end in spans
+        for part in (children[start:end], cand_idx[c_start:c_end])
+    ])
+    entries = sizes + cand_sizes
+    offsets = np.arange(len(starts)) * n
+    keys += np.repeat(offsets, entries)
+    order = np.argsort(keys)
+    keys = keys[order]
+    distinct = np.concatenate(([True], keys[1:] != keys[:-1]))
+    rows = keys[distinct]
+    del keys
+    firsts = np.searchsorted(rows, offsets)
+    rows %= n
+    rank = np.cumsum(distinct)
+    rank -= np.repeat(firsts + 1, entries)
+    slot = np.empty_like(rank)
+    slot[order] = rank
+
+    lasts = np.append(firsts[1:], len(rows))
+    steps = []
+    for (start, end, c_start, c_end), first, last in zip(spans, firsts.tolist(), lasts.tolist()):
+        shape = (end - start, -1)
+        steps.append((
+            children[start:end],
+            cand_idx[c_start:c_end].reshape(shape),
+            valid[c_start:c_end].reshape(shape),
+            rows[first:last],
+            slot[start + c_start : end + c_end],
+        ))
+    return steps
+
+
+def _rsgd_step(
+    vectors: np.ndarray,
+    children: np.ndarray,
+    cand_idx: np.ndarray,
+    valid: np.ndarray,
+    rows: np.ndarray,
+    slot: np.ndarray,
     lr: float,
     work: _StepWork,
 ) -> tuple[float, int]:
-    """One Riemannian SGD step on a block of (child, parent) index rows.
+    """One Riemannian SGD step on a block of children, each against its
+    candidates `cand_idx` (its parent, then its negatives) where `valid`.
 
-    Updates `vectors` in place; returns the block's summed -log p(parent)
-    and the number of rows the projection moved. Block-sized intermediates
-    live in `work`. Each is formed from operands of its own shape, a
-    broadcast operand being copied out with `np.copyto` first, because a
-    ufunc that broadcasts allocates a buffer of up to `np.getbufsize()`
-    elements per call.
+    Its index work is planned by `_plan_epoch`, so the step only does
+    arithmetic on `vectors`, which it updates in place. Returns the block's
+    summed -log p(parent) and the number of rows the projection moved.
+    Block-sized intermediates live in `work`. Each is formed from operands
+    of its own shape, a broadcast operand being copied out with `np.copyto`
+    first, because a ufunc that broadcasts allocates a buffer of up to
+    `np.getbufsize()` elements per call.
     """
-    children = block[:, 0]
-    negs, valid = sampler.draw(rng, children, negatives)
-    cand_idx = np.concatenate((block[:, 1:], negs), axis=1)
-    valid = np.concatenate((np.ones((len(block), 1), dtype=bool), valid), axis=1)
     b, k = cand_idx.shape
     m = vectors.shape[1]
     u = vectors[children]
@@ -293,7 +381,6 @@ def _rsgd_step(
     u_term *= u_rows
     np.subtract(c_term, u_term, out=step[b:].reshape(b, k, m))
 
-    rows, slot = np.unique(np.concatenate((children, cand_idx.ravel())), return_inverse=True)
     # scatter-add over a flat view: one-dimensional `np.add.at` is the fast one
     index = np.take(work.flat, slot, axis=0, out=_view(work.index, len(slot), m), mode="clip")
     grad = _view(work.grad, len(rows), m)
@@ -317,6 +404,28 @@ def _rsgd_step(
     return loss, clamped
 
 
+def _train_epoch(
+    vectors: np.ndarray,
+    pair_idx: np.ndarray,
+    sampler: _NegativeSampler,
+    rng: np.random.Generator,
+    negatives: int,
+    lr: float,
+    batch: int,
+    work: _StepWork,
+) -> tuple[float, int]:
+    """Shuffle the pairs, plan the epoch and take its steps; returns the
+    summed -log p(parent) and the rows clamped."""
+    order = rng.permutation(len(pair_idx))
+    plan = _plan_epoch(pair_idx[order], sampler, rng, negatives, batch, len(vectors))
+    loss, clamped = 0.0, 0
+    for step in plan:
+        step_loss, step_clamped = _rsgd_step(vectors, *step, lr, work)
+        loss += step_loss
+        clamped += step_clamped
+    return loss, clamped
+
+
 def train_poincare(
     pairs: Sequence[ParentChildPair],
     m: int,
@@ -328,7 +437,8 @@ def train_poincare(
     Loss per pair is a softmax over distances from the child to the parent
     plus min(`config.negatives`, pool) distinct negatives drawn uniformly
     from the pool of titles that are not parents of that child. Each epoch
-    shuffles the pairs and takes one mini-batched Riemannian SGD step per
+    shuffles the pairs, plans the negatives and scatter indices of all its
+    steps in one pass, then takes one mini-batched Riemannian SGD step per
     block of `_BATCH_PAIRS` of them. Fully deterministic for a fixed seed.
     """
     if m < 2:
@@ -352,15 +462,9 @@ def train_poincare(
     history = []
     for epoch in range(config.epochs):
         lr = config.lr * (config.burn_in_lr_factor if epoch < config.burn_in_epochs else 1.0)
-        order = rng.permutation(len(pairs))
-        loss, clamped = 0.0, 0
-        for start in range(0, len(order), batch):
-            block = pair_idx[order[start : start + batch]]
-            block_loss, block_clamped = _rsgd_step(
-                vectors, block, sampler, rng, config.negatives, lr, work
-            )
-            loss += block_loss
-            clamped += block_clamped
+        loss, clamped = _train_epoch(
+            vectors, pair_idx, sampler, rng, config.negatives, lr, batch, work
+        )
         history.append({"loss": loss / len(pairs), "clamped_rows": clamped})
         if on_epoch is not None:
             on_epoch(epoch, {t: vectors[index[t]] for t in titles})

@@ -103,7 +103,10 @@ def taped_regularizers(batch, params):
 
 
 def allocating_negative_draw(sampler, rng, children, negatives):
-    """`_NegativeSampler.draw` with the Floyd walk over numpy scalars."""
+    """Oracle of one block's share of `_NegativeSampler.draw`: its own
+    `rng.integers` call over the block's bounds, and the Floyd walk row by
+    row over numpy scalars. Returns (title indices, validity mask), both
+    (len(children), K) with K the block's width."""
     pool = sampler.pool_sizes[children]
     k = np.minimum(negatives, pool)
     width = int(k.max())
@@ -176,6 +179,21 @@ def allocating_rsgd_step(vectors, block, sampler, rng, negatives, lr):
         clamped += not np.array_equal(projected, x[r])
         x[r] = projected
     vectors[rows] = x
+    return loss, clamped
+
+
+def allocating_epoch(vectors, pair_idx, sampler, rng, negatives, lr, batch):
+    """Oracle of `poincare._train_epoch`: shuffle the pairs, then one
+    `allocating_rsgd_step` per block of `batch` of them, each drawing its own
+    negatives. Returns (summed loss, rows clamped)."""
+    order = rng.permutation(len(pair_idx))
+    loss, clamped = 0.0, 0
+    for start in range(0, len(order), batch):
+        block_loss, block_clamped = allocating_rsgd_step(
+            vectors, pair_idx[order[start : start + batch]], sampler, rng, negatives, lr
+        )
+        loss += block_loss
+        clamped += block_clamped
     return loss, clamped
 
 

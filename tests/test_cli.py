@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 import os
 from collections import Counter
@@ -534,6 +535,23 @@ def test_lone_surrogate_in_config_string_exits_2(tmp_path, capsys, key, name):
     assert "kind=config" in err and "UTF-8" in err
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [("train-poincare", "data", {"pairs": "a\u0000b"}), ("build-graph", "output_dir", "o\u0000x")],
+    ids=["data-path", "output-dir"],
+)
+def test_nul_in_config_string_exits_2(tmp_path, capsys, command, key, value):
+    config = {"output_dir": str(tmp_path / "out"), "data": {"resumes": str(tmp_path / "r.jsonl")}}
+    config[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))  # written as the JSON escape \u0000
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "kind=config" in err and "NUL" in err
+    assert ("data.pairs" if key == "data" else "output_dir") in err
+
+
 def test_seeded_train_report_is_pinned(tmp_path):
     """A small seeded `train` whose clause fold spans several step blocks
     (57 training rows and 30 candidates at d_r 32) reports the same split
@@ -561,6 +579,31 @@ def test_seeded_train_report_is_pinned(tmp_path):
         "test_hit_at_1": 1 / 19,
         "test_hit_at_5": 3 / 19,
         "test_hit_at_10": 4 / 19,
+    }
+
+
+def test_seeded_train_poincare_outputs_are_pinned(tmp_path):
+    """A small seeded `train-poincare` (4 epochs, with burn-in, over a
+    generated graph of 116 pairs and 16 titles, so the last block is partial
+    and some children's pools are narrower than 12 negatives) writes the same bytes as
+    when these digests were recorded. A rewrite of the RSGD step or of the
+    negative sampler must leave both files bit-identical."""
+    out = tmp_path / "out"
+    data = {"resumes": str(out / "resumes.jsonl"), "pairs": str(out / "pairs.tsv")}
+    path, _ = write_config(tmp_path, {
+        "data": data,
+        "seeds": {"data": 3, "poincare": 5},
+        "datagen": {"groups": 8, "synonyms": 2, "persons": 60, "jobs_per_person": 4},
+        "poincare": {"epochs": 4, "burn_in_epochs": 2, "negatives": 12},
+    })
+    for command in ("gen-data", "build-graph", "train-poincare"):
+        assert main([command, "--config", str(path)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("hyperbolic.tsv", "poincare_report.json")}
+    assert digests == {
+        "hyperbolic.tsv": "9541f4977b442597566f4d114b125a8387dc00433f92c972f90b458dc58ecd8c",
+        "poincare_report.json":
+            "d8ad360913904b6273dc47fbc5ed8ba5866bb9fe08228c93c2cb4b1d1ecf3d49",
     }
 
 
@@ -629,6 +672,9 @@ MALFORMED_INPUTS = {
     "hyperbolic-not-utf8": ("train", "hyperbolic", b"#poincare m=6 seed=0\n\xff\t0,0,0,0,0,0\n", 3,
                             "kind=data"),
     "hyperbolic-dim-0": ("map", "hyperbolic", b"#poincare m=0 seed=0\n", 3, "kind=data"),
+    "hyperbolic-outside-ball": ("eval", "hyperbolic",
+                                b"#poincare m=2 seed=0\nchef\t0.5,0\ncook\t0.8,0.6\n", 3,
+                                "kind=data"),
     "vectors-dim-negative": ("linkpred", "vectors", b"#embeddings d=-3 normalize=false\nchef\t1\n",
                              3, "kind=data"),
     "vectors-not-a-number": ("linkpred", "vectors",

@@ -27,7 +27,7 @@ from titlemap.poincare import (
     _distinct_pairs,
 )
 
-from helpers import allocating_rsgd_step, balanced_tree_pairs
+from helpers import allocating_epoch, balanced_tree_pairs
 
 
 def oracle_distance(a, b, dps=50):
@@ -220,6 +220,16 @@ def test_table_tsv_rejects_out_of_ball_rows(tmp_path):
         HyperbolicEmbeddingTable.load_tsv(path)
 
 
+def test_table_tsv_names_the_first_row_outside_the_ball(tmp_path):
+    # line 3 leaves the ball by its norm alone, line 4 by a coordinate
+    path = tmp_path / "emb.tsv"
+    path.write_text("#poincare m=2 seed=0\na\t0.6,0.0\nb\t0.8,0.6\nc\t1.0,0.0\n")
+    with pytest.raises(DataError, match=r"emb\.tsv:3: point is not inside the unit ball"):
+        HyperbolicEmbeddingTable.load_tsv(path)
+    path.write_text("#poincare m=2 seed=0\na\t0.6,0.0\nb\t0.6,-0.79\n")
+    assert HyperbolicEmbeddingTable.load_tsv(path).vectors.keys() == {"a", "b"}
+
+
 # ---------------------------------------------------------------------------
 # Mini-batched trainer
 
@@ -250,9 +260,14 @@ def test_sampled_negatives_are_distinct_non_parents(negatives):
         parents.setdefault(int(child), set()).add(int(parent))
     sampler = _NegativeSampler(pair_idx, n)
     rng = np.random.default_rng(0)
+    # blocks of 3: (0, 1, 7), (6, 0, 1), (0,), each as wide as its widest row
     children = np.array([0, 1, 7, 6, 0, 1, 0], dtype=np.intp)
+    pools = np.array([n - len(parents[int(c)]) for c in children])
     for _ in range(200):
-        negs, valid = sampler.draw(rng, children, negatives)
+        negs, valid, widths = sampler.draw(rng, children, negatives, 3)
+        wanted = np.minimum(negatives, pools)
+        assert widths.tolist() == [wanted[i : i + 3].max() for i in (0, 3, 6)]
+        assert negs.shape == valid.shape == (len(children), max(widths))
         for child, row, ok in zip(children, negs, valid):
             drawn = row[ok]
             pool = n - len(parents[int(child)])
@@ -266,11 +281,9 @@ def test_sampled_negatives_are_uniform_over_the_pool():
     # child 0's pool is {0, 3, 6}: each member is in a 2-subset 2/3 of the time
     sampler = _NegativeSampler(multi_parent_index_pairs(), 8)
     rng = np.random.default_rng(1)
-    counts = np.zeros(8)
     draws = 3000
-    for _ in range(draws // 30):
-        negs, valid = sampler.draw(rng, np.zeros(30, dtype=np.intp), 2)
-        np.add.at(counts, negs[valid], 1)
+    negs, valid, _ = sampler.draw(rng, np.zeros(draws, dtype=np.intp), 2, 32)
+    counts = np.bincount(negs[valid], minlength=8)
     assert counts[[1, 2, 4, 5, 7]].sum() == 0
     assert counts[[0, 3, 6]] == pytest.approx(np.full(3, draws * 2 / 3), rel=0.05)
 
@@ -332,57 +345,113 @@ def random_index_pairs(n, count, seed):
     return np.stack([child, parent], axis=1).astype(np.intp)
 
 
-# (pair rows, titles, m, negatives, lr, rows the work arrays are sized for,
-# rows of each step's block)
+def varied_pool_index_pairs():
+    """(child, parent) index rows over 9 titles whose children's pools of
+    non-parents are 2 (child 0), 5 (child 1) and 8 (children 2 and 3)."""
+    rows = [(0, p) for p in range(1, 8)] + [(1, p) for p in (2, 4, 6, 8)] + [(2, 3), (3, 0)]
+    return np.array(rows, dtype=np.intp)
+
+
+# (pair rows, titles, m, negatives, lr, pairs per block)
 STEP_CASES = {
     # the embed-g200 block: 32 pairs, 10 negatives, m 32
-    "embed-block": (random_index_pairs(300, 400, 0), 300, 32, 10, 0.1, 32, [32] * 6),
-    "partial-last-block": (random_index_pairs(300, 400, 1), 300, 32, 10, 0.1, 32, [32, 7, 32, 7]),
+    "embed-block": (random_index_pairs(300, 192, 0), 300, 32, 10, 0.1, 32),
+    "partial-last-block": (random_index_pairs(300, 39, 1), 300, 32, 10, 0.1, 32),
     # child 0's pool of non-parents (3) is narrower than 6 negatives
-    "pools-narrower-than-negatives": (multi_parent_index_pairs(), 8, 5, 6, 0.1, 9, [9, 4, 9]),
-    "no-negatives": (random_index_pairs(50, 80, 2), 50, 6, 0, 0.1, 32, [32, 32, 16]),
-    "negatives-beyond-titles": (multi_parent_index_pairs(), 8, 5, 10**6, 0.1, 9, [9, 5, 9]),
+    "pools-narrower-than-negatives": (multi_parent_index_pairs(), 8, 5, 6, 0.1, 4),
+    "no-negatives": (random_index_pairs(50, 80, 2), 50, 6, 0, 0.1, 32),
+    "negatives-beyond-titles": (multi_parent_index_pairs(), 8, 5, 10**6, 0.1, 5),
     # a step this large throws points past the boundary, where they are clamped
-    "clamps-rows": (random_index_pairs(30, 60, 3), 30, 4, 5, 500.0, 32, [32, 28, 32, 28]),
+    "clamps-rows": (random_index_pairs(30, 60, 3), 30, 4, 5, 500.0, 32),
+    # 6 negatives: a block is 2, 5 or 6 wide, by which children it holds
+    "block-widths-differ": (varied_pool_index_pairs(), 9, 4, 6, 0.1, 2),
 }
+EPOCHS = 4
 
 
 @pytest.mark.parametrize("case", STEP_CASES)
-def test_rsgd_step_is_bit_identical_to_allocating_step(case):
-    pair_idx, n, m, negatives, lr, rows, blocks = STEP_CASES[case]
+def test_planned_epochs_match_allocating_steps(case):
+    pair_idx, n, m, negatives, lr, batch = STEP_CASES[case]
     sampler = _NegativeSampler(pair_idx, n)
-    work = poincare._StepWork(rows, 1 + min(negatives, n), n, m)
     ours = np.random.default_rng(4).uniform(-0.6, 0.6, (n, m)) / np.sqrt(m)
     theirs = ours.copy()
-    rng_ours, rng_theirs, rng_blocks = (np.random.default_rng(s) for s in (5, 5, 6))
+    work = poincare._StepWork(batch, 1 + min(negatives, n), n, m)
+    rng_ours, rng_theirs = np.random.default_rng(5), np.random.default_rng(5)
     clamped = 0
-    for size in blocks:
-        block = pair_idx[rng_blocks.permutation(len(pair_idx))[:size]]
-        loss, moved = poincare._rsgd_step(ours, block, sampler, rng_ours, negatives, lr, work)
-        assert (loss, moved) == allocating_rsgd_step(theirs, block, sampler, rng_theirs, negatives, lr)
+    for _ in range(EPOCHS):
+        loss, moved = poincare._train_epoch(
+            ours, pair_idx, sampler, rng_ours, negatives, lr, batch, work
+        )
+        assert (loss, moved) == allocating_epoch(
+            theirs, pair_idx, sampler, rng_theirs, negatives, lr, batch
+        )
         assert np.array_equal(ours, theirs)
+        assert rng_ours.bit_generator.state == rng_theirs.bit_generator.state
         clamped += moved
     assert (clamped > 0) == (case == "clamps-rows")
     # sized by the titles, never by `negatives`
-    assert work.cands.size <= rows * (1 + n) * m
+    assert work.cands.size <= batch * (1 + n) * m
+
+
+@pytest.mark.parametrize("case", STEP_CASES)
+def test_plan_gives_each_block_its_width_rows_and_slots(case):
+    pair_idx, n, m, negatives, lr, batch = STEP_CASES[case]
+    sampler = _NegativeSampler(pair_idx, n)
+    rng = np.random.default_rng(7)
+    widths = set()
+    for _ in range(EPOCHS):
+        block_pairs = pair_idx[rng.permutation(len(pair_idx))]
+        plan = poincare._plan_epoch(block_pairs, sampler, rng, negatives, batch, n)
+        assert len(plan) == -(-len(pair_idx) // batch)
+        for i, (children, cand_idx, valid, rows, slot) in enumerate(plan):
+            block = block_pairs[i * batch : (i + 1) * batch]
+            assert np.array_equal(children, block[:, 0])
+            assert np.array_equal(cand_idx[:, 0], block[:, 1]) and valid[:, 0].all()
+            k = np.minimum(negatives, sampler.pool_sizes[children])
+            assert cand_idx.shape[1] == 1 + k.max()
+            assert np.array_equal(valid.sum(axis=1), 1 + k)
+            expected = np.unique(np.concatenate((children, cand_idx.ravel())), return_inverse=True)
+            assert np.array_equal(rows, expected[0]) and np.array_equal(slot, expected[1])
+            widths.add(cand_idx.shape[1])
+    if case == "block-widths-differ":
+        assert len(widths) > 1
 
 
 def test_rsgd_step_allocates_no_block_sized_array():
-    pair_idx, n, m, negatives, lr, rows, _ = STEP_CASES["embed-block"]
+    pair_idx, n, m, negatives, lr, batch = STEP_CASES["embed-block"]
     sampler = _NegativeSampler(pair_idx, n)
-    work = poincare._StepWork(rows, 1 + negatives, n, m)
+    work = poincare._StepWork(batch, 1 + negatives, n, m)
     vectors = np.random.default_rng(0).uniform(-0.1, 0.1, (n, m))
     rng = np.random.default_rng(1)
-    blocks = (pair_idx[i : i + rows] for i in range(0, 2 * rows, rows))
-    poincare._rsgd_step(vectors, next(blocks), sampler, rng, negatives, lr, work)
+    steps = iter(poincare._plan_epoch(pair_idx, sampler, rng, negatives, batch, n))
+    poincare._rsgd_step(vectors, *next(steps), lr, work)
     tracemalloc.start()
     try:
-        poincare._rsgd_step(vectors, next(blocks), sampler, rng, negatives, lr, work)
+        poincare._rsgd_step(vectors, *next(steps), lr, work)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # one (32, 11, 32) float64 block is 88 KB; the allocating step peaked at 634 KB
     assert peak <= 256 * 1024
+
+
+def test_epoch_plan_stays_small_at_the_embed_g200_shape():
+    # 2,800 pairs over 972 titles, 10 negatives: the plan keeps about 0.8 MB
+    # of index arrays and peaks near 1.4 MB; with `np.unique` over its keys
+    # it peaked near 2.9 MB
+    n, negatives, batch = 972, 10, 32
+    pair_idx = random_index_pairs(n, 2800, 8)
+    sampler = _NegativeSampler(pair_idx, n)
+    rng = np.random.default_rng(9)
+    poincare._plan_epoch(pair_idx, sampler, rng, negatives, batch, n)
+    tracemalloc.start()
+    try:
+        plan = poincare._plan_epoch(pair_idx, sampler, rng, negatives, batch, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(plan) == 88
+    assert peak <= 2 * 1024 * 1024
 
 
 # Mean parent rank of the per-pair trainer on this graph (G=50, S=5, 200
