@@ -19,10 +19,8 @@ import os
 import sys
 from typing import TYPE_CHECKING, Callable, Optional
 
-import numpy as np
-
 from .config import PoincareConfig, SynthConfig, TrainConfig
-from .errors import ConfigError, DataError, EvaluationError, NumericError, TitlemapError
+from .errors import ConfigError, DataError, EvaluationError, TitlemapError
 from .formats import (
     canonicalize_title,
     is_utf8,
@@ -258,13 +256,16 @@ def cmd_gen_data(config: dict) -> None:
 
 
 def cmd_build_graph(config: dict) -> None:
-    from .graph import build_transition_graph, extract_parent_child_pairs, load_records, write_pairs
+    from .graph import (
+        build_transition_graph, extract_parent_child_pairs, load_records, person_sequences,
+        write_pairs,
+    )
 
     out = config["output_dir"]
     (resumes_path,) = _require(config, "data.resumes")
-    records = load_records(resumes_path)
-    graph = build_transition_graph(records)
-    pairs = extract_parent_child_pairs(records)
+    sequences = person_sequences(load_records(resumes_path))
+    graph = build_transition_graph(sequences)
+    pairs = extract_parent_child_pairs(sequences)
     _save(out, "pairs.tsv", write_pairs, pairs)
     summary = {**graph.summary(), "pairs": len(pairs), "weight_sum": sum(graph.weights.values())}
     _save(out, "graph_summary.json", _write_json, summary)
@@ -368,8 +369,7 @@ def cmd_map(config: dict) -> None:
 
 
 def cmd_eval(config: dict) -> None:
-    from . import evaluation as ev
-    from .model import forward_probabilities, rank_classes
+    from .model import forward_probabilities, gold_rank, hit_at, ndcg_at, precision_at
 
     out = config["output_dir"]
     (labels_path,) = _require(config, "data.labels")
@@ -377,15 +377,13 @@ def cmd_eval(config: dict) -> None:
     _, examples = _read_labeled(labels_path, model.taxonomy)
     titles = [title for title, _ in examples]
     labels = [model.taxonomy.index(std) for _, std in examples]
-    probs = forward_probabilities(model, pipeline, titles)
-    cutoffs = (1, 5, 10)  # the report reads no rank below the last
-    rankings = [list(order) for order in rank_classes(probs)[:, : cutoffs[-1]]]
-    results = ev.RankingResult(rankings=rankings, relevant=[{l} for l in labels])
+    ranks = gold_rank(forward_probabilities(model, pipeline, titles), labels)
+    cutoffs = (1, 5, 10)
     report = {
         "queries": len(titles),
-        "precision_at": {str(n): ev.precision_at_n(results, n) for n in cutoffs},
-        "hit_rate_at": {str(n): ev.hit_rate_at_n(results, n) for n in cutoffs},
-        "ndcg_at_10": ev.ndcg_at_n(results, cutoffs[-1]),
+        "precision_at": {str(n): precision_at(ranks, n) for n in cutoffs},
+        "hit_rate_at": {str(n): hit_at(ranks, n) for n in cutoffs},
+        "ndcg_at_10": ndcg_at(ranks, 10),
         "seeds": config["seeds"],
     }
     _save(out, "eval_report.json", _write_json, report)
@@ -404,7 +402,7 @@ def _load_vectors(path) -> dict:
 
 def cmd_linkpred(config: dict) -> None:
     from . import evaluation as ev
-    from .graph import build_transition_graph, load_records
+    from .graph import build_transition_graph, load_records, person_sequences
 
     out = config["output_dir"]
     resumes_path, vectors_path = _require(config, "data.resumes", "data.vectors")
@@ -415,7 +413,7 @@ def cmd_linkpred(config: dict) -> None:
         )
     if config["seeds"]["linkpred"] < 0:
         raise ConfigError(f"seeds.linkpred must be >= 0, got {config['seeds']['linkpred']}")
-    graph = build_transition_graph(load_records(resumes_path))
+    graph = build_transition_graph(person_sequences(load_records(resumes_path)))
     vectors = _load_vectors(vectors_path)
     split = ev.make_link_split(graph, seed=config["seeds"]["linkpred"])
     result = ev.link_prediction_auc(
@@ -444,18 +442,15 @@ def cmd_linkpred(config: dict) -> None:
 def cmd_mobility(config: dict) -> None:
     from . import evaluation as ev
     from .graph import load_records, person_sequences
-    from .model import forward_probabilities
+    from .model import forward_probabilities, rank_classes
 
     out = config["output_dir"]
     (resumes_path,) = _require(config, "data.resumes")
     model, pipeline = _load_model_pipeline(config)
     trajectories = person_sequences(load_records(resumes_path))
     unique_titles = sorted({t for seq in trajectories for t in seq})
-    probs = forward_probabilities(model, pipeline, unique_titles)
-    top1 = {
-        t: model.taxonomy.titles[int(np.argmax(probs[i]))]
-        for i, t in enumerate(unique_titles)
-    }
+    best = rank_classes(forward_probabilities(model, pipeline, unique_titles))[:, 0]
+    top1 = {t: model.taxonomy.titles[c] for t, c in zip(unique_titles, best.tolist())}
     mapped = ev.map_at_10_mobility(trajectories, mapper=lambda t: top1[t])
     unmapped = ev.map_at_10_mobility(trajectories, mapper=None)
     report = {
@@ -506,7 +501,7 @@ def main(argv: Optional[list] = None) -> int:
         what = "is a directory" if isinstance(e, IsADirectoryError) else "no such file"
         print(f"error kind=data code=3: {what}: {e.filename}", file=sys.stderr)
         return 3
-    except (NumericError, TitlemapError) as e:
+    except TitlemapError as e:
         print(f"error kind=numeric code=4: {_one_line(e)}", file=sys.stderr)
         return 4
     return 0

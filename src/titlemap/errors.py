@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all titlemap modules.
 
-The CLI maps these onto process exit codes: ConfigError -> 2,
-DataError (and subclasses) -> 3, NumericError (and subclasses) -> 4.
+The CLI maps these onto process exit codes and the `kind` it prints:
+ConfigError -> 2 (kind=config); DataError (and subclasses) and
+EvaluationError -> 3 (kind=data); NumericError (and subclasses),
+ContractError and any other TitlemapError -> 4 (kind=numeric).
 """
 
 

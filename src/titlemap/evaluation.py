@@ -1,9 +1,6 @@
-"""Ranking metrics and the downstream harnesses (link prediction, mobility).
-
-Precision@N keeps the strict definition |relevant & top-N| / N; for the
-single-label mapping task the headline number is `hit_rate_at_n` (is the gold
-title anywhere in the top N), which matches how Precision@N is conventionally
-reported for one relevant item per query.
+"""The downstream harnesses: link prediction on the transition graph and
+next-job mobility. The ranking metrics of the mapping task (hit@n,
+precision@n, NDCG@n) sit beside `rank_classes` in `model`.
 """
 
 from __future__ import annotations
@@ -18,66 +15,6 @@ from . import numerics as nx
 from .errors import ConfigError, DataError, EvaluationError, MissingTitleError
 from .graph import TransitionGraph
 from .numerics import Tensor
-
-
-@dataclass
-class RankingResult:
-    """Per-query ranked candidate indices plus the relevant set."""
-
-    rankings: list  # list of candidate-index lists, best first
-    relevant: list  # list of sets of relevant indices
-
-    def __post_init__(self):
-        if len(self.rankings) != len(self.relevant):
-            raise DataError("rankings and relevant lists must align")
-        for ranking in self.rankings:
-            if len(set(ranking)) != len(ranking):
-                raise DataError("a query ranking contains duplicate candidates")
-
-
-def precision_at_n(results: RankingResult, n: int) -> float:
-    """Mean over queries of |relevant & top-n| / n."""
-    if n < 1:
-        raise ConfigError(f"precision_at_n: n must be >= 1, got {n}")
-    if not results.rankings:
-        return 0.0
-    scores = [
-        len(set(ranking[:n]) & rel) / n
-        for ranking, rel in zip(results.rankings, results.relevant)
-    ]
-    return float(np.mean(scores))
-
-
-def hit_rate_at_n(results: RankingResult, n: int) -> float:
-    """Mean over queries of whether any relevant item appears in the top n."""
-    if n < 1:
-        raise ConfigError(f"hit_rate_at_n: n must be >= 1, got {n}")
-    if not results.rankings:
-        return 0.0
-    scores = [
-        1.0 if set(ranking[:n]) & rel else 0.0
-        for ranking, rel in zip(results.rankings, results.relevant)
-    ]
-    return float(np.mean(scores))
-
-
-def ndcg_at_n(results: RankingResult, n: int) -> float:
-    """Binary-gain NDCG with the log2 discount, ranks starting at 1."""
-    if n < 1:
-        raise ConfigError(f"ndcg_at_n: n must be >= 1, got {n}")
-    if not results.rankings:
-        return 0.0
-    scores = []
-    for ranking, rel in zip(results.rankings, results.relevant):
-        dcg = sum(
-            1.0 / np.log2(rank + 1)
-            for rank, cand in enumerate(ranking[:n], start=1)
-            if cand in rel
-        )
-        ideal_hits = min(n, len(rel))
-        idcg = sum(1.0 / np.log2(rank + 1) for rank in range(1, ideal_hits + 1))
-        scores.append(dcg / idcg if idcg > 0 else 0.0)
-    return float(np.mean(scores))
 
 
 # ---------------------------------------------------------------------------

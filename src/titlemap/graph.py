@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DataError, FormatError
 from .formats import canonicalize_title, is_utf8, line_keys, read_lines, read_rows, write_rows
@@ -93,10 +93,11 @@ def person_sequences(records: Iterable[JobRecord]) -> list[list[str]]:
     return sequences
 
 
-def build_transition_graph(records: Iterable[JobRecord]) -> TransitionGraph:
-    """Count every consecutive per-person transition, including self-loops."""
+def build_transition_graph(sequences: Iterable[Sequence[str]]) -> TransitionGraph:
+    """Count every consecutive transition of each person's title sequence
+    (as `person_sequences` gives them), including self-loops."""
     graph = TransitionGraph()
-    for seq in person_sequences(records):
+    for seq in sequences:
         graph.nodes.update(seq)
         for earlier, later in zip(seq, seq[1:]):
             key = (earlier, later)
@@ -104,13 +105,15 @@ def build_transition_graph(records: Iterable[JobRecord]) -> TransitionGraph:
     return graph
 
 
-def extract_parent_child_pairs(records: Iterable[JobRecord]) -> list[ParentChildPair]:
-    """One pair per transition, parent = later title. Self-transitions drop out.
+def extract_parent_child_pairs(sequences: Iterable[Sequence[str]]) -> list[ParentChildPair]:
+    """One pair per transition of each person's title sequence (as
+    `person_sequences` gives them), parent = later title. Self-transitions
+    drop out.
 
     Duplicates are preserved: pair frequency drives hyperbolic sampling.
     """
     pairs = []
-    for seq in person_sequences(records):
+    for seq in sequences:
         for earlier, later in zip(seq, seq[1:]):
             if earlier != later:
                 pairs.append(ParentChildPair(parent=later, child=earlier))

@@ -297,10 +297,44 @@ def forward_probabilities(
     return _probs_from_views(model, x_h, x_b, x_s, v_b, v_s)[inverse]
 
 
+# The one ranking rule of every stage, and the metrics read off the gold
+# class's rank under it (a mean over rows; no rows score 0).
+
 def rank_classes(probs: np.ndarray) -> np.ndarray:
     """Class indices of each row by descending probability; ties keep the
     lower taxonomy index."""
     return np.argsort(-probs, axis=1, kind="stable")
+
+
+def gold_rank(probs: np.ndarray, labels) -> np.ndarray:
+    """Each row's 1-based rank of its gold class `labels[i]` in the
+    `rank_classes` order: 1 + the classes more probable than it + the equally
+    probable classes at a lower taxonomy index."""
+    labels = np.asarray(labels, dtype=np.intp)[:, None]
+    gold = np.take_along_axis(probs, labels, axis=1)
+    ahead = (probs > gold) | ((probs == gold) & (np.arange(probs.shape[1]) < labels))
+    return 1 + np.count_nonzero(ahead, axis=1)
+
+
+def _mean(values: np.ndarray) -> float:
+    return float(np.mean(values)) if values.size else 0.0
+
+
+def hit_at(ranks: np.ndarray, n: int) -> float:
+    """Share of rows whose gold class is in the top n."""
+    return _mean(ranks <= n)
+
+
+def precision_at(ranks: np.ndarray, n: int) -> float:
+    """Mean of |{gold} & top n| / n: 1/n for a row whose gold class is in the
+    top n, else 0."""
+    return _mean(np.where(ranks <= n, 1 / n, 0.0))
+
+
+def ndcg_at(ranks: np.ndarray, n: int) -> float:
+    """Binary-gain NDCG@n with the log2 discount. One class is relevant, so
+    the ideal DCG is 1 and a row scores 1/log2(rank + 1) inside the top n."""
+    return _mean(np.where(ranks <= n, 1 / np.log2(ranks + 1), 0.0))
 
 
 def clamp_k(k: int, n_classes: int) -> int:
@@ -322,13 +356,6 @@ class TrainResult:
     best_epoch: int
     split_indices: dict  # "train"/"val"/"test" -> np.ndarray of example rows
     metrics: dict
-
-
-def _hit_at(probs: np.ndarray, labels: np.ndarray, n: int) -> float:
-    if probs.shape[0] == 0:
-        return 0.0
-    top = rank_classes(probs)[:, :n]
-    return float(np.mean([labels[i] in top[i] for i in range(len(labels))]))
 
 
 def _snapshot(model: MapperModel) -> list[np.ndarray]:
@@ -433,7 +460,7 @@ def train(
             )
             if not np.isfinite(val_probs).all():
                 raise NumericError(f"validation probabilities are not finite at epoch {epoch}")
-            val_hit10 = _hit_at(val_probs, labels_all[idx_val], 10)
+            val_hit10 = hit_at(gold_rank(val_probs, labels_all[idx_val]), 10)
             train_loss = epoch_loss / max(n_batches, 1)
             history.append((epoch, train_loss, val_hit10))
             if val_hit10 > best_metric:
@@ -447,11 +474,10 @@ def train(
     test_probs = _probs_from_views(
         model, x_h[idx_test], x_b[idx_test], x_s[idx_test], v_b, v_s
     )
+    test_ranks = gold_rank(test_probs, labels_all[idx_test])
     metrics = {
         "best_val_hit_at_10": best_metric,
-        "test_hit_at_1": _hit_at(test_probs, labels_all[idx_test], 1),
-        "test_hit_at_5": _hit_at(test_probs, labels_all[idx_test], 5),
-        "test_hit_at_10": _hit_at(test_probs, labels_all[idx_test], 10),
+        **{f"test_hit_at_{n}": hit_at(test_ranks, n) for n in (1, 5, 10)},
     }
     return TrainResult(
         model=model,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import pkgutil
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,7 +13,7 @@ from titlemap import formats
 from titlemap import numerics as nx
 from titlemap import poincare
 from titlemap import reasoning as rs
-from titlemap.errors import DegenerateInputError
+from titlemap.errors import ConfigError, DataError, DegenerateInputError
 from titlemap.graph import ParentChildPair
 from titlemap.semantic import _token_feature
 from titlemap.syntactic import gram_set
@@ -297,3 +298,68 @@ def pairwise_auc_oracle(pos, neg):
             elif p == q:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+# ---------------------------------------------------------------------------
+# Set-based ranking metrics: the oracle of `model.gold_rank` and the rank
+# metrics beside it. Each query's ranking is a list of candidate indices,
+# best first, scored against a set of relevant indices.
+
+@dataclass
+class RankingResult:
+    """Per-query ranked candidate indices plus the relevant set."""
+
+    rankings: list  # list of candidate-index lists, best first
+    relevant: list  # list of sets of relevant indices
+
+    def __post_init__(self):
+        if len(self.rankings) != len(self.relevant):
+            raise DataError("rankings and relevant lists must align")
+        for ranking in self.rankings:
+            if len(set(ranking)) != len(ranking):
+                raise DataError("a query ranking contains duplicate candidates")
+
+
+def precision_at_n(results: RankingResult, n: int) -> float:
+    """Mean over queries of |relevant & top-n| / n."""
+    if n < 1:
+        raise ConfigError(f"precision_at_n: n must be >= 1, got {n}")
+    if not results.rankings:
+        return 0.0
+    scores = [
+        len(set(ranking[:n]) & rel) / n
+        for ranking, rel in zip(results.rankings, results.relevant)
+    ]
+    return float(np.mean(scores))
+
+
+def hit_rate_at_n(results: RankingResult, n: int) -> float:
+    """Mean over queries of whether any relevant item appears in the top n."""
+    if n < 1:
+        raise ConfigError(f"hit_rate_at_n: n must be >= 1, got {n}")
+    if not results.rankings:
+        return 0.0
+    scores = [
+        1.0 if set(ranking[:n]) & rel else 0.0
+        for ranking, rel in zip(results.rankings, results.relevant)
+    ]
+    return float(np.mean(scores))
+
+
+def ndcg_at_n(results: RankingResult, n: int) -> float:
+    """Binary-gain NDCG with the log2 discount, ranks starting at 1."""
+    if n < 1:
+        raise ConfigError(f"ndcg_at_n: n must be >= 1, got {n}")
+    if not results.rankings:
+        return 0.0
+    scores = []
+    for ranking, rel in zip(results.rankings, results.relevant):
+        dcg = sum(
+            1.0 / np.log2(rank + 1)
+            for rank, cand in enumerate(ranking[:n], start=1)
+            if cand in rel
+        )
+        ideal_hits = min(n, len(rel))
+        idcg = sum(1.0 / np.log2(rank + 1) for rank in range(1, ideal_hits + 1))
+        scores.append(dcg / idcg if idcg > 0 else 0.0)
+    return float(np.mean(scores))

@@ -607,6 +607,36 @@ def test_seeded_train_poincare_outputs_are_pinned(tmp_path):
     }
 
 
+def test_seeded_graph_eval_and_mobility_outputs_are_pinned(tmp_path):
+    """A small seeded run through `mobility` (eval over all 75 labelled
+    titles, so gold ranks past 10 occur) writes the same bytes as when these
+    digests were recorded. A rewrite of the ranking metrics or of how a stage
+    walks each career must leave all four files bit-identical."""
+    out = tmp_path / "out"
+    data = {name: str(out / f"{name}.{ext}") for name, ext in (
+        ("taxonomy", "tsv"), ("labels", "tsv"), ("resumes", "jsonl"), ("pairs", "tsv"),
+        ("hyperbolic", "tsv"), ("model", "json"))}
+    path, _ = write_config(tmp_path, {
+        "data": data,
+        "seeds": {"data": 4, "poincare": 2, "train": 3},
+        "datagen": {"groups": 25, "synonyms": 2, "persons": 60, "jobs_per_person": 4},
+        "poincare": {"epochs": 2},
+        "train": {"max_epochs": 2},
+    })
+    for command in ("gen-data", "build-graph", "train-poincare", "train", "eval", "mobility"):
+        assert main([command, "--config", str(path)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("eval_report.json", "mobility_report.json", "pairs.tsv",
+                            "graph_summary.json")}
+    assert digests == {
+        "eval_report.json": "0c0a420e9083080c7ae9f385c218ecf5711d9ee0048a30c3200729cd431654ad",
+        "mobility_report.json":
+            "9feeefe4b78040f7b781df79bcad5fd6f60e4737e4ed8cf3f686abdb4d1f9024",
+        "pairs.tsv": "262747f6acfbf63c32a4a5d175c95710d7f44d311f40fd3b534301ca585611ea",
+        "graph_summary.json": "375c040f510c3e24a5f8aa9990af1a6e49c84b61e2a5791665db2606b7853d06",
+    }
+
+
 def test_train_poincare_writes_a_deterministic_report(trained):
     tmp, data = trained
     report = json.loads((tmp / "out" / "poincare_report.json").read_text())

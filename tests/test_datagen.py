@@ -9,7 +9,7 @@ from titlemap.datagen import (
     gen_taxonomy,
 )
 from titlemap.errors import ConfigError
-from titlemap.graph import build_transition_graph
+from titlemap.graph import build_transition_graph, person_sequences
 from titlemap.syntactic import gram_set
 
 from helpers import dominates_own_group
@@ -111,7 +111,7 @@ def test_single_person_record_and_transition_counts():
     taxonomy, labeled = gen_taxonomy(config)
     records = gen_resumes(config, taxonomy, labeled)
     assert len(records) == 5
-    graph = build_transition_graph(records)
+    graph = build_transition_graph(person_sequences(records))
     assert graph.total_transitions == 4
 
 

@@ -3,61 +3,102 @@ import pytest
 
 from titlemap import evaluation as ev
 from titlemap.errors import DataError, EvaluationError, MissingTitleError
-from titlemap.graph import JobRecord, TransitionGraph, build_transition_graph
+from titlemap.graph import JobRecord, TransitionGraph, build_transition_graph, person_sequences
+from titlemap.model import gold_rank, hit_at, ndcg_at, precision_at
 
 from datetime import date
 
-from helpers import looped_auc_score, pairwise_auc_oracle
+from helpers import (
+    RankingResult,
+    hit_rate_at_n,
+    looped_auc_score,
+    ndcg_at_n,
+    pairwise_auc_oracle,
+    precision_at_n,
+)
 
 
-def result(rankings, relevant):
-    return ev.RankingResult(rankings=rankings, relevant=relevant)
+# ---------------------------------------------------------------------------
+# Ranking metrics over the gold title's rank
 
-
-def test_ranking_result_rejects_duplicates():
-    with pytest.raises(DataError):
-        result([[1, 1, 2]], [{1}])
+def probs_ranked(order, n_classes):
+    """A probability row whose classes rank in `order`; the rest share 0."""
+    row = np.zeros(n_classes)
+    row[list(order)] = np.linspace(0.9, 0.1, len(order))
+    return row[None, :]
 
 
 def test_precision_single_hit_at_rank_one():
-    assert ev.precision_at_n(result([[3, 1, 2]], [{3}]), 1) == 1.0
+    assert precision_at(np.array([1]), 1) == 1.0
 
 
 def test_precision_no_hits():
-    assert ev.precision_at_n(result([[3, 1, 2]], [{9}]), 3) == 0.0
+    assert precision_at(np.array([4]), 3) == 0.0
 
 
 def test_precision_two_queries_one_hit_each_in_top10():
-    rankings = [list(range(10)), list(range(10, 20))]
-    relevant = [{4}, {11}]
-    assert ev.precision_at_n(result(rankings, relevant), 10) == pytest.approx(0.1)
+    assert precision_at(np.array([5, 2]), 10) == pytest.approx(0.1)
 
 
 def test_hit_rate_counts_presence():
-    rankings = [list(range(10)), list(range(10, 20))]
-    relevant = [{4}, {99}]
-    assert ev.hit_rate_at_n(result(rankings, relevant), 10) == 0.5
+    assert hit_at(np.array([5, 90]), 10) == 0.5
 
 
 def test_ndcg_perfect_first_rank():
-    assert ev.ndcg_at_n(result([[7, 1, 2]], [{7}]), 10) == 1.0
+    assert ndcg_at(np.array([1]), 10) == 1.0
 
 
 def test_ndcg_single_relevant_at_rank_three():
     # DCG = 1/log2(4) = 0.5, IDCG = 1
-    assert ev.ndcg_at_n(result([[1, 2, 7, 4]], [{7}]), 10) == pytest.approx(0.5)
+    assert ndcg_at(np.array([3]), 10) == pytest.approx(0.5)
 
 
 def test_ndcg_ignores_irrelevant_tail_permutation():
-    base = ev.ndcg_at_n(result([[1, 7, 2, 3, 4]], [{7}]), 5)
-    permuted = ev.ndcg_at_n(result([[1, 7, 4, 3, 2]], [{7}]), 5)
-    assert base == permuted
+    base = gold_rank(probs_ranked([1, 7, 2, 3, 4], 8), [7])
+    permuted = gold_rank(probs_ranked([1, 7, 4, 3, 2], 8), [7])
+    assert base.tolist() == permuted.tolist() == [2]
+    assert ndcg_at(base, 5) == ndcg_at(permuted, 5)
 
 
-def test_both_metrics_saturate_when_relevants_lead():
-    res = result([[5, 6, 0, 1]], [{5, 6}])
-    assert ev.precision_at_n(res, 2) == 1.0
-    assert ev.ndcg_at_n(res, 2) == 1.0
+def test_gold_rank_breaks_ties_on_lower_taxonomy_index():
+    probs = np.array([[0.1, 0.3, 0.3, 0.2, 0.1], [0.2, 0.2, 0.2, 0.2, 0.2]])
+    assert gold_rank(probs, [2, 0]).tolist() == [2, 1]
+    assert gold_rank(probs, [0, 4]).tolist() == [4, 5]
+
+
+def test_metrics_of_no_rows_are_zero():
+    ranks = gold_rank(np.zeros((0, 3)), np.zeros(0, dtype=int))
+    assert ranks.shape == (0,)
+    assert hit_at(ranks, 1) == precision_at(ranks, 1) == ndcg_at(ranks, 10) == 0.0
+
+
+def test_rank_metrics_equal_the_set_based_oracle():
+    """On random probabilities, a third rounded to one decimal so that ties
+    and exact zeros occur, each gold rank is the gold class's position in a
+    lexsort (probability descending, index ascending), and every metric the
+    stages report equals the set-based oracle under ==."""
+    rng = np.random.default_rng(21)
+    for case in range(150):
+        rows, classes = int(rng.integers(1, 401)), int(rng.integers(1, 61))
+        probs = rng.random((rows, classes))
+        if case % 3 == 0:
+            probs = np.round(probs, 1)
+        elif case % 3 == 1:
+            probs[rng.random(probs.shape) < 0.3] = 0.0
+        labels = rng.integers(0, classes, size=rows)
+        ranks = gold_rank(probs, labels)
+        orders = [np.lexsort((np.arange(classes), -row)) for row in probs]
+        assert ranks.tolist() == [
+            int(np.flatnonzero(order == gold)[0]) + 1 for order, gold in zip(orders, labels)
+        ]
+        results = RankingResult(
+            rankings=[order.tolist() for order in orders],
+            relevant=[{gold} for gold in labels.tolist()],
+        )
+        for n in (1, 5, 10):
+            assert hit_at(ranks, n) == hit_rate_at_n(results, n)
+            assert precision_at(ranks, n) == precision_at_n(results, n)
+        assert ndcg_at(ranks, 10) == ndcg_at_n(results, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +109,7 @@ def chain_graph(n_edges):
     for i in range(n_edges):
         records.append(JobRecord(f"p{i}", f"t{i}", "c", date(2019, 1, 1), date(2020, 1, 1)))
         records.append(JobRecord(f"p{i}", f"t{i + 1}", "c", date(2020, 1, 2), None))
-    return build_transition_graph(records)
+    return build_transition_graph(person_sequences(records))
 
 
 def test_link_split_cardinalities_follow_protocol():
@@ -188,7 +229,7 @@ def test_link_prediction_selects_operator_and_reports_auc():
             records.append(JobRecord(f"p{person}", f"b{block}n{a}", "c", date(2019, 1, 1), date(2020, 1, 1)))
             records.append(JobRecord(f"p{person}", f"b{block}n{b}", "c", date(2020, 1, 2), None))
             person += 1
-    graph = build_transition_graph(records)
+    graph = build_transition_graph(person_sequences(records))
     vectors = {}
     for node in sorted(graph.nodes):  # draw order independent of string hashing
         block = 1.0 if node.startswith("b1") else -1.0

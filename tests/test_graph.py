@@ -14,6 +14,7 @@ from titlemap.graph import (
     extract_parent_child_pairs,
     load_pairs,
     load_records,
+    person_sequences,
     write_pairs,
     write_records,
 )
@@ -66,7 +67,7 @@ def test_record_rejects_start_after_end():
 
 def test_single_transition_graph():
     records = [rec("p", "A", "2019-01-01", "2020-01-01"), rec("p", "B", "2020-01-01")]
-    graph = build_transition_graph(records)
+    graph = build_transition_graph(person_sequences(records))
     assert graph.nodes == {"a", "b"}
     assert graph.edge_counts == {("a", "b"): 1}
     assert graph.weights[("a", "b")] == 1.0
@@ -77,7 +78,7 @@ def test_repeated_transition_normalizes_to_one():
         rec("p1", "A", "2019-01-01", "2020-01-01"), rec("p1", "B", "2020-01-01"),
         rec("p2", "A", "2018-01-01", "2019-01-01"), rec("p2", "B", "2019-02-01"),
     ]
-    graph = build_transition_graph(records)
+    graph = build_transition_graph(person_sequences(records))
     assert graph.edge_counts == {("a", "b"): 2}
     assert graph.weights[("a", "b")] == 1.0
 
@@ -90,7 +91,7 @@ def test_three_transition_weights():
         rec("p2", "A", "2015-01-01", "2016-01-01"),
         rec("p2", "C", "2016-01-01"),
     ]
-    graph = build_transition_graph(records)
+    graph = build_transition_graph(person_sequences(records))
     assert set(graph.edge_counts) == {("a", "b"), ("b", "c"), ("a", "c")}
     for weight in graph.weights.values():
         assert weight == pytest.approx(1 / 3)
@@ -105,7 +106,7 @@ def test_weights_sum_to_one_on_random_graphs():
             nxt = date(2010 + j + 1, 1, 1)
             records.append(rec(f"p{p}", f"t{rng.integers(8)}", start.isoformat(), nxt.isoformat()))
             start = nxt
-    graph = build_transition_graph(records)
+    graph = build_transition_graph(person_sequences(records))
     assert sum(graph.weights.values()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -117,24 +118,26 @@ def test_graph_is_person_order_insensitive():
         records.append(rec(f"p{p}", f"t{p % 3}", "2020-01-01"))
     shuffled = list(records)
     rng.shuffle(shuffled)
-    assert build_transition_graph(records).edge_counts == build_transition_graph(shuffled).edge_counts
+    graph, again = (build_transition_graph(person_sequences(r)) for r in (records, shuffled))
+    assert graph.edge_counts == again.edge_counts
 
 
 def test_parent_child_orientation():
     # a move from SWE to MLE makes MLE the parent
     records = [rec("p", "SWE", "2018-01-01", "2020-01-01"), rec("p", "MLE", "2020-01-01")]
-    assert extract_parent_child_pairs(records) == [ParentChildPair(parent="mle", child="swe")]
+    pairs = extract_parent_child_pairs(person_sequences(records))
+    assert pairs == [ParentChildPair(parent="mle", child="swe")]
 
 
 def test_single_job_resume_has_no_pairs():
-    assert extract_parent_child_pairs([rec("p", "A", "2020-01-01")]) == []
+    assert extract_parent_child_pairs(person_sequences([rec("p", "A", "2020-01-01")])) == []
 
 
 def test_five_job_resume_has_four_pairs():
     records = [
         rec("p", f"T{i}", f"201{i}-01-01", f"201{i + 1}-01-01") for i in range(5)
     ]
-    assert len(extract_parent_child_pairs(records)) == 4
+    assert len(extract_parent_child_pairs(person_sequences(records))) == 4
 
 
 def test_self_transition_counts_in_graph_but_not_pairs():
@@ -143,9 +146,9 @@ def test_self_transition_counts_in_graph_but_not_pairs():
         rec("p", "engineer  ", "2019-01-01", "2020-01-01"),
         rec("p", "Manager", "2020-01-01"),
     ]
-    graph = build_transition_graph(records)
-    assert graph.edge_counts[("engineer", "engineer")] == 1
-    pairs = extract_parent_child_pairs(records)
+    sequences = person_sequences(records)
+    assert build_transition_graph(sequences).edge_counts[("engineer", "engineer")] == 1
+    pairs = extract_parent_child_pairs(sequences)
     assert pairs == [ParentChildPair(parent="manager", child="engineer")]
 
 
@@ -154,7 +157,8 @@ def test_duplicate_pairs_are_preserved():
     for p in ("p1", "p2"):
         records.append(rec(p, "A", "2019-01-01", "2020-01-01"))
         records.append(rec(p, "B", "2020-01-01"))
-    assert extract_parent_child_pairs(records).count(ParentChildPair("b", "a")) == 2
+    pairs = extract_parent_child_pairs(person_sequences(records))
+    assert pairs.count(ParentChildPair("b", "a")) == 2
 
 
 def test_start_tie_breaks_by_end_then_input_order():
@@ -162,14 +166,15 @@ def test_start_tie_breaks_by_end_then_input_order():
         rec("p", "later", "2020-01-01", "2021-06-01"),
         rec("p", "earlier", "2020-01-01", "2020-06-01"),
     ]
-    pairs = extract_parent_child_pairs(records)
+    pairs = extract_parent_child_pairs(person_sequences(records))
     assert pairs == [ParentChildPair(parent="later", child="earlier")]
     # identical (start, end): stable input order decides
     records = [
         rec("p", "first", "2020-01-01", "2020-06-01"),
         rec("p", "second", "2020-01-01", "2020-06-01"),
     ]
-    assert extract_parent_child_pairs(records) == [ParentChildPair(parent="second", child="first")]
+    pairs = extract_parent_child_pairs(person_sequences(records))
+    assert pairs == [ParentChildPair(parent="second", child="first")]
 
 
 def test_jsonl_round_trip(tmp_path):

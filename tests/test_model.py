@@ -10,7 +10,7 @@ from titlemap import numerics as nx
 from titlemap import reasoning as rs
 from titlemap.datagen import SynthConfig, gen_resumes, gen_taxonomy
 from titlemap.errors import ConfigError, DataError
-from titlemap.graph import canonicalize_title, extract_parent_child_pairs
+from titlemap.graph import canonicalize_title, extract_parent_child_pairs, person_sequences
 from titlemap.model import (
     VARIANTS,
     FeaturePipeline,
@@ -42,7 +42,7 @@ def tiny_world(groups=6, synonyms=3, persons=60, seed=0, d_h=6, d_b=16):
                         jobs_per_person=4, seed=seed)
     taxonomy, labeled = gen_taxonomy(synth)
     records = gen_resumes(synth, taxonomy, labeled)
-    pairs = extract_parent_child_pairs(records)
+    pairs = extract_parent_child_pairs(person_sequences(records))
     table = train_poincare(pairs, m=d_h, config=PoincareConfig(epochs=8, seed=seed))
     pipeline = FeaturePipeline(table, HashedNgramProvider(dimension=d_b, seed=seed), taxonomy)
     examples = labeled + [(t, t) for t in taxonomy.titles]

@@ -13,7 +13,7 @@ from titlemap.errors import (
 )
 from titlemap import poincare
 from titlemap.datagen import SynthConfig, gen_resumes, gen_taxonomy
-from titlemap.graph import ParentChildPair, extract_parent_child_pairs
+from titlemap.graph import ParentChildPair, extract_parent_child_pairs, person_sequences
 from titlemap.poincare import (
     BOUNDARY_EPS,
     HyperbolicEmbeddingTable,
@@ -465,7 +465,7 @@ MEAN_PARENT_RANK_TOLERANCE = 0.10
 def test_mean_parent_rank_on_generated_graph_matches_per_pair_trainer():
     synth = SynthConfig(groups=50, synonyms=5, persons=200, seed=1)
     taxonomy, labeled = gen_taxonomy(synth)
-    pairs = extract_parent_child_pairs(gen_resumes(synth, taxonomy, labeled))
+    pairs = extract_parent_child_pairs(person_sequences(gen_resumes(synth, taxonomy, labeled)))
     table = train_poincare(pairs, m=10, config=PoincareConfig(epochs=20, seed=1))
     assert len(table.vectors) == 241  # a random table would rank parents near 120
     assert mean_parent_rank(table, pairs) == pytest.approx(
