@@ -39,9 +39,9 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 # Config schema: section -> key -> (type, default). The `dims`, `datagen`,
 # `poincare` and `train` sections are the fields of the config dataclasses
-# (each `seed` comes from `seeds`, `d_h`/`d_b`/`d_r` from `dims`) plus a few
-# CLI-only keys. A `None` default means an optional path. Unknown keys
-# anywhere are rejected.
+# and nothing else (each `seed` comes from `seeds`, `d_h`/`d_b`/`d_r` from
+# `dims`). A `None` default means an optional path. Unknown keys anywhere are
+# rejected.
 
 _DIMS = ("d_h", "d_b", "d_r")
 
@@ -61,8 +61,8 @@ SCHEMA = {
         ("taxonomy", "labels", "resumes", "pairs", "hyperbolic", "titles", "vectors", "model"),
         (str, None),
     ),
-    "datagen": {**_dataclass_section(SynthConfig), "include_standard_labels": (bool, True)},
-    "poincare": {**_dataclass_section(PoincareConfig), "export_2d": (bool, False)},
+    "datagen": _dataclass_section(SynthConfig),
+    "poincare": _dataclass_section(PoincareConfig),
     "train": _dataclass_section(TrainConfig),
     "map": {"k": (int, 10)},
     "linkpred": {"epochs": (int, 100), "lr": (float, 0.05)},
@@ -247,10 +247,7 @@ def cmd_gen_data(config: dict) -> None:
     taxonomy, labeled = gen_taxonomy(synth)
     records = gen_resumes(synth, taxonomy, labeled)
     _save(out, "taxonomy.tsv", taxonomy.write_tsv)
-    rows = list(labeled)
-    if config["datagen"]["include_standard_labels"]:
-        rows.extend((t, t) for t in taxonomy.titles)
-    _save(out, "labels.tsv", write_rows, rows)
+    _save(out, "labels.tsv", write_rows, labeled + [(t, t) for t in taxonomy.titles])
     _save(out, "resumes.jsonl", write_records, records)
     _write_echo(config, "gen-data")
 
@@ -289,9 +286,6 @@ def cmd_train_poincare(config: dict) -> None:
         "seeds": config["seeds"],
     }
     _save(out, "poincare_report.json", _write_json, report)
-    if config["poincare"]["export_2d"]:
-        flat = train_poincare(pairs, m=2, config=poincare_config)
-        _save(out, "hyperbolic_2d.tsv", flat.export_tsv)
     _write_echo(config, "train-poincare")
 
 

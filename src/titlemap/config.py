@@ -15,14 +15,12 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .schema import accepts
 
-VARIANTS = ("full", "concat", "semantic_only")
-
 
 @dataclass
 class SynthConfig:
     groups: int = 10  # G standard titles
-    synonyms: int = 3  # S noisy variants per group
-    max_noise_ops: int = 3  # edits per variant drawn from {1..max}; 0 = exact copies
+    synonyms: int = 3  # S noisy titles per group
+    max_noise_ops: int = 3  # edits per noisy title drawn from {1..max}; 0 = exact copies
     persons: int = 100
     jobs_per_person: int = 5
     self_transition_bias: float = 0.6
@@ -73,7 +71,6 @@ class TrainConfig:
     seed: int = 0
     logic_weight: float = 1.0
     clause_weight: float = 0.1
-    variant: str = "full"
     # the co-attended features carry a 1/d softmax factor, so the fusion
     # layer needs far larger weights than the rest of the model; a separate
     # Adam group with a scaled lr closes that gap at desk scale
@@ -84,8 +81,6 @@ class TrainConfig:
             raise ConfigError(f"split {self.split} must be three finite numbers")
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise ConfigError(f"split fractions {self.split} must sum to 1")
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown model variant {self.variant!r}")
         if min(self.d_h, self.d_b, self.d_r) < 1:
             raise ConfigError("dimensions must be positive")
         if min(self.batch_size, self.max_epochs) < 1:

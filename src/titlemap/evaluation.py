@@ -277,23 +277,16 @@ def map_at_10_mobility(
     """MAP@10 for predicting each trajectory's final title from its predecessor.
 
     The predictor is a first-order transition-frequency model fit on all
-    non-final transitions; `mapper` (e.g. the trained model's top-1) is
-    applied to every title first when given. The frequency model is a
-    deliberate stand-in: the quantity of interest is how much the mapping
-    preprocessing helps it.
+    non-final transitions; `mapper` (e.g. a lookup of the trained model's
+    top-1) is applied to every title occurrence first when given. The
+    frequency model is a deliberate stand-in: the quantity of interest is how
+    much the mapping preprocessing helps it.
     """
     usable = [list(t) for t in trajectories if len(t) >= 2]
     if not usable:
         raise DataError("mobility evaluation needs trajectories with >= 2 jobs")
     if mapper is not None:
-        cache: dict = {}
-
-        def remap(title: str) -> str:
-            if title not in cache:
-                cache[title] = mapper(title)
-            return cache[title]
-
-        usable = [[remap(t) for t in seq] for seq in usable]
+        usable = [[mapper(t) for t in seq] for seq in usable]
 
     counts: dict = {}
     for seq in usable:

@@ -1,7 +1,9 @@
-"""The full title mapper: views -> co-attention + reasoning -> fused classifier.
+"""The title mapper: views -> co-attention + reasoning -> fused classifier.
 
-Training fuses the co-attended views with the two clause representations,
-projects onto the taxonomy (relu then softmax), and minimizes cross-entropy
+There is one model: every forward pass co-attends the three views and folds
+the clauses of the semantic and syntactic reasoning views. Training fuses
+the co-attended views with the two clause representations, projects onto
+the taxonomy (relu then softmax), and minimizes cross-entropy
 plus the six logical regularizers plus a small clause-truth term. The
 hyperbolic and semantic view producers are frozen; only co-attention,
 reasoning and fusion weights learn. Everything is deterministic for a fixed
@@ -22,7 +24,7 @@ import numpy as np
 from . import coattention as ca
 from . import numerics as nx
 from . import reasoning as rs
-from .config import VARIANTS, TrainConfig  # noqa: F401  (VARIANTS is re-exported)
+from .config import TrainConfig
 from .errors import ConfigError, DataError, DegenerateInputError, FormatError, NumericError
 from .numerics import Tensor
 from .poincare import HyperbolicEmbeddingTable
@@ -51,9 +53,9 @@ class MapperModel:
     d_h: int
     d_b: int
     d_s: int
-    coatt: Optional[ca.CoAttentionParams]
-    reason_b: Optional[rs.ReasoningParams]
-    reason_s: Optional[rs.ReasoningParams]
+    coatt: ca.CoAttentionParams
+    reason_b: rs.ReasoningParams
+    reason_s: rs.ReasoningParams
     fusion_w: Tensor  # |Y| x fused_dim
     fusion_b: Tensor  # 1 x |Y|
 
@@ -65,18 +67,10 @@ class MapperModel:
         return list(_tensor_registry(self).values())
 
 
-def fused_width(variant: str, d_h: int, d_b: int, d_s: int, d_r: int) -> int:
-    if variant == "full":
-        return d_h + d_b + d_s + 2 * d_r
-    if variant == "concat":
-        return d_h + d_b + d_s
-    return d_b
-
-
-# The parameter sets the full variant adds to the fusion head: artifact name
-# prefix, MapperModel field, parameter class, and the dimensions (from d_h,
-# d_b, d_s, d_r) its `shapes` and `init` take. Initialization, the tensor
-# registry, the expected artifact shapes and loading all follow this table.
+# The parameter sets that feed the fusion head: artifact name prefix,
+# MapperModel field, parameter class, and the dimensions (from d_h, d_b, d_s,
+# d_r) its `shapes` and `init` take. Initialization, the tensor registry, the
+# expected artifact shapes and loading all follow this table.
 _PARAM_SETS = (
     ("coattention", "coatt", ca.CoAttentionParams, lambda d_h, d_b, d_s, d_r: (d_h, d_b, d_s)),
     ("reasoning_b", "reason_b", rs.ReasoningParams, lambda d_h, d_b, d_s, d_r: (d_b, d_r)),
@@ -88,19 +82,17 @@ def init_model(taxonomy: Taxonomy, config: TrainConfig, d_h: int, d_b: int) -> M
     d_s = len(taxonomy)
     seeds = np.random.SeedSequence(config.seed).spawn(1 + len(_PARAM_SETS))
     rng = np.random.default_rng(seeds[0])
-    width = fused_width(config.variant, d_h, d_b, d_s, config.d_r)
+    shapes = _tensor_shapes(config, d_h, d_b, d_s)
     # relu-softmax heads die when early logits are chaotic: collapsing every
     # logit below zero yields the uniform distribution, which beats a noisy
     # start on cross-entropy and is a gradient-free trap. Near-zero weights
     # plus a positive bias start the head uniform AND fully relu-active.
-    fusion_w = Tensor(rng.uniform(-0.01, 0.01, size=(d_s, width)), requires_grad=True)
-    fusion_b = Tensor(np.ones((1, d_s)), requires_grad=True)
-    params = {field: None for _, field, _, _ in _PARAM_SETS}
-    if config.variant == "full":
-        for (_, field, cls, dims), seed in zip(_PARAM_SETS, seeds[1:]):
-            params[field] = cls.init(
-                *dims(d_h, d_b, d_s, config.d_r), seed=seed.generate_state(1)[0]
-            )
+    fusion_w = Tensor(rng.uniform(-0.01, 0.01, size=shapes["fusion.w"]), requires_grad=True)
+    fusion_b = Tensor(np.ones(shapes["fusion.b"]), requires_grad=True)
+    params = {
+        field: cls.init(*dims(d_h, d_b, d_s, config.d_r), seed=seed.generate_state(1)[0])
+        for (_, field, cls, dims), seed in zip(_PARAM_SETS, seeds[1:])
+    }
     return MapperModel(
         taxonomy=taxonomy,
         config=config,
@@ -180,26 +172,21 @@ def _forward(
     th, tb, ts = Tensor(x_h), Tensor(x_b), Tensor(x_s)
     out: dict = {}
     training = ctx is not None
-    if model.config.variant == "full":
-        attended = ca.co_attend(th, tb, ts, model.coatt)
-        n_cand = len(model.taxonomy)
-        order_b = ctx.fold_rng.permutation(n_cand) if training else None
-        order_s = ctx.fold_rng.permutation(n_cand) if training else None
-        pre_b = rs.encode_views(tb, v_b, model.reason_b)
-        pre_s = rs.encode_views(ts, v_s, model.reason_s)
-        clause_b = rs.clause_representation(*pre_b, model.reason_b, order_b)
-        clause_s = rs.clause_representation(*pre_s, model.reason_s, order_s)
-        fused = nx.concat(
-            [attended.x_hat_h, attended.x_hat_b, attended.x_hat_s, clause_b, clause_s],
-            axis=1,
-        )
-        if training:
-            out["clauses"] = {"b": clause_b, "s": clause_s}
-            out["projections"] = {"b": pre_b, "s": pre_s}
-    elif model.config.variant == "concat":
-        fused = nx.concat([th, tb, ts], axis=1)
-    else:  # semantic_only
-        fused = tb
+    attended = ca.co_attend(th, tb, ts, model.coatt)
+    n_cand = len(model.taxonomy)
+    order_b = ctx.fold_rng.permutation(n_cand) if training else None
+    order_s = ctx.fold_rng.permutation(n_cand) if training else None
+    pre_b = rs.encode_views(tb, v_b, model.reason_b)
+    pre_s = rs.encode_views(ts, v_s, model.reason_s)
+    clause_b = rs.clause_representation(*pre_b, model.reason_b, order_b)
+    clause_s = rs.clause_representation(*pre_s, model.reason_s, order_s)
+    fused = nx.concat(
+        [attended.x_hat_h, attended.x_hat_b, attended.x_hat_s, clause_b, clause_s],
+        axis=1,
+    )
+    if training:
+        out["clauses"] = {"b": clause_b, "s": clause_s}
+        out["projections"] = {"b": pre_b, "s": pre_s}
     logits = nx.relu(nx.matmul(fused, nx.transpose(model.fusion_w)) + model.fusion_b)
     out["logits"] = logits
     return out
@@ -242,18 +229,17 @@ def loss_on_batch(
     ce = nx.neg(nx.tmean(nx.gather_rows(log_probs, labels)))
     total = ce
     detail = {"cross_entropy": ce}
-    if model.config.variant == "full":
-        cfg = model.config
-        for view, params in (("b", model.reason_b), ("s", model.reason_s)):
-            j_pre, v_pre = parts["projections"][view]
-            e_gold = rs.correct_events(j_pre, v_pre, labels, params)
-            truth = rs.clause_truth_loss(parts["clauses"][view], e_gold, params)
-            regs = rs.logical_regularizers(_reg_batch(j_pre, v_pre, params, ctx), params)
-            detail[f"truth_{view}"] = truth
-            detail[f"regs_{view}"] = regs
-            total = total + nx.mul(regs.total, Tensor(cfg.logic_weight)) + nx.mul(
-                truth, Tensor(cfg.clause_weight)
-            )
+    cfg = model.config
+    for view, params in (("b", model.reason_b), ("s", model.reason_s)):
+        j_pre, v_pre = parts["projections"][view]
+        e_gold = rs.correct_events(j_pre, v_pre, labels, params)
+        truth = rs.clause_truth_loss(parts["clauses"][view], e_gold, params)
+        regs = rs.logical_regularizers(_reg_batch(j_pre, v_pre, params, ctx), params)
+        detail[f"truth_{view}"] = truth
+        detail[f"regs_{view}"] = regs
+        total = total + nx.mul(regs.total, Tensor(cfg.logic_weight)) + nx.mul(
+            truth, Tensor(cfg.clause_weight)
+        )
     return total, detail
 
 
@@ -423,10 +409,11 @@ def train(
     model = init_model(taxonomy, config, d_h=pipeline.d_h, d_b=pipeline.d_b)
     # the bias stays in the base-lr group: a fast per-class bias random-walks
     # across zero early in training, which permanently relu-kills the class
-    optimizers = [nx.Adam([model.fusion_w], lr=config.lr * config.fusion_lr_multiplier)]
     rest = [t for t in model.trainable_tensors() if t is not model.fusion_w]
-    if rest:
-        optimizers.append(nx.Adam(rest, lr=config.lr))
+    optimizers = [
+        nx.Adam([model.fusion_w], lr=config.lr * config.fusion_lr_multiplier),
+        nx.Adam(rest, lr=config.lr),
+    ]
 
     best_metric = -1.0
     best_epoch = -1
@@ -450,9 +437,8 @@ def train(
                 tape.backward(loss)
                 for optimizer in optimizers:
                     optimizer.step()
-                for params in (model.reason_b, model.reason_s):
-                    if params is not None:
-                        params.renormalize_anchor()
+                model.reason_b.renormalize_anchor()
+                model.reason_s.renormalize_anchor()
                 epoch_loss += loss_value
                 n_batches += 1
             val_probs = _probs_from_views(
@@ -497,21 +483,20 @@ def _tensor_registry(model: MapperModel) -> dict[str, Tensor]:
     """Artifact name -> tensor for every trainable tensor, in optimizer order."""
     reg = {"fusion.w": model.fusion_w, "fusion.b": model.fusion_b}
     for prefix, field, _, _ in _PARAM_SETS:
-        params = getattr(model, field)
-        if params is not None:
-            reg.update({f"{prefix}.{name}": t for name, t in nx.tensor_fields(params).items()})
+        fields = nx.tensor_fields(getattr(model, field))
+        reg.update({f"{prefix}.{name}": t for name, t in fields.items()})
     return reg
 
 
 def _tensor_shapes(config: TrainConfig, d_h: int, d_b: int, d_s: int) -> dict[str, tuple[int, int]]:
     """Artifact name -> shape of every tensor `_tensor_registry` lists for a
     model of these dimensions, computed without building the model."""
-    width = fused_width(config.variant, d_h, d_b, d_s, config.d_r)
+    # the fused row: three co-attended views, then two clause representations
+    width = d_h + d_b + d_s + 2 * config.d_r
     shapes = {"fusion.w": (d_s, width), "fusion.b": (1, d_s)}
-    if config.variant == "full":
-        for prefix, _, cls, dims in _PARAM_SETS:
-            field_shapes = cls.shapes(*dims(d_h, d_b, d_s, config.d_r))
-            shapes.update({f"{prefix}.{name}": shape for name, shape in field_shapes.items()})
+    for prefix, _, cls, dims in _PARAM_SETS:
+        field_shapes = cls.shapes(*dims(d_h, d_b, d_s, config.d_r))
+        shapes.update({f"{prefix}.{name}": shape for name, shape in field_shapes.items()})
     return shapes
 
 
@@ -519,7 +504,6 @@ def save_model(model: MapperModel, path) -> None:
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "variant": model.config.variant,
         "dims": {"d_h": model.d_h, "d_b": model.d_b, "d_s": model.d_s, "d_r": model.config.d_r},
         "taxonomy_hash": model.taxonomy_hash,
         "taxonomy_titles": model.taxonomy.titles,
@@ -591,7 +575,7 @@ def load_model(path) -> MapperModel:
     expected = _tensor_shapes(config, d_h, d_b, len(taxonomy))
     stored = doc["tensors"]
     if set(stored) != set(expected):
-        raise FormatError(f"{path}: tensor set does not match the {config.variant} variant")
+        raise FormatError(f"{path}: tensor set does not match the model's")
     tensors: dict[str, dict[str, Tensor]] = {}  # prefix -> field -> tensor
     for name, shape in expected.items():
         entry = stored[name]
@@ -614,10 +598,7 @@ def load_model(path) -> MapperModel:
         tensors.setdefault(prefix, {})[field] = Tensor(copy, requires_grad=True)
     # built straight from the stored arrays: drawing an initialization only to
     # overwrite it would import numpy.random into every serving stage
-    params = {
-        field: cls(**tensors[prefix]) if prefix in tensors else None
-        for prefix, field, cls, _ in _PARAM_SETS
-    }
+    params = {field: cls(**tensors[prefix]) for prefix, field, cls, _ in _PARAM_SETS}
     return MapperModel(
         taxonomy=taxonomy,
         config=config,

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,16 +70,16 @@ def test_defaults_are_filled_in():
         "datagen": {
             "groups": 10, "synonyms": 3, "max_noise_ops": 3, "persons": 100,
             "jobs_per_person": 5, "self_transition_bias": 0.6,
-            "transition_concentration": 0.3, "include_standard_labels": True,
+            "transition_concentration": 0.3,
         },
         "poincare": {
             "epochs": 50, "lr": 0.1, "negatives": 10, "burn_in_epochs": 10,
-            "burn_in_lr_factor": 0.1, "export_2d": False,
+            "burn_in_lr_factor": 0.1,
         },
         "train": {
             "lr": 0.001, "batch_size": 256, "max_epochs": 200, "patience": 20,
             "split": [0.64, 0.16, 0.2], "logic_weight": 1.0, "clause_weight": 0.1,
-            "variant": "full", "fusion_lr_multiplier": 1.0,
+            "fusion_lr_multiplier": 1.0,
         },
         "map": {"k": 10},
         "linkpred": {"epochs": 100, "lr": 0.05},
@@ -226,6 +227,32 @@ def test_gen_data_rerun_from_echo_is_bit_identical(tmp_path):
         assert (out / filename).read_bytes() == blob
 
 
+def test_train_rerun_from_echo_is_bit_identical(tmp_path):
+    out = tmp_path / "out"
+    data = {name: str(out / f"{name}.{ext}") for name, ext in (
+        ("taxonomy", "tsv"), ("labels", "tsv"), ("resumes", "jsonl"), ("pairs", "tsv"),
+        ("hyperbolic", "tsv"))}
+    path, _ = write_config(tmp_path, {"data": data, "seeds": {"train": 2}})
+    for command in ("gen-data", "build-graph", "train-poincare", "train"):
+        assert main([command, "--config", str(path)]) == 0
+    first = {f: (out / f).read_bytes() for f in ("model.json", "train_report.json")}
+    echo = out / "train_config.json"
+    assert main(["train", "--config", str(echo)]) == 0
+    for filename, blob in first.items():
+        assert (out / filename).read_bytes() == blob
+
+
+def test_readme_minimal_run_config_resolves():
+    # the README's example config may name only keys the CLI accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("A minimal end-to-end run:", 1)[1].split("```json\n", 1)[1]
+    raw = json.loads(block.split("```", 1)[0])
+    resolved = resolve_config(raw)
+    assert resolved["output_dir"] == raw["output_dir"]
+    for section in ("dims", "datagen", "train"):
+        assert resolved[section] == {**resolved[section], **raw[section]}
+
+
 def test_encode_semantic_writes_embeddings(tmp_path):
     out = tmp_path / "out"
     titles = tmp_path / "titles.txt"
@@ -285,6 +312,10 @@ def trained(tmp_path_factory):
         ("train-poincare", {"seeds": {"poincare": -1}}),
         ("train", {"seeds": {"train": -1}}),
         ("linkpred", {"seeds": {"linkpred": -1}}),
+        # keys the config no longer has, each set to its last default
+        ("train", {"train": {"variant": "full"}}),
+        ("train-poincare", {"poincare": {"export_2d": False}}),
+        ("gen-data", {"datagen": {"include_standard_labels": True}}),
     ],
     ids=["split-of-strings", "batch-size-0", "max-epochs-bool", "max-epochs-0",
          "patience-negative", "train-lr-0", "logic-weight-negative", "clause-weight-negative",
@@ -292,7 +323,8 @@ def trained(tmp_path_factory):
          "burn-in-epochs-negative", "burn-in-lr-factor-negative", "burn-in-lr-factor-0",
          "linkpred-epochs-0", "linkpred-lr-0", "linkpred-lr-negative",
          "data-seed-negative", "poincare-seed-negative", "train-seed-negative",
-         "linkpred-seed-negative"],
+         "linkpred-seed-negative", "removed-train-variant", "removed-poincare-export-2d",
+         "removed-datagen-include-standard-labels"],
 )
 def test_bad_config_value_exits_2(trained, command, overrides, capsys):
     tmp, data = trained
@@ -302,7 +334,11 @@ def test_bad_config_value_exits_2(trained, command, overrides, capsys):
     assert main([command, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert "kind=config" in err
+    ((section, value),) = overrides.items()
+    (key,) = value
+    assert "kind=config" in err and key in err
+    if key in ("variant", "export_2d", "include_standard_labels"):
+        assert f"unknown config key '{section}.{key}'" in err
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
@@ -352,6 +388,7 @@ def as_version_1(doc):
         lambda doc: doc["train_config"].update(seed=-1),
         # a key the config no longer has, as an older artifact carries it
         lambda doc: doc["train_config"].update(fusion_weight_decay=0.0),
+        lambda doc: doc["train_config"].update(variant="full"),
         lambda doc: doc["tensors"]["fusion.b"].pop("shape"),
         lambda doc: doc.pop("taxonomy_titles"),
         lambda doc: doc.pop("taxonomy_groups"),
@@ -375,7 +412,7 @@ def as_version_1(doc):
         as_version_1,
     ],
     ids=["extra-key", "missing-key", "wrong-type", "clause-weight-nan", "logic-weight-negative",
-         "seed-negative", "fusion-weight-decay",
+         "seed-negative", "fusion-weight-decay", "variant",
          "tensor-without-shape",
          "no-taxonomy-titles", "no-taxonomy-groups", "no-taxonomy-hash", "no-d-h", "no-d-b",
          "titles-not-list", "groups-not-strings", "hash-not-string", "d-h-string",

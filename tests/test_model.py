@@ -12,7 +12,6 @@ from titlemap.datagen import SynthConfig, gen_resumes, gen_taxonomy
 from titlemap.errors import ConfigError, DataError
 from titlemap.graph import canonicalize_title, extract_parent_child_pairs, person_sequences
 from titlemap.model import (
-    VARIANTS,
     FeaturePipeline,
     MapperModel,
     TrainConfig,
@@ -61,11 +60,6 @@ def test_split_fractions_must_sum_to_one():
         TrainConfig(split=(0.5, 0.2, 0.2))
 
 
-def test_unknown_variant_rejected():
-    with pytest.raises(ConfigError):
-        TrainConfig(variant="bert_only")
-
-
 def test_forward_is_a_probability_distribution():
     taxonomy, pipeline, examples = tiny_world()
     model = init_model(taxonomy, small_config(), d_h=6, d_b=16)
@@ -84,39 +78,56 @@ def test_zero_fusion_weights_give_uniform_distribution():
     assert np.allclose(probs, 1.0 / len(taxonomy), atol=1e-12)
 
 
-def test_uniform_prediction_cross_entropy_is_log_classes():
-    taxonomy = Taxonomy(titles=["aa bb", "cc dd", "ee ff", "gg hh"])
-    config = small_config(variant="semantic_only")
-    model = init_model(taxonomy, config, d_h=6, d_b=16)
-    model.fusion_w.data[...] = 0.0
-    model.fusion_b.data[...] = 0.0
+def cross_entropy_only(taxonomy, x_h, x_b, labels, prepare):
+    """The loss of one batch with the logical and clause weights at zero, so
+    it is the head's cross-entropy alone; `prepare(model)` sets the weights."""
+    d_h, d_b = x_h.shape[1], x_b.shape[1]
+    config = small_config(d_h=d_h, d_b=d_b, logic_weight=0.0, clause_weight=0.0)
+    model = init_model(taxonomy, config, d_h=d_h, d_b=d_b)
+    prepare(model)
     rng = np.random.default_rng(0)
     ctx = _TrainContext(fold_rng=rng, reg_rng=rng)
-    x_b = rng.uniform(-1, 1, (5, 16))
-    loss, _ = loss_on_batch(
-        model, np.zeros((5, 6)), x_b, np.zeros((5, 4)), np.array([0, 1, 2, 3, 0]),
-        Tensor(np.zeros((4, 16))), Tensor(np.zeros((4, 4))), ctx,
+    n_cand = len(taxonomy)
+    loss, detail = loss_on_batch(
+        model, x_h, x_b, rng.uniform(0, 1, (len(labels), n_cand)), labels,
+        Tensor(rng.uniform(-1, 1, (n_cand, d_b))), Tensor(rng.uniform(0, 1, (n_cand, n_cand))),
+        ctx,
     )
-    assert loss.item() == pytest.approx(np.log(4), abs=1e-12)
+    assert loss.item() == detail["cross_entropy"].item()
+    return loss.item()
+
+
+def test_uniform_prediction_cross_entropy_is_log_classes():
+    taxonomy = Taxonomy(titles=["aa bb", "cc dd", "ee ff", "gg hh"])
+    rng = np.random.default_rng(1)
+
+    def zero_head(model):
+        model.fusion_w.data[...] = 0.0
+        model.fusion_b.data[...] = 0.0
+
+    loss = cross_entropy_only(taxonomy, rng.uniform(-1, 1, (5, 6)), rng.uniform(-1, 1, (5, 16)),
+                              np.array([0, 1, 2, 3, 0]), zero_head)
+    assert loss == pytest.approx(np.log(4), abs=1e-12)
 
 
 def test_perfect_prediction_drives_loss_to_zero():
     taxonomy = Taxonomy(titles=["aa bb", "cc dd", "ee ff", "gg hh"])
-    config = small_config(variant="semantic_only", d_b=8)
-    model = init_model(taxonomy, config, d_h=6, d_b=8)
-    # craft one-hot features and a huge aligned fusion weight
-    model.fusion_w.data[...] = 0.0
-    model.fusion_w.data[:, :4] = 60.0 * np.eye(4)
-    model.fusion_b.data[...] = 0.0
-    x_b = np.zeros((4, 8))
+    d_h, d_b = 6, 8
+    x_b = np.zeros((4, d_b))
     x_b[np.arange(4), np.arange(4)] = 1.0
-    rng = np.random.default_rng(0)
-    ctx = _TrainContext(fold_rng=rng, reg_rng=rng)
-    loss, _ = loss_on_batch(
-        model, np.zeros((4, 6)), x_b, np.zeros((4, 4)), np.arange(4),
-        Tensor(np.zeros((4, 8))), Tensor(np.zeros((4, 4))), ctx,
-    )
-    assert loss.item() < 1e-9
+
+    def aligned_head(model):
+        # zero co-attention weights make every key's softmax 1/d_b, so the
+        # co-attended semantic block is x_b / d_b; a huge weight on it reads
+        # each row's one-hot back as a logit of 60 for its own class
+        for t in nx.tensor_fields(model.coatt).values():
+            t.data[...] = 0.0
+        model.fusion_w.data[...] = 0.0
+        model.fusion_w.data[:, d_h : d_h + 4] = 60.0 * d_b * np.eye(4)
+        model.fusion_b.data[...] = 0.0
+
+    loss = cross_entropy_only(taxonomy, np.zeros((4, d_h)), x_b, np.arange(4), aligned_head)
+    assert loss < 1e-9
 
 
 def test_label_outside_taxonomy_is_data_error():
@@ -362,24 +373,9 @@ def test_out_of_graph_title_gets_zero_topological_view():
     assert np.array_equal(x_h, np.zeros((1, 6)))
 
 
-def test_variant_artifacts_round_trip(tmp_path):
-    taxonomy, pipeline, examples = tiny_world()
-    for variant in ("concat", "semantic_only"):
-        result = train(examples, pipeline, small_config(max_epochs=2, patience=2, variant=variant))
-        path = tmp_path / f"{variant}.json"
-        save_model(result.model, path)
-        loaded = load_model(path)
-        probe = [t for t, _ in examples[:4]]
-        assert np.array_equal(
-            forward_probabilities(result.model, pipeline, probe),
-            forward_probabilities(loaded, pipeline, probe),
-        )
-
-
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_tensor_shapes_match_the_built_model(variant):
+def test_tensor_shapes_match_the_built_model():
     taxonomy = Taxonomy(titles=["data analyst", "chef", "pilot"])
-    config = small_config(d_h=5, d_b=7, d_r=3, variant=variant)
+    config = small_config(d_h=5, d_b=7, d_r=3)
     model = init_model(taxonomy, config, d_h=5, d_b=7)
     built = {name: t.data.shape for name, t in _tensor_registry(model).items()}
     assert _tensor_shapes(config, 5, 7, 3) == built
