@@ -40,8 +40,9 @@ if TYPE_CHECKING:
 # Config schema: section -> key -> (type, default). The `dims`, `datagen`,
 # `poincare` and `train` sections are the fields of the config dataclasses
 # and nothing else (each `seed` comes from `seeds`, `d_h`/`d_b`/`d_r` from
-# `dims`). A `None` default means an optional path. Unknown keys anywhere are
-# rejected.
+# `dims`). The stages that load a model take its widths from the model, not
+# from `dims`. A `None` default means an optional path. Unknown keys anywhere
+# are rejected.
 
 _DIMS = ("d_h", "d_b", "d_r")
 
@@ -183,33 +184,28 @@ def _require(config: dict, *keys: str) -> list:
     return values
 
 
-def _build_provider(config: dict):
+def _build_provider(config: dict, d_b: int):
+    """The configured semantic provider; the hashed encoder, alone or as the
+    fallback, is `d_b` wide, and a precomputed file has its own width."""
     from .semantic import HashedNgramProvider, PrecomputedProvider, load_precomputed
 
     spec = config["provider"]
-    d_b = config["dims"]["d_b"]
     hashed = HashedNgramProvider(dimension=d_b, seed=config["semantic_seed"])
     if spec == "hashed":
         return hashed
     cache = load_precomputed(spec.removeprefix("precomputed:"))
-    if cache.dimension != d_b:
-        raise ConfigError(
-            f"precomputed embeddings have dim {cache.dimension}, config dims.d_b is {d_b}"
-        )
     return PrecomputedProvider(cache, fallback=hashed if config["provider_fallback"] else None)
 
 
-def _load_pipeline(config: dict, taxonomy: Taxonomy) -> FeaturePipeline:
+def _load_pipeline(config: dict, taxonomy: Taxonomy, d_b: int) -> FeaturePipeline:
+    """The views of `data.hyperbolic` and the configured provider, unchecked:
+    `model.train` and `_load_model_pipeline` meet their widths to the model's."""
     from .model import FeaturePipeline
     from .poincare import HyperbolicEmbeddingTable
 
     (hyperbolic_path,) = _require(config, "data.hyperbolic")
     table = HyperbolicEmbeddingTable.load_tsv(hyperbolic_path)
-    if table.dim != config["dims"]["d_h"]:
-        raise ConfigError(
-            f"hyperbolic table has dim {table.dim}, config dims.d_h is {config['dims']['d_h']}"
-        )
-    return FeaturePipeline(hyperbolic=table, semantic=_build_provider(config), taxonomy=taxonomy)
+    return FeaturePipeline(table, _build_provider(config, d_b), taxonomy)
 
 
 def _read_labeled(path, taxonomy: Taxonomy) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
@@ -294,7 +290,7 @@ def cmd_encode_semantic(config: dict) -> None:
 
     out = config["output_dir"]
     (titles_path,) = _require(config, "data.titles")
-    provider = _build_provider(config)
+    provider = _build_provider(config, config["dims"]["d_b"])
     keys = [canonicalize_title(title) for title in dict.fromkeys(_read_titles(titles_path))]
     cache = embed_titles(provider, keys)
     _save(out, "semantic.tsv", write_embeddings, cache)
@@ -310,7 +306,7 @@ def cmd_train(config: dict) -> None:
     train_config = _dataclass_from(config, TrainConfig, "train", "train")
     taxonomy = Taxonomy.load_tsv(taxonomy_path)
     rows, examples = _read_labeled(labels_path, taxonomy)
-    pipeline = _load_pipeline(config, taxonomy)
+    pipeline = _load_pipeline(config, taxonomy, train_config.d_b)
     result = train(examples, pipeline, train_config)
     _save(out, "model.json", lambda path: save_model(result.model, path))
     _save(out, "training_curve.csv", _write_curve, result.history)
@@ -327,15 +323,14 @@ def cmd_train(config: dict) -> None:
 
 
 def _load_model_pipeline(config: dict):
-    from .model import load_model
+    """The model of `data.model` and the views it takes; every width comes
+    from the model, none from the config's `dims`."""
+    from .model import check_view_widths, load_model
 
     (model_path,) = _require(config, "data.model")
     model = load_model(model_path)
-    pipeline = _load_pipeline(config, model.taxonomy)
-    if pipeline.d_b != model.d_b:
-        raise ConfigError(
-            f"provider dim {pipeline.d_b} does not match model d_b {model.d_b}"
-        )
+    pipeline = _load_pipeline(config, model.taxonomy, model.d_b)
+    check_view_widths(pipeline, model.config)
     return model, pipeline
 
 

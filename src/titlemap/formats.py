@@ -120,7 +120,7 @@ def read_vectors(
     vectors, seen, key_of = [], set(), line_keys(path)
     for lineno, (title, values) in rows:
         try:
-            vec = np.array([float(tok) for tok in values.split(",")], dtype=np.float64)
+            vec = np.array(values.split(","), dtype=np.float64)
         except ValueError as e:
             raise FormatError(f"{path}:{lineno}: {e}") from None
         key = key_of(title, lineno)

@@ -28,7 +28,7 @@ from .config import TrainConfig
 from .errors import ConfigError, DataError, DegenerateInputError, FormatError, NumericError
 from .numerics import Tensor
 from .poincare import HyperbolicEmbeddingTable
-from .schema import accepts, build
+from .schema import build
 from .semantic import SemanticProvider
 from .syntactic import Taxonomy, syntactic_matrix
 from .formats import is_utf8
@@ -37,7 +37,7 @@ from .graph import canonicalize_title
 logger = logging.getLogger(__name__)
 
 MODEL_FORMAT = "titlemap-model"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 # every tensor is stored as the base64 of these raw bytes
 _TENSOR_DTYPE = np.dtype("<f8")
@@ -50,14 +50,15 @@ _CHUNK_ROWS = 512
 class MapperModel:
     taxonomy: Taxonomy
     config: TrainConfig
-    d_h: int
-    d_b: int
-    d_s: int
     coatt: ca.CoAttentionParams
     reason_b: rs.ReasoningParams
     reason_s: rs.ReasoningParams
     fusion_w: Tensor  # |Y| x fused_dim
     fusion_b: Tensor  # 1 x |Y|
+
+    @property
+    def d_b(self) -> int:
+        return self.config.d_b
 
     @property
     def taxonomy_hash(self) -> str:
@@ -68,21 +69,21 @@ class MapperModel:
 
 
 # The parameter sets that feed the fusion head: artifact name prefix,
-# MapperModel field, parameter class, and the dimensions (from d_h, d_b, d_s,
-# d_r) its `shapes` and `init` take. Initialization, the tensor registry, the
-# expected artifact shapes and loading all follow this table.
+# MapperModel field, parameter class, and the dimensions (from the config's
+# d_h, d_b, d_r and the taxonomy size d_s) its `shapes` and `init` take.
+# Initialization, the tensor registry, the expected artifact shapes and
+# loading all follow this table.
 _PARAM_SETS = (
-    ("coattention", "coatt", ca.CoAttentionParams, lambda d_h, d_b, d_s, d_r: (d_h, d_b, d_s)),
-    ("reasoning_b", "reason_b", rs.ReasoningParams, lambda d_h, d_b, d_s, d_r: (d_b, d_r)),
-    ("reasoning_s", "reason_s", rs.ReasoningParams, lambda d_h, d_b, d_s, d_r: (d_s, d_r)),
+    ("coattention", "coatt", ca.CoAttentionParams, lambda c, d_s: (c.d_h, c.d_b, d_s)),
+    ("reasoning_b", "reason_b", rs.ReasoningParams, lambda c, d_s: (c.d_b, c.d_r)),
+    ("reasoning_s", "reason_s", rs.ReasoningParams, lambda c, d_s: (d_s, c.d_r)),
 )
 
 
-def init_model(taxonomy: Taxonomy, config: TrainConfig, d_h: int, d_b: int) -> MapperModel:
-    d_s = len(taxonomy)
+def init_model(taxonomy: Taxonomy, config: TrainConfig) -> MapperModel:
     seeds = np.random.SeedSequence(config.seed).spawn(1 + len(_PARAM_SETS))
     rng = np.random.default_rng(seeds[0])
-    shapes = _tensor_shapes(config, d_h, d_b, d_s)
+    shapes = _tensor_shapes(config, len(taxonomy))
     # relu-softmax heads die when early logits are chaotic: collapsing every
     # logit below zero yields the uniform distribution, which beats a noisy
     # start on cross-entropy and is a gradient-free trap. Near-zero weights
@@ -90,18 +91,11 @@ def init_model(taxonomy: Taxonomy, config: TrainConfig, d_h: int, d_b: int) -> M
     fusion_w = Tensor(rng.uniform(-0.01, 0.01, size=shapes["fusion.w"]), requires_grad=True)
     fusion_b = Tensor(np.ones(shapes["fusion.b"]), requires_grad=True)
     params = {
-        field: cls.init(*dims(d_h, d_b, d_s, config.d_r), seed=seed.generate_state(1)[0])
+        field: cls.init(*dims(config, len(taxonomy)), seed=seed.generate_state(1)[0])
         for (_, field, cls, dims), seed in zip(_PARAM_SETS, seeds[1:])
     }
     return MapperModel(
-        taxonomy=taxonomy,
-        config=config,
-        d_h=d_h,
-        d_b=d_b,
-        d_s=d_s,
-        fusion_w=fusion_w,
-        fusion_b=fusion_b,
-        **params,
+        taxonomy=taxonomy, config=config, fusion_w=fusion_w, fusion_b=fusion_b, **params
     )
 
 
@@ -151,6 +145,17 @@ class FeaturePipeline:
         if self._standard_syntactic is None:
             self._standard_syntactic = syntactic_matrix(self.taxonomy.titles, self.taxonomy)
         return self._standard_syntactic
+
+
+def check_view_widths(pipeline: FeaturePipeline, config: TrainConfig) -> None:
+    """Raise `ConfigError` unless the pipeline's views have the widths the
+    model of `config` takes. The syntactic view is |Y| wide by construction."""
+    for view, width, name, expected in (
+        ("hyperbolic table", pipeline.d_h, "d_h", config.d_h),
+        ("semantic provider", pipeline.d_b, "d_b", config.d_b),
+    ):
+        if width != expected:
+            raise ConfigError(f"{view} has width {width}, but the model's {name} is {expected}")
 
 
 @dataclass
@@ -362,14 +367,7 @@ def train(
     checkpoint. `examples` are (title, standard title) pairs of canonical
     keys."""
     taxonomy = pipeline.taxonomy
-    if pipeline.d_h != config.d_h:
-        raise ConfigError(
-            f"config d_h={config.d_h} but hyperbolic table has dim {pipeline.d_h}"
-        )
-    if pipeline.d_b != config.d_b:
-        raise ConfigError(
-            f"config d_b={config.d_b} but semantic provider has dim {pipeline.d_b}"
-        )
+    check_view_widths(pipeline, config)
     if not examples:
         raise DegenerateInputError("train: no labeled examples")
     labels_all = np.array([taxonomy.index(std) for _, std in examples], dtype=np.intp)
@@ -406,7 +404,7 @@ def train(
     v_b = Tensor(pipeline.standard_semantic())
     v_s = Tensor(pipeline.standard_syntactic())
 
-    model = init_model(taxonomy, config, d_h=pipeline.d_h, d_b=pipeline.d_b)
+    model = init_model(taxonomy, config)
     # the bias stays in the base-lr group: a fast per-class bias random-walks
     # across zero early in training, which permanently relu-kills the class
     rest = [t for t in model.trainable_tensors() if t is not model.fusion_w]
@@ -488,14 +486,14 @@ def _tensor_registry(model: MapperModel) -> dict[str, Tensor]:
     return reg
 
 
-def _tensor_shapes(config: TrainConfig, d_h: int, d_b: int, d_s: int) -> dict[str, tuple[int, int]]:
-    """Artifact name -> shape of every tensor `_tensor_registry` lists for a
-    model of these dimensions, computed without building the model."""
+def _tensor_shapes(config: TrainConfig, d_s: int) -> dict[str, tuple[int, int]]:
+    """Artifact name -> shape of every tensor `_tensor_registry` lists for the
+    model of `config` over `d_s` classes, computed without building it."""
     # the fused row: three co-attended views, then two clause representations
-    width = d_h + d_b + d_s + 2 * config.d_r
+    width = config.d_h + config.d_b + d_s + 2 * config.d_r
     shapes = {"fusion.w": (d_s, width), "fusion.b": (1, d_s)}
     for prefix, _, cls, dims in _PARAM_SETS:
-        field_shapes = cls.shapes(*dims(d_h, d_b, d_s, config.d_r))
+        field_shapes = cls.shapes(*dims(config, d_s))
         shapes.update({f"{prefix}.{name}": shape for name, shape in field_shapes.items()})
     return shapes
 
@@ -504,7 +502,6 @@ def save_model(model: MapperModel, path) -> None:
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "dims": {"d_h": model.d_h, "d_b": model.d_b, "d_s": model.d_s, "d_r": model.config.d_r},
         "taxonomy_hash": model.taxonomy_hash,
         "taxonomy_titles": model.taxonomy.titles,
         "taxonomy_groups": model.taxonomy.groups,
@@ -526,16 +523,12 @@ def _str_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) and is_utf8(v) for v in value)
 
 
-def _positive_int(value) -> bool:
-    return accepts(int, value) and value >= 1
-
-
-# the artifact fields read besides train_config, each with the check its value must pass
+# the artifact fields besides format, version and train_config, each with the
+# check its value must pass; `save_model` writes exactly these
 _ARTIFACT_FIELDS = {
     "taxonomy_titles": lambda v: _str_list(v) and len(v) > 0,
     "taxonomy_groups": lambda v: v is None or _str_list(v),
     "taxonomy_hash": lambda v: isinstance(v, str),
-    "dims": lambda v: isinstance(v, dict) and all(_positive_int(v.get(k)) for k in ("d_h", "d_b")),
     "tensors": lambda v: isinstance(v, dict),
 }
 
@@ -554,6 +547,9 @@ def load_model(path) -> MapperModel:
         raise FormatError(f"{path}: not a {MODEL_FORMAT} artifact")
     if doc.get("version") != MODEL_VERSION:
         raise FormatError(f"{path}: unsupported artifact version {doc.get('version')}")
+    unknown = sorted(set(doc) - {"format", "version", "train_config", *_ARTIFACT_FIELDS})
+    if unknown:
+        raise FormatError(f"{path}: unknown field(s) {unknown}")
     try:
         config = build(TrainConfig, doc.get("train_config"))
     except ConfigError as e:
@@ -564,15 +560,9 @@ def load_model(path) -> MapperModel:
     taxonomy = Taxonomy(titles=doc["taxonomy_titles"], groups=doc["taxonomy_groups"])
     if taxonomy.version_id != doc["taxonomy_hash"]:
         raise DataError(f"{path}: taxonomy hash mismatch; artifact is inconsistent")
-    d_h, d_b = doc["dims"]["d_h"], doc["dims"]["d_b"]
-    if (d_h, d_b) != (config.d_h, config.d_b):
-        raise FormatError(
-            f"{path}: dims d_h={d_h} d_b={d_b} differ from train_config "
-            f"d_h={config.d_h} d_b={config.d_b}"
-        )
-    # every stored tensor is checked against the shape the dimensions imply
-    # before the model is built, so a false dimension cannot ask for memory
-    expected = _tensor_shapes(config, d_h, d_b, len(taxonomy))
+    # every stored tensor is checked against the shape the config implies
+    # before the model is built, so a false width cannot ask for memory
+    expected = _tensor_shapes(config, len(taxonomy))
     stored = doc["tensors"]
     if set(stored) != set(expected):
         raise FormatError(f"{path}: tensor set does not match the model's")
@@ -602,9 +592,6 @@ def load_model(path) -> MapperModel:
     return MapperModel(
         taxonomy=taxonomy,
         config=config,
-        d_h=d_h,
-        d_b=d_b,
-        d_s=len(taxonomy),
         fusion_w=tensors["fusion"]["w"],
         fusion_b=tensors["fusion"]["b"],
         **params,

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .config import PoincareConfig
-from .errors import ConfigError, DataError, DegenerateInputError, DomainError, NumericError
+from .errors import ConfigError, DataError, DegenerateInputError, NumericError
 from .formats import read_vectors, write_vectors
 from .graph import ParentChildPair
 
@@ -42,36 +42,10 @@ _BATCH_PAIRS = 32
 _NEAR_LIMIT_SQ = (1.0 - BOUNDARY_EPS) ** 2 * (1.0 - 1e-12)
 
 
-def _check_inside(x: np.ndarray, name: str) -> float:
-    sq = float(np.dot(x, x))
-    if sq >= 1.0:
-        raise DomainError(f"{name}: point with norm {np.sqrt(sq):.6f} is not inside the unit ball")
-    return sq
-
-
-def poincare_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Hyperbolic distance between two points strictly inside the ball."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    sq_a = _check_inside(a, "poincare_distance")
-    sq_b = _check_inside(b, "poincare_distance")
-    diff = a - b
-    arg = 1.0 + 2.0 * float(np.dot(diff, diff)) / ((1.0 - sq_a) * (1.0 - sq_b))
-    arg = max(arg, 1.0)
-    return float(np.log(arg + np.sqrt(arg * arg - 1.0)))
-
-
 def _inverse_metric(x: np.ndarray) -> np.ndarray:
     """(1 - ||x||^2)^2 / 4 for each row of x."""
     sq = np.einsum("...i,...i->...", x, x)
     return (1.0 - sq) ** 2 / 4.0
-
-
-def riemannian_rescale(x: np.ndarray, euclid_grad: np.ndarray) -> np.ndarray:
-    """Rescale a Euclidean gradient by the inverse metric at x; a stack of
-    rows is rescaled row by row, each by its own metric."""
-    x = np.asarray(x, dtype=np.float64)
-    return _inverse_metric(x)[..., None] * np.asarray(euclid_grad, dtype=np.float64)
 
 
 def project_to_ball(x: np.ndarray, eps: float = BOUNDARY_EPS) -> np.ndarray:
@@ -475,24 +449,3 @@ def train_poincare(
         vectors={t: vectors[index[t]].copy() for t in titles},
         history=history,
     )
-
-
-def mean_parent_rank(table: HyperbolicEmbeddingTable, pairs: Sequence[ParentChildPair]) -> float:
-    """Mean rank of each pair's parent among all other nodes by distance from the child."""
-    if not pairs:
-        raise DegenerateInputError("mean_parent_rank: empty pair list")
-    titles = sorted(table.vectors)
-    matrix = np.stack([table.vectors[t] for t in titles])
-    index = {t: i for i, t in enumerate(titles)}
-    parents_of: dict[int, list[int]] = {}
-    for pair in pairs:
-        parents_of.setdefault(index[pair.child], []).append(index[pair.parent])
-    ranks = []
-    for child, parents in parents_of.items():
-        u = matrix[child]
-        dist = _distance_batch(u, matrix, u - matrix)[0]
-        target = dist[parents]
-        # the parent never counts itself (equal distance); the child must be left out
-        closer = np.count_nonzero(dist < target[:, None], axis=1) - (dist[child] < target)
-        ranks.extend(closer + 1)
-    return float(np.mean(ranks))

@@ -80,11 +80,6 @@ def hashed_ngram_matrix(titles: Sequence[str], d_b: int, seed: int) -> np.ndarra
     return sums / norms[:, None]
 
 
-def hashed_ngram_embed(title: str, d_b: int, seed: int) -> np.ndarray:
-    """The unit vector of one canonical title (`hashed_ngram_matrix`)."""
-    return hashed_ngram_matrix([title], d_b, seed)[0]
-
-
 class HashedNgramProvider:
     def __init__(self, dimension: int = 128, seed: int = 0):
         if dimension < 8:

@@ -13,9 +13,9 @@ from titlemap import formats
 from titlemap import numerics as nx
 from titlemap import poincare
 from titlemap import reasoning as rs
-from titlemap.errors import ConfigError, DataError, DegenerateInputError
+from titlemap.errors import ConfigError, DataError, DegenerateInputError, DomainError
 from titlemap.graph import ParentChildPair
-from titlemap.semantic import _token_feature
+from titlemap.semantic import _token_feature, hashed_ngram_matrix
 from titlemap.syntactic import gram_set
 
 
@@ -103,6 +103,53 @@ def taped_regularizers(batch, params):
     return rs.RegularizerValues(r1, r2, r3, r4, r5, r6, total)
 
 
+def _check_inside(x: np.ndarray, name: str) -> float:
+    sq = float(np.dot(x, x))
+    if sq >= 1.0:
+        raise DomainError(f"{name}: point with norm {np.sqrt(sq):.6f} is not inside the unit ball")
+    return sq
+
+
+def poincare_distance(a, b) -> float:
+    """Scalar oracle of `poincare._distance_batch`: the hyperbolic distance
+    between two points strictly inside the ball."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    sq_a = _check_inside(a, "poincare_distance")
+    sq_b = _check_inside(b, "poincare_distance")
+    diff = a - b
+    arg = 1.0 + 2.0 * float(np.dot(diff, diff)) / ((1.0 - sq_a) * (1.0 - sq_b))
+    arg = max(arg, 1.0)
+    return float(np.log(arg + np.sqrt(arg * arg - 1.0)))
+
+
+def riemannian_rescale(x, euclid_grad) -> np.ndarray:
+    """A Euclidean gradient rescaled by the inverse metric at x, as the
+    trainer's step does; a stack of rows is rescaled row by row."""
+    x = np.asarray(x, dtype=np.float64)
+    return poincare._inverse_metric(x)[..., None] * np.asarray(euclid_grad, dtype=np.float64)
+
+
+def mean_parent_rank(table, pairs) -> float:
+    """Mean rank of each pair's parent among all other nodes by distance from
+    the child, the distances computed by `poincare._distance_batch`."""
+    titles = sorted(table.vectors)
+    matrix = np.stack([table.vectors[t] for t in titles])
+    index = {t: i for i, t in enumerate(titles)}
+    parents_of: dict[int, list[int]] = {}
+    for pair in pairs:
+        parents_of.setdefault(index[pair.child], []).append(index[pair.parent])
+    ranks = []
+    for child, parents in parents_of.items():
+        u = matrix[child]
+        dist = poincare._distance_batch(u, matrix, u - matrix)[0]
+        target = dist[parents]
+        # the parent never counts itself (equal distance); the child must be left out
+        closer = np.count_nonzero(dist < target[:, None], axis=1) - (dist[child] < target)
+        ranks.extend(closer + 1)
+    return float(np.mean(ranks))
+
+
 def allocating_negative_draw(sampler, rng, children, negatives):
     """Oracle of one block's share of `_NegativeSampler.draw`: its own
     `rng.integers` call over the block's bounds, and the Floyd walk row by
@@ -173,7 +220,7 @@ def allocating_rsgd_step(vectors, block, sampler, rng, negatives, lr):
     grad = np.zeros(len(rows) * m)
     np.add.at(grad, (slot[:, None] * m + np.arange(m)).ravel(), step.ravel())
     x = vectors[rows]
-    x -= lr * poincare.riemannian_rescale(x, grad.reshape(-1, m))
+    x -= lr * riemannian_rescale(x, grad.reshape(-1, m))
     clamped = 0
     for r in np.flatnonzero(np.einsum("ij,ij->i", x, x) >= poincare._NEAR_LIMIT_SQ):
         projected = poincare.project_to_ball(x[r])
@@ -271,6 +318,12 @@ def looped_auc_score(pos_scores, neg_scores):
     n_pos, n_neg = len(pos_scores), len(neg_scores)
     rank_sum = ranks[:n_pos].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def hashed_ngram_embed(title, d_b, seed):
+    """The unit vector of one canonical title: its row of
+    `semantic.hashed_ngram_matrix`."""
+    return hashed_ngram_matrix([title], d_b, seed)[0]
 
 
 def per_title_hashed_embed(title, d_b, seed):

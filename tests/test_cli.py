@@ -2,6 +2,7 @@ import base64
 import hashlib
 import json
 import os
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -393,32 +394,32 @@ def as_version_1(doc):
         lambda doc: doc.pop("taxonomy_titles"),
         lambda doc: doc.pop("taxonomy_groups"),
         lambda doc: doc.pop("taxonomy_hash"),
-        lambda doc: doc["dims"].pop("d_h"),
-        lambda doc: doc["dims"].pop("d_b"),
+        # a top-level field the writer does not write, and a stale one
+        lambda doc: doc.update(mystery=1, variant="concat"),
         lambda doc: doc.update(taxonomy_titles="data analyst"),
         lambda doc: doc.update(taxonomy_groups=[1, 2]),
         lambda doc: doc.update(taxonomy_hash=7),
-        lambda doc: doc["dims"].update(d_h="6"),
-        lambda doc: doc["dims"].update(d_b=0),
-        lambda doc: doc.update(dims=[6, 16]),
-        # both claims agree, so only the tensor shapes can catch it, and they
-        # must be checked before a 50000-wide model is built
-        lambda doc: (doc["dims"].update(d_h=50000), doc["train_config"].update(d_h=50000)),
-        lambda doc: doc["dims"].update(d_h=7),
+        lambda doc: doc["train_config"].update(d_h="6"),
+        lambda doc: doc["train_config"].update(d_b=0),
+        # only the tensor shapes can catch it, and they must be checked
+        # before a 50000-wide model is built
+        lambda doc: doc["train_config"].update(d_h=50000),
         lambda doc: doc["taxonomy_titles"].__setitem__(0, "head \ud800 chef"),
         lambda doc: doc["tensors"]["fusion.b"].update(data="not base64!"),
         lambda doc: set_tensor_values(doc["tensors"]["fusion.b"],
                                       tensor_values(doc["tensors"]["fusion.b"])[:-1]),
         as_version_1,
+        # the version-2 layout: the widths written a second time beside train_config
+        lambda doc: doc.update(version=2, dims={"d_h": 6, "d_b": 16, "d_s": 6, "d_r": 8}),
     ],
     ids=["extra-key", "missing-key", "wrong-type", "clause-weight-nan", "logic-weight-negative",
          "seed-negative", "fusion-weight-decay", "variant",
          "tensor-without-shape",
-         "no-taxonomy-titles", "no-taxonomy-groups", "no-taxonomy-hash", "no-d-h", "no-d-b",
+         "no-taxonomy-titles", "no-taxonomy-groups", "no-taxonomy-hash", "unknown-field",
          "titles-not-list", "groups-not-strings", "hash-not-string", "d-h-string",
-         "d-b-zero", "dims-not-object", "d-h-50000", "dims-differ-from-train-config",
+         "d-b-zero", "d-h-50000",
          "lone-surrogate-title", "payload-not-base64", "payload-wrong-length",
-         "version-1-list-payload"],
+         "version-1-list-payload", "version-2-dims"],
 )
 def test_corrupt_model_artifact_exits_3(trained, corrupt, capsys):
     tmp, data = trained
@@ -453,6 +454,43 @@ def test_non_finite_model_tensor_exits_4(trained, value, capsys):
     values[3] = value
     set_tensor_values(entry, values)
     assert run_map_with_model(trained, json.dumps(doc), capsys) == (4, "kind=numeric")
+
+
+def narrow_hyperbolic_table(tmp, source, width):
+    """`source`'s hyperbolic table cut to its first `width` coordinates."""
+    lines = source.read_text().splitlines()
+    rows = [title + "\t" + ",".join(values.split(",")[:width])
+            for title, values in (line.split("\t") for line in lines[1:])]
+    path = tmp / f"hyperbolic_m{width}.tsv"
+    path.write_text(f"#poincare m={width} seed=0\n" + "\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "view", ["hyperbolic-4-wide", "precomputed-8-wide", "precomputed-8-wide-no-fallback"]
+)
+def test_view_narrower_than_the_model_exits_2(trained, view, capsys):
+    # the model is d_h 6, d_b 16; the config's dims agree with the view, so
+    # only a check against the model's own widths can catch it
+    tmp, data = trained
+    if view == "hyperbolic-4-wide":
+        table = narrow_hyperbolic_table(tmp, Path(data["hyperbolic"]), 4)
+        overrides = {"dims": {"d_h": 4}, "data": {**data, "hyperbolic": str(table)}}
+        widths = {"4", "6"}
+    else:
+        vectors = tmp / "precomputed_d8.tsv"
+        vectors.write_text("#embeddings d=8 normalize=true\nchef\t" + ",".join(["1"] * 8) + "\n")
+        overrides = {"dims": {"d_b": 8}, "data": data, "provider": f"precomputed:{vectors}",
+                     "provider_fallback": view == "precomputed-8-wide"}
+        widths = {"8", "16"}
+    path, _ = write_config(
+        tmp, {"output_dir": str(tmp / "rejected"), **overrides}, name="narrow.json"
+    )
+    assert main(["eval", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "kind=config" in err
+    message = err.split(":", 1)[1]
+    assert widths <= set(re.findall(r"\d+", message)), err
 
 
 def map_blocks(trained, lines, name, k=3):

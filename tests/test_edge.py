@@ -12,7 +12,6 @@ from titlemap.semantic import (
     HashedNgramProvider,
     PrecomputedProvider,
     embed_titles,
-    hashed_ngram_embed,
     hashed_ngram_matrix,
 )
 from titlemap.syntactic import Taxonomy, syntactic_matrix
@@ -39,7 +38,6 @@ def test_nothing_below_the_edge_canonicalizes(monkeypatch):
         provider.embed_batch(keys)
         embed_titles(provider, keys)
     syntactic_matrix(keys, taxonomy)
-    hashed_ngram_embed("pilot", 8, 0)
     hashed_ngram_matrix(keys, 8, 0)
     assert taxonomy.index("pilot") == 2 and "head chef" in taxonomy
     assert calls == []

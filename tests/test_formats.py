@@ -158,7 +158,7 @@ def test_resume_record_with_random_fields(scratch, fields):
 
 def model_blob() -> bytes:
     config = TrainConfig(d_h=2, d_b=8, d_r=2)
-    model = init_model(TAXONOMY, config, d_h=2, d_b=8)
+    model = init_model(TAXONOMY, config)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
         save_model(model, path)
@@ -233,6 +233,14 @@ def test_rows_round_trip(scratch, rows):
         ("embeddings", "#embeddings d=2 normalize=true\nchef\tinf,1\n", NumericError, ":2:"),
         ("hyperbolic", "#poincare m=2 seed=0\nchef\t0.1,abc\n", FormatError, ":2:"),
         ("hyperbolic", "#poincare m=2 seed=0\n\u200b\t0.1,0.1\n", FormatError, ":2:"),
+        # a value, a count or a whole row at fault is named by its own line,
+        # and of two faulty lines the first is named
+        ("hyperbolic", "#poincare m=2 seed=0\nchef\t0.1,0.2\npilot\t0.3,0.1\ncook\t0.1,x\n",
+         FormatError, ":4: could not convert string to float: 'x'"),
+        ("hyperbolic", "#poincare m=3 seed=0\nchef\t0.1,0.2\npilot\t0.3,0.1\n",
+         FormatError, ":2: expected 3 values, got 2"),
+        ("embeddings", "#embeddings d=2 normalize=false\nchef\t1,nan\npilot\t1\t2\n",
+         NumericError, ":2: non-finite"),
         ("titles", "chef\npilot\tcaptain\n", FormatError, ":2:"),
         ("pairs", b"#pairs\tchild\tparent\n\xff\n", FormatError, ":2: not valid UTF-8"),
         ("hyperbolic", "#poincare m=0 seed=0\n", FormatError, ":1: malformed header"),
@@ -243,8 +251,10 @@ def test_rows_round_trip(scratch, rows):
     ],
     ids=["embeddings-duplicate-after-canonicalization", "hyperbolic-duplicate",
          "embeddings-nan", "embeddings-inf-normalized", "hyperbolic-not-a-number",
-         "hyperbolic-empty-title", "titles-tab", "pairs-not-utf8", "hyperbolic-dim-0",
-         "hyperbolic-dim-negative", "embeddings-dim-0", "embeddings-dim-negative"],
+         "hyperbolic-empty-title", "hyperbolic-not-a-number-later-row",
+         "hyperbolic-every-row-short", "embeddings-nan-before-unreadable-row", "titles-tab",
+         "pairs-not-utf8", "hyperbolic-dim-0", "hyperbolic-dim-negative", "embeddings-dim-0",
+         "embeddings-dim-negative"],
 )
 def test_rule_violation_names_its_line(fmt, text, error, where, scratch):
     path = scratch / f"rule.{fmt}"

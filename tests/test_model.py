@@ -62,7 +62,7 @@ def test_split_fractions_must_sum_to_one():
 
 def test_forward_is_a_probability_distribution():
     taxonomy, pipeline, examples = tiny_world()
-    model = init_model(taxonomy, small_config(), d_h=6, d_b=16)
+    model = init_model(taxonomy, small_config())
     probs = forward_probabilities(model, pipeline, [t for t, _ in examples[:7]])
     assert probs.shape == (7, len(taxonomy))
     assert np.all(probs > 0)
@@ -71,7 +71,7 @@ def test_forward_is_a_probability_distribution():
 
 def test_zero_fusion_weights_give_uniform_distribution():
     taxonomy, pipeline, examples = tiny_world()
-    model = init_model(taxonomy, small_config(), d_h=6, d_b=16)
+    model = init_model(taxonomy, small_config())
     model.fusion_w.data[...] = 0.0
     model.fusion_b.data[...] = 0.0
     probs = forward_probabilities(model, pipeline, [examples[0][0]])
@@ -83,7 +83,7 @@ def cross_entropy_only(taxonomy, x_h, x_b, labels, prepare):
     it is the head's cross-entropy alone; `prepare(model)` sets the weights."""
     d_h, d_b = x_h.shape[1], x_b.shape[1]
     config = small_config(d_h=d_h, d_b=d_b, logic_weight=0.0, clause_weight=0.0)
-    model = init_model(taxonomy, config, d_h=d_h, d_b=d_b)
+    model = init_model(taxonomy, config)
     prepare(model)
     rng = np.random.default_rng(0)
     ctx = _TrainContext(fold_rng=rng, reg_rng=rng)
@@ -132,7 +132,7 @@ def test_perfect_prediction_drives_loss_to_zero():
 
 def test_label_outside_taxonomy_is_data_error():
     taxonomy, pipeline, examples = tiny_world()
-    model = init_model(taxonomy, small_config(), d_h=6, d_b=16)
+    model = init_model(taxonomy, small_config())
     rng = np.random.default_rng(0)
     ctx = _TrainContext(fold_rng=rng, reg_rng=rng)
     x_h, x_b, x_s = pipeline.title_views([examples[0][0]])
@@ -167,7 +167,7 @@ def test_regularizer_batch_rows_are_encoder_events(batch, n_cand):
 def tape_nodes_of_one_step(n_cand, batch=8, d_h=4, d_b=8):
     taxonomy = Taxonomy(titles=[f"title {chr(97 + i // 26)}{chr(97 + i % 26)}"
                                 for i in range(n_cand)])
-    model = init_model(taxonomy, small_config(d_h=d_h, d_b=d_b), d_h=d_h, d_b=d_b)
+    model = init_model(taxonomy, small_config(d_h=d_h, d_b=d_b))
     rng = np.random.default_rng(0)
     ctx = _TrainContext(fold_rng=np.random.default_rng(1), reg_rng=np.random.default_rng(2))
     with nx.GradTape() as tape:
@@ -226,8 +226,12 @@ def test_empty_split_is_config_error():
 
 def test_dimension_mismatch_with_pipeline_is_config_error():
     taxonomy, pipeline, examples = tiny_world()
-    with pytest.raises(ConfigError):
-        train(examples, pipeline, small_config(d_h=12))
+    for width, message in (
+        ({"d_h": 12}, "hyperbolic table has width 6, but the model's d_h is 12"),
+        ({"d_b": 8}, "semantic provider has width 16, but the model's d_b is 8"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            train(examples, pipeline, small_config(**width))
 
 
 def test_checkpoint_round_trip_is_bit_identical(tmp_path):
@@ -245,7 +249,7 @@ def test_checkpoint_round_trip_is_bit_identical(tmp_path):
 
 def test_saved_model_bytes_match_the_streaming_encoder(tmp_path):
     taxonomy = Taxonomy(titles=["data analyst", "café owner", "pilot"])
-    model = init_model(taxonomy, small_config(), d_h=6, d_b=16)
+    model = init_model(taxonomy, small_config())
     path = tmp_path / "model.json"
     save_model(model, path)
     written = path.read_bytes()
@@ -256,7 +260,7 @@ def test_saved_model_bytes_match_the_streaming_encoder(tmp_path):
 
 def test_saved_tensors_round_trip_bit_for_bit(tmp_path):
     taxonomy = Taxonomy(titles=["data analyst", "café owner", "pilot"])
-    model = init_model(taxonomy, small_config(), d_h=6, d_b=16)
+    model = init_model(taxonomy, small_config())
     rng = np.random.default_rng(7)
     for t in model.trainable_tensors():
         scale = 10.0 ** rng.integers(-300, 300, t.data.shape)
@@ -308,7 +312,7 @@ def test_rows_equal_the_distinct_batch_and_agree_with_scoring_alone_at_desk_dims
     pipeline = FeaturePipeline(
         HyperbolicEmbeddingTable(dim=d_h, seed=0), HashedNgramProvider(dimension=d_b), taxonomy
     )
-    model = init_model(taxonomy, TrainConfig(d_h=d_h, d_b=d_b, d_r=16, seed=0), d_h=d_h, d_b=d_b)
+    model = init_model(taxonomy, TrainConfig(d_h=d_h, d_b=d_b, d_r=16, seed=0))
     raw = [t for t, _ in labeled[:40]]
     titles = raw + [t.upper() for t in raw[:10]] + raw[:5]
     keys = list(dict.fromkeys(canonicalize_title(t) for t in titles))
@@ -322,7 +326,7 @@ def test_rows_equal_the_distinct_batch_and_agree_with_scoring_alone_at_desk_dims
 
 def test_each_distinct_canonical_title_is_embedded_and_scored_once(monkeypatch):
     taxonomy, pipeline, examples = tiny_world()
-    model = init_model(taxonomy, small_config(), d_h=6, d_b=16)
+    model = init_model(taxonomy, small_config())
     # fill the standard-title caches first, so only the input titles are counted
     pipeline.standard_semantic()
     pipeline.standard_syntactic()
@@ -347,7 +351,7 @@ def test_each_distinct_canonical_title_is_embedded_and_scored_once(monkeypatch):
 
 def test_rank_classes_full_permutation_and_determinism():
     taxonomy, pipeline, examples = tiny_world()
-    model = init_model(taxonomy, small_config(), d_h=6, d_b=16)
+    model = init_model(taxonomy, small_config())
     probs = forward_probabilities(model, pipeline, [examples[0][0]])
     order = rank_classes(probs)[0]
     assert sorted(order) == list(range(len(taxonomy)))
@@ -376,7 +380,7 @@ def test_out_of_graph_title_gets_zero_topological_view():
 def test_tensor_shapes_match_the_built_model():
     taxonomy = Taxonomy(titles=["data analyst", "chef", "pilot"])
     config = small_config(d_h=5, d_b=7, d_r=3)
-    model = init_model(taxonomy, config, d_h=5, d_b=7)
+    model = init_model(taxonomy, config)
     built = {name: t.data.shape for name, t in _tensor_registry(model).items()}
-    assert _tensor_shapes(config, 5, 7, 3) == built
-    assert list(_tensor_shapes(config, 5, 7, 3)) == list(built)
+    assert _tensor_shapes(config, 3) == built
+    assert list(_tensor_shapes(config, 3)) == list(built)

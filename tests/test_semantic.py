@@ -7,13 +7,12 @@ from titlemap.semantic import (
     HashedNgramProvider,
     PrecomputedProvider,
     embed_titles,
-    hashed_ngram_embed,
     hashed_ngram_matrix,
     load_precomputed,
     write_embeddings,
 )
 
-from helpers import per_title_hashed_embed
+from helpers import hashed_ngram_embed, per_title_hashed_embed
 
 # at d_b 8 and seed 0 the six signed features of "agy" cancel pairwise
 CANCELLING_TITLE = "agy"

@@ -62,7 +62,7 @@ def test_traced_training_step_records_every_reasoning_layer():
     taxonomy = Taxonomy(titles=["aa bb", "cc dd", "ee ff", "gg hh", "ii jj"])
     n_cand, d_h, d_b = len(taxonomy), 3, 4
     config = TrainConfig(d_h=d_h, d_b=d_b, d_r=2, batch_size=6, seed=0)
-    model = init_model(taxonomy, config, d_h=d_h, d_b=d_b)
+    model = init_model(taxonomy, config)
     rng = np.random.default_rng(0)
     batch = 6
     tracing = load_tracing()
@@ -89,7 +89,7 @@ def test_traced_serving_counts_input_rows_and_distinct_scored_rows():
     # the standard titles, so the view's unique_ratio reads what it names
     taxonomy = Taxonomy(titles=["aa bb", "cc dd", "ee ff", "gg hh", "ii jj"])
     d_h, d_b = 3, 8
-    model = init_model(taxonomy, TrainConfig(d_h=d_h, d_b=d_b, d_r=2), d_h=d_h, d_b=d_b)
+    model = init_model(taxonomy, TrainConfig(d_h=d_h, d_b=d_b, d_r=2))
     pipeline = FeaturePipeline(
         HyperbolicEmbeddingTable(dim=d_h, seed=0), HashedNgramProvider(dimension=d_b), taxonomy
     )
