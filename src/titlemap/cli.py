@@ -184,20 +184,29 @@ def _require(config: dict, *keys: str) -> list:
     return values
 
 
-def _build_provider(config: dict, d_b: int):
+def _build_provider(config: dict, d_b: int, owner: str):
     """The configured semantic provider; the hashed encoder, alone or as the
-    fallback, is `d_b` wide, and a precomputed file has its own width."""
+    fallback, is `d_b` wide, and a precomputed file has its own width, which
+    must be `d_b` where the fallback serves its missing titles. `owner` names
+    where `d_b` comes from ("model" or "config")."""
     from .semantic import HashedNgramProvider, PrecomputedProvider, load_precomputed
 
     spec = config["provider"]
     hashed = HashedNgramProvider(dimension=d_b, seed=config["semantic_seed"])
     if spec == "hashed":
         return hashed
-    cache = load_precomputed(spec.removeprefix("precomputed:"))
-    return PrecomputedProvider(cache, fallback=hashed if config["provider_fallback"] else None)
+    path = spec.removeprefix("precomputed:")
+    cache = load_precomputed(path)
+    fallback = hashed if config["provider_fallback"] else None
+    if fallback is not None and cache.dimension != d_b:
+        raise ConfigError(
+            f"precomputed embeddings {path} have width {cache.dimension}, but the "
+            f"{owner}'s d_b, the width of their hashed fallback, is {d_b}"
+        )
+    return PrecomputedProvider(cache, fallback=fallback)
 
 
-def _load_pipeline(config: dict, taxonomy: Taxonomy, d_b: int) -> FeaturePipeline:
+def _load_pipeline(config: dict, taxonomy: Taxonomy, d_b: int, owner: str) -> FeaturePipeline:
     """The views of `data.hyperbolic` and the configured provider, unchecked:
     `model.train` and `_load_model_pipeline` meet their widths to the model's."""
     from .model import FeaturePipeline
@@ -205,7 +214,7 @@ def _load_pipeline(config: dict, taxonomy: Taxonomy, d_b: int) -> FeaturePipelin
 
     (hyperbolic_path,) = _require(config, "data.hyperbolic")
     table = HyperbolicEmbeddingTable.load_tsv(hyperbolic_path)
-    return FeaturePipeline(table, _build_provider(config, d_b), taxonomy)
+    return FeaturePipeline(table, _build_provider(config, d_b, owner), taxonomy)
 
 
 def _read_labeled(path, taxonomy: Taxonomy) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
@@ -290,7 +299,7 @@ def cmd_encode_semantic(config: dict) -> None:
 
     out = config["output_dir"]
     (titles_path,) = _require(config, "data.titles")
-    provider = _build_provider(config, config["dims"]["d_b"])
+    provider = _build_provider(config, config["dims"]["d_b"], "config")
     keys = [canonicalize_title(title) for title in dict.fromkeys(_read_titles(titles_path))]
     cache = embed_titles(provider, keys)
     _save(out, "semantic.tsv", write_embeddings, cache)
@@ -306,7 +315,7 @@ def cmd_train(config: dict) -> None:
     train_config = _dataclass_from(config, TrainConfig, "train", "train")
     taxonomy = Taxonomy.load_tsv(taxonomy_path)
     rows, examples = _read_labeled(labels_path, taxonomy)
-    pipeline = _load_pipeline(config, taxonomy, train_config.d_b)
+    pipeline = _load_pipeline(config, taxonomy, train_config.d_b, "config")
     result = train(examples, pipeline, train_config)
     _save(out, "model.json", lambda path: save_model(result.model, path))
     _save(out, "training_curve.csv", _write_curve, result.history)
@@ -329,7 +338,7 @@ def _load_model_pipeline(config: dict):
 
     (model_path,) = _require(config, "data.model")
     model = load_model(model_path)
-    pipeline = _load_pipeline(config, model.taxonomy, model.d_b)
+    pipeline = _load_pipeline(config, model.taxonomy, model.d_b, "model")
     check_view_widths(pipeline, model.config)
     return model, pipeline
 

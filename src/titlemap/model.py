@@ -14,8 +14,10 @@ from the config seed.
 from __future__ import annotations
 
 import base64
+import contextvars
 import json
 import logging
+import os
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
@@ -158,6 +160,36 @@ def check_view_widths(pipeline: FeaturePipeline, config: TrainConfig) -> None:
             raise ConfigError(f"{view} has width {width}, but the model's {name} is {expected}")
 
 
+# the worker thread of `_fold_aside`, started on first use
+_FOLD_POOL = None
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fold_aside(pre: tuple[Tensor, Tensor], params: rs.ReasoningParams):
+    """The untaped clause fold of `pre`, started on the worker thread: a
+    future of the fold's value, or None where this process has one CPU. The
+    worker runs in a copy of the caller's context, so numpy's `errstate`
+    holds there too, and it calls no name a tracer may wrap."""
+    global _FOLD_POOL
+    if _usable_cpus() < 2:
+        return None
+    if _FOLD_POOL is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _FOLD_POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="titlemap-fold")
+
+    def fold() -> np.ndarray:  # the value alone: its backward would keep a block alive
+        return rs._clause_fold(*pre, params, None, False)[0]
+
+    return _FOLD_POOL.submit(contextvars.copy_context().run, fold)
+
+
 @dataclass
 class _TrainContext:
     fold_rng: np.random.Generator
@@ -173,18 +205,30 @@ def _forward(
     v_s: Tensor,
     ctx: Optional[_TrainContext] = None,
 ) -> dict:
-    """Forward pass; with `ctx` also returns the training-only loss pieces."""
+    """Forward pass; with `ctx` also returns the training-only loss pieces.
+
+    An untaped pass folds the syntactic clauses on the worker thread while
+    this thread co-attends and folds the semantic clauses. The two folds
+    share no array, so the output does not depend on the CPU count."""
     th, tb, ts = Tensor(x_h), Tensor(x_b), Tensor(x_s)
     out: dict = {}
     training = ctx is not None
-    attended = ca.co_attend(th, tb, ts, model.coatt)
     n_cand = len(model.taxonomy)
     order_b = ctx.fold_rng.permutation(n_cand) if training else None
     order_s = ctx.fold_rng.permutation(n_cand) if training else None
     pre_b = rs.encode_views(tb, v_b, model.reason_b)
     pre_s = rs.encode_views(ts, v_s, model.reason_s)
-    clause_b = rs.clause_representation(*pre_b, model.reason_b, order_b)
-    clause_s = rs.clause_representation(*pre_s, model.reason_s, order_s)
+    # a training step folds in turn, and so does any pass on a tape
+    aside = None if training or nx.recording(pre_s) else _fold_aside(pre_s, model.reason_s)
+    try:
+        attended = ca.co_attend(th, tb, ts, model.coatt)
+        clause_b = rs.clause_representation(*pre_b, model.reason_b, order_b)
+    finally:  # the worker's fold is read, and so finished, whatever happens here
+        fold_s = None if aside is None else aside.result()
+    if fold_s is None:
+        clause_s = rs.clause_representation(*pre_s, model.reason_s, order_s)
+    else:
+        clause_s = Tensor(fold_s)
     fused = nx.concat(
         [attended.x_hat_h, attended.x_hat_b, attended.x_hat_s, clause_b, clause_s],
         axis=1,

@@ -33,7 +33,7 @@ the same bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -189,14 +189,34 @@ def clause_representation(
     composition within 1e-12 relative, not bit for bit. Taped and untaped
     calls run the same block shapes and are bit-identical.
     """
+    inputs = (j_pre, v_pre) + _fold_weights(params)
+    fold, backward = _clause_fold(j_pre, v_pre, params, order, nx.recording(inputs))
+    return nx.fused_op(fold, inputs, backward)
+
+
+def _fold_weights(params: ReasoningParams) -> tuple[Tensor, ...]:
+    """The fold's weight inputs, in the order its backward returns them."""
+    return (params.enc_w2, params.enc_b2, params.not_w, params.not_b,
+            params.or_w_left, params.or_w_right, params.or_b)
+
+
+def _clause_fold(
+    j_pre: Tensor,
+    v_pre: Tensor,
+    params: ReasoningParams,
+    order: Optional[np.ndarray],
+    taped: bool,
+) -> tuple[np.ndarray, Callable]:
+    """The body of `clause_representation`: the fold's value and its
+    backward, keeping every step for the backward if `taped`. It reads only
+    the arrays of its inputs and neither records on the tape nor calls a
+    public name of the package, so an untaped fold may run on another thread
+    while the caller does other work."""
     n_cand = v_pre.data.shape[0]
     if n_cand == 0:
         raise DegenerateInputError("clause_representation: empty candidate set")
     sequence = np.arange(n_cand) if order is None else np.asarray(order, dtype=np.intp)
-    weights = (params.enc_w2, params.enc_b2, params.not_w, params.not_b,
-               params.or_w_left, params.or_w_right, params.or_b)
-    inputs = (j_pre, v_pre) + weights
-    w2, b2, w_not, b_not, w_left, w_right, b_or = (t.data for t in weights)
+    w2, b2, w_not, b_not, w_left, w_right, b_or = (t.data for t in _fold_weights(params))
     w_neg = w_not @ w2  # NOT after the event head's linear layer
     b_neg = b2 @ w_not.T + b_not
     # BLAS multiplies by a contiguous right operand faster than by a transposed view
@@ -208,7 +228,6 @@ def clause_representation(
     bias_neg, bias_or = np.tile(b_neg, (batch, 1)), np.tile(b_or, (batch, 1))
     block = min(steps, fold_block_steps(batch, width))
     starts = range(0, steps, block)
-    taped = nx.recording(inputs)
     # time-major, so a block of steps is one contiguous slab of each
     kept = steps if taped else block
     hidden = np.empty((kept, batch, width))
@@ -277,7 +296,7 @@ def clause_representation(
         return (g_j, g_v, w_not.T @ g_w_neg, (g_b_neg @ w_not)[None], g_not,
                 g_b_neg[None], g_w_left, g_w_right, g_b_or[None])
 
-    return nx.fused_op(fold, inputs, backward)
+    return fold, backward
 
 
 def correct_events(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import itertools
 import pkgutil
 from dataclasses import dataclass
 
@@ -13,10 +14,33 @@ from titlemap import formats
 from titlemap import numerics as nx
 from titlemap import poincare
 from titlemap import reasoning as rs
+from titlemap.config import TrainConfig
 from titlemap.errors import ConfigError, DataError, DegenerateInputError, DomainError
 from titlemap.graph import ParentChildPair
-from titlemap.semantic import _token_feature, hashed_ngram_matrix
-from titlemap.syntactic import gram_set
+from titlemap.model import FeaturePipeline, init_model
+from titlemap.semantic import HashedNgramProvider, _token_feature, hashed_ngram_matrix
+from titlemap.syntactic import Taxonomy, gram_set
+
+
+_WORDS = ("data", "software", "sales", "senior", "junior", "lead", "chief", "staff",
+          "cloud", "field", "retail", "network")
+_ROLES = ("engineer", "analyst", "manager", "designer", "consultant", "officer")
+
+
+def desk_serving_world(n_titles: int = 600, n_classes: int = 40):
+    """A freshly initialized model at the README's desk widths (d_h 32, d_b
+    128, d_r 16) over `n_classes` standard titles, its views (no title has a
+    topological vector), and `n_titles` distinct raw titles: above 512, so
+    `forward_probabilities` scores them in more than one chunk."""
+    standard = [f"{w} {r}" for w, r in itertools.product(_WORDS, _ROLES)][:n_classes]
+    raw = [f"{a} {b} {r}" for a, b, r in itertools.product(_WORDS, _WORDS, _ROLES)][:n_titles]
+    taxonomy = Taxonomy(titles=standard)
+    config = TrainConfig(d_h=32, d_b=128, d_r=16)
+    pipeline = FeaturePipeline(
+        poincare.HyperbolicEmbeddingTable(dim=config.d_h, seed=0),
+        HashedNgramProvider(dimension=config.d_b), taxonomy,
+    )
+    return init_model(taxonomy, config), pipeline, raw
 
 
 def record_canonicalize_calls(monkeypatch) -> list[str]:

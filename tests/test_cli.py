@@ -493,6 +493,28 @@ def test_view_narrower_than_the_model_exits_2(trained, view, capsys):
     assert widths <= set(re.findall(r"\d+", message)), err
 
 
+@pytest.mark.parametrize("command, owner", [
+    ("eval", "model"), ("train", "config"), ("encode-semantic", "config")
+])
+def test_precomputed_width_error_names_the_file_and_the_d_b(trained, command, owner, capsys):
+    # an 8-wide file with the hashed fallback on: the fallback is the model's
+    # d_b (16) wide when serving, even though the config's dims say 8, and
+    # the config's d_b (16) wide when training or encoding
+    tmp, data = trained
+    vectors = tmp / "precomputed_fallback_d8.tsv"
+    vectors.write_text("#embeddings d=8 normalize=true\nchef\t" + ",".join(["1"] * 8) + "\n")
+    dims = {"d_b": 8} if owner == "model" else {}
+    path, _ = write_config(tmp, {
+        "output_dir": str(tmp / f"rejected-{command}"), "dims": dims, "data": data,
+        "provider": f"precomputed:{vectors}", "provider_fallback": True,
+    }, name=f"fallback-{command}.json")
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "kind=config" in err
+    assert f"{vectors} have width 8" in err and f"the {owner}'s d_b" in err, err
+    assert err.rstrip().endswith("is 16"), err
+
+
 def map_blocks(trained, lines, name, k=3):
     """The `map` output for a titles file of `lines`: one block of k
     tab-split rows per line, in input order."""

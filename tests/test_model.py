@@ -1,6 +1,7 @@
 import io
 import json
 import logging
+import threading
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from titlemap.poincare import HyperbolicEmbeddingTable, PoincareConfig, train_po
 from titlemap.semantic import HashedNgramProvider
 from titlemap.syntactic import Taxonomy
 
-from helpers import event_oracle
+from helpers import desk_serving_world, event_oracle
 
 
 def tiny_world(groups=6, synonyms=3, persons=60, seed=0, d_h=6, d_b=16):
@@ -384,3 +385,17 @@ def test_tensor_shapes_match_the_built_model():
     built = {name: t.data.shape for name, t in _tensor_registry(model).items()}
     assert _tensor_shapes(config, 3) == built
     assert list(_tensor_shapes(config, 3)) == list(built)
+
+
+def test_forward_probabilities_bytes_do_not_depend_on_the_cpu_count(monkeypatch):
+    # on one CPU both folds run on this thread; on two the syntactic fold of
+    # each 512-row chunk runs on the worker thread
+    model, pipeline, titles = desk_serving_world()
+    threads = threading.active_count()
+    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 1)
+    one_cpu = forward_probabilities(model, pipeline, titles)
+    assert threading.active_count() == threads
+    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 2)
+    two_cpus = forward_probabilities(model, pipeline, titles)
+    assert model_module._FOLD_POOL is not None
+    assert np.array_equal(one_cpu, two_cpus)

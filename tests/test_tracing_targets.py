@@ -4,6 +4,7 @@ benchmark stage fail. This checks that each name still installs and that
 `restore` puts every original back."""
 
 import importlib.util
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from titlemap.poincare import HyperbolicEmbeddingTable, PoincareConfig
 from titlemap.semantic import HashedNgramProvider
 from titlemap.syntactic import Taxonomy
 
-from helpers import balanced_tree_pairs
+from helpers import balanced_tree_pairs, desk_serving_world
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -105,6 +106,31 @@ def test_traced_serving_counts_input_rows_and_distinct_scored_rows():
     assert probs.shape == (6, len(taxonomy))
     assert recorder.counts["model.forward_probabilities.rows"] == 6
     assert recorder.counts["syntactic.syntactic_matrix.rows"] == 3 + len(taxonomy)
+
+
+def test_no_traced_name_runs_off_the_calling_thread(monkeypatch):
+    # the recorder keeps one span stack per process, so a traced call on the
+    # fold's worker thread would interleave with the caller's spans; whether
+    # that crashes depends on which fold finishes first, so a plain traced
+    # run cannot show it. Two CPUs are assumed, so the worker runs anyway.
+    tracing = load_tracing()
+
+    class CallingThreadRecorder(tracing.Recorder):
+        def open(self, name, aggregate=False):
+            assert threading.current_thread() is threading.main_thread(), name
+            return super().open(name, aggregate)
+
+    monkeypatch.setattr(mapper, "_usable_cpus", lambda: 2)
+    model, pipeline, titles = desk_serving_world()
+    recorder = CallingThreadRecorder("tier-1")
+    installed = tracing.install(recorder)
+    try:
+        mapper.forward_probabilities(model, pipeline, titles)
+    finally:
+        tracing.restore(installed)
+    assert recorder._stack == []
+    # two chunks, each tracing the semantic fold on this thread
+    assert recorder.counts["reasoning.clause_representation.fold_steps"] == 2 * len(model.taxonomy)
 
 
 def test_traced_poincare_training_counts_every_clamp():
