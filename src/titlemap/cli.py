@@ -20,9 +20,8 @@ import sys
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .config import PoincareConfig, SynthConfig, TrainConfig
-from .errors import ConfigError, DataError, EvaluationError, TitlemapError
+from .errors import ConfigError, DataError, DegenerateInputError, EvaluationError, TitlemapError
 from .formats import (
-    canonicalize_title,
     is_utf8,
     line_keys,
     read_lines,
@@ -233,11 +232,12 @@ def _read_labeled(path, taxonomy: Taxonomy) -> tuple[list[tuple[str, str]], list
     return rows, keys
 
 
-def _read_titles(path) -> list[str]:
-    titles = [title for _, (title,) in read_rows(path, ("title",))[1]]
-    if not titles:
+def _read_titles(path) -> list[tuple[int, str]]:
+    """The (line number, raw title) of every title line."""
+    rows = [(lineno, title) for lineno, (title,) in read_rows(path, ("title",))[1]]
+    if not rows:
         raise DataError(f"{path}: no titles")
-    return titles
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +300,8 @@ def cmd_encode_semantic(config: dict) -> None:
     out = config["output_dir"]
     (titles_path,) = _require(config, "data.titles")
     provider = _build_provider(config, config["dims"]["d_b"], "config")
-    keys = [canonicalize_title(title) for title in dict.fromkeys(_read_titles(titles_path))]
+    key_of = line_keys(titles_path)
+    keys = [key_of(title, lineno) for lineno, title in _read_titles(titles_path)]
     cache = embed_titles(provider, keys)
     _save(out, "semantic.tsv", write_embeddings, cache)
     _write_echo(config, "encode-semantic")
@@ -349,10 +350,19 @@ def cmd_map(config: dict) -> None:
     out = config["output_dir"]
     (titles_path,) = _require(config, "data.titles")
     model, pipeline = _load_model_pipeline(config)
-    titles = _read_titles(titles_path)
+    lines = _read_titles(titles_path)
+    titles = [title for _, title in lines]
     k = clamp_k(config["map"]["k"], len(model.taxonomy))
     distinct = list(dict.fromkeys(titles))  # a resume stream repeats titles
-    probs = forward_probabilities(model, pipeline, distinct)
+    try:
+        probs = forward_probabilities(model, pipeline, distinct)
+    except DegenerateInputError:
+        # it canonicalizes each distinct title once; only on failure is the
+        # first line that normalizes to nothing looked up, to name it
+        key_of = line_keys(titles_path)
+        for lineno, title in lines:
+            key_of(title, lineno)
+        raise
     top = rank_classes(probs)[:, :k]
     names = model.taxonomy.titles
     block_of = {}
@@ -400,10 +410,10 @@ def _load_vectors(path) -> dict:
 
 def cmd_linkpred(config: dict) -> None:
     from . import evaluation as ev
-    from .graph import build_transition_graph, load_records, person_sequences
+    from .graph import load_pairs
 
     out = config["output_dir"]
-    resumes_path, vectors_path = _require(config, "data.resumes", "data.vectors")
+    pairs_path, vectors_path = _require(config, "data.pairs", "data.vectors")
     lp = config["linkpred"]
     if lp["epochs"] < 1 or not lp["lr"] > 0:
         raise ConfigError(
@@ -411,9 +421,9 @@ def cmd_linkpred(config: dict) -> None:
         )
     if config["seeds"]["linkpred"] < 0:
         raise ConfigError(f"seeds.linkpred must be >= 0, got {config['seeds']['linkpred']}")
-    graph = build_transition_graph(person_sequences(load_records(resumes_path)))
+    pairs = load_pairs(pairs_path)
     vectors = _load_vectors(vectors_path)
-    split = ev.make_link_split(graph, seed=config["seeds"]["linkpred"])
+    split = ev.make_link_split(pairs, seed=config["seeds"]["linkpred"])
     result = ev.link_prediction_auc(
         split,
         vectors,
@@ -422,7 +432,7 @@ def cmd_linkpred(config: dict) -> None:
         lr=float(lp["lr"]),
     )
     report = {
-        "edges": len(graph.edge_counts),
+        "edges": len(split.train_edges) + len(split.dev_pos) + len(split.test_pos),
         "split": {
             "train_edges": len(split.train_edges),
             "dev_pos": len(split.dev_pos),

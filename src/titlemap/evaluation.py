@@ -1,6 +1,6 @@
-"""The downstream harnesses: link prediction on the transition graph and
-next-job mobility. The ranking metrics of the mapping task (hit@n,
-precision@n, NDCG@n) sit beside `rank_classes` in `model`.
+"""The downstream harnesses: link prediction on the career-move links of a
+pairs file and next-job mobility. The ranking metrics of the mapping task
+(hit@n, precision@n, NDCG@n) sit beside `rank_classes` in `model`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from . import numerics as nx
 from .errors import ConfigError, DataError, EvaluationError, MissingTitleError
-from .graph import TransitionGraph
+from .graph import ParentChildPair
 from .numerics import Tensor
 
 
@@ -33,50 +33,37 @@ class LinkSplit:
     test_neg: list
 
 
-def make_link_split(graph: TransitionGraph, seed: int = 0) -> LinkSplit:
-    """Hold out 20% of edges (plus equal negatives) for test, then 20% of the
-    remainder for dev; the rest stays as the training graph."""
-    edges = graph.edges()
-    if len(edges) < 10:
-        raise DataError(f"link split needs >= 10 edges, got {len(edges)}")
-    nodes = sorted(graph.nodes)
+def make_link_split(pairs: Sequence[ParentChildPair], seed: int = 0) -> LinkSplit:
+    """Split the distinct (child, parent) links of `pairs`, as `graph.load_pairs`
+    reads them: hold out 20% for test, then 20% of the rest for dev; the
+    remainder are the train links. The nodes are the links' titles, the
+    titles `train_poincare` embeds from the same pairs. Test and dev get as
+    many negatives as positives, drawn like the train negatives of
+    `link_prediction_auc`: i.i.d. uniform over the ordered node pairs that
+    are neither self-pairs nor links."""
+    links = sorted({(pair.child, pair.parent) for pair in pairs})
+    if len(links) < 10:
+        raise DataError(f"link split needs >= 10 distinct links, got {len(links)}")
+    nodes = sorted({title for link in links for title in link})
+    index = {title: i for i, title in enumerate(nodes)}
+    sampler = PairSampler(len(nodes), [(index[u], index[v]) for u, v in links])
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(edges))
-    n_test = int(len(edges) * 0.2)
-    n_dev = int((len(edges) - n_test) * 0.2)
-    test_pos = [edges[i] for i in order[:n_test]]
-    dev_pos = [edges[i] for i in order[n_test : n_test + n_dev]]
-    train_edges = [edges[i] for i in sorted(order[n_test + n_dev :])]
+    order = rng.permutation(len(links))
+    n_test = int(len(links) * 0.2)
+    n_dev = int((len(links) - n_test) * 0.2)
 
-    edge_set = set(edges)
-    # self-loops are edges but not among the n(n-1) ordered pairs
-    capacity = len(nodes) * (len(nodes) - 1) - sum(u != v for u, v in edge_set)
-    if capacity < n_test + n_dev:
-        raise DataError(
-            f"graph too dense to sample {n_test + n_dev} negative links "
-            f"({capacity} non-edges available)"
-        )
-    seen: set = set()
+    def negatives(count: int) -> list:
+        u, v = sampler.sample(count, rng)
+        return [(nodes[a], nodes[b]) for a, b in zip(u.tolist(), v.tolist())]
 
-    def sample_negatives(count: int) -> list:
-        out = []
-        while len(out) < count:
-            u = nodes[int(rng.integers(len(nodes)))]
-            v = nodes[int(rng.integers(len(nodes)))]
-            if u == v or (u, v) in edge_set or (u, v) in seen:
-                continue
-            seen.add((u, v))
-            out.append((u, v))
-        return out
-
-    test_neg = sample_negatives(n_test)
-    dev_neg = sample_negatives(n_dev)
+    test_neg = negatives(n_test)
+    dev_neg = negatives(n_dev)
     return LinkSplit(
         nodes=nodes,
-        train_edges=train_edges,
-        dev_pos=dev_pos,
+        train_edges=[links[i] for i in sorted(order[n_test + n_dev :])],
+        dev_pos=[links[i] for i in order[n_test : n_test + n_dev]],
         dev_neg=dev_neg,
-        test_pos=test_pos,
+        test_pos=[links[i] for i in order[:n_test]],
         test_neg=test_neg,
     )
 
@@ -196,41 +183,32 @@ def link_prediction_auc(
     """Fit a logistic classifier on train edges per operator, select the
     operator on dev AUC, report test AUC. Train negatives are resampled 1:1
     each epoch, i.i.d. uniform over the ordered pairs of `split.nodes` that
-    are neither self-pairs nor train, dev or test positives."""
-    edge_lists = (split.train_edges, split.dev_pos, split.dev_neg, split.test_pos, split.test_neg)
-    # sampled train negatives may be any node, so every node needs a vector
-    needed = set(split.nodes)
-    for edge_list in edge_lists:
-        for u, v in edge_list:
-            needed.update((u, v))
-    missing = sorted(t for t in needed if t not in node_vectors)
+    are neither self-pairs nor train, dev or test positives. Every node
+    needs a vector, and every endpoint of a link must be a node."""
+    missing = [t for t in split.nodes if t not in node_vectors]
     if missing:
         raise MissingTitleError(
             f"no vector for {len(missing)} node(s): {missing[:10]}"
         )
-    keys = sorted(needed)
-    row = {t: i for i, t in enumerate(keys)}
-    matrix = np.stack([np.asarray(node_vectors[t], dtype=np.float64) for t in keys])
-
+    matrix = np.stack([np.asarray(node_vectors[t], dtype=np.float64) for t in split.nodes])
     index = {t: i for i, t in enumerate(split.nodes)}
-    # a positive with an endpoint outside split.nodes can never be drawn
-    forbidden = [
-        (index[u], index[v])
-        for u, v in split.train_edges + split.dev_pos + split.test_pos
-        if u in index and v in index
-    ]
-    sampler = PairSampler(len(index), forbidden)
-    node_rows = np.array([row[t] for t in split.nodes], dtype=np.intp)
-    rng = np.random.default_rng(seed)
 
     def endpoints(edge_list: list) -> tuple[np.ndarray, np.ndarray]:
-        return (np.array([row[u] for u, _ in edge_list], dtype=np.intp),
-                np.array([row[v] for _, v in edge_list], dtype=np.intp))
+        try:
+            return (np.array([index[u] for u, _ in edge_list], dtype=np.intp),
+                    np.array([index[v] for _, v in edge_list], dtype=np.intp))
+        except KeyError as e:
+            raise DataError(f"link endpoint {e.args[0]!r} is not a node of the split") from None
 
     def features(ends: tuple[np.ndarray, np.ndarray], operator: str) -> np.ndarray:
         return edge_embed(matrix[ends[0]], matrix[ends[1]], operator)
 
-    train_pos, dev_pos, dev_neg, test_pos, test_neg = (endpoints(e) for e in edge_lists)
+    train_pos, dev_pos, dev_neg, test_pos, test_neg = (
+        endpoints(e) for e in
+        (split.train_edges, split.dev_pos, split.dev_neg, split.test_pos, split.test_neg)
+    )
+    sampler = PairSampler(len(index), np.hstack((train_pos, dev_pos, test_pos)).T)
+    rng = np.random.default_rng(seed)
     n_pos, dim = len(split.train_edges), matrix.shape[1]
     # the train positives, then one epoch's sampled negatives
     feats = np.empty((2 * n_pos, dim))
@@ -244,7 +222,7 @@ def link_prediction_auc(
         optimizer = nx.Adam([w, b], lr=lr)
         for _ in range(epochs):
             for out, drawn in zip(neg_ends, sampler.sample(n_pos, rng)):
-                np.take(matrix, node_rows[drawn], axis=0, out=out, mode="clip")
+                np.take(matrix, drawn, axis=0, out=out, mode="clip")
             edge_embed(*neg_ends, operator, out=feats[n_pos:])
             p = _sigmoid(feats @ w.data + b.data[0])
             resid = (p - y) / len(y)

@@ -62,10 +62,6 @@ class TransitionGraph:
         total = self.total_transitions
         return {e: c / total for e, c in self.edge_counts.items()}
 
-    def edges(self) -> list[tuple[str, str]]:
-        """Edges in a deterministic (sorted) order."""
-        return sorted(self.edge_counts)
-
     def summary(self) -> dict:
         return {
             "nodes": len(self.nodes),

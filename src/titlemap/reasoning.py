@@ -23,11 +23,12 @@ gradients) is a few wide array operations per block; only the OR
 recurrence runs step by step, forward and then in reverse. A taped call
 keeps 4·d_r floats per row per step, an untaped one a single block. The
 composed weight and the split OR product round differently from
-`or_op(..., not_op(event_head(...)))`, so the fold agrees with that
-composition within 1e-12 relative (the tests' bound), not bit for bit.
-The six regularizers with their cosines are one tape node per call as
-well, and agree with composing `not_op`, `or_op` and `row_cosine` within
-the same bound.
+`or_op(..., not_op(event_head(...)))`, where `not_op`, tanh(e W_notᵀ +
+b_not), is the tests' oracle of NOT (`tests/helpers.py`; no code here
+applies NOT alone). So the fold agrees with that composition within 1e-12
+relative (the tests' bound), not bit for bit. The six regularizers with
+their cosines are one tape node per call as well, and agree with composing
+the tests' `not_op` with `or_op` and `row_cosine` within the same bound.
 """
 
 from __future__ import annotations
@@ -108,10 +109,6 @@ def event_head(pre: Tensor, params: ReasoningParams) -> Tensor:
     return nx.matmul(nx.tanh(pre), nx.transpose(params.enc_w2)) + params.enc_b2
 
 
-def not_op(e: Tensor, params: ReasoningParams) -> Tensor:
-    return nx.tanh(nx.matmul(e, nx.transpose(params.not_w)) + params.not_b)
-
-
 def or_op(a: Tensor, b: Tensor, params: ReasoningParams) -> Tensor:
     return nx.tanh(
         nx.matmul(a, nx.transpose(params.or_w_left))
@@ -184,10 +181,10 @@ def clause_representation(
     A taped call keeps every step's hidden layer, literal and state, 4·d_r
     floats per row per step; an untaped call keeps one block of each and the
     last state. Composing NOT with the head and taking OR as
-    state W_leftᵀ + r_t round differently from applying `event_head`,
-    `not_op` and `or_op` in turn, so value and gradients agree with that
-    composition within 1e-12 relative, not bit for bit. Taped and untaped
-    calls run the same block shapes and are bit-identical.
+    state W_leftᵀ + r_t round differently from applying `event_head`, the
+    tests' oracle `not_op` and `or_op` in turn, so value and gradients
+    agree with that composition within 1e-12 relative, not bit for bit.
+    Taped and untaped calls run the same block shapes and are bit-identical.
     """
     inputs = (j_pre, v_pre) + _fold_weights(params)
     fold, backward = _clause_fold(j_pre, v_pre, params, order, nx.recording(inputs))
@@ -348,9 +345,9 @@ def logical_regularizers(batch: Tensor, params: ReasoningParams) -> RegularizerV
 
     The four ORs share one left product, and their right operands are two
     full blocks (x, NOT x) and two rows (FALSE, TRUE). The sums run in
-    another order than composing `not_op`, `or_op` and `row_cosine` on the
-    tape, so values and gradients agree with that composition within 1e-12
-    relative (the tests' bound), not bit for bit.
+    another order than composing the tests' oracle `not_op` with `or_op` and
+    `row_cosine` on the tape, so values and gradients agree with that
+    composition within 1e-12 relative (the tests' bound), not bit for bit.
     """
     n = batch.data.shape[0]
     if n == 0:

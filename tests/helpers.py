@@ -105,6 +105,12 @@ def event_oracle(params, j: np.ndarray, v: np.ndarray) -> np.ndarray:
     return hidden @ params.enc_w2.data.T + params.enc_b2.data
 
 
+def not_op(e, params):
+    """The NOT module applied alone, tanh(e W_notᵀ + b_not): the oracle that
+    the clause fold and the regularizer op are checked against."""
+    return nx.tanh(nx.matmul(e, nx.transpose(params.not_w)) + params.not_b)
+
+
 def _sim(a, b):
     # cosine mapped to [0, 1] so every regularizer term is non-negative
     return nx.mul(rs.row_cosine(a, b) + nx.Tensor(1.0), nx.Tensor(0.5))
@@ -115,10 +121,10 @@ def taped_regularizers(batch, params):
     built from `not_op`, `or_op` and `row_cosine`, one tape node per op."""
     one = nx.Tensor(1.0)
     true_row = params.true_anchor
-    false_row = rs.not_op(true_row, params)
-    not_x = rs.not_op(batch, params)
+    false_row = not_op(true_row, params)
+    not_x = not_op(batch, params)
     r1 = nx.tsum(_sim(batch, not_x))
-    r2 = nx.tsum(one - _sim(batch, rs.not_op(not_x, params)))
+    r2 = nx.tsum(one - _sim(batch, not_op(not_x, params)))
     r3 = nx.tsum(one - _sim(rs.or_op(batch, false_row, params), batch))
     r4 = nx.tsum(one - _sim(rs.or_op(batch, true_row, params), true_row))
     r5 = nx.tsum(one - _sim(rs.or_op(batch, batch, params), batch))

@@ -196,7 +196,7 @@ def test_pipeline_runs_end_to_end(tmp_path):
     path, _ = write_config(
         tmp_path,
         {"data": {
-            "resumes": str(out / "resumes.jsonl"),
+            "pairs": str(out / "pairs.tsv"),
             "vectors": str(out / "hyperbolic.tsv"),
         }},
     )
@@ -764,6 +764,43 @@ def test_linkpred_rerun_writes_an_identical_report(trained):
     assert 0.0 <= json.loads(reports[0])["test_auc"] <= 1.0
 
 
+def test_linkpred_scores_the_links_train_poincare_embedded(tmp_path, monkeypatch):
+    """One person holds the same title for every job, so that title has only
+    self-transitions: `build-graph` writes no pair for it and `train-poincare`
+    gives it no row. `linkpred` reads the same pairs, so it is no node of the
+    split, and the split's nodes are the rows of the hyperbolic table."""
+    from titlemap import evaluation
+
+    out = tmp_path / "out"
+    data = {"resumes": str(out / "resumes.jsonl"), "pairs": str(out / "pairs.tsv"),
+            "vectors": str(out / "hyperbolic.tsv")}
+    path, _ = write_config(tmp_path, {"data": data, "linkpred": {"epochs": 5}})
+    assert main(["gen-data", "--config", str(path)]) == 0
+    lonely = "cusotmer coordinator"
+    with open(out / "resumes.jsonl", "a", encoding="utf-8") as fh:
+        for year in range(2010, 2015):
+            fh.write(json.dumps({"person_id": "p-loop", "title": lonely, "company_id": "c1",
+                                 "start": f"{year}-01-01", "end": f"{year}-12-31"}) + "\n")
+    splits = []
+    make_link_split = evaluation.make_link_split
+
+    def recording(*args, **kwargs):
+        splits.append(make_link_split(*args, **kwargs))
+        return splits[-1]
+
+    monkeypatch.setattr(evaluation, "make_link_split", recording)
+    for command in ("build-graph", "train-poincare", "linkpred"):
+        assert main([command, "--config", str(path)]) == 0
+    (split,) = splits
+    rows = [line.split("\t")[0] for line in
+            (out / "hyperbolic.tsv").read_text(encoding="utf-8").splitlines()[1:]]
+    assert lonely not in split.nodes
+    assert split.nodes == rows
+    report = json.loads((out / "linkpred_report.json").read_text())
+    assert report["edges"] == len({tuple(line.split("\t")) for line in
+                                   (out / "pairs.tsv").read_text().splitlines()[1:]})
+
+
 EMBEDDINGS_D16 = "#embeddings d=16 normalize=true\n"
 
 # one malformed file per on-disk format: (command, data key or the provider,
@@ -773,6 +810,10 @@ MALFORMED_INPUTS = {
     "taxonomy-not-utf8": ("train", "taxonomy", b"data analyst\t\xff\n", 3, "kind=data"),
     "labels-one-field": ("train", "labels", b"data analyst\n", 3, "kind=data"),
     "titles-with-tab": ("map", "titles", b"data\tanalyst\n", 3, "kind=data"),
+    "titles-empty-after-canonicalization": ("map", "titles", b"data analyst\n\x07\n", 3,
+                                            "kind=data"),
+    "semantic-titles-empty-after-canonicalization": ("encode-semantic", "titles",
+                                                     b"data analyst\n\x07\n", 3, "kind=data"),
     "pairs-no-header": ("train-poincare", "pairs", b"a\tb\n", 3, "kind=data"),
     "pairs-self-transition": ("train-poincare", "pairs", b"#pairs\tchild\tparent\nChef\tchef\n", 3,
                               "kind=data"),

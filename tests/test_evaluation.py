@@ -3,10 +3,8 @@ import pytest
 
 from titlemap import evaluation as ev
 from titlemap.errors import DataError, EvaluationError, MissingTitleError
-from titlemap.graph import JobRecord, TransitionGraph, build_transition_graph, person_sequences
+from titlemap.graph import ParentChildPair
 from titlemap.model import gold_rank, hit_at, ndcg_at, precision_at
-
-from datetime import date
 
 from helpers import (
     RankingResult,
@@ -104,56 +102,55 @@ def test_rank_metrics_equal_the_set_based_oracle():
 # ---------------------------------------------------------------------------
 # Link split
 
-def chain_graph(n_edges):
-    records = []
-    for i in range(n_edges):
-        records.append(JobRecord(f"p{i}", f"t{i}", "c", date(2019, 1, 1), date(2020, 1, 1)))
-        records.append(JobRecord(f"p{i}", f"t{i + 1}", "c", date(2020, 1, 2), None))
-    return build_transition_graph(person_sequences(records))
+def chain_pairs(n_links):
+    """The career moves t0 -> t1 -> ... -> t{n_links}, each link twice: a
+    split counts distinct links."""
+    return [ParentChildPair(parent=f"t{i + 1}", child=f"t{i}") for i in range(n_links)] * 2
 
 
 def test_link_split_cardinalities_follow_protocol():
-    graph = chain_graph(100)
-    split = ev.make_link_split(graph, seed=0)
+    split = ev.make_link_split(chain_pairs(100), seed=0)
     assert len(split.test_pos) == 20 and len(split.test_neg) == 20
     assert len(split.dev_pos) == 16 and len(split.dev_neg) == 16
     assert len(split.train_edges) == 64
 
 
 def test_link_split_negatives_avoid_real_edges():
-    graph = chain_graph(60)
-    split = ev.make_link_split(graph, seed=1)
-    edges = set(graph.edges())
+    pairs = chain_pairs(60)
+    split = ev.make_link_split(pairs, seed=1)
+    edges = {(pair.child, pair.parent) for pair in pairs}
+    assert set(split.train_edges + split.dev_pos + split.test_pos) == edges
     for neg in split.test_neg + split.dev_neg:
         assert neg not in edges
         assert neg[0] != neg[1]
 
 
 def test_link_split_is_deterministic():
-    graph = chain_graph(40)
-    a = ev.make_link_split(graph, seed=7)
-    b = ev.make_link_split(graph, seed=7)
+    a = ev.make_link_split(chain_pairs(40), seed=7)
+    b = ev.make_link_split(chain_pairs(40), seed=7)
     assert a.test_pos == b.test_pos and a.test_neg == b.test_neg
     assert a.dev_pos == b.dev_pos and a.train_edges == b.train_edges
 
 
 def test_link_split_needs_ten_edges():
     with pytest.raises(DataError):
-        ev.make_link_split(chain_graph(5), seed=0)
+        ev.make_link_split(chain_pairs(5), seed=0)
 
 
-def test_link_split_capacity_ignores_self_loops():
-    # 5 nodes: 14 of the 20 ordered pairs are edges, plus all 5 self-loops.
-    # 19 edges need 3 test and 3 dev negatives, and exactly 6 non-edges exist.
+def test_link_split_negatives_come_from_the_free_pairs():
+    # 5 nodes: 17 of the 20 ordered pairs are links, so 3 pairs are free;
+    # the 3 test and 2 dev negatives are drawn from them, repeats allowed
     nodes = [f"n{i}" for i in range(5)]
-    pairs = [(u, v) for u in nodes for v in nodes if u != v]
-    non_edges = set(pairs[::3][:6])
-    edges = [p for p in pairs if p not in non_edges] + [(u, u) for u in nodes]
-    graph = TransitionGraph(nodes=set(nodes), edge_counts=dict.fromkeys(edges, 1))
-    split = ev.make_link_split(graph, seed=0)
-    negatives = split.test_neg + split.dev_neg
-    assert len(split.test_neg) == 3 and len(split.dev_neg) == 3
-    assert set(negatives) == non_edges
+    ordered = [(u, v) for u in nodes for v in nodes if u != v]
+    free = set(ordered[::7])
+    pairs = [ParentChildPair(parent=v, child=u) for u, v in ordered if (u, v) not in free]
+    split = ev.make_link_split(pairs, seed=0)
+    assert len(split.test_neg) == 3 and len(split.dev_neg) == 2
+    assert set(split.test_neg + split.dev_neg) <= free
+    # with every ordered pair a link, no negative can be drawn
+    complete = [ParentChildPair(parent=v, child=u) for u, v in ordered]
+    with pytest.raises(DataError):
+        ev.make_link_split(complete, seed=0)
 
 
 def test_edge_operators():
@@ -221,20 +218,18 @@ def test_auc_rejects_single_class():
 def test_link_prediction_selects_operator_and_reports_auc():
     # two-block graph: links happen inside blocks, embeddings encode the block
     rng = np.random.default_rng(2)
-    records = []
-    person = 0
+    pairs = []
     for block in range(2):
-        for i in range(30):
+        for _ in range(30):
             a, b = rng.integers(15, size=2)
-            records.append(JobRecord(f"p{person}", f"b{block}n{a}", "c", date(2019, 1, 1), date(2020, 1, 1)))
-            records.append(JobRecord(f"p{person}", f"b{block}n{b}", "c", date(2020, 1, 2), None))
-            person += 1
-    graph = build_transition_graph(person_sequences(records))
+            if a != b:  # a career move, as build-graph writes them
+                pairs.append(ParentChildPair(parent=f"b{block}n{b}", child=f"b{block}n{a}"))
     vectors = {}
-    for node in sorted(graph.nodes):  # draw order independent of string hashing
+    # sorted, so the draw order does not depend on string hashing
+    for node in sorted({t for pair in pairs for t in pair}):
         block = 1.0 if node.startswith("b1") else -1.0
         vectors[node] = np.concatenate([np.full(4, block), rng.normal(0, 0.05, 4)])
-    split = ev.make_link_split(graph, seed=3)
+    split = ev.make_link_split(pairs, seed=3)
     report = ev.link_prediction_auc(split, vectors, seed=3, epochs=60)
     assert set(report.per_operator) == set(ev.EDGE_OPERATORS)
     assert report.best_operator in ev.EDGE_OPERATORS
@@ -244,18 +239,16 @@ def test_link_prediction_selects_operator_and_reports_auc():
 
 
 def test_link_prediction_requires_vectors_for_all_nodes():
-    graph = chain_graph(20)
-    vectors = {node: np.ones(3) for node in list(graph.nodes)[:-2]}
-    split = ev.make_link_split(graph, seed=0)
+    split = ev.make_link_split(chain_pairs(20), seed=0)
+    vectors = {node: np.ones(3) for node in split.nodes[:-2]}
     with pytest.raises(MissingTitleError):
         ev.link_prediction_auc(split, vectors)
 
 
 def test_link_prediction_is_deterministic_per_seed():
-    graph = chain_graph(40)
+    split = ev.make_link_split(chain_pairs(40), seed=5)
     rng = np.random.default_rng(0)
-    vectors = {node: rng.normal(size=4) for node in sorted(graph.nodes)}
-    split = ev.make_link_split(graph, seed=5)
+    vectors = {node: rng.normal(size=4) for node in split.nodes}
     first = ev.link_prediction_auc(split, vectors, seed=5, epochs=10)
     assert ev.link_prediction_auc(split, vectors, seed=5, epochs=10) == first
 
@@ -273,6 +266,11 @@ def test_link_prediction_without_a_free_pair_raises():
     vectors = {t: np.ones(2) for t in "abc"}
     with pytest.raises(DataError):
         ev.link_prediction_auc(complete, vectors, epochs=1)
+    # a link endpoint that is not a node has no row to score it by
+    outside = ev.LinkSplit(nodes=["a", "b"], train_edges=[("a", "b")], dev_pos=[("b", "a")],
+                           dev_neg=[("a", "c")], test_pos=[("b", "a")], test_neg=[("a", "b")])
+    with pytest.raises(DataError, match="'c' is not a node"):
+        ev.link_prediction_auc(outside, vectors, epochs=1)
 
 
 # ---------------------------------------------------------------------------

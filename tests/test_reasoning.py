@@ -8,7 +8,7 @@ from titlemap import reasoning as rs
 from titlemap.errors import DegenerateInputError, DimensionError
 from titlemap.numerics import Tensor
 
-from helpers import event_oracle, finite_difference_check, taped_regularizers
+from helpers import event_oracle, finite_difference_check, not_op, taped_regularizers
 
 D_VIEW, D_R = 6, 8
 
@@ -65,7 +65,7 @@ def test_encoder_gradients_match_finite_differences(params):
 def test_not_and_or_preserve_shape(params):
     rng = np.random.default_rng(3)
     e = rand_rows(rng, 5, D_R)
-    assert rs.not_op(e, params).data.shape == (5, D_R)
+    assert not_op(e, params).data.shape == (5, D_R)
     assert rs.or_op(e, e, params).data.shape == (5, D_R)
 
 
@@ -88,7 +88,7 @@ def unrolled_fold(j, v, params, order):
     for k in order:
         labels = np.full(j.data.shape[0], k)
         event = rs.correct_events(*rs.encode_views(j, v, params), labels, params)
-        negated = rs.not_op(event, params)
+        negated = not_op(event, params)
         folded = negated if folded is None else rs.or_op(folded, negated, params)
     return folded
 
@@ -98,7 +98,7 @@ def test_clause_single_candidate_is_negated_event(params):
     j = rand_rows(rng, 3, D_VIEW)
     v = rand_rows(rng, 1, D_VIEW)
     out = rs.clause_representation(*rs.encode_views(j, v, params), params)
-    expected = rs.not_op(Tensor(event_oracle(params, j.data, v.data)), params)
+    expected = not_op(Tensor(event_oracle(params, j.data, v.data)), params)
     assert np.allclose(out.data, expected.data, atol=1e-12)
     assert_fold_close(out.data, unrolled_fold(j, v, params, [0]).data)
 
@@ -131,9 +131,9 @@ def test_clause_fold_matches_hand_unrolled_oracle(params):
     def event(k):
         return Tensor(event_oracle(params, j.data, v.data[k : k + 1]))
 
-    folded = rs.not_op(event(1), params)
-    folded = rs.or_op(folded, rs.not_op(event(2), params), params)
-    folded = rs.or_op(folded, rs.not_op(event(0), params), params)
+    folded = not_op(event(1), params)
+    folded = rs.or_op(folded, not_op(event(2), params), params)
+    folded = rs.or_op(folded, not_op(event(0), params), params)
     assert np.allclose(out.data, folded.data, atol=1e-12)
     assert_fold_close(out.data, unrolled_fold(j, v, params, order).data)
 
@@ -342,7 +342,7 @@ def test_fused_regularizers_match_taped_composition(params, n, case):
     fused, fused_grads = regularizer_gradients(rs.logical_regularizers, batch, params, 0.7)
     taped, taped_grads = regularizer_gradients(taped_regularizers, batch, params, 0.7)
     if case == "saturated":  # the clip's strict mask drops some rows, keeps others
-        q = rs.row_cosine(batch, rs.not_op(batch, params)).data
+        q = rs.row_cosine(batch, not_op(batch, params)).data
         assert np.any(q >= 1.0) and np.any(q < 1.0)
     scale = max(abs(expected.item()) for expected in taped)
     for name, value, expected in zip(rs.RegularizerValues._fields, fused, taped):
@@ -410,8 +410,8 @@ def test_regularizer_training_teaches_double_negation_and_identity(params):
         return float(np.mean(rs.row_cosine(a, b).data))
 
     def probes():
-        not_not = rs.not_op(rs.not_op(probe_t, params), params)
-        false_row = rs.not_op(params.true_anchor, params)
+        not_not = not_op(not_op(probe_t, params), params)
+        false_row = not_op(params.true_anchor, params)
         or_false = rs.or_op(probe_t, Tensor(np.repeat(false_row.data, 16, axis=0)), params)
         return mean_cos(probe_t, not_not), mean_cos(probe_t, or_false)
 
