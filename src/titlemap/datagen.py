@@ -7,11 +7,17 @@ Markov walks over groups so the transition graph clusters by group. Noise is
 calibrated to keep the abbreviation edit hard for pure string matching: the
 first token collapses to a single letter, which guts its gram overlap.
 
-Dominance is checked through one `GramIndex` of the standard titles, the
-inverted index the syntactic view scores with: a candidate's shared-gram
-counts against all G standards are one row, built from the postings of its
-own few grams, so one check costs O(grams x postings + G) rather than G set
-intersections.
+Dominance is checked through one dense gram incidence of the standard
+titles, a 0/1 row per 3-gram over the G standards: a candidate's shared-gram
+counts against all G standards are the sum of its own few grams' rows, so one
+check costs one gather and one sum over O(grams x G) entries rather than G
+set intersections.
+
+Transitions are drawn through per-row CDFs of the group transition matrix,
+built once: each draw searches one row's CDF for one `rng.random()`, the
+computation `Generator.choice(n, p=row)` makes per call, so the random stream
+is the one `choice` would consume. Each variant is canonicalized once, not
+once per job that holds it.
 """
 
 from __future__ import annotations
@@ -23,8 +29,9 @@ import numpy as np
 
 from .config import SynthConfig
 from .errors import ConfigError
+from .formats import canonicalize_title
 from .graph import JobRecord
-from .syntactic import GramIndex, Taxonomy
+from .syntactic import Taxonomy, gram_set
 
 DOMAINS = [
     "software", "data", "network", "security", "cloud", "product", "marketing",
@@ -71,10 +78,30 @@ def _apply_noise(title: str, ops: Sequence[str], rng: np.random.Generator) -> st
     return " ".join(tokens)
 
 
-def _dominates(index: GramIndex, variant: str, own: int) -> bool:
+class _GramIncidence:
+    """0/1 matrix of the 3-grams of a list of standard titles, one row per
+    gram and one column per standard. A title's shared-gram counts against
+    every standard are the sum of its grams' rows. The word bank caps it at a
+    few thousand grams by 1,000 standards."""
+
+    def __init__(self, standards: Sequence[str]):
+        self.rows: dict[str, int] = {}
+        for standard in standards:
+            for gram in gram_set(standard):
+                self.rows.setdefault(gram, len(self.rows))
+        self.matrix = np.zeros((len(self.rows), len(standards)), dtype=np.int32)
+        for col, standard in enumerate(standards):
+            self.matrix[[self.rows[gram] for gram in gram_set(standard)], col] = 1
+
+    def shared_counts(self, title: str) -> np.ndarray:
+        rows = self.rows
+        return self.matrix[[rows[gram] for gram in gram_set(title) if gram in rows]].sum(axis=0)
+
+
+def _dominates(index: _GramIncidence, variant: str, own: int) -> bool:
     """Whether `variant` shares strictly more grams with standard `own` than
     with any other standard of `index`; always true for a lone standard."""
-    counts = index.shared_counts([variant])[0]
+    counts = index.shared_counts(variant)
     own_count = counts[own]
     counts[own] = -1
     return bool(own_count > counts.max())
@@ -97,7 +124,7 @@ def gen_taxonomy(config: SynthConfig) -> tuple[Taxonomy, list[tuple[str, str]]]:
     groups = [combos[i][0] for i in picks]
     taxonomy = Taxonomy(titles=list(standards), groups=groups)
 
-    index = GramIndex(standards)
+    index = _GramIncidence(standards)
     taken = set(standards)
     labeled: list[tuple[str, str]] = []
     for gi, standard in enumerate(standards):
@@ -137,11 +164,28 @@ def build_transition_matrix(config: SynthConfig) -> np.ndarray:
     if g == 1:
         return np.ones((1, 1))
     matrix = np.zeros((g, g))
+    alpha = np.full(g - 1, config.transition_concentration)
     for i in range(g):
-        off = rng.dirichlet(np.full(g - 1, config.transition_concentration))
-        row = np.insert(off * (1.0 - config.self_transition_bias), i, config.self_transition_bias)
-        matrix[i] = row
+        off = rng.dirichlet(alpha) * (1.0 - config.self_transition_bias)
+        matrix[i, :i] = off[:i]
+        matrix[i, i + 1 :] = off[i:]
+    np.fill_diagonal(matrix, config.self_transition_bias)
     return matrix
+
+
+def _transition_cdfs(matrix: np.ndarray) -> np.ndarray:
+    """Each row's CDF as `Generator.choice(n, p=row)` builds it per call: the
+    row's cumulative sum divided by its last entry."""
+    cdfs = matrix.cumsum(axis=1)
+    cdfs /= cdfs[:, -1:]
+    return cdfs
+
+
+def _draw_next(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """The index `rng.choice(len(cdf), p=row)` draws for the row whose CDF is
+    `cdf`: one `rng.random()` searched on the right, the computation `choice`
+    makes, so the generator's stream and end state are the same."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def gen_resumes(
@@ -149,33 +193,36 @@ def gen_resumes(
     taxonomy: Taxonomy,
     labeled_variants: Sequence[tuple[str, str]],
 ) -> list[JobRecord]:
-    """P persons, each a J-step Markov walk over groups emitting noisy variants."""
+    """P persons, each a J-step Markov walk over groups emitting noisy variants.
+    The next group is drawn through the transition rows' CDFs, built once."""
     rng = _seed_streams(config)[2]
-    matrix = build_transition_matrix(config)
-    variants_by_group: list[list[str]] = [[] for _ in range(len(taxonomy))]
+    cdfs = _transition_cdfs(build_transition_matrix(config))
+    variants_by_group: list[list[tuple[str, str]]] = [[] for _ in range(len(taxonomy))]
     for variant, standard in labeled_variants:
-        variants_by_group[taxonomy.index(standard)].append(variant)
+        variants_by_group[taxonomy.index(standard)].append((variant, canonicalize_title(variant)))
 
     records = []
     n_companies = max(10, config.persons // 2)
+    last_job = config.jobs_per_person - 1
     for p in range(config.persons):
+        person_id = f"p{p:06d}"
         group = int(rng.integers(len(taxonomy)))
         start = date(2000, 1, 1) + timedelta(days=int(rng.integers(0, 3650)))
         for j in range(config.jobs_per_person):
             pool = variants_by_group[group]
-            title = pool[int(rng.integers(len(pool)))]
-            duration = timedelta(days=int(rng.integers(180, 1095)))
-            end = start + duration
+            title, canonical = pool[int(rng.integers(len(pool)))]
+            end = start + timedelta(days=int(rng.integers(180, 1095)))
             records.append(
                 JobRecord(
-                    person_id=f"p{p:06d}",
+                    person_id=person_id,
                     title=title,
                     company_id=f"comp-{int(rng.integers(n_companies)):05d}",
                     start=start,
-                    end=None if j == config.jobs_per_person - 1 else end,
+                    end=None if j == last_job else end,
+                    canonical_title=canonical,
                 )
             )
             start = end
             if len(taxonomy) > 1:
-                group = int(rng.choice(len(taxonomy), p=matrix[group]))
+                group = _draw_next(cdfs[group], rng)
     return records

@@ -11,12 +11,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from datetime import date
+from json.encoder import encode_basestring as _encode
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DataError, FormatError
-from .formats import canonicalize_title, is_utf8, line_keys, read_lines, read_rows, write_rows
+from .formats import (
+    canonicalize_title, is_utf8, line_keys, read_lines, read_rows, write_lines, write_rows,
+)
 
 RECORD_FIELDS = ("person_id", "title", "company_id", "start", "end")
+_FIELD_SET = frozenset(RECORD_FIELDS)
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 @dataclass
@@ -119,6 +124,23 @@ def extract_parent_child_pairs(sequences: Iterable[Sequence[str]]) -> list[Paren
 # ---------------------------------------------------------------------------
 # File formats
 
+def _parse_line(path, lineno: int, line: str):
+    """The one JSON value of `line`. `raw_decode` takes a bare value that
+    fills the line; anything else (JSON whitespace around the value, extra
+    data, a syntax error) goes through `json.loads`, which parses it or
+    names the fault."""
+    try:
+        obj, end = _raw_decode(line)
+        if end == len(line):
+            return obj
+    except json.JSONDecodeError:
+        pass
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as e:
+        raise FormatError(f"{path}:{lineno}: invalid JSON ({e.msg})") from None
+
+
 def load_records(path) -> list[JobRecord]:
     """Read resume JSONL. Field names must be exactly the documented five.
     Each distinct title is canonicalized once."""
@@ -126,11 +148,8 @@ def load_records(path) -> list[JobRecord]:
     for lineno, line in read_lines(path):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"{path}:{lineno}: invalid JSON ({e.msg})") from None
-        if not isinstance(obj, dict) or set(obj) != set(RECORD_FIELDS):
+        obj = _parse_line(path, lineno, line)
+        if not isinstance(obj, dict) or obj.keys() != _FIELD_SET:
             raise FormatError(
                 f"{path}:{lineno}: expected fields {list(RECORD_FIELDS)}, got {sorted(obj) if isinstance(obj, dict) else type(obj).__name__}"
             )
@@ -138,7 +157,8 @@ def load_records(path) -> list[JobRecord]:
             if not isinstance(obj[name], str):
                 raise FormatError(f"{path}:{lineno}: {name} must be a JSON string, "
                                   f"got {type(obj[name]).__name__}")
-        if not all(is_utf8(v) for v in obj.values() if isinstance(v, str)):
+        # text decoded from UTF-8 holds no lone surrogate; only a \u escape makes one
+        if "\\u" in line and not all(is_utf8(v) for v in obj.values() if isinstance(v, str)):
             raise FormatError(f"{path}:{lineno}: a field is not valid UTF-8 (lone surrogate)")
         try:
             start = date.fromisoformat(obj["start"])
@@ -162,12 +182,18 @@ def load_records(path) -> list[JobRecord]:
     return records
 
 
+def _record_line(rec: JobRecord) -> str:
+    end = "null" if rec.end is None else f'"{rec.end.isoformat()}"'
+    return (f'{{"person_id": {_encode(rec.person_id)}, "title": {_encode(rec.title)}, '
+            f'"company_id": {_encode(rec.company_id)}, "start": "{rec.start.isoformat()}", '
+            f'"end": {end}}}\n')
+
+
 def write_records(path, records: Iterable[JobRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            row = {name: getattr(rec, name) for name in RECORD_FIELDS}
-            row.update(start=rec.start.isoformat(), end=rec.end.isoformat() if rec.end else None)
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+    """One line per record: the bytes `json.dumps(row, ensure_ascii=False)`
+    writes for the row of the five fields in `RECORD_FIELDS` order, each
+    string escaped by the same `encode_basestring`."""
+    write_lines(path, map(_record_line, records))
 
 
 PAIRS_HEADER = "#pairs\tchild\tparent"

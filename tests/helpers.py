@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import json
 import pkgutil
 from dataclasses import dataclass
+from datetime import date
 
 import numpy as np
 
@@ -15,8 +17,10 @@ from titlemap import numerics as nx
 from titlemap import poincare
 from titlemap import reasoning as rs
 from titlemap.config import TrainConfig
-from titlemap.errors import ConfigError, DataError, DegenerateInputError, DomainError
-from titlemap.graph import ParentChildPair
+from titlemap.errors import (
+    ConfigError, DataError, DegenerateInputError, DomainError, FormatError, TitlemapError,
+)
+from titlemap.graph import RECORD_FIELDS, JobRecord, ParentChildPair
 from titlemap.model import FeaturePipeline, init_model
 from titlemap.semantic import HashedNgramProvider, _token_feature, hashed_ngram_matrix
 from titlemap.syntactic import Taxonomy, gram_set
@@ -65,6 +69,53 @@ def record_canonicalize_calls(monkeypatch) -> list[str]:
             if value is original:
                 monkeypatch.setattr(module, attr, recording)
     return calls
+
+
+def line_by_line_load_records(path) -> list[JobRecord]:
+    """Oracle of `graph.load_records`: the plain reader it replaced, with one
+    `json.loads`, two field-name sets and a lone-surrogate check of every
+    string per line. Both must load the same records from a valid file and
+    raise the same error, naming the same `path:line`, for a malformed one."""
+    records, key_of = [], formats.line_keys(path)
+    for lineno, line in formats.read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise FormatError(f"{path}:{lineno}: invalid JSON ({e.msg})") from None
+        if not isinstance(obj, dict) or set(obj) != set(RECORD_FIELDS):
+            raise FormatError(
+                f"{path}:{lineno}: expected fields {list(RECORD_FIELDS)}, got {sorted(obj) if isinstance(obj, dict) else type(obj).__name__}"
+            )
+        for name in ("person_id", "title", "company_id"):
+            if not isinstance(obj[name], str):
+                raise FormatError(f"{path}:{lineno}: {name} must be a JSON string, "
+                                  f"got {type(obj[name]).__name__}")
+        if not all(formats.is_utf8(v) for v in obj.values() if isinstance(v, str)):
+            raise FormatError(f"{path}:{lineno}: a field is not valid UTF-8 (lone surrogate)")
+        try:
+            start = date.fromisoformat(obj["start"])
+            end = None if obj["end"] is None else date.fromisoformat(obj["end"])
+        except (TypeError, ValueError) as e:
+            raise FormatError(f"{path}:{lineno}: bad date ({e})") from None
+        key = key_of(obj["title"], lineno)
+        try:
+            records.append(JobRecord(person_id=obj["person_id"], title=obj["title"],
+                                     company_id=obj["company_id"], start=start, end=end,
+                                     canonical_title=key))
+        except DataError as e:
+            raise DataError(f"{path}:{lineno}: {e}") from None
+    return records
+
+
+def load_outcome(reader, path):
+    """The records `reader` loads from `path`, or the type and text of the
+    error it raises."""
+    try:
+        return reader(path)
+    except TitlemapError as e:
+        return type(e), str(e)
 
 
 def rel_err(a: float, b: float) -> float:

@@ -707,8 +707,9 @@ def test_seeded_train_poincare_outputs_are_pinned(tmp_path):
 def test_seeded_graph_eval_and_mobility_outputs_are_pinned(tmp_path):
     """A small seeded run through `mobility` (eval over all 75 labelled
     titles, so gold ranks past 10 occur) writes the same bytes as when these
-    digests were recorded. A rewrite of the ranking metrics or of how a stage
-    walks each career must leave all four files bit-identical."""
+    digests were recorded. A rewrite of the ranking metrics, of how a stage
+    walks each career, or of how gen-data draws and writes the corpus must
+    leave all seven files bit-identical."""
     out = tmp_path / "out"
     data = {name: str(out / f"{name}.{ext}") for name, ext in (
         ("taxonomy", "tsv"), ("labels", "tsv"), ("resumes", "jsonl"), ("pairs", "tsv"),
@@ -723,9 +724,12 @@ def test_seeded_graph_eval_and_mobility_outputs_are_pinned(tmp_path):
     for command in ("gen-data", "build-graph", "train-poincare", "train", "eval", "mobility"):
         assert main([command, "--config", str(path)]) == 0
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-               for name in ("eval_report.json", "mobility_report.json", "pairs.tsv",
-                            "graph_summary.json")}
+               for name in ("taxonomy.tsv", "labels.tsv", "resumes.jsonl", "eval_report.json",
+                            "mobility_report.json", "pairs.tsv", "graph_summary.json")}
     assert digests == {
+        "taxonomy.tsv": "5d5e0158f7001485f6bb9800927d5af6eb1f753ede264221bf37ec809a94adb5",
+        "labels.tsv": "c73b7866ed6cec1bd271b9230513956c94bac30f1f3280b2bcf226d54f0b6a6d",
+        "resumes.jsonl": "1d3829c6b18af908adc521d16c64d82c8caff7dbe2c5f2b1c1f71f4c1a86f93f",
         "eval_report.json": "0c0a420e9083080c7ae9f385c218ecf5711d9ee0048a30c3200729cd431654ad",
         "mobility_report.json":
             "9feeefe4b78040f7b781df79bcad5fd6f60e4737e4ed8cf3f686abdb4d1f9024",

@@ -137,6 +137,25 @@ def test_transition_matrix_rows_are_stochastic():
     assert np.all(matrix >= 0)
 
 
+@pytest.mark.parametrize("bias, concentration", [(0.6, 0.3), (1.0, 0.3), (0.0, 0.01)],
+                         ids=["default", "identity-rows", "near-zero-mass"])
+def test_cdf_draws_equal_generator_choice(bias, concentration):
+    """The draw follows numpy's `Generator.choice(n, p=row)`: over every row
+    of a 30-group matrix (rows with zero and with near-zero entries too), the
+    CDF draw gives the same index as `choice` on an identically seeded
+    generator, and both generators end in the same state. A numpy whose
+    `choice` computes otherwise fails here instead of drifting the corpus."""
+    config = SynthConfig(groups=30, self_transition_bias=bias,
+                         transition_concentration=concentration, seed=12)
+    matrix = build_transition_matrix(config)
+    cdfs = datagen._transition_cdfs(matrix)
+    ours, numpy_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for cdf, row in zip(cdfs, matrix):
+        for _ in range(50):
+            assert datagen._draw_next(cdf, ours) == int(numpy_rng.choice(30, p=row))
+    assert ours.bit_generator.state == numpy_rng.bit_generator.state
+
+
 def test_empirical_frequencies_converge_to_matrix():
     config = SynthConfig(
         groups=4, synonyms=2, persons=2000, jobs_per_person=6,

@@ -31,6 +31,8 @@ from titlemap.poincare import HyperbolicEmbeddingTable
 from titlemap.semantic import load_precomputed
 from titlemap.syntactic import Taxonomy
 
+from helpers import line_by_line_load_records, load_outcome
+
 FUZZ = settings(max_examples=25, deadline=None, derandomize=True)
 
 TAXONOMY = Taxonomy(titles=["data analyst", "chef", "pilot"], groups=["g0", "g1", "g1"])
@@ -129,6 +131,16 @@ def test_valid_sample_loads(fmt, scratch):
 @given(data=st.data())
 def test_edited_file_loads_or_ends_in_its_exit_code(fmt, scratch, data):
     load_code(fmt, data.draw(edits(VALID[fmt])), scratch)
+
+
+@FUZZ
+@given(data=st.data())
+def test_edited_resumes_load_as_the_line_by_line_oracle_loads_them(scratch, data):
+    """Any edit of a valid resumes file loads to the same records under
+    `load_records` and its oracle, or ends in the same error and message."""
+    path = scratch / "input.resumes"
+    path.write_bytes(data.draw(edits(VALID["resumes"])))
+    assert load_outcome(load_records, path) == load_outcome(line_by_line_load_records, path)
 
 
 @pytest.mark.parametrize("fmt", LOADERS)

@@ -19,6 +19,8 @@ from titlemap.graph import (
     write_records,
 )
 
+from helpers import line_by_line_load_records, load_outcome
+
 
 def rec(person, title, start, end=None, company="c1"):
     return JobRecord(
@@ -178,14 +180,33 @@ def test_start_tie_breaks_by_end_then_input_order():
 
 
 def test_jsonl_round_trip(tmp_path):
+    """Each written line is the one `json.dumps(row, ensure_ascii=False)`
+    writes for the five fields in `RECORD_FIELDS` order, with titles and ids
+    that need escaping, raw non-ASCII, and an open-ended job; the records
+    read back equal, with the same canonical titles."""
     records = [
         rec("p1", "Café Manager", "2019-01-01", "2020-01-01"),
-        rec("p1", "Chef", "2020-01-01"),
+        rec('p"1', 'Head "Chef"', "2020-01-01", "2020-06-30", company='c\\1'),
+        rec("p\\2", "back\\slash\tlead", "2001-02-03", "2001-02-03"),
+        rec("p2", "unit\x1fseparator officer", "2003-04-05", "2009-12-31", company="c\x1f"),
+        rec("p3", "日本語 エンジニア", "1999-12-31", "2000-01-01", company="会社"),
+        rec("p3", "line\u2028sep 🚀 pilot", "2000-01-01"),
     ]
     path = tmp_path / "resumes.jsonl"
     write_records(path, records)
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    assert lines.pop() == ""
+    expected = [
+        json.dumps({"person_id": r.person_id, "title": r.title, "company_id": r.company_id,
+                    "start": r.start.isoformat(),
+                    "end": None if r.end is None else r.end.isoformat()}, ensure_ascii=False)
+        for r in records
+    ]
+    assert lines == expected
+    assert [list(json.loads(line)) for line in lines] == [list(RECORD_FIELDS)] * len(records)
     loaded = load_records(path)
     assert loaded == records
+    assert [r.canonical_title for r in loaded] == [r.canonical_title for r in records]
 
 
 def test_written_record_line_holds_exactly_the_five_fields(tmp_path):
@@ -230,6 +251,55 @@ def test_jsonl_bad_date_names_line(tmp_path):
     )
     with pytest.raises(FormatError, match=":1"):
         load_records(path)
+
+
+def _line(**fields) -> str:
+    row = {"person_id": "p1", "title": "chef", "company_id": "c1",
+           "start": "2010-01-01", "end": "2012-05-01", **fields}
+    return json.dumps(row, ensure_ascii=False)
+
+
+_LINE = _line()
+
+
+@pytest.mark.parametrize("lines", [
+    [_LINE, _LINE, '{"person_id": "p1", "title": '],
+    [_LINE, _LINE + " " + _LINE],
+    [_LINE, _LINE[:40], _LINE[40:]],
+    [_LINE.replace('"chef"', '"che\\ud800f"')],
+    [_LINE, _line(salary=1)],
+    [_line(title=["chef"])],
+    [_line(person_id=7)],
+    [_LINE, _line(start="2013-01-01")],
+    [_line(start="2010-02-30")],
+    ["", _line(title="\u200b")],
+    [_LINE, "[1, 2]"],
+    ["\ufeff" + _LINE],
+], ids=["invalid-json-line-3", "two-objects-on-a-line", "object-split-over-two-lines",
+        "lone-surrogate-title", "extra-field", "non-string-title", "non-string-person-id",
+        "start-after-end", "bad-date", "title-empty-after-canonicalization", "array-line",
+        "byte-order-mark"])
+def test_record_reader_errors_equal_the_line_by_line_oracle(tmp_path, lines):
+    """Each malformed file ends in the oracle's error type and message, which
+    names the same `path:line`."""
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    expected = load_outcome(line_by_line_load_records, path)
+    assert isinstance(expected, tuple)
+    assert load_outcome(load_records, path) == expected
+
+
+def test_record_reader_equals_the_oracle_on_blank_lines_and_crlf(tmp_path):
+    """Blank lines are skipped, CRLF endings and JSON whitespace around an
+    object are read, and a `\\u` escape decodes, as the oracle does them."""
+    path = tmp_path / "resumes.jsonl"
+    lines = ["", _LINE, "  \t", _line(title="Head  Chef", end=None), " " + _line(person_id="p2"),
+             _LINE.replace('"chef"', '"sous\\u0020chef"') + "\t", ""]
+    path.write_bytes("\r\n".join(lines).encode("utf-8"))
+    loaded = load_records(path)
+    assert loaded == line_by_line_load_records(path)
+    assert [(r.person_id, r.canonical_title) for r in loaded] == [
+        ("p1", "chef"), ("p1", "head chef"), ("p2", "chef"), ("p1", "sous chef")]
 
 
 def test_pairs_file_round_trip(tmp_path):
