@@ -20,7 +20,7 @@ import sys
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .config import PoincareConfig, SynthConfig, TrainConfig
-from .errors import ConfigError, DataError, DegenerateInputError, EvaluationError, TitlemapError
+from .errors import ConfigError, DataError, EvaluationError, TitlemapError
 from .formats import (
     is_utf8,
     line_keys,
@@ -232,12 +232,14 @@ def _read_labeled(path, taxonomy: Taxonomy) -> tuple[list[tuple[str, str]], list
     return rows, keys
 
 
-def _read_titles(path) -> list[tuple[int, str]]:
-    """The (line number, raw title) of every title line."""
-    rows = [(lineno, title) for lineno, (title,) in read_rows(path, ("title",))[1]]
-    if not rows:
+def _read_titles(path) -> list[tuple[str, str]]:
+    """The (raw title, canonical key) of every title line; each distinct raw
+    title is canonicalized once."""
+    key_of, rows = line_keys(path), read_rows(path, ("title",))[1]
+    titles = [(title, key_of(title, lineno)) for lineno, (title,) in rows]
+    if not titles:
         raise DataError(f"{path}: no titles")
-    return rows
+    return titles
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +302,7 @@ def cmd_encode_semantic(config: dict) -> None:
     out = config["output_dir"]
     (titles_path,) = _require(config, "data.titles")
     provider = _build_provider(config, config["dims"]["d_b"], "config")
-    key_of = line_keys(titles_path)
-    keys = [key_of(title, lineno) for lineno, title in _read_titles(titles_path)]
-    cache = embed_titles(provider, keys)
+    cache = embed_titles(provider, [key for _, key in _read_titles(titles_path)])
     _save(out, "semantic.tsv", write_embeddings, cache)
     _write_echo(config, "encode-semantic")
 
@@ -351,28 +351,19 @@ def cmd_map(config: dict) -> None:
     (titles_path,) = _require(config, "data.titles")
     model, pipeline = _load_model_pipeline(config)
     lines = _read_titles(titles_path)
-    titles = [title for _, title in lines]
     k = clamp_k(config["map"]["k"], len(model.taxonomy))
-    distinct = list(dict.fromkeys(titles))  # a resume stream repeats titles
-    try:
-        probs = forward_probabilities(model, pipeline, distinct)
-    except DegenerateInputError:
-        # it canonicalizes each distinct title once; only on failure is the
-        # first line that normalizes to nothing looked up, to name it
-        key_of = line_keys(titles_path)
-        for lineno, title in lines:
-            key_of(title, lineno)
-        raise
+    distinct = dict(lines)  # raw title -> key; a resume stream repeats titles
+    probs = forward_probabilities(model, pipeline, list(distinct.values()))
     top = rank_classes(probs)[:, :k]
     names = model.taxonomy.titles
     block_of = {}
     for title, row, order in zip(distinct, probs, top):
-        lines = zip(range(1, k + 1), order.tolist(), row[order].tolist())
+        ranked = zip(range(1, k + 1), order.tolist(), row[order].tolist())
         block_of[title] = "".join(
-            f"{title}\t{rank}\t{names[class_idx]}\t{prob!r}\n" for rank, class_idx, prob in lines
+            f"{title}\t{rank}\t{names[class_idx]}\t{prob!r}\n" for rank, class_idx, prob in ranked
         )
     header = "#mappings\ttitle\trank\tstandard_title\tprobability"
-    _save(out, "mappings.tsv", write_lines, (block_of[title] for title in titles), header)
+    _save(out, "mappings.tsv", write_lines, (block_of[title] for title, _ in lines), header)
     _write_echo(config, "map")
 
 

@@ -16,8 +16,11 @@ set intersections.
 Transitions are drawn through per-row CDFs of the group transition matrix,
 built once: each draw searches one row's CDF for one `rng.random()`, the
 computation `Generator.choice(n, p=row)` makes per call, so the random stream
-is the one `choice` would consume. Each variant is canonicalized once, not
-once per job that holds it.
+is the one `choice` would consume.
+
+Every title is a canonical key: lower-case words joined by single spaces.
+Noise keeps it one, since it only swaps letters, drops words or cuts the
+first word to its initial, so each record holds its variant as its own key.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import numpy as np
 
 from .config import SynthConfig
 from .errors import ConfigError
-from .formats import canonicalize_title
 from .graph import JobRecord
 from .syntactic import Taxonomy, gram_set
 
@@ -197,9 +199,9 @@ def gen_resumes(
     The next group is drawn through the transition rows' CDFs, built once."""
     rng = _seed_streams(config)[2]
     cdfs = _transition_cdfs(build_transition_matrix(config))
-    variants_by_group: list[list[tuple[str, str]]] = [[] for _ in range(len(taxonomy))]
+    variants_by_group: list[list[str]] = [[] for _ in range(len(taxonomy))]
     for variant, standard in labeled_variants:
-        variants_by_group[taxonomy.index(standard)].append((variant, canonicalize_title(variant)))
+        variants_by_group[taxonomy.index(standard)].append(variant)
 
     records = []
     n_companies = max(10, config.persons // 2)
@@ -210,7 +212,7 @@ def gen_resumes(
         start = date(2000, 1, 1) + timedelta(days=int(rng.integers(0, 3650)))
         for j in range(config.jobs_per_person):
             pool = variants_by_group[group]
-            title, canonical = pool[int(rng.integers(len(pool)))]
+            title = pool[int(rng.integers(len(pool)))]
             end = start + timedelta(days=int(rng.integers(180, 1095)))
             records.append(
                 JobRecord(
@@ -219,7 +221,7 @@ def gen_resumes(
                     company_id=f"comp-{int(rng.integers(n_companies)):05d}",
                     start=start,
                     end=None if j == last_job else end,
-                    canonical_title=canonical,
+                    canonical_title=title,
                 )
             )
             start = end

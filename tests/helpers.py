@@ -34,7 +34,7 @@ _ROLES = ("engineer", "analyst", "manager", "designer", "consultant", "officer")
 def desk_serving_world(n_titles: int = 600, n_classes: int = 40):
     """A freshly initialized model at the README's desk widths (d_h 32, d_b
     128, d_r 16) over `n_classes` standard titles, its views (no title has a
-    topological vector), and `n_titles` distinct raw titles: above 512, so
+    topological vector), and `n_titles` distinct keys: above 512, so
     `forward_probabilities` scores them in more than one chunk."""
     standard = [f"{w} {r}" for w, r in itertools.product(_WORDS, _ROLES)][:n_classes]
     raw = [f"{a} {b} {r}" for a, b, r in itertools.product(_WORDS, _WORDS, _ROLES)][:n_titles]

@@ -11,6 +11,7 @@ import pytest
 
 from titlemap.cli import main, resolve_config
 from titlemap.errors import ConfigError
+from titlemap.formats import canonicalize_title
 from titlemap.model import FeaturePipeline, forward_probabilities, load_model
 from titlemap.poincare import HyperbolicEmbeddingTable
 from titlemap.semantic import HashedNgramProvider
@@ -551,6 +552,25 @@ def test_map_writes_one_block_per_input_line_for_repeated_titles(trained):
             assert float(row[3]) == pytest.approx(float(ref[3]), rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("max_noise_ops", [0, 3])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_gen_data_writes_only_canonical_keys(tmp_path, seed, max_noise_ops):
+    # `gen_resumes` gives each record its variant as its own key, and the
+    # benchmark's map/eval check scores the titles of labels.tsv as keys
+    datagen = {"groups": 200, "synonyms": 5, "persons": 200, "max_noise_ops": max_noise_ops}
+    path, _ = write_config(tmp_path, {"seeds": {"data": seed}, "datagen": datagen})
+    assert main(["gen-data", "--config", str(path)]) == 0
+
+    def lines(name):
+        return (tmp_path / "out" / name).read_text(encoding="utf-8").splitlines()
+
+    titles = [line.split("\t")[0] for line in lines("taxonomy.tsv")]
+    titles += [title for line in lines("labels.tsv") for title in line.split("\t")]
+    titles += [json.loads(line)["title"] for line in lines("resumes.jsonl")]
+    assert len(titles) == 200 + 2 * 6 * 200 + 200 * 4
+    assert all(canonicalize_title(title) == title for title in titles)
+
+
 def test_map_canonicalizes_each_title_once_at_the_edge(trained, monkeypatch):
     # one call per distinct raw input line, per standard title of the model
     # and per row of the hyperbolic table; none below the edge
@@ -812,6 +832,8 @@ EMBEDDINGS_D16 = "#embeddings d=16 normalize=true\n"
 MALFORMED_INPUTS = {
     "taxonomy-three-fields": ("train", "taxonomy", b"a\tb\tc\n", 3, "kind=data"),
     "taxonomy-not-utf8": ("train", "taxonomy", b"data analyst\t\xff\n", 3, "kind=data"),
+    "taxonomy-title-empty-after-canonicalization": ("train", "taxonomy", b"chef\tg0\n\tg1\n", 3,
+                                                    "kind=data"),
     "labels-one-field": ("train", "labels", b"data analyst\n", 3, "kind=data"),
     "titles-with-tab": ("map", "titles", b"data\tanalyst\n", 3, "kind=data"),
     "titles-empty-after-canonicalization": ("map", "titles", b"data analyst\n\x07\n", 3,
@@ -880,6 +902,8 @@ def test_malformed_input_file_exits_with_its_code(trained, case, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert kind in err and str(bad) in err
+    if case.endswith("empty-after-canonicalization"):  # each holds the bad title on line 2
+        assert f"{bad}:2: " in err
 
 
 @pytest.mark.parametrize("where", ["directory", "under-a-file"])

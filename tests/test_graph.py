@@ -23,12 +23,14 @@ from helpers import line_by_line_load_records, load_outcome
 
 
 def rec(person, title, start, end=None, company="c1"):
+    """A record with the key `load_records` would give its title."""
     return JobRecord(
         person_id=person,
         title=title,
         company_id=company,
         start=date.fromisoformat(start),
         end=date.fromisoformat(end) if end else None,
+        canonical_title=canonicalize_title(title),
     )
 
 

@@ -10,7 +10,7 @@ from titlemap import model as model_module
 from titlemap import numerics as nx
 from titlemap import reasoning as rs
 from titlemap.datagen import SynthConfig, gen_resumes, gen_taxonomy
-from titlemap.errors import ConfigError, DataError
+from titlemap.errors import ConfigError, DataError, FormatError
 from titlemap.graph import canonicalize_title, extract_parent_child_pairs, person_sequences
 from titlemap.model import (
     FeaturePipeline,
@@ -287,20 +287,34 @@ def test_tampered_taxonomy_hash_is_rejected(tmp_path):
         load_model(path)
 
 
+def test_stored_title_that_is_not_its_own_key_is_rejected(tmp_path):
+    # the hash holds over the stored titles, so only the key check sees it
+    taxonomy, _, _ = tiny_world()
+    path = tmp_path / "model.json"
+    save_model(init_model(taxonomy, small_config()), path)
+    doc = json.loads(path.read_text())
+    doc["taxonomy_titles"][0] = "Data Analyst"
+    doc["taxonomy_hash"] = Taxonomy(titles=doc["taxonomy_titles"]).version_id
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="'Data Analyst' is not a canonical key"):
+        load_model(path)
+
+
 def test_repeated_and_twin_titles_score_like_each_title_alone():
     taxonomy, pipeline, examples = tiny_world()
     result = train(examples, pipeline, small_config(max_epochs=2, patience=2))
     raw = [t for t, _ in examples[:5]]
     titles = raw + ["Data  Analyst", raw[0], "data analyst", raw[3], "DATA ANALYST", raw[0]]
-    probs = forward_probabilities(result.model, pipeline, titles)
+    keys = [canonicalize_title(t) for t in titles]  # as the readers give them
+    probs = forward_probabilities(result.model, pipeline, keys)
     assert probs.shape == (len(titles), len(taxonomy))
     first = {}
-    for row, title in enumerate(titles):  # one canonical form, one row, bit for bit
-        assert np.array_equal(probs[row], probs[first.setdefault(canonicalize_title(title), row)])
+    for row, key in enumerate(keys):  # one canonical form, one row, bit for bit
+        assert np.array_equal(probs[row], probs[first.setdefault(key, row)])
     assert len(first) == 6
     # the BLAS products are not row-independent, so scoring a title alone may
     # differ in its last bits, as in the desk-dimension test below
-    alone = np.concatenate([forward_probabilities(result.model, pipeline, [t]) for t in titles])
+    alone = np.concatenate([forward_probabilities(result.model, pipeline, [k]) for k in keys])
     assert np.allclose(alone, probs, rtol=1e-12, atol=0)
     assert np.array_equal(rank_classes(alone), rank_classes(probs))
 
@@ -315,9 +329,9 @@ def test_rows_equal_the_distinct_batch_and_agree_with_scoring_alone_at_desk_dims
     )
     model = init_model(taxonomy, TrainConfig(d_h=d_h, d_b=d_b, d_r=16, seed=0))
     raw = [t for t, _ in labeled[:40]]
-    titles = raw + [t.upper() for t in raw[:10]] + raw[:5]
-    keys = list(dict.fromkeys(canonicalize_title(t) for t in titles))
-    inverse = [keys.index(canonicalize_title(t)) for t in titles]
+    titles = [canonicalize_title(t) for t in raw + [t.upper() for t in raw[:10]] + raw[:5]]
+    keys = list(dict.fromkeys(titles))
+    inverse = [keys.index(t) for t in titles]
     distinct = forward_probabilities(model, pipeline, keys)
     assert np.array_equal(forward_probabilities(model, pipeline, titles), distinct[inverse])
     alone = np.concatenate([forward_probabilities(model, pipeline, [key]) for key in keys])
@@ -344,8 +358,8 @@ def test_each_distinct_canonical_title_is_embedded_and_scored_once(monkeypatch):
 
     monkeypatch.setattr(model_module, "syntactic_matrix", counted_matrix)
     monkeypatch.setattr(pipeline.semantic, "embed_batch", counted_embed_batch)
-    titles = ["Data  Analyst", "pilot", "data analyst", "Pilot", "DATA ANALYST", "chef", "pilot"]
-    forward_probabilities(model, pipeline, titles)
+    keys = ["data analyst", "pilot", "data analyst", "pilot", "data analyst", "chef", "pilot"]
+    forward_probabilities(model, pipeline, keys)
     assert scored == ["data analyst", "pilot", "chef"]
     assert embedded == ["data analyst", "pilot", "chef"]
 

@@ -5,7 +5,8 @@ subcommand imports the package modules it runs: without a bytecode cache,
 every module a stage loads is compiled again on every run. `train-poincare`
 finds its distinct pairs without `np.unique` (which imports `numpy.ma`), and
 the serving stages build a loaded model without an initialization draw (which
-imports `numpy.random`). Each stage runs in a fresh interpreter, as on the
+imports `numpy.random`); `map` and `eval` read their titles as keys, so
+neither loads `graph`. Each stage runs in a fresh interpreter, as on the
 command line, so an import made anywhere in the stage shows in `sys.modules`
 afterwards. numpy 1.x loads its public submodules on `import numpy` itself,
 so there a module already loaded before the stage runs skips the check.
@@ -105,7 +106,8 @@ def test_cli_import_loads_only_the_config_modules():
     [
         ("build-graph", _PIPELINE),
         ("train-poincare", [m for m in _PIPELINE if m != "titlemap.poincare"]),
-        ("map", ["titlemap.datagen", "titlemap.evaluation"]),
+        ("map", ["titlemap.datagen", "titlemap.evaluation", "titlemap.graph"]),
+        ("eval", ["titlemap.datagen", "titlemap.evaluation", "titlemap.graph"]),
     ],
 )
 def test_stage_loads_no_package_module_it_does_not_run(fixture_dir, stage, absent):

@@ -63,14 +63,19 @@ def test_cosine_matches_brute_force_oracle():
         assert string_cosine(a, b) == brute_force_gram_cosine(a, b)
 
 
-def test_cosine_rejects_empty_inputs():
-    with pytest.raises(DegenerateInputError):
-        string_cosine("", "abc")
+def test_taxonomy_tsv_names_a_title_empty_after_canonicalization(tmp_path):
+    path = tmp_path / "taxonomy.tsv"
+    path.write_text("chef\tg0\n\x07\tg1\n")
+    with pytest.raises(FormatError) as excinfo:
+        Taxonomy.load_tsv(path)
+    assert str(excinfo.value).startswith(f"{path}:2: title ")
 
 
-def test_taxonomy_rejects_duplicates_after_canonicalization():
-    with pytest.raises(DataError):
-        Taxonomy(titles=["Chef", "  chef "])
+def test_taxonomy_rejects_duplicates_after_canonicalization(tmp_path):
+    path = tmp_path / "taxonomy.tsv"
+    path.write_text("Chef\tg0\n  chef \tg1\n")
+    with pytest.raises(DataError, match="unique after canonicalization"):
+        Taxonomy.load_tsv(path)
 
 
 def test_taxonomy_version_tracks_order():
@@ -172,15 +177,16 @@ _NO_SHARED_GRAM = st.text(alphabet="xyzXYZ \u200b", min_size=1, max_size=6)
 @example(standards=["data analyst", "chef"], titles=["X Y Z", "zzz"], repeats=2)
 def test_matrix_is_bit_identical_to_pairwise_oracles(standards, titles, repeats):
     titles = titles + titles[:repeats]
-    taxonomy = Taxonomy(titles=standards)
-    matrix = syntactic_matrix([canonicalize_title(title) for title in titles], taxonomy)
-    assert matrix.shape == (len(titles), len(taxonomy))
-    for title, row in zip(titles, matrix):
-        oracle = np.array([brute_force_gram_cosine(canonicalize_title(title), v) for v in taxonomy.titles])
-        pairwise = np.array([string_cosine(title, v) for v in taxonomy.titles])
+    taxonomy = Taxonomy(titles=[canonicalize_title(standard) for standard in standards])
+    keys = [canonicalize_title(title) for title in titles]
+    matrix = syntactic_matrix(keys, taxonomy)
+    assert matrix.shape == (len(keys), len(taxonomy))
+    for key, row in zip(keys, matrix):
+        oracle = np.array([brute_force_gram_cosine(key, v) for v in taxonomy.titles])
+        pairwise = np.array([string_cosine(key, v) for v in taxonomy.titles])
         assert np.array_equal(row.view(np.int64), oracle.view(np.int64))
         assert np.array_equal(row.view(np.int64), pairwise.view(np.int64))
-        if set(canonicalize_title(title)) <= set("xyz "):
+        if set(key) <= set("xyz "):
             assert not row.any()
 
 
@@ -200,8 +206,10 @@ def test_batch_equals_each_title_alone_and_the_oracle_bit_for_bit():
     assert syntactic_matrix([], taxonomy).shape == (0, len(taxonomy))
 
 
-def test_membership_and_index_take_canonical_keys():
-    taxonomy = Taxonomy(titles=["Data  Analyst", "chef"])
+def test_membership_and_index_take_canonical_keys(tmp_path):
+    path = tmp_path / "taxonomy.tsv"
+    path.write_text("Data  Analyst\tg0\nchef\tg1\n")
+    taxonomy = Taxonomy.load_tsv(path)
     assert taxonomy.titles == ["data analyst", "chef"]
     assert "data analyst" in taxonomy and taxonomy.index("data analyst") == 0
     assert "Data  Analyst" not in taxonomy

@@ -85,16 +85,16 @@ def test_traced_training_step_records_every_reasoning_layer():
 
 
 def test_traced_serving_counts_input_rows_and_distinct_scored_rows():
-    # forward_probabilities' rows probe reads the input titles, while the
-    # syntactic view is built once per distinct canonical title plus once for
-    # the standard titles, so the view's unique_ratio reads what it names
+    # forward_probabilities' rows probe reads the input keys, while the
+    # syntactic view is built once per distinct key plus once for the
+    # standard titles, so the view's unique_ratio reads what it names
     taxonomy = Taxonomy(titles=["aa bb", "cc dd", "ee ff", "gg hh", "ii jj"])
     d_h, d_b = 3, 8
     model = init_model(taxonomy, TrainConfig(d_h=d_h, d_b=d_b, d_r=2))
     pipeline = FeaturePipeline(
         HyperbolicEmbeddingTable(dim=d_h, seed=0), HashedNgramProvider(dimension=d_b), taxonomy
     )
-    titles = ["aa bb", "Aa  Bb", "cc xx", "aa bb", "zz", "CC XX"]
+    titles = ["aa bb", "aa bb", "cc xx", "aa bb", "zz", "cc xx"]
     tracing = load_tracing()
     recorder = tracing.Recorder("tier-1")
     installed = tracing.install(recorder)
