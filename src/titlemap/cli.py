@@ -54,7 +54,6 @@ SCHEMA = {
     "output_dir": (str, "__required__"),
     "provider": (str, "hashed"),
     "provider_fallback": (bool, True),
-    "semantic_seed": (int, 0),
     "seeds": dict.fromkeys(("data", "poincare", "train", "linkpred"), (int, 0)),
     "dims": {k: field_specs(TrainConfig)[k] for k in _DIMS},
     "data": dict.fromkeys(
@@ -191,7 +190,7 @@ def _build_provider(config: dict, d_b: int, owner: str):
     from .semantic import HashedNgramProvider, PrecomputedProvider, load_precomputed
 
     spec = config["provider"]
-    hashed = HashedNgramProvider(dimension=d_b, seed=config["semantic_seed"])
+    hashed = HashedNgramProvider(dimension=d_b)
     if spec == "hashed":
         return hashed
     path = spec.removeprefix("precomputed:")
@@ -354,7 +353,7 @@ def cmd_map(config: dict) -> None:
     k = clamp_k(config["map"]["k"], len(model.taxonomy))
     distinct = dict(lines)  # raw title -> key; a resume stream repeats titles
     probs = forward_probabilities(model, pipeline, list(distinct.values()))
-    top = rank_classes(probs)[:, :k]
+    top = rank_classes(probs, k)
     names = model.taxonomy.titles
     block_of = {}
     for title, row, order in zip(distinct, probs, top):
@@ -448,7 +447,7 @@ def cmd_mobility(config: dict) -> None:
     model, pipeline = _load_model_pipeline(config)
     trajectories = person_sequences(load_records(resumes_path))
     unique_titles = sorted({t for seq in trajectories for t in seq})
-    best = rank_classes(forward_probabilities(model, pipeline, unique_titles))[:, 0]
+    best = rank_classes(forward_probabilities(model, pipeline, unique_titles), 1)[:, 0]
     top1 = {t: model.taxonomy.titles[c] for t, c in zip(unique_titles, best.tolist())}
     mapped = ev.map_at_10_mobility(trajectories, mapper=lambda t: top1[t])
     unmapped = ev.map_at_10_mobility(trajectories, mapper=None)

@@ -127,6 +127,14 @@ def gen_taxonomy(config: SynthConfig) -> tuple[Taxonomy, list[tuple[str, str]]]:
     taxonomy = Taxonomy(titles=list(standards), groups=groups)
 
     index = _GramIncidence(standards)
+    checked: dict[tuple[str, int], bool] = {}  # retries draw the same candidates often
+
+    def dominates(variant: str, own: int) -> bool:
+        key = (variant, own)
+        if key not in checked:
+            checked[key] = _dominates(index, variant, own)
+        return checked[key]
+
     taken = set(standards)
     labeled: list[tuple[str, str]] = []
     for gi, standard in enumerate(standards):
@@ -138,7 +146,7 @@ def gen_taxonomy(config: SynthConfig) -> tuple[Taxonomy, list[tuple[str, str]]]:
                     k = 1 + int(rng.integers(config.max_noise_ops))
                     ops = [_NOISE_OPS[int(rng.integers(len(_NOISE_OPS)))] for _ in range(k)]
                     cand = _apply_noise(standard, ops, rng)
-                    if cand and cand not in taken and _dominates(index, cand, gi):
+                    if cand and cand not in taken and dominates(cand, gi):
                         variant = cand
                         break
                 if variant is None:
@@ -149,7 +157,7 @@ def gen_taxonomy(config: SynthConfig) -> tuple[Taxonomy, list[tuple[str, str]]]:
                     for pos in range(len(t) - 1):
                         tokens[longest] = t[:pos] + t[pos + 1] + t[pos] + t[pos + 2 :]
                         cand = " ".join(tokens)
-                        if cand not in taken and _dominates(index, cand, gi):
+                        if cand not in taken and dominates(cand, gi):
                             variant = cand
                             break
                 if variant is None:

@@ -330,10 +330,34 @@ def forward_probabilities(
 # The one ranking rule of every stage, and the metrics read off the gold
 # class's rank under it (a mean over rows; no rows score 0).
 
-def rank_classes(probs: np.ndarray) -> np.ndarray:
+def rank_classes(probs: np.ndarray, k: Optional[int] = None) -> np.ndarray:
     """Class indices of each row by descending probability; ties keep the
-    lower taxonomy index."""
-    return np.argsort(-probs, axis=1, kind="stable")
+    lower taxonomy index. With `k`, only the first k columns of that order.
+
+    k = 1 is each row's `argmax`. For 1 < k < |Y| one partition finds each
+    row's k-th probability; where exactly k classes reach it, those k are
+    the row's top k and only they are sorted. A row where that probability
+    ties a class left out falls back to the full stable sort, which puts the
+    tied classes in index order."""
+    n_classes = probs.shape[1]
+    if k == 1:
+        return np.argmax(probs, axis=1)[:, None]
+    neg = -probs
+    if k is None or k >= n_classes:
+        return np.argsort(neg, axis=1, kind="stable")[:, :k]
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
+    inside = neg <= kth
+    clean = np.count_nonzero(inside, axis=1) == k
+    top = np.empty((probs.shape[0], k), dtype=np.intp)
+    # nonzero lists each row's k classes in index order, so a stable sort of
+    # their values keeps ties at the lower index
+    cols = np.nonzero(inside[clean])[1].reshape(-1, k)
+    order = np.argsort(np.take_along_axis(neg[clean], cols, axis=1), axis=1, kind="stable")
+    top[clean] = np.take_along_axis(cols, order, axis=1)
+    tied = ~clean
+    if tied.any():
+        top[tied] = np.argsort(neg[tied], axis=1, kind="stable")[:, :k]
+    return top
 
 
 def gold_rank(probs: np.ndarray, labels) -> np.ndarray:

@@ -17,8 +17,10 @@ case.
 from __future__ import annotations
 
 import hashlib
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import count
 from typing import Optional, Protocol, Sequence
 
 import numpy as np
@@ -39,8 +41,8 @@ class SemanticProvider(Protocol):
 
 @lru_cache(maxsize=131072)
 def _token_feature(seed: int, d_b: int, token: str) -> tuple[int, float]:
-    """(bucket, sign) of one hashed token; titles share most of their tokens,
-    so each distinct token is hashed once."""
+    """(bucket, sign) of one hashed token, cached across batches: a stage's
+    batches (the standard titles, then its input titles) share most tokens."""
     digest = hashlib.blake2b(
         f"{seed}\x1f{token}".encode("utf-8"), digest_size=8
     ).digest()
@@ -53,23 +55,26 @@ def hashed_ngram_matrix(titles: Sequence[str], d_b: int, seed: int) -> np.ndarra
     hashed character 3-grams and words of each canonical title.
 
     Signed hashing keeps the expected inner product of token-disjoint titles
-    at zero. Every title's features are summed by one bincount over
-    row-offset buckets; the sums are integers, so they do not depend on the
-    batch.
+    at zero. The batch's distinct tokens are numbered once and each is hashed
+    once; every title's features are then gathered by token number and summed
+    by one bincount over row-offset buckets. The sums are integers, so they
+    do not depend on the batch.
     """
     if d_b < 8:
         raise ConfigError(f"semantic dimension must be >= 8, got {d_b}")
-    buckets, signs, counts = [], [], []
+    number = defaultdict(count().__next__)  # token -> its number, in first-seen order
+    ids, counts = [], []
     for title in titles:
         padded = "^^" + title + "$$"
         tokens = [padded[i : i + 3] for i in range(len(padded) - 2)] + title.split(" ")
-        for token in tokens:
-            bucket, sign = _token_feature(seed, d_b, token)
-            buckets.append(bucket)
-            signs.append(sign)
+        ids.extend(map(number.__getitem__, tokens))
         counts.append(len(tokens))
+    features = [_token_feature(seed, d_b, token) for token in number]
+    buckets = np.array([bucket for bucket, _ in features], dtype=np.intp)
+    signs = np.array([sign for _, sign in features])
+    ids = np.array(ids, dtype=np.intp)
     offsets = np.repeat(np.arange(len(titles), dtype=np.intp) * d_b, counts)
-    sums = np.bincount(offsets + np.array(buckets, dtype=np.intp), weights=signs,
+    sums = np.bincount(offsets + buckets[ids], weights=signs[ids],
                        minlength=len(titles) * d_b).reshape(len(titles), d_b)
     norms = np.sqrt(np.einsum("ij,ij->i", sums, sums))
     cancelled = np.flatnonzero(norms == 0.0)

@@ -63,7 +63,6 @@ def test_defaults_are_filled_in():
         "output_dir": "x",
         "provider": "hashed",
         "provider_fallback": True,
-        "semantic_seed": 0,
         "seeds": {"data": 0, "poincare": 0, "train": 0, "linkpred": 0},
         "dims": {"d_h": 128, "d_b": 128, "d_r": 64},
         "data": dict.fromkeys(
@@ -318,6 +317,7 @@ def trained(tmp_path_factory):
         ("train", {"train": {"variant": "full"}}),
         ("train-poincare", {"poincare": {"export_2d": False}}),
         ("gen-data", {"datagen": {"include_standard_labels": True}}),
+        ("train", {"semantic_seed": 0}),
     ],
     ids=["split-of-strings", "batch-size-0", "max-epochs-bool", "max-epochs-0",
          "patience-negative", "train-lr-0", "logic-weight-negative", "clause-weight-negative",
@@ -326,7 +326,7 @@ def trained(tmp_path_factory):
          "linkpred-epochs-0", "linkpred-lr-0", "linkpred-lr-negative",
          "data-seed-negative", "poincare-seed-negative", "train-seed-negative",
          "linkpred-seed-negative", "removed-train-variant", "removed-poincare-export-2d",
-         "removed-datagen-include-standard-labels"],
+         "removed-datagen-include-standard-labels", "removed-semantic-seed"],
 )
 def test_bad_config_value_exits_2(trained, command, overrides, capsys):
     tmp, data = trained
@@ -337,10 +337,11 @@ def test_bad_config_value_exits_2(trained, command, overrides, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     ((section, value),) = overrides.items()
-    (key,) = value
+    (key,) = value if isinstance(value, dict) else (section,)
     assert "kind=config" in err and key in err
-    if key in ("variant", "export_2d", "include_standard_labels"):
-        assert f"unknown config key '{section}.{key}'" in err
+    if key in ("variant", "export_2d", "include_standard_labels", "semantic_seed"):
+        name = f"{section}.{key}" if isinstance(value, dict) else key
+        assert f"unknown config key '{name}'" in err
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
@@ -729,11 +730,15 @@ def test_seeded_graph_eval_and_mobility_outputs_are_pinned(tmp_path):
     titles, so gold ranks past 10 occur) writes the same bytes as when these
     digests were recorded. A rewrite of the ranking metrics, of how a stage
     walks each career, or of how gen-data draws and writes the corpus must
-    leave all seven files bit-identical."""
+    leave all eight files bit-identical. `map` lists the labelled titles twice
+    over 25 classes; its digest leaves out the probability column, whose last
+    bits follow the BLAS thread count, so it pins which classes it lists and
+    in what order."""
     out = tmp_path / "out"
     data = {name: str(out / f"{name}.{ext}") for name, ext in (
         ("taxonomy", "tsv"), ("labels", "tsv"), ("resumes", "jsonl"), ("pairs", "tsv"),
         ("hyperbolic", "tsv"), ("model", "json"))}
+    data["titles"] = str(tmp_path / "titles.txt")
     path, _ = write_config(tmp_path, {
         "data": data,
         "seeds": {"data": 4, "poincare": 2, "train": 3},
@@ -743,9 +748,15 @@ def test_seeded_graph_eval_and_mobility_outputs_are_pinned(tmp_path):
     })
     for command in ("gen-data", "build-graph", "train-poincare", "train", "eval", "mobility"):
         assert main([command, "--config", str(path)]) == 0
+    raw = [line.split("\t")[0] for line in (out / "labels.tsv").read_text().splitlines()]
+    Path(data["titles"]).write_text("".join(f"{title}\n" for title in raw + raw[::-1]))
+    assert main(["map", "--config", str(path)]) == 0
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("taxonomy.tsv", "labels.tsv", "resumes.jsonl", "eval_report.json",
                             "mobility_report.json", "pairs.tsv", "graph_summary.json")}
+    listed = "".join(line.rsplit("\t", 1)[0] + "\n"
+                     for line in (out / "mappings.tsv").read_text().splitlines())
+    digests["mappings.tsv"] = hashlib.sha256(listed.encode()).hexdigest()
     assert digests == {
         "taxonomy.tsv": "5d5e0158f7001485f6bb9800927d5af6eb1f753ede264221bf37ec809a94adb5",
         "labels.tsv": "c73b7866ed6cec1bd271b9230513956c94bac30f1f3280b2bcf226d54f0b6a6d",
@@ -755,6 +766,7 @@ def test_seeded_graph_eval_and_mobility_outputs_are_pinned(tmp_path):
             "9feeefe4b78040f7b781df79bcad5fd6f60e4737e4ed8cf3f686abdb4d1f9024",
         "pairs.tsv": "262747f6acfbf63c32a4a5d175c95710d7f44d311f40fd3b534301ca585611ea",
         "graph_summary.json": "375c040f510c3e24a5f8aa9990af1a6e49c84b61e2a5791665db2606b7853d06",
+        "mappings.tsv": "85baeb485518f4aac1c2f6e323bbe92a7253c62124544544ddbf0155b2392da6",
     }
 
 

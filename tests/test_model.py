@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from titlemap import model as model_module
 from titlemap import numerics as nx
@@ -378,6 +380,30 @@ def test_rank_classes_full_permutation_and_determinism():
 def test_rank_classes_breaks_ties_on_lower_taxonomy_index():
     probs = np.array([[0.1, 0.3, 0.3, 0.2, 0.1], [0.2, 0.2, 0.2, 0.2, 0.2]])
     assert rank_classes(probs).tolist() == [[1, 2, 3, 0, 4], [0, 1, 2, 3, 4]]
+
+
+# few distinct values, so most rows tie at, above and below their k-th value
+_TIED_PROBS = st.integers(1, 12).flatmap(lambda n_classes: st.lists(
+    st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5]) | st.floats(0, 1), min_size=n_classes,
+             max_size=n_classes),
+    max_size=6,
+).map(lambda rows: np.array(rows, dtype=float).reshape(len(rows), n_classes)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_TIED_PROBS)
+@example(np.zeros((3, 7)))
+@example(np.full((2, 5), 0.2))
+@example(np.array([[0.1, 0.3, 0.3, 0.2, 0.1, 0.3], [0.5, 0.1, 0.1, 0.1, 0.1, 0.1]]))
+def test_rank_classes_top_k_is_the_prefix_of_the_full_order(probs):
+    n_classes = probs.shape[1]
+    full = rank_classes(probs)
+    oracle = [sorted(range(n_classes), key=lambda j: (-row[j], j)) for row in probs]
+    assert full.tolist() == oracle
+    for k in range(1, n_classes + 1):
+        top = rank_classes(probs, k)
+        assert top.shape == (probs.shape[0], k)
+        assert np.array_equal(top, full[:, :k])
 
 
 def test_clamp_k_clamps_large_k(caplog):

@@ -135,9 +135,11 @@ def test_fallback_dimension_must_match():
 
 def test_hashed_batch_equals_the_per_title_oracle_bit_for_bit():
     # the bucket sums are integers, so the batch cannot move a bit: repeated
-    # titles, titles of one character and the empty batch
+    # titles, titles of one character, titles whose grams and words repeat
+    # inside the title (each occurrence counts) and the empty batch
     titles = ["software engineer", "chef", "x", "senior ml engineer", "chef",
-              "data analyst", "software engineer", "zz top"]
+              "data analyst", "software engineer", "zz top", "aaaa aaaa", "a a a",
+              "abab abab ab"]
     for d_b, seed in ((8, 0), (64, 3), (128, 0)):
         matrix = hashed_ngram_matrix(titles, d_b, seed)
         assert matrix.shape == (len(titles), d_b)
