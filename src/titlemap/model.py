@@ -32,7 +32,7 @@ from .numerics import Tensor
 from .poincare import HyperbolicEmbeddingTable
 from .schema import build
 from .semantic import SemanticProvider
-from .syntactic import Taxonomy, syntactic_matrix
+from .syntactic import GramNumbering, Taxonomy, syntactic_matrix
 from .formats import canonicalize_title, is_utf8
 
 logger = logging.getLogger(__name__)
@@ -106,7 +106,9 @@ def init_model(taxonomy: Taxonomy, config: TrainConfig) -> MapperModel:
 class FeaturePipeline:
     """Builds the frozen (X_h, X_b, X_s) views of canonical titles, each view
     in one pass over the batch; titles unseen in the transition graph receive
-    the zero topological vector."""
+    the zero topological vector. The two string views of a batch read one
+    numbering of its 3-grams; the standard titles' numbering is the
+    taxonomy's own."""
 
     def __init__(
         self,
@@ -133,18 +135,23 @@ class FeaturePipeline:
         unseen = np.zeros(self.d_h)
         vectors = self.hyperbolic.vectors
         x_h = np.array([vectors.get(k, unseen) for k in keys]).reshape(len(keys), self.d_h)
-        x_b = self.semantic.embed_batch(keys)
-        x_s = syntactic_matrix(keys, self.taxonomy)
+        grams = GramNumbering(keys)
+        x_b = self.semantic.embed_batch(keys, grams)
+        x_s = syntactic_matrix(keys, self.taxonomy, grams)
         return x_h, x_b, x_s
 
     def standard_semantic(self) -> np.ndarray:
         if self._standard_semantic is None:
-            self._standard_semantic = self.semantic.embed_batch(self.taxonomy.titles)
+            self._standard_semantic = self.semantic.embed_batch(
+                self.taxonomy.titles, self.taxonomy.gram_index.standards
+            )
         return self._standard_semantic
 
     def standard_syntactic(self) -> np.ndarray:
         if self._standard_syntactic is None:
-            self._standard_syntactic = syntactic_matrix(self.taxonomy.titles, self.taxonomy)
+            self._standard_syntactic = syntactic_matrix(
+                self.taxonomy.titles, self.taxonomy, self.taxonomy.gram_index.standards
+            )
         return self._standard_syntactic
 
 

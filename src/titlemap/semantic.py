@@ -20,13 +20,16 @@ import hashlib
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import count
-from typing import Optional, Protocol, Sequence
+from itertools import chain, count
+from typing import TYPE_CHECKING, Optional, Protocol, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, FormatError, MissingTitleError, NumericError
 from .formats import read_vectors, write_vectors
+
+if TYPE_CHECKING:
+    from .syntactic import GramNumbering
 
 UNIT_NORM_TOL = 1e-9
 
@@ -36,7 +39,9 @@ class SemanticProvider(Protocol):
 
     def embed(self, title: str) -> np.ndarray: ...
 
-    def embed_batch(self, titles: Sequence[str]) -> np.ndarray: ...
+    def embed_batch(
+        self, titles: Sequence[str], grams: Optional[GramNumbering] = None
+    ) -> np.ndarray: ...
 
 
 @lru_cache(maxsize=131072)
@@ -50,32 +55,42 @@ def _token_feature(seed: int, d_b: int, token: str) -> tuple[int, float]:
     return h % d_b, 1.0 if (h >> 62) & 1 else -1.0
 
 
-def hashed_ngram_matrix(titles: Sequence[str], d_b: int, seed: int) -> np.ndarray:
+def hashed_ngram_matrix(
+    titles: Sequence[str], d_b: int, seed: int, grams: Optional[GramNumbering] = None
+) -> np.ndarray:
     """Deterministic unit vectors, shape (len(titles), d_b), from the signed
     hashed character 3-grams and words of each canonical title.
 
     Signed hashing keeps the expected inner product of token-disjoint titles
-    at zero. The batch's distinct tokens are numbered once and each is hashed
-    once; every title's features are then gathered by token number and summed
-    by one bincount over row-offset buckets. The sums are integers, so they
-    do not depend on the batch.
+    at zero. `grams` is the batch's numbering of its 3-grams (see
+    `syntactic.GramNumbering`), built here when not given; the words are
+    numbered on top of it, and each distinct gram and word is hashed once.
+    Every title's features are then gathered by number and summed by one
+    bincount over row-offset buckets. The sums are integers, so they do not
+    depend on the batch or on the order of the terms.
     """
     if d_b < 8:
         raise ConfigError(f"semantic dimension must be >= 8, got {d_b}")
-    number = defaultdict(count().__next__)  # token -> its number, in first-seen order
-    ids, counts = [], []
-    for title in titles:
-        padded = "^^" + title + "$$"
-        tokens = [padded[i : i + 3] for i in range(len(padded) - 2)] + title.split(" ")
-        ids.extend(map(number.__getitem__, tokens))
-        counts.append(len(tokens))
-    features = [_token_feature(seed, d_b, token) for token in number]
+    if grams is None:
+        from .syntactic import GramNumbering
+
+        grams = GramNumbering(titles)
+    words = defaultdict(count(len(grams.number)).__next__)  # numbered after the grams
+    # every title's `split(" ")`, in order: splitting the joined batch
+    word_ids = list(map(words.__getitem__, " ".join(titles).split(" "))) if titles else []
+    word_rows = np.repeat(
+        np.arange(len(titles), dtype=np.intp), [title.count(" ") + 1 for title in titles]
+    )
+    features = [_token_feature(seed, d_b, token) for token in chain(grams.number, words)]
     buckets = np.array([bucket for bucket, _ in features], dtype=np.intp)
     signs = np.array([sign for _, sign in features])
-    ids = np.array(ids, dtype=np.intp)
-    offsets = np.repeat(np.arange(len(titles), dtype=np.intp) * d_b, counts)
-    sums = np.bincount(offsets + buckets[ids], weights=signs[ids],
-                       minlength=len(titles) * d_b).reshape(len(titles), d_b)
+    ids = np.concatenate((grams.ids, np.array(word_ids, dtype=np.intp)))
+    rows = np.concatenate((grams.rows, word_rows))
+    rows *= d_b
+    rows += buckets[ids]
+    sums = np.bincount(rows, weights=signs[ids], minlength=len(titles) * d_b).reshape(
+        len(titles), d_b
+    )
     norms = np.sqrt(np.einsum("ij,ij->i", sums, sums))
     cancelled = np.flatnonzero(norms == 0.0)
     if cancelled.size:
@@ -95,8 +110,10 @@ class HashedNgramProvider:
     def embed(self, title: str) -> np.ndarray:
         return self.embed_batch([title])[0]
 
-    def embed_batch(self, titles: Sequence[str]) -> np.ndarray:
-        return hashed_ngram_matrix(titles, self.dimension, self.seed)
+    def embed_batch(
+        self, titles: Sequence[str], grams: Optional[GramNumbering] = None
+    ) -> np.ndarray:
+        return hashed_ngram_matrix(titles, self.dimension, self.seed, grams)
 
 
 @dataclass
@@ -122,9 +139,13 @@ class PrecomputedProvider:
     def embed(self, title: str) -> np.ndarray:
         return self.embed_batch([title])[0]
 
-    def embed_batch(self, titles: Sequence[str]) -> np.ndarray:
+    def embed_batch(
+        self, titles: Sequence[str], grams: Optional[GramNumbering] = None
+    ) -> np.ndarray:
         """Stored vectors where the cache has the title, the fallback's batch
-        for the rest; without a fallback every missing title is listed."""
+        for the rest; without a fallback every missing title is listed. The
+        batch's numbering `grams` is not read: the fallback numbers the
+        missing titles itself."""
         vectors = self.cache.vectors
         have = np.array([title in vectors for title in titles], dtype=bool)
         out = np.empty((len(titles), self.dimension))

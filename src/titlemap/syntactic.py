@@ -3,14 +3,18 @@
 The syntactic view of a title is a |Y|-vector: entry k is the set-cosine of
 padded character 3-grams between the title and standard title k. Taxonomy
 order is fixed and versioned because that index is meaningful everywhere
-downstream (it is the class index of the mapper).
+downstream (it is the class index of the mapper). A batch's padded 3-grams
+are numbered once (`GramNumbering`), and both string views of the batch, this
+one and the hashed semantic view, read that numbering.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import count
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,14 +23,56 @@ from .errors import DataError, DegenerateInputError
 from .formats import line_keys, read_rows, write_rows
 
 
+def padded_grams(text: str) -> list[str]:
+    """The character 3-grams of `text` padded with '^^'/'$$', in order, repeats
+    kept: "abcd" -> [^^a, ^ab, abc, bcd, cd$, d$$]."""
+    text = "^^" + text + "$$"
+    return [text[i : i + 3] for i in range(len(text) - 2)]
+
+
 @lru_cache(maxsize=131072)
 def gram_set(text: str) -> frozenset:
-    """Set of character 3-grams of `text`, padded with '^^'/'$$'.
+    """Set of the padded character 3-grams of `text`."""
+    return frozenset(padded_grams(text))
 
-    "abcd" -> {^^a, ^ab, abc, bcd, cd$, d$$}.
-    """
-    text = "^^" + text + "$$"
-    return frozenset(text[i : i + 3] for i in range(len(text) - 2))
+
+class GramNumbering:
+    """The padded 3-grams of a batch of titles, numbered once.
+
+    `number` maps each distinct gram to its number, in first-seen order;
+    `ids` holds the numbers of each title's grams in order, repeats kept,
+    title after title, and `rows` the title of each entry of `ids`. Both
+    string views of a batch read one numbering: the hashed semantic view
+    every gram occurrence, the syntactic view each title's distinct grams."""
+
+    def __init__(self, titles: Sequence[str]):
+        grams: list[str] = []
+        for title in titles:
+            grams += padded_grams(title)
+        number = defaultdict(count().__next__)
+        self.ids = np.array(list(map(number.__getitem__, grams)), dtype=np.intp)
+        number.default_factory = None  # a lookup of an unnumbered gram is a KeyError
+        self.number: dict[str, int] = number
+        self.rows = np.repeat(
+            np.arange(len(titles), dtype=np.intp), [len(title) + 2 for title in titles]
+        )
+        self.size = len(titles)
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (title row, gram number) pairs of the batch, each once, by
+        row and then by number."""
+        keys = self.rows * len(self.number) + self.ids
+        keys.sort()
+        keep = np.empty(keys.size, dtype=bool)
+        keep[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        return np.divmod(keys[keep], max(1, len(self.number)))
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """The number of distinct grams of each title."""
+        return np.bincount(self.pairs[0], minlength=self.size)
 
 
 def string_cosine(a: str, b: str) -> float:
@@ -65,6 +111,12 @@ class Taxonomy:
             raise DataError(f"title {key!r} is not in the taxonomy")
         return self._index[key]
 
+    @cached_property
+    def gram_index(self) -> GramIndex:
+        """The inverted index of the standard titles' 3-grams, built once;
+        its `standards` is their numbering."""
+        return GramIndex(GramNumbering(self.titles))
+
     @property
     def version_id(self) -> str:
         joined = "\x1f".join(self.titles)
@@ -83,45 +135,77 @@ class Taxonomy:
         return cls(titles=[t for t, _ in rows], groups=[g for _, g in rows])
 
 
+# Positions per bincount in `GramIndex.shared_counts`: a chunk takes the
+# (title, gram) pairs whose positions start in its 65,536, so its flat index
+# holds about 512 KiB however large the batch
+_HITS_PER_CHUNK = 1 << 16
+
+
 class GramIndex:
-    """Inverted index of the 3-grams of a list of standard titles: each gram
-    lists the positions of the standards that hold it. Built once, it counts
-    the grams any batch of titles shares with every standard."""
+    """Inverted index of the 3-grams of the standard titles, built from their
+    numbering: the standards that hold gram g (numbered g there) are
+    `cols[bounds[g] : bounds[g + 1]]`, and the last, empty slice stands for
+    every gram no standard holds. `Taxonomy.gram_index` builds it once per
+    taxonomy; it counts the grams any numbered batch of titles shares with
+    every standard."""
 
-    def __init__(self, standards: Sequence[str]):
-        columns: dict[str, list[int]] = {}
-        for col, standard in enumerate(standards):
-            for gram in gram_set(standard):
-                columns.setdefault(gram, []).append(col)
-        self._postings = {gram: np.array(cols, dtype=np.intp) for gram, cols in columns.items()}
-        self.sizes = np.array([len(gram_set(s)) for s in standards], dtype=np.int64)
+    def __init__(self, standards: GramNumbering):
+        self.standards = standards
+        cols, grams = standards.pairs
+        self.cols = cols[np.argsort(grams, kind="stable")]
+        self.bounds = np.zeros(len(standards.number) + 2, dtype=np.intp)
+        np.cumsum(np.bincount(grams, minlength=len(standards.number)), out=self.bounds[1:-1])
+        self.bounds[-1] = self.bounds[-2]
+        self.sizes = standards.sizes
 
-    def shared_counts(self, titles: Sequence[str]) -> np.ndarray:
-        """|A & B| for the grams A of each title and B of each standard, shape
-        (len(titles), len(standards)): one bincount over the positions listed
-        under each title's grams, each offset by the title's row."""
+    def shared_counts(self, batch: GramNumbering) -> np.ndarray:
+        """|A & B| for the grams A of each title of `batch` and B of each
+        standard, shape (batch.size, len(standards)). Each distinct gram of
+        the batch looks up its standards once; each title's distinct grams
+        then list their standards' positions, offset by the title's row, and
+        one bincount per `_HITS_PER_CHUNK` positions counts them."""
         n_cols = len(self.sizes)
-        hits, hit_rows = [], []
-        for row, title in enumerate(titles):
-            for gram in gram_set(title):
-                cols = self._postings.get(gram)
-                if cols is not None:
-                    hits.append(cols)
-                    hit_rows.append(row)
-        lengths = np.array([len(cols) for cols in hits], dtype=np.intp)
-        flat = np.repeat(np.array(hit_rows, dtype=np.intp) * n_cols, lengths)
-        if hits:
-            flat += np.concatenate(hits)
-        return np.bincount(flat, minlength=len(titles) * n_cols).reshape(len(titles), n_cols)
+        find, absent = self.standards.number.get, len(self.bounds) - 2
+        posting = np.fromiter(
+            (find(gram, absent) for gram in batch.number), dtype=np.intp, count=len(batch.number)
+        )
+        rows, grams = batch.pairs
+        first = self.bounds[posting][grams]
+        lengths = self.bounds[posting + 1][grams] - first
+        starts = np.cumsum(lengths) - lengths  # each pair's first position
+        total = int(lengths.sum())
+        shift = first - starts  # position q of a pair lists standard cols[q + shift]
+        counts = np.zeros((batch.size, n_cols), dtype=np.intp)
+        cuts = np.searchsorted(starts, np.arange(0, total, _HITS_PER_CHUNK))
+        for lo, hi in zip(cuts, [*cuts[1:], len(rows)]):
+            if lo == hi:  # no pair starts here: the one before spans the chunk
+                continue
+            flat = np.repeat(shift[lo:hi], lengths[lo:hi])
+            flat += np.arange(starts[lo], starts[lo] + flat.size)
+            flat = self.cols[flat]
+            top = rows[lo]
+            flat += np.repeat((rows[lo:hi] - top) * n_cols, lengths[lo:hi])
+            span = rows[hi - 1] + 1 - top
+            counts[top : top + span] += np.bincount(flat, minlength=span * n_cols).reshape(
+                span, n_cols
+            )
+        return counts
 
 
-def syntactic_matrix(titles: Sequence[str], taxonomy: Taxonomy) -> np.ndarray:
+def syntactic_matrix(
+    titles: Sequence[str], taxonomy: Taxonomy, grams: Optional[GramNumbering] = None
+) -> np.ndarray:
     """Similarity of each canonical title against every standard title, shape
     (len(titles), |Y|), columns in taxonomy order. Equal, bit for bit, to
     `string_cosine` of every pair: the shared-gram counts of the taxonomy's
-    `GramIndex` over sqrt(|A| * |B|)."""
+    `GramIndex` over sqrt(|A| * |B|). `grams` is the batch's numbering, built
+    here when not given."""
     if len(taxonomy) == 0:
         raise DegenerateInputError("syntactic_matrix: empty taxonomy")
-    index = GramIndex(taxonomy.titles)
-    title_sizes = np.array([len(gram_set(t)) for t in titles], dtype=np.int64)
-    return index.shared_counts(titles) / np.sqrt(title_sizes[:, None] * index.sizes)
+    if grams is None:
+        grams = GramNumbering(titles)
+    index = taxonomy.gram_index
+    # |A| * |B| is a small integer, so the float product is exact
+    scores = np.multiply.outer(grams.sizes.astype(float), index.sizes.astype(float))
+    np.sqrt(scores, out=scores)
+    return np.divide(index.shared_counts(grams), scores, out=scores)

@@ -184,6 +184,98 @@ def taped_regularizers(batch, params):
     return rs.RegularizerValues(r1, r2, r3, r4, r5, r6, total)
 
 
+def broadcast_clause_fold(j_pre, v_pre, params, order, taped):
+    """Oracle of `reasoning._clause_fold`: the same fold with each block's
+    hidden layer built by one add that broadcasts both operands,
+    `np.add(j, v[rows, None], out=h)`. IEEE addition commutes, so value and
+    backward must agree bit for bit."""
+    n_cand = v_pre.data.shape[0]
+    if n_cand == 0:
+        raise DegenerateInputError("clause_representation: empty candidate set")
+    sequence = np.arange(n_cand) if order is None else np.asarray(order, dtype=np.intp)
+    w2, b2, w_not, b_not, w_left, w_right, b_or = (t.data for t in rs._fold_weights(params))
+    w_neg = w_not @ w2  # NOT after the event head's linear layer
+    b_neg = b2 @ w_not.T + b_not
+    # BLAS multiplies by a contiguous right operand faster than by a transposed view
+    w_neg_t, w_left_t, w_right_t = (np.ascontiguousarray(w.T) for w in (w_neg, w_left, w_right))
+    j, v = j_pre.data, v_pre.data
+    steps, (batch, width), d_r = len(sequence), j.shape, w_not.shape[0]
+    # the biases repeated per batch row: numpy adds a (batch, d_r) operand
+    # to a block over batch·d_r-long runs, a (d_r,) one over d_r-long runs
+    bias_neg, bias_or = np.tile(b_neg, (batch, 1)), np.tile(b_or, (batch, 1))
+    block = min(steps, rs.fold_block_steps(batch, width))
+    starts = range(0, steps, block)
+    # time-major, so a block of steps is one contiguous slab of each
+    kept = steps if taped else block
+    hidden = np.empty((kept, batch, width))
+    literals = np.empty((kept, batch, d_r))
+    states = np.empty((kept, batch, d_r))
+    for s in starts:
+        n = min(block, steps - s)
+        at = slice(s, s + n) if taped else slice(n)
+        h, lit, st = hidden[at], literals[at], states[at]
+        np.add(j, v[sequence[s : s + n], None], out=h)
+        np.tanh(h, out=h)
+        np.matmul(h.reshape(-1, width), w_neg_t, out=lit.reshape(-1, d_r))
+        lit += bias_neg
+        np.tanh(lit, out=lit)
+        np.matmul(lit.reshape(-1, d_r), w_right_t, out=st.reshape(-1, d_r))
+        st += bias_or
+        for i in range(n):
+            if s + i == 0:
+                st[0] = lit[0]  # the first state is the first literal
+            else:
+                st[i] += (st[i - 1] if i else fold) @ w_left_t
+                np.tanh(st[i], out=st[i])
+        fold = st[n - 1].copy()
+
+    def backward(g):
+        g_w_left, g_w_right, g_w_neg = (np.zeros_like(w) for w in (w_left, w_right, w_neg))
+        g_b_or, g_b_neg, g_j = np.zeros(d_r), np.zeros(d_r), np.zeros_like(j)
+        g_v_rows = np.empty((steps, width))  # one row per step, scattered after the loop
+        ones = np.ones(block * batch)  # `ones @ x` sums rows several times faster than x.sum(0)
+        # per block: pre-activation gradients of OR, literal and hidden layer,
+        # and the tanh slopes 1 - y² of states, literals and hidden layer
+        g_ors, g_lits = np.empty((block, batch, d_r)), np.empty((block, batch, d_r))
+        g_hs, slopes_h = np.empty((block, batch, width)), np.empty((block, batch, width))
+        slopes = np.empty((block, batch, d_r))
+        g_state = g  # gradient of the state after the step in hand
+        for s in reversed(starts):
+            n = min(block, steps - s)
+            h, lit, st = hidden[s : s + n], literals[s : s + n], states[s : s + n]
+            g_or, g_lit, g_h = g_ors[:n], g_lits[:n], g_hs[:n]
+            slope, slope_h = slopes[:n], slopes_h[:n]
+            np.subtract(1.0, np.square(st, out=slope), out=slope)
+            for i in range(n - 1, -1, -1):
+                np.multiply(g_state, slope[i], out=g_or[i])
+                if s + i:
+                    g_state = g_or[i] @ w_left
+            # step 0 has no OR: its slot holds the first literal's gradient
+            first = 1 if s == 0 else 0
+            ors = g_or[first:].reshape(-1, d_r)
+            g_w_left += ors.T @ states[s + first - 1 : s + n - 1].reshape(-1, d_r)
+            g_w_right += ors.T @ lit[first:].reshape(-1, d_r)
+            g_b_or += ones[: len(ors)] @ ors
+            lits = g_lit.reshape(-1, d_r)
+            np.matmul(g_or.reshape(-1, d_r), w_right, out=lits)
+            g_lit *= np.subtract(1.0, np.square(lit, out=slope), out=slope)
+            if first:
+                g_lit[0] = g_or[0]
+            g_w_neg += lits.T @ h.reshape(-1, width)
+            g_b_neg += ones[: len(lits)] @ lits
+            np.matmul(lits, w_neg, out=g_h.reshape(-1, width))
+            g_h *= np.subtract(1.0, np.square(h, out=slope_h), out=slope_h)
+            g_j += g_h.sum(axis=0)
+            np.matmul(ones[:batch], g_h, out=g_v_rows[s : s + n])
+        g_v = np.zeros_like(v)
+        np.add.at(g_v, sequence, g_v_rows)
+        g_not = g_w_neg @ w2.T + np.outer(g_b_neg, b2)
+        return (g_j, g_v, w_not.T @ g_w_neg, (g_b_neg @ w_not)[None], g_not,
+                g_b_neg[None], g_w_left, g_w_right, g_b_or[None])
+
+    return fold, backward
+
+
 def _check_inside(x: np.ndarray, name: str) -> float:
     sq = float(np.dot(x, x))
     if sq >= 1.0:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from titlemap import model as model_module
 from titlemap import numerics as nx
 from titlemap import reasoning as rs
+from titlemap import syntactic as syntactic_module
 from titlemap.datagen import SynthConfig, gen_resumes, gen_taxonomy
 from titlemap.errors import ConfigError, DataError, FormatError
 from titlemap.graph import canonicalize_title, extract_parent_child_pairs, person_sequences
@@ -350,13 +351,13 @@ def test_each_distinct_canonical_title_is_embedded_and_scored_once(monkeypatch):
     scored, embedded = [], []
     matrix, embed_batch = model_module.syntactic_matrix, pipeline.semantic.embed_batch
 
-    def counted_matrix(titles, tax):
+    def counted_matrix(titles, tax, grams=None):
         scored.extend(titles)
-        return matrix(titles, tax)
+        return matrix(titles, tax, grams)
 
-    def counted_embed_batch(titles):
+    def counted_embed_batch(titles, grams=None):
         embedded.extend(titles)
-        return embed_batch(titles)
+        return embed_batch(titles, grams)
 
     monkeypatch.setattr(model_module, "syntactic_matrix", counted_matrix)
     monkeypatch.setattr(pipeline.semantic, "embed_batch", counted_embed_batch)
@@ -364,6 +365,33 @@ def test_each_distinct_canonical_title_is_embedded_and_scored_once(monkeypatch):
     forward_probabilities(model, pipeline, keys)
     assert scored == ["data analyst", "pilot", "chef"]
     assert embedded == ["data analyst", "pilot", "chef"]
+
+
+def test_forward_numbers_each_batch_once_and_indexes_the_taxonomy_once(monkeypatch):
+    # both string views of a batch read one numbering of its 3-grams, and the
+    # standard views read the taxonomy's own, from which its postings are built
+    taxonomy, pipeline, _ = tiny_world()
+    model = init_model(taxonomy, small_config())
+    numbered, indexed = [], []
+    number_init = syntactic_module.GramNumbering.__init__
+    index_init = syntactic_module.GramIndex.__init__
+
+    def counted_numbering(self, titles):
+        numbered.append(list(titles))
+        number_init(self, titles)
+
+    def counted_index(self, standards):
+        indexed.append(standards)
+        index_init(self, standards)
+
+    monkeypatch.setattr(syntactic_module.GramNumbering, "__init__", counted_numbering)
+    monkeypatch.setattr(syntactic_module.GramIndex, "__init__", counted_index)
+    keys = ["data analyst", "pilot", "data analyst", "chef"]
+    forward_probabilities(model, pipeline, keys)
+    assert numbered == [taxonomy.titles, ["data analyst", "pilot", "chef"]]
+    assert indexed == [taxonomy.gram_index.standards]
+    forward_probabilities(model, pipeline, ["pilot"])
+    assert numbered[2:] == [["pilot"]] and len(indexed) == 1
 
 
 def test_rank_classes_full_permutation_and_determinism():

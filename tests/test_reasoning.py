@@ -8,7 +8,9 @@ from titlemap import reasoning as rs
 from titlemap.errors import DegenerateInputError, DimensionError
 from titlemap.numerics import Tensor
 
-from helpers import event_oracle, finite_difference_check, not_op, taped_regularizers
+from helpers import (
+    broadcast_clause_fold, event_oracle, finite_difference_check, not_op, taped_regularizers,
+)
 
 D_VIEW, D_R = 6, 8
 
@@ -184,6 +186,22 @@ def test_taped_and_untaped_fold_are_bit_identical(params, batch, n_cand, shuffle
     assert taped.requires_grad and not plain.requires_grad
     assert np.array_equal(taped.data, plain.data)
     assert_fold_close(taped.data, unrolled_fold(j, v, params, order).data)
+
+
+@pytest.mark.parametrize("batch,n_cand,shuffled", FOLD_SHAPES)
+def test_fold_value_and_backward_equal_the_broadcast_hidden_layer_bit_for_bit(
+    params, batch, n_cand, shuffled
+):
+    j, v, order, weights = fold_inputs(batch, n_cand, shuffled, seed=14)
+    pre = rs.encode_views(j, v, params)
+    for taped in (False, True):
+        fold, backward = rs._clause_fold(*pre, params, order, taped)
+        oracle, oracle_backward = broadcast_clause_fold(*pre, params, order, taped)
+        assert fold.tobytes() == oracle.tobytes()
+    grads, oracle_grads = backward(weights.data), oracle_backward(weights.data)
+    assert len(grads) == len(oracle_grads) == 9
+    for grad, expected in zip(grads, oracle_grads):
+        assert grad.tobytes() == expected.tobytes()
 
 
 def gradients(make_output, j, v, weights, params):

@@ -6,15 +6,18 @@ from hypothesis import strategies as st
 from titlemap.datagen import SynthConfig, gen_taxonomy
 from titlemap.errors import DataError, DegenerateInputError, FormatError
 from titlemap.graph import canonicalize_title
+from titlemap import syntactic
+from titlemap.semantic import hashed_ngram_matrix
 from titlemap.syntactic import (
     GramIndex,
+    GramNumbering,
     Taxonomy,
     gram_set,
     string_cosine,
     syntactic_matrix,
 )
 
-from helpers import brute_force_gram_cosine
+from helpers import brute_force_gram_cosine, per_title_hashed_embed
 
 
 def test_gram_set_matches_enumerated_example():
@@ -112,12 +115,27 @@ def test_index_counts_equal_brute_force_intersections():
 
     standards = list(dict.fromkeys(title() for _ in range(12)))
     titles = [title() for _ in range(40)] + [standards[0], "qqq"]
-    index = GramIndex(standards)
-    counts = index.shared_counts(titles)
+    index = GramIndex(GramNumbering(standards))
+    counts = index.shared_counts(GramNumbering(titles))
     assert counts.shape == (len(titles), len(standards))
     assert counts.tolist() == [[len(gram_set(t) & gram_set(s)) for s in standards] for t in titles]
     assert index.sizes.tolist() == [len(gram_set(s)) for s in standards]
-    assert index.shared_counts([]).shape == (0, len(standards))
+    assert index.shared_counts(GramNumbering([])).shape == (0, len(standards))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100])
+def test_chunked_counts_equal_one_bincount(monkeypatch, chunk):
+    # a chunk may end inside a title's grams, span titles that share no gram
+    # with any standard, or be shorter than one gram's standards
+    taxonomy, labeled = gen_taxonomy(SynthConfig(groups=30, synonyms=3, seed=4))
+    titles = [t for t, _ in labeled[:20]] + ["xyz", "qqq qqq"] + [t for t, _ in labeled[20:40]]
+    batch = GramNumbering(titles)
+    whole = taxonomy.gram_index.shared_counts(batch)
+    monkeypatch.setattr(syntactic, "_HITS_PER_CHUNK", chunk)
+    assert np.array_equal(taxonomy.gram_index.shared_counts(batch), whole)
+    assert whole.tolist() == [
+        [len(gram_set(t) & gram_set(s)) for s in taxonomy.titles] for t in titles
+    ]
 
 
 def test_vector_is_pure_function_of_inputs():
@@ -204,6 +222,45 @@ def test_batch_equals_each_title_alone_and_the_oracle_bit_for_bit():
         assert np.array_equal(row.view(np.int64), oracle.view(np.int64))
     assert not matrix[-2:].any()
     assert syntactic_matrix([], taxonomy).shape == (0, len(taxonomy))
+
+
+# canonical keys: words of one to four characters, ASCII and not, one space
+# between words
+_KEY = st.lists(st.text(alphabet="abcé中ß", min_size=1, max_size=4), min_size=1, max_size=3).map(
+    " ".join
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    standards=st.lists(_KEY, min_size=1, max_size=5, unique=True),
+    titles=st.lists(_KEY, max_size=8),
+    repeats=st.integers(0, 3),
+)
+@example(standards=["abc abcd", "aaaa"], titles=["aaaa aaaa", "abc abcd", "a", "中", "ß é"],
+         repeats=2)
+@example(standards=["chef"], titles=[], repeats=0)
+def test_both_views_from_one_numbering_equal_the_per_title_oracles(standards, titles, repeats):
+    # repeated titles, repeated grams ("aaaa aaaa"), a word equal to one of
+    # its grams ("abc abcd"), one-character and non-ASCII titles, the empty batch
+    titles = titles + titles[:repeats]
+    taxonomy = Taxonomy(titles=standards)
+    grams = GramNumbering(titles)
+    x_s = syntactic_matrix(titles, taxonomy, grams)
+    assert x_s.shape == (len(titles), len(taxonomy))
+    for title, row in zip(titles, x_s):
+        oracle = np.array([brute_force_gram_cosine(title, s) for s in taxonomy.titles])
+        assert np.array_equal(row.view(np.int64), oracle.view(np.int64))
+    try:
+        oracles = [per_title_hashed_embed(title, 16, 0) for title in titles]
+    except DegenerateInputError:  # a title whose signed features cancel
+        with pytest.raises(DegenerateInputError):
+            hashed_ngram_matrix(titles, 16, 0, grams)
+        return
+    x_b = hashed_ngram_matrix(titles, 16, 0, grams)
+    assert x_b.shape == (len(titles), 16)
+    for row, oracle in zip(x_b, oracles):
+        assert np.array_equal(row.view(np.int64), oracle.view(np.int64))
 
 
 def test_membership_and_index_take_canonical_keys(tmp_path):
