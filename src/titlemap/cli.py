@@ -9,6 +9,12 @@ Each stage runs as its own process, and without a bytecode cache every module
 it imports is compiled again. So this module imports only what the config
 schema needs (`config`, `errors`, `formats`, `schema`), and each subcommand
 imports the modules it runs inside its own body.
+
+Every stage runs BLAS and OpenMP on one thread: the thread count changes how
+the products round, and a second thread buys no speed. The variables are set
+here, before `formats` loads numpy, and override the caller's values, so a
+stage's bytes depend on its config alone. A program that loads numpy before
+importing this module keeps whatever threads numpy started with.
 """
 
 from __future__ import annotations
@@ -19,9 +25,13 @@ import os
 import sys
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .config import PoincareConfig, SynthConfig, TrainConfig
-from .errors import ConfigError, DataError, EvaluationError, TitlemapError
-from .formats import (
+os.environ.update(
+    dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+)
+
+from .config import PoincareConfig, SynthConfig, TrainConfig  # noqa: E402
+from .errors import ConfigError, DataError, EvaluationError, TitlemapError  # noqa: E402
+from .formats import (  # noqa: E402
     is_utf8,
     line_keys,
     read_lines,
@@ -29,7 +39,7 @@ from .formats import (
     write_lines,
     write_rows,
 )
-from .schema import accepts, build, field_specs, rejection
+from .schema import accepts, build, field_specs, rejection  # noqa: E402
 
 if TYPE_CHECKING:
     from .model import FeaturePipeline

@@ -177,11 +177,11 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fold_aside(pre: tuple[Tensor, Tensor], params: rs.ReasoningParams):
-    """The untaped clause fold of `pre`, started on the worker thread: a
-    future of the fold's value, or None where this process has one CPU. The
-    worker runs in a copy of the caller's context, so numpy's `errstate`
-    holds there too, and it calls no name a tracer may wrap."""
+def _fold_aside(pre: tuple[Tensor, Tensor], params: rs.ReasoningParams, dtype):
+    """The untaped clause fold of `pre` in `dtype`, started on the worker
+    thread: a future of the fold's value, or None where this process has one
+    CPU. The worker runs in a copy of the caller's context, so numpy's
+    `errstate` holds there too, and it calls no name a tracer may wrap."""
     global _FOLD_POOL
     if _usable_cpus() < 2:
         return None
@@ -191,7 +191,7 @@ def _fold_aside(pre: tuple[Tensor, Tensor], params: rs.ReasoningParams):
         _FOLD_POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="titlemap-fold")
 
     def fold() -> np.ndarray:  # the value alone: its backward would keep a block alive
-        return rs._clause_fold(*pre, params, None, False)[0]
+        return rs._clause_fold(*pre, params, None, False, dtype)[0]
 
     return _FOLD_POOL.submit(contextvars.copy_context().run, fold)
 
@@ -210,12 +210,16 @@ def _forward(
     v_b: Tensor,
     v_s: Tensor,
     ctx: Optional[_TrainContext] = None,
+    dtype=np.float64,
 ) -> dict:
     """Forward pass; with `ctx` also returns the training-only loss pieces.
 
-    An untaped pass folds the syntactic clauses on the worker thread while
-    this thread co-attends and folds the semantic clauses. The two folds
-    share no array, so the output does not depend on the CPU count."""
+    Both clause folds compute in `dtype` (see `rs.clause_representation`),
+    which a taped pass must keep at float64, and return float64 values;
+    co-attention and the head are float64. An untaped pass folds the
+    syntactic clauses on the worker thread while this thread co-attends and
+    folds the semantic clauses. The two folds share no array, so the output
+    does not depend on the CPU count."""
     th, tb, ts = Tensor(x_h), Tensor(x_b), Tensor(x_s)
     out: dict = {}
     training = ctx is not None
@@ -225,14 +229,14 @@ def _forward(
     pre_b = rs.encode_views(tb, v_b, model.reason_b)
     pre_s = rs.encode_views(ts, v_s, model.reason_s)
     # a training step folds in turn, and so does any pass on a tape
-    aside = None if training or nx.recording(pre_s) else _fold_aside(pre_s, model.reason_s)
+    aside = None if training or nx.recording(pre_s) else _fold_aside(pre_s, model.reason_s, dtype)
     try:
         attended = ca.co_attend(th, tb, ts, model.coatt)
-        clause_b = rs.clause_representation(*pre_b, model.reason_b, order_b)
+        clause_b = rs.clause_representation(*pre_b, model.reason_b, order_b, dtype)
     finally:  # the worker's fold is read, and so finished, whatever happens here
         fold_s = None if aside is None else aside.result()
     if fold_s is None:
-        clause_s = rs.clause_representation(*pre_s, model.reason_s, order_s)
+        clause_s = rs.clause_representation(*pre_s, model.reason_s, order_s, dtype)
     else:
         clause_s = Tensor(fold_s)
     fused = nx.concat(
@@ -305,11 +309,14 @@ def _probs_from_views(
     x_s: np.ndarray,
     v_b: Tensor,
     v_s: Tensor,
+    dtype=np.float64,
 ) -> np.ndarray:
+    """Class distribution per view row, `_CHUNK_ROWS` rows per forward pass
+    whose clause folds compute in `dtype`."""
     rows = []
     for start in range(0, x_h.shape[0], _CHUNK_ROWS):
         sl = slice(start, start + _CHUNK_ROWS)
-        parts = _forward(model, x_h[sl], x_b[sl], x_s[sl], v_b, v_s)
+        parts = _forward(model, x_h[sl], x_b[sl], x_s[sl], v_b, v_s, dtype=dtype)
         rows.append(nx.softmax(parts["logits"], axis=-1).data)
     return np.concatenate(rows, axis=0) if rows else np.zeros((0, len(model.taxonomy)))
 
@@ -322,16 +329,19 @@ def forward_probabilities(
     """Inference-mode class distribution per canonical key, shape (n, |Y|).
 
     Each distinct key is scored once and its row is copied to every equal
-    key, so equal keys get identical rows. Every step of the forward pass
-    acts per row, but the BLAS products are not bitwise row-independent: a
-    row can differ in its last bits (up to about 1e-14 relative) from scoring
-    that key alone or among other keys."""
+    key, so equal keys get identical rows. The clause folds compute in
+    float32 from the float64 weights; everything else is float64. Against
+    the float64 fold a probability moves by less than 1e-6, the top class
+    stays and the order changes only between near-equal probabilities (the
+    tests' gate). Every step of the forward pass acts per row, but the BLAS
+    products are not bitwise row-independent: a row can differ in its last
+    bits from scoring that key alone or among other keys."""
     v_b = Tensor(pipeline.standard_semantic())
     v_s = Tensor(pipeline.standard_syntactic())
     row_of = {key: row for row, key in enumerate(dict.fromkeys(keys))}
     inverse = np.array([row_of[key] for key in keys], dtype=np.intp)
     x_h, x_b, x_s = pipeline.title_views(list(row_of))
-    return _probs_from_views(model, x_h, x_b, x_s, v_b, v_s)[inverse]
+    return _probs_from_views(model, x_h, x_b, x_s, v_b, v_s, np.float32)[inverse]
 
 
 # The one ranking rule of every stage, and the metrics read off the gold

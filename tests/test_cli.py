@@ -3,12 +3,15 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import titlemap
 from titlemap.cli import main, resolve_config
 from titlemap.errors import ConfigError
 from titlemap.formats import canonicalize_title
@@ -732,8 +735,8 @@ def test_seeded_graph_eval_and_mobility_outputs_are_pinned(tmp_path):
     walks each career, or of how gen-data draws and writes the corpus must
     leave all eight files bit-identical. `map` lists the labelled titles twice
     over 25 classes; its digest leaves out the probability column, whose last
-    bits follow the BLAS thread count, so it pins which classes it lists and
-    in what order."""
+    bits follow the float32 rounding of the serving fold, so it pins which
+    classes it lists and in what order."""
     out = tmp_path / "out"
     data = {name: str(out / f"{name}.{ext}") for name, ext in (
         ("taxonomy", "tsv"), ("labels", "tsv"), ("resumes", "jsonl"), ("pairs", "tsv"),
@@ -768,6 +771,47 @@ def test_seeded_graph_eval_and_mobility_outputs_are_pinned(tmp_path):
         "graph_summary.json": "375c040f510c3e24a5f8aa9990af1a6e49c84b61e2a5791665db2606b7853d06",
         "mappings.tsv": "85baeb485518f4aac1c2f6e323bbe92a7253c62124544544ddbf0155b2392da6",
     }
+
+
+def test_train_and_map_bytes_do_not_depend_on_the_callers_blas_threads(tmp_path):
+    """`train` and `map` started with `OPENBLAS_NUM_THREADS=1` and `=2` write
+    the same bytes: the CLI sets one BLAS thread before numpy loads. At this
+    README-width config, two threads moved `model.json` and `mappings.tsv`
+    while the caller's value was honoured."""
+    base = tmp_path / "base"
+    data = {name: str(base / f"{name}.{ext}") for name, ext in (
+        ("taxonomy", "tsv"), ("labels", "tsv"), ("resumes", "jsonl"), ("pairs", "tsv"),
+        ("hyperbolic", "tsv"))}
+    data["titles"] = str(tmp_path / "titles.txt")
+    overrides = {
+        "data": data,
+        "dims": {"d_h": 32, "d_b": 128, "d_r": 16},
+        "datagen": {"groups": 50, "synonyms": 5, "persons": 200},
+        "poincare": {"epochs": 1},
+        "train": {"batch_size": 256, "max_epochs": 1, "patience": 25, "lr": 0.01,
+                  "fusion_lr_multiplier": 10},
+    }
+    path, _ = write_config(tmp_path, {**overrides, "output_dir": str(base)})
+    for command in ("gen-data", "build-graph", "train-poincare"):
+        assert main([command, "--config", str(path)]) == 0
+    titles = [json.loads(line)["title"]
+              for line in (base / "resumes.jsonl").read_text().splitlines()]
+    Path(data["titles"]).write_text("".join(f"{title}\n" for title in titles))
+    src = Path(titlemap.__file__).resolve().parents[1]
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        run_data = {**data, "model": str(out / "model.json")}
+        config, _ = write_config(tmp_path, {**overrides, "data": run_data, "output_dir": str(out)},
+                                 name=f"threads-{threads}.json")
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        for command in ("train", "map"):
+            subprocess.run([sys.executable, "-m", "titlemap.cli", command, "--config", str(config)],
+                           env=env, check=True, capture_output=True, timeout=120)
+        written[threads] = {name: (out / name).read_bytes()
+                            for name in ("model.json", "train_report.json", "mappings.tsv")}
+    assert written["1"] == written["2"]
 
 
 def test_train_poincare_writes_a_deterministic_report(trained):

@@ -342,6 +342,62 @@ def test_rows_equal_the_distinct_batch_and_agree_with_scoring_alone_at_desk_dims
     assert np.array_equal(rank_classes(alone), rank_classes(distinct))
 
 
+# The float32 serving gate, against the same pass with both clause folds in
+# float64: every probability within FLOAT32_PROB_TOL, the same top class on
+# every row, and a top-k order that may differ only between classes whose
+# float64 probabilities are less than FLOAT32_RANK_GAP apart (two
+# probabilities that each move by the tolerance can trade places).
+FLOAT32_PROB_TOL = 1e-6
+FLOAT32_RANK_GAP = 2 * FLOAT32_PROB_TOL
+
+
+def float64_probabilities(model, pipeline, keys):
+    """The test oracle of `forward_probabilities`: its pass over the distinct
+    `keys`, with the clause folds reached through the same `dtype`
+    argument at float64."""
+    v_b, v_s = Tensor(pipeline.standard_semantic()), Tensor(pipeline.standard_syntactic())
+    views = pipeline.title_views(keys)
+    return model_module._probs_from_views(model, *views, v_b, v_s, np.float64)
+
+
+def assert_within_float32_gate(served, oracle, k):
+    assert served.shape == oracle.shape
+    assert np.abs(served - oracle).max() < FLOAT32_PROB_TOL
+    assert np.array_equal(rank_classes(served, 1), rank_classes(oracle, 1))
+    # the float64 probabilities in the float32 order: each of the first k may
+    # fall short of one ranked below it by less than the gap, never more
+    ordered = np.take_along_axis(oracle, rank_classes(served), axis=1)
+    below = np.maximum.accumulate(ordered[:, ::-1], axis=1)[:, ::-1]
+    k = min(k, oracle.shape[1] - 1)  # the last class has none below it
+    assert (ordered[:, :k] > below[:, 1 : k + 1] - FLOAT32_RANK_GAP).all()
+
+
+def g200_serving_world():
+    """A fresh desk-width model over a generated G=200 taxonomy (1,000
+    standard and noisy labelled titles as the keys), with its fusion weights
+    scaled up so the top class holds up to about half the mass: a sharper
+    head than the fresh near-uniform one, so the folds' rounding reaches
+    the probabilities."""
+    taxonomy, labeled = gen_taxonomy(SynthConfig(groups=200, synonyms=5, seed=2))
+    config = TrainConfig(d_h=32, d_b=128, d_r=16, seed=0)
+    pipeline = FeaturePipeline(
+        HyperbolicEmbeddingTable(dim=config.d_h, seed=0),
+        HashedNgramProvider(dimension=config.d_b), taxonomy,
+    )
+    model = init_model(taxonomy, config)
+    model.fusion_w.data *= 300.0
+    return model, pipeline, list(dict.fromkeys(canonicalize_title(t) for t, _ in labeled))
+
+
+@pytest.mark.parametrize("world", [desk_serving_world, g200_serving_world])
+def test_float32_serving_is_within_the_gate_of_the_float64_fold(world):
+    model, pipeline, keys = world()
+    served = forward_probabilities(model, pipeline, keys)
+    oracle = float64_probabilities(model, pipeline, keys)
+    assert not np.array_equal(served, oracle)  # the serving folds are float32
+    assert_within_float32_gate(served, oracle, k=10)
+
+
 def test_each_distinct_canonical_title_is_embedded_and_scored_once(monkeypatch):
     taxonomy, pipeline, examples = tiny_world()
     model = init_model(taxonomy, small_config())

@@ -5,7 +5,7 @@ import pytest
 
 from titlemap import numerics as nx
 from titlemap import reasoning as rs
-from titlemap.errors import DegenerateInputError, DimensionError
+from titlemap.errors import ContractError, DegenerateInputError, DimensionError
 from titlemap.numerics import Tensor
 
 from helpers import (
@@ -204,6 +204,28 @@ def test_fold_value_and_backward_equal_the_broadcast_hidden_layer_bit_for_bit(
         assert grad.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("batch,n_cand,shuffled", FOLD_SHAPES)
+def test_float32_fold_agrees_with_the_float64_fold(params, batch, n_cand, shuffled):
+    # the steps are tanh of bounded sums, so float32 rounding stays a few ulps
+    # of float32 over the whole fold (measured at these shapes: at most 1.0e-7)
+    j, v, order, _ = fold_inputs(batch, n_cand, shuffled, seed=15)
+    pre = rs.encode_views(j, v, params)
+    wide = rs.clause_representation(*pre, params, order)
+    narrow = rs.clause_representation(*pre, params, order, np.float32)
+    assert narrow.data.dtype == np.float64 and not narrow.requires_grad
+    assert np.allclose(narrow.data, wide.data, rtol=0, atol=16 * np.finfo(np.float32).eps)
+    assert not np.array_equal(narrow.data, wide.data)
+
+
+def test_taped_fold_refuses_any_dtype_but_float64(params):
+    j, v, order, _ = fold_inputs(3, 5, True, seed=12)
+    with nx.GradTape():
+        pre = rs.encode_views(j, v, params)
+        with pytest.raises(ContractError, match="float64"):
+            rs.clause_representation(*pre, params, order, np.float32)
+        rs.clause_representation(*pre, params, order, np.float64)
+
+
 def gradients(make_output, j, v, weights, params):
     leaves = {"j": j, "v": v, **{k: t for k, t in nx.tensor_fields(params).items()
                                  if k != "true_anchor"}}
@@ -238,13 +260,15 @@ def test_untaped_fold_keeps_one_block_not_every_step():
     rng = np.random.default_rng(16)
     j_pre, v_pre = rs.encode_views(Tensor(rng.uniform(-1, 1, (batch, D_VIEW))),
                                    Tensor(rng.uniform(-1, 1, (n_cand, D_VIEW))), params)
-    tracemalloc.start()
-    try:
-        rs.clause_representation(j_pre, v_pre, params)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * rs._FOLD_BLOCK_BYTES
+    # serving's float32 fold casts the parameters once per call
+    for dtype in (np.float64, np.float32):
+        tracemalloc.start()
+        try:
+            rs.clause_representation(j_pre, v_pre, params, None, dtype)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * rs._FOLD_BLOCK_BYTES, dtype
 
 
 def test_fused_fold_gradients_match_finite_differences(params):
