@@ -12,7 +12,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import numerics as nx
-from .errors import ConfigError, DataError, EvaluationError, MissingTitleError
+from .errors import ConfigError, DataError, EvaluationError, MissingTitleError, NumericError
 from .graph import ParentChildPair
 from .numerics import Tensor
 
@@ -91,12 +91,15 @@ def edge_embed(
 
 def auc_score(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
     """Rank-statistic AUC with average ranks for ties (equals the pairwise
-    P(score+ > score-) + 0.5 P(=) count)."""
+    P(score+ > score-) + 0.5 P(=) count). Every score must be finite."""
     pos_scores = np.asarray(pos_scores, dtype=np.float64)
     neg_scores = np.asarray(neg_scores, dtype=np.float64)
     if pos_scores.size == 0 or neg_scores.size == 0:
         raise EvaluationError("AUC needs both positive and negative examples")
     scores = np.concatenate([pos_scores, neg_scores])
+    bad = scores.size - np.count_nonzero(np.isfinite(scores))
+    if bad:
+        raise NumericError(f"AUC: {bad} of {scores.size} scores are not finite")
     order = np.argsort(scores, kind="mergesort")
     sorted_scores = scores[order]
     # each run of equal sorted scores [first, last] shares the average of its 1-based ranks
@@ -184,7 +187,9 @@ def link_prediction_auc(
     operator on dev AUC, report test AUC. Train negatives are resampled 1:1
     each epoch, i.i.d. uniform over the ordered pairs of `split.nodes` that
     are neither self-pairs nor train, dev or test positives. Every node
-    needs a vector, and every endpoint of a link must be a node."""
+    needs a vector, and every endpoint of a link must be a node. A score
+    that is not finite (vectors so wide that the edge features overflow)
+    raises NumericError."""
     missing = [t for t in split.nodes if t not in node_vectors]
     if missing:
         raise MissingTitleError(
@@ -215,27 +220,30 @@ def link_prediction_auc(
     y = np.concatenate([np.ones(n_pos), np.zeros(n_pos)])
     neg_ends = (np.empty((n_pos, dim)), np.empty((n_pos, dim)))
     per_operator = {}
-    for operator in EDGE_OPERATORS:
-        feats[:n_pos] = features(train_pos, operator)
-        w = Tensor(np.zeros(dim), requires_grad=True)
-        b = Tensor(np.zeros(1), requires_grad=True)
-        optimizer = nx.Adam([w, b], lr=lr)
-        for _ in range(epochs):
-            for out, drawn in zip(neg_ends, sampler.sample(n_pos, rng)):
-                np.take(matrix, drawn, axis=0, out=out, mode="clip")
-            edge_embed(*neg_ends, operator, out=feats[n_pos:])
-            p = _sigmoid(feats @ w.data + b.data[0])
-            resid = (p - y) / len(y)
-            w.grad = feats.T @ resid
-            b.grad = np.array([resid.sum()])
-            optimizer.step()
+    # wide vectors overflow in the edge features; `auc_score` rejects the
+    # scores that are then not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for operator in EDGE_OPERATORS:
+            feats[:n_pos] = features(train_pos, operator)
+            w = Tensor(np.zeros(dim), requires_grad=True)
+            b = Tensor(np.zeros(1), requires_grad=True)
+            optimizer = nx.Adam([w, b], lr=lr)
+            for _ in range(epochs):
+                for out, drawn in zip(neg_ends, sampler.sample(n_pos, rng)):
+                    np.take(matrix, drawn, axis=0, out=out, mode="clip")
+                edge_embed(*neg_ends, operator, out=feats[n_pos:])
+                p = _sigmoid(feats @ w.data + b.data[0])
+                resid = (p - y) / len(y)
+                w.grad = feats.T @ resid
+                b.grad = np.array([resid.sum()])
+                optimizer.step()
 
-        def score(ends):
-            return features(ends, operator) @ w.data + b.data[0]
+            def score(ends):
+                return features(ends, operator) @ w.data + b.data[0]
 
-        dev_auc = auc_score(score(dev_pos), score(dev_neg))
-        test_auc = auc_score(score(test_pos), score(test_neg))
-        per_operator[operator] = {"dev_auc": dev_auc, "test_auc": test_auc}
+            dev_auc = auc_score(score(dev_pos), score(dev_neg))
+            test_auc = auc_score(score(test_pos), score(test_neg))
+            per_operator[operator] = {"dev_auc": dev_auc, "test_auc": test_auc}
 
     best_operator = max(EDGE_OPERATORS, key=lambda op: per_operator[op]["dev_auc"])
     return LinkPredictionReport(

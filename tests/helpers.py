@@ -1,4 +1,12 @@
-"""Shared oracles and builders for the test suite."""
+"""Shared oracles and builders for the test suite.
+
+One spec oracle per function: the plainest definition of what it computes,
+such as the scalar hyperbolic distance or the pairwise AUC count. A refactor
+may keep its parent's code here as the oracle of the new code; that proves
+once that the refactor kept the bits. The ancestor then goes, and pins of
+its outputs, recorded while it still passed, carry its cases.
+`test_helpers.py` fails when a public name here has no importer.
+"""
 
 from __future__ import annotations
 
@@ -22,7 +30,7 @@ from titlemap.errors import (
 )
 from titlemap.graph import RECORD_FIELDS, JobRecord, ParentChildPair
 from titlemap.model import FeaturePipeline, init_model
-from titlemap.semantic import HashedNgramProvider, _token_feature, hashed_ngram_matrix
+from titlemap.semantic import HashedNgramProvider, _token_feature
 from titlemap.syntactic import Taxonomy, gram_set
 
 
@@ -184,98 +192,6 @@ def taped_regularizers(batch, params):
     return rs.RegularizerValues(r1, r2, r3, r4, r5, r6, total)
 
 
-def broadcast_clause_fold(j_pre, v_pre, params, order, taped):
-    """Oracle of `reasoning._clause_fold`: the same fold with each block's
-    hidden layer built by one add that broadcasts both operands,
-    `np.add(j, v[rows, None], out=h)`. IEEE addition commutes, so value and
-    backward must agree bit for bit."""
-    n_cand = v_pre.data.shape[0]
-    if n_cand == 0:
-        raise DegenerateInputError("clause_representation: empty candidate set")
-    sequence = np.arange(n_cand) if order is None else np.asarray(order, dtype=np.intp)
-    w2, b2, w_not, b_not, w_left, w_right, b_or = (t.data for t in rs._fold_weights(params))
-    w_neg = w_not @ w2  # NOT after the event head's linear layer
-    b_neg = b2 @ w_not.T + b_not
-    # BLAS multiplies by a contiguous right operand faster than by a transposed view
-    w_neg_t, w_left_t, w_right_t = (np.ascontiguousarray(w.T) for w in (w_neg, w_left, w_right))
-    j, v = j_pre.data, v_pre.data
-    steps, (batch, width), d_r = len(sequence), j.shape, w_not.shape[0]
-    # the biases repeated per batch row: numpy adds a (batch, d_r) operand
-    # to a block over batch·d_r-long runs, a (d_r,) one over d_r-long runs
-    bias_neg, bias_or = np.tile(b_neg, (batch, 1)), np.tile(b_or, (batch, 1))
-    block = min(steps, rs.fold_block_steps(batch, width))
-    starts = range(0, steps, block)
-    # time-major, so a block of steps is one contiguous slab of each
-    kept = steps if taped else block
-    hidden = np.empty((kept, batch, width))
-    literals = np.empty((kept, batch, d_r))
-    states = np.empty((kept, batch, d_r))
-    for s in starts:
-        n = min(block, steps - s)
-        at = slice(s, s + n) if taped else slice(n)
-        h, lit, st = hidden[at], literals[at], states[at]
-        np.add(j, v[sequence[s : s + n], None], out=h)
-        np.tanh(h, out=h)
-        np.matmul(h.reshape(-1, width), w_neg_t, out=lit.reshape(-1, d_r))
-        lit += bias_neg
-        np.tanh(lit, out=lit)
-        np.matmul(lit.reshape(-1, d_r), w_right_t, out=st.reshape(-1, d_r))
-        st += bias_or
-        for i in range(n):
-            if s + i == 0:
-                st[0] = lit[0]  # the first state is the first literal
-            else:
-                st[i] += (st[i - 1] if i else fold) @ w_left_t
-                np.tanh(st[i], out=st[i])
-        fold = st[n - 1].copy()
-
-    def backward(g):
-        g_w_left, g_w_right, g_w_neg = (np.zeros_like(w) for w in (w_left, w_right, w_neg))
-        g_b_or, g_b_neg, g_j = np.zeros(d_r), np.zeros(d_r), np.zeros_like(j)
-        g_v_rows = np.empty((steps, width))  # one row per step, scattered after the loop
-        ones = np.ones(block * batch)  # `ones @ x` sums rows several times faster than x.sum(0)
-        # per block: pre-activation gradients of OR, literal and hidden layer,
-        # and the tanh slopes 1 - y² of states, literals and hidden layer
-        g_ors, g_lits = np.empty((block, batch, d_r)), np.empty((block, batch, d_r))
-        g_hs, slopes_h = np.empty((block, batch, width)), np.empty((block, batch, width))
-        slopes = np.empty((block, batch, d_r))
-        g_state = g  # gradient of the state after the step in hand
-        for s in reversed(starts):
-            n = min(block, steps - s)
-            h, lit, st = hidden[s : s + n], literals[s : s + n], states[s : s + n]
-            g_or, g_lit, g_h = g_ors[:n], g_lits[:n], g_hs[:n]
-            slope, slope_h = slopes[:n], slopes_h[:n]
-            np.subtract(1.0, np.square(st, out=slope), out=slope)
-            for i in range(n - 1, -1, -1):
-                np.multiply(g_state, slope[i], out=g_or[i])
-                if s + i:
-                    g_state = g_or[i] @ w_left
-            # step 0 has no OR: its slot holds the first literal's gradient
-            first = 1 if s == 0 else 0
-            ors = g_or[first:].reshape(-1, d_r)
-            g_w_left += ors.T @ states[s + first - 1 : s + n - 1].reshape(-1, d_r)
-            g_w_right += ors.T @ lit[first:].reshape(-1, d_r)
-            g_b_or += ones[: len(ors)] @ ors
-            lits = g_lit.reshape(-1, d_r)
-            np.matmul(g_or.reshape(-1, d_r), w_right, out=lits)
-            g_lit *= np.subtract(1.0, np.square(lit, out=slope), out=slope)
-            if first:
-                g_lit[0] = g_or[0]
-            g_w_neg += lits.T @ h.reshape(-1, width)
-            g_b_neg += ones[: len(lits)] @ lits
-            np.matmul(lits, w_neg, out=g_h.reshape(-1, width))
-            g_h *= np.subtract(1.0, np.square(h, out=slope_h), out=slope_h)
-            g_j += g_h.sum(axis=0)
-            np.matmul(ones[:batch], g_h, out=g_v_rows[s : s + n])
-        g_v = np.zeros_like(v)
-        np.add.at(g_v, sequence, g_v_rows)
-        g_not = g_w_neg @ w2.T + np.outer(g_b_neg, b2)
-        return (g_j, g_v, w_not.T @ g_w_neg, (g_b_neg @ w_not)[None], g_not,
-                g_b_neg[None], g_w_left, g_w_right, g_b_or[None])
-
-    return fold, backward
-
-
 def _check_inside(x: np.ndarray, name: str) -> float:
     sq = float(np.dot(x, x))
     if sq >= 1.0:
@@ -321,101 +237,6 @@ def mean_parent_rank(table, pairs) -> float:
         closer = np.count_nonzero(dist < target[:, None], axis=1) - (dist[child] < target)
         ranks.extend(closer + 1)
     return float(np.mean(ranks))
-
-
-def allocating_negative_draw(sampler, rng, children, negatives):
-    """Oracle of one block's share of `_NegativeSampler.draw`: its own
-    `rng.integers` call over the block's bounds, and the Floyd walk row by
-    row over numpy scalars. Returns (title indices, validity mask), both
-    (len(children), K) with K the block's width."""
-    pool = sampler.pool_sizes[children]
-    k = np.minimum(negatives, pool)
-    width = int(k.max())
-    valid = np.arange(width) < k[:, None]
-    bounds = (pool - k)[:, None] + np.arange(width)
-    picks = np.where(valid, rng.integers(0, bounds + 1), -1 - np.arange(width))
-    ordered = np.sort(picks, axis=1)
-    for r in np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)):
-        row = picks[r]
-        for i in range(1, k[r]):
-            if row[i] in row[:i]:
-                row[i] = bounds[r, i]
-    picks[~valid] = 0
-    query = children[:, None] * sampler._stride + picks
-    skipped = np.searchsorted(sampler._keys, query, side="right") - sampler._starts[children, None]
-    return picks + skipped, valid
-
-
-def allocating_rsgd_step(vectors, block, sampler, rng, negatives, lr):
-    """Oracle of `poincare._rsgd_step`: the same Riemannian SGD step with every
-    intermediate freshly allocated and broadcast, and its own negative draw.
-    Updates `vectors` in place; returns (summed loss, rows clamped)."""
-    children = block[:, 0]
-    negs, valid = allocating_negative_draw(sampler, rng, children, negatives)
-    cand_idx = np.concatenate((block[:, 1:], negs), axis=1)
-    valid = np.concatenate((np.ones((len(block), 1), dtype=bool), valid), axis=1)
-    u = vectors[children]
-    cands = vectors[cand_idx]
-    # distances
-    alpha = 1.0 - np.einsum("...i,...i->...", u, u)
-    beta = 1.0 - np.einsum("...i,...i->...", cands, cands)
-    diff = u[..., None, :] - cands
-    sq_diff = np.einsum("...i,...i->...", diff, diff)
-    gamma = np.maximum(1.0 + 2.0 * sq_diff / (alpha[..., None] * beta), 1.0)
-    dist = np.log(gamma + np.sqrt(gamma * gamma - 1.0))
-    nearest = np.where(valid, dist, np.inf).min(axis=1, keepdims=True)
-    e = np.where(valid, np.exp(nearest - dist), 0.0)
-    total = e.sum(axis=1, keepdims=True)
-    loss = float(np.sum(dist[:, :1] - nearest + np.log(total)))
-    coeff = -e / total
-    coeff[:, 0] += 1.0
-    # gradients of the distances
-    live = (gamma - 1.0) > 1e-12
-    denom = np.sqrt(np.maximum(gamma * gamma - 1.0, poincare._ACOSH_GUARD))
-    dot_uc = np.einsum("...ki,...i->...k", cands, u)
-    u_sq = (1.0 - alpha)[..., None]
-    c_sq = 1.0 - beta
-    alpha = alpha[..., None]
-    coeff_u = np.where(live, 4.0 / (beta * denom), 0.0) * coeff
-    grad_u = (
-        np.sum(coeff_u * (c_sq - 2.0 * dot_uc + 1.0), axis=-1)[..., None] / alpha**2 * u
-        - np.einsum("...k,...ki->...i", coeff_u, cands) / alpha
-    )
-    coeff_c = np.where(live, 4.0 / (alpha * denom), 0.0) * coeff
-    grad_c = (
-        (coeff_c * (u_sq - 2.0 * dot_uc + 1.0) / beta**2)[..., None] * cands
-        - (coeff_c / beta)[..., None] * u[..., None, :]
-    )
-    # scatter, rescale, project
-    m = vectors.shape[1]
-    rows, slot = np.unique(np.concatenate((children, cand_idx.ravel())), return_inverse=True)
-    step = np.concatenate((grad_u, grad_c.reshape(-1, m)))
-    grad = np.zeros(len(rows) * m)
-    np.add.at(grad, (slot[:, None] * m + np.arange(m)).ravel(), step.ravel())
-    x = vectors[rows]
-    x -= lr * riemannian_rescale(x, grad.reshape(-1, m))
-    clamped = 0
-    for r in np.flatnonzero(np.einsum("ij,ij->i", x, x) >= poincare._NEAR_LIMIT_SQ):
-        projected = poincare.project_to_ball(x[r])
-        clamped += not np.array_equal(projected, x[r])
-        x[r] = projected
-    vectors[rows] = x
-    return loss, clamped
-
-
-def allocating_epoch(vectors, pair_idx, sampler, rng, negatives, lr, batch):
-    """Oracle of `poincare._train_epoch`: shuffle the pairs, then one
-    `allocating_rsgd_step` per block of `batch` of them, each drawing its own
-    negatives. Returns (summed loss, rows clamped)."""
-    order = rng.permutation(len(pair_idx))
-    loss, clamped = 0.0, 0
-    for start in range(0, len(order), batch):
-        block_loss, block_clamped = allocating_rsgd_step(
-            vectors, pair_idx[order[start : start + batch]], sampler, rng, negatives, lr
-        )
-        loss += block_loss
-        clamped += block_clamped
-    return loss, clamped
 
 
 def scalar_adam_reference(x0, grads, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
@@ -472,31 +293,6 @@ def dominates_own_group(variant: str, own: frozenset, others: list[frozenset]) -
     grams = gram_set(variant)
     own_overlap = len(grams & own)
     return all(len(grams & other) < own_overlap for other in others)
-
-
-def looped_auc_score(pos_scores, neg_scores):
-    """Oracle of `evaluation.auc_score`: the same rank statistic with ties
-    ranked by a per-score loop."""
-    scores = np.concatenate([np.asarray(pos_scores, float), np.asarray(neg_scores, float)])
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # average of 1-based ranks
-        i = j + 1
-    n_pos, n_neg = len(pos_scores), len(neg_scores)
-    rank_sum = ranks[:n_pos].sum()
-    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
-def hashed_ngram_embed(title, d_b, seed):
-    """The unit vector of one canonical title: its row of
-    `semantic.hashed_ngram_matrix`."""
-    return hashed_ngram_matrix([title], d_b, seed)[0]
 
 
 def per_title_hashed_embed(title, d_b, seed):

@@ -675,10 +675,12 @@ def test_nul_in_config_string_exits_2(tmp_path, capsys, command, key, value):
 
 def test_seeded_train_report_is_pinned(tmp_path):
     """A small seeded `train` whose clause fold spans several step blocks
-    (57 training rows and 30 candidates at d_r 32) reports the same split
-    metrics and best epoch as when these figures were recorded. A rewrite of
-    the training step may move `model.json` in its last bits; it must not
-    move these."""
+    (57 training rows and 30 candidates at d_r 32) writes the same split
+    metrics, best epoch, `model.json` and `training_curve.csv` as when these
+    figures were recorded. `train` runs in a fresh process, where the CLI
+    sets one BLAS thread before numpy loads, so the bytes do not follow the
+    caller's thread count. A change that moves these bytes re-pins them and
+    states its tolerance in CHANGES.md."""
     out = tmp_path / "out"
     data = {name: str(out / f"{name}.{ext}") for name, ext in (
         ("taxonomy", "tsv"), ("labels", "tsv"), ("resumes", "jsonl"), ("pairs", "tsv"),
@@ -691,8 +693,12 @@ def test_seeded_train_report_is_pinned(tmp_path):
         "train": {"batch_size": 64, "max_epochs": 6, "patience": 6, "lr": 0.01,
                   "fusion_lr_multiplier": 10},
     })
-    for command in ("gen-data", "build-graph", "train-poincare", "train"):
+    for command in ("gen-data", "build-graph", "train-poincare"):
         assert main([command, "--config", str(path)]) == 0
+    src = Path(titlemap.__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-m", "titlemap.cli", "train", "--config", str(path)],
+                   env={**os.environ, "PYTHONPATH": str(src)}, check=True, capture_output=True,
+                   timeout=120)
     report = json.loads((out / "train_report.json").read_text())
     assert report["best_epoch"] == 2
     assert report["metrics"] == {
@@ -700,6 +706,13 @@ def test_seeded_train_report_is_pinned(tmp_path):
         "test_hit_at_1": 1 / 19,
         "test_hit_at_5": 3 / 19,
         "test_hit_at_10": 4 / 19,
+    }
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("model.json", "training_curve.csv")}
+    assert digests == {
+        "model.json": "fa81667a38570c88ab6f5d328e01f80411c63947968deb7873864cd312201bca",
+        "training_curve.csv":
+            "3125721bdd3ecb3512529cff668cb534e9ec6699bb5ec7e3a3e112be54a0533a",
     }
 
 
@@ -842,6 +855,28 @@ def test_linkpred_rerun_writes_an_identical_report(trained):
         reports.append((tmp / run / "linkpred_report.json").read_bytes())
     assert reports[0] == reports[1]
     assert 0.0 <= json.loads(reports[0])["test_auc"] <= 1.0
+
+
+def test_linkpred_exits_4_when_a_score_is_not_finite(trained, capsys):
+    """One row of an `#embeddings` file is finite but 1e300 wide, which its
+    reader accepts: the edge features overflow, so the scores are not finite,
+    and `linkpred` exits 4 without a report rather than reporting AUCs."""
+    tmp, data = trained
+    rows = [row.split("\t") for row in
+            (tmp / "out" / "hyperbolic.tsv").read_text().splitlines()[1:]]
+    width = len(rows[0][1].split(","))
+    rows[0][1] = ",".join(["1e300"] * width)
+    vectors = tmp / "wide.tsv"
+    vectors.write_text(f"#embeddings d={width} normalize=false\n"
+                       + "".join(f"{title}\t{values}\n" for title, values in rows))
+    out = tmp / "wide"
+    path, _ = write_config(tmp, {"output_dir": str(out), "data": {**data, "vectors": str(vectors)},
+                                 "linkpred": {"epochs": 5}}, name="wide.json")
+    assert main(["linkpred", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "kind=numeric" in err and "not finite" in err
+    assert not (out / "linkpred_report.json").exists()
 
 
 def test_linkpred_scores_the_links_train_poincare_embedded(tmp_path, monkeypatch):

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from titlemap import evaluation as ev
-from titlemap.errors import DataError, EvaluationError, MissingTitleError
+from titlemap.errors import DataError, EvaluationError, MissingTitleError, NumericError
 from titlemap.graph import ParentChildPair
 from titlemap.model import gold_rank, hit_at, ndcg_at, precision_at
 
 from helpers import (
     RankingResult,
     hit_rate_at_n,
-    looped_auc_score,
     ndcg_at_n,
     pairwise_auc_oracle,
     precision_at_n,
@@ -194,20 +193,32 @@ def test_auc_matches_pairwise_oracle_including_ties():
     assert ev.auc_score(pos, neg) == pytest.approx(pairwise_auc_oracle(pos, neg), abs=1e-12)
 
 
+# The exact AUC of each case, recorded from the tie ranking by a per-score
+# loop that the run-length ranking replaced.
 @pytest.mark.parametrize(
-    "pos, neg",
+    "pos, neg, expected",
     [
         (np.round(np.random.default_rng(2).uniform(size=300), 1),
-         np.round(np.random.default_rng(3).uniform(size=200), 1)),  # many ties
-        (np.random.default_rng(4).normal(size=257), np.random.default_rng(5).normal(size=130)),
-        (np.zeros(5), np.zeros(7)),  # one tie group
-        (np.array([1.0, 2.0, np.nan]), np.array([np.nan, 0.5, 2.0, 2.0])),
-        (np.array([0.25]), np.array([0.75])),
+         np.round(np.random.default_rng(3).uniform(size=200), 1),
+         0.4736666666666667),  # many ties
+        (np.random.default_rng(4).normal(size=257), np.random.default_rng(5).normal(size=130),
+         0.5868602214905717),
+        (np.zeros(5), np.zeros(7), 0.5),  # one tie group
+        (np.array([0.25]), np.array([0.75]), 0.0),
     ],
-    ids=["many-ties", "no-ties", "all-tied", "nan-and-ties", "one-each"],
+    ids=["many-ties", "no-ties", "all-tied", "one-each"],
 )
-def test_auc_equals_the_looped_tie_ranking_bit_for_bit(pos, neg):
-    assert ev.auc_score(pos, neg) == looped_auc_score(pos, neg)
+def test_auc_equals_the_looped_tie_ranking_bit_for_bit(pos, neg, expected):
+    assert ev.auc_score(pos, neg) == expected
+    assert expected == pytest.approx(pairwise_auc_oracle(pos, neg), abs=1e-12)
+
+
+def test_auc_rejects_non_finite_scores():
+    with pytest.raises(NumericError, match="2 of 7 scores are not finite"):
+        ev.auc_score(np.array([1.0, 2.0, np.nan]), np.array([np.nan, 0.5, 2.0, 2.0]))
+    for bad in (np.inf, -np.inf):
+        with pytest.raises(NumericError, match="1 of 2"):
+            ev.auc_score(np.array([bad]), np.array([0.5]))
 
 
 def test_auc_rejects_single_class():

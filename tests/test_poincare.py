@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,6 @@ from titlemap.poincare import (
 )
 
 from helpers import (
-    allocating_epoch,
     balanced_tree_pairs,
     mean_parent_rank,
     poincare_distance,
@@ -379,25 +379,39 @@ STEP_CASES = {
 EPOCHS = 4
 
 
+# sha256 of each STEP_CASES run's vectors, (loss, rows moved) and generator
+# state after every epoch, recorded from the allocating Riemannian SGD step,
+# its own negative draw per block and numpy-scalar Floyd walk, that the
+# planned epoch replaced. A change that moves these bits re-pins them and
+# states its tolerance against `poincare_distance` and `riemannian_rescale`.
+STEP_DIGESTS = {
+    "embed-block": "a7c0d4e9da759027ff6f482cafd61674cc7bd48156e7e49f4d760a1d6849c7fc",
+    "partial-last-block": "bd5eac144f5336497f739f6b6c48a8b4dc77719b0fa612f51153ab176f0d3420",
+    "pools-narrower-than-negatives": "9ee9a2db91427e70e700edee8a3ef27fe531149f64989927ad7af83b68805b39",
+    "no-negatives": "b191602216020e21c186fedd32776bab243d237ba02349af6d071a605168a4c7",
+    "negatives-beyond-titles": "711b6079c18fd4407bd6e5288d4e7339f15fae70f3eb7c9b06ec58de2673ba15",
+    "clamps-rows": "0d40ccaa17fd39a253123ec1b92d4596e239d4e7cb168b2bbf0b2ac07789437b",
+    "block-widths-differ": "dbbac4a7e48e2dfde5e56c284ca063da8cc393219c7bd3b552f7bcc16e848368",
+}
+
+
 @pytest.mark.parametrize("case", STEP_CASES)
 def test_planned_epochs_match_allocating_steps(case):
     pair_idx, n, m, negatives, lr, batch = STEP_CASES[case]
     sampler = _NegativeSampler(pair_idx, n)
-    ours = np.random.default_rng(4).uniform(-0.6, 0.6, (n, m)) / np.sqrt(m)
-    theirs = ours.copy()
+    vectors = np.random.default_rng(4).uniform(-0.6, 0.6, (n, m)) / np.sqrt(m)
     work = poincare._StepWork(batch, 1 + min(negatives, n), n, m)
-    rng_ours, rng_theirs = np.random.default_rng(5), np.random.default_rng(5)
-    clamped = 0
+    rng = np.random.default_rng(5)
+    digest, clamped = hashlib.sha256(), 0
     for _ in range(EPOCHS):
         loss, moved = poincare._train_epoch(
-            ours, pair_idx, sampler, rng_ours, negatives, lr, batch, work
+            vectors, pair_idx, sampler, rng, negatives, lr, batch, work
         )
-        assert (loss, moved) == allocating_epoch(
-            theirs, pair_idx, sampler, rng_theirs, negatives, lr, batch
-        )
-        assert np.array_equal(ours, theirs)
-        assert rng_ours.bit_generator.state == rng_theirs.bit_generator.state
+        digest.update(vectors.tobytes())
+        digest.update(repr((loss, moved)).encode())
+        digest.update(repr(rng.bit_generator.state).encode())
         clamped += moved
+    assert digest.hexdigest() == STEP_DIGESTS[case]
     assert (clamped > 0) == (case == "clamps-rows")
     # sized by the titles, never by `negatives`
     assert work.cands.size <= batch * (1 + n) * m

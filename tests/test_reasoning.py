@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -8,9 +9,7 @@ from titlemap import reasoning as rs
 from titlemap.errors import ContractError, DegenerateInputError, DimensionError
 from titlemap.numerics import Tensor
 
-from helpers import (
-    broadcast_clause_fold, event_oracle, finite_difference_check, not_op, taped_regularizers,
-)
+from helpers import event_oracle, finite_difference_check, not_op, taped_regularizers
 
 D_VIEW, D_R = 6, 8
 
@@ -188,20 +187,42 @@ def test_taped_and_untaped_fold_are_bit_identical(params, batch, n_cand, shuffle
     assert_fold_close(taped.data, unrolled_fold(j, v, params, order).data)
 
 
+# sha256 of each FOLD_SHAPES case's untaped and taped value and the taped
+# call's nine input gradients, recorded from the fold with the broadcast
+# hidden layer, `np.add(j, v[rows, None], out=h)`, that the row copy and
+# same-shape add replaced. A change that moves these bits re-pins them and
+# states its tolerance against the tape-unrolled oracle.
+FOLD_DIGESTS = dict(zip(FOLD_SHAPES, [
+    "43a5a6204d4bb3155a33b7bd9c835dd8b250402442c2c1ca0b3f7a550066ca08",
+    "81e1462d96eafb6c21c22ded8e77ca98bd94e41c1460703379be78daff86415e",
+    "1ea619451a54d7ecb132c37d0c3cf38803248a25b5076129c9e533c6529ff9ba",
+    "a331b8349cb27f1605c1d17d0b58e0629d61842a1f003e9f7cddc4374b7af958",
+    "a4b5301e0326f07dc5e8da63d585c4fc0298b74a1b8c930f01be5bf848ab3ab2",
+    "934d14da607d6732cb3e6160d33d4c1f0b38e55d97909e9d42b2ba4aa916749c",
+    "b8b9b1a5f38c6b717976cc39bc454827fccb78ecb7e9d28ad44599cb5c7fd12b",
+    "c78d29c2e00a3748b80736c0c5bc467057bf655ebfb0f4fbf997a7cff26cff8a",
+    "411f0a8e3f3f35821ddeab119a5a4e379ca38a83498d50220833842da71f756d",
+    "a96739a05e0da435427e63711cbc81a40a55ffc8a3e748b3d9b1d8364a3fe5ba",
+    "37f053529da25736014dc1b9dda74d73cc00a9fd7e3326ef835be658f0b03122",
+    "2f7671c29ae80014d6c49039cb1e8edda5c16b359a4bf1a40c9bc71a047fad17",
+]))
+
+
 @pytest.mark.parametrize("batch,n_cand,shuffled", FOLD_SHAPES)
 def test_fold_value_and_backward_equal_the_broadcast_hidden_layer_bit_for_bit(
     params, batch, n_cand, shuffled
 ):
     j, v, order, weights = fold_inputs(batch, n_cand, shuffled, seed=14)
     pre = rs.encode_views(j, v, params)
+    digest = hashlib.sha256()
     for taped in (False, True):
         fold, backward = rs._clause_fold(*pre, params, order, taped)
-        oracle, oracle_backward = broadcast_clause_fold(*pre, params, order, taped)
-        assert fold.tobytes() == oracle.tobytes()
-    grads, oracle_grads = backward(weights.data), oracle_backward(weights.data)
-    assert len(grads) == len(oracle_grads) == 9
-    for grad, expected in zip(grads, oracle_grads):
-        assert grad.tobytes() == expected.tobytes()
+        digest.update(fold.tobytes())
+    grads = backward(weights.data)
+    assert len(grads) == 9
+    for grad in grads:
+        digest.update(grad.tobytes())
+    assert digest.hexdigest() == FOLD_DIGESTS[batch, n_cand, shuffled]
 
 
 @pytest.mark.parametrize("batch,n_cand,shuffled", FOLD_SHAPES)

@@ -12,34 +12,34 @@ from titlemap.semantic import (
     write_embeddings,
 )
 
-from helpers import hashed_ngram_embed, per_title_hashed_embed
+from helpers import per_title_hashed_embed
 
 # at d_b 8 and seed 0 the six signed features of "agy" cancel pairwise
 CANCELLING_TITLE = "agy"
 
 
 def test_embedding_is_bit_deterministic():
-    a = hashed_ngram_embed("software engineer", 64, seed=7)
-    b = hashed_ngram_embed("software engineer", 64, seed=7)
+    a = HashedNgramProvider(dimension=64, seed=7).embed("software engineer")
+    b = HashedNgramProvider(dimension=64, seed=7).embed("software engineer")
     assert np.array_equal(a, b)
 
 
 def test_embedding_is_unit_norm():
     for title in ("chef", "senior ml engineer", "x"):
-        vec = hashed_ngram_embed(title, 32, seed=0)
+        vec = HashedNgramProvider(dimension=32, seed=0).embed(title)
         assert abs(np.linalg.norm(vec) - 1.0) <= 1e-9
 
 
 def test_seed_changes_embedding():
-    a = hashed_ngram_embed("chef", 64, seed=0)
-    b = hashed_ngram_embed("chef", 64, seed=1)
+    a = HashedNgramProvider(dimension=64, seed=0).embed("chef")
+    b = HashedNgramProvider(dimension=64, seed=1).embed("chef")
     assert not np.array_equal(a, b)
 
 
 def test_shared_tokens_raise_similarity():
-    e = hashed_ngram_embed
-    sim_related = float(e("software engineer", 128, 0) @ e("software developer", 128, 0))
-    sim_unrelated = float(e("software engineer", 128, 0) @ e("pastry chef", 128, 0))
+    e = HashedNgramProvider(dimension=128, seed=0).embed
+    sim_related = float(e("software engineer") @ e("software developer"))
+    sim_unrelated = float(e("software engineer") @ e("pastry chef"))
     assert sim_related > sim_unrelated
 
 
@@ -48,19 +48,18 @@ def test_similarity_monotone_in_shared_token_count():
     shared = ["aaa", "bbb", "ccc"]
     fill_a = ["ddd", "eee", "fff"]
     fill_b = ["ggg", "hhh", "iii"]
+    provider = HashedNgramProvider(dimension=256, seed=5)
     sims = []
     for k in range(4):
         left = " ".join(shared[:k] + fill_a[: 3 - k])
         right = " ".join(shared[:k] + fill_b[: 3 - k])
-        vec_l = hashed_ngram_embed(left, 256, seed=5)
-        vec_r = hashed_ngram_embed(right, 256, seed=5)
-        sims.append(float(vec_l @ vec_r))
+        sims.append(float(provider.embed(left) @ provider.embed(right)))
     assert all(b > a for a, b in zip(sims, sims[1:]))
 
 
 def test_small_dimension_rejected():
     with pytest.raises(ConfigError):
-        hashed_ngram_embed("chef", 4, seed=0)
+        hashed_ngram_matrix(["chef"], 4, seed=0)
     with pytest.raises(ConfigError):
         HashedNgramProvider(dimension=7)
 
@@ -146,7 +145,7 @@ def test_hashed_batch_equals_the_per_title_oracle_bit_for_bit():
         for title, row in zip(titles, matrix):
             oracle = per_title_hashed_embed(title, d_b, seed)
             assert np.array_equal(row.view(np.int64), oracle.view(np.int64))
-            assert np.array_equal(hashed_ngram_embed(title, d_b, seed), oracle)
+            assert np.array_equal(HashedNgramProvider(d_b, seed).embed(title), oracle)
         assert hashed_ngram_matrix([], d_b, seed).shape == (0, d_b)
     provider = HashedNgramProvider(dimension=32, seed=1)
     assert np.array_equal(provider.embed_batch(titles)[1], provider.embed("chef"))
