@@ -14,11 +14,9 @@ from the config seed.
 from __future__ import annotations
 
 import base64
-import contextvars
 import json
 import logging
-import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -166,36 +164,6 @@ def check_view_widths(pipeline: FeaturePipeline, config: TrainConfig) -> None:
             raise ConfigError(f"{view} has width {width}, but the model's {name} is {expected}")
 
 
-# the worker thread of `_fold_aside`, started on first use
-_FOLD_POOL = None
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _fold_aside(pre: tuple[Tensor, Tensor], params: rs.ReasoningParams, dtype):
-    """The untaped clause fold of `pre` in `dtype`, started on the worker
-    thread: a future of the fold's value, or None where this process has one
-    CPU. The worker runs in a copy of the caller's context, so numpy's
-    `errstate` holds there too, and it calls no name a tracer may wrap."""
-    global _FOLD_POOL
-    if _usable_cpus() < 2:
-        return None
-    if _FOLD_POOL is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _FOLD_POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="titlemap-fold")
-
-    def fold() -> np.ndarray:  # the value alone: its backward would keep a block alive
-        return rs._clause_fold(*pre, params, None, False, dtype)[0]
-
-    return _FOLD_POOL.submit(contextvars.copy_context().run, fold)
-
-
 @dataclass
 class _TrainContext:
     fold_rng: np.random.Generator
@@ -210,16 +178,12 @@ def _forward(
     v_b: Tensor,
     v_s: Tensor,
     ctx: Optional[_TrainContext] = None,
-    dtype=np.float64,
 ) -> dict:
     """Forward pass; with `ctx` also returns the training-only loss pieces.
 
-    Both clause folds compute in `dtype` (see `rs.clause_representation`),
-    which a taped pass must keep at float64, and return float64 values;
-    co-attention and the head are float64. An untaped pass folds the
-    syntactic clauses on the worker thread while this thread co-attends and
-    folds the semantic clauses. The two folds share no array, so the output
-    does not depend on the CPU count."""
+    It computes in the dtype of the model's tensors and the views: float64
+    for training, float32 for `forward_probabilities`. Both clause folds run
+    in turn on the calling thread."""
     th, tb, ts = Tensor(x_h), Tensor(x_b), Tensor(x_s)
     out: dict = {}
     training = ctx is not None
@@ -228,17 +192,9 @@ def _forward(
     order_s = ctx.fold_rng.permutation(n_cand) if training else None
     pre_b = rs.encode_views(tb, v_b, model.reason_b)
     pre_s = rs.encode_views(ts, v_s, model.reason_s)
-    # a training step folds in turn, and so does any pass on a tape
-    aside = None if training or nx.recording(pre_s) else _fold_aside(pre_s, model.reason_s, dtype)
-    try:
-        attended = ca.co_attend(th, tb, ts, model.coatt)
-        clause_b = rs.clause_representation(*pre_b, model.reason_b, order_b, dtype)
-    finally:  # the worker's fold is read, and so finished, whatever happens here
-        fold_s = None if aside is None else aside.result()
-    if fold_s is None:
-        clause_s = rs.clause_representation(*pre_s, model.reason_s, order_s, dtype)
-    else:
-        clause_s = Tensor(fold_s)
+    attended = ca.co_attend(th, tb, ts, model.coatt)
+    clause_b = rs.clause_representation(*pre_b, model.reason_b, order_b)
+    clause_s = rs.clause_representation(*pre_s, model.reason_s, order_s)
     fused = nx.concat(
         [attended.x_hat_h, attended.x_hat_b, attended.x_hat_s, clause_b, clause_s],
         axis=1,
@@ -309,16 +265,23 @@ def _probs_from_views(
     x_s: np.ndarray,
     v_b: Tensor,
     v_s: Tensor,
-    dtype=np.float64,
 ) -> np.ndarray:
-    """Class distribution per view row, `_CHUNK_ROWS` rows per forward pass
-    whose clause folds compute in `dtype`."""
+    """Class distribution per view row, `_CHUNK_ROWS` rows per forward pass,
+    in the dtype of the model and the views."""
     rows = []
     for start in range(0, x_h.shape[0], _CHUNK_ROWS):
         sl = slice(start, start + _CHUNK_ROWS)
-        parts = _forward(model, x_h[sl], x_b[sl], x_s[sl], v_b, v_s, dtype=dtype)
+        parts = _forward(model, x_h[sl], x_b[sl], x_s[sl], v_b, v_s)
         rows.append(nx.softmax(parts["logits"], axis=-1).data)
-    return np.concatenate(rows, axis=0) if rows else np.zeros((0, len(model.taxonomy)))
+    return np.concatenate(rows, axis=0) if rows else np.zeros((0, len(model.taxonomy)), x_h.dtype)
+
+
+def _float32_copy(model: MapperModel) -> MapperModel:
+    """`model` with every tensor of `_tensor_registry` cast to float32, off
+    the tape."""
+    sets = {field: nx.cast_fields(getattr(model, field), np.float32)
+            for _, field, _, _ in _PARAM_SETS}
+    return nx.cast_fields(replace(model, **sets), np.float32)
 
 
 def forward_probabilities(
@@ -326,22 +289,26 @@ def forward_probabilities(
     pipeline: FeaturePipeline,
     keys: Sequence[str],
 ) -> np.ndarray:
-    """Inference-mode class distribution per canonical key, shape (n, |Y|).
+    """Inference-mode class distribution per canonical key, shape (n, |Y|),
+    in float32.
 
     Each distinct key is scored once and its row is copied to every equal
-    key, so equal keys get identical rows. The clause folds compute in
-    float32 from the float64 weights; everything else is float64. Against
-    the float64 fold a probability moves by less than 1e-6, the top class
-    stays and the order changes only between near-equal probabilities (the
-    tests' gate). Every step of the forward pass acts per row, but the BLAS
-    products are not bitwise row-independent: a row can differ in its last
-    bits from scoring that key alone or among other keys."""
-    v_b = Tensor(pipeline.standard_semantic())
-    v_s = Tensor(pipeline.standard_syntactic())
+    key, so equal keys get identical rows. The pass is float32 end to end:
+    the model's float64 weights and the five views are cast once per call,
+    and co-attention, both clause folds, the head and the softmax run in
+    float32 through the forward pass training runs in float64. Against that
+    float64 pass a probability moves by less than 1e-6, the top class stays
+    and the order changes only between near-equal probabilities (the tests'
+    gate). Every step of the forward pass acts per row, but the BLAS products
+    are not bitwise row-independent: a row can differ in its last bits from
+    scoring that key alone or among other keys."""
+    served = _float32_copy(model)
+    v_b, v_s = (Tensor(v.astype(np.float32))
+                for v in (pipeline.standard_semantic(), pipeline.standard_syntactic()))
     row_of = {key: row for row, key in enumerate(dict.fromkeys(keys))}
     inverse = np.array([row_of[key] for key in keys], dtype=np.intp)
-    x_h, x_b, x_s = pipeline.title_views(list(row_of))
-    return _probs_from_views(model, x_h, x_b, x_s, v_b, v_s, np.float32)[inverse]
+    x_h, x_b, x_s = (x.astype(np.float32) for x in pipeline.title_views(list(row_of)))
+    return _probs_from_views(served, x_h, x_b, x_s, v_b, v_s)[inverse]
 
 
 # The one ranking rule of every stage, and the metrics read off the gold

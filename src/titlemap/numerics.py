@@ -1,9 +1,17 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense tensors with reverse-mode automatic differentiation.
 
 Everything learnable in titlemap runs on this substrate: a `Tensor` wraps a
-numpy float64 array, operations executed inside a `GradTape` context record
-their backward rules on the tape, and `GradTape.backward` replays the tape in
+numpy array, operations executed inside a `GradTape` context record their
+backward rules on the tape, and `GradTape.backward` replays the tape in
 reverse to accumulate gradients into the `requires_grad` leaves.
+
+Precision is the arrays' dtype. On the tape every array is float64: an op
+that would record a tensor of another dtype raises `ContractError`. Off the
+tape a `Tensor` may hold float32 as well, and an op computes in the dtype
+numpy gives its operands, so a pass whose tensors are all float32 runs in
+float32 throughout (serving does; see `model.forward_probabilities`). Under
+numpy's promotion rules one float64 array or numpy scalar in such a pass
+turns it back to float64; a Python float does not.
 
 Scope is deliberately small: 1-D/2-D arrays, the operations the mapper
 actually needs, and a plain Adam optimizer. Gradients sum on node reuse; a
@@ -15,7 +23,7 @@ any cross-platform comparison).
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import fields, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -25,6 +33,7 @@ from .errors import ContractError, DimensionError, DomainError
 __all__ = [
     "Tensor",
     "tensor_fields",
+    "cast_fields",
     "GradTape",
     "Adam",
     "add",
@@ -51,16 +60,18 @@ __all__ = [
 
 
 class Tensor:
-    """A float64 array plus autodiff bookkeeping.
+    """A float64 or float32 array plus autodiff bookkeeping.
 
-    `grad` is populated (for requires_grad leaves) by `GradTape.backward` and
-    always has the same shape as `data`.
+    float32 data is kept as given, and anything else is cast to float64. Only
+    float64 tensors go on a tape. `grad` is populated (for requires_grad
+    leaves) by `GradTape.backward` and always has the same shape as `data`.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
 
@@ -82,6 +93,13 @@ def tensor_fields(params) -> dict[str, Tensor]:
     """Tensor-valued fields of a parameter dataclass, by name in field order."""
     values = {f.name: getattr(params, f.name) for f in fields(params)}
     return {name: v for name, v in values.items() if isinstance(v, Tensor)}
+
+
+def cast_fields(params, dtype):
+    """A copy of the dataclass `params` whose tensor fields hold their data
+    cast to `dtype`, off the tape; every other field is shared."""
+    cast = {name: Tensor(t.data.astype(dtype)) for name, t in tensor_fields(params).items()}
+    return replace(params, **cast)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +178,9 @@ def recording(inputs: Sequence[Tensor]) -> bool:
 def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward: Callable) -> Tensor:
     out = Tensor(out_data)
     if recording(inputs):
+        if any(t.data.dtype != np.float64 for t in (out, *inputs)):
+            dtypes = sorted({str(t.data.dtype) for t in (out, *inputs)})
+            raise ContractError(f"only float64 tensors go on a tape, not {', '.join(dtypes)}")
         out.requires_grad = True
         _active_tape()._record(out, inputs, backward)
     return out
@@ -283,7 +304,8 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Max-shifted softmax along `axis`; rows sum to 1 to float64 precision."""
+    """Max-shifted softmax along `axis`, in the dtype of `a`; rows sum to 1
+    to that dtype's precision."""
     if a.data.size == 0:
         raise DimensionError("softmax: input must be non-empty")
     shifted = a.data - a.data.max(axis=axis, keepdims=True)

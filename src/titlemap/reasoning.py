@@ -26,11 +26,12 @@ composed weight and the split OR product round differently from
 `or_op(..., not_op(event_head(...)))`, where `not_op`, tanh(e W_notᵀ +
 b_not), is the tests' oracle of NOT (`tests/helpers.py`; no code here
 applies NOT alone). So the fold agrees with that composition within 1e-12
-relative (the tests' bound), not bit for bit. An untaped fold may compute
-in float32 from the float64 weights, as serving does; taped and untaped
-calls are bit-identical only at float64. The six regularizers with their
-cosines are one tape node per call as well, and agree with composing the
-tests' `not_op` with `or_op` and `row_cosine` within the same bound.
+relative (the tests' bound), not bit for bit. The fold computes in the
+dtype of its inputs: float64 on the tape, float32 as well off it, as
+serving does; taped and untaped calls are bit-identical. The six
+regularizers with their cosines are one tape node per call as well, and
+agree with composing the tests' `not_op` with `or_op` and `row_cosine`
+within the same bound.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import numerics as nx
-from .errors import ContractError, DegenerateInputError
+from .errors import DegenerateInputError
 from .numerics import Tensor
 
 
@@ -160,7 +161,6 @@ def clause_representation(
     v_pre: Tensor,
     params: ReasoningParams,
     order: Optional[np.ndarray] = None,
-    dtype=np.float64,
 ) -> Tensor:
     """Left-fold OR over the NOT of every candidate event: the (batch, d_r)
     label-free clause representation, from the projections of `encode_views`.
@@ -192,15 +192,14 @@ def clause_representation(
     tests' oracle `not_op` and `or_op` in turn, so value and gradients
     agree with that composition within 1e-12 relative, not bit for bit.
 
-    `dtype` is the precision the fold computes in: its work arrays, the two
-    projections, the composed and OR weights and the two biases, cast from
-    float64 after composing. The value comes back as a float64 tensor.
-    Serving folds in float32 (`model.forward_probabilities`); a taped call
-    must fold in float64 and raises `ContractError` otherwise. At float64,
-    taped and untaped calls run the same block shapes and are bit-identical.
+    The fold computes in the dtype of the projections and the weights, and
+    its value has that dtype: float32 when serving
+    (`model.forward_probabilities`), float64 on a tape, which records
+    nothing else (`numerics`). Taped and untaped calls run the same block
+    shapes and are bit-identical.
     """
     inputs = (j_pre, v_pre) + _fold_weights(params)
-    fold, backward = _clause_fold(j_pre, v_pre, params, order, nx.recording(inputs), dtype)
+    fold, backward = _clause_fold(j_pre, v_pre, params, order, nx.recording(inputs))
     return nx.fused_op(fold, inputs, backward)
 
 
@@ -216,15 +215,10 @@ def _clause_fold(
     params: ReasoningParams,
     order: Optional[np.ndarray],
     taped: bool,
-    dtype=np.float64,
 ) -> tuple[np.ndarray, Callable]:
-    """The body of `clause_representation`: the fold's value, in `dtype`,
-    and its backward, keeping every step for the backward if `taped`. It
-    reads only the arrays of its inputs and neither records on the tape nor
-    calls a public name of the package, so an untaped fold may run on
-    another thread while the caller does other work."""
-    if taped and np.dtype(dtype) != np.float64:
-        raise ContractError(f"clause_representation: a taped fold runs in float64, not {dtype}")
+    """The body of `clause_representation`: the fold's value and its
+    backward, keeping every step for the backward if `taped`. It reads only
+    the arrays of its inputs and records nothing on the tape."""
     n_cand = v_pre.data.shape[0]
     if n_cand == 0:
         raise DegenerateInputError("clause_representation: empty candidate set")
@@ -233,21 +227,19 @@ def _clause_fold(
     w_neg = w_not @ w2  # NOT after the event head's linear layer
     b_neg = b2 @ w_not.T + b_not
     # BLAS multiplies by a contiguous right operand faster than by a transposed view
-    w_neg_t, w_left_t, w_right_t = (
-        np.ascontiguousarray(w.T, dtype=dtype) for w in (w_neg, w_left, w_right)
-    )
-    j, v = j_pre.data.astype(dtype, copy=False), v_pre.data.astype(dtype, copy=False)
+    w_neg_t, w_left_t, w_right_t = (np.ascontiguousarray(w.T) for w in (w_neg, w_left, w_right))
+    j, v = j_pre.data, v_pre.data
     steps, (batch, width), d_r = len(sequence), j.shape, w_not.shape[0]
     # the biases repeated per batch row: numpy adds a (batch, d_r) operand
     # to a block over batch·d_r-long runs, a (d_r,) one over d_r-long runs
-    bias_neg, bias_or = (np.tile(b, (batch, 1)).astype(dtype, copy=False) for b in (b_neg, b_or))
+    bias_neg, bias_or = (np.tile(b, (batch, 1)) for b in (b_neg, b_or))
     block = min(steps, fold_block_steps(batch, width))
     starts = range(0, steps, block)
     # time-major, so a block of steps is one contiguous slab of each
     kept = steps if taped else block
-    hidden = np.empty((kept, batch, width), dtype)
-    literals = np.empty((kept, batch, d_r), dtype)
-    states = np.empty((kept, batch, d_r), dtype)
+    hidden = np.empty((kept, batch, width), j.dtype)
+    literals = np.empty((kept, batch, d_r), j.dtype)
+    states = np.empty((kept, batch, d_r), j.dtype)
     for s in starts:
         n = min(block, steps - s)
         at = slice(s, s + n) if taped else slice(n)

@@ -34,6 +34,10 @@ from titlemap.semantic import HashedNgramProvider, _token_feature
 from titlemap.syntactic import Taxonomy, gram_set
 
 
+# How far a probability of float32 serving may move from the float64 pass
+# (`test_model.py`'s serving gate)
+FLOAT32_PROB_TOL = 1e-6
+
 _WORDS = ("data", "software", "sales", "senior", "junior", "lead", "chief", "staff",
           "cloud", "field", "retail", "network")
 _ROLES = ("engineer", "analyst", "manager", "designer", "consultant", "officer")

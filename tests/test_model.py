@@ -1,7 +1,6 @@
 import io
 import json
 import logging
-import threading
 
 import numpy as np
 import pytest
@@ -37,7 +36,7 @@ from titlemap.poincare import HyperbolicEmbeddingTable, PoincareConfig, train_po
 from titlemap.semantic import HashedNgramProvider
 from titlemap.syntactic import Taxonomy
 
-from helpers import desk_serving_world, event_oracle
+from helpers import FLOAT32_PROB_TOL, desk_serving_world, event_oracle
 
 
 def tiny_world(groups=6, synonyms=3, persons=60, seed=0, d_h=6, d_b=16):
@@ -315,11 +314,7 @@ def test_repeated_and_twin_titles_score_like_each_title_alone():
     for row, key in enumerate(keys):  # one canonical form, one row, bit for bit
         assert np.array_equal(probs[row], probs[first.setdefault(key, row)])
     assert len(first) == 6
-    # the BLAS products are not row-independent, so scoring a title alone may
-    # differ in its last bits, as in the desk-dimension test below
-    alone = np.concatenate([forward_probabilities(result.model, pipeline, [k]) for k in keys])
-    assert np.allclose(alone, probs, rtol=1e-12, atol=0)
-    assert np.array_equal(rank_classes(alone), rank_classes(probs))
+    assert_scored_alone_alike(result.model, pipeline, keys, probs)
 
 
 def test_rows_equal_the_distinct_batch_and_agree_with_scoring_alone_at_desk_dims():
@@ -337,27 +332,23 @@ def test_rows_equal_the_distinct_batch_and_agree_with_scoring_alone_at_desk_dims
     inverse = [keys.index(t) for t in titles]
     distinct = forward_probabilities(model, pipeline, keys)
     assert np.array_equal(forward_probabilities(model, pipeline, titles), distinct[inverse])
-    alone = np.concatenate([forward_probabilities(model, pipeline, [key]) for key in keys])
-    assert np.allclose(alone, distinct, rtol=1e-12, atol=0)
-    assert np.array_equal(rank_classes(alone), rank_classes(distinct))
+    assert_scored_alone_alike(model, pipeline, keys, distinct)
 
 
-# The float32 serving gate, against the same pass with both clause folds in
-# float64: every probability within FLOAT32_PROB_TOL, the same top class on
-# every row, and a top-k order that may differ only between classes whose
-# float64 probabilities are less than FLOAT32_RANK_GAP apart (two
+# The float32 serving gate, against the same forward pass fed the float64
+# model and views: every probability within FLOAT32_PROB_TOL, the same top
+# class on every row, and a top-k order that may differ only between classes
+# whose float64 probabilities are less than FLOAT32_RANK_GAP apart (two
 # probabilities that each move by the tolerance can trade places).
-FLOAT32_PROB_TOL = 1e-6
 FLOAT32_RANK_GAP = 2 * FLOAT32_PROB_TOL
 
 
 def float64_probabilities(model, pipeline, keys):
-    """The test oracle of `forward_probabilities`: its pass over the distinct
-    `keys`, with the clause folds reached through the same `dtype`
-    argument at float64."""
+    """The test oracle of `forward_probabilities`: the same pass over `keys`,
+    fed the float64 model and views instead of their float32 copies."""
     v_b, v_s = Tensor(pipeline.standard_semantic()), Tensor(pipeline.standard_syntactic())
     views = pipeline.title_views(keys)
-    return model_module._probs_from_views(model, *views, v_b, v_s, np.float64)
+    return model_module._probs_from_views(model, *views, v_b, v_s)
 
 
 def assert_within_float32_gate(served, oracle, k):
@@ -370,6 +361,21 @@ def assert_within_float32_gate(served, oracle, k):
     below = np.maximum.accumulate(ordered[:, ::-1], axis=1)[:, ::-1]
     k = min(k, oracle.shape[1] - 1)  # the last class has none below it
     assert (ordered[:, :k] > below[:, 1 : k + 1] - FLOAT32_RANK_GAP).all()
+
+
+def assert_scored_alone_alike(model, pipeline, keys, probs):
+    """Each key scored alone agrees with its row of `probs`, the float32
+    serving of `keys`: within FLOAT32_PROB_TOL with the same top class.
+    The float64 pass, scored alone and together, agrees within 1e-12
+    relative with the same order. The BLAS products are not row-independent,
+    so scoring a key alone may round its last bits differently."""
+    alone = np.concatenate([forward_probabilities(model, pipeline, [k]) for k in keys])
+    assert np.abs(alone - probs).max() < FLOAT32_PROB_TOL
+    assert np.array_equal(rank_classes(alone, 1), rank_classes(probs, 1))
+    wide = float64_probabilities(model, pipeline, keys)
+    wide_alone = np.concatenate([float64_probabilities(model, pipeline, [k]) for k in keys])
+    assert np.allclose(wide_alone, wide, rtol=1e-12, atol=0)
+    assert np.array_equal(rank_classes(wide_alone), rank_classes(wide))
 
 
 def g200_serving_world():
@@ -394,8 +400,50 @@ def test_float32_serving_is_within_the_gate_of_the_float64_fold(world):
     model, pipeline, keys = world()
     served = forward_probabilities(model, pipeline, keys)
     oracle = float64_probabilities(model, pipeline, keys)
-    assert not np.array_equal(served, oracle)  # the serving folds are float32
+    assert served.dtype == np.float32 and oracle.dtype == np.float64
     assert_within_float32_gate(served, oracle, k=10)
+
+
+def test_float32_copy_casts_every_registered_tensor():
+    model, _, _ = desk_serving_world()
+    wide = _tensor_registry(model)
+    narrow = _tensor_registry(model_module._float32_copy(model))
+    assert list(narrow) == list(wide)
+    for name, t in narrow.items():
+        assert t.data.dtype == np.float32 and not t.requires_grad, name
+        assert np.array_equal(t.data, wide[name].data.astype(np.float32)), name
+        assert wide[name].data.dtype == np.float64 and wide[name].requires_grad, name
+
+
+def test_serving_forward_stays_float32_end_to_end(monkeypatch):
+    # one float64 array or numpy scalar left in the pass would promote the
+    # rest of it to float64 without an error
+    model, pipeline, titles = desk_serving_world(n_titles=20)
+    seen = []
+
+    def recorded(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            out = original(*args, **kwargs)
+            seen.append((name, out))
+            return out
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    recorded(model_module.ca, "co_attend")
+    recorded(model_module.rs, "clause_representation")
+    forward_probabilities(model, pipeline, titles)
+    assert [name for name, _ in seen] == ["co_attend"] + ["clause_representation"] * 2
+    attended = seen[0][1]
+    for t in (attended.x_hat_h, attended.x_hat_b, attended.x_hat_s):
+        assert t.data.dtype == np.float32
+    assert all(out.data.dtype == np.float32 for _, out in seen[1:])
+    v_b, v_s = (Tensor(v.astype(np.float32))
+                for v in (pipeline.standard_semantic(), pipeline.standard_syntactic()))
+    views = (x.astype(np.float32) for x in pipeline.title_views(titles))
+    parts = model_module._forward(model_module._float32_copy(model), *views, v_b, v_s)
+    assert parts["logits"].data.dtype == np.float32
 
 
 def test_each_distinct_canonical_title_is_embedded_and_scored_once(monkeypatch):
@@ -509,17 +557,3 @@ def test_tensor_shapes_match_the_built_model():
     built = {name: t.data.shape for name, t in _tensor_registry(model).items()}
     assert _tensor_shapes(config, 3) == built
     assert list(_tensor_shapes(config, 3)) == list(built)
-
-
-def test_forward_probabilities_bytes_do_not_depend_on_the_cpu_count(monkeypatch):
-    # on one CPU both folds run on this thread; on two the syntactic fold of
-    # each 512-row chunk runs on the worker thread
-    model, pipeline, titles = desk_serving_world()
-    threads = threading.active_count()
-    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 1)
-    one_cpu = forward_probabilities(model, pipeline, titles)
-    assert threading.active_count() == threads
-    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 2)
-    two_cpus = forward_probabilities(model, pipeline, titles)
-    assert model_module._FOLD_POOL is not None
-    assert np.array_equal(one_cpu, two_cpus)

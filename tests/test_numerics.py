@@ -169,6 +169,26 @@ def test_backward_rejects_non_scalar_loss():
         tape.backward(y)
 
 
+def test_tensor_keeps_float32_and_casts_anything_else_to_float64():
+    assert Tensor(np.ones(2, np.float32)).data.dtype == np.float32
+    for data in (1, 1.0, [1, 2], np.ones(2, np.float16), np.ones(2, bool)):
+        assert Tensor(data).data.dtype == np.float64
+
+
+def test_recording_an_op_on_a_float32_tensor_raises():
+    w = Tensor(np.ones((2, 2)), requires_grad=True)
+    narrow = Tensor(np.ones((2, 2), np.float32))
+    with nx.GradTape() as tape:
+        with pytest.raises(ContractError, match="float32"):
+            nx.matmul(narrow, w)
+        with pytest.raises(ContractError, match="float32"):
+            nx.tanh(Tensor(np.ones(2, np.float32), requires_grad=True))
+        nx.matmul(w, w)
+    assert len(tape._nodes) == 1
+    # off the tape the same op computes in float32
+    assert nx.matmul(narrow, narrow).data.dtype == np.float32
+
+
 def test_gradients_accumulate_on_node_reuse():
     x = Tensor([2.0], requires_grad=True)
     with nx.GradTape() as tape:

@@ -164,7 +164,7 @@ def test_block_shapes_cross_block_boundaries():
     assert rs.fold_block_steps(10**9, 2 * D_R) == 1
 
 
-def fold_inputs(batch, n_cand, shuffled, seed):
+def fold_inputs(batch, n_cand, shuffled, seed, d_r=D_R):
     rng = np.random.default_rng(seed)
     j = Tensor(rng.uniform(-1, 1, (batch, D_VIEW)), requires_grad=True)
     v = Tensor(rng.uniform(-1, 1, (n_cand, D_VIEW)), requires_grad=True)
@@ -172,7 +172,7 @@ def fold_inputs(batch, n_cand, shuffled, seed):
         order = rng.integers(0, min(n_cand, 4), n_cand)
     else:
         order = rng.permutation(n_cand) if shuffled else np.arange(n_cand)
-    weights = Tensor(rng.uniform(-1, 1, (batch, D_R)))
+    weights = Tensor(rng.uniform(-1, 1, (batch, d_r)))
     return j, v, order, weights
 
 
@@ -208,11 +208,10 @@ FOLD_DIGESTS = dict(zip(FOLD_SHAPES, [
 ]))
 
 
-@pytest.mark.parametrize("batch,n_cand,shuffled", FOLD_SHAPES)
-def test_fold_value_and_backward_equal_the_broadcast_hidden_layer_bit_for_bit(
-    params, batch, n_cand, shuffled
-):
-    j, v, order, weights = fold_inputs(batch, n_cand, shuffled, seed=14)
+def fold_digest(params, batch, n_cand, shuffled, d_r=D_R):
+    """sha256 of the untaped and taped fold's value and the taped call's
+    nine input gradients, on `fold_inputs(..., seed=14)`."""
+    j, v, order, weights = fold_inputs(batch, n_cand, shuffled, seed=14, d_r=d_r)
     pre = rs.encode_views(j, v, params)
     digest = hashlib.sha256()
     for taped in (False, True):
@@ -222,29 +221,70 @@ def test_fold_value_and_backward_equal_the_broadcast_hidden_layer_bit_for_bit(
     assert len(grads) == 9
     for grad in grads:
         digest.update(grad.tobytes())
-    assert digest.hexdigest() == FOLD_DIGESTS[batch, n_cand, shuffled]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("batch,n_cand,shuffled", FOLD_SHAPES)
+def test_fold_value_and_backward_equal_the_broadcast_hidden_layer_bit_for_bit(
+    params, batch, n_cand, shuffled
+):
+    assert fold_digest(params, batch, n_cand, shuffled) == FOLD_DIGESTS[batch, n_cand, shuffled]
+
+
+# The same pins at the README's d_r 16, recorded from the fold that composed
+# NOT as `w_not @ w2`. At D_R 8, `(w2.T @ w_not.T).T` rounds like that
+# product at every shape above; here it moves every pin below.
+WIDE_D_R = 16
+WIDE_BLOCK = rs.fold_block_steps(BLOCK_BATCH, 2 * WIDE_D_R)
+WIDE_FOLD_SHAPES = [
+    (1, 4, True), (64, 50, True), (BLOCK_BATCH, 2 * WIDE_BLOCK + 3, True),
+    (BLOCK_BATCH, 2 * WIDE_BLOCK + 3, REPEATED),
+]
+WIDE_FOLD_DIGESTS = dict(zip(WIDE_FOLD_SHAPES, [
+    "bd96fe5050b5978c902ea62b794cdb08bb901e680b255c4a34f7165d3c68041f",
+    "a589e9f0b2c0ece35faad9e797937a6c3bc028a3a73134c3bbb3938619e5ef9e",
+    "7024907babd486d592a16d899ca8d0fdd2695bc761a003cd94c6e85e78be647c",
+    "4c91b3a60d3a8bde413ab6ed0ec7890536a9d1ce2e79ae1e5fb1940f8809011b",
+]))
+
+
+@pytest.mark.parametrize("batch,n_cand,shuffled", WIDE_FOLD_SHAPES)
+def test_fold_value_and_backward_are_pinned_at_the_readme_width(batch, n_cand, shuffled):
+    assert WIDE_BLOCK < 2 * WIDE_BLOCK + 3 < 50
+    params = rs.ReasoningParams.init(D_VIEW, WIDE_D_R, seed=0)
+    digest = fold_digest(params, batch, n_cand, shuffled, WIDE_D_R)
+    assert digest == WIDE_FOLD_DIGESTS[batch, n_cand, shuffled]
+
+
+def float32_fold_inputs(pre, params):
+    """The projections `pre` and `params` cast to float32, as serving casts
+    its model and views."""
+    return [Tensor(t.data.astype(np.float32)) for t in pre], nx.cast_fields(params, np.float32)
 
 
 @pytest.mark.parametrize("batch,n_cand,shuffled", FOLD_SHAPES)
 def test_float32_fold_agrees_with_the_float64_fold(params, batch, n_cand, shuffled):
     # the steps are tanh of bounded sums, so float32 rounding stays a few ulps
-    # of float32 over the whole fold (measured at these shapes: at most 1.0e-7)
+    # of float32 over the whole fold (measured at these shapes: at most 1.2e-7)
     j, v, order, _ = fold_inputs(batch, n_cand, shuffled, seed=15)
     pre = rs.encode_views(j, v, params)
     wide = rs.clause_representation(*pre, params, order)
-    narrow = rs.clause_representation(*pre, params, order, np.float32)
-    assert narrow.data.dtype == np.float64 and not narrow.requires_grad
+    narrow_pre, narrow_params = float32_fold_inputs(pre, params)
+    narrow = rs.clause_representation(*narrow_pre, narrow_params, order)
+    assert narrow.data.dtype == np.float32 and not narrow.requires_grad
     assert np.allclose(narrow.data, wide.data, rtol=0, atol=16 * np.finfo(np.float32).eps)
     assert not np.array_equal(narrow.data, wide.data)
 
 
 def test_taped_fold_refuses_any_dtype_but_float64(params):
+    # a float32 projection on the tape: the fold's one node refuses to record
     j, v, order, _ = fold_inputs(3, 5, True, seed=12)
     with nx.GradTape():
         pre = rs.encode_views(j, v, params)
+        narrow = Tensor(pre[0].data.astype(np.float32), requires_grad=True)
         with pytest.raises(ContractError, match="float64"):
-            rs.clause_representation(*pre, params, order, np.float32)
-        rs.clause_representation(*pre, params, order, np.float64)
+            rs.clause_representation(narrow, pre[1], params, order)
+        assert rs.clause_representation(*pre, params, order).requires_grad
 
 
 def gradients(make_output, j, v, weights, params):
@@ -281,15 +321,16 @@ def test_untaped_fold_keeps_one_block_not_every_step():
     rng = np.random.default_rng(16)
     j_pre, v_pre = rs.encode_views(Tensor(rng.uniform(-1, 1, (batch, D_VIEW))),
                                    Tensor(rng.uniform(-1, 1, (n_cand, D_VIEW))), params)
-    # serving's float32 fold casts the parameters once per call
-    for dtype in (np.float64, np.float32):
+    # serving's float32 fold, on the float32 copies serving casts once per call
+    narrow_pre, narrow_params = float32_fold_inputs((j_pre, v_pre), params)
+    for inputs in ((j_pre, v_pre, params), (*narrow_pre, narrow_params)):
         tracemalloc.start()
         try:
-            rs.clause_representation(j_pre, v_pre, params, None, dtype)
+            rs.clause_representation(*inputs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * rs._FOLD_BLOCK_BYTES, dtype
+        assert peak < 4 * rs._FOLD_BLOCK_BYTES, inputs[0].data.dtype
 
 
 def test_fused_fold_gradients_match_finite_differences(params):

@@ -6,7 +6,8 @@ every module a stage loads is compiled again on every run. `train-poincare`
 finds its distinct pairs without `np.unique` (which imports `numpy.ma`), and
 the serving stages build a loaded model without an initialization draw (which
 imports `numpy.random`); `map` and `eval` read their titles as keys, so
-neither loads `graph`. Each stage runs in a fresh interpreter, as on the
+neither loads `graph`. The serving stages fold both views on the calling
+thread, so none of them loads `concurrent.futures`. Each stage runs in a fresh interpreter, as on the
 command line, so an import made anywhere in the stage shows in `sys.modules`
 afterwards. numpy 1.x loads its public submodules on `import numpy` itself,
 so there a module already loaded before the stage runs skips the check.
@@ -123,3 +124,9 @@ def test_stage_leaves_unused_numpy_modules_unimported(fixture_dir, stage, absent
     if report["preloaded"]:
         pytest.skip(f"import numpy alone loads {report['preloaded']} (numpy {np.__version__})")
     assert report["imported"] == []
+
+
+@pytest.mark.parametrize("stage", ["map", "eval", "mobility"])
+def test_serving_stage_starts_no_worker_pool(fixture_dir, stage):
+    report = _run_stage(fixture_dir, stage, ["concurrent.futures"])
+    assert report["preloaded"] == [] and report["imported"] == []

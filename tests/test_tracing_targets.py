@@ -108,11 +108,10 @@ def test_traced_serving_counts_input_rows_and_distinct_scored_rows():
     assert recorder.counts["syntactic.syntactic_matrix.rows"] == 3 + len(taxonomy)
 
 
-def test_no_traced_name_runs_off_the_calling_thread(monkeypatch):
-    # the recorder keeps one span stack per process, so a traced call on the
-    # fold's worker thread would interleave with the caller's spans; whether
-    # that crashes depends on which fold finishes first, so a plain traced
-    # run cannot show it. Two CPUs are assumed, so the worker runs anyway.
+def test_no_traced_name_runs_off_the_calling_thread():
+    # the recorder keeps one span stack per process, so a traced call on
+    # another thread would interleave with the caller's spans; serving folds
+    # both views in turn on the calling thread, and the tracer counts both
     tracing = load_tracing()
 
     class CallingThreadRecorder(tracing.Recorder):
@@ -120,7 +119,6 @@ def test_no_traced_name_runs_off_the_calling_thread(monkeypatch):
             assert threading.current_thread() is threading.main_thread(), name
             return super().open(name, aggregate)
 
-    monkeypatch.setattr(mapper, "_usable_cpus", lambda: 2)
     model, pipeline, titles = desk_serving_world()
     recorder = CallingThreadRecorder("tier-1")
     installed = tracing.install(recorder)
@@ -129,8 +127,8 @@ def test_no_traced_name_runs_off_the_calling_thread(monkeypatch):
     finally:
         tracing.restore(installed)
     assert recorder._stack == []
-    # two chunks, each tracing the semantic fold on this thread
-    assert recorder.counts["reasoning.clause_representation.fold_steps"] == 2 * len(model.taxonomy)
+    # two chunks, each tracing both views' folds on this thread
+    assert recorder.counts["reasoning.clause_representation.fold_steps"] == 4 * len(model.taxonomy)
 
 
 def test_traced_poincare_training_counts_every_clamp():
