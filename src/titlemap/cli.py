@@ -128,12 +128,8 @@ def load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file {path} does not exist") from None
-    except IsADirectoryError:
-        raise ConfigError(f"config file {path} is a directory") from None
-    except NotADirectoryError:
-        raise ConfigError(f"config file {path} is not a file (a parent is a file)") from None
+    except OSError as e:
+        raise ConfigError(f"config file {path}: {e.strerror}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path} is not valid JSON ({e.msg})") from None
     except UnicodeDecodeError:
@@ -175,10 +171,6 @@ def _write_curve(path, history: list) -> None:
         fh.write("epoch,train_loss,val_hit_at_10\n")
         for epoch, loss, hit in history:
             fh.write(f"{epoch},{loss!r},{hit!r}\n")
-
-
-def _write_echo(config: dict, command: str) -> None:
-    _save(config["output_dir"], f"{command}_config.json", _write_json, config)
 
 
 def _require(config: dict, *keys: str) -> list:
@@ -265,7 +257,6 @@ def cmd_gen_data(config: dict) -> None:
     _save(out, "taxonomy.tsv", taxonomy.write_tsv)
     _save(out, "labels.tsv", write_rows, labeled + [(t, t) for t in taxonomy.titles])
     _save(out, "resumes.jsonl", write_records, records)
-    _write_echo(config, "gen-data")
 
 
 def cmd_build_graph(config: dict) -> None:
@@ -282,7 +273,6 @@ def cmd_build_graph(config: dict) -> None:
     _save(out, "pairs.tsv", write_pairs, pairs)
     summary = {**graph.summary(), "pairs": len(pairs), "weight_sum": sum(graph.weights.values())}
     _save(out, "graph_summary.json", _write_json, summary)
-    _write_echo(config, "build-graph")
 
 
 def cmd_train_poincare(config: dict) -> None:
@@ -302,7 +292,6 @@ def cmd_train_poincare(config: dict) -> None:
         "seeds": config["seeds"],
     }
     _save(out, "poincare_report.json", _write_json, report)
-    _write_echo(config, "train-poincare")
 
 
 def cmd_encode_semantic(config: dict) -> None:
@@ -313,7 +302,6 @@ def cmd_encode_semantic(config: dict) -> None:
     provider = _build_provider(config, config["dims"]["d_b"], "config")
     cache = embed_titles(provider, [key for _, key in _read_titles(titles_path)])
     _save(out, "semantic.tsv", write_embeddings, cache)
-    _write_echo(config, "encode-semantic")
 
 
 def cmd_train(config: dict) -> None:
@@ -338,7 +326,6 @@ def cmd_train(config: dict) -> None:
         "seeds": config["seeds"],
     }
     _save(out, "train_report.json", _write_json, report)
-    _write_echo(config, "train")
 
 
 def _load_model_pipeline(config: dict):
@@ -373,7 +360,6 @@ def cmd_map(config: dict) -> None:
         )
     header = "#mappings\ttitle\trank\tstandard_title\tprobability"
     _save(out, "mappings.tsv", write_lines, (block_of[title] for title, _ in lines), header)
-    _write_echo(config, "map")
 
 
 def cmd_eval(config: dict) -> None:
@@ -395,7 +381,6 @@ def cmd_eval(config: dict) -> None:
         "seeds": config["seeds"],
     }
     _save(out, "eval_report.json", _write_json, report)
-    _write_echo(config, "eval")
 
 
 def _load_vectors(path) -> dict:
@@ -444,7 +429,6 @@ def cmd_linkpred(config: dict) -> None:
         "seeds": config["seeds"],
     }
     _save(out, "linkpred_report.json", _write_json, report)
-    _write_echo(config, "linkpred")
 
 
 def cmd_mobility(config: dict) -> None:
@@ -469,7 +453,6 @@ def cmd_mobility(config: dict) -> None:
         "seeds": config["seeds"],
     }
     _save(out, "mobility_report.json", _write_json, report)
-    _write_echo(config, "mobility")
 
 
 COMMANDS = {
@@ -499,15 +482,15 @@ def main(argv: Optional[list] = None) -> int:
         config = load_config(args.config)
         _make_output_dir(config["output_dir"])
         COMMANDS[args.command](config)
+        _save(config["output_dir"], f"{args.command}_config.json", _write_json, config)
     except ConfigError as e:
         print(f"error kind=config code=2: {_one_line(e)}", file=sys.stderr)
         return 2
     except (DataError, EvaluationError) as e:
         print(f"error kind=data code=3: {_one_line(e)}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as e:
-        what = "is a directory" if isinstance(e, IsADirectoryError) else "no such file"
-        print(f"error kind=data code=3: {what}: {e.filename}", file=sys.stderr)
+    except OSError as e:
+        print(f"error kind=data code=3: {_one_line(e)}", file=sys.stderr)
         return 3
     except TitlemapError as e:
         print(f"error kind=numeric code=4: {_one_line(e)}", file=sys.stderr)

@@ -79,6 +79,8 @@ class TrainConfig:
     def __post_init__(self):
         if len(self.split) != 3 or not all(accepts(float, f) for f in self.split):
             raise ConfigError(f"split {self.split} must be three finite numbers")
+        if not all(0.0 <= f <= 1.0 for f in self.split):
+            raise ConfigError(f"split fractions {self.split} must each lie in [0, 1]")
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise ConfigError(f"split fractions {self.split} must sum to 1")
         if min(self.d_h, self.d_b, self.d_r) < 1:

@@ -7,11 +7,10 @@ Markov walks over groups so the transition graph clusters by group. Noise is
 calibrated to keep the abbreviation edit hard for pure string matching: the
 first token collapses to a single letter, which guts its gram overlap.
 
-Dominance is checked through one dense gram incidence of the standard
-titles, a 0/1 row per 3-gram over the G standards: a candidate's shared-gram
-counts against all G standards are the sum of its own few grams' rows, so one
-check costs one gather and one sum over O(grams x G) entries rather than G
-set intersections.
+Dominance is checked through the taxonomy's own inverted 3-gram index
+(`Taxonomy.gram_index`), the one the syntactic view reads: a candidate's
+shared-gram counts against all G standards are one lookup per distinct gram
+and one bincount, rather than G set intersections.
 
 Transitions are drawn through per-row CDFs of the group transition matrix,
 built once: each draw searches one row's CDF for one `rng.random()`, the
@@ -33,7 +32,7 @@ import numpy as np
 from .config import SynthConfig
 from .errors import ConfigError
 from .graph import JobRecord
-from .syntactic import Taxonomy, gram_set
+from .syntactic import GramIndex, Taxonomy
 
 DOMAINS = [
     "software", "data", "network", "security", "cloud", "product", "marketing",
@@ -80,30 +79,10 @@ def _apply_noise(title: str, ops: Sequence[str], rng: np.random.Generator) -> st
     return " ".join(tokens)
 
 
-class _GramIncidence:
-    """0/1 matrix of the 3-grams of a list of standard titles, one row per
-    gram and one column per standard. A title's shared-gram counts against
-    every standard are the sum of its grams' rows. The word bank caps it at a
-    few thousand grams by 1,000 standards."""
-
-    def __init__(self, standards: Sequence[str]):
-        self.rows: dict[str, int] = {}
-        for standard in standards:
-            for gram in gram_set(standard):
-                self.rows.setdefault(gram, len(self.rows))
-        self.matrix = np.zeros((len(self.rows), len(standards)), dtype=np.int32)
-        for col, standard in enumerate(standards):
-            self.matrix[[self.rows[gram] for gram in gram_set(standard)], col] = 1
-
-    def shared_counts(self, title: str) -> np.ndarray:
-        rows = self.rows
-        return self.matrix[[rows[gram] for gram in gram_set(title) if gram in rows]].sum(axis=0)
-
-
-def _dominates(index: _GramIncidence, variant: str, own: int) -> bool:
+def _dominates(index: GramIndex, variant: str, own: int) -> bool:
     """Whether `variant` shares strictly more grams with standard `own` than
     with any other standard of `index`; always true for a lone standard."""
-    counts = index.shared_counts(variant)
+    counts = index.title_counts(variant)
     own_count = counts[own]
     counts[own] = -1
     return bool(own_count > counts.max())
@@ -126,7 +105,7 @@ def gen_taxonomy(config: SynthConfig) -> tuple[Taxonomy, list[tuple[str, str]]]:
     groups = [combos[i][0] for i in picks]
     taxonomy = Taxonomy(titles=list(standards), groups=groups)
 
-    index = _GramIncidence(standards)
+    index = taxonomy.gram_index
     checked: dict[tuple[str, int], bool] = {}  # retries draw the same candidates often
 
     def dominates(variant: str, own: int) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import count
 from typing import Optional, Sequence
 
@@ -28,12 +28,6 @@ def padded_grams(text: str) -> list[str]:
     kept: "abcd" -> [^^a, ^ab, abc, bcd, cd$, d$$]."""
     text = "^^" + text + "$$"
     return [text[i : i + 3] for i in range(len(text) - 2)]
-
-
-@lru_cache(maxsize=131072)
-def gram_set(text: str) -> frozenset:
-    """Set of the padded character 3-grams of `text`."""
-    return frozenset(padded_grams(text))
 
 
 class GramNumbering:
@@ -73,13 +67,6 @@ class GramNumbering:
     def sizes(self) -> np.ndarray:
         """The number of distinct grams of each title."""
         return np.bincount(self.pairs[0], minlength=self.size)
-
-
-def string_cosine(a: str, b: str) -> float:
-    """|A & B| / sqrt(|A| * |B|) over the 3-gram sets of two canonical keys.
-    Symmetric, in [0, 1]."""
-    ga, gb = gram_set(a), gram_set(b)
-    return len(ga & gb) / float(np.sqrt(len(ga) * len(gb)))
 
 
 @dataclass
@@ -146,8 +133,8 @@ class GramIndex:
     numbering: the standards that hold gram g (numbered g there) are
     `cols[bounds[g] : bounds[g + 1]]`, and the last, empty slice stands for
     every gram no standard holds. `Taxonomy.gram_index` builds it once per
-    taxonomy; it counts the grams any numbered batch of titles shares with
-    every standard."""
+    taxonomy; it counts the grams any numbered batch of titles, or any one
+    title, shares with every standard. It is the one place that counts them."""
 
     def __init__(self, standards: GramNumbering):
         self.standards = standards
@@ -157,6 +144,15 @@ class GramIndex:
         np.cumsum(np.bincount(grams, minlength=len(standards.number)), out=self.bounds[1:-1])
         self.bounds[-1] = self.bounds[-2]
         self.sizes = standards.sizes
+
+    def title_counts(self, title: str) -> np.ndarray:
+        """|A & B| for the grams A of one canonical key and B of each
+        standard, shape (len(standards),): each distinct gram of the key
+        looks up its standards once, and one bincount counts them."""
+        find, absent, bounds = self.standards.number.get, len(self.bounds) - 2, self.bounds
+        postings = {find(gram, absent) for gram in padded_grams(title)}
+        hits = np.concatenate([self.cols[bounds[g] : bounds[g + 1]] for g in postings])
+        return np.bincount(hits, minlength=len(self.sizes))
 
     def shared_counts(self, batch: GramNumbering) -> np.ndarray:
         """|A & B| for the grams A of each title of `batch` and B of each
@@ -196,10 +192,11 @@ def syntactic_matrix(
     titles: Sequence[str], taxonomy: Taxonomy, grams: Optional[GramNumbering] = None
 ) -> np.ndarray:
     """Similarity of each canonical title against every standard title, shape
-    (len(titles), |Y|), columns in taxonomy order. Equal, bit for bit, to
-    `string_cosine` of every pair: the shared-gram counts of the taxonomy's
-    `GramIndex` over sqrt(|A| * |B|). `grams` is the batch's numbering, built
-    here when not given."""
+    (len(titles), |Y|), columns in taxonomy order: the set cosine
+    |A & B| / sqrt(|A| * |B|) of the padded 3-grams A of each title and B of
+    each standard, from the shared-gram counts of the taxonomy's `GramIndex`,
+    the same bits whatever batch a title is scored in. `grams` is the batch's
+    numbering, built here when not given."""
     if len(taxonomy) == 0:
         raise DegenerateInputError("syntactic_matrix: empty taxonomy")
     if grams is None:
@@ -209,3 +206,8 @@ def syntactic_matrix(
     scores = np.multiply.outer(grams.sizes.astype(float), index.sizes.astype(float))
     np.sqrt(scores, out=scores)
     return np.divide(index.shared_counts(grams), scores, out=scores)
+
+
+def string_cosine(a: str, b: str) -> float:
+    """`syntactic_matrix` of one canonical key against one: symmetric, in [0, 1]."""
+    return float(syntactic_matrix([a], Taxonomy([b]))[0, 0])

@@ -31,7 +31,7 @@ from titlemap.errors import (
 from titlemap.graph import RECORD_FIELDS, JobRecord, ParentChildPair
 from titlemap.model import FeaturePipeline, init_model
 from titlemap.semantic import HashedNgramProvider, _token_feature
-from titlemap.syntactic import Taxonomy, gram_set
+from titlemap.syntactic import Taxonomy, padded_grams
 
 
 # How far a probability of float32 serving may move from the float64 pass
@@ -270,6 +270,11 @@ def balanced_tree_pairs(branching=3, depth=2):
                 nxt.append(child)
         frontier = nxt
     return pairs
+
+
+def gram_set(text: str) -> frozenset:
+    """Set of the padded character 3-grams of `text`."""
+    return frozenset(padded_grams(text))
 
 
 def brute_force_gram_cosine(a: str, b: str, n: int = 3) -> float:

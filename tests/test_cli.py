@@ -102,12 +102,21 @@ def test_invalid_config_key_exits_2(tmp_path, capsys):
     assert "nope" in err and "kind=config" in err
 
 
-@pytest.mark.parametrize(
-    "name", ["absent.json", "", "file.json/x"], ids=["missing", "directory", "under-a-file"]
-)
-def test_missing_config_file_exits_2(tmp_path, capsys, name):
+# paths the operating system refuses to open: absent, a directory, under a
+# file, a name above the 255-byte limit and a symbolic link to itself
+_REFUSED = ["absent", "", "file.json/x", "x" * 300, "loop"]
+_REFUSED_IDS = ["missing", "directory", "under-a-file", "name-too-long", "symlink-loop"]
+
+
+def refused_path(tmp_path, name):
     (tmp_path / "file.json").write_text("{}")
-    path = str(tmp_path / name)
+    (tmp_path / "loop").symlink_to(tmp_path / "loop")
+    return str(tmp_path / name)
+
+
+@pytest.mark.parametrize("name", _REFUSED, ids=_REFUSED_IDS)
+def test_missing_config_file_exits_2(tmp_path, capsys, name):
+    path = refused_path(tmp_path, name)
     assert main(["gen-data", "--config", path]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
@@ -128,9 +137,14 @@ def test_unusable_output_dir_exits_2(tmp_path, capsys, output_dir):
 
 
 def test_missing_input_file_exits_3(tmp_path, capsys):
-    path, _ = write_config(tmp_path, {"data": {"resumes": str(tmp_path / "none.jsonl")}})
-    assert main(["build-graph", "--config", str(path)]) == 3
-    assert "kind=data" in capsys.readouterr().err
+    for case, name in zip(_REFUSED_IDS, _REFUSED):
+        (tmp_path / case).mkdir()
+        resumes = refused_path(tmp_path / case, name)
+        path, _ = write_config(tmp_path / case, {"data": {"resumes": resumes}})
+        assert main(["build-graph", "--config", str(path)]) == 3, case
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "kind=data" in err and resumes in err
 
 
 def test_unset_required_path_exits_2(tmp_path):
@@ -295,6 +309,7 @@ def trained(tmp_path_factory):
     "command, overrides",
     [
         ("train", {"train": {"split": ["a", "b", "c"]}}),
+        ("train", {"train": {"split": [-0.1, 1.05, 0.05]}}),
         ("train", {"train": {"batch_size": 0}}),
         ("train", {"train": {"max_epochs": True}}),
         ("train", {"train": {"max_epochs": 0}}),
@@ -322,8 +337,9 @@ def trained(tmp_path_factory):
         ("gen-data", {"datagen": {"include_standard_labels": True}}),
         ("train", {"semantic_seed": 0}),
     ],
-    ids=["split-of-strings", "batch-size-0", "max-epochs-bool", "max-epochs-0",
-         "patience-negative", "train-lr-0", "logic-weight-negative", "clause-weight-negative",
+    ids=["split-of-strings", "split-outside-0-1", "batch-size-0", "max-epochs-bool",
+         "max-epochs-0", "patience-negative", "train-lr-0", "logic-weight-negative",
+         "clause-weight-negative",
          "map-k-0", "map-k-negative", "negatives-negative", "poincare-lr-0",
          "burn-in-epochs-negative", "burn-in-lr-factor-negative", "burn-in-lr-factor-0",
          "linkpred-epochs-0", "linkpred-lr-0", "linkpred-lr-negative",
@@ -392,6 +408,7 @@ def as_version_1(doc):
         lambda doc: doc["train_config"].update(clause_weight=float("nan")),
         lambda doc: doc["train_config"].update(logic_weight=-5.0),
         lambda doc: doc["train_config"].update(seed=-1),
+        lambda doc: doc["train_config"].update(split=[-0.1, 1.05, 0.05]),
         # a key the config no longer has, as an older artifact carries it
         lambda doc: doc["train_config"].update(fusion_weight_decay=0.0),
         lambda doc: doc["train_config"].update(variant="full"),
@@ -418,7 +435,7 @@ def as_version_1(doc):
         lambda doc: doc.update(version=2, dims={"d_h": 6, "d_b": 16, "d_s": 6, "d_r": 8}),
     ],
     ids=["extra-key", "missing-key", "wrong-type", "clause-weight-nan", "logic-weight-negative",
-         "seed-negative", "fusion-weight-decay", "variant",
+         "seed-negative", "split-outside-0-1", "fusion-weight-decay", "variant",
          "tensor-without-shape",
          "no-taxonomy-titles", "no-taxonomy-groups", "no-taxonomy-hash", "unknown-field",
          "titles-not-list", "groups-not-strings", "hash-not-string", "d-h-string",

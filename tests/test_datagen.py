@@ -10,9 +10,8 @@ from titlemap.datagen import (
 )
 from titlemap.errors import ConfigError
 from titlemap.graph import build_transition_graph, person_sequences
-from titlemap.syntactic import gram_set
 
-from helpers import dominates_own_group
+from helpers import dominates_own_group, gram_set
 
 
 def test_taxonomy_counts():

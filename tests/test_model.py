@@ -473,8 +473,12 @@ def test_each_distinct_canonical_title_is_embedded_and_scored_once(monkeypatch):
 
 def test_forward_numbers_each_batch_once_and_indexes_the_taxonomy_once(monkeypatch):
     # both string views of a batch read one numbering of its 3-grams, and the
-    # standard views read the taxonomy's own, from which its postings are built
-    taxonomy, pipeline, _ = tiny_world()
+    # standard views read the taxonomy's own, from which its postings are built;
+    # `gen_taxonomy` has indexed its taxonomy already, so the pipeline serves
+    # a fresh one of the same titles
+    generated, pipeline, _ = tiny_world()
+    taxonomy = Taxonomy(titles=generated.titles, groups=generated.groups)
+    pipeline = FeaturePipeline(pipeline.hyperbolic, pipeline.semantic, taxonomy)
     model = init_model(taxonomy, small_config())
     numbered, indexed = [], []
     number_init = syntactic_module.GramNumbering.__init__

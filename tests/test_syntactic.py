@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,12 +15,11 @@ from titlemap.syntactic import (
     GramIndex,
     GramNumbering,
     Taxonomy,
-    gram_set,
     string_cosine,
     syntactic_matrix,
 )
 
-from helpers import brute_force_gram_cosine, per_title_hashed_embed
+from helpers import brute_force_gram_cosine, gram_set, per_title_hashed_embed
 
 
 def test_gram_set_matches_enumerated_example():
@@ -261,6 +263,35 @@ def test_both_views_from_one_numbering_equal_the_per_title_oracles(standards, ti
     assert x_b.shape == (len(titles), 16)
     for row, oracle in zip(x_b, oracles):
         assert np.array_equal(row.view(np.int64), oracle.view(np.int64))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(standards=st.lists(_KEY, min_size=1, max_size=5, unique=True), title=_KEY)
+@example(standards=["abc abcd", "aaaa"], title="abc 中中")  # two grams no standard holds
+@example(standards=["abc abcd", "aaaa"], title="ßß")  # shares no gram
+@example(standards=["aaaa"], title="aaaa aaaa")  # one standard
+@example(standards=["aaaa"], title="é")
+def test_title_counts_equal_set_intersections_and_the_batch_count(standards, title):
+    index = Taxonomy(titles=standards).gram_index
+    counts = index.title_counts(title)
+    assert counts.tolist() == [len(gram_set(title) & gram_set(s)) for s in standards]
+    assert np.array_equal(counts, index.shared_counts(GramNumbering([title]))[0])
+
+
+def test_only_syntactic_splits_titles_into_grams():
+    # a static guard: every shared-gram count in the package goes through
+    # `GramNumbering` and `GramIndex`, so no other module reads a title's
+    # grams itself, even where no test runs it
+    package = Path(syntactic.__file__).parent
+    users = {
+        path.stem
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Name) and node.id == "padded_grams")
+        or (isinstance(node, ast.Attribute) and node.attr == "padded_grams")
+        or (isinstance(node, ast.alias) and node.name == "padded_grams")
+    }
+    assert users == {"syntactic"}
 
 
 def test_membership_and_index_take_canonical_keys(tmp_path):
