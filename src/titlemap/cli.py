@@ -34,7 +34,6 @@ from .errors import ConfigError, DataError, EvaluationError, TitlemapError  # no
 from .formats import (  # noqa: E402
     is_utf8,
     line_keys,
-    read_lines,
     read_rows,
     write_lines,
     write_rows,
@@ -74,7 +73,7 @@ SCHEMA = {
     "poincare": _dataclass_section(PoincareConfig),
     "train": _dataclass_section(TrainConfig),
     "map": {"k": (int, 10)},
-    "linkpred": {"epochs": (int, 100), "lr": (float, 0.05)},
+    "linkpred": {"epochs": (int, 100)},
 }
 
 
@@ -383,39 +382,22 @@ def cmd_eval(config: dict) -> None:
     _save(out, "eval_report.json", _write_json, report)
 
 
-def _load_vectors(path) -> dict:
-    if next(read_lines(path), (1, ""))[1].startswith("#poincare"):
-        from .poincare import HyperbolicEmbeddingTable
-
-        return dict(HyperbolicEmbeddingTable.load_tsv(path).vectors)
-    from .semantic import load_precomputed
-
-    return dict(load_precomputed(path).vectors)
-
-
 def cmd_linkpred(config: dict) -> None:
     from . import evaluation as ev
     from .graph import load_pairs
+    from .poincare import HyperbolicEmbeddingTable
 
     out = config["output_dir"]
     pairs_path, vectors_path = _require(config, "data.pairs", "data.vectors")
-    lp = config["linkpred"]
-    if lp["epochs"] < 1 or not lp["lr"] > 0:
-        raise ConfigError(
-            f"linkpred needs epochs >= 1 and lr > 0, got epochs={lp['epochs']} lr={lp['lr']}"
-        )
-    if config["seeds"]["linkpred"] < 0:
-        raise ConfigError(f"seeds.linkpred must be >= 0, got {config['seeds']['linkpred']}")
+    epochs, seed = config["linkpred"]["epochs"], config["seeds"]["linkpred"]
+    if epochs < 1:
+        raise ConfigError(f"linkpred.epochs must be >= 1, got {epochs}")
+    if seed < 0:
+        raise ConfigError(f"seeds.linkpred must be >= 0, got {seed}")
     pairs = load_pairs(pairs_path)
-    vectors = _load_vectors(vectors_path)
-    split = ev.make_link_split(pairs, seed=config["seeds"]["linkpred"])
-    result = ev.link_prediction_auc(
-        split,
-        vectors,
-        seed=config["seeds"]["linkpred"],
-        epochs=lp["epochs"],
-        lr=float(lp["lr"]),
-    )
+    table = HyperbolicEmbeddingTable.load_tsv(vectors_path)
+    split = ev.make_link_split(pairs, seed=seed)
+    result = ev.link_prediction_auc(split, table.vectors, seed=seed, epochs=epochs)
     report = {
         "edges": len(split.train_edges) + len(split.dev_pos) + len(split.test_pos),
         "split": {
@@ -486,10 +468,7 @@ def main(argv: Optional[list] = None) -> int:
     except ConfigError as e:
         print(f"error kind=config code=2: {_one_line(e)}", file=sys.stderr)
         return 2
-    except (DataError, EvaluationError) as e:
-        print(f"error kind=data code=3: {_one_line(e)}", file=sys.stderr)
-        return 3
-    except OSError as e:
+    except (DataError, EvaluationError, OSError) as e:
         print(f"error kind=data code=3: {_one_line(e)}", file=sys.stderr)
         return 3
     except TitlemapError as e:

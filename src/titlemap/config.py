@@ -50,8 +50,11 @@ class PoincareConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.epochs, self.negatives, self.burn_in_epochs) < 0:
-            raise ConfigError("poincare epochs, negatives and burn_in_epochs must be >= 0")
+        if min(self.epochs, self.burn_in_epochs) < 0:
+            raise ConfigError("poincare epochs and burn_in_epochs must be >= 0")
+        if self.negatives < 1:
+            # with no negative, a step's softmax holds only the parent: no loss, no gradient
+            raise ConfigError(f"poincare negatives must be >= 1, got {self.negatives}")
         if not min(self.lr, self.burn_in_lr_factor) > 0:
             raise ConfigError("poincare lr and burn_in_lr_factor must be positive")
         if self.seed < 0:

@@ -21,50 +21,53 @@ from .numerics import Tensor
 # Link prediction (removed-edge protocol)
 
 EDGE_OPERATORS = ("average", "hadamard", "weighted_l1", "weighted_l2")
+CLASSIFIER_LR = 0.05  # Adam's step size for each operator's logistic classifier
 
 
 @dataclass
 class LinkSplit:
+    """Each part is an int array of (child, parent) rows of indices into
+    `nodes`; `sampler` draws negatives from the ordered node pairs that are
+    neither self-pairs nor links."""
+
     nodes: list
-    train_edges: list
-    dev_pos: list
-    dev_neg: list
-    test_pos: list
-    test_neg: list
+    train_edges: np.ndarray
+    dev_pos: np.ndarray
+    dev_neg: np.ndarray
+    test_pos: np.ndarray
+    test_neg: np.ndarray
+    sampler: PairSampler
 
 
 def make_link_split(pairs: Sequence[ParentChildPair], seed: int = 0) -> LinkSplit:
     """Split the distinct (child, parent) links of `pairs`, as `graph.load_pairs`
     reads them: hold out 20% for test, then 20% of the rest for dev; the
-    remainder are the train links. The nodes are the links' titles, the
-    titles `train_poincare` embeds from the same pairs. Test and dev get as
-    many negatives as positives, drawn like the train negatives of
+    remainder are the train links. The nodes are the links' titles, sorted,
+    the titles `train_poincare` embeds from the same pairs. Test and dev get
+    as many negatives as positives, drawn like the train negatives of
     `link_prediction_auc`: i.i.d. uniform over the ordered node pairs that
     are neither self-pairs nor links."""
-    links = sorted({(pair.child, pair.parent) for pair in pairs})
+    nodes = sorted({title for pair in pairs for title in pair})
+    index = {title: i for i, title in enumerate(nodes)}
+    links = sorted({(index[pair.child], index[pair.parent]) for pair in pairs})
     if len(links) < 10:
         raise DataError(f"link split needs >= 10 distinct links, got {len(links)}")
-    nodes = sorted({title for link in links for title in link})
-    index = {title: i for i, title in enumerate(nodes)}
-    sampler = PairSampler(len(nodes), [(index[u], index[v]) for u, v in links])
+    links = np.array(links, dtype=np.int64)
+    sampler = PairSampler(len(nodes), links)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(links))
     n_test = int(len(links) * 0.2)
     n_dev = int((len(links) - n_test) * 0.2)
-
-    def negatives(count: int) -> list:
-        u, v = sampler.sample(count, rng)
-        return [(nodes[a], nodes[b]) for a, b in zip(u.tolist(), v.tolist())]
-
-    test_neg = negatives(n_test)
-    dev_neg = negatives(n_dev)
+    test_neg = np.stack(sampler.sample(n_test, rng), axis=1)
+    dev_neg = np.stack(sampler.sample(n_dev, rng), axis=1)
     return LinkSplit(
         nodes=nodes,
-        train_edges=[links[i] for i in sorted(order[n_test + n_dev :])],
-        dev_pos=[links[i] for i in order[n_test : n_test + n_dev]],
+        train_edges=links[np.sort(order[n_test + n_dev :])],
+        dev_pos=links[order[n_test : n_test + n_dev]],
         dev_neg=dev_neg,
-        test_pos=[links[i] for i in order[:n_test]],
+        test_pos=links[order[:n_test]],
         test_neg=test_neg,
+        sampler=sampler,
     )
 
 
@@ -72,12 +75,6 @@ def edge_embed(
     u_vec: np.ndarray, v_vec: np.ndarray, operator: str, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """The edge feature of each (u, v) row pair, written into `out` if given."""
-    u_vec = np.asarray(u_vec, dtype=np.float64)
-    v_vec = np.asarray(v_vec, dtype=np.float64)
-    if u_vec.shape != v_vec.shape:
-        raise nx.DimensionError(
-            f"edge_embed: endpoint shapes {u_vec.shape} and {v_vec.shape} differ"
-        )
     if operator == "average":
         return np.divide(np.add(u_vec, v_vec, out=out), 2.0, out=out)
     if operator == "hadamard":
@@ -177,42 +174,21 @@ class LinkPredictionReport:
 
 
 def link_prediction_auc(
-    split: LinkSplit,
-    node_vectors: dict,
-    seed: int = 0,
-    epochs: int = 100,
-    lr: float = 0.05,
+    split: LinkSplit, node_vectors: dict, seed: int = 0, epochs: int = 100
 ) -> LinkPredictionReport:
     """Fit a logistic classifier on train edges per operator, select the
     operator on dev AUC, report test AUC. Train negatives are resampled 1:1
-    each epoch, i.i.d. uniform over the ordered pairs of `split.nodes` that
-    are neither self-pairs nor train, dev or test positives. Every node
-    needs a vector, and every endpoint of a link must be a node. A score
-    that is not finite (vectors so wide that the edge features overflow)
-    raises NumericError."""
+    each epoch from `split.sampler`. Every node needs a vector."""
     missing = [t for t in split.nodes if t not in node_vectors]
     if missing:
         raise MissingTitleError(
             f"no vector for {len(missing)} node(s): {missing[:10]}"
         )
     matrix = np.stack([np.asarray(node_vectors[t], dtype=np.float64) for t in split.nodes])
-    index = {t: i for i, t in enumerate(split.nodes)}
 
-    def endpoints(edge_list: list) -> tuple[np.ndarray, np.ndarray]:
-        try:
-            return (np.array([index[u] for u, _ in edge_list], dtype=np.intp),
-                    np.array([index[v] for _, v in edge_list], dtype=np.intp))
-        except KeyError as e:
-            raise DataError(f"link endpoint {e.args[0]!r} is not a node of the split") from None
+    def features(part: np.ndarray, operator: str) -> np.ndarray:
+        return edge_embed(matrix[part[:, 0]], matrix[part[:, 1]], operator)
 
-    def features(ends: tuple[np.ndarray, np.ndarray], operator: str) -> np.ndarray:
-        return edge_embed(matrix[ends[0]], matrix[ends[1]], operator)
-
-    train_pos, dev_pos, dev_neg, test_pos, test_neg = (
-        endpoints(e) for e in
-        (split.train_edges, split.dev_pos, split.dev_neg, split.test_pos, split.test_neg)
-    )
-    sampler = PairSampler(len(index), np.hstack((train_pos, dev_pos, test_pos)).T)
     rng = np.random.default_rng(seed)
     n_pos, dim = len(split.train_edges), matrix.shape[1]
     # the train positives, then one epoch's sampled negatives
@@ -220,30 +196,27 @@ def link_prediction_auc(
     y = np.concatenate([np.ones(n_pos), np.zeros(n_pos)])
     neg_ends = (np.empty((n_pos, dim)), np.empty((n_pos, dim)))
     per_operator = {}
-    # wide vectors overflow in the edge features; `auc_score` rejects the
-    # scores that are then not finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        for operator in EDGE_OPERATORS:
-            feats[:n_pos] = features(train_pos, operator)
-            w = Tensor(np.zeros(dim), requires_grad=True)
-            b = Tensor(np.zeros(1), requires_grad=True)
-            optimizer = nx.Adam([w, b], lr=lr)
-            for _ in range(epochs):
-                for out, drawn in zip(neg_ends, sampler.sample(n_pos, rng)):
-                    np.take(matrix, drawn, axis=0, out=out, mode="clip")
-                edge_embed(*neg_ends, operator, out=feats[n_pos:])
-                p = _sigmoid(feats @ w.data + b.data[0])
-                resid = (p - y) / len(y)
-                w.grad = feats.T @ resid
-                b.grad = np.array([resid.sum()])
-                optimizer.step()
+    for operator in EDGE_OPERATORS:
+        feats[:n_pos] = features(split.train_edges, operator)
+        w = Tensor(np.zeros(dim), requires_grad=True)
+        b = Tensor(np.zeros(1), requires_grad=True)
+        optimizer = nx.Adam([w, b], lr=CLASSIFIER_LR)
+        for _ in range(epochs):
+            for out, drawn in zip(neg_ends, split.sampler.sample(n_pos, rng)):
+                np.take(matrix, drawn, axis=0, out=out, mode="clip")
+            edge_embed(*neg_ends, operator, out=feats[n_pos:])
+            p = _sigmoid(feats @ w.data + b.data[0])
+            resid = (p - y) / len(y)
+            w.grad = feats.T @ resid
+            b.grad = np.array([resid.sum()])
+            optimizer.step()
 
-            def score(ends):
-                return features(ends, operator) @ w.data + b.data[0]
+        def score(part):
+            return features(part, operator) @ w.data + b.data[0]
 
-            dev_auc = auc_score(score(dev_pos), score(dev_neg))
-            test_auc = auc_score(score(test_pos), score(test_neg))
-            per_operator[operator] = {"dev_auc": dev_auc, "test_auc": test_auc}
+        dev_auc = auc_score(score(split.dev_pos), score(split.dev_neg))
+        test_auc = auc_score(score(split.test_pos), score(split.test_neg))
+        per_operator[operator] = {"dev_auc": dev_auc, "test_auc": test_auc}
 
     best_operator = max(EDGE_OPERATORS, key=lambda op: per_operator[op]["dev_auc"])
     return LinkPredictionReport(

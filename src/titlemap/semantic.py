@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain, count
 from typing import TYPE_CHECKING, Optional, Protocol, Sequence
 
@@ -30,8 +29,6 @@ from .formats import read_vectors, write_vectors
 
 if TYPE_CHECKING:
     from .syntactic import GramNumbering
-
-UNIT_NORM_TOL = 1e-9
 
 
 class SemanticProvider(Protocol):
@@ -44,10 +41,8 @@ class SemanticProvider(Protocol):
     ) -> np.ndarray: ...
 
 
-@lru_cache(maxsize=131072)
 def _token_feature(seed: int, d_b: int, token: str) -> tuple[int, float]:
-    """(bucket, sign) of one hashed token, cached across batches: a stage's
-    batches (the standard titles, then its input titles) share most tokens."""
+    """(bucket, sign) of one hashed token."""
     digest = hashlib.blake2b(
         f"{seed}\x1f{token}".encode("utf-8"), digest_size=8
     ).digest()

@@ -107,19 +107,25 @@ def chain_pairs(n_links):
     return [ParentChildPair(parent=f"t{i + 1}", child=f"t{i}") for i in range(n_links)] * 2
 
 
+def titled(split, part):
+    """The (child, parent) titles of a part of `split`, in its order."""
+    return [(split.nodes[u], split.nodes[v]) for u, v in part.tolist()]
+
+
 def test_link_split_cardinalities_follow_protocol():
     split = ev.make_link_split(chain_pairs(100), seed=0)
-    assert len(split.test_pos) == 20 and len(split.test_neg) == 20
-    assert len(split.dev_pos) == 16 and len(split.dev_neg) == 16
-    assert len(split.train_edges) == 64
+    parts = (split.test_pos, split.test_neg, split.dev_pos, split.dev_neg, split.train_edges)
+    assert [len(part) for part in parts] == [20, 20, 16, 16, 64]
+    assert split.nodes == sorted(f"t{i}" for i in range(101))
 
 
 def test_link_split_negatives_avoid_real_edges():
     pairs = chain_pairs(60)
     split = ev.make_link_split(pairs, seed=1)
     edges = {(pair.child, pair.parent) for pair in pairs}
-    assert set(split.train_edges + split.dev_pos + split.test_pos) == edges
-    for neg in split.test_neg + split.dev_neg:
+    positives = [titled(split, p) for p in (split.train_edges, split.dev_pos, split.test_pos)]
+    assert sorted(sum(positives, [])) == sorted(edges)
+    for neg in titled(split, split.test_neg) + titled(split, split.dev_neg):
         assert neg not in edges
         assert neg[0] != neg[1]
 
@@ -127,8 +133,8 @@ def test_link_split_negatives_avoid_real_edges():
 def test_link_split_is_deterministic():
     a = ev.make_link_split(chain_pairs(40), seed=7)
     b = ev.make_link_split(chain_pairs(40), seed=7)
-    assert a.test_pos == b.test_pos and a.test_neg == b.test_neg
-    assert a.dev_pos == b.dev_pos and a.train_edges == b.train_edges
+    for part in ("train_edges", "dev_pos", "dev_neg", "test_pos", "test_neg"):
+        assert titled(a, getattr(a, part)) == titled(b, getattr(b, part))
 
 
 def test_link_split_needs_ten_edges():
@@ -144,8 +150,8 @@ def test_link_split_negatives_come_from_the_free_pairs():
     free = set(ordered[::7])
     pairs = [ParentChildPair(parent=v, child=u) for u, v in ordered if (u, v) not in free]
     split = ev.make_link_split(pairs, seed=0)
-    assert len(split.test_neg) == 3 and len(split.dev_neg) == 2
-    assert set(split.test_neg + split.dev_neg) <= free
+    negatives = titled(split, split.test_neg) + titled(split, split.dev_neg)
+    assert len(negatives) == 3 + 2 and set(negatives) <= free
     # with every ordered pair a link, no negative can be drawn
     complete = [ParentChildPair(parent=v, child=u) for u, v in ordered]
     with pytest.raises(DataError):
@@ -264,26 +270,6 @@ def test_link_prediction_is_deterministic_per_seed():
     assert ev.link_prediction_auc(split, vectors, seed=5, epochs=10) == first
 
 
-def test_link_prediction_without_a_free_pair_raises():
-    one_node = ev.LinkSplit(nodes=["a"], train_edges=[("a", "a")],
-                            dev_pos=[], dev_neg=[], test_pos=[], test_neg=[])
-    with pytest.raises(DataError):
-        ev.link_prediction_auc(one_node, {"a": np.ones(2)}, epochs=1)
-    # every ordered pair of three nodes is a positive somewhere in the split
-    complete = ev.LinkSplit(nodes=["a", "b", "c"],
-                            train_edges=[("a", "b"), ("b", "a"), ("a", "c"), ("b", "b")],
-                            dev_pos=[("c", "a")], dev_neg=[("a", "a")],
-                            test_pos=[("b", "c"), ("c", "b")], test_neg=[("c", "c")])
-    vectors = {t: np.ones(2) for t in "abc"}
-    with pytest.raises(DataError):
-        ev.link_prediction_auc(complete, vectors, epochs=1)
-    # a link endpoint that is not a node has no row to score it by
-    outside = ev.LinkSplit(nodes=["a", "b"], train_edges=[("a", "b")], dev_pos=[("b", "a")],
-                           dev_neg=[("a", "c")], test_pos=[("b", "a")], test_neg=[("a", "b")])
-    with pytest.raises(DataError, match="'c' is not a node"):
-        ev.link_prediction_auc(outside, vectors, epochs=1)
-
-
 # ---------------------------------------------------------------------------
 # Train-negative sampler
 
@@ -296,6 +282,14 @@ def test_pair_sampler_returns_count_allowed_pairs():
     pairs = set(zip(u.tolist(), v.tolist()))
     assert all(a != b for a, b in pairs)
     assert not pairs & set(forbidden)
+
+
+def test_pair_sampler_without_a_free_pair_raises():
+    with pytest.raises(DataError, match="1 node"):
+        ev.PairSampler(1, [])
+    # every ordered pair of three nodes is forbidden
+    with pytest.raises(DataError, match="3 node"):
+        ev.PairSampler(3, [(u, v) for u in range(3) for v in range(3) if u != v])
 
 
 def test_pair_sampler_is_deterministic_per_seed():

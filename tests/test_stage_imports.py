@@ -7,9 +7,11 @@ finds its distinct pairs without `np.unique` (which imports `numpy.ma`), and
 the serving stages build a loaded model without an initialization draw (which
 imports `numpy.random`); `map` and `eval` read their titles as keys, so
 neither loads `graph`. The serving stages fold both views on the calling
-thread, so none of them loads `concurrent.futures`. Each stage runs in a fresh interpreter, as on the
-command line, so an import made anywhere in the stage shows in `sys.modules`
-afterwards. numpy 1.x loads its public submodules on `import numpy` itself,
+thread, so none of them loads `concurrent.futures`. `linkpred` reads the
+pairs and the hyperbolic table alone, so it loads none of the mapper's
+modules, and its negative sampler counts pairs without `np.unique`. Each
+stage runs in a fresh interpreter, as on the command line, so an import
+made anywhere in the stage shows in `sys.modules` afterwards. numpy 1.x loads its public submodules on `import numpy` itself,
 so there a module already loaded before the stage runs skips the check.
 """
 
@@ -40,7 +42,7 @@ print(json.dumps({"status": status, "preloaded": preloaded, "imported": imported
 
 @pytest.fixture(scope="module")
 def fixture_dir(tmp_path_factory):
-    """A tiny trained pipeline: its data, pairs, vectors and model."""
+    """A tiny trained pipeline: its data, pairs, hyperbolic table and model."""
     root = tmp_path_factory.mktemp("stages")
     out = root / "out"
     (root / "titles.txt").write_text("software engineer\nsoftware engineer\ndata anlyst\n")
@@ -56,6 +58,7 @@ def fixture_dir(tmp_path_factory):
             "taxonomy": str(out / "taxonomy.tsv"),
             "labels": str(out / "labels.tsv"),
             "hyperbolic": str(out / "hyperbolic.tsv"),
+            "vectors": str(out / "hyperbolic.tsv"),
             "model": str(out / "model.json"),
             "titles": str(root / "titles.txt"),
         },
@@ -109,6 +112,8 @@ def test_cli_import_loads_only_the_config_modules():
         ("train-poincare", [m for m in _PIPELINE if m != "titlemap.poincare"]),
         ("map", ["titlemap.datagen", "titlemap.evaluation", "titlemap.graph"]),
         ("eval", ["titlemap.datagen", "titlemap.evaluation", "titlemap.graph"]),
+        ("linkpred", [f"titlemap.{name}" for name in (
+            "model", "reasoning", "coattention", "datagen", "semantic", "syntactic")]),
     ],
 )
 def test_stage_loads_no_package_module_it_does_not_run(fixture_dir, stage, absent):
@@ -117,7 +122,8 @@ def test_stage_loads_no_package_module_it_does_not_run(fixture_dir, stage, absen
 
 @pytest.mark.parametrize(
     "stage, absent",
-    [("train-poincare", ["numpy.ma"]), ("map", ["numpy.ma", "numpy.random"])],
+    [("train-poincare", ["numpy.ma"]), ("map", ["numpy.ma", "numpy.random"]),
+     ("linkpred", ["numpy.ma"])],
 )
 def test_stage_leaves_unused_numpy_modules_unimported(fixture_dir, stage, absent):
     report = _run_stage(fixture_dir, stage, absent)
