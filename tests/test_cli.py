@@ -331,6 +331,9 @@ REMOVED_KEYS = ("train.variant", "poincare.export_2d", "datagen.include_standard
         ("train-poincare", {"poincare": {"burn_in_lr_factor": -50}}),
         ("train-poincare", {"poincare": {"burn_in_lr_factor": 0}}),
         ("linkpred", {"linkpred": {"epochs": 0}}),
+        # linkpred.lr is gone: any value, in range or not, is an unknown key
+        ("linkpred", {"linkpred": {"lr": 0}}),
+        ("linkpred", {"linkpred": {"lr": -0.05}}),
         ("gen-data", {"seeds": {"data": -1}}),
         ("train-poincare", {"seeds": {"poincare": -1}}),
         ("train", {"seeds": {"train": -1}}),
@@ -340,18 +343,16 @@ REMOVED_KEYS = ("train.variant", "poincare.export_2d", "datagen.include_standard
         ("train-poincare", {"poincare": {"export_2d": False}}),
         ("gen-data", {"datagen": {"include_standard_labels": True}}),
         ("train", {"semantic_seed": 0}),
-        ("linkpred", {"linkpred": {"lr": 0.05}}),
     ],
     ids=["split-of-strings", "split-outside-0-1", "batch-size-0", "max-epochs-bool",
          "max-epochs-0", "patience-negative", "train-lr-0", "logic-weight-negative",
          "clause-weight-negative",
          "map-k-0", "map-k-negative", "negatives-negative", "negatives-0", "poincare-lr-0",
          "burn-in-epochs-negative", "burn-in-lr-factor-negative", "burn-in-lr-factor-0",
-         "linkpred-epochs-0",
+         "linkpred-epochs-0", "linkpred-lr-0", "linkpred-lr-negative",
          "data-seed-negative", "poincare-seed-negative", "train-seed-negative",
          "linkpred-seed-negative", "removed-train-variant", "removed-poincare-export-2d",
-         "removed-datagen-include-standard-labels", "removed-semantic-seed",
-         "removed-linkpred-lr"],
+         "removed-datagen-include-standard-labels", "removed-semantic-seed"],
 )
 def test_bad_config_value_exits_2(trained, command, overrides, capsys):
     tmp, data = trained
