@@ -195,14 +195,14 @@ def _build_provider(config: dict, d_b: int, owner: str):
     if spec == "hashed":
         return hashed
     path = spec.removeprefix("precomputed:")
-    cache = load_precomputed(path)
+    table = load_precomputed(path)
     fallback = hashed if config["provider_fallback"] else None
-    if fallback is not None and cache.dimension != d_b:
+    if fallback is not None and table.dim != d_b:
         raise ConfigError(
-            f"precomputed embeddings {path} have width {cache.dimension}, but the "
+            f"precomputed embeddings {path} have width {table.dim}, but the "
             f"{owner}'s d_b, the width of their hashed fallback, is {d_b}"
         )
-    return PrecomputedProvider(cache, fallback=fallback)
+    return PrecomputedProvider(table, fallback=fallback)
 
 
 def _load_pipeline(config: dict, taxonomy: Taxonomy, d_b: int, owner: str) -> FeaturePipeline:
@@ -267,11 +267,10 @@ def cmd_build_graph(config: dict) -> None:
     out = config["output_dir"]
     (resumes_path,) = _require(config, "data.resumes")
     sequences = person_sequences(load_records(resumes_path))
-    graph = build_transition_graph(sequences)
+    counts = build_transition_graph(sequences)
     pairs = extract_parent_child_pairs(sequences)
     _save(out, "pairs.tsv", write_pairs, pairs)
-    summary = {**graph.summary(), "pairs": len(pairs), "weight_sum": sum(graph.weights.values())}
-    _save(out, "graph_summary.json", _write_json, summary)
+    _save(out, "graph_summary.json", _write_json, {**counts, "pairs": len(pairs)})
 
 
 def cmd_train_poincare(config: dict) -> None:
@@ -286,7 +285,7 @@ def cmd_train_poincare(config: dict) -> None:
     _save(out, "hyperbolic.tsv", table.export_tsv)
     report = {
         "pairs": len(pairs),
-        "titles": len(table.vectors),
+        "titles": len(table.titles),
         "epochs": table.history,
         "seeds": config["seeds"],
     }
@@ -299,8 +298,8 @@ def cmd_encode_semantic(config: dict) -> None:
     out = config["output_dir"]
     (titles_path,) = _require(config, "data.titles")
     provider = _build_provider(config, config["dims"]["d_b"], "config")
-    cache = embed_titles(provider, [key for _, key in _read_titles(titles_path)])
-    _save(out, "semantic.tsv", write_embeddings, cache)
+    table = embed_titles(provider, [key for _, key in _read_titles(titles_path)])
+    _save(out, "semantic.tsv", write_embeddings, table)
 
 
 def cmd_train(config: dict) -> None:
@@ -397,7 +396,7 @@ def cmd_linkpred(config: dict) -> None:
     pairs = load_pairs(pairs_path)
     table = HyperbolicEmbeddingTable.load_tsv(vectors_path)
     split = ev.make_link_split(pairs, seed=seed)
-    result = ev.link_prediction_auc(split, table.vectors, seed=seed, epochs=epochs)
+    result = ev.link_prediction_auc(split, table, seed=seed, epochs=epochs)
     report = {
         "edges": len(split.train_edges) + len(split.dev_pos) + len(split.test_pos),
         "split": {

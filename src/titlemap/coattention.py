@@ -79,14 +79,6 @@ class AttentionKeys(NamedTuple):
     k_s: Tensor
 
 
-class CoAttended(NamedTuple):
-    affinities: Affinities
-    keys: AttentionKeys
-    x_hat_h: Tensor
-    x_hat_b: Tensor
-    x_hat_s: Tensor
-
-
 def _bilinear(x: Tensor, w: Tensor, y: Tensor) -> Tensor:
     return nx.tanh(nx.tsum(nx.mul(nx.matmul(x, w), y), axis=1, keepdims=True))
 
@@ -135,13 +127,9 @@ def apply(x: Tensor, key: Tensor) -> Tensor:
     return nx.mul(nx.softmax(key, axis=-1), x)
 
 
-def co_attend(x_h: Tensor, x_b: Tensor, x_s: Tensor, params: CoAttentionParams) -> CoAttended:
-    affs = affinities(x_h, x_b, x_s, params)
-    keys = attention_keys(x_h, x_b, x_s, affs, params)
-    return CoAttended(
-        affinities=affs,
-        keys=keys,
-        x_hat_h=apply(x_h, keys.k_h),
-        x_hat_b=apply(x_b, keys.k_b),
-        x_hat_s=apply(x_s, keys.k_s),
-    )
+def co_attend(
+    x_h: Tensor, x_b: Tensor, x_s: Tensor, params: CoAttentionParams
+) -> tuple[Tensor, Tensor, Tensor]:
+    """The attended views (x_hat_h, x_hat_b, x_hat_s)."""
+    keys = attention_keys(x_h, x_b, x_s, affinities(x_h, x_b, x_s, params), params)
+    return apply(x_h, keys.k_h), apply(x_b, keys.k_b), apply(x_s, keys.k_s)

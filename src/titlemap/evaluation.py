@@ -13,6 +13,7 @@ import numpy as np
 
 from . import numerics as nx
 from .errors import ConfigError, DataError, EvaluationError, MissingTitleError, NumericError
+from .formats import VectorTable
 from .graph import ParentChildPair
 from .numerics import Tensor
 
@@ -174,17 +175,16 @@ class LinkPredictionReport:
 
 
 def link_prediction_auc(
-    split: LinkSplit, node_vectors: dict, seed: int = 0, epochs: int = 100
+    split: LinkSplit, table: VectorTable, seed: int = 0, epochs: int = 100
 ) -> LinkPredictionReport:
     """Fit a logistic classifier on train edges per operator, select the
     operator on dev AUC, report test AUC. Train negatives are resampled 1:1
-    each epoch from `split.sampler`. Every node needs a vector."""
-    missing = [t for t in split.nodes if t not in node_vectors]
-    if missing:
+    each epoch from `split.sampler`. Every node needs a row in `table`."""
+    matrix, missing = table.gather(split.nodes)
+    if missing.size:
         raise MissingTitleError(
-            f"no vector for {len(missing)} node(s): {missing[:10]}"
+            f"no vector for {missing.size} node(s): {[split.nodes[i] for i in missing[:10]]}"
         )
-    matrix = np.stack([np.asarray(node_vectors[t], dtype=np.float64) for t in split.nodes])
 
     def features(part: np.ndarray, operator: str) -> np.ndarray:
         return edge_embed(matrix[part[:, 0]], matrix[part[:, 1]], operator)

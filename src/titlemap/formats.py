@@ -4,7 +4,9 @@ Every file is UTF-8. A tab-separated file is an optional header line, then
 one row per non-blank line with a fixed number of tab-separated fields. A
 vector file has a `<tag> <dim_key>=<int> <meta_key>=<value>` header and
 `title<TAB>v1,v2,...` rows: the title is canonicalized on load (two rows with
-the same canonical title are a duplicate) and every value must be finite.
+the same canonical title are a duplicate) and every value must be finite. In
+memory a vector file is a `VectorTable`: its titles, one matrix with a row
+per title, and the title -> row index that consumers gather rows by.
 
 Titles are canonicalized at the edge, and only there: the readers of titles
 from files (`read_vectors` here, `graph.load_records`, `graph.load_pairs`,
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -101,12 +105,45 @@ def read_rows(
     return head, rows()
 
 
+@dataclass(eq=False)
+class VectorTable:
+    """The vectors of canonical titles: row i of the float64 (n, dim)
+    `matrix` belongs to `titles[i]`."""
+
+    titles: list[str]
+    matrix: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """title -> row"""
+        return {title: i for i, title in enumerate(self.titles)}
+
+    def rows(self, keys: Sequence[str]) -> np.ndarray:
+        """Each key's row, or -1 for a title the table does not hold."""
+        index = self.index
+        return np.array([index.get(key, -1) for key in keys], dtype=np.intp)
+
+    def gather(self, keys: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The (len(keys), dim) rows of `keys`, zero for a title the table
+        does not hold, and the positions in `keys` of those titles."""
+        rows = self.rows(keys)
+        held = rows >= 0
+        out = np.zeros((len(rows), self.dim))
+        out[held] = self.matrix[rows[held]]
+        return out, np.flatnonzero(~held)
+
+
 def read_vectors(
     path, tag: str, dim_key: str, meta_key: str, parse_meta: Callable[[str], object]
-) -> tuple[int, object, list[tuple[int, str, np.ndarray]]]:
+) -> tuple[VectorTable, object, list[int]]:
     """A vector file with the header `<tag> <dim_key>=<int> <meta_key>=<value>`,
-    whose dimension is at least 1: that dimension, `parse_meta(value)`, and
-    the (line number, canonical title, float64 vector) of each row."""
+    whose dimension is at least 1: its table, `parse_meta(value)`, and the
+    line number of each row. Rows are checked in file order, so a fault
+    names the first faulty line."""
     header, rows = read_rows(path, ("title", "values"), header=True)
     parts = header.split()
     if len(parts) != 3 or parts[0] != tag:
@@ -118,7 +155,7 @@ def read_vectors(
         raise FormatError(f"{path}:1: malformed header {header!r}") from None
     if dim < 1:
         raise FormatError(f"{path}:1: malformed header {header!r}: {dim_key} must be >= 1")
-    vectors, seen, key_of = [], set(), line_keys(path)
+    titles, vectors, linenos, seen, key_of = [], [], [], set(), line_keys(path)
     for lineno, (title, values) in rows:
         try:
             vec = np.array(values.split(","), dtype=np.float64)
@@ -132,8 +169,11 @@ def read_vectors(
         if key in seen:
             raise FormatError(f"{path}:{lineno}: duplicate title {key!r}")
         seen.add(key)
-        vectors.append((lineno, key, vec))
-    return dim, meta, vectors
+        titles.append(key)
+        vectors.append(vec)
+        linenos.append(lineno)
+    matrix = np.array(vectors).reshape(len(titles), dim)
+    return VectorTable(titles, matrix), meta, linenos
 
 
 def write_lines(path, chunks: Iterable[str], header: Optional[str] = None) -> None:
@@ -150,9 +190,11 @@ def write_rows(path, rows: Iterable[Sequence[str]], header: Optional[str] = None
     write_lines(path, ("\t".join(row) + "\n" for row in rows), header)
 
 
-def write_vectors(path, header: str, vectors: dict[str, np.ndarray]) -> None:
+def write_vectors(path, header: str, table: VectorTable) -> None:
     """A vector file: `header`, then one row per title in sorted order, each
     value written as the repr of a Python float, the shortest text that reads
     back exactly."""
-    rows = ((t, ",".join(map(repr, vectors[t].tolist()))) for t in sorted(vectors))
-    write_rows(path, rows, header)
+    titles = table.titles
+    order = sorted(range(len(titles)), key=titles.__getitem__)
+    rows = zip((titles[i] for i in order), table.matrix[order].tolist())
+    write_rows(path, ((title, ",".join(map(repr, values))) for title, values in rows), header)

@@ -2,8 +2,9 @@
 
 Resumes arrive as JSON-lines (one record per line). Per person, records are
 ordered by start date and every consecutive move contributes one transition:
-the earlier title is the child, the later title the parent. Edge weights are
-globally normalized transition frequencies.
+the earlier title is the child, the later title the parent. `build-graph`
+reports the graph's node, edge and transition counts; its pairs feed the
+hyperbolic embedding.
 """
 
 from __future__ import annotations
@@ -48,30 +49,6 @@ class ParentChildPair(NamedTuple):
     child: str  # the earlier job
 
 
-@dataclass
-class TransitionGraph:
-    """Directed multigraph over canonical titles, with globally normalized weights."""
-
-    nodes: set[str] = field(default_factory=set)
-    edge_counts: dict[tuple[str, str], int] = field(default_factory=dict)
-
-    @property
-    def total_transitions(self) -> int:
-        return sum(self.edge_counts.values())
-
-    @property
-    def weights(self) -> dict[tuple[str, str], float]:
-        total = self.total_transitions
-        return {e: c / total for e, c in self.edge_counts.items()}
-
-    def summary(self) -> dict:
-        return {
-            "nodes": len(self.nodes),
-            "edges": len(self.edge_counts),
-            "transitions": self.total_transitions,
-        }
-
-
 def person_sequences(records: Iterable[JobRecord]) -> list[list[str]]:
     """Canonical title sequences per person, ordered by start date.
 
@@ -91,16 +68,17 @@ def person_sequences(records: Iterable[JobRecord]) -> list[list[str]]:
     return sequences
 
 
-def build_transition_graph(sequences: Iterable[Sequence[str]]) -> TransitionGraph:
-    """Count every consecutive transition of each person's title sequence
-    (as `person_sequences` gives them), including self-loops."""
-    graph = TransitionGraph()
+def build_transition_graph(sequences: Iterable[Sequence[str]]) -> dict[str, int]:
+    """The node, distinct edge and transition counts of the directed
+    multigraph with one edge per consecutive transition of each person's
+    title sequence (as `person_sequences` gives them), self-loops included."""
+    nodes, edges, transitions = set(), set(), 0
     for seq in sequences:
-        graph.nodes.update(seq)
-        for earlier, later in zip(seq, seq[1:]):
-            key = (earlier, later)
-            graph.edge_counts[key] = graph.edge_counts.get(key, 0) + 1
-    return graph
+        nodes.update(seq)
+        moves = list(zip(seq, seq[1:]))
+        edges.update(moves)
+        transitions += len(moves)
+    return {"nodes": len(nodes), "edges": len(edges), "transitions": transitions}
 
 
 def extract_parent_child_pairs(sequences: Iterable[Sequence[str]]) -> list[ParentChildPair]:

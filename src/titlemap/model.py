@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import base64
 import json
-import logging
+import sys
 from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
@@ -32,8 +32,6 @@ from .schema import build
 from .semantic import SemanticProvider
 from .syntactic import GramNumbering, Taxonomy, syntactic_matrix
 from .formats import canonicalize_title, is_utf8
-
-logger = logging.getLogger(__name__)
 
 MODEL_FORMAT = "titlemap-model"
 MODEL_VERSION = 3
@@ -130,9 +128,7 @@ class FeaturePipeline:
 
     def title_views(self, keys: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The three views of canonical keys, one row per key."""
-        unseen = np.zeros(self.d_h)
-        vectors = self.hyperbolic.vectors
-        x_h = np.array([vectors.get(k, unseen) for k in keys]).reshape(len(keys), self.d_h)
+        x_h, _ = self.hyperbolic.gather(keys)
         grams = GramNumbering(keys)
         x_b = self.semantic.embed_batch(keys, grams)
         x_s = syntactic_matrix(keys, self.taxonomy, grams)
@@ -195,10 +191,7 @@ def _forward(
     attended = ca.co_attend(th, tb, ts, model.coatt)
     clause_b = rs.clause_representation(*pre_b, model.reason_b, order_b)
     clause_s = rs.clause_representation(*pre_s, model.reason_s, order_s)
-    fused = nx.concat(
-        [attended.x_hat_h, attended.x_hat_b, attended.x_hat_s, clause_b, clause_s],
-        axis=1,
-    )
+    fused = nx.concat([*attended, clause_b, clause_s], axis=1)
     if training:
         out["clauses"] = {"b": clause_b, "s": clause_s}
         out["projections"] = {"b": pre_b, "s": pre_s}
@@ -383,7 +376,7 @@ def clamp_k(k: int, n_classes: int) -> int:
     if k < 1:
         raise ConfigError(f"top-k size must be >= 1, got k={k}")
     if k > n_classes:
-        logger.warning("k=%d clamped to taxonomy size %d", k, n_classes)
+        print(f"k={k} clamped to taxonomy size {n_classes}", file=sys.stderr)
     return min(k, n_classes)
 
 
@@ -444,10 +437,10 @@ def train(
             f"({len(idx_train)}/{len(idx_val)}/{len(idx_test)})"
         )
     if len(idx_train) < len(taxonomy):
-        logger.warning(
-            "training set (%d) smaller than taxonomy (%d); coverage will be partial",
-            len(idx_train),
-            len(taxonomy),
+        print(
+            f"training set ({len(idx_train)}) smaller than taxonomy ({len(taxonomy)}); "
+            "coverage will be partial",
+            file=sys.stderr,
         )
 
     x_h, x_b, x_s = pipeline.title_views(titles_all)

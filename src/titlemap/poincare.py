@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import PoincareConfig
 from .errors import ConfigError, DataError, DegenerateInputError, NumericError
-from .formats import read_vectors, write_vectors
+from .formats import VectorTable, read_vectors, write_vectors
 
 if TYPE_CHECKING:
     from .graph import ParentChildPair
@@ -106,32 +106,29 @@ def _distance_gradients(u, cands, alpha, beta, gamma, weights):
     return grad_u, coeff_c * (u_sq - 2.0 * dot_uc + 1.0) / beta**2, coeff_c / beta
 
 
-@dataclass
-class HyperbolicEmbeddingTable:
-    """Frozen title -> ball point map produced by training.
+@dataclass(eq=False)
+class HyperbolicEmbeddingTable(VectorTable):
+    """The ball points of titles, as `train_poincare` trains them.
 
     `history` holds one entry per training epoch: the mean -log p(parent)
     over the epoch's pairs (`loss`) and the rows projected back inside the
     ball (`clamped_rows`). A loaded table has none.
     """
 
-    dim: int
     seed: int
-    vectors: dict[str, np.ndarray] = field(default_factory=dict)
     history: list[dict] = field(default_factory=list)
 
     def export_tsv(self, path) -> None:
-        write_vectors(path, f"#poincare m={self.dim} seed={self.seed}", self.vectors)
+        write_vectors(path, f"#poincare m={self.dim} seed={self.seed}", self)
 
     @classmethod
     def load_tsv(cls, path) -> "HyperbolicEmbeddingTable":
-        dim, seed, rows = read_vectors(path, "#poincare", "m", "seed", int)
-        if rows:
-            points = np.stack([vec for _, _, vec in rows])
-            outside = np.flatnonzero(np.einsum("ij,ij->i", points, points) >= 1.0)
-            if len(outside):
-                raise DataError(f"{path}:{rows[outside[0]][0]}: point is not inside the unit ball")
-        return cls(dim=dim, seed=seed, vectors={title: vec for _, title, vec in rows})
+        table, seed, linenos = read_vectors(path, "#poincare", "m", "seed", int)
+        points = table.matrix
+        outside = np.flatnonzero(np.einsum("ij,ij->i", points, points) >= 1.0)
+        if len(outside):
+            raise DataError(f"{path}:{linenos[outside[0]]}: point is not inside the unit ball")
+        return cls(table.titles, points, seed=seed)
 
 
 def _distinct_pairs(pair_idx: np.ndarray, n: int) -> np.ndarray:
@@ -406,7 +403,7 @@ def train_poincare(
     pairs: Sequence[ParentChildPair],
     m: int,
     config: PoincareConfig = PoincareConfig(),
-    on_epoch: Optional[Callable[[int, dict[str, np.ndarray]], None]] = None,
+    on_epoch: Optional[Callable[[int, HyperbolicEmbeddingTable], None]] = None,
 ) -> HyperbolicEmbeddingTable:
     """Train ball embeddings from (child, parent) pairs.
 
@@ -416,6 +413,7 @@ def train_poincare(
     shuffles the pairs, plans the negatives and scatter indices of all its
     steps in one pass, then takes one mini-batched Riemannian SGD step per
     block of `_BATCH_PAIRS` of them. Fully deterministic for a fixed seed.
+    `on_epoch` sees the table being trained after each epoch.
     """
     if m < 2:
         raise ConfigError(f"poincare dimension must be >= 2, got {m}")
@@ -430,24 +428,18 @@ def train_poincare(
     n = len(titles)
     rng = np.random.default_rng(config.seed)
     vectors = rng.uniform(-0.001, 0.001, size=(n, m))
+    table = HyperbolicEmbeddingTable(titles, vectors, seed=config.seed)
     sampler = _NegativeSampler(pair_idx, n)
     # read at call time: the block size is not fixed at import
     batch = min(_BATCH_PAIRS, len(pairs))
     work = _StepWork(batch, 1 + min(config.negatives, n), n, m)
 
-    history = []
     for epoch in range(config.epochs):
         lr = config.lr * (config.burn_in_lr_factor if epoch < config.burn_in_epochs else 1.0)
         loss, clamped = _train_epoch(
             vectors, pair_idx, sampler, rng, config.negatives, lr, batch, work
         )
-        history.append({"loss": loss / len(pairs), "clamped_rows": clamped})
+        table.history.append({"loss": loss / len(pairs), "clamped_rows": clamped})
         if on_epoch is not None:
-            on_epoch(epoch, {t: vectors[index[t]] for t in titles})
-
-    return HyperbolicEmbeddingTable(
-        dim=m,
-        seed=config.seed,
-        vectors={t: vectors[index[t]].copy() for t in titles},
-        history=history,
-    )
+            on_epoch(epoch, table)
+    return table

@@ -6,8 +6,8 @@ two providers with the same contract (deterministic, unit-norm output):
 * `HashedNgramProvider` — signed feature hashing of character 3-grams and
   word unigrams. No semantics beyond surface overlap, but deterministic and
   dependency-free.
-* `PrecomputedProvider` — vectors loaded from an embedding TSV, with an
-  optional fallback encoder for titles missing from the file.
+* `PrecomputedProvider` — the rows of a table loaded from an embedding TSV,
+  with an optional fallback encoder for titles missing from the file.
 
 Providers take canonical keys (see `formats`) and never canonicalize.
 `embed_batch` builds the whole batch in one pass; `embed` is its one-title
@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import hashlib
 from collections import defaultdict
-from dataclasses import dataclass, field
 from itertools import chain, count
 from typing import TYPE_CHECKING, Optional, Protocol, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, FormatError, MissingTitleError, NumericError
-from .formats import read_vectors, write_vectors
+from .formats import VectorTable, read_vectors, write_vectors
 
 if TYPE_CHECKING:
     from .syntactic import GramNumbering
@@ -111,25 +110,17 @@ class HashedNgramProvider:
         return hashed_ngram_matrix(titles, self.dimension, self.seed, grams)
 
 
-@dataclass
-class EmbeddingCache:
-    """Title -> vector map."""
-
-    dimension: int
-    vectors: dict[str, np.ndarray] = field(default_factory=dict)
-
-
 class PrecomputedProvider:
-    """Serve vectors from a cache, optionally falling back to an encoder."""
+    """Serve the rows of a vector table, optionally falling back to an encoder."""
 
-    def __init__(self, cache: EmbeddingCache, fallback: Optional[SemanticProvider] = None):
-        if fallback is not None and fallback.dimension != cache.dimension:
+    def __init__(self, table: VectorTable, fallback: Optional[SemanticProvider] = None):
+        if fallback is not None and fallback.dimension != table.dim:
             raise ConfigError(
-                f"fallback dimension {fallback.dimension} != cache dimension {cache.dimension}"
+                f"fallback dimension {fallback.dimension} != table dimension {table.dim}"
             )
-        self.cache = cache
+        self.table = table
         self.fallback = fallback
-        self.dimension = cache.dimension
+        self.dimension = table.dim
 
     def embed(self, title: str) -> np.ndarray:
         return self.embed_batch([title])[0]
@@ -137,54 +128,50 @@ class PrecomputedProvider:
     def embed_batch(
         self, titles: Sequence[str], grams: Optional[GramNumbering] = None
     ) -> np.ndarray:
-        """Stored vectors where the cache has the title, the fallback's batch
-        for the rest; without a fallback every missing title is listed. The
+        """The table's rows where it has the title, the fallback's batch for
+        the rest; without a fallback every missing title is listed. The
         batch's numbering `grams` is not read: the fallback numbers the
         missing titles itself."""
-        vectors = self.cache.vectors
-        have = np.array([title in vectors for title in titles], dtype=bool)
-        out = np.empty((len(titles), self.dimension))
-        if have.any():
-            out[have] = np.stack([vectors[title] for title in titles if title in vectors])
-        missing = [title for title in titles if title not in vectors]
-        if missing:
+        out, missing = self.table.gather(titles)
+        if missing.size:
+            unknown = [titles[i] for i in missing]
             if self.fallback is None:
-                distinct = sorted(set(missing))
+                distinct = sorted(set(unknown))
                 raise MissingTitleError(
                     f"no embedding available for {len(distinct)} title(s): {distinct}"
                 )
-            out[~have] = self.fallback.embed_batch(missing)
+            out[missing] = self.fallback.embed_batch(unknown)
         return out
 
 
-def embed_titles(provider: SemanticProvider, titles: Sequence[str]) -> EmbeddingCache:
+def embed_titles(provider: SemanticProvider, titles: Sequence[str]) -> VectorTable:
     """Embed a set of canonical keys in one batch; missing titles are
     reported together, not one by one."""
     keys = list(dict.fromkeys(titles))
-    return EmbeddingCache(
-        dimension=provider.dimension, vectors=dict(zip(keys, provider.embed_batch(keys)))
-    )
+    return VectorTable(keys, provider.embed_batch(keys))
 
 
 # ---------------------------------------------------------------------------
 # Embedding TSV: "#embeddings d=<dim> normalize=<bool>" then title<TAB>v1,v2,...
 
-def write_embeddings(path, cache: EmbeddingCache) -> None:
-    write_vectors(path, f"#embeddings d={cache.dimension} normalize=false", cache.vectors)
+def write_embeddings(path, table: VectorTable) -> None:
+    write_vectors(path, f"#embeddings d={table.dim} normalize=false", table)
 
 
-def load_precomputed(path) -> EmbeddingCache:
+def load_precomputed(path) -> VectorTable:
+    """The table of an embedding TSV; with `normalize=true` each row is
+    scaled to unit norm in place."""
     bools = {"true": True, "false": False}
-    dim, normalize, rows = read_vectors(path, "#embeddings", "d", "normalize", bools.__getitem__)
-    cache = EmbeddingCache(dimension=dim)
-    for lineno, title, vec in rows:
-        if normalize:
+    table, normalize, linenos = read_vectors(
+        path, "#embeddings", "d", "normalize", bools.__getitem__
+    )
+    if normalize:
+        for lineno, row in zip(linenos, table.matrix):
             with np.errstate(over="ignore"):
-                norm = float(np.linalg.norm(vec))
+                norm = float(np.linalg.norm(row))
             if norm == 0.0:
                 raise FormatError(f"{path}:{lineno}: zero vector cannot be normalized")
             if norm == np.inf:
                 raise NumericError(f"{path}:{lineno}: vector norm overflows to inf")
-            vec = vec / norm
-        cache.vectors[title] = vec
-    return cache
+            row /= norm
+    return table

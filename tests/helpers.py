@@ -43,6 +43,11 @@ _WORDS = ("data", "software", "sales", "senior", "junior", "lead", "chief", "sta
 _ROLES = ("engineer", "analyst", "manager", "designer", "consultant", "officer")
 
 
+def empty_ball_table(dim: int) -> poincare.HyperbolicEmbeddingTable:
+    """A hyperbolic table of width `dim` that holds no title."""
+    return poincare.HyperbolicEmbeddingTable([], np.empty((0, dim)), seed=0)
+
+
 def desk_serving_world(n_titles: int = 600, n_classes: int = 40):
     """A freshly initialized model at the README's desk widths (d_h 32, d_b
     128, d_r 16) over `n_classes` standard titles, its views (no title has a
@@ -53,7 +58,7 @@ def desk_serving_world(n_titles: int = 600, n_classes: int = 40):
     taxonomy = Taxonomy(titles=standard)
     config = TrainConfig(d_h=32, d_b=128, d_r=16)
     pipeline = FeaturePipeline(
-        poincare.HyperbolicEmbeddingTable(dim=config.d_h, seed=0),
+        empty_ball_table(config.d_h),
         HashedNgramProvider(dimension=config.d_b), taxonomy,
     )
     return init_model(taxonomy, config), pipeline, raw
@@ -226,9 +231,7 @@ def riemannian_rescale(x, euclid_grad) -> np.ndarray:
 def mean_parent_rank(table, pairs) -> float:
     """Mean rank of each pair's parent among all other nodes by distance from
     the child, the distances computed by `poincare._distance_batch`."""
-    titles = sorted(table.vectors)
-    matrix = np.stack([table.vectors[t] for t in titles])
-    index = {t: i for i, t in enumerate(titles)}
+    matrix, index = table.matrix, table.index
     parents_of: dict[int, list[int]] = {}
     for pair in pairs:
         parents_of.setdefault(index[pair.child], []).append(index[pair.parent])

@@ -162,7 +162,8 @@ def test_pipeline_runs_end_to_end(tmp_path):
     path, _ = write_config(tmp_path, {"data": {"resumes": str(out / "resumes.jsonl")}})
     assert main(["build-graph", "--config", str(path)]) == 0
     summary = json.loads((out / "graph_summary.json").read_text())
-    assert summary["weight_sum"] == pytest.approx(1.0, abs=1e-9)
+    assert summary.keys() == {"nodes", "edges", "transitions", "pairs"}
+    assert summary["transitions"] >= summary["pairs"] > 0
 
     path, _ = write_config(tmp_path, {"data": {"pairs": str(out / "pairs.tsv")}})
     assert main(["train-poincare", "--config", str(path)]) == 0
@@ -820,7 +821,7 @@ def test_seeded_graph_eval_and_mobility_outputs_are_pinned(tmp_path):
         "mobility_report.json":
             "9feeefe4b78040f7b781df79bcad5fd6f60e4737e4ed8cf3f686abdb4d1f9024",
         "pairs.tsv": "262747f6acfbf63c32a4a5d175c95710d7f44d311f40fd3b534301ca585611ea",
-        "graph_summary.json": "375c040f510c3e24a5f8aa9990af1a6e49c84b61e2a5791665db2606b7853d06",
+        "graph_summary.json": "1c22a1a17d7461003f262bb52a8c9d6867cdc3511ae3216bd7a157b7a7bcffd1",
         "mappings.tsv": "85baeb485518f4aac1c2f6e323bbe92a7253c62124544544ddbf0155b2392da6",
     }
 

@@ -72,8 +72,7 @@ def test_all_zero_inputs_give_zero_keys(params):
 
 
 def test_keys_stay_strictly_inside_unit_interval(params, views):
-    out = ca.co_attend(*views, params)
-    for key in out.keys:
+    for key in ca.attention_keys(*views, ca.affinities(*views, params), params):
         assert np.all(np.abs(key.data) < 1)
 
 
@@ -81,8 +80,8 @@ def test_key_gradients_match_finite_differences(params, views):
     x_h, x_b, x_s = views
 
     def loss():
-        out = ca.co_attend(x_h, x_b, x_s, params)
-        return nx.tsum(out.x_hat_h) + nx.tsum(out.x_hat_b) + nx.tsum(out.x_hat_s)
+        x_hat_h, x_hat_b, x_hat_s = ca.co_attend(x_h, x_b, x_s, params)
+        return nx.tsum(x_hat_h) + nx.tsum(x_hat_b) + nx.tsum(x_hat_s)
 
     err = finite_difference_check(loss, list(nx.tensor_fields(params).values()))
     assert err <= 1e-4
@@ -116,8 +115,7 @@ def test_apply_shape_mismatch_rejected():
 
 
 def test_attended_magnitude_never_exceeds_input(params, views):
-    out = ca.co_attend(*views, params)
-    for x_hat, x in ((out.x_hat_h, views[0]), (out.x_hat_b, views[1]), (out.x_hat_s, views[2])):
+    for x_hat, x in zip(ca.co_attend(*views, params), views):
         assert np.all(np.abs(x_hat.data) <= np.abs(x.data) + 1e-15)
 
 
@@ -125,8 +123,8 @@ def test_zero_cross_weights_degrade_to_solo_attention(params, views):
     x_h, x_b, x_s = views
     for name in ("w_cross_bh", "w_cross_sh", "w_cross_hb", "w_cross_sb", "w_cross_hs", "w_cross_bs"):
         getattr(params, name).data[...] = 0.0
-    out = ca.co_attend(x_h, x_b, x_s, params)
+    x_hat_h, _, _ = ca.co_attend(x_h, x_b, x_s, params)
     solo_key = np.tanh(x_h.data @ params.w_self_h.data.T)
     expected = np.exp(solo_key - solo_key.max(axis=1, keepdims=True))
     expected /= expected.sum(axis=1, keepdims=True)
-    assert np.allclose(out.x_hat_h.data, expected * x_h.data, atol=1e-14)
+    assert np.allclose(x_hat_h.data, expected * x_h.data, atol=1e-14)

@@ -110,8 +110,7 @@ def test_single_person_record_and_transition_counts():
     taxonomy, labeled = gen_taxonomy(config)
     records = gen_resumes(config, taxonomy, labeled)
     assert len(records) == 5
-    graph = build_transition_graph(person_sequences(records))
-    assert graph.total_transitions == 4
+    assert build_transition_graph(person_sequences(records))["transitions"] == 4
 
 
 def test_identity_matrix_keeps_every_person_in_one_group():

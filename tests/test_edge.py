@@ -13,11 +13,11 @@ import numpy as np
 
 import titlemap
 from titlemap.config import TrainConfig
+from titlemap.formats import VectorTable
 from titlemap.graph import JobRecord
 from titlemap.poincare import HyperbolicEmbeddingTable
 from titlemap.model import FeaturePipeline, forward_probabilities, init_model
 from titlemap.semantic import (
-    EmbeddingCache,
     HashedNgramProvider,
     PrecomputedProvider,
     embed_titles,
@@ -31,11 +31,9 @@ from helpers import record_canonicalize_calls
 def test_nothing_below_the_edge_canonicalizes(monkeypatch):
     calls = record_canonicalize_calls(monkeypatch)
     taxonomy = Taxonomy(titles=["data analyst", "head chef", "pilot"])
-    table = HyperbolicEmbeddingTable(dim=3, seed=0, vectors={"data analyst": np.full(3, 0.1)})
+    table = HyperbolicEmbeddingTable(["data analyst"], np.full((1, 3), 0.1), seed=0)
     hashed = HashedNgramProvider(dimension=8, seed=0)
-    precomputed = PrecomputedProvider(
-        EmbeddingCache(dimension=8, vectors={"pilot": np.full(8, 0.25)}), fallback=hashed
-    )
+    precomputed = PrecomputedProvider(VectorTable(["pilot"], np.full((1, 8), 0.25)), fallback=hashed)
     model = init_model(taxonomy, TrainConfig(d_h=3, d_b=8, d_r=2))
     keys = ["data analyst", "sous chef", "pilot", "data analyst"]
     for provider in (hashed, precomputed):

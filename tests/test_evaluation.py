@@ -3,6 +3,7 @@ import pytest
 
 from titlemap import evaluation as ev
 from titlemap.errors import DataError, EvaluationError, MissingTitleError, NumericError
+from titlemap.formats import VectorTable
 from titlemap.graph import ParentChildPair
 from titlemap.model import gold_rank, hit_at, ndcg_at, precision_at
 
@@ -241,13 +242,14 @@ def test_link_prediction_selects_operator_and_reports_auc():
             a, b = rng.integers(15, size=2)
             if a != b:  # a career move, as build-graph writes them
                 pairs.append(ParentChildPair(parent=f"b{block}n{b}", child=f"b{block}n{a}"))
-    vectors = {}
     # sorted, so the draw order does not depend on string hashing
-    for node in sorted({t for pair in pairs for t in pair}):
-        block = 1.0 if node.startswith("b1") else -1.0
-        vectors[node] = np.concatenate([np.full(4, block), rng.normal(0, 0.05, 4)])
+    nodes = sorted({t for pair in pairs for t in pair})
+    table = VectorTable(nodes, np.array([
+        np.concatenate([np.full(4, 1.0 if node.startswith("b1") else -1.0), rng.normal(0, 0.05, 4)])
+        for node in nodes
+    ]))
     split = ev.make_link_split(pairs, seed=3)
-    report = ev.link_prediction_auc(split, vectors, seed=3, epochs=60)
+    report = ev.link_prediction_auc(split, table, seed=3, epochs=60)
     assert set(report.per_operator) == set(ev.EDGE_OPERATORS)
     assert report.best_operator in ev.EDGE_OPERATORS
     best_dev = report.per_operator[report.best_operator]["dev_auc"]
@@ -257,17 +259,17 @@ def test_link_prediction_selects_operator_and_reports_auc():
 
 def test_link_prediction_requires_vectors_for_all_nodes():
     split = ev.make_link_split(chain_pairs(20), seed=0)
-    vectors = {node: np.ones(3) for node in split.nodes[:-2]}
-    with pytest.raises(MissingTitleError):
-        ev.link_prediction_auc(split, vectors)
+    table = VectorTable(split.nodes[:-2], np.ones((len(split.nodes) - 2, 3)))
+    with pytest.raises(MissingTitleError, match="no vector for 2 node"):
+        ev.link_prediction_auc(split, table)
 
 
 def test_link_prediction_is_deterministic_per_seed():
     split = ev.make_link_split(chain_pairs(40), seed=5)
     rng = np.random.default_rng(0)
-    vectors = {node: rng.normal(size=4) for node in split.nodes}
-    first = ev.link_prediction_auc(split, vectors, seed=5, epochs=10)
-    assert ev.link_prediction_auc(split, vectors, seed=5, epochs=10) == first
+    table = VectorTable(split.nodes, rng.normal(size=(len(split.nodes), 4)))
+    first = ev.link_prediction_auc(split, table, seed=5, epochs=10)
+    assert ev.link_prediction_auc(split, table, seed=5, epochs=10) == first
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from titlemap.errors import (
     NumericError,
     TitlemapError,
 )
-from titlemap.formats import read_rows, write_rows, write_vectors
+from titlemap.formats import VectorTable, read_rows, write_rows, write_vectors
 from titlemap.graph import load_pairs, load_records
 from titlemap.model import TrainConfig, init_model, load_model, save_model
 from titlemap.poincare import HyperbolicEmbeddingTable
@@ -279,23 +279,24 @@ def test_rule_violation_names_its_line(fmt, text, error, where, scratch):
 def test_vector_titles_are_canonical_keys(scratch):
     path = scratch / "canonical.tsv"
     path.write_text("#embeddings d=2 normalize=false\n  Data  ENGINEER \t0.5,0.25\n")
-    cache = load_precomputed(path)
-    assert list(cache.vectors) == ["data engineer"]
-    assert np.array_equal(cache.vectors["data engineer"], [0.5, 0.25])
+    table = load_precomputed(path)
+    assert table.titles == ["data engineer"]
+    assert np.array_equal(table.matrix, [[0.5, 0.25]])
 
 
 def test_vector_rows_are_written_like_the_per_element_writer(scratch):
     # signed zero, the smallest subnormal, values whose shortest repr switches
     # to exponent form, and one that is not exact in binary
     vectors = {
-        "chef": np.array([-0.0, 5e-324, 1e-05, 1e16, 0.1]),
         "pilot": np.array([0.0, -1e-05, 1.5e-323, -1e16, 1 / 3]),
+        "chef": np.array([-0.0, 5e-324, 1e-05, 1e16, 0.1]),
     }
     path = scratch / "vectors.tsv"
-    write_vectors(path, "#embeddings d=5 normalize=false", vectors)
+    write_vectors(path, "#embeddings d=5 normalize=false",
+                  VectorTable(list(vectors), np.array(list(vectors.values()))))
     rows = "".join(f"{t}\t" + ",".join(repr(float(v)) for v in vectors[t]) + "\n"
                    for t in sorted(vectors))
     assert path.read_bytes() == ("#embeddings d=5 normalize=false\n" + rows).encode()
-    loaded = load_precomputed(path).vectors
-    for title, vec in vectors.items():
-        assert loaded[title].tobytes() == vec.tobytes()
+    loaded = load_precomputed(path)
+    assert loaded.titles == sorted(vectors)
+    assert loaded.matrix.tobytes() == np.array([vectors[t] for t in sorted(vectors)]).tobytes()

@@ -51,6 +51,15 @@ def trainer_distance(a, b):
     return float(_distance_batch(a, b[None], (a - b)[None])[0][0])
 
 
+def point(table, title):
+    """The row of `title` in a table."""
+    return table.matrix[table.index[title]]
+
+
+def max_row_norm(table):
+    return max(np.linalg.norm(x) for x in table.matrix)
+
+
 def random_ball_point(rng, dim, max_norm=0.9):
     v = rng.standard_normal(dim)
     return v / np.linalg.norm(v) * max_norm * rng.uniform(0, 1) ** (1 / dim)
@@ -156,7 +165,7 @@ def test_single_pair_distance_decreases():
         [ParentChildPair(parent="p", child="c")],
         m=2,
         config=PoincareConfig(epochs=10, lr=2e-4, burn_in_epochs=0, seed=3),
-        on_epoch=lambda e, v: dists.append(poincare_distance(v["c"], v["p"])),
+        on_epoch=lambda e, t: dists.append(poincare_distance(point(t, "c"), point(t, "p"))),
     )
     assert len(dists) == 10
     assert all(b < a for a, b in zip(dists, dists[1:]))
@@ -169,7 +178,7 @@ def test_ball_invariant_holds_after_every_epoch():
         pairs,
         m=5,
         config=PoincareConfig(epochs=8, lr=0.5, seed=0),
-        on_epoch=lambda e, v: max_norms.append(max(np.linalg.norm(x) for x in v.values())),
+        on_epoch=lambda e, t: max_norms.append(max_row_norm(t)),
     )
     assert all(norm <= 1 - BOUNDARY_EPS + 1e-12 for norm in max_norms)
 
@@ -178,24 +187,22 @@ def test_training_is_deterministic():
     pairs = balanced_tree_pairs()
     t1 = train_poincare(pairs, m=6, config=PoincareConfig(epochs=15, seed=11))
     t2 = train_poincare(pairs, m=6, config=PoincareConfig(epochs=15, seed=11))
-    assert t1.vectors.keys() == t2.vectors.keys()
-    for key in t1.vectors:
-        assert np.array_equal(t1.vectors[key], t2.vectors[key])
+    assert t1.titles == t2.titles
+    assert np.array_equal(t1.matrix, t2.matrix)
 
 
 def test_tree_children_end_up_near_their_parents():
     pairs = balanced_tree_pairs()
     table = train_poincare(pairs, m=10, config=PoincareConfig(epochs=120, lr=0.5, seed=7))
     rng = np.random.default_rng(0)
-    titles = sorted(table.vectors)
     parent_of = {p.child: p.parent for p in pairs}
     child_parent, child_random = [], []
     for child, parent in parent_of.items():
-        child_parent.append(poincare_distance(table.vectors[child], table.vectors[parent]))
+        child_parent.append(poincare_distance(point(table, child), point(table, parent)))
         ancestors = {child, parent, "n"}
-        others = [t for t in titles if t not in ancestors and not child.startswith(t)]
+        others = [t for t in table.titles if t not in ancestors and not child.startswith(t)]
         pick = others[int(rng.integers(len(others)))]
-        child_random.append(poincare_distance(table.vectors[child], table.vectors[pick]))
+        child_random.append(poincare_distance(point(table, child), point(table, pick)))
     assert np.mean(child_parent) < np.mean(child_random)
 
 
@@ -211,9 +218,9 @@ def test_table_tsv_round_trip_is_exact(tmp_path):
     path = tmp_path / "emb.tsv"
     table.export_tsv(path)
     loaded = HyperbolicEmbeddingTable.load_tsv(path)
-    assert loaded.dim == 4 and loaded.seed == 2
-    for key, vec in table.vectors.items():
-        assert np.array_equal(loaded.vectors[key], vec)
+    assert loaded.dim == 4 and loaded.seed == 2 and loaded.history == []
+    assert loaded.titles == table.titles  # trained in sorted order, written sorted
+    assert loaded.matrix.tobytes() == table.matrix.tobytes()
 
 
 def test_table_tsv_header_required(tmp_path):
@@ -237,7 +244,7 @@ def test_table_tsv_names_the_first_row_outside_the_ball(tmp_path):
     with pytest.raises(DataError, match=r"emb\.tsv:3: point is not inside the unit ball"):
         HyperbolicEmbeddingTable.load_tsv(path)
     path.write_text("#poincare m=2 seed=0\na\t0.6,0.0\nb\t0.6,-0.79\n")
-    assert HyperbolicEmbeddingTable.load_tsv(path).vectors.keys() == {"a", "b"}
+    assert HyperbolicEmbeddingTable.load_tsv(path).titles == ["a", "b"]
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +315,12 @@ def test_ball_invariant_and_determinism_when_batch_does_not_divide_pairs(monkeyp
         pairs,
         m=5,
         config=config,
-        on_epoch=lambda e, v: max_norms.append(max(np.linalg.norm(x) for x in v.values())),
+        on_epoch=lambda e, t: max_norms.append(max_row_norm(t)),
     )
     t2 = train_poincare(pairs, m=5, config=config)
     assert len(max_norms) == 8
     assert all(norm <= 1 - BOUNDARY_EPS + 1e-12 for norm in max_norms)
-    for key in t1.vectors:
-        assert np.array_equal(t1.vectors[key], t2.vectors[key])
+    assert np.array_equal(t1.matrix, t2.matrix)
     assert t1.history == t2.history
 
 
@@ -336,11 +342,11 @@ def test_mean_parent_rank_matches_a_pairwise_count():
     table = train_poincare(pairs, m=3, config=PoincareConfig(epochs=30, lr=0.5, seed=5))
     ranks = []
     for pair in pairs:
-        child = table.vectors[pair.child]
-        target = poincare_distance(child, table.vectors[pair.parent])
+        child = point(table, pair.child)
+        target = poincare_distance(child, point(table, pair.parent))
         closer = sum(
             1
-            for title, vec in table.vectors.items()
+            for title, vec in zip(table.titles, table.matrix)
             if title not in pair and poincare_distance(child, vec) < target
         )
         ranks.append(closer + 1)
@@ -491,7 +497,7 @@ def test_mean_parent_rank_on_generated_graph_matches_per_pair_trainer():
     taxonomy, labeled = gen_taxonomy(synth)
     pairs = extract_parent_child_pairs(person_sequences(gen_resumes(synth, taxonomy, labeled)))
     table = train_poincare(pairs, m=10, config=PoincareConfig(epochs=20, seed=1))
-    assert len(table.vectors) == 241  # a random table would rank parents near 120
+    assert len(table.titles) == 241  # a random table would rank parents near 120
     assert mean_parent_rank(table, pairs) == pytest.approx(
         PER_PAIR_MEAN_PARENT_RANK, rel=MEAN_PARENT_RANK_TOLERANCE
     )

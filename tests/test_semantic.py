@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from titlemap.errors import ConfigError, DegenerateInputError, FormatError, MissingTitleError
+from titlemap.formats import VectorTable
 from titlemap.semantic import (
-    EmbeddingCache,
     HashedNgramProvider,
     PrecomputedProvider,
     embed_titles,
@@ -66,21 +66,20 @@ def test_small_dimension_rejected():
 
 def test_embed_titles_counts():
     provider = HashedNgramProvider(dimension=32, seed=0)
-    assert len(embed_titles(provider, []).vectors) == 0
-    cache = embed_titles(provider, ["a b", "c", "d e f"])
-    assert len(cache.vectors) == 3
-    assert all(abs(np.linalg.norm(v) - 1) <= 1e-9 for v in cache.vectors.values())
+    assert embed_titles(provider, []).matrix.shape == (0, 32)
+    table = embed_titles(provider, ["a b", "c", "d e f", "c"])
+    assert table.titles == ["a b", "c", "d e f"] and table.matrix.shape == (3, 32)
+    assert all(abs(np.linalg.norm(v) - 1) <= 1e-9 for v in table.matrix)
 
 
 def test_embeddings_tsv_round_trip(tmp_path):
     provider = HashedNgramProvider(dimension=16, seed=3)
-    cache = embed_titles(provider, ["chef", "pilot"])
+    table = embed_titles(provider, ["pilot", "chef"])
     path = tmp_path / "emb.tsv"
-    write_embeddings(path, cache)
+    write_embeddings(path, table)
     loaded = load_precomputed(path)
-    assert loaded.dimension == 16
-    for title, vec in cache.vectors.items():
-        assert np.max(np.abs(loaded.vectors[title] - vec)) <= 1e-12
+    assert loaded.dim == 16 and loaded.titles == ["chef", "pilot"]  # written sorted
+    assert np.array_equal(loaded.matrix, table.matrix[[1, 0]])
 
 
 def test_load_rejects_row_with_wrong_dimension(tmp_path):
@@ -102,8 +101,7 @@ def test_load_rejects_duplicate_title(tmp_path):
 def test_load_normalize_flag_renormalizes(tmp_path):
     path = tmp_path / "emb.tsv"
     path.write_text("#embeddings d=2 normalize=true\nchef\t3.0,4.0\n")
-    cache = load_precomputed(path)
-    assert np.allclose(cache.vectors["chef"], [0.6, 0.8])
+    assert np.allclose(load_precomputed(path).matrix, [[0.6, 0.8]])
 
 
 def test_precomputed_provider_falls_back_for_missing_titles(tmp_path):
@@ -112,14 +110,11 @@ def test_precomputed_provider_falls_back_for_missing_titles(tmp_path):
     path.write_text("#embeddings d=16 normalize=false\nchef\t" + ",".join(["0.25"] * 16) + "\n")
     mixed = PrecomputedProvider(load_precomputed(path), fallback=provider)
     out = embed_titles(mixed, ["chef", "pilot"])
-    assert np.array_equal(out.vectors["chef"], np.full(16, 0.25))
-    assert np.array_equal(out.vectors["pilot"], provider.embed("pilot"))
+    assert np.array_equal(out.matrix, [np.full(16, 0.25), provider.embed("pilot")])
 
 
 def test_precomputed_provider_without_fallback_lists_missing():
-    cache = EmbeddingCache(dimension=8)
-    cache.vectors["chef"] = np.ones(8) / np.sqrt(8)
-    provider = PrecomputedProvider(cache, fallback=None)
+    provider = PrecomputedProvider(VectorTable(["chef"], np.full((1, 8), 8 ** -0.5)))
     with pytest.raises(MissingTitleError) as exc:
         embed_titles(provider, ["chef", "pilot", "nurse"])
     message = str(exc.value)
@@ -127,9 +122,8 @@ def test_precomputed_provider_without_fallback_lists_missing():
 
 
 def test_fallback_dimension_must_match():
-    cache = EmbeddingCache(dimension=8)
     with pytest.raises(ConfigError):
-        PrecomputedProvider(cache, fallback=HashedNgramProvider(dimension=16))
+        PrecomputedProvider(VectorTable([], np.empty((0, 8))), fallback=HashedNgramProvider(16))
 
 
 def test_hashed_batch_equals_the_per_title_oracle_bit_for_bit():
@@ -160,16 +154,19 @@ def test_cancelled_hashed_vector_names_its_title_in_a_batch():
         HashedNgramProvider(dimension=8, seed=0).embed(CANCELLING_TITLE)
 
 
-def test_precomputed_batch_stacks_hits_and_sends_misses_to_the_fallback():
+def test_precomputed_batch_gathers_hits_and_sends_only_misses_to_the_fallback(monkeypatch):
     fallback = HashedNgramProvider(dimension=8, seed=0)
-    cache = EmbeddingCache(dimension=8)
-    cache.vectors["chef"] = np.full(8, 0.25)
-    cache.vectors["pilot"] = np.arange(8.0)
-    provider = PrecomputedProvider(cache, fallback=fallback)
+    sent, embed_batch = [], fallback.embed_batch
+    monkeypatch.setattr(fallback, "embed_batch",
+                        lambda titles: sent.append(titles) or embed_batch(titles))
+    stored = {"chef": np.full(8, 0.25), "pilot": np.arange(8.0)}
+    provider = PrecomputedProvider(VectorTable(list(stored), np.array(list(stored.values()))),
+                                   fallback=fallback)
     titles = ["pilot", "nurse", "chef", "nurse", "clerk"]
     out = provider.embed_batch(titles)
+    assert sent == [["nurse", "nurse", "clerk"]]
     for title, row in zip(titles, out):
-        expected = cache.vectors.get(title)
+        expected = stored.get(title)
         if expected is None:
             expected = per_title_hashed_embed(title, 8, 0)
         assert np.array_equal(row, expected)

@@ -7,7 +7,9 @@ finds its distinct pairs without `np.unique` (which imports `numpy.ma`), and
 the serving stages build a loaded model without an initialization draw (which
 imports `numpy.random`); `map` and `eval` read their titles as keys, so
 neither loads `graph`. The serving stages fold both views on the calling
-thread, so none of them loads `concurrent.futures`. `linkpred` reads the
+thread, so none of them loads `concurrent.futures`. The model's two
+warnings are printed to stderr, so no stage that loads the model loads
+`logging`. `linkpred` reads the
 pairs and the hyperbolic table alone, so it loads none of the mapper's
 modules, and its negative sampler counts pairs without `np.unique`. Each
 stage runs in a fresh interpreter, as on the command line, so an import
@@ -135,4 +137,10 @@ def test_stage_leaves_unused_numpy_modules_unimported(fixture_dir, stage, absent
 @pytest.mark.parametrize("stage", ["map", "eval", "mobility"])
 def test_serving_stage_starts_no_worker_pool(fixture_dir, stage):
     report = _run_stage(fixture_dir, stage, ["concurrent.futures"])
+    assert report["preloaded"] == [] and report["imported"] == []
+
+
+@pytest.mark.parametrize("stage", ["train", "map", "eval", "mobility"])
+def test_model_stage_does_not_load_logging(fixture_dir, stage):
+    report = _run_stage(fixture_dir, stage, ["logging"])
     assert report["preloaded"] == [] and report["imported"] == []

@@ -14,11 +14,11 @@ from titlemap import poincare
 from titlemap import reasoning as rs
 from titlemap.model import FeaturePipeline, TrainConfig, _TrainContext, init_model, loss_on_batch
 from titlemap.numerics import Tensor
-from titlemap.poincare import HyperbolicEmbeddingTable, PoincareConfig
+from titlemap.poincare import PoincareConfig
 from titlemap.semantic import HashedNgramProvider
 from titlemap.syntactic import Taxonomy
 
-from helpers import balanced_tree_pairs, desk_serving_world
+from helpers import balanced_tree_pairs, desk_serving_world, empty_ball_table
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -92,7 +92,7 @@ def test_traced_serving_counts_input_rows_and_distinct_scored_rows():
     d_h, d_b = 3, 8
     model = init_model(taxonomy, TrainConfig(d_h=d_h, d_b=d_b, d_r=2))
     pipeline = FeaturePipeline(
-        HyperbolicEmbeddingTable(dim=d_h, seed=0), HashedNgramProvider(dimension=d_b), taxonomy
+        empty_ball_table(d_h), HashedNgramProvider(dimension=d_b), taxonomy
     )
     titles = ["aa bb", "aa bb", "cc xx", "aa bb", "zz", "cc xx"]
     tracing = load_tracing()
