@@ -154,7 +154,7 @@ def test_cancelled_hashed_vector_names_its_title_in_a_batch():
         HashedNgramProvider(dimension=8, seed=0).embed(CANCELLING_TITLE)
 
 
-def test_precomputed_batch_gathers_hits_and_sends_only_misses_to_the_fallback(monkeypatch):
+def test_precomputed_batch_stacks_hits_and_sends_misses_to_the_fallback(monkeypatch):
     fallback = HashedNgramProvider(dimension=8, seed=0)
     sent, embed_batch = [], fallback.embed_batch
     monkeypatch.setattr(fallback, "embed_batch",
