@@ -178,8 +178,9 @@ def _forward(
     """Forward pass; with `ctx` also returns the training-only loss pieces.
 
     It computes in the dtype of the model's tensors and the views: float64
-    for training, float32 for `forward_probabilities`. Both clause folds run
-    in turn on the calling thread."""
+    for training, float32 for `forward_probabilities`. The two clause folds
+    compute in float32 in both (`rs.clause_representation`) and run in turn
+    on the calling thread."""
     th, tb, ts = Tensor(x_h), Tensor(x_b), Tensor(x_s)
     out: dict = {}
     training = ctx is not None
@@ -289,12 +290,13 @@ def forward_probabilities(
     key, so equal keys get identical rows. The pass is float32 end to end:
     the model's float64 weights and the five views are cast once per call,
     and co-attention, both clause folds, the head and the softmax run in
-    float32 through the forward pass training runs in float64. Against that
-    float64 pass, on the tests' gate fixtures (a fresh desk-width model and
-    a G=200 one with a sharpened head), a probability moves by less than
+    float32 through the forward pass training runs in float64 (with its
+    clause folds in float32). Against that pass run all in float64, folds
+    included, on the tests' gate fixtures (a fresh desk-width model and a
+    G=200 one with a sharpened head), a probability moves by less than
     1e-6, the top class stays and the order changes only between near-equal
     probabilities. Trained models have larger logits: on those the README
-    and fit-g50 configs train, a probability moved by up to 1.2e-6, with
+    and fit-g50 configs train, a probability moved by up to 1.02e-6, with
     the same top 10. Every step of the forward pass acts per row, but the
     BLAS products are not bitwise row-independent: a row can differ in its
     last bits from scoring that key alone or among other keys."""

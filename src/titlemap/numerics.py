@@ -6,12 +6,16 @@ backward rules on the tape, and `GradTape.backward` replays the tape in
 reverse to accumulate gradients into the `requires_grad` leaves.
 
 Precision is the arrays' dtype. On the tape every array is float64: an op
-that would record a tensor of another dtype raises `ContractError`. Off the
-tape a `Tensor` may hold float32 as well, and an op computes in the dtype
-numpy gives its operands, so a pass whose tensors are all float32 runs in
-float32 throughout (serving does; see `model.forward_probabilities`). Under
-numpy's promotion rules one float64 array or numpy scalar in such a pass
-turns it back to float64; a Python float does not.
+that would record a tensor of another dtype raises `ContractError`. A fused
+op (`fused_op`) may compute in lower precision inside its node, provided its
+value and the gradients its backward returns are float64 at the node's
+boundary; the clause fold computes in float32 that way
+(`reasoning.clause_representation`). Off the tape a `Tensor` may hold
+float32 as well, and an op computes in the dtype numpy gives its operands,
+so a pass whose tensors are all float32 runs in float32 throughout (serving
+does; see `model.forward_probabilities`). Under numpy's promotion rules one
+float64 array or numpy scalar in such a pass turns it back to float64; a
+Python float does not.
 
 Scope is deliberately small: 1-D/2-D arrays, the operations the mapper
 actually needs, and a plain Adam optimizer. Gradients sum on node reuse; a

@@ -25,19 +25,20 @@ keeps 4·d_r floats per row per step, an untaped one a single block. The
 composed weight and the split OR product round differently from
 `or_op(..., not_op(event_head(...)))`, where `not_op`, tanh(e W_notᵀ +
 b_not), is the tests' oracle of NOT (`tests/helpers.py`; no code here
-applies NOT alone). So the fold agrees with that composition within 1e-12
-relative (the tests' bound), not bit for bit. The fold computes in the
-dtype of its inputs: float64 on the tape, float32 as well off it, as
-serving does; taped and untaped calls are bit-identical. The six
-regularizers with their cosines are one tape node per call as well, and
-agree with composing the tests' `not_op` with `or_op` and `row_cosine`
-within the same bound.
+applies NOT alone). So at float64 the fold agrees with that composition
+within 1e-12 relative (the tests' bound), not bit for bit. The fold always
+computes in float32, in training as in serving, with float64 at its tape
+boundary: its value has the projections' dtype and its gradients are
+float64, and taped and untaped calls are bit-identical. Everything else in
+a training step stays float64. The six regularizers with their cosines are
+one tape node per call as well, and agree with composing the tests'
+`not_op` with `or_op` and `row_cosine` within 1e-12 relative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -141,18 +142,19 @@ def encode_views(
 
 
 # Working-set budget of one block of fold steps, in bytes of the block's
-# hidden layer: (steps, batch, 2·d_r) float64s. At d_r 16 that is 8 steps at
-# batch 192, 3 at batch 512 and 25 at batch 60. A float32 fold runs the same
-# steps per block in half the bytes: blocks twice as long, to fill the budget
-# at float32, saved about 2 % of a serving stage's time, inside its
-# run-to-run spread, and raised its peak RSS by about 1 MB.
+# hidden layer counted as (steps, batch, 2·d_r) float64s. At d_r 16 that is 8
+# steps at batch 192, 3 at batch 512 and 25 at batch 60. The fold computes in
+# float32 (`clause_representation`), so a block fills half the budget: blocks
+# twice as long, to fill it at float32, saved about 2 % of a serving stage's
+# time, inside its run-to-run spread, and raised its peak RSS by about 1 MB.
+# A float64 `_clause_fold`, as the tests run it, fills it all.
 _FOLD_BLOCK_BYTES = 384 * 1024
 
 
 def fold_block_steps(batch: int, width: int) -> int:
     """Steps per block of the clause fold over `batch` rows whose hidden
     layer is `width` floats wide: as many as `_FOLD_BLOCK_BYTES` holds at
-    float64, at least one."""
+    float64, at least one, whatever dtype the fold computes in."""
     return max(1, _FOLD_BLOCK_BYTES // max(1, batch * width * 8))
 
 
@@ -168,7 +170,46 @@ def clause_representation(
     `order` permutes the fold (shuffled per training step, natural taxonomy
     order at inference) and may repeat a candidate. The output never sees
     the gold candidate's positive literal. The fold is one tape node with a
-    hand-written backward through time.
+    hand-written backward through time (`_clause_fold`).
+
+    The fold always computes in float32, the mixed precision of Micikevicius
+    et al. (arXiv:1710.03740): the projections and the seven fold weights
+    are cast to float32, which copies nothing when serving, where they
+    already are. The value comes back in the projections' dtype and the
+    nine gradients in float64, so a taped call is a float64 node on a
+    float64 tape (`numerics`), and the weights and the optimizer stay
+    float64. Taped, untaped and serving calls fold the same float32 arrays,
+    so their values are equal. Against the fold at float64, and the tests'
+    tape-unrolled oracle, value and gradients agree within a few float32
+    ulps of their scale, not within float64's 1e-12.
+    """
+    inputs = (j_pre, v_pre) + _fold_weights(params)
+    fold, backward = _clause_fold([t.data.astype(np.float32, copy=False) for t in inputs],
+                                  order, nx.recording(inputs))
+
+    def float64_backward(g):
+        return [grad.astype(np.float64) for grad in backward(g.astype(np.float32))]
+
+    return nx.fused_op(fold.astype(j_pre.data.dtype, copy=False), inputs, float64_backward)
+
+
+def _fold_weights(params: ReasoningParams) -> tuple[Tensor, ...]:
+    """The fold's weight inputs, in the order its backward returns them."""
+    return (params.enc_w2, params.enc_b2, params.not_w, params.not_b,
+            params.or_w_left, params.or_w_right, params.or_b)
+
+
+def _clause_fold(
+    arrays: Sequence[np.ndarray],
+    order: Optional[np.ndarray],
+    taped: bool,
+) -> tuple[np.ndarray, Callable]:
+    """The body of `clause_representation`: the fold's value and its
+    backward over the arrays of its nine inputs (`j_pre`, `v_pre`, then
+    `_fold_weights`), keeping every step for the backward if `taped`. It
+    records nothing on the tape, and computes in the arrays' dtype: the
+    value, every work array and the nine gradients `backward(g)` returns
+    have it.
 
     NOT is composed with the event head once per call: literal t is
     tanh(h_t W_negᵀ + b_neg), with hidden layer h_t = tanh(j_pre +
@@ -185,50 +226,32 @@ def clause_representation(
     after the loop one scatter-add of those rows (an `order` may repeat a
     candidate).
 
+    The backward never runs on subnormal numbers, which are slow: it flushes
+    the recurrence's gradient to zero once its largest magnitude falls below
+    `tiny / eps` of the dtype (about 1e-31 in float32, 1e-292 in float64),
+    and at the first block that receives an all-zero gradient it sets the
+    g_v rows of the steps before it to zero and stops, since every gradient
+    those steps would add is zero.
+
     A taped call keeps every step's hidden layer, literal and state, 4·d_r
     floats per row per step; an untaped call keeps one block of each and the
     last state. Composing NOT with the head and taking OR as
     state W_leftᵀ + r_t round differently from applying `event_head`, the
-    tests' oracle `not_op` and `or_op` in turn, so value and gradients
-    agree with that composition within 1e-12 relative, not bit for bit.
-
-    The fold computes in the dtype of the projections and the weights, and
-    its value has that dtype: float32 when serving
-    (`model.forward_probabilities`), float64 on a tape, which records
-    nothing else (`numerics`). Taped and untaped calls run the same block
-    shapes and are bit-identical.
+    tests' oracle `not_op` and `or_op` in turn, so at float64 value and
+    gradients agree with that composition within 1e-12 relative, not bit
+    for bit. Taped and untaped calls run the same block shapes and are
+    bit-identical.
     """
-    inputs = (j_pre, v_pre) + _fold_weights(params)
-    fold, backward = _clause_fold(j_pre, v_pre, params, order, nx.recording(inputs))
-    return nx.fused_op(fold, inputs, backward)
-
-
-def _fold_weights(params: ReasoningParams) -> tuple[Tensor, ...]:
-    """The fold's weight inputs, in the order its backward returns them."""
-    return (params.enc_w2, params.enc_b2, params.not_w, params.not_b,
-            params.or_w_left, params.or_w_right, params.or_b)
-
-
-def _clause_fold(
-    j_pre: Tensor,
-    v_pre: Tensor,
-    params: ReasoningParams,
-    order: Optional[np.ndarray],
-    taped: bool,
-) -> tuple[np.ndarray, Callable]:
-    """The body of `clause_representation`: the fold's value and its
-    backward, keeping every step for the backward if `taped`. It reads only
-    the arrays of its inputs and records nothing on the tape."""
-    n_cand = v_pre.data.shape[0]
+    j, v, w2, b2, w_not, b_not, w_left, w_right, b_or = arrays
+    n_cand = v.shape[0]
     if n_cand == 0:
         raise DegenerateInputError("clause_representation: empty candidate set")
     sequence = np.arange(n_cand) if order is None else np.asarray(order, dtype=np.intp)
-    w2, b2, w_not, b_not, w_left, w_right, b_or = (t.data for t in _fold_weights(params))
     w_neg = w_not @ w2  # NOT after the event head's linear layer
     b_neg = b2 @ w_not.T + b_not
     # BLAS multiplies by a contiguous right operand faster than by a transposed view
     w_neg_t, w_left_t, w_right_t = (np.ascontiguousarray(w.T) for w in (w_neg, w_left, w_right))
-    j, v = j_pre.data, v_pre.data
+    dtype = j.dtype
     steps, (batch, width), d_r = len(sequence), j.shape, w_not.shape[0]
     # the biases repeated per batch row: numpy adds a (batch, d_r) operand
     # to a block over batch·d_r-long runs, a (d_r,) one over d_r-long runs
@@ -237,9 +260,9 @@ def _clause_fold(
     starts = range(0, steps, block)
     # time-major, so a block of steps is one contiguous slab of each
     kept = steps if taped else block
-    hidden = np.empty((kept, batch, width), j.dtype)
-    literals = np.empty((kept, batch, d_r), j.dtype)
-    states = np.empty((kept, batch, d_r), j.dtype)
+    hidden = np.empty((kept, batch, width), dtype)
+    literals = np.empty((kept, batch, d_r), dtype)
+    states = np.empty((kept, batch, d_r), dtype)
     for s in starts:
         n = min(block, steps - s)
         at = slice(s, s + n) if taped else slice(n)
@@ -264,17 +287,22 @@ def _clause_fold(
 
     def backward(g):
         g_w_left, g_w_right, g_w_neg = (np.zeros_like(w) for w in (w_left, w_right, w_neg))
-        g_b_or, g_b_neg, g_j = np.zeros(d_r), np.zeros(d_r), np.zeros_like(j)
-        g_v_rows = np.empty((steps, width))  # one row per step, scattered after the loop
-        ones = np.ones(block * batch)  # `ones @ x` sums rows several times faster than x.sum(0)
+        g_b_or, g_b_neg, g_j = np.zeros(d_r, dtype), np.zeros(d_r, dtype), np.zeros_like(j)
+        g_v_rows = np.empty((steps, width), dtype)  # one row per step, scattered after the loop
+        # `ones @ x` sums rows several times faster than x.sum(0)
+        ones = np.ones(block * batch, dtype)
         # per block: pre-activation gradients of OR, literal and hidden layer,
         # and the tanh slopes 1 - y² of states, literals and hidden layer
-        g_ors, g_lits = np.empty((block, batch, d_r)), np.empty((block, batch, d_r))
-        g_hs, slopes_h = np.empty((block, batch, width)), np.empty((block, batch, width))
-        slopes = np.empty((block, batch, d_r))
+        g_ors, g_lits, slopes = (np.empty((block, batch, d_r), dtype) for _ in range(3))
+        g_hs, slopes_h = (np.empty((block, batch, width), dtype) for _ in range(2))
+        magnitudes = np.empty((batch, d_r), dtype)
+        flush = np.finfo(dtype).tiny / np.finfo(dtype).eps  # below it, the next steps go subnormal
         g_state = g  # gradient of the state after the step in hand
         for s in reversed(starts):
             n = min(block, steps - s)
+            if not g_state.any():  # so is every gradient of this block and the ones before
+                g_v_rows[: s + n] = 0
+                break
             h, lit, st = hidden[s : s + n], literals[s : s + n], states[s : s + n]
             g_or, g_lit, g_h = g_ors[:n], g_lits[:n], g_hs[:n]
             slope, slope_h = slopes[:n], slopes_h[:n]
@@ -283,6 +311,8 @@ def _clause_fold(
                 np.multiply(g_state, slope[i], out=g_or[i])
                 if s + i:
                     g_state = g_or[i] @ w_left
+                    if np.maximum.reduce(np.abs(g_state, out=magnitudes), axis=None) < flush:
+                        g_state[...] = 0
             # step 0 has no OR: its slot holds the first literal's gradient
             first = 1 if s == 0 else 0
             ors = g_or[first:].reshape(-1, d_r)

@@ -179,6 +179,16 @@ def not_op(e, params):
     return nx.tanh(nx.matmul(e, nx.transpose(params.not_w)) + params.not_b)
 
 
+def float64_clause(j_pre, v_pre, params, order=None):
+    """`clause_representation` folding at float64 instead of float32: the
+    same one tape node over `_clause_fold`, on the float64 arrays of its
+    inputs. The oracle of the fold's kernel checks at 1e-12, and of the
+    serving gate's float64 pass."""
+    inputs = (j_pre, v_pre) + rs._fold_weights(params)
+    fold, backward = rs._clause_fold([t.data for t in inputs], order, nx.recording(inputs))
+    return nx.fused_op(fold, inputs, backward)
+
+
 def _sim(a, b):
     # cosine mapped to [0, 1] so every regularizer term is non-negative
     return nx.mul(rs.row_cosine(a, b) + nx.Tensor(1.0), nx.Tensor(0.5))

@@ -747,9 +747,9 @@ def test_seeded_train_report_is_pinned(tmp_path):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("model.json", "training_curve.csv")}
     assert digests == {
-        "model.json": "fa81667a38570c88ab6f5d328e01f80411c63947968deb7873864cd312201bca",
+        "model.json": "f824e38710a705d226e556074a24ca71c3d869f8ef3d100de66e82082810781c",
         "training_curve.csv":
-            "3125721bdd3ecb3512529cff668cb534e9ec6699bb5ec7e3a3e112be54a0533a",
+            "b5bc7fbfea6bf5c809714bb14e4aaed2bac8454a7d80741ac8138600a43586ab",
     }
 
 

@@ -35,7 +35,9 @@ from titlemap.poincare import PoincareConfig, train_poincare
 from titlemap.semantic import HashedNgramProvider
 from titlemap.syntactic import Taxonomy
 
-from helpers import FLOAT32_PROB_TOL, desk_serving_world, empty_ball_table, event_oracle
+from helpers import (
+    FLOAT32_PROB_TOL, desk_serving_world, empty_ball_table, event_oracle, float64_clause,
+)
 
 
 def tiny_world(groups=6, synonyms=3, persons=60, seed=0, d_h=6, d_b=16):
@@ -335,10 +337,11 @@ def test_rows_equal_the_distinct_batch_and_agree_with_scoring_alone_at_desk_dims
 
 
 # The float32 serving gate, against the same forward pass fed the float64
-# model and views. On a fresh model (`desk_serving_world`,
-# `g200_serving_world`): every probability within FLOAT32_PROB_TOL (1e-6;
-# the largest change seen was 3.7e-7), the same top class on every row, and
-# a top-k order that may differ only between classes whose float64
+# model and views, with its clause folds at float64 as well. On a fresh
+# model (`desk_serving_world`, `g200_serving_world`): every probability
+# within FLOAT32_PROB_TOL (1e-6; the largest change seen was 3.7e-7), the
+# same top class on every row, and a top-k order that may differ only
+# between classes whose float64
 # probabilities are less than FLOAT32_RANK_GAP apart (two probabilities that
 # each move by the tolerance can trade places). A trained model has larger
 # logits, and the head's float32 products move its probabilities more
@@ -350,10 +353,14 @@ TRAINED_FLOAT32_PROB_TOL = 2e-6
 
 def float64_probabilities(model, pipeline, keys):
     """The test oracle of `forward_probabilities`: the same pass over `keys`,
-    fed the float64 model and views instead of their float32 copies."""
+    fed the float64 model and views instead of their float32 copies, and
+    folding the clauses at float64 (`float64_clause`), where training's
+    `clause_representation` folds in float32."""
     v_b, v_s = Tensor(pipeline.standard_semantic()), Tensor(pipeline.standard_syntactic())
     views = pipeline.title_views(keys)
-    return model_module._probs_from_views(model, *views, v_b, v_s)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model_module.rs, "clause_representation", float64_clause)
+        return model_module._probs_from_views(model, *views, v_b, v_s)
 
 
 def assert_within_float32_gate(served, oracle, k):
@@ -413,8 +420,8 @@ def fit_g50_trained_world(seed=2):
     800 persons, 2 Poincare epochs, 50 training epochs at the README's
     rates), with the hyperbolic table it trains on, and its 300 distinct
     titles as the keys; the table holds 250 of them. Over data and train
-    seeds 1-3 the largest probability change of float32 serving was 7.6e-7,
-    1.09e-6 and 1.03e-6, with the same top 10 on every row; seed 2 is the
+    seeds 1-3 the largest probability change of float32 serving was 6.9e-7,
+    1.02e-6 and 7.6e-7, with the same top 10 on every row; seed 2 is the
     largest."""
     synth = SynthConfig(groups=50, synonyms=5, persons=800, seed=seed)
     taxonomy, labeled = gen_taxonomy(synth)
@@ -478,6 +485,31 @@ def test_serving_forward_stays_float32_end_to_end(monkeypatch):
     views = (x.astype(np.float32) for x in pipeline.title_views(titles))
     parts = model_module._forward(model_module._float32_copy(model), *views, v_b, v_s)
     assert parts["logits"].data.dtype == np.float32
+
+
+def test_serving_hands_its_float32_arrays_to_the_fold_without_a_copy(monkeypatch):
+    # the fold casts its inputs to float32, which must copy nothing when
+    # serving: the projections and fold weights are float32 already
+    model, pipeline, titles = desk_serving_world(n_titles=20)
+    calls, folded = [], []
+    original, original_fold = rs.clause_representation, rs._clause_fold
+
+    def clause(j_pre, v_pre, params, order=None):
+        calls.append((j_pre, v_pre) + rs._fold_weights(params))
+        return original(j_pre, v_pre, params, order)
+
+    def fold(arrays, order, taped):
+        folded.append(arrays)
+        return original_fold(arrays, order, taped)
+
+    monkeypatch.setattr(model_module.rs, "clause_representation", clause)
+    monkeypatch.setattr(rs, "_clause_fold", fold)
+    forward_probabilities(model, pipeline, titles)
+    assert len(calls) == len(folded) == 2
+    for inputs, arrays in zip(calls, folded):
+        assert len(arrays) == len(inputs) == 9
+        for t, array in zip(inputs, arrays):
+            assert array.dtype == np.float32 and np.shares_memory(array, t.data)
 
 
 def test_each_distinct_canonical_title_is_embedded_and_scored_once(monkeypatch):

@@ -9,7 +9,9 @@ from titlemap import reasoning as rs
 from titlemap.errors import ContractError, DegenerateInputError, DimensionError
 from titlemap.numerics import Tensor
 
-from helpers import event_oracle, finite_difference_check, not_op, taped_regularizers
+from helpers import (
+    event_oracle, finite_difference_check, float64_clause, not_op, taped_regularizers,
+)
 
 D_VIEW, D_R = 6, 8
 
@@ -70,15 +72,19 @@ def test_not_and_or_preserve_shape(params):
     assert rs.or_op(e, e, params).data.shape == (5, D_R)
 
 
-# The fused fold composes NOT with the event head's linear layer, so it rounds
-# differently from the tape-unrolled oracle below; values and gradients must
-# agree within this bound, relative to the largest magnitude of the oracle's.
+# The fused fold composes NOT with the event head's linear layer, so at
+# float64 (`float64_clause`) it rounds differently from the tape-unrolled
+# oracle below; values and gradients must agree within FOLD_RTOL, relative to
+# the largest magnitude of the oracle's. `clause_representation` folds in
+# float32: within FLOAT32_FOLD_RTOL of the same scale (measured at
+# FOLD_SHAPES: values at most 2.2 and gradients at most 9.6 float32 eps).
 FOLD_RTOL = 1e-12
+FLOAT32_FOLD_RTOL = 16 * np.finfo(np.float32).eps
 
 
-def assert_fold_close(actual, expected, name=""):
+def assert_fold_close(actual, expected, name="", rtol=FOLD_RTOL):
     scale = max(np.max(np.abs(expected)), 1e-300)
-    assert np.max(np.abs(actual - expected)) <= FOLD_RTOL * scale, name
+    assert np.max(np.abs(actual - expected)) <= rtol * scale, name
 
 
 def unrolled_fold(j, v, params, order):
@@ -98,10 +104,12 @@ def test_clause_single_candidate_is_negated_event(params):
     rng = np.random.default_rng(4)
     j = rand_rows(rng, 3, D_VIEW)
     v = rand_rows(rng, 1, D_VIEW)
-    out = rs.clause_representation(*rs.encode_views(j, v, params), params)
+    out = float64_clause(*rs.encode_views(j, v, params), params)
     expected = not_op(Tensor(event_oracle(params, j.data, v.data)), params)
     assert np.allclose(out.data, expected.data, atol=1e-12)
     assert_fold_close(out.data, unrolled_fold(j, v, params, [0]).data)
+    narrow = rs.clause_representation(*rs.encode_views(j, v, params), params)
+    assert_fold_close(narrow.data, expected.data, rtol=FLOAT32_FOLD_RTOL)
 
 
 def test_clause_rejects_empty_candidates(params):
@@ -127,7 +135,7 @@ def test_clause_fold_matches_hand_unrolled_oracle(params):
     j = rand_rows(rng, 2, D_VIEW)
     v = rand_rows(rng, 3, D_VIEW)
     order = np.array([1, 2, 0])
-    out = rs.clause_representation(*rs.encode_views(j, v, params), params, order=order)
+    out = float64_clause(*rs.encode_views(j, v, params), params, order=order)
 
     def event(k):
         return Tensor(event_oracle(params, j.data, v.data[k : k + 1]))
@@ -137,6 +145,8 @@ def test_clause_fold_matches_hand_unrolled_oracle(params):
     folded = rs.or_op(folded, not_op(event(0), params), params)
     assert np.allclose(out.data, folded.data, atol=1e-12)
     assert_fold_close(out.data, unrolled_fold(j, v, params, order).data)
+    narrow = rs.clause_representation(*rs.encode_views(j, v, params), params, order=order)
+    assert_fold_close(narrow.data, folded.data, rtol=FLOAT32_FOLD_RTOL)
 
 
 # The fold runs in blocks of steps whose length falls with the batch; at this
@@ -179,12 +189,15 @@ def fold_inputs(batch, n_cand, shuffled, seed, d_r=D_R):
 @pytest.mark.parametrize("batch,n_cand,shuffled", FOLD_SHAPES)
 def test_taped_and_untaped_fold_are_bit_identical(params, batch, n_cand, shuffled):
     j, v, order, _ = fold_inputs(batch, n_cand, shuffled, seed=12)
-    plain = rs.clause_representation(*rs.encode_views(j, v, params), params, order)
-    with nx.GradTape():
-        taped = rs.clause_representation(*rs.encode_views(j, v, params), params, order)
-    assert taped.requires_grad and not plain.requires_grad
-    assert np.array_equal(taped.data, plain.data)
-    assert_fold_close(taped.data, unrolled_fold(j, v, params, order).data)
+    oracle = unrolled_fold(j, v, params, order).data
+    for fold, rtol in ((float64_clause, FOLD_RTOL), (rs.clause_representation, FLOAT32_FOLD_RTOL)):
+        plain = fold(*rs.encode_views(j, v, params), params, order)
+        with nx.GradTape():
+            taped = fold(*rs.encode_views(j, v, params), params, order)
+        assert taped.requires_grad and not plain.requires_grad
+        assert taped.data.dtype == np.float64
+        assert np.array_equal(taped.data, plain.data)
+        assert_fold_close(taped.data, oracle, rtol=rtol)
 
 
 # sha256 of each FOLD_SHAPES case's untaped and taped value and the taped
@@ -214,8 +227,9 @@ def fold_digest(params, batch, n_cand, shuffled, d_r=D_R):
     j, v, order, weights = fold_inputs(batch, n_cand, shuffled, seed=14, d_r=d_r)
     pre = rs.encode_views(j, v, params)
     digest = hashlib.sha256()
+    arrays = [t.data for t in pre + rs._fold_weights(params)]
     for taped in (False, True):
-        fold, backward = rs._clause_fold(*pre, params, order, taped)
+        fold, backward = rs._clause_fold(arrays, order, taped)
         digest.update(fold.tobytes())
     grads = backward(weights.data)
     assert len(grads) == 9
@@ -268,12 +282,16 @@ def test_float32_fold_agrees_with_the_float64_fold(params, batch, n_cand, shuffl
     # of float32 over the whole fold (measured at these shapes: at most 1.2e-7)
     j, v, order, _ = fold_inputs(batch, n_cand, shuffled, seed=15)
     pre = rs.encode_views(j, v, params)
-    wide = rs.clause_representation(*pre, params, order)
+    wide = float64_clause(*pre, params, order)
     narrow_pre, narrow_params = float32_fold_inputs(pre, params)
     narrow = rs.clause_representation(*narrow_pre, narrow_params, order)
     assert narrow.data.dtype == np.float32 and not narrow.requires_grad
     assert np.allclose(narrow.data, wide.data, rtol=0, atol=16 * np.finfo(np.float32).eps)
     assert not np.array_equal(narrow.data, wide.data)
+    # training's fold casts the same float64 arrays to the same float32 ones
+    training = rs.clause_representation(*pre, params, order)
+    assert training.data.dtype == np.float64
+    assert np.array_equal(training.data, narrow.data.astype(np.float64))
 
 
 def test_taped_fold_refuses_any_dtype_but_float64(params):
@@ -285,6 +303,22 @@ def test_taped_fold_refuses_any_dtype_but_float64(params):
         with pytest.raises(ContractError, match="float64"):
             rs.clause_representation(narrow, pre[1], params, order)
         assert rs.clause_representation(*pre, params, order).requires_grad
+
+
+def test_taped_fold_node_is_float64_at_its_boundary(params):
+    # the fold runs in float32 inside one node whose value and nine
+    # gradients are float64, as the rest of the tape and Adam are
+    j, v, order, weights = fold_inputs(4, 6, True, seed=12)
+    with nx.GradTape() as tape:
+        pre = rs.encode_views(j, v, params)
+        out = rs.clause_representation(*pre, params, order)
+    node_out, inputs, backward = tape._nodes[-1]
+    assert node_out is out and out.data.dtype == np.float64
+    assert inputs == pre + rs._fold_weights(params)
+    grads = backward(weights.data)
+    assert len(grads) == 9
+    for grad, t in zip(grads, inputs):
+        assert grad.dtype == np.float64 and grad.shape == t.data.shape
 
 
 def gradients(make_output, j, v, weights, params):
@@ -303,14 +337,14 @@ def gradients(make_output, j, v, weights, params):
 @pytest.mark.parametrize("batch,n_cand,shuffled", FOLD_SHAPES)
 def test_fused_fold_gradients_match_tape_unrolled_oracle(params, batch, n_cand, shuffled):
     j, v, order, weights = fold_inputs(batch, n_cand, shuffled, seed=13)
-    fused = gradients(
-        lambda: rs.clause_representation(*rs.encode_views(j, v, params), params, order),
-        j, v, weights, params,
-    )
     oracle = gradients(lambda: unrolled_fold(j, v, params, order), j, v, weights, params)
-    assert len(fused) == 12
-    for name, expected in oracle.items():
-        assert_fold_close(fused[name], expected, name)
+    for fold, rtol in ((float64_clause, FOLD_RTOL), (rs.clause_representation, FLOAT32_FOLD_RTOL)):
+        fused = gradients(lambda: fold(*rs.encode_views(j, v, params), params, order),
+                          j, v, weights, params)
+        assert len(fused) == 12
+        for name, expected in oracle.items():
+            assert fused[name].dtype == np.float64, name
+            assert_fold_close(fused[name], expected, name, rtol)
 
 
 def test_untaped_fold_keeps_one_block_not_every_step():
@@ -333,12 +367,42 @@ def test_untaped_fold_keeps_one_block_not_every_step():
         assert peak < 4 * rs._FOLD_BLOCK_BYTES, inputs[0].data.dtype
 
 
+def test_vanishing_float32_backward_flushes_instead_of_going_subnormal():
+    # a long float32 fold (the map-g200 shape of a training batch) whose small
+    # W_left shrinks the recurrence's gradient by about 100x per step: below
+    # float32's smallest normal within a few dozen steps of the end
+    d_r, batch, n_cand = 16, 128, 200
+    params = rs.ReasoningParams.init(D_VIEW, d_r, seed=0)
+    params.or_w_left.data *= 0.02
+    j, v, order, weights = fold_inputs(batch, n_cand, False, seed=17, d_r=d_r)
+    wide = [t.data for t in rs.encode_views(j, v, params) + rs._fold_weights(params)]
+    narrow = [a.astype(np.float32) for a in wide]
+    _, backward = rs._clause_fold(narrow, order, taped=True)
+    grads = backward(weights.data.astype(np.float32))
+    tiny = np.finfo(np.float32).tiny
+    for grad, array in zip(grads, narrow):
+        assert grad.dtype == np.float32 and grad.shape == array.shape
+        assert not np.any((grad != 0) & (np.abs(grad) < tiny))
+    # the g_v rows of the steps the flushed gradient no longer reaches are
+    # exactly zero. At float64 they are below the flush level, and many lie
+    # below float32's smallest normal: without the flush a float32 backward
+    # would go subnormal there
+    g_v = grads[1]
+    reached = np.flatnonzero(np.any(g_v != 0, axis=1))
+    skipped = reached[0]
+    assert n_cand - skipped < n_cand // 4 and np.all(reached == np.arange(skipped, n_cand))
+    _, wide_backward = rs._clause_fold(wide, order, taped=True)
+    below = np.abs(wide_backward(weights.data)[1][:skipped])
+    assert below.max() < tiny / np.finfo(np.float32).eps
+    assert np.count_nonzero((below != 0) & (below < tiny)) > batch
+
+
 def test_fused_fold_gradients_match_finite_differences(params):
     j, v, order, weights = fold_inputs(2, 4, True, seed=14)
     trainables = [j, v] + [t for k, t in nx.tensor_fields(params).items() if k != "true_anchor"]
     err = finite_difference_check(
         lambda: nx.tsum(nx.mul(
-            rs.clause_representation(*rs.encode_views(j, v, params), params, order), weights
+            float64_clause(*rs.encode_views(j, v, params), params, order), weights
         )),
         trainables,
     )
