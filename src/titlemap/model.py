@@ -6,7 +6,9 @@ the co-attended views with the two clause representations, projects onto
 the taxonomy (relu then softmax), and minimizes cross-entropy
 plus the six logical regularizers plus a small clause-truth term. The
 hyperbolic and semantic view producers are frozen; only co-attention,
-reasoning and fusion weights learn. Everything is deterministic for a fixed
+reasoning and fusion weights learn. The mapper has one precision, float32:
+its tensors, the views it reads, every forward and backward pass, Adam's
+moments and the artifact's values. Everything is deterministic for a fixed
 config: data split, batch order, fold shuffles and initialization all derive
 from the config seed.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 import base64
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,10 +36,10 @@ from .syntactic import GramNumbering, Taxonomy, syntactic_matrix
 from .formats import canonicalize_title, is_utf8
 
 MODEL_FORMAT = "titlemap-model"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 # every tensor is stored as the base64 of these raw bytes
-_TENSOR_DTYPE = np.dtype("<f8")
+_TENSOR_DTYPE = np.dtype("<f4")
 
 # inference rows per forward pass; bounds peak memory on long title lists
 _CHUNK_ROWS = 512
@@ -91,9 +93,13 @@ def init_model(taxonomy: Taxonomy, config: TrainConfig) -> MapperModel:
         field: cls.init(*dims(config, len(taxonomy)), seed=seed.generate_state(1)[0])
         for (_, field, cls, dims), seed in zip(_PARAM_SETS, seeds[1:])
     }
-    return MapperModel(
+    model = MapperModel(
         taxonomy=taxonomy, config=config, fusion_w=fusion_w, fusion_b=fusion_b, **params
     )
+    # drawn in float64, so the random stream does not depend on the precision
+    for t in model.trainable_tensors():
+        t.data = t.data.astype(np.float32)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +183,9 @@ def _forward(
 ) -> dict:
     """Forward pass; with `ctx` also returns the training-only loss pieces.
 
-    It computes in the dtype of the model's tensors and the views: float64
-    for training, float32 for `forward_probabilities`. The two clause folds
-    compute in float32 in both (`rs.clause_representation`) and run in turn
-    on the calling thread."""
+    It computes in the dtype of the model's tensors and the views, float32
+    in training and serving alike; the two clause folds run in turn on the
+    calling thread."""
     th, tb, ts = Tensor(x_h), Tensor(x_b), Tensor(x_s)
     out: dict = {}
     training = ctx is not None
@@ -246,8 +251,9 @@ def loss_on_batch(
         regs = rs.logical_regularizers(_reg_batch(j_pre, v_pre, params, ctx), params)
         detail[f"truth_{view}"] = truth
         detail[f"regs_{view}"] = regs
-        total = total + nx.mul(regs.total, Tensor(cfg.logic_weight)) + nx.mul(
-            truth, Tensor(cfg.clause_weight)
+        dtype = truth.data.dtype.type
+        total = total + nx.mul(regs.total, Tensor(dtype(cfg.logic_weight))) + nx.mul(
+            truth, Tensor(dtype(cfg.clause_weight))
         )
     return total, detail
 
@@ -270,12 +276,13 @@ def _probs_from_views(
     return np.concatenate(rows, axis=0) if rows else np.zeros((0, len(model.taxonomy)), x_h.dtype)
 
 
-def _float32_copy(model: MapperModel) -> MapperModel:
-    """`model` with every tensor of `_tensor_registry` cast to float32, off
-    the tape."""
-    sets = {field: nx.cast_fields(getattr(model, field), np.float32)
-            for _, field, _, _ in _PARAM_SETS}
-    return nx.cast_fields(replace(model, **sets), np.float32)
+def _float32_views(pipeline: FeaturePipeline, keys: Sequence[str]) -> tuple:
+    """The mapper's inputs for `keys` in float32: the three title views, then
+    the standard titles' semantic and syntactic views as tensors."""
+    v_b, v_s = (Tensor(v.astype(np.float32))
+                for v in (pipeline.standard_semantic(), pipeline.standard_syntactic()))
+    x_h, x_b, x_s = (x.astype(np.float32) for x in pipeline.title_views(keys))
+    return x_h, x_b, x_s, v_b, v_s
 
 
 def forward_probabilities(
@@ -287,26 +294,21 @@ def forward_probabilities(
     in float32.
 
     Each distinct key is scored once and its row is copied to every equal
-    key, so equal keys get identical rows. The pass is float32 end to end:
-    the model's float64 weights and the five views are cast once per call,
-    and co-attention, both clause folds, the head and the softmax run in
-    float32 through the forward pass training runs in float64 (with its
-    clause folds in float32). Against that pass run all in float64, folds
-    included, on the tests' gate fixtures (a fresh desk-width model and a
-    G=200 one with a sharpened head), a probability moves by less than
-    1e-6, the top class stays and the order changes only between near-equal
-    probabilities. Trained models have larger logits: on those the README
-    and fit-g50 configs train, a probability moved by up to 1.02e-6, with
-    the same top 10. Every step of the forward pass acts per row, but the
-    BLAS products are not bitwise row-independent: a row can differ in its
-    last bits from scoring that key alone or among other keys."""
-    served = _float32_copy(model)
-    v_b, v_s = (Tensor(v.astype(np.float32))
-                for v in (pipeline.standard_semantic(), pipeline.standard_syntactic()))
+    key, so equal keys get identical rows. The pass runs the model's float32
+    arrays as `train` left them, through the forward pass training runs, on
+    the views cast to float32 once per call, so `train`'s validation and
+    test scoring give the same probabilities bit for bit when they score
+    the same keys in the same order. Against that pass run all in float64, on
+    the model cast up and the float64 views, a probability moves by less
+    than 1e-6 on the tests' gate fixtures (a fresh desk-width model and a
+    G=200 one with a sharpened head) and by less than 2e-6 on a trained
+    fit-g50 model, where the top 10 stays. Every step of the forward pass
+    acts per row, but the BLAS products are not bitwise row-independent: a
+    row can differ in its last bits from scoring that key alone or among
+    other keys."""
     row_of = {key: row for row, key in enumerate(dict.fromkeys(keys))}
     inverse = np.array([row_of[key] for key in keys], dtype=np.intp)
-    x_h, x_b, x_s = (x.astype(np.float32) for x in pipeline.title_views(list(row_of)))
-    return _probs_from_views(served, x_h, x_b, x_s, v_b, v_s)[inverse]
+    return _probs_from_views(model, *_float32_views(pipeline, list(row_of)))[inverse]
 
 
 # The one ranking rule of every stage, and the metrics read off the gold
@@ -445,9 +447,7 @@ def train(
             file=sys.stderr,
         )
 
-    x_h, x_b, x_s = pipeline.title_views(titles_all)
-    v_b = Tensor(pipeline.standard_semantic())
-    v_s = Tensor(pipeline.standard_syntactic())
+    x_h, x_b, x_s, v_b, v_s = _float32_views(pipeline, titles_all)
 
     model = init_model(taxonomy, config)
     # the bias stays in the base-lr group: a fast per-class bias random-walks
@@ -519,7 +519,7 @@ def train(
 
 # ---------------------------------------------------------------------------
 # Artifact serialization: a single JSON file. Each tensor keeps its `shape`
-# and stores `data` as the base64 of its little-endian float64 bytes, so
+# and stores `data` as the base64 of its little-endian float32 bytes, so
 # every value, -0.0 and subnormals included, survives the round-trip exactly.
 
 def _tensor_registry(model: MapperModel) -> dict[str, Tensor]:
@@ -636,7 +636,7 @@ def load_model(path) -> MapperModel:
         if not np.isfinite(arr).all():
             raise NumericError(f"{path}: tensor {name} has a non-finite value")
         prefix, field = name.split(".")
-        copy = np.array(arr, dtype=np.float64)  # writable, unlike the payload
+        copy = np.array(arr, dtype=np.float32)  # writable, unlike the payload
         tensors.setdefault(prefix, {})[field] = Tensor(copy, requires_grad=True)
     # built straight from the stored arrays: drawing an initialization only to
     # overwrite it would import numpy.random into every serving stage

@@ -5,17 +5,16 @@ numpy array, operations executed inside a `GradTape` context record their
 backward rules on the tape, and `GradTape.backward` replays the tape in
 reverse to accumulate gradients into the `requires_grad` leaves.
 
-Precision is the arrays' dtype. On the tape every array is float64: an op
-that would record a tensor of another dtype raises `ContractError`. A fused
-op (`fused_op`) may compute in lower precision inside its node, provided its
-value and the gradients its backward returns are float64 at the node's
-boundary; the clause fold computes in float32 that way
-(`reasoning.clause_representation`). Off the tape a `Tensor` may hold
-float32 as well, and an op computes in the dtype numpy gives its operands,
-so a pass whose tensors are all float32 runs in float32 throughout (serving
-does; see `model.forward_probabilities`). Under numpy's promotion rules one
-float64 array or numpy scalar in such a pass turns it back to float64; a
-Python float does not.
+Precision is the arrays' dtype, and a tape holds one: the first node it
+records fixes its dtype, and an op whose value or any input has another
+dtype raises `ContractError`, as does a backward that returns a gradient of
+another dtype. The ops are dtype-generic, so the mapper trains and serves in
+float32 while the tests' oracles and `evaluation`'s link classifier run
+float64 tapes. Under numpy's promotion rules one float64 array or numpy
+scalar in a float32 expression turns it to float64, while a Python float
+does not, so a constant is built in the dtype of the tensor it meets. Off a
+tape nothing is checked: an op computes in the dtype numpy gives its
+operands.
 
 Scope is deliberately small: 1-D/2-D arrays, the operations the mapper
 actually needs, and a plain Adam optimizer. Gradients sum on node reuse; a
@@ -27,7 +26,7 @@ any cross-platform comparison).
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
+from dataclasses import fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -37,7 +36,6 @@ from .errors import ContractError, DimensionError, DomainError
 __all__ = [
     "Tensor",
     "tensor_fields",
-    "cast_fields",
     "GradTape",
     "Adam",
     "add",
@@ -66,9 +64,10 @@ __all__ = [
 class Tensor:
     """A float64 or float32 array plus autodiff bookkeeping.
 
-    float32 data is kept as given, and anything else is cast to float64. Only
-    float64 tensors go on a tape. `grad` is populated (for requires_grad
-    leaves) by `GradTape.backward` and always has the same shape as `data`.
+    float32 data is kept as given, and anything else is cast to float64. A
+    tape records tensors of one dtype (`GradTape`). `grad` is populated (for
+    requires_grad leaves) by `GradTape.backward` and always has the same
+    shape and dtype as `data`.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -99,13 +98,6 @@ def tensor_fields(params) -> dict[str, Tensor]:
     return {name: v for name, v in values.items() if isinstance(v, Tensor)}
 
 
-def cast_fields(params, dtype):
-    """A copy of the dataclass `params` whose tensor fields hold their data
-    cast to `dtype`, off the tape; every other field is shared."""
-    cast = {name: Tensor(t.data.astype(dtype)) for name, t in tensor_fields(params).items()}
-    return replace(params, **cast)
-
-
 # ---------------------------------------------------------------------------
 # Tape
 
@@ -116,12 +108,15 @@ class GradTape:
     """Ordered record of operations for one forward/backward pass.
 
     Nodes are appended in execution order, so every node's inputs precede it
-    and a single reverse sweep implements the chain rule.
+    and a single reverse sweep implements the chain rule. `dtype` is that of
+    the first node recorded; every later node, and every gradient a backward
+    returns, must have it.
     """
 
     def __init__(self):
         self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
         self._output_ids: set[int] = set()
+        self.dtype: Optional[np.dtype] = None
 
     def __enter__(self) -> "GradTape":
         _TAPE_STACK.append(self)
@@ -134,6 +129,11 @@ class GradTape:
         return False
 
     def _record(self, out: Tensor, inputs: tuple[Tensor, ...], backward: Callable) -> None:
+        dtype = out.data.dtype if self.dtype is None else self.dtype
+        if any(t.data.dtype != dtype for t in (out, *inputs)):
+            dtypes = sorted({str(t.data.dtype) for t in (out, *inputs)})
+            raise ContractError(f"a {dtype} tape cannot record an op over {', '.join(dtypes)}")
+        self.dtype = dtype
         self._nodes.append((out, inputs, backward))
         self._output_ids.add(id(out))
 
@@ -159,6 +159,9 @@ class GradTape:
             for t, ig in zip(inputs, backward(g)):
                 if ig is None or not t.requires_grad:
                     continue
+                if ig.dtype != self.dtype:
+                    raise ContractError(f"a backward returned a {ig.dtype} gradient "
+                                        f"on a {self.dtype} tape")
                 buf = grads.get(id(t))
                 if buf is None:
                     grads[id(t)] = ig.copy() if ig.base is not None or ig is g else ig
@@ -182,17 +185,15 @@ def recording(inputs: Sequence[Tensor]) -> bool:
 def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward: Callable) -> Tensor:
     out = Tensor(out_data)
     if recording(inputs):
-        if any(t.data.dtype != np.float64 for t in (out, *inputs)):
-            dtypes = sorted({str(t.data.dtype) for t in (out, *inputs)})
-            raise ContractError(f"only float64 tensors go on a tape, not {', '.join(dtypes)}")
-        out.requires_grad = True
         _active_tape()._record(out, inputs, backward)
+        out.requires_grad = True
     return out
 
 
 def fused_op(out_data: np.ndarray, inputs: Sequence[Tensor], backward: Callable) -> Tensor:
     """One tape node for a hand-written composite op. `backward(g)` returns
-    one gradient (or None) per input, in the order of `inputs`."""
+    one gradient (or None) per input, in the order of `inputs`, each in the
+    tape's dtype."""
     return _make(out_data, tuple(inputs), backward)
 
 
@@ -352,7 +353,7 @@ def tsum(a: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tenso
 
 def tmean(a: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
     count = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), Tensor(1.0 / count))
+    return mul(tsum(a, axis=axis, keepdims=keepdims), Tensor(a.data.dtype.type(1.0 / count)))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -26,13 +26,12 @@ composed weight and the split OR product round differently from
 `or_op(..., not_op(event_head(...)))`, where `not_op`, tanh(e W_notᵀ +
 b_not), is the tests' oracle of NOT (`tests/helpers.py`; no code here
 applies NOT alone). So at float64 the fold agrees with that composition
-within 1e-12 relative (the tests' bound), not bit for bit. The fold always
-computes in float32, in training as in serving, with float64 at its tape
-boundary: its value has the projections' dtype and its gradients are
-float64, and taped and untaped calls are bit-identical. Everything else in
-a training step stays float64. The six regularizers with their cosines are
-one tape node per call as well, and agree with composing the tests'
-`not_op` with `or_op` and `row_cosine` within 1e-12 relative.
+within 1e-12 relative (the tests' bound), not bit for bit. Every op here
+computes in the dtype of its inputs, float32 in the mapper and float64 in
+the tests' oracles, and taped and untaped folds are bit-identical. The six
+regularizers with their cosines are one tape node per call as well, and
+agree with composing the tests' `not_op` with `or_op` and `row_cosine`
+within 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -143,11 +142,11 @@ def encode_views(
 
 # Working-set budget of one block of fold steps, in bytes of the block's
 # hidden layer counted as (steps, batch, 2·d_r) float64s. At d_r 16 that is 8
-# steps at batch 192, 3 at batch 512 and 25 at batch 60. The fold computes in
-# float32 (`clause_representation`), so a block fills half the budget: blocks
-# twice as long, to fill it at float32, saved about 2 % of a serving stage's
-# time, inside its run-to-run spread, and raised its peak RSS by about 1 MB.
-# A float64 `_clause_fold`, as the tests run it, fills it all.
+# steps at batch 192, 3 at batch 512 and 25 at batch 60. The mapper folds in
+# float32, so its blocks fill half the budget: blocks twice as long, to fill
+# it at float32, saved about 2 % of a serving stage's time, inside its
+# run-to-run spread, and raised its peak RSS by about 1 MB. A float64 fold,
+# as the tests run it, fills it all.
 _FOLD_BLOCK_BYTES = 384 * 1024
 
 
@@ -172,25 +171,13 @@ def clause_representation(
     the gold candidate's positive literal. The fold is one tape node with a
     hand-written backward through time (`_clause_fold`).
 
-    The fold always computes in float32, the mixed precision of Micikevicius
-    et al. (arXiv:1710.03740): the projections and the seven fold weights
-    are cast to float32, which copies nothing when serving, where they
-    already are. The value comes back in the projections' dtype and the
-    nine gradients in float64, so a taped call is a float64 node on a
-    float64 tape (`numerics`), and the weights and the optimizer stay
-    float64. Taped, untaped and serving calls fold the same float32 arrays,
-    so their values are equal. Against the fold at float64, and the tests'
-    tape-unrolled oracle, value and gradients agree within a few float32
-    ulps of their scale, not within float64's 1e-12.
+    The fold computes in the dtype of its inputs, which must all have one:
+    float32 in the mapper, float64 in the tests' 1e-12 kernel checks. Taped
+    and untaped calls fold the same arrays, so their values are equal.
     """
     inputs = (j_pre, v_pre) + _fold_weights(params)
-    fold, backward = _clause_fold([t.data.astype(np.float32, copy=False) for t in inputs],
-                                  order, nx.recording(inputs))
-
-    def float64_backward(g):
-        return [grad.astype(np.float64) for grad in backward(g.astype(np.float32))]
-
-    return nx.fused_op(fold.astype(j_pre.data.dtype, copy=False), inputs, float64_backward)
+    fold, backward = _clause_fold([t.data for t in inputs], order, nx.recording(inputs))
+    return nx.fused_op(fold, inputs, backward)
 
 
 def _fold_weights(params: ReasoningParams) -> tuple[Tensor, ...]:
@@ -207,9 +194,9 @@ def _clause_fold(
     """The body of `clause_representation`: the fold's value and its
     backward over the arrays of its nine inputs (`j_pre`, `v_pre`, then
     `_fold_weights`), keeping every step for the backward if `taped`. It
-    records nothing on the tape, and computes in the arrays' dtype: the
-    value, every work array and the nine gradients `backward(g)` returns
-    have it.
+    records nothing on the tape, and computes in the arrays' one dtype,
+    float32 in the mapper: the value, every work array and the nine
+    gradients `backward(g)` returns have it, as `g` must.
 
     NOT is composed with the event head once per call: literal t is
     tanh(h_t W_negᵀ + b_neg), with hidden layer h_t = tanh(j_pre +
@@ -353,7 +340,7 @@ def clause_truth_loss(x_prime: Tensor, e_correct: Tensor, params: ReasoningParam
     """1 - cosine(OR(clause, gold event), TRUE), averaged over the batch."""
     disjunction = or_op(x_prime, e_correct, params)
     cos = row_cosine(disjunction, params.true_anchor)
-    return nx.tmean(Tensor(1.0) - cos)
+    return nx.tmean(Tensor(cos.data.dtype.type(1.0)) - cos)
 
 
 class RegularizerValues(NamedTuple):
@@ -371,7 +358,6 @@ class RegularizerValues(NamedTuple):
 # TRUE]; r1 is sim(x, NOT x) summed, r2..r6 are 1 - sim(a, b) summed.
 _COS_PAIRS = ((0, 1), (0, 2), (3, 0), (4, 7), (5, 0), (6, 7))
 _COS_A, _COS_B = (np.array(side) for side in zip(*_COS_PAIRS))
-_COS_SIGN = np.array([1.0, -1.0, -1.0, -1.0, -1.0, -1.0])[:, None]
 
 
 def logical_regularizers(batch: Tensor, params: ReasoningParams) -> RegularizerValues:
@@ -394,13 +380,13 @@ def logical_regularizers(batch: Tensor, params: ReasoningParams) -> RegularizerV
     """
     n = batch.data.shape[0]
     if n == 0:
-        zero = Tensor(0.0)
+        zero = Tensor(batch.data.dtype.type(0.0))
         return RegularizerValues(zero, zero, zero, zero, zero, zero, zero)
     inputs = (batch, params.not_w, params.not_b, params.or_w_left,
               params.or_w_right, params.or_b, params.true_anchor)
     x, w_not, b_not, w_left, w_right, b_or, anchor = (t.data for t in inputs)
     consts = np.concatenate([np.tanh(anchor @ w_not.T + b_not), anchor])  # FALSE, TRUE
-    vecs = np.empty((8,) + x.shape)  # the cosine operands, one (n, d_r) block each
+    vecs = np.empty((8,) + x.shape, x.dtype)  # the cosine operands, one (n, d_r) block each
     vecs[0], vecs[7] = x, anchor
     np.tanh(x @ w_not.T + b_not, out=vecs[1])
     np.tanh(vecs[1] @ w_not.T + b_not, out=vecs[2])
@@ -421,7 +407,8 @@ def logical_regularizers(batch: Tensor, params: ReasoningParams) -> RegularizerV
     def backward(g):
         # d/d ratio, zero where the clip saturates (nx.clip's strict mask);
         # ratio = a·b / (|a| |b|) gives a the gradient b/den - ratio a/|a|²
-        g_ratio = _COS_SIGN * (g * 0.5 / n) * ((ratio > -1.0) & (ratio < 1.0))
+        g_ratio = (g * 0.5 / n) * ((ratio > -1.0) & (ratio < 1.0))
+        g_ratio[1:] *= -1  # r2..r6 are 1 - sim
         c, c_ratio = (g_ratio / den)[..., None], (g_ratio * ratio)[..., None]
         c_a, c_b = c_ratio / sq[_COS_A, :, None], c_ratio / sq[_COS_B, :, None]
         g_vecs = np.zeros_like(vecs)

@@ -14,7 +14,7 @@ import importlib
 import itertools
 import json
 import pkgutil
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from datetime import date
 
 import numpy as np
@@ -34,8 +34,8 @@ from titlemap.semantic import HashedNgramProvider, _token_feature
 from titlemap.syntactic import Taxonomy, padded_grams
 
 
-# How far a probability of float32 serving may move from the float64 pass
-# (`test_model.py`'s serving gate)
+# How far a probability of the float32 pass may move from the float64 pass
+# of the same model cast up (`test_model.py`'s serving gate)
 FLOAT32_PROB_TOL = 1e-6
 
 _WORDS = ("data", "software", "sales", "senior", "junior", "lead", "chief", "staff",
@@ -179,14 +179,20 @@ def not_op(e, params):
     return nx.tanh(nx.matmul(e, nx.transpose(params.not_w)) + params.not_b)
 
 
-def float64_clause(j_pre, v_pre, params, order=None):
-    """`clause_representation` folding at float64 instead of float32: the
-    same one tape node over `_clause_fold`, on the float64 arrays of its
-    inputs. The oracle of the fold's kernel checks at 1e-12, and of the
-    serving gate's float64 pass."""
-    inputs = (j_pre, v_pre) + rs._fold_weights(params)
-    fold, backward = rs._clause_fold([t.data for t in inputs], order, nx.recording(inputs))
-    return nx.fused_op(fold, inputs, backward)
+def cast_tensors(params, dtype):
+    """A copy of the dataclass `params` (a parameter set, or a `MapperModel`
+    and the parameter sets it holds) whose tensors hold their data cast to
+    `dtype`, each a fresh tensor that requires a gradient as its original
+    does; every other field is shared. Cast up to float64, a float32 model is
+    the oracle of its own pass."""
+    changes = {}
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, nx.Tensor):
+            changes[f.name] = nx.Tensor(value.data.astype(dtype), value.requires_grad)
+        elif is_dataclass(value) and nx.tensor_fields(value):
+            changes[f.name] = cast_tensors(value, dtype)
+    return replace(params, **changes)
 
 
 def _sim(a, b):

@@ -392,12 +392,12 @@ def test_non_finite_config_number_exits_2(trained, command, section, value, lite
 
 
 def tensor_values(entry):
-    """The float64 values of one artifact tensor entry, as a writable array."""
-    return np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").copy()
+    """The float32 values of one artifact tensor entry, as a writable array."""
+    return np.frombuffer(base64.b64decode(entry["data"]), dtype="<f4").copy()
 
 
-def set_tensor_values(entry, values):
-    entry["data"] = base64.b64encode(values.astype("<f8").tobytes()).decode("ascii")
+def set_tensor_values(entry, values, dtype="<f4"):
+    entry["data"] = base64.b64encode(values.astype(dtype).tobytes()).decode("ascii")
 
 
 def as_version_1(doc):
@@ -473,6 +473,25 @@ def run_map_with_model(trained, text, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     return code, err.split()[1]
+
+
+def test_version_3_artifact_exits_3_as_unsupported(trained, capsys):
+    # the layout before float32 training: the same tensors as float64 bytes
+    tmp, data = trained
+    doc = json.loads((tmp / "out" / "model.json").read_text())
+    doc["version"] = 3
+    for entry in doc["tensors"].values():
+        set_tensor_values(entry, tensor_values(entry), "<f8")
+    model = tmp / "version_3_model.json"
+    model.write_text(json.dumps(doc))
+    path, _ = write_config(
+        tmp, {"output_dir": str(tmp / "rejected"), "data": {**data, "model": str(model)}},
+        name="version_3.json",
+    )
+    assert main(["map", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "kind=data" in err and f"{model}: unsupported artifact version 3" in err
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -747,9 +766,9 @@ def test_seeded_train_report_is_pinned(tmp_path):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("model.json", "training_curve.csv")}
     assert digests == {
-        "model.json": "f824e38710a705d226e556074a24ca71c3d869f8ef3d100de66e82082810781c",
+        "model.json": "2d222325c6e1ba8e5e0265eeb0fc779d59e83d32c58be93de3ff6e9b45e8c07e",
         "training_curve.csv":
-            "b5bc7fbfea6bf5c809714bb14e4aaed2bac8454a7d80741ac8138600a43586ab",
+            "cc9512587b6412d3017e3eb6a1879ce8976d2026b27481879c42cf3e8a66fbbf",
     }
 
 

@@ -36,7 +36,7 @@ from titlemap.semantic import HashedNgramProvider
 from titlemap.syntactic import Taxonomy
 
 from helpers import (
-    FLOAT32_PROB_TOL, desk_serving_world, empty_ball_table, event_oracle, float64_clause,
+    FLOAT32_PROB_TOL, cast_tensors, desk_serving_world, empty_ball_table, event_oracle,
 )
 
 
@@ -84,11 +84,13 @@ def test_zero_fusion_weights_give_uniform_distribution():
 
 def cross_entropy_only(taxonomy, x_h, x_b, labels, prepare):
     """The loss of one batch with the logical and clause weights at zero, so
-    it is the head's cross-entropy alone; `prepare(model)` sets the weights."""
+    it is the head's cross-entropy alone; `prepare(model)` sets the weights.
+    The model is cast up to float64, the views' dtype."""
     d_h, d_b = x_h.shape[1], x_b.shape[1]
     config = small_config(d_h=d_h, d_b=d_b, logic_weight=0.0, clause_weight=0.0)
     model = init_model(taxonomy, config)
     prepare(model)
+    model = cast_tensors(model, np.float64)
     rng = np.random.default_rng(0)
     ctx = _TrainContext(fold_rng=rng, reg_rng=rng)
     n_cand = len(taxonomy)
@@ -174,13 +176,12 @@ def tape_nodes_of_one_step(n_cand, batch=8, d_h=4, d_b=8):
     model = init_model(taxonomy, small_config(d_h=d_h, d_b=d_b))
     rng = np.random.default_rng(0)
     ctx = _TrainContext(fold_rng=np.random.default_rng(1), reg_rng=np.random.default_rng(2))
+    x_h, x_b, x_s, v_b, v_s = (rng.uniform(low, 1, shape).astype(np.float32) for low, shape in (
+        (-1, (batch, d_h)), (-1, (batch, d_b)), (0, (batch, n_cand)), (-1, (n_cand, d_b)),
+        (0, (n_cand, n_cand))))
     with nx.GradTape() as tape:
-        loss_on_batch(
-            model, rng.uniform(-1, 1, (batch, d_h)), rng.uniform(-1, 1, (batch, d_b)),
-            rng.uniform(0, 1, (batch, n_cand)), np.arange(batch) % n_cand,
-            Tensor(rng.uniform(-1, 1, (n_cand, d_b))),
-            Tensor(rng.uniform(0, 1, (n_cand, n_cand))), ctx,
-        )
+        loss_on_batch(model, x_h, x_b, x_s, np.arange(batch) % n_cand, Tensor(v_b), Tensor(v_s),
+                      ctx)
     return len(tape._nodes)
 
 
@@ -251,6 +252,29 @@ def test_checkpoint_round_trip_is_bit_identical(tmp_path):
     assert loaded.taxonomy.titles == taxonomy.titles
 
 
+def test_train_scores_its_test_rows_as_the_saved_model_serves_them(tmp_path, monkeypatch):
+    # `train` and `forward_probabilities` run the same float32 arrays through
+    # the same pass, so on the same rows they agree bit for bit
+    taxonomy, pipeline, examples = tiny_world()
+    scored = []
+    probs_from_views = model_module._probs_from_views
+
+    def recorded(*args):
+        scored.append(probs_from_views(*args))
+        return scored[-1]
+
+    monkeypatch.setattr(model_module, "_probs_from_views", recorded)
+    result = train(examples, pipeline, small_config(max_epochs=3, patience=3))
+    monkeypatch.undo()
+    keys = [examples[i][0] for i in result.split_indices["test"]]
+    assert len(set(keys)) == len(keys) > 1
+    path = tmp_path / "model.json"
+    save_model(result.model, path)
+    served = forward_probabilities(load_model(path), pipeline, keys)
+    assert served.dtype == scored[-1].dtype == np.float32
+    assert np.array_equal(served, scored[-1])
+
+
 def test_saved_model_bytes_match_the_streaming_encoder(tmp_path):
     taxonomy = Taxonomy(titles=["data analyst", "café owner", "pilot"])
     model = init_model(taxonomy, small_config())
@@ -267,15 +291,17 @@ def test_saved_tensors_round_trip_bit_for_bit(tmp_path):
     model = init_model(taxonomy, small_config())
     rng = np.random.default_rng(7)
     for t in model.trainable_tensors():
-        scale = 10.0 ** rng.integers(-300, 300, t.data.shape)
+        scale = 10.0 ** rng.integers(-37, 38, t.data.shape)
         t.data[...] = rng.standard_normal(t.data.shape) * scale
-    edge = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+    info = np.finfo(np.float32)
+    edge = [-0.0, info.smallest_subnormal, info.tiny, info.max, -info.max]
     model.fusion_w.data.reshape(-1)[: len(edge)] = edge
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
     for before, after in zip(model.trainable_tensors(), loaded.trainable_tensors()):
-        assert np.array_equal(before.data.view(np.int64), after.data.view(np.int64))
+        assert before.data.dtype == after.data.dtype == np.float32
+        assert np.array_equal(before.data.view(np.int32), after.data.view(np.int32))
 
 
 def test_tampered_taxonomy_hash_is_rejected(tmp_path):
@@ -336,10 +362,10 @@ def test_rows_equal_the_distinct_batch_and_agree_with_scoring_alone_at_desk_dims
     assert_scored_alone_alike(model, pipeline, keys, distinct)
 
 
-# The float32 serving gate, against the same forward pass fed the float64
-# model and views, with its clause folds at float64 as well. On a fresh
+# The float32 serving gate, against the same forward pass run in float64: on
+# the model cast up to float64 and the views before their cast. On a fresh
 # model (`desk_serving_world`, `g200_serving_world`): every probability
-# within FLOAT32_PROB_TOL (1e-6; the largest change seen was 3.7e-7), the
+# within FLOAT32_PROB_TOL (1e-6; the largest change seen was 4.3e-7), the
 # same top class on every row, and a top-k order that may differ only
 # between classes whose float64
 # probabilities are less than FLOAT32_RANK_GAP apart (two probabilities that
@@ -353,14 +379,12 @@ TRAINED_FLOAT32_PROB_TOL = 2e-6
 
 def float64_probabilities(model, pipeline, keys):
     """The test oracle of `forward_probabilities`: the same pass over `keys`,
-    fed the float64 model and views instead of their float32 copies, and
-    folding the clauses at float64 (`float64_clause`), where training's
-    `clause_representation` folds in float32."""
+    run in float64 on the float32 model cast up and on the float64 views
+    that `forward_probabilities` casts to float32."""
     v_b, v_s = Tensor(pipeline.standard_semantic()), Tensor(pipeline.standard_syntactic())
     views = pipeline.title_views(keys)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(model_module.rs, "clause_representation", float64_clause)
-        return model_module._probs_from_views(model, *views, v_b, v_s)
+    wide = cast_tensors(model, np.float64)
+    return model_module._probs_from_views(wide, *views, v_b, v_s)
 
 
 def assert_within_float32_gate(served, oracle, k):
@@ -420,8 +444,8 @@ def fit_g50_trained_world(seed=2):
     800 persons, 2 Poincare epochs, 50 training epochs at the README's
     rates), with the hyperbolic table it trains on, and its 300 distinct
     titles as the keys; the table holds 250 of them. Over data and train
-    seeds 1-3 the largest probability change of float32 serving was 6.9e-7,
-    1.02e-6 and 7.6e-7, with the same top 10 on every row; seed 2 is the
+    seeds 1-3 the largest probability change of the float32 pass was 6.6e-7,
+    9.6e-7 and 9.4e-7, with the same top 10 on every row; seed 2 is the
     largest."""
     synth = SynthConfig(groups=50, synonyms=5, persons=800, seed=seed)
     taxonomy, labeled = gen_taxonomy(synth)
@@ -446,15 +470,43 @@ def test_float32_serving_of_a_trained_model_keeps_the_top_10():
     assert np.array_equal(rank_classes(served, 10), rank_classes(oracle, 10))
 
 
-def test_float32_copy_casts_every_registered_tensor():
+def test_init_model_casts_every_registered_tensor_to_float32():
+    # drawn in float64 and cast once, so the random stream is the float64 one
     model, _, _ = desk_serving_world()
-    wide = _tensor_registry(model)
-    narrow = _tensor_registry(model_module._float32_copy(model))
-    assert list(narrow) == list(wide)
+    config, d_s = model.config, len(model.taxonomy)
+    seeds = np.random.SeedSequence(config.seed).spawn(4)
+    shapes = _tensor_shapes(config, d_s)
+    wide = {"fusion.w": np.random.default_rng(seeds[0]).uniform(-0.01, 0.01, shapes["fusion.w"]),
+            "fusion.b": np.ones(shapes["fusion.b"])}
+    for (prefix, _, cls, dims), seed in zip(model_module._PARAM_SETS, seeds[1:]):
+        params = cls.init(*dims(config, d_s), seed=seed.generate_state(1)[0])
+        wide.update({f"{prefix}.{name}": t.data for name, t in nx.tensor_fields(params).items()})
+    narrow = _tensor_registry(model)
+    assert sorted(narrow) == sorted(wide)
     for name, t in narrow.items():
-        assert t.data.dtype == np.float32 and not t.requires_grad, name
-        assert np.array_equal(t.data, wide[name].data.astype(np.float32)), name
-        assert wide[name].data.dtype == np.float64 and wide[name].requires_grad, name
+        assert t.data.dtype == np.float32 and t.requires_grad, name
+        assert np.array_equal(t.data, wide[name].astype(np.float32)), name
+
+
+def test_training_step_stays_float32_end_to_end():
+    # the counterpart of serving's check below: every tape node, every leaf
+    # gradient and Adam's moments are float32
+    taxonomy, pipeline, examples = tiny_world()
+    model = init_model(taxonomy, small_config())
+    x_h, x_b, x_s, v_b, v_s = model_module._float32_views(pipeline, [t for t, _ in examples[:8]])
+    labels = np.array([taxonomy.index(std) for _, std in examples[:8]])
+    ctx = _TrainContext(fold_rng=np.random.default_rng(1), reg_rng=np.random.default_rng(2))
+    optimizer = nx.Adam(model.trainable_tensors(), lr=1e-3)
+    with nx.GradTape() as tape:
+        loss, _ = loss_on_batch(model, x_h, x_b, x_s, labels, v_b, v_s, ctx)
+    assert tape.dtype == np.float32 and loss.data.dtype == np.float32
+    for out, inputs, _ in tape._nodes:
+        assert all(t.data.dtype == np.float32 for t in (out, *inputs))
+    tape.backward(loss)
+    optimizer.step()
+    for name, t in _tensor_registry(model).items():
+        assert t.grad.dtype == t.data.dtype == np.float32, name
+    assert all(m.dtype == v.dtype == np.float32 for m, v in zip(optimizer._m, optimizer._v))
 
 
 def test_serving_forward_stays_float32_end_to_end(monkeypatch):
@@ -480,16 +532,13 @@ def test_serving_forward_stays_float32_end_to_end(monkeypatch):
     for t in seen[0][1]:
         assert t.data.dtype == np.float32
     assert all(out.data.dtype == np.float32 for _, out in seen[1:])
-    v_b, v_s = (Tensor(v.astype(np.float32))
-                for v in (pipeline.standard_semantic(), pipeline.standard_syntactic()))
-    views = (x.astype(np.float32) for x in pipeline.title_views(titles))
-    parts = model_module._forward(model_module._float32_copy(model), *views, v_b, v_s)
+    parts = model_module._forward(model, *model_module._float32_views(pipeline, titles))
     assert parts["logits"].data.dtype == np.float32
 
 
 def test_serving_hands_its_float32_arrays_to_the_fold_without_a_copy(monkeypatch):
-    # the fold casts its inputs to float32, which must copy nothing when
-    # serving: the projections and fold weights are float32 already
+    # the fold computes on the projections and the model's own fold weights,
+    # all float32, without a copy
     model, pipeline, titles = desk_serving_world(n_titles=20)
     calls, folded = [], []
     original, original_fold = rs.clause_representation, rs._clause_fold

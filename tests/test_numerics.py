@@ -175,18 +175,53 @@ def test_tensor_keeps_float32_and_casts_anything_else_to_float64():
         assert Tensor(data).data.dtype == np.float64
 
 
-def test_recording_an_op_on_a_float32_tensor_raises():
-    w = Tensor(np.ones((2, 2)), requires_grad=True)
-    narrow = Tensor(np.ones((2, 2), np.float32))
+def test_a_float32_tape_records_float32_ops_and_gives_float32_gradients():
+    w = Tensor(np.full((2, 2), 0.5, np.float32), requires_grad=True)
+    x = Tensor(np.ones((3, 2), np.float32))
     with nx.GradTape() as tape:
-        with pytest.raises(ContractError, match="float32"):
-            nx.matmul(narrow, w)
-        with pytest.raises(ContractError, match="float32"):
-            nx.tanh(Tensor(np.ones(2, np.float32), requires_grad=True))
-        nx.matmul(w, w)
-    assert len(tape._nodes) == 1
-    # off the tape the same op computes in float32
-    assert nx.matmul(narrow, narrow).data.dtype == np.float32
+        loss = nx.tmean(nx.tanh(nx.matmul(x, w)))
+    assert tape.dtype == np.float32
+    assert all(out.data.dtype == np.float32 for out, _, _ in tape._nodes)
+    tape.backward(loss)
+    assert w.grad.dtype == np.float32
+
+
+def test_a_float64_constant_on_a_float32_tape_raises():
+    # numpy promotes a float32 array that meets a 0-d float64 array to float64
+    w = Tensor(np.ones((2, 2), np.float32), requires_grad=True)
+    with nx.GradTape() as tape:
+        narrow = nx.tanh(w)
+        with pytest.raises(ContractError, match="float32 tape cannot record an op over "
+                                                "float32, float64"):
+            nx.mul(narrow, Tensor(2.0))
+        nx.mul(narrow, Tensor(np.float32(2.0)))
+    assert len(tape._nodes) == 2
+    # the first node fixes the tape's dtype, even for an op all of one dtype
+    with nx.GradTape():
+        nx.tanh(w)
+        with pytest.raises(ContractError, match="float32 tape cannot record an op over float64"):
+            nx.tanh(Tensor(np.ones(2), requires_grad=True))
+    # off the tape the same op computes in the dtype numpy gives it
+    assert nx.mul(w, Tensor(2.0)).data.dtype == np.float64
+    assert nx.matmul(w, w).data.dtype == np.float32
+
+
+def test_a_float64_tape_still_records_for_the_oracles():
+    w = Tensor(np.full((2, 2), 0.5), requires_grad=True)
+    with nx.GradTape() as tape:
+        loss = nx.tmean(nx.tanh(w))
+    assert tape.dtype == np.float64
+    tape.backward(loss)
+    assert w.grad.dtype == np.float64
+    assert np.allclose(w.grad, (1 - np.tanh(0.5) ** 2) * 0.25, rtol=1e-15)
+
+
+def test_a_fused_backward_returning_another_dtype_raises():
+    w = Tensor(np.ones(3, np.float32), requires_grad=True)
+    with nx.GradTape() as tape:
+        loss = nx.tsum(nx.fused_op(2 * w.data, [w], lambda g: (2 * g.astype(np.float64),)))
+    with pytest.raises(ContractError, match="float64 gradient on a float32 tape"):
+        tape.backward(loss)
 
 
 def test_gradients_accumulate_on_node_reuse():

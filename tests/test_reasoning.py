@@ -10,7 +10,7 @@ from titlemap.errors import ContractError, DegenerateInputError, DimensionError
 from titlemap.numerics import Tensor
 
 from helpers import (
-    event_oracle, finite_difference_check, float64_clause, not_op, taped_regularizers,
+    cast_tensors, event_oracle, finite_difference_check, not_op, taped_regularizers,
 )
 
 D_VIEW, D_R = 6, 8
@@ -73,18 +73,31 @@ def test_not_and_or_preserve_shape(params):
 
 
 # The fused fold composes NOT with the event head's linear layer, so at
-# float64 (`float64_clause`) it rounds differently from the tape-unrolled
-# oracle below; values and gradients must agree within FOLD_RTOL, relative to
-# the largest magnitude of the oracle's. `clause_representation` folds in
-# float32: within FLOAT32_FOLD_RTOL of the same scale (measured at
-# FOLD_SHAPES: values at most 2.2 and gradients at most 9.6 float32 eps).
+# float64 it rounds differently from the tape-unrolled oracle below; values
+# and gradients must agree within FOLD_RTOL, relative to the largest
+# magnitude of the oracle's. Fed the float32 copies of its leaves, as the
+# mapper holds them, the fold and its gradients must agree within
+# FLOAT32_FOLD_RTOL of the same scale (measured at FOLD_SHAPES: values at
+# most 1.9 and gradients at most 9.9 float32 eps).
 FOLD_RTOL = 1e-12
 FLOAT32_FOLD_RTOL = 16 * np.finfo(np.float32).eps
+FOLD_DTYPES = ((np.float64, FOLD_RTOL), (np.float32, FLOAT32_FOLD_RTOL))
 
 
 def assert_fold_close(actual, expected, name="", rtol=FOLD_RTOL):
     scale = max(np.max(np.abs(expected)), 1e-300)
     assert np.max(np.abs(actual - expected)) <= rtol * scale, name
+
+
+def cast_leaves(dtype, j, v, params):
+    """Copies of a fold's title rows, candidate rows and parameters in
+    `dtype`, each requiring a gradient as its original does."""
+    return (*(Tensor(t.data.astype(dtype), t.requires_grad) for t in (j, v)),
+            cast_tensors(params, dtype))
+
+
+def fold_of(j, v, params, order=None):
+    return rs.clause_representation(*rs.encode_views(j, v, params), params, order)
 
 
 def unrolled_fold(j, v, params, order):
@@ -104,11 +117,12 @@ def test_clause_single_candidate_is_negated_event(params):
     rng = np.random.default_rng(4)
     j = rand_rows(rng, 3, D_VIEW)
     v = rand_rows(rng, 1, D_VIEW)
-    out = float64_clause(*rs.encode_views(j, v, params), params)
+    out = fold_of(j, v, params)
     expected = not_op(Tensor(event_oracle(params, j.data, v.data)), params)
     assert np.allclose(out.data, expected.data, atol=1e-12)
     assert_fold_close(out.data, unrolled_fold(j, v, params, [0]).data)
-    narrow = rs.clause_representation(*rs.encode_views(j, v, params), params)
+    narrow = fold_of(*cast_leaves(np.float32, j, v, params))
+    assert narrow.data.dtype == np.float32
     assert_fold_close(narrow.data, expected.data, rtol=FLOAT32_FOLD_RTOL)
 
 
@@ -135,7 +149,7 @@ def test_clause_fold_matches_hand_unrolled_oracle(params):
     j = rand_rows(rng, 2, D_VIEW)
     v = rand_rows(rng, 3, D_VIEW)
     order = np.array([1, 2, 0])
-    out = float64_clause(*rs.encode_views(j, v, params), params, order=order)
+    out = fold_of(j, v, params, order)
 
     def event(k):
         return Tensor(event_oracle(params, j.data, v.data[k : k + 1]))
@@ -145,7 +159,8 @@ def test_clause_fold_matches_hand_unrolled_oracle(params):
     folded = rs.or_op(folded, not_op(event(0), params), params)
     assert np.allclose(out.data, folded.data, atol=1e-12)
     assert_fold_close(out.data, unrolled_fold(j, v, params, order).data)
-    narrow = rs.clause_representation(*rs.encode_views(j, v, params), params, order=order)
+    narrow = fold_of(*cast_leaves(np.float32, j, v, params), order)
+    assert narrow.data.dtype == np.float32
     assert_fold_close(narrow.data, folded.data, rtol=FLOAT32_FOLD_RTOL)
 
 
@@ -190,12 +205,13 @@ def fold_inputs(batch, n_cand, shuffled, seed, d_r=D_R):
 def test_taped_and_untaped_fold_are_bit_identical(params, batch, n_cand, shuffled):
     j, v, order, _ = fold_inputs(batch, n_cand, shuffled, seed=12)
     oracle = unrolled_fold(j, v, params, order).data
-    for fold, rtol in ((float64_clause, FOLD_RTOL), (rs.clause_representation, FLOAT32_FOLD_RTOL)):
-        plain = fold(*rs.encode_views(j, v, params), params, order)
+    for dtype, rtol in FOLD_DTYPES:
+        leaves = cast_leaves(dtype, j, v, params)
+        plain = fold_of(*leaves, order)
         with nx.GradTape():
-            taped = fold(*rs.encode_views(j, v, params), params, order)
+            taped = fold_of(*leaves, order)
         assert taped.requires_grad and not plain.requires_grad
-        assert taped.data.dtype == np.float64
+        assert taped.data.dtype == dtype
         assert np.array_equal(taped.data, plain.data)
         assert_fold_close(taped.data, oracle, rtol=rtol)
 
@@ -270,55 +286,48 @@ def test_fold_value_and_backward_are_pinned_at_the_readme_width(batch, n_cand, s
     assert digest == WIDE_FOLD_DIGESTS[batch, n_cand, shuffled]
 
 
-def float32_fold_inputs(pre, params):
-    """The projections `pre` and `params` cast to float32, as serving casts
-    its model and views."""
-    return [Tensor(t.data.astype(np.float32)) for t in pre], nx.cast_fields(params, np.float32)
-
-
 @pytest.mark.parametrize("batch,n_cand,shuffled", FOLD_SHAPES)
 def test_float32_fold_agrees_with_the_float64_fold(params, batch, n_cand, shuffled):
     # the steps are tanh of bounded sums, so float32 rounding stays a few ulps
     # of float32 over the whole fold (measured at these shapes: at most 1.2e-7)
     j, v, order, _ = fold_inputs(batch, n_cand, shuffled, seed=15)
-    pre = rs.encode_views(j, v, params)
-    wide = float64_clause(*pre, params, order)
-    narrow_pre, narrow_params = float32_fold_inputs(pre, params)
-    narrow = rs.clause_representation(*narrow_pre, narrow_params, order)
+    wide = fold_of(j, v, params, order)
+    narrow = fold_of(*cast_leaves(np.float32, j, v, params), order)
+    assert wide.data.dtype == np.float64
     assert narrow.data.dtype == np.float32 and not narrow.requires_grad
     assert np.allclose(narrow.data, wide.data, rtol=0, atol=16 * np.finfo(np.float32).eps)
     assert not np.array_equal(narrow.data, wide.data)
-    # training's fold casts the same float64 arrays to the same float32 ones
-    training = rs.clause_representation(*pre, params, order)
-    assert training.data.dtype == np.float64
-    assert np.array_equal(training.data, narrow.data.astype(np.float64))
 
 
-def test_taped_fold_refuses_any_dtype_but_float64(params):
-    # a float32 projection on the tape: the fold's one node refuses to record
+def test_taped_fold_refuses_mixed_dtypes(params):
+    # a float32 projection on a float64 tape: the fold's one node refuses to
+    # record
     j, v, order, _ = fold_inputs(3, 5, True, seed=12)
     with nx.GradTape():
         pre = rs.encode_views(j, v, params)
         narrow = Tensor(pre[0].data.astype(np.float32), requires_grad=True)
-        with pytest.raises(ContractError, match="float64"):
+        with pytest.raises(ContractError, match="float64 tape cannot record an op over "
+                                                "float32, float64"):
             rs.clause_representation(narrow, pre[1], params, order)
         assert rs.clause_representation(*pre, params, order).requires_grad
 
 
-def test_taped_fold_node_is_float64_at_its_boundary(params):
-    # the fold runs in float32 inside one node whose value and nine
-    # gradients are float64, as the rest of the tape and Adam are
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_taped_fold_node_keeps_its_inputs_dtype(params, dtype):
+    # the fold computes in its inputs' dtype, and its one node's value and
+    # nine gradients have it: float32 in the mapper, float64 in the oracles
     j, v, order, weights = fold_inputs(4, 6, True, seed=12)
+    j, v, params = cast_leaves(dtype, j, v, params)
     with nx.GradTape() as tape:
         pre = rs.encode_views(j, v, params)
         out = rs.clause_representation(*pre, params, order)
     node_out, inputs, backward = tape._nodes[-1]
-    assert node_out is out and out.data.dtype == np.float64
+    assert node_out is out and out.data.dtype == dtype == tape.dtype
     assert inputs == pre + rs._fold_weights(params)
-    grads = backward(weights.data)
+    grads = backward(weights.data.astype(dtype))
     assert len(grads) == 9
     for grad, t in zip(grads, inputs):
-        assert grad.dtype == np.float64 and grad.shape == t.data.shape
+        assert grad.dtype == dtype and grad.shape == t.data.shape
 
 
 def gradients(make_output, j, v, weights, params):
@@ -338,12 +347,13 @@ def gradients(make_output, j, v, weights, params):
 def test_fused_fold_gradients_match_tape_unrolled_oracle(params, batch, n_cand, shuffled):
     j, v, order, weights = fold_inputs(batch, n_cand, shuffled, seed=13)
     oracle = gradients(lambda: unrolled_fold(j, v, params, order), j, v, weights, params)
-    for fold, rtol in ((float64_clause, FOLD_RTOL), (rs.clause_representation, FLOAT32_FOLD_RTOL)):
-        fused = gradients(lambda: fold(*rs.encode_views(j, v, params), params, order),
-                          j, v, weights, params)
+    for dtype, rtol in FOLD_DTYPES:
+        leaves = cast_leaves(dtype, j, v, params)
+        fused = gradients(lambda: fold_of(*leaves, order), *leaves[:2],
+                          Tensor(weights.data.astype(dtype)), leaves[2])
         assert len(fused) == 12
         for name, expected in oracle.items():
-            assert fused[name].dtype == np.float64, name
+            assert fused[name].dtype == dtype, name
             assert_fold_close(fused[name], expected, name, rtol)
 
 
@@ -355,8 +365,9 @@ def test_untaped_fold_keeps_one_block_not_every_step():
     rng = np.random.default_rng(16)
     j_pre, v_pre = rs.encode_views(Tensor(rng.uniform(-1, 1, (batch, D_VIEW))),
                                    Tensor(rng.uniform(-1, 1, (n_cand, D_VIEW))), params)
-    # serving's float32 fold, on the float32 copies serving casts once per call
-    narrow_pre, narrow_params = float32_fold_inputs((j_pre, v_pre), params)
+    # the mapper's float32 fold, and the float64 one of the tests' oracles
+    narrow_params = cast_tensors(params, np.float32)
+    narrow_pre = (Tensor(t.data.astype(np.float32)) for t in (j_pre, v_pre))
     for inputs in ((j_pre, v_pre, params), (*narrow_pre, narrow_params)):
         tracemalloc.start()
         try:
@@ -402,7 +413,7 @@ def test_fused_fold_gradients_match_finite_differences(params):
     trainables = [j, v] + [t for k, t in nx.tensor_fields(params).items() if k != "true_anchor"]
     err = finite_difference_check(
         lambda: nx.tsum(nx.mul(
-            float64_clause(*rs.encode_views(j, v, params), params, order), weights
+            fold_of(j, v, params, order), weights
         )),
         trainables,
     )
