@@ -1,6 +1,6 @@
 """The title mapper: views -> co-attention + reasoning -> fused classifier.
 
-There is one model: every forward pass co-attends the three views and folds
+There is one model: every forward pass co-attends the three views and pools
 the clauses of the semantic and syntactic reasoning views. Training fuses
 the co-attended views with the two clause representations, projects onto
 the taxonomy (relu then softmax), and minimizes cross-entropy
@@ -9,8 +9,8 @@ hyperbolic and semantic view producers are frozen; only co-attention,
 reasoning and fusion weights learn. The mapper has one precision, float32:
 its tensors, the views it reads, every forward and backward pass, Adam's
 moments and the artifact's values. Everything is deterministic for a fixed
-config: data split, batch order, fold shuffles and initialization all derive
-from the config seed.
+config: data split, batch order, regularizer samples and initialization all
+derive from the config seed.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .syntactic import GramNumbering, Taxonomy, syntactic_matrix
 from .formats import canonicalize_title, is_utf8
 
 MODEL_FORMAT = "titlemap-model"
-MODEL_VERSION = 4
+MODEL_VERSION = 5
 
 # every tensor is stored as the base64 of these raw bytes
 _TENSOR_DTYPE = np.dtype("<f4")
@@ -168,7 +168,6 @@ def check_view_widths(pipeline: FeaturePipeline, config: TrainConfig) -> None:
 
 @dataclass
 class _TrainContext:
-    fold_rng: np.random.Generator
     reg_rng: np.random.Generator
 
 
@@ -184,19 +183,16 @@ def _forward(
     """Forward pass; with `ctx` also returns the training-only loss pieces.
 
     It computes in the dtype of the model's tensors and the views, float32
-    in training and serving alike; the two clause folds run in turn on the
+    in training and serving alike; the two clauses run in turn on the
     calling thread."""
     th, tb, ts = Tensor(x_h), Tensor(x_b), Tensor(x_s)
     out: dict = {}
     training = ctx is not None
-    n_cand = len(model.taxonomy)
-    order_b = ctx.fold_rng.permutation(n_cand) if training else None
-    order_s = ctx.fold_rng.permutation(n_cand) if training else None
     pre_b = rs.encode_views(tb, v_b, model.reason_b)
     pre_s = rs.encode_views(ts, v_s, model.reason_s)
     attended = ca.co_attend(th, tb, ts, model.coatt)
-    clause_b = rs.clause_representation(*pre_b, model.reason_b, order_b)
-    clause_s = rs.clause_representation(*pre_s, model.reason_s, order_s)
+    clause_b = rs.clause_representation(*pre_b, model.reason_b)
+    clause_s = rs.clause_representation(*pre_s, model.reason_s)
     fused = nx.concat([*attended, clause_b, clause_s], axis=1)
     if training:
         out["clauses"] = {"b": clause_b, "s": clause_s}
@@ -215,10 +211,11 @@ def _reg_batch(
     """Vectors fed to the logical regularizers for one view, encoded in one
     pass from the view's projections: the events of a couple of sampled
     candidates, then each batch title and each sampled standard title alone,
-    with the other event slot zero."""
+    with the other event slot zero. A sampled candidate's row is added to
+    every title row by broadcasting, so its gradient is one row sum."""
     n_cand, batch_size = v_pre.data.shape[0], j_pre.data.shape[0]
     pre = [
-        j_pre + nx.take_rows(v_pre, np.full(batch_size, k))
+        j_pre + nx.take_rows(v_pre, [k])
         for k in ctx.reg_rng.choice(n_cand, size=min(2, n_cand), replace=False)
     ]
     sample = ctx.reg_rng.choice(n_cand, size=min(n_cand, batch_size), replace=False)
@@ -298,14 +295,15 @@ def forward_probabilities(
     arrays as `train` left them, through the forward pass training runs, on
     the views cast to float32 once per call, so `train`'s validation and
     test scoring give the same probabilities bit for bit when they score
-    the same keys in the same order. Against that pass run all in float64, on
-    the model cast up and the float64 views, a probability moves by less
-    than 1e-6 on the tests' gate fixtures (a fresh desk-width model and a
-    G=200 one with a sharpened head) and by less than 2e-6 on a trained
-    fit-g50 model, where the top 10 stays. Every step of the forward pass
-    acts per row, but the BLAS products are not bitwise row-independent: a
-    row can differ in its last bits from scoring that key alone or among
-    other keys."""
+    the same keys in the same order. Each clause pools its candidates, so
+    the taxonomy's row order moves a probability by float32 rounding only.
+    Against that pass run all in float64, on the model cast up and the
+    float64 views, a probability moves by less than 1e-6 on the tests' gate
+    fixtures (a fresh desk-width model and a G=200 one with a sharpened
+    head) and by less than 2e-6 on a trained fit-g50 model, where the top 10
+    stays. Every step of the forward pass acts per row, but the BLAS
+    products are not bitwise row-independent: a row can differ in its last
+    bits from scoring that key alone or among other keys."""
     row_of = {key: row for row, key in enumerate(dict.fromkeys(keys))}
     inverse = np.array([row_of[key] for key in keys], dtype=np.intp)
     return _probs_from_views(model, *_float32_views(pipeline, list(row_of)))[inverse]
@@ -420,13 +418,12 @@ def train(
     labels_all = np.array([taxonomy.index(std) for _, std in examples], dtype=np.intp)
     titles_all = [raw for raw, _ in examples]
 
+    # spawn index 2 stays unused, so the split, shuffle and regularizer
+    # streams keep the indices, and so the draws, that seeded runs had
     seeds = np.random.SeedSequence(config.seed).spawn(4)
     split_rng = np.random.default_rng(seeds[0])
     shuffle_rng = np.random.default_rng(seeds[1])
-    ctx = _TrainContext(
-        fold_rng=np.random.default_rng(seeds[2]),
-        reg_rng=np.random.default_rng(seeds[3]),
-    )
+    ctx = _TrainContext(reg_rng=np.random.default_rng(seeds[3]))
 
     n = len(examples)
     perm = split_rng.permutation(n)

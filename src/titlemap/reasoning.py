@@ -2,42 +2,42 @@
 
 For one view, every standard title k yields an event vector e_k encoding the
 proposition "the input title matches candidate k". Learned NOT and OR modules
-fold the negated events into a clause representation; no algebraic law is
+turn the negated events into a clause representation; no algebraic law is
 hard-coded - the logical behaviour of NOT/OR is only encouraged by the six
 regularizers (negation, double negation, identity, annihilator, idempotence,
 complementation) against learnable TRUE/FALSE anchors.
 
 The encoder's first layer is linear in each event slot, so `encode_views`
 projects a view's title rows and candidate rows once per forward pass; the
-fold, the gold events and the regularizer batch all take rows from those two
-projections. The fold that feeds the classifier is label-free: the correct
-candidate's positive literal only ever appears inside `clause_truth_loss`, a
-training-time auxiliary, so the classifier input cannot encode the answer.
-The whole fold is one tape node whatever the number of candidates. Inside
-it, NOT is composed with the event head's second layer once per call, and
-the steps run in blocks whose length comes from a working-set budget for
-the block's hidden layer (`_FOLD_BLOCK_BYTES`, see `fold_block_steps`). The
-work that does not read the fold state (hidden layers, literals, the
-literals' share of OR, and in the backward the weight, literal and hidden
-gradients) is a few wide array operations per block; only the OR
-recurrence runs step by step, forward and then in reverse. A taped call
-keeps 4·d_r floats per row per step, an untaped one a single block. The
-composed weight and the split OR product round differently from
-`or_op(..., not_op(event_head(...)))`, where `not_op`, tanh(e W_notᵀ +
-b_not), is the tests' oracle of NOT (`tests/helpers.py`; no code here
-applies NOT alone). So at float64 the fold agrees with that composition
-within 1e-12 relative (the tests' bound), not bit for bit. Every op here
-computes in the dtype of its inputs, float32 in the mapper and float64 in
-the tests' oracles, and taped and untaped folds are bit-identical. The six
-regularizers with their cosines are one tape node per call as well, and
-agree with composing the tests' `not_op` with `or_op` and `row_cosine`
-within 1e-12 relative.
+clause, the gold events and the regularizer batch all take rows from those
+two projections. The clause that feeds the classifier is label-free: the
+correct candidate's positive literal only ever appears inside
+`clause_truth_loss`, a training-time auxiliary, so the classifier input
+cannot encode the answer. The clause is a function of the candidate set, as
+in Deep Sets (Zaheer et al., arXiv:1703.06114): OR(p, p) of the mean p of
+the |Y| NOT literals, so it does not depend on the taxonomy's row order.
+It is one tape node whatever the number of candidates. Inside it, NOT is
+composed with the event head's second layer once per call, and the
+candidates run in blocks whose length comes from a working-set budget for
+the block's hidden layer (`_FOLD_BLOCK_BYTES`, see `fold_block_steps`); each
+block is a few wide array operations, forward and backward, with no
+recurrence. A taped call keeps 3·d_r floats per row per candidate, an
+untaped one a single block. The composed weights round differently from
+`or_op(p, p)` over the mean of `not_op(event_head(...))`, where `not_op`,
+tanh(e W_notᵀ + b_not), is the tests' oracle of NOT (`tests/helpers.py`; no
+code here applies NOT alone). So at float64 the clause agrees with that
+composition within 1e-12 relative (the tests' bound), not bit for bit.
+Every op here computes in the dtype of its inputs, float32 in the mapper
+and float64 in the tests' oracles, and taped and untaped clauses are
+bit-identical. The six regularizers with their cosines are one tape node
+per call as well, and agree with composing the tests' `not_op` with
+`or_op` and `row_cosine` within 1e-12 relative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -140,92 +140,72 @@ def encode_views(
     return j_pre, v_pre
 
 
-# Working-set budget of one block of fold steps, in bytes of the block's
+# Working-set budget of one block of clause steps, in bytes of the block's
 # hidden layer counted as (steps, batch, 2·d_r) float64s. At d_r 16 that is 8
-# steps at batch 192, 3 at batch 512 and 25 at batch 60. The mapper folds in
-# float32, so its blocks fill half the budget: blocks twice as long, to fill
-# it at float32, saved about 2 % of a serving stage's time, inside its
-# run-to-run spread, and raised its peak RSS by about 1 MB. A float64 fold,
-# as the tests run it, fills it all.
+# steps at batch 192, 3 at batch 512 and 25 at batch 60. The mapper computes
+# in float32, so its blocks fill half the budget; a float64 call, as the
+# tests run it, fills it all.
 _FOLD_BLOCK_BYTES = 384 * 1024
 
 
 def fold_block_steps(batch: int, width: int) -> int:
-    """Steps per block of the clause fold over `batch` rows whose hidden
+    """Candidate steps per block of the clause over `batch` rows whose hidden
     layer is `width` floats wide: as many as `_FOLD_BLOCK_BYTES` holds at
-    float64, at least one, whatever dtype the fold computes in."""
+    float64, at least one, whatever dtype the clause computes in."""
     return max(1, _FOLD_BLOCK_BYTES // max(1, batch * width * 8))
 
 
-def clause_representation(
-    j_pre: Tensor,
-    v_pre: Tensor,
-    params: ReasoningParams,
-    order: Optional[np.ndarray] = None,
-) -> Tensor:
-    """Left-fold OR over the NOT of every candidate event: the (batch, d_r)
-    label-free clause representation, from the projections of `encode_views`.
+def clause_representation(j_pre: Tensor, v_pre: Tensor, params: ReasoningParams) -> Tensor:
+    """OR(p, p), where p is the mean over every candidate k of NOT(event(j,
+    k)): the (batch, d_r) label-free clause representation, from the
+    projections of `encode_views`.
 
-    `order` permutes the fold (shuffled per training step, natural taxonomy
-    order at inference) and may repeat a candidate. The output never sees
-    the gold candidate's positive literal. The fold is one tape node with a
-    hand-written backward through time (`_clause_fold`).
+    The clause is a function of the candidate set, not of its order: a
+    permutation of `v_pre`'s rows changes it only by the rounding of the
+    sum. It never sees the gold candidate's positive literal, and it is one
+    tape node with a hand-written backward (`_clause_fold`).
 
-    The fold computes in the dtype of its inputs, which must all have one:
-    float32 in the mapper, float64 in the tests' 1e-12 kernel checks. Taped
-    and untaped calls fold the same arrays, so their values are equal.
+    It computes in the dtype of its inputs, which must all have one: float32
+    in the mapper, float64 in the tests' 1e-12 kernel checks. Taped and
+    untaped calls compute the same arrays, so their values are equal.
     """
     inputs = (j_pre, v_pre) + _fold_weights(params)
-    fold, backward = _clause_fold([t.data for t in inputs], order, nx.recording(inputs))
-    return nx.fused_op(fold, inputs, backward)
+    clause, backward = _clause_fold([t.data for t in inputs], nx.recording(inputs))
+    return nx.fused_op(clause, inputs, backward)
 
 
 def _fold_weights(params: ReasoningParams) -> tuple[Tensor, ...]:
-    """The fold's weight inputs, in the order its backward returns them."""
+    """The clause's weight inputs, in the order its backward returns them."""
     return (params.enc_w2, params.enc_b2, params.not_w, params.not_b,
             params.or_w_left, params.or_w_right, params.or_b)
 
 
-def _clause_fold(
-    arrays: Sequence[np.ndarray],
-    order: Optional[np.ndarray],
-    taped: bool,
-) -> tuple[np.ndarray, Callable]:
-    """The body of `clause_representation`: the fold's value and its
+def _clause_fold(arrays: Sequence[np.ndarray], taped: bool) -> tuple[np.ndarray, Callable]:
+    """The body of `clause_representation`: the clause's value and its
     backward over the arrays of its nine inputs (`j_pre`, `v_pre`, then
-    `_fold_weights`), keeping every step for the backward if `taped`. It
-    records nothing on the tape, and computes in the arrays' one dtype,
-    float32 in the mapper: the value, every work array and the nine
+    `_fold_weights`), keeping every candidate's work for the backward if
+    `taped`. It records nothing on the tape, and computes in the arrays' one
+    dtype, float32 in the mapper: the value, every work array and the nine
     gradients `backward(g)` returns have it, as `g` must.
 
-    NOT is composed with the event head once per call: literal t is
-    tanh(h_t W_negᵀ + b_neg), with hidden layer h_t = tanh(j_pre +
-    v_pre[order[t]]), W_neg = not_w enc_w2 and b_neg = enc_b2 not_wᵀ +
-    not_b. The steps run in blocks of `fold_block_steps(batch, 2·d_r)`, and
-    everything that does not read the fold state is done once per block over
-    a (steps, batch, ·) array: one row copy, one add and one tanh for the
-    hidden layers, one product for the literals and one for their OR terms
-    r_t = literal_t W_rightᵀ + b_or. Only state_t = tanh(state_{t-1} W_leftᵀ
-    + r_t) runs per step; the first state is the first literal. The backward
-    mirrors this: per step only the recurrence g ← (g W_left) ⊙ (1 −
-    state_{t-1}²), per block one product or reduction for each weight
-    gradient, the literal and hidden gradients, g_j and the g_v rows, and
-    after the loop one scatter-add of those rows (an `order` may repeat a
-    candidate).
+    NOT is composed with the event head once per call: literal k is
+    tanh(h_k W_negᵀ + b_neg), with hidden layer h_k = tanh(j_pre +
+    v_pre[k]), W_neg = not_w enc_w2 and b_neg = enc_b2 not_wᵀ + not_b. The
+    candidates run in blocks of `fold_block_steps(batch, 2·d_r)`, each a few
+    wide array operations over a (steps, batch, ·) array: one row copy, one
+    add and one tanh for the hidden layers, one product and one tanh for the
+    literals, and one sum into the running total. The mean p of the literals
+    goes through OR once, as tanh(p (W_left + W_right)ᵀ + b_or). Every
+    literal's gradient is the same (batch, d_r) block before its tanh, so
+    the backward runs the blocks in any order with no recurrence: per block
+    one product or reduction for the weight gradients, the literal and
+    hidden gradients, g_j and the block's g_v rows.
 
-    The backward never runs on subnormal numbers, which are slow: it flushes
-    the recurrence's gradient to zero once its largest magnitude falls below
-    `tiny / eps` of the dtype (about 1e-31 in float32, 1e-292 in float64),
-    and at the first block that receives an all-zero gradient it sets the
-    g_v rows of the steps before it to zero and stops, since every gradient
-    those steps would add is zero.
-
-    A taped call keeps every step's hidden layer, literal and state, 4·d_r
-    floats per row per step; an untaped call keeps one block of each and the
-    last state. Composing NOT with the head and taking OR as
-    state W_leftᵀ + r_t round differently from applying `event_head`, the
-    tests' oracle `not_op` and `or_op` in turn, so at float64 value and
-    gradients agree with that composition within 1e-12 relative, not bit
+    A taped call keeps every candidate's hidden layer and literal, 3·d_r
+    floats per row per candidate; an untaped call keeps one block. The
+    composed weights round differently from applying `event_head`, the
+    tests' oracle `not_op`, a mean and `or_op` in turn, so at float64 value
+    and gradients agree with that composition within 1e-12 relative, not bit
     for bit. Taped and untaped calls run the same block shapes and are
     bit-identical.
     """
@@ -233,97 +213,69 @@ def _clause_fold(
     n_cand = v.shape[0]
     if n_cand == 0:
         raise DegenerateInputError("clause_representation: empty candidate set")
-    sequence = np.arange(n_cand) if order is None else np.asarray(order, dtype=np.intp)
     w_neg = w_not @ w2  # NOT after the event head's linear layer
     b_neg = b2 @ w_not.T + b_not
+    w_or = w_left + w_right  # OR(p, p) reads p through both halves
     # BLAS multiplies by a contiguous right operand faster than by a transposed view
-    w_neg_t, w_left_t, w_right_t = (np.ascontiguousarray(w.T) for w in (w_neg, w_left, w_right))
+    w_neg_t = np.ascontiguousarray(w_neg.T)
     dtype = j.dtype
-    steps, (batch, width), d_r = len(sequence), j.shape, w_not.shape[0]
-    # the biases repeated per batch row: numpy adds a (batch, d_r) operand
-    # to a block over batch·d_r-long runs, a (d_r,) one over d_r-long runs
-    bias_neg, bias_or = (np.tile(b, (batch, 1)) for b in (b_neg, b_or))
-    block = min(steps, fold_block_steps(batch, width))
-    starts = range(0, steps, block)
-    # time-major, so a block of steps is one contiguous slab of each
-    kept = steps if taped else block
+    (batch, width), d_r = j.shape, w_not.shape[0]
+    # the bias repeated per batch row: numpy adds a (batch, d_r) operand to a
+    # block over batch·d_r-long runs, a (d_r,) one over d_r-long runs
+    bias_neg = np.tile(b_neg, (batch, 1))
+    block = min(n_cand, fold_block_steps(batch, width))
+    starts = range(0, n_cand, block)
+    # candidate-major, so a block of candidates is one contiguous slab of each
+    kept = n_cand if taped else block
     hidden = np.empty((kept, batch, width), dtype)
     literals = np.empty((kept, batch, d_r), dtype)
-    states = np.empty((kept, batch, d_r), dtype)
+    total = np.zeros((batch, d_r), dtype)
     for s in starts:
-        n = min(block, steps - s)
+        n = min(block, n_cand - s)
         at = slice(s, s + n) if taped else slice(n)
-        h, lit, st = hidden[at], literals[at], states[at]
+        h, lit = hidden[at], literals[at]
         # copy the rows, then add j over batch·width-long runs: one add that
         # broadcasts both operands runs over width-long runs, about 1.4× slower
-        h[...] = v[sequence[s : s + n]][:, None]
+        h[...] = v[s : s + n, None]
         h += j
         np.tanh(h, out=h)
         np.matmul(h.reshape(-1, width), w_neg_t, out=lit.reshape(-1, d_r))
         lit += bias_neg
         np.tanh(lit, out=lit)
-        np.matmul(lit.reshape(-1, d_r), w_right_t, out=st.reshape(-1, d_r))
-        st += bias_or
-        for i in range(n):
-            if s + i == 0:
-                st[0] = lit[0]  # the first state is the first literal
-            else:
-                st[i] += (st[i - 1] if i else fold) @ w_left_t
-                np.tanh(st[i], out=st[i])
-        fold = st[n - 1].copy()
+        total += lit.sum(axis=0)
+    pooled = total / n_cand
+    clause = np.tanh(pooled @ w_or.T + b_or)
 
     def backward(g):
-        g_w_left, g_w_right, g_w_neg = (np.zeros_like(w) for w in (w_left, w_right, w_neg))
-        g_b_or, g_b_neg, g_j = np.zeros(d_r, dtype), np.zeros(d_r, dtype), np.zeros_like(j)
-        g_v_rows = np.empty((steps, width), dtype)  # one row per step, scattered after the loop
+        g_or = g * (1.0 - clause * clause)  # OR's pre-activation gradient
+        g_w_or = g_or.T @ pooled  # each half's weight gradient
+        g_pooled = (g_or @ w_or) / n_cand  # every literal's gradient
+        g_w_neg, g_b_neg = np.zeros_like(w_neg), np.zeros(d_r, dtype)
+        g_j, g_v = np.zeros_like(j), np.empty_like(v)
         # `ones @ x` sums rows several times faster than x.sum(0)
         ones = np.ones(block * batch, dtype)
-        # per block: pre-activation gradients of OR, literal and hidden layer,
-        # and the tanh slopes 1 - y² of states, literals and hidden layer
-        g_ors, g_lits, slopes = (np.empty((block, batch, d_r), dtype) for _ in range(3))
+        # per block: pre-activation gradients of literal and hidden layer
+        g_lits = np.empty((block, batch, d_r), dtype)
         g_hs, slopes_h = (np.empty((block, batch, width), dtype) for _ in range(2))
-        magnitudes = np.empty((batch, d_r), dtype)
-        flush = np.finfo(dtype).tiny / np.finfo(dtype).eps  # below it, the next steps go subnormal
-        g_state = g  # gradient of the state after the step in hand
-        for s in reversed(starts):
-            n = min(block, steps - s)
-            if not g_state.any():  # so is every gradient of this block and the ones before
-                g_v_rows[: s + n] = 0
-                break
-            h, lit, st = hidden[s : s + n], literals[s : s + n], states[s : s + n]
-            g_or, g_lit, g_h = g_ors[:n], g_lits[:n], g_hs[:n]
-            slope, slope_h = slopes[:n], slopes_h[:n]
-            np.subtract(1.0, np.square(st, out=slope), out=slope)
-            for i in range(n - 1, -1, -1):
-                np.multiply(g_state, slope[i], out=g_or[i])
-                if s + i:
-                    g_state = g_or[i] @ w_left
-                    if np.maximum.reduce(np.abs(g_state, out=magnitudes), axis=None) < flush:
-                        g_state[...] = 0
-            # step 0 has no OR: its slot holds the first literal's gradient
-            first = 1 if s == 0 else 0
-            ors = g_or[first:].reshape(-1, d_r)
-            g_w_left += ors.T @ states[s + first - 1 : s + n - 1].reshape(-1, d_r)
-            g_w_right += ors.T @ lit[first:].reshape(-1, d_r)
-            g_b_or += ones[: len(ors)] @ ors
+        for s in starts:
+            n = min(block, n_cand - s)
+            h, lit = hidden[s : s + n], literals[s : s + n]
+            g_lit, g_h, slope_h = g_lits[:n], g_hs[:n], slopes_h[:n]
+            np.subtract(1.0, np.square(lit, out=g_lit), out=g_lit)
+            g_lit *= g_pooled
             lits = g_lit.reshape(-1, d_r)
-            np.matmul(g_or.reshape(-1, d_r), w_right, out=lits)
-            g_lit *= np.subtract(1.0, np.square(lit, out=slope), out=slope)
-            if first:
-                g_lit[0] = g_or[0]
             g_w_neg += lits.T @ h.reshape(-1, width)
             g_b_neg += ones[: len(lits)] @ lits
             np.matmul(lits, w_neg, out=g_h.reshape(-1, width))
             g_h *= np.subtract(1.0, np.square(h, out=slope_h), out=slope_h)
             g_j += g_h.sum(axis=0)
-            np.matmul(ones[:batch], g_h, out=g_v_rows[s : s + n])
-        g_v = np.zeros_like(v)
-        np.add.at(g_v, sequence, g_v_rows)
+            np.matmul(ones[:batch], g_h, out=g_v[s : s + n])
         g_not = g_w_neg @ w2.T + np.outer(g_b_neg, b2)
+        # the OR halves get one array each: the tape adds later gradients into it
         return (g_j, g_v, w_not.T @ g_w_neg, (g_b_neg @ w_not)[None], g_not,
-                g_b_neg[None], g_w_left, g_w_right, g_b_or[None])
+                g_b_neg[None], g_w_or, g_w_or.copy(), g_or.sum(axis=0, keepdims=True))
 
-    return fold, backward
+    return clause, backward
 
 
 def correct_events(

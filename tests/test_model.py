@@ -92,7 +92,7 @@ def cross_entropy_only(taxonomy, x_h, x_b, labels, prepare):
     prepare(model)
     model = cast_tensors(model, np.float64)
     rng = np.random.default_rng(0)
-    ctx = _TrainContext(fold_rng=rng, reg_rng=rng)
+    ctx = _TrainContext(reg_rng=rng)
     n_cand = len(taxonomy)
     loss, detail = loss_on_batch(
         model, x_h, x_b, rng.uniform(0, 1, (len(labels), n_cand)), labels,
@@ -140,7 +140,7 @@ def test_label_outside_taxonomy_is_data_error():
     taxonomy, pipeline, examples = tiny_world()
     model = init_model(taxonomy, small_config())
     rng = np.random.default_rng(0)
-    ctx = _TrainContext(fold_rng=rng, reg_rng=rng)
+    ctx = _TrainContext(reg_rng=rng)
     x_h, x_b, x_s = pipeline.title_views([examples[0][0]])
     with pytest.raises(DataError):
         loss_on_batch(model, x_h, x_b, x_s, np.array([len(taxonomy)]),
@@ -155,7 +155,7 @@ def test_regularizer_batch_rows_are_encoder_events(batch, n_cand):
     params = rs.ReasoningParams.init(6, 4, seed=0)
     rng = np.random.default_rng(1)
     x, v = rng.uniform(-1, 1, (batch, 6)), rng.uniform(-1, 1, (n_cand, 6))
-    ctx = _TrainContext(fold_rng=np.random.default_rng(2), reg_rng=np.random.default_rng(3))
+    ctx = _TrainContext(reg_rng=np.random.default_rng(3))
     out = _reg_batch(*rs.encode_views(Tensor(x), Tensor(v), params), params, ctx).data
     replay = np.random.default_rng(3)
     k1, k2 = replay.choice(n_cand, size=2, replace=False)
@@ -175,7 +175,7 @@ def tape_nodes_of_one_step(n_cand, batch=8, d_h=4, d_b=8):
                                 for i in range(n_cand)])
     model = init_model(taxonomy, small_config(d_h=d_h, d_b=d_b))
     rng = np.random.default_rng(0)
-    ctx = _TrainContext(fold_rng=np.random.default_rng(1), reg_rng=np.random.default_rng(2))
+    ctx = _TrainContext(reg_rng=np.random.default_rng(2))
     x_h, x_b, x_s, v_b, v_s = (rng.uniform(low, 1, shape).astype(np.float32) for low, shape in (
         (-1, (batch, d_h)), (-1, (batch, d_b)), (0, (batch, n_cand)), (-1, (n_cand, d_b)),
         (0, (n_cand, n_cand))))
@@ -186,7 +186,7 @@ def tape_nodes_of_one_step(n_cand, batch=8, d_h=4, d_b=8):
 
 
 def test_training_step_tape_is_small_and_independent_of_taxonomy_size():
-    # the clause fold and the six regularizers are one tape node each per view
+    # the clause and the six regularizers are one tape node each per view
     small, large = tape_nodes_of_one_step(12), tape_nodes_of_one_step(60)
     assert small == large
     assert small < 300
@@ -365,7 +365,7 @@ def test_rows_equal_the_distinct_batch_and_agree_with_scoring_alone_at_desk_dims
 # The float32 serving gate, against the same forward pass run in float64: on
 # the model cast up to float64 and the views before their cast. On a fresh
 # model (`desk_serving_world`, `g200_serving_world`): every probability
-# within FLOAT32_PROB_TOL (1e-6; the largest change seen was 4.3e-7), the
+# within FLOAT32_PROB_TOL (1e-6; the largest change seen was 2.2e-7), the
 # same top class on every row, and a top-k order that may differ only
 # between classes whose float64
 # probabilities are less than FLOAT32_RANK_GAP apart (two probabilities that
@@ -418,7 +418,7 @@ def g200_serving_world():
     """A fresh desk-width model over a generated G=200 taxonomy (1,000
     standard and noisy labelled titles as the keys), with its fusion weights
     scaled up so the top class holds up to about half the mass: a sharper
-    head than the fresh near-uniform one, so the folds' rounding reaches
+    head than the fresh near-uniform one, so the clauses' rounding reaches
     the probabilities."""
     taxonomy, labeled = gen_taxonomy(SynthConfig(groups=200, synonyms=5, seed=2))
     config = TrainConfig(d_h=32, d_b=128, d_r=16, seed=0)
@@ -444,9 +444,8 @@ def fit_g50_trained_world(seed=2):
     800 persons, 2 Poincare epochs, 50 training epochs at the README's
     rates), with the hyperbolic table it trains on, and its 300 distinct
     titles as the keys; the table holds 250 of them. Over data and train
-    seeds 1-3 the largest probability change of the float32 pass was 6.6e-7,
-    9.6e-7 and 9.4e-7, with the same top 10 on every row; seed 2 is the
-    largest."""
+    seeds 1-3 the largest probability change of the float32 pass was 6.5e-7,
+    7.7e-7 and 1.1e-6, with the same top 10 on every row."""
     synth = SynthConfig(groups=50, synonyms=5, persons=800, seed=seed)
     taxonomy, labeled = gen_taxonomy(synth)
     pairs = extract_parent_child_pairs(person_sequences(gen_resumes(synth, taxonomy, labeled)))
@@ -495,7 +494,7 @@ def test_training_step_stays_float32_end_to_end():
     model = init_model(taxonomy, small_config())
     x_h, x_b, x_s, v_b, v_s = model_module._float32_views(pipeline, [t for t, _ in examples[:8]])
     labels = np.array([taxonomy.index(std) for _, std in examples[:8]])
-    ctx = _TrainContext(fold_rng=np.random.default_rng(1), reg_rng=np.random.default_rng(2))
+    ctx = _TrainContext(reg_rng=np.random.default_rng(2))
     optimizer = nx.Adam(model.trainable_tensors(), lr=1e-3)
     with nx.GradTape() as tape:
         loss, _ = loss_on_batch(model, x_h, x_b, x_s, labels, v_b, v_s, ctx)
@@ -537,19 +536,19 @@ def test_serving_forward_stays_float32_end_to_end(monkeypatch):
 
 
 def test_serving_hands_its_float32_arrays_to_the_fold_without_a_copy(monkeypatch):
-    # the fold computes on the projections and the model's own fold weights,
-    # all float32, without a copy
+    # the clause computes on the projections and the model's own clause
+    # weights, all float32, without a copy
     model, pipeline, titles = desk_serving_world(n_titles=20)
     calls, folded = [], []
     original, original_fold = rs.clause_representation, rs._clause_fold
 
-    def clause(j_pre, v_pre, params, order=None):
+    def clause(j_pre, v_pre, params):
         calls.append((j_pre, v_pre) + rs._fold_weights(params))
-        return original(j_pre, v_pre, params, order)
+        return original(j_pre, v_pre, params)
 
-    def fold(arrays, order, taped):
+    def fold(arrays, taped):
         folded.append(arrays)
-        return original_fold(arrays, order, taped)
+        return original_fold(arrays, taped)
 
     monkeypatch.setattr(model_module.rs, "clause_representation", clause)
     monkeypatch.setattr(rs, "_clause_fold", fold)

@@ -72,13 +72,13 @@ def test_not_and_or_preserve_shape(params):
     assert rs.or_op(e, e, params).data.shape == (5, D_R)
 
 
-# The fused fold composes NOT with the event head's linear layer, so at
-# float64 it rounds differently from the tape-unrolled oracle below; values
-# and gradients must agree within FOLD_RTOL, relative to the largest
-# magnitude of the oracle's. Fed the float32 copies of its leaves, as the
-# mapper holds them, the fold and its gradients must agree within
-# FLOAT32_FOLD_RTOL of the same scale (measured at FOLD_SHAPES: values at
-# most 1.9 and gradients at most 9.9 float32 eps).
+# The pooled clause composes NOT with the event head's linear layer and OR's
+# two halves, so at float64 it rounds differently from the tape-composed
+# oracle below; values and gradients must agree within FOLD_RTOL, relative
+# to the largest magnitude of the oracle's. Fed the float32 copies of its
+# leaves, as the mapper holds them, the clause and its gradients must agree
+# within FLOAT32_FOLD_RTOL of the same scale (measured at FOLD_SHAPES: values
+# at most 2.7 and gradients at most 14.9 float32 eps).
 FOLD_RTOL = 1e-12
 FLOAT32_FOLD_RTOL = 16 * np.finfo(np.float32).eps
 FOLD_DTYPES = ((np.float64, FOLD_RTOL), (np.float32, FLOAT32_FOLD_RTOL))
@@ -90,37 +90,40 @@ def assert_fold_close(actual, expected, name="", rtol=FOLD_RTOL):
 
 
 def cast_leaves(dtype, j, v, params):
-    """Copies of a fold's title rows, candidate rows and parameters in
+    """Copies of a clause's title rows, candidate rows and parameters in
     `dtype`, each requiring a gradient as its original does."""
     return (*(Tensor(t.data.astype(dtype), t.requires_grad) for t in (j, v)),
             cast_tensors(params, dtype))
 
 
-def fold_of(j, v, params, order=None):
-    return rs.clause_representation(*rs.encode_views(j, v, params), params, order)
+def fold_of(j, v, params):
+    return rs.clause_representation(*rs.encode_views(j, v, params), params)
 
 
-def unrolled_fold(j, v, params, order):
-    """Tape-unrolled oracle: one not_op/or_op per candidate, each event from
-    its own `encode_views` and `correct_events` with every row labelled with
-    that candidate."""
-    folded = None
-    for k in order:
+def unrolled_fold(j, v, params):
+    """Tape-composed oracle: one `event_head` (through `correct_events`, every
+    row labelled with the candidate) and one `not_op` per candidate, then the
+    mean of the literals and `or_op` of the mean with itself."""
+    j_pre, v_pre = rs.encode_views(j, v, params)
+    n_cand = v.data.shape[0]
+    total = None
+    for k in range(n_cand):
         labels = np.full(j.data.shape[0], k)
-        event = rs.correct_events(*rs.encode_views(j, v, params), labels, params)
-        negated = not_op(event, params)
-        folded = negated if folded is None else rs.or_op(folded, negated, params)
-    return folded
+        literal = not_op(rs.correct_events(j_pre, v_pre, labels, params), params)
+        total = literal if total is None else total + literal
+    pooled = nx.mul(total, Tensor(total.data.dtype.type(1.0 / n_cand)))
+    return rs.or_op(pooled, pooled, params)
 
 
-def test_clause_single_candidate_is_negated_event(params):
+def test_clause_of_one_candidate_is_or_of_its_negated_event_with_itself(params):
     rng = np.random.default_rng(4)
     j = rand_rows(rng, 3, D_VIEW)
     v = rand_rows(rng, 1, D_VIEW)
     out = fold_of(j, v, params)
-    expected = not_op(Tensor(event_oracle(params, j.data, v.data)), params)
+    negated = not_op(Tensor(event_oracle(params, j.data, v.data)), params)
+    expected = rs.or_op(negated, negated, params)
     assert np.allclose(out.data, expected.data, atol=1e-12)
-    assert_fold_close(out.data, unrolled_fold(j, v, params, [0]).data)
+    assert_fold_close(out.data, unrolled_fold(j, v, params).data)
     narrow = fold_of(*cast_leaves(np.float32, j, v, params))
     assert narrow.data.dtype == np.float32
     assert_fold_close(narrow.data, expected.data, rtol=FLOAT32_FOLD_RTOL)
@@ -138,9 +141,8 @@ def test_clause_is_reproducible_for_fixed_order(params):
     rng = np.random.default_rng(5)
     j = rand_rows(rng, 2, D_VIEW)
     v = rand_rows(rng, 4, D_VIEW)
-    order = np.array([2, 0, 3, 1])
-    a = rs.clause_representation(*rs.encode_views(j, v, params), params, order=order)
-    b = rs.clause_representation(*rs.encode_views(j, v, params), params, order=order)
+    a = fold_of(j, v, params)
+    b = fold_of(j, v, params)
     assert np.array_equal(a.data, b.data)
 
 
@@ -148,33 +150,55 @@ def test_clause_fold_matches_hand_unrolled_oracle(params):
     rng = np.random.default_rng(6)
     j = rand_rows(rng, 2, D_VIEW)
     v = rand_rows(rng, 3, D_VIEW)
-    order = np.array([1, 2, 0])
-    out = fold_of(j, v, params, order)
+    out = fold_of(j, v, params)
 
-    def event(k):
-        return Tensor(event_oracle(params, j.data, v.data[k : k + 1]))
+    def literal(k):
+        return not_op(Tensor(event_oracle(params, j.data, v.data[k : k + 1])), params).data
 
-    folded = not_op(event(1), params)
-    folded = rs.or_op(folded, not_op(event(2), params), params)
-    folded = rs.or_op(folded, not_op(event(0), params), params)
-    assert np.allclose(out.data, folded.data, atol=1e-12)
-    assert_fold_close(out.data, unrolled_fold(j, v, params, order).data)
-    narrow = fold_of(*cast_leaves(np.float32, j, v, params), order)
+    pooled = Tensor((literal(0) + literal(1) + literal(2)) / 3)
+    expected = rs.or_op(pooled, pooled, params)
+    assert np.allclose(out.data, expected.data, atol=1e-12)
+    assert_fold_close(out.data, unrolled_fold(j, v, params).data)
+    narrow = fold_of(*cast_leaves(np.float32, j, v, params))
     assert narrow.data.dtype == np.float32
-    assert_fold_close(narrow.data, folded.data, rtol=FLOAT32_FOLD_RTOL)
+    assert_fold_close(narrow.data, expected.data, rtol=FLOAT32_FOLD_RTOL)
 
 
-# The fold runs in blocks of steps whose length falls with the batch; at this
-# batch a block is a few steps, so the shapes below cross block boundaries.
+# A permutation of the candidate rows moves the float32 clause only by the
+# rounding of its sum: within ORDER_EPS float32 eps of the clause's largest
+# magnitude (measured over these ten permutations: at most 1.7 at |Y| = 7
+# and 200, and 0 at |Y| = 1).
+ORDER_EPS = 4
+
+
+@pytest.mark.parametrize("n_cand", [1, 7, 200])
+def test_clause_is_invariant_to_the_candidate_order(n_cand):
+    d_r, batch = 16, 64
+    params = cast_tensors(rs.ReasoningParams.init(D_VIEW, d_r, seed=0), np.float32)
+    rng = np.random.default_rng(18)
+    j = Tensor(rng.uniform(-1, 1, (batch, D_VIEW)).astype(np.float32))
+    v = rng.uniform(-1, 1, (n_cand, D_VIEW)).astype(np.float32)
+    j_pre, v_pre = rs.encode_views(j, Tensor(v), params)
+    clause = rs.clause_representation(j_pre, v_pre, params).data
+    bound = ORDER_EPS * np.finfo(np.float32).eps * np.max(np.abs(clause))
+    for _ in range(10):
+        permuted = Tensor(v_pre.data[rng.permutation(n_cand)])
+        moved = rs.clause_representation(j_pre, permuted, params).data
+        assert np.max(np.abs(moved - clause)) <= bound
+
+
+# The clause runs in blocks of candidates whose length falls with the batch;
+# at this batch a block is a few candidates, so the shapes below cross block
+# boundaries.
 BLOCK_BATCH = 384
 BLOCK = rs.fold_block_steps(BLOCK_BATCH, 2 * D_R)
 
-# (batch rows, candidates, fold order): True a shuffled order, False the
-# natural one, REPEATED as many steps as candidates, drawn with repeats from
-# the first four, so a candidate recurs within and across blocks. The
-# shapes: one candidate, batch 1, step counts one below, at and one above the
-# block length, more than two blocks with a ragged last one, and the README
-# desk shape of a training batch against |Y| = 50.
+# (batch rows, candidates, candidate rows): True a permutation of the drawn
+# rows, False the drawn order, REPEATED as many rows as candidates, drawn
+# with repeats from the first four, so a candidate recurs within and across
+# blocks. The shapes: one candidate, batch 1, candidate counts one below, at
+# and one above the block length, more than two blocks with a ragged last
+# one, and the README desk shape of a training batch against |Y| = 50.
 REPEATED = "repeated"
 FOLD_SHAPES = [
     (3, 5, True), (1, 4, True), (3, 1, False), (4, 6, False), (64, 50, True),
@@ -192,24 +216,24 @@ def test_block_shapes_cross_block_boundaries():
 def fold_inputs(batch, n_cand, shuffled, seed, d_r=D_R):
     rng = np.random.default_rng(seed)
     j = Tensor(rng.uniform(-1, 1, (batch, D_VIEW)), requires_grad=True)
-    v = Tensor(rng.uniform(-1, 1, (n_cand, D_VIEW)), requires_grad=True)
+    rows = rng.uniform(-1, 1, (n_cand, D_VIEW))
     if shuffled == REPEATED:
-        order = rng.integers(0, min(n_cand, 4), n_cand)
-    else:
-        order = rng.permutation(n_cand) if shuffled else np.arange(n_cand)
+        rows = rows[rng.integers(0, min(n_cand, 4), n_cand)]
+    elif shuffled:
+        rows = rows[rng.permutation(n_cand)]
     weights = Tensor(rng.uniform(-1, 1, (batch, d_r)))
-    return j, v, order, weights
+    return j, Tensor(rows, requires_grad=True), weights
 
 
 @pytest.mark.parametrize("batch,n_cand,shuffled", FOLD_SHAPES)
 def test_taped_and_untaped_fold_are_bit_identical(params, batch, n_cand, shuffled):
-    j, v, order, _ = fold_inputs(batch, n_cand, shuffled, seed=12)
-    oracle = unrolled_fold(j, v, params, order).data
+    j, v, _ = fold_inputs(batch, n_cand, shuffled, seed=12)
+    oracle = unrolled_fold(j, v, params).data
     for dtype, rtol in FOLD_DTYPES:
         leaves = cast_leaves(dtype, j, v, params)
-        plain = fold_of(*leaves, order)
+        plain = fold_of(*leaves)
         with nx.GradTape():
-            taped = fold_of(*leaves, order)
+            taped = fold_of(*leaves)
         assert taped.requires_grad and not plain.requires_grad
         assert taped.data.dtype == dtype
         assert np.array_equal(taped.data, plain.data)
@@ -217,36 +241,37 @@ def test_taped_and_untaped_fold_are_bit_identical(params, batch, n_cand, shuffle
 
 
 # sha256 of each FOLD_SHAPES case's untaped and taped value and the taped
-# call's nine input gradients, recorded from the fold with the broadcast
-# hidden layer, `np.add(j, v[rows, None], out=h)`, that the row copy and
-# same-shape add replaced. A change that moves these bits re-pins them and
-# states its tolerance against the tape-unrolled oracle.
+# call's nine input gradients, recorded from the pooled clause with the
+# broadcast hidden layer, `np.add(j, v[s : s + n, None], out=h)`, which the
+# row copy and same-shape add match bit for bit. A change that moves these
+# bits re-pins them and states its tolerance against the tape-composed
+# oracle.
 FOLD_DIGESTS = dict(zip(FOLD_SHAPES, [
-    "43a5a6204d4bb3155a33b7bd9c835dd8b250402442c2c1ca0b3f7a550066ca08",
-    "81e1462d96eafb6c21c22ded8e77ca98bd94e41c1460703379be78daff86415e",
-    "1ea619451a54d7ecb132c37d0c3cf38803248a25b5076129c9e533c6529ff9ba",
-    "a331b8349cb27f1605c1d17d0b58e0629d61842a1f003e9f7cddc4374b7af958",
-    "a4b5301e0326f07dc5e8da63d585c4fc0298b74a1b8c930f01be5bf848ab3ab2",
-    "934d14da607d6732cb3e6160d33d4c1f0b38e55d97909e9d42b2ba4aa916749c",
-    "b8b9b1a5f38c6b717976cc39bc454827fccb78ecb7e9d28ad44599cb5c7fd12b",
-    "c78d29c2e00a3748b80736c0c5bc467057bf655ebfb0f4fbf997a7cff26cff8a",
-    "411f0a8e3f3f35821ddeab119a5a4e379ca38a83498d50220833842da71f756d",
-    "a96739a05e0da435427e63711cbc81a40a55ffc8a3e748b3d9b1d8364a3fe5ba",
-    "37f053529da25736014dc1b9dda74d73cc00a9fd7e3326ef835be658f0b03122",
-    "2f7671c29ae80014d6c49039cb1e8edda5c16b359a4bf1a40c9bc71a047fad17",
+    "83ec2f4ced222a0eda26d3ec6f22a962b10eb33fcfcaf729ecf506e21462d5e9",
+    "f60c1e7447898cf309152aacf2915724c69bdee69f39f9a43428b6ab0755c389",
+    "b1371665814e827d9c4958fc548429d078d8886e74f5c5c7d50a96a25090f659",
+    "b93d280969dd6ae5e399c5ed9c7862e7e10286905dd76164395d98b2afe0da83",
+    "18edd7775e348280e07613e6796604daed0ee3447a5d5f4bb955741f846c5cfa",
+    "3683db0488fd9b2ff67cb480a6b3883b179ecdbce84ce2ae0a9213729777d6e3",
+    "e1e7bbbc77d943b293cbb36dcd3fad5eeb03373869f2087a1a5703f89d66784a",
+    "613be1c1cb60297c9ce2637eaa330ce3f7b40e52f0f4013c5d1678419a77d60c",
+    "e4879b798e3072298971fd8dc81ebd8377140d29aaecb907e14b984bd746fee0",
+    "1b096219467b9dbeeae43c586efb9d23c1b97c88afcd0cf4dd2140d12340f24e",
+    "548fd47ce82d1bca42cb6b524779f4c7758136114684f5a5ef32741e9903abe2",
+    "0ae0ad52069e617bd21a07aafe38b906db2049e0e935be2e2c2456cf04bb0058",
 ]))
 
 
 def fold_digest(params, batch, n_cand, shuffled, d_r=D_R):
-    """sha256 of the untaped and taped fold's value and the taped call's
+    """sha256 of the untaped and taped clause's value and the taped call's
     nine input gradients, on `fold_inputs(..., seed=14)`."""
-    j, v, order, weights = fold_inputs(batch, n_cand, shuffled, seed=14, d_r=d_r)
+    j, v, weights = fold_inputs(batch, n_cand, shuffled, seed=14, d_r=d_r)
     pre = rs.encode_views(j, v, params)
     digest = hashlib.sha256()
     arrays = [t.data for t in pre + rs._fold_weights(params)]
     for taped in (False, True):
-        fold, backward = rs._clause_fold(arrays, order, taped)
-        digest.update(fold.tobytes())
+        clause, backward = rs._clause_fold(arrays, taped)
+        digest.update(clause.tobytes())
     grads = backward(weights.data)
     assert len(grads) == 9
     for grad in grads:
@@ -261,9 +286,9 @@ def test_fold_value_and_backward_equal_the_broadcast_hidden_layer_bit_for_bit(
     assert fold_digest(params, batch, n_cand, shuffled) == FOLD_DIGESTS[batch, n_cand, shuffled]
 
 
-# The same pins at the README's d_r 16, recorded from the fold that composed
-# NOT as `w_not @ w2`. At D_R 8, `(w2.T @ w_not.T).T` rounds like that
-# product at every shape above; here it moves every pin below.
+# The same pins at the README's d_r 16, recorded from the pooled clause that
+# composes NOT as `w_not @ w2`. At D_R 8, `(w2.T @ w_not.T).T` rounds like
+# that product at every shape above; here it moves every pin below.
 WIDE_D_R = 16
 WIDE_BLOCK = rs.fold_block_steps(BLOCK_BATCH, 2 * WIDE_D_R)
 WIDE_FOLD_SHAPES = [
@@ -271,10 +296,10 @@ WIDE_FOLD_SHAPES = [
     (BLOCK_BATCH, 2 * WIDE_BLOCK + 3, REPEATED),
 ]
 WIDE_FOLD_DIGESTS = dict(zip(WIDE_FOLD_SHAPES, [
-    "bd96fe5050b5978c902ea62b794cdb08bb901e680b255c4a34f7165d3c68041f",
-    "a589e9f0b2c0ece35faad9e797937a6c3bc028a3a73134c3bbb3938619e5ef9e",
-    "7024907babd486d592a16d899ca8d0fdd2695bc761a003cd94c6e85e78be647c",
-    "4c91b3a60d3a8bde413ab6ed0ec7890536a9d1ce2e79ae1e5fb1940f8809011b",
+    "e176903452392581052fb6cd312e79a69afcc4d3e0dbaabdbde58393ad55a0a7",
+    "c4b0fbc4654c93ec79bf93e9d409b1ee81b870e9c94cad45314a76fb2c676549",
+    "c771ac7a1825e0b7b81f8092d79bb192d47f4a8ea5ab61e7a097f2abde01f889",
+    "e49775967e10087a5706e123a1737a58814a7eb5de64cbc876d61f56ba17cbfc",
 ]))
 
 
@@ -288,11 +313,12 @@ def test_fold_value_and_backward_are_pinned_at_the_readme_width(batch, n_cand, s
 
 @pytest.mark.parametrize("batch,n_cand,shuffled", FOLD_SHAPES)
 def test_float32_fold_agrees_with_the_float64_fold(params, batch, n_cand, shuffled):
-    # the steps are tanh of bounded sums, so float32 rounding stays a few ulps
-    # of float32 over the whole fold (measured at these shapes: at most 1.2e-7)
-    j, v, order, _ = fold_inputs(batch, n_cand, shuffled, seed=15)
-    wide = fold_of(j, v, params, order)
-    narrow = fold_of(*cast_leaves(np.float32, j, v, params), order)
+    # the literals are tanh of bounded sums and the clause one more tanh, so
+    # float32 rounding stays a few ulps of float32 (measured at these shapes:
+    # at most 1.0e-7)
+    j, v, _ = fold_inputs(batch, n_cand, shuffled, seed=15)
+    wide = fold_of(j, v, params)
+    narrow = fold_of(*cast_leaves(np.float32, j, v, params))
     assert wide.data.dtype == np.float64
     assert narrow.data.dtype == np.float32 and not narrow.requires_grad
     assert np.allclose(narrow.data, wide.data, rtol=0, atol=16 * np.finfo(np.float32).eps)
@@ -300,27 +326,27 @@ def test_float32_fold_agrees_with_the_float64_fold(params, batch, n_cand, shuffl
 
 
 def test_taped_fold_refuses_mixed_dtypes(params):
-    # a float32 projection on a float64 tape: the fold's one node refuses to
-    # record
-    j, v, order, _ = fold_inputs(3, 5, True, seed=12)
+    # a float32 projection on a float64 tape: the clause's one node refuses
+    # to record
+    j, v, _ = fold_inputs(3, 5, True, seed=12)
     with nx.GradTape():
         pre = rs.encode_views(j, v, params)
         narrow = Tensor(pre[0].data.astype(np.float32), requires_grad=True)
         with pytest.raises(ContractError, match="float64 tape cannot record an op over "
                                                 "float32, float64"):
-            rs.clause_representation(narrow, pre[1], params, order)
-        assert rs.clause_representation(*pre, params, order).requires_grad
+            rs.clause_representation(narrow, pre[1], params)
+        assert rs.clause_representation(*pre, params).requires_grad
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
 def test_taped_fold_node_keeps_its_inputs_dtype(params, dtype):
-    # the fold computes in its inputs' dtype, and its one node's value and
+    # the clause computes in its inputs' dtype, and its one node's value and
     # nine gradients have it: float32 in the mapper, float64 in the oracles
-    j, v, order, weights = fold_inputs(4, 6, True, seed=12)
+    j, v, weights = fold_inputs(4, 6, True, seed=12)
     j, v, params = cast_leaves(dtype, j, v, params)
     with nx.GradTape() as tape:
         pre = rs.encode_views(j, v, params)
-        out = rs.clause_representation(*pre, params, order)
+        out = rs.clause_representation(*pre, params)
     node_out, inputs, backward = tape._nodes[-1]
     assert node_out is out and out.data.dtype == dtype == tape.dtype
     assert inputs == pre + rs._fold_weights(params)
@@ -338,18 +364,16 @@ def gradients(make_output, j, v, weights, params):
     with nx.GradTape() as tape:
         loss = nx.tsum(nx.mul(make_output(), weights))
     tape.backward(loss)
-    # a leaf the oracle's tape never reached (the OR weights at one candidate)
-    # has no gradient, which is a zero one
-    return {k: np.zeros_like(t.data) if t.grad is None else t.grad for k, t in leaves.items()}
+    return {k: t.grad for k, t in leaves.items()}
 
 
 @pytest.mark.parametrize("batch,n_cand,shuffled", FOLD_SHAPES)
 def test_fused_fold_gradients_match_tape_unrolled_oracle(params, batch, n_cand, shuffled):
-    j, v, order, weights = fold_inputs(batch, n_cand, shuffled, seed=13)
-    oracle = gradients(lambda: unrolled_fold(j, v, params, order), j, v, weights, params)
+    j, v, weights = fold_inputs(batch, n_cand, shuffled, seed=13)
+    oracle = gradients(lambda: unrolled_fold(j, v, params), j, v, weights, params)
     for dtype, rtol in FOLD_DTYPES:
         leaves = cast_leaves(dtype, j, v, params)
-        fused = gradients(lambda: fold_of(*leaves, order), *leaves[:2],
+        fused = gradients(lambda: fold_of(*leaves), *leaves[:2],
                           Tensor(weights.data.astype(dtype)), leaves[2])
         assert len(fused) == 12
         for name, expected in oracle.items():
@@ -359,13 +383,13 @@ def test_fused_fold_gradients_match_tape_unrolled_oracle(params, batch, n_cand, 
 
 def test_untaped_fold_keeps_one_block_not_every_step():
     # serving shape: a 512-row chunk against |Y| = 200 at d_r 16, where a
-    # taped call's stash of 4·d_r floats per row per step is 52 MB
+    # taped call's stash of 3·d_r floats per row per candidate is 39 MB
     d_r, batch, n_cand = 16, 512, 200
     params = rs.ReasoningParams.init(D_VIEW, d_r, seed=0)
     rng = np.random.default_rng(16)
     j_pre, v_pre = rs.encode_views(Tensor(rng.uniform(-1, 1, (batch, D_VIEW))),
                                    Tensor(rng.uniform(-1, 1, (n_cand, D_VIEW))), params)
-    # the mapper's float32 fold, and the float64 one of the tests' oracles
+    # the mapper's float32 clause, and the float64 one of the tests' oracles
     narrow_params = cast_tensors(params, np.float32)
     narrow_pre = (Tensor(t.data.astype(np.float32)) for t in (j_pre, v_pre))
     for inputs in ((j_pre, v_pre, params), (*narrow_pre, narrow_params)):
@@ -378,43 +402,11 @@ def test_untaped_fold_keeps_one_block_not_every_step():
         assert peak < 4 * rs._FOLD_BLOCK_BYTES, inputs[0].data.dtype
 
 
-def test_vanishing_float32_backward_flushes_instead_of_going_subnormal():
-    # a long float32 fold (the map-g200 shape of a training batch) whose small
-    # W_left shrinks the recurrence's gradient by about 100x per step: below
-    # float32's smallest normal within a few dozen steps of the end
-    d_r, batch, n_cand = 16, 128, 200
-    params = rs.ReasoningParams.init(D_VIEW, d_r, seed=0)
-    params.or_w_left.data *= 0.02
-    j, v, order, weights = fold_inputs(batch, n_cand, False, seed=17, d_r=d_r)
-    wide = [t.data for t in rs.encode_views(j, v, params) + rs._fold_weights(params)]
-    narrow = [a.astype(np.float32) for a in wide]
-    _, backward = rs._clause_fold(narrow, order, taped=True)
-    grads = backward(weights.data.astype(np.float32))
-    tiny = np.finfo(np.float32).tiny
-    for grad, array in zip(grads, narrow):
-        assert grad.dtype == np.float32 and grad.shape == array.shape
-        assert not np.any((grad != 0) & (np.abs(grad) < tiny))
-    # the g_v rows of the steps the flushed gradient no longer reaches are
-    # exactly zero. At float64 they are below the flush level, and many lie
-    # below float32's smallest normal: without the flush a float32 backward
-    # would go subnormal there
-    g_v = grads[1]
-    reached = np.flatnonzero(np.any(g_v != 0, axis=1))
-    skipped = reached[0]
-    assert n_cand - skipped < n_cand // 4 and np.all(reached == np.arange(skipped, n_cand))
-    _, wide_backward = rs._clause_fold(wide, order, taped=True)
-    below = np.abs(wide_backward(weights.data)[1][:skipped])
-    assert below.max() < tiny / np.finfo(np.float32).eps
-    assert np.count_nonzero((below != 0) & (below < tiny)) > batch
-
-
 def test_fused_fold_gradients_match_finite_differences(params):
-    j, v, order, weights = fold_inputs(2, 4, True, seed=14)
+    j, v, weights = fold_inputs(2, 4, True, seed=14)
     trainables = [j, v] + [t for k, t in nx.tensor_fields(params).items() if k != "true_anchor"]
     err = finite_difference_check(
-        lambda: nx.tsum(nx.mul(
-            fold_of(j, v, params, order), weights
-        )),
+        lambda: nx.tsum(nx.mul(fold_of(j, v, params), weights)),
         trainables,
     )
     assert err <= 1e-6

@@ -51,7 +51,7 @@ def test_traced_clause_fold_counts_one_step_per_candidate():
     try:
         params = rs.ReasoningParams.init(3, 4, seed=0)
         pre = rs.encode_views(Tensor(np.ones((2, 3))), Tensor(np.ones((5, 3))), params)
-        rs.clause_representation(*pre, params, None)
+        rs.clause_representation(*pre, params)
     finally:
         tracing.restore(installed)
     assert recorder.counts["reasoning.clause_representation.fold_steps"] == 5
@@ -74,7 +74,7 @@ def test_traced_training_step_records_every_reasoning_layer():
             model, rng.uniform(-1, 1, (batch, d_h)), rng.uniform(-1, 1, (batch, d_b)),
             rng.uniform(0, 1, (batch, n_cand)), np.arange(batch) % n_cand,
             Tensor(rng.uniform(-1, 1, (n_cand, d_b))), Tensor(rng.uniform(0, 1, (n_cand, n_cand))),
-            _TrainContext(fold_rng=np.random.default_rng(1), reg_rng=np.random.default_rng(2)),
+            _TrainContext(reg_rng=np.random.default_rng(2)),
         )
     finally:
         tracing.restore(installed)

@@ -61,7 +61,9 @@ def write_titles(out: Path) -> None:
     (out / "titles.txt").write_text("".join(f"{title}\n" for title in titles), encoding="utf-8")
 
 
-def run_stages(config: dict, out: Path, root: Path) -> None:
+def run_stages(config: dict, out: Path, root: Path, stages=STAGES) -> None:
+    """Run `stages` in order on the sources under `root`, each in a fresh
+    process, writing into `out`; exit with a message if one fails."""
     data = config.setdefault("data", {})
     own_titles = data.get("titles") is None
     for key, name in ARTIFACTS.items():
@@ -73,7 +75,7 @@ def run_stages(config: dict, out: Path, root: Path) -> None:
     config_path.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1",
            **dict.fromkeys(THREAD_VARIABLES, "1")}
-    for stage in STAGES:
+    for stage in stages:
         command = [sys.executable, "-m", "titlemap.cli", stage, "--config", str(config_path)]
         code = subprocess.run(command, env=env, cwd=root).returncode
         if code != 0:
