@@ -11,8 +11,6 @@ single titles are 1-row matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 from . import numerics as nx
@@ -67,69 +65,35 @@ class CoAttentionParams:
         return cls(**{name: _uniform_param(rng, *shape) for name, shape in shapes.items()})
 
 
-class Affinities(NamedTuple):
-    a_hb: Tensor  # (batch, 1) each, values in (-1, 1)
-    a_hs: Tensor
-    a_bs: Tensor
-
-
-class AttentionKeys(NamedTuple):
-    k_h: Tensor
-    k_b: Tensor
-    k_s: Tensor
-
-
 def _bilinear(x: Tensor, w: Tensor, y: Tensor) -> Tensor:
+    """Per-title scalar affinity tanh(x^T W y), shape (batch, 1), in (-1, 1)."""
     return nx.tanh(nx.tsum(nx.mul(nx.matmul(x, w), y), axis=1, keepdims=True))
 
 
-def affinities(x_h: Tensor, x_b: Tensor, x_s: Tensor, params: CoAttentionParams) -> Affinities:
-    """Per-title scalar affinities tanh(x^T W y) for the three view pairs."""
-    return Affinities(
-        a_hb=_bilinear(x_h, params.w_aff_hb, x_b),
-        a_hs=_bilinear(x_h, params.w_aff_hs, x_s),
-        a_bs=_bilinear(x_b, params.w_aff_bs, x_s),
-    )
-
-
-def attention_keys(
-    x_h: Tensor,
-    x_b: Tensor,
-    x_s: Tensor,
-    affs: Affinities,
-    params: CoAttentionParams,
-) -> AttentionKeys:
-    """tanh-bounded keys; each view acknowledges the other two via affinities."""
-    k_h = nx.tanh(
-        nx.matmul(x_h, nx.transpose(params.w_self_h))
-        + nx.matmul(nx.mul(affs.a_hb, x_b), nx.transpose(params.w_cross_bh))
-        + nx.matmul(nx.mul(affs.a_hs, x_s), nx.transpose(params.w_cross_sh))
-    )
-    k_b = nx.tanh(
-        nx.matmul(x_b, nx.transpose(params.w_self_b))
-        + nx.matmul(nx.mul(affs.a_hb, x_h), nx.transpose(params.w_cross_hb))
-        + nx.matmul(nx.mul(affs.a_bs, x_s), nx.transpose(params.w_cross_sb))
-    )
-    k_s = nx.tanh(
-        nx.matmul(x_s, nx.transpose(params.w_self_s))
-        + nx.matmul(nx.mul(affs.a_hs, x_h), nx.transpose(params.w_cross_hs))
-        + nx.matmul(nx.mul(affs.a_bs, x_b), nx.transpose(params.w_cross_bs))
-    )
-    return AttentionKeys(k_h=k_h, k_b=k_b, k_s=k_s)
-
-
-def apply(x: Tensor, key: Tensor) -> Tensor:
-    """softmax(key) (over components) elementwise-weights x."""
-    if x.data.shape != key.data.shape:
-        raise nx.DimensionError(
-            f"co-attention apply: x shape {x.data.shape} != key shape {key.data.shape}"
-        )
-    return nx.mul(nx.softmax(key, axis=-1), x)
+def _attend(x: Tensor, w_self: Tensor, *cross: tuple[Tensor, Tensor, Tensor]) -> Tensor:
+    """softmax(key) (over components) elementwise-weights x, where the key
+    tanh(x w_selfᵀ + Σ (a ⊙ y) w_crossᵀ) acknowledges each other view y
+    through its affinity a, for every (a, y, w_cross) in `cross`."""
+    key = nx.matmul(x, nx.transpose(w_self))
+    for a, y, w_cross in cross:
+        key = key + nx.matmul(nx.mul(a, y), nx.transpose(w_cross))
+    return nx.mul(nx.softmax(nx.tanh(key), axis=-1), x)
 
 
 def co_attend(
     x_h: Tensor, x_b: Tensor, x_s: Tensor, params: CoAttentionParams
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """The attended views (x_hat_h, x_hat_b, x_hat_s)."""
-    keys = attention_keys(x_h, x_b, x_s, affinities(x_h, x_b, x_s, params), params)
-    return apply(x_h, keys.k_h), apply(x_b, keys.k_b), apply(x_s, keys.k_s)
+    """The attended views (x_hat_h, x_hat_b, x_hat_s).
+
+    The op order (affinities hb, hs, bs; each key's self term, then its
+    cross terms; views h, b, s) fixes the order in which the backward sums
+    each shared affinity's gradient, so a trained model's bits depend on it."""
+    p = params
+    a_hb = _bilinear(x_h, p.w_aff_hb, x_b)
+    a_hs = _bilinear(x_h, p.w_aff_hs, x_s)
+    a_bs = _bilinear(x_b, p.w_aff_bs, x_s)
+    return (
+        _attend(x_h, p.w_self_h, (a_hb, x_b, p.w_cross_bh), (a_hs, x_s, p.w_cross_sh)),
+        _attend(x_b, p.w_self_b, (a_hb, x_h, p.w_cross_hb), (a_bs, x_s, p.w_cross_sb)),
+        _attend(x_s, p.w_self_s, (a_hs, x_h, p.w_cross_hs), (a_bs, x_b, p.w_cross_bs)),
+    )

@@ -166,11 +166,6 @@ def check_view_widths(pipeline: FeaturePipeline, config: TrainConfig) -> None:
             raise ConfigError(f"{view} has width {width}, but the model's {name} is {expected}")
 
 
-@dataclass
-class _TrainContext:
-    reg_rng: np.random.Generator
-
-
 def _forward(
     model: MapperModel,
     x_h: np.ndarray,
@@ -178,35 +173,30 @@ def _forward(
     x_s: np.ndarray,
     v_b: Tensor,
     v_s: Tensor,
-    ctx: Optional[_TrainContext] = None,
-) -> dict:
-    """Forward pass; with `ctx` also returns the training-only loss pieces.
+) -> tuple[Tensor, dict, dict]:
+    """Forward pass: the logits, then the two views' clauses and their
+    (title, candidate) projections, each keyed by view ("b", "s"), which
+    only the training loss reads.
 
     It computes in the dtype of the model's tensors and the views, float32
     in training and serving alike; the two clauses run in turn on the
     calling thread."""
     th, tb, ts = Tensor(x_h), Tensor(x_b), Tensor(x_s)
-    out: dict = {}
-    training = ctx is not None
     pre_b = rs.encode_views(tb, v_b, model.reason_b)
     pre_s = rs.encode_views(ts, v_s, model.reason_s)
     attended = ca.co_attend(th, tb, ts, model.coatt)
     clause_b = rs.clause_representation(*pre_b, model.reason_b)
     clause_s = rs.clause_representation(*pre_s, model.reason_s)
     fused = nx.concat([*attended, clause_b, clause_s], axis=1)
-    if training:
-        out["clauses"] = {"b": clause_b, "s": clause_s}
-        out["projections"] = {"b": pre_b, "s": pre_s}
     logits = nx.relu(nx.matmul(fused, nx.transpose(model.fusion_w)) + model.fusion_b)
-    out["logits"] = logits
-    return out
+    return logits, {"b": clause_b, "s": clause_s}, {"b": pre_b, "s": pre_s}
 
 
 def _reg_batch(
     j_pre: Tensor,
     v_pre: Tensor,
     params: rs.ReasoningParams,
-    ctx: _TrainContext,
+    reg_rng: np.random.Generator,
 ) -> Tensor:
     """Vectors fed to the logical regularizers for one view, encoded in one
     pass from the view's projections: the events of a couple of sampled
@@ -216,9 +206,9 @@ def _reg_batch(
     n_cand, batch_size = v_pre.data.shape[0], j_pre.data.shape[0]
     pre = [
         j_pre + nx.take_rows(v_pre, [k])
-        for k in ctx.reg_rng.choice(n_cand, size=min(2, n_cand), replace=False)
+        for k in reg_rng.choice(n_cand, size=min(2, n_cand), replace=False)
     ]
-    sample = ctx.reg_rng.choice(n_cand, size=min(n_cand, batch_size), replace=False)
+    sample = reg_rng.choice(n_cand, size=min(n_cand, batch_size), replace=False)
     pre += [j_pre, nx.take_rows(v_pre, np.sort(sample)) + params.enc_b1]
     return rs.event_head(nx.concat(pre, axis=0), params)
 
@@ -231,21 +221,21 @@ def loss_on_batch(
     labels: np.ndarray,
     v_b: Tensor,
     v_s: Tensor,
-    ctx: _TrainContext,
+    reg_rng: np.random.Generator,
 ) -> tuple[Tensor, dict]:
     if labels.min() < 0 or labels.max() >= len(model.taxonomy):
         raise DataError("label index outside the taxonomy range")
-    parts = _forward(model, x_h, x_b, x_s, v_b, v_s, ctx)
-    log_probs = nx.log_softmax(parts["logits"], axis=-1)
+    logits, clauses, projections = _forward(model, x_h, x_b, x_s, v_b, v_s)
+    log_probs = nx.log_softmax(logits, axis=-1)
     ce = nx.neg(nx.tmean(nx.gather_rows(log_probs, labels)))
     total = ce
     detail = {"cross_entropy": ce}
     cfg = model.config
     for view, params in (("b", model.reason_b), ("s", model.reason_s)):
-        j_pre, v_pre = parts["projections"][view]
+        j_pre, v_pre = projections[view]
         e_gold = rs.correct_events(j_pre, v_pre, labels, params)
-        truth = rs.clause_truth_loss(parts["clauses"][view], e_gold, params)
-        regs = rs.logical_regularizers(_reg_batch(j_pre, v_pre, params, ctx), params)
+        truth = rs.clause_truth_loss(clauses[view], e_gold, params)
+        regs = rs.logical_regularizers(_reg_batch(j_pre, v_pre, params, reg_rng), params)
         detail[f"truth_{view}"] = truth
         detail[f"regs_{view}"] = regs
         dtype = truth.data.dtype.type
@@ -268,8 +258,8 @@ def _probs_from_views(
     rows = []
     for start in range(0, x_h.shape[0], _CHUNK_ROWS):
         sl = slice(start, start + _CHUNK_ROWS)
-        parts = _forward(model, x_h[sl], x_b[sl], x_s[sl], v_b, v_s)
-        rows.append(nx.softmax(parts["logits"], axis=-1).data)
+        logits = _forward(model, x_h[sl], x_b[sl], x_s[sl], v_b, v_s)[0]
+        rows.append(nx.softmax(logits, axis=-1).data)
     return np.concatenate(rows, axis=0) if rows else np.zeros((0, len(model.taxonomy)), x_h.dtype)
 
 
@@ -423,7 +413,7 @@ def train(
     seeds = np.random.SeedSequence(config.seed).spawn(4)
     split_rng = np.random.default_rng(seeds[0])
     shuffle_rng = np.random.default_rng(seeds[1])
-    ctx = _TrainContext(reg_rng=np.random.default_rng(seeds[3]))
+    reg_rng = np.random.default_rng(seeds[3])
 
     n = len(examples)
     perm = split_rng.permutation(n)
@@ -469,7 +459,7 @@ def train(
                 rows = order[start : start + config.batch_size]
                 with nx.GradTape() as tape:
                     loss, _ = loss_on_batch(
-                        model, x_h[rows], x_b[rows], x_s[rows], labels_all[rows], v_b, v_s, ctx
+                        model, x_h[rows], x_b[rows], x_s[rows], labels_all[rows], v_b, v_s, reg_rng
                     )
                 loss_value = loss.item()
                 if not np.isfinite(loss_value):

@@ -9,12 +9,13 @@ Precision is the arrays' dtype, and a tape holds one: the first node it
 records fixes its dtype, and an op whose value or any input has another
 dtype raises `ContractError`, as does a backward that returns a gradient of
 another dtype. The ops are dtype-generic, so the mapper trains and serves in
-float32 while the tests' oracles and `evaluation`'s link classifier run
-float64 tapes. Under numpy's promotion rules one float64 array or numpy
-scalar in a float32 expression turns it to float64, while a Python float
-does not, so a constant is built in the dtype of the tensor it meets. Off a
-tape nothing is checked: an op computes in the dtype numpy gives its
-operands.
+float32 while the tests' oracles run float64 tapes, the only ones (the link
+classifier in `evaluation` records none: it sets its float64 gradients by
+hand and only takes `Adam` steps). Under numpy's promotion rules one float64
+array or numpy scalar in a float32 expression turns it to float64, while a
+Python float does not, so a constant is built in the dtype of the tensor it
+meets. Off a tape nothing is checked: an op computes in the dtype numpy
+gives its operands.
 
 Scope is deliberately small: 1-D/2-D arrays, the operations the mapper
 actually needs, and a plain Adam optimizer. Gradients sum on node reuse; a

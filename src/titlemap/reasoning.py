@@ -19,8 +19,8 @@ the |Y| NOT literals, so it does not depend on the taxonomy's row order.
 It is one tape node whatever the number of candidates. Inside it, NOT is
 composed with the event head's second layer once per call, and the
 candidates run in blocks whose length comes from a working-set budget for
-the block's hidden layer (`_FOLD_BLOCK_BYTES`, see `fold_block_steps`); each
-block is a few wide array operations, forward and backward, with no
+the block's hidden layer (`_CLAUSE_BLOCK_BYTES`, see `clause_block_steps`);
+each block is a few wide array operations, forward and backward, with no
 recurrence. A taped call keeps 3·d_r floats per row per candidate, an
 untaped one a single block. The composed weights round differently from
 `or_op(p, p)` over the mean of `not_op(event_head(...))`, where `not_op`,
@@ -145,14 +145,14 @@ def encode_views(
 # steps at batch 192, 3 at batch 512 and 25 at batch 60. The mapper computes
 # in float32, so its blocks fill half the budget; a float64 call, as the
 # tests run it, fills it all.
-_FOLD_BLOCK_BYTES = 384 * 1024
+_CLAUSE_BLOCK_BYTES = 384 * 1024
 
 
-def fold_block_steps(batch: int, width: int) -> int:
+def clause_block_steps(batch: int, width: int) -> int:
     """Candidate steps per block of the clause over `batch` rows whose hidden
-    layer is `width` floats wide: as many as `_FOLD_BLOCK_BYTES` holds at
+    layer is `width` floats wide: as many as `_CLAUSE_BLOCK_BYTES` holds at
     float64, at least one, whatever dtype the clause computes in."""
-    return max(1, _FOLD_BLOCK_BYTES // max(1, batch * width * 8))
+    return max(1, _CLAUSE_BLOCK_BYTES // max(1, batch * width * 8))
 
 
 def clause_representation(j_pre: Tensor, v_pre: Tensor, params: ReasoningParams) -> Tensor:
@@ -163,27 +163,27 @@ def clause_representation(j_pre: Tensor, v_pre: Tensor, params: ReasoningParams)
     The clause is a function of the candidate set, not of its order: a
     permutation of `v_pre`'s rows changes it only by the rounding of the
     sum. It never sees the gold candidate's positive literal, and it is one
-    tape node with a hand-written backward (`_clause_fold`).
+    tape node with a hand-written backward (`_pooled_clause`).
 
     It computes in the dtype of its inputs, which must all have one: float32
     in the mapper, float64 in the tests' 1e-12 kernel checks. Taped and
     untaped calls compute the same arrays, so their values are equal.
     """
-    inputs = (j_pre, v_pre) + _fold_weights(params)
-    clause, backward = _clause_fold([t.data for t in inputs], nx.recording(inputs))
+    inputs = (j_pre, v_pre) + _clause_weights(params)
+    clause, backward = _pooled_clause([t.data for t in inputs], nx.recording(inputs))
     return nx.fused_op(clause, inputs, backward)
 
 
-def _fold_weights(params: ReasoningParams) -> tuple[Tensor, ...]:
+def _clause_weights(params: ReasoningParams) -> tuple[Tensor, ...]:
     """The clause's weight inputs, in the order its backward returns them."""
     return (params.enc_w2, params.enc_b2, params.not_w, params.not_b,
             params.or_w_left, params.or_w_right, params.or_b)
 
 
-def _clause_fold(arrays: Sequence[np.ndarray], taped: bool) -> tuple[np.ndarray, Callable]:
+def _pooled_clause(arrays: Sequence[np.ndarray], taped: bool) -> tuple[np.ndarray, Callable]:
     """The body of `clause_representation`: the clause's value and its
     backward over the arrays of its nine inputs (`j_pre`, `v_pre`, then
-    `_fold_weights`), keeping every candidate's work for the backward if
+    `_clause_weights`), keeping every candidate's work for the backward if
     `taped`. It records nothing on the tape, and computes in the arrays' one
     dtype, float32 in the mapper: the value, every work array and the nine
     gradients `backward(g)` returns have it, as `g` must.
@@ -191,7 +191,7 @@ def _clause_fold(arrays: Sequence[np.ndarray], taped: bool) -> tuple[np.ndarray,
     NOT is composed with the event head once per call: literal k is
     tanh(h_k W_negᵀ + b_neg), with hidden layer h_k = tanh(j_pre +
     v_pre[k]), W_neg = not_w enc_w2 and b_neg = enc_b2 not_wᵀ + not_b. The
-    candidates run in blocks of `fold_block_steps(batch, 2·d_r)`, each a few
+    candidates run in blocks of `clause_block_steps(batch, 2·d_r)`, each a few
     wide array operations over a (steps, batch, ·) array: one row copy, one
     add and one tanh for the hidden layers, one product and one tanh for the
     literals, and one sum into the running total. The mean p of the literals
@@ -223,7 +223,7 @@ def _clause_fold(arrays: Sequence[np.ndarray], taped: bool) -> tuple[np.ndarray,
     # the bias repeated per batch row: numpy adds a (batch, d_r) operand to a
     # block over batch·d_r-long runs, a (d_r,) one over d_r-long runs
     bias_neg = np.tile(b_neg, (batch, 1))
-    block = min(n_cand, fold_block_steps(batch, width))
+    block = min(n_cand, clause_block_steps(batch, width))
     starts = range(0, n_cand, block)
     # candidate-major, so a block of candidates is one contiguous slab of each
     kept = n_cand if taped else block

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, DegenerateInputError
+from .errors import DataError, DegenerateInputError, FormatError
 from .formats import line_keys, read_rows, write_rows
 
 
@@ -116,10 +116,15 @@ class Taxonomy:
     @classmethod
     def load_tsv(cls, path) -> "Taxonomy":
         key_of, rows = line_keys(path), read_rows(path, ("standard_title", "group"))[1]
-        rows = [(key_of(title, lineno), group) for lineno, (title, group) in rows]
-        if not rows:
+        groups: dict[str, str] = {}  # key -> group, in line order
+        for lineno, (title, group) in rows:
+            key = key_of(title, lineno)
+            if key in groups:
+                raise FormatError(f"{path}:{lineno}: duplicate title {key!r}")
+            groups[key] = group
+        if not groups:
             raise DataError(f"{path}: taxonomy file is empty")
-        return cls(titles=[t for t, _ in rows], groups=[g for _, g in rows])
+        return cls(titles=list(groups), groups=list(groups.values()))
 
 
 # Positions per bincount in `GramIndex.shared_counts`: a chunk takes the

@@ -241,6 +241,8 @@ def test_rows_round_trip(scratch, rows):
         ("embeddings", "#embeddings d=1 normalize=false\nData  Engineer\t1\ndata engineer\t2\n",
          FormatError, ":3: duplicate title 'data engineer'"),
         ("hyperbolic", "#poincare m=1 seed=0\nchef\t0.5\n CHEF\t0.1\n", FormatError, ":3: duplicate"),
+        ("taxonomy", "data engineer\tg0\nchef\tg1\nData  Engineer\tg2\n",
+         FormatError, ":3: duplicate title 'data engineer'"),
         ("embeddings", "#embeddings d=2 normalize=false\nchef\t1,nan\n", NumericError, ":2:"),
         ("embeddings", "#embeddings d=2 normalize=true\nchef\tinf,1\n", NumericError, ":2:"),
         ("hyperbolic", "#poincare m=2 seed=0\nchef\t0.1,abc\n", FormatError, ":2:"),
@@ -262,6 +264,7 @@ def test_rows_round_trip(scratch, rows):
          ":1: malformed header"),
     ],
     ids=["embeddings-duplicate-after-canonicalization", "hyperbolic-duplicate",
+         "taxonomy-duplicate-after-canonicalization",
          "embeddings-nan", "embeddings-inf-normalized", "hyperbolic-not-a-number",
          "hyperbolic-empty-title", "hyperbolic-not-a-number-later-row",
          "hyperbolic-every-row-short", "embeddings-nan-before-unreadable-row", "titles-tab",

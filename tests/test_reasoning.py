@@ -191,7 +191,7 @@ def test_clause_is_invariant_to_the_candidate_order(n_cand):
 # at this batch a block is a few candidates, so the shapes below cross block
 # boundaries.
 BLOCK_BATCH = 384
-BLOCK = rs.fold_block_steps(BLOCK_BATCH, 2 * D_R)
+BLOCK = rs.clause_block_steps(BLOCK_BATCH, 2 * D_R)
 
 # (batch rows, candidates, candidate rows): True a permutation of the drawn
 # rows, False the drawn order, REPEATED as many rows as candidates, drawn
@@ -210,7 +210,7 @@ FOLD_SHAPES = [
 
 def test_block_shapes_cross_block_boundaries():
     assert 2 < BLOCK and 3 * BLOCK + 1 < 50
-    assert rs.fold_block_steps(10**9, 2 * D_R) == 1
+    assert rs.clause_block_steps(10**9, 2 * D_R) == 1
 
 
 def fold_inputs(batch, n_cand, shuffled, seed, d_r=D_R):
@@ -268,9 +268,9 @@ def fold_digest(params, batch, n_cand, shuffled, d_r=D_R):
     j, v, weights = fold_inputs(batch, n_cand, shuffled, seed=14, d_r=d_r)
     pre = rs.encode_views(j, v, params)
     digest = hashlib.sha256()
-    arrays = [t.data for t in pre + rs._fold_weights(params)]
+    arrays = [t.data for t in pre + rs._clause_weights(params)]
     for taped in (False, True):
-        clause, backward = rs._clause_fold(arrays, taped)
+        clause, backward = rs._pooled_clause(arrays, taped)
         digest.update(clause.tobytes())
     grads = backward(weights.data)
     assert len(grads) == 9
@@ -290,7 +290,7 @@ def test_fold_value_and_backward_equal_the_broadcast_hidden_layer_bit_for_bit(
 # composes NOT as `w_not @ w2`. At D_R 8, `(w2.T @ w_not.T).T` rounds like
 # that product at every shape above; here it moves every pin below.
 WIDE_D_R = 16
-WIDE_BLOCK = rs.fold_block_steps(BLOCK_BATCH, 2 * WIDE_D_R)
+WIDE_BLOCK = rs.clause_block_steps(BLOCK_BATCH, 2 * WIDE_D_R)
 WIDE_FOLD_SHAPES = [
     (1, 4, True), (64, 50, True), (BLOCK_BATCH, 2 * WIDE_BLOCK + 3, True),
     (BLOCK_BATCH, 2 * WIDE_BLOCK + 3, REPEATED),
@@ -349,7 +349,7 @@ def test_taped_fold_node_keeps_its_inputs_dtype(params, dtype):
         out = rs.clause_representation(*pre, params)
     node_out, inputs, backward = tape._nodes[-1]
     assert node_out is out and out.data.dtype == dtype == tape.dtype
-    assert inputs == pre + rs._fold_weights(params)
+    assert inputs == pre + rs._clause_weights(params)
     grads = backward(weights.data.astype(dtype))
     assert len(grads) == 9
     for grad, t in zip(grads, inputs):
@@ -399,7 +399,7 @@ def test_untaped_fold_keeps_one_block_not_every_step():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * rs._FOLD_BLOCK_BYTES, inputs[0].data.dtype
+        assert peak < 4 * rs._CLAUSE_BLOCK_BYTES, inputs[0].data.dtype
 
 
 def test_fused_fold_gradients_match_finite_differences(params):

@@ -79,8 +79,12 @@ def test_taxonomy_tsv_names_a_title_empty_after_canonicalization(tmp_path):
 def test_taxonomy_rejects_duplicates_after_canonicalization(tmp_path):
     path = tmp_path / "taxonomy.tsv"
     path.write_text("Chef\tg0\n  chef \tg1\n")
-    with pytest.raises(DataError, match="unique after canonicalization"):
+    with pytest.raises(FormatError) as excinfo:
         Taxonomy.load_tsv(path)
+    assert str(excinfo.value) == f"{path}:2: duplicate title 'chef'"
+    # callers that build a taxonomy without a file keep the constructor's check
+    with pytest.raises(DataError, match="unique after canonicalization"):
+        Taxonomy(titles=["chef", "chef"])
 
 
 def test_taxonomy_version_tracks_order():

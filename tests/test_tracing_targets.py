@@ -12,7 +12,7 @@ import numpy as np
 from titlemap import model as mapper
 from titlemap import poincare
 from titlemap import reasoning as rs
-from titlemap.model import FeaturePipeline, TrainConfig, _TrainContext, init_model, loss_on_batch
+from titlemap.model import FeaturePipeline, TrainConfig, init_model, loss_on_batch
 from titlemap.numerics import Tensor
 from titlemap.poincare import PoincareConfig
 from titlemap.semantic import HashedNgramProvider
@@ -74,7 +74,7 @@ def test_traced_training_step_records_every_reasoning_layer():
             model, rng.uniform(-1, 1, (batch, d_h)), rng.uniform(-1, 1, (batch, d_b)),
             rng.uniform(0, 1, (batch, n_cand)), np.arange(batch) % n_cand,
             Tensor(rng.uniform(-1, 1, (n_cand, d_b))), Tensor(rng.uniform(0, 1, (n_cand, n_cand))),
-            _TrainContext(reg_rng=np.random.default_rng(2)),
+            np.random.default_rng(2),
         )
     finally:
         tracing.restore(installed)
