@@ -11,6 +11,7 @@ single titles are 1-row matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import numpy as np
 
 from . import numerics as nx
@@ -85,9 +86,9 @@ def co_attend(
 ) -> tuple[Tensor, Tensor, Tensor]:
     """The attended views (x_hat_h, x_hat_b, x_hat_s).
 
-    The op order (affinities hb, hs, bs; each key's self term, then its
-    cross terms; views h, b, s) fixes the order in which the backward sums
-    each shared affinity's gradient, so a trained model's bits depend on it."""
+    Each key sums its self term, then its cross terms in this order; float
+    addition is not associative, so a trained model's bits depend on that
+    order."""
     p = params
     a_hb = _bilinear(x_h, p.w_aff_hb, x_b)
     a_hs = _bilinear(x_h, p.w_aff_hs, x_s)

@@ -51,6 +51,20 @@ def co_attention_oracle(x_h, x_b, x_s, p):
     return [softmax_rows(k) * x for k, x in ((k_h, x_h), (k_b, x_b), (k_s, x_s))]
 
 
+def co_attend_keys(views, params, monkeypatch):
+    """Each view's attention key, as `co_attend` hands it to the softmax."""
+    keys = []
+    softmax = nx.softmax
+
+    def recording_softmax(x, axis=-1):
+        keys.append(x.data.copy())
+        return softmax(x, axis=axis)
+
+    monkeypatch.setattr(nx, "softmax", recording_softmax)
+    ca.co_attend(*views, params)
+    return keys
+
+
 def test_co_attend_matches_the_numpy_oracle_in_51_tape_nodes(params, views):
     with nx.GradTape() as tape:
         attended = ca.co_attend(*views, params)
@@ -96,26 +110,19 @@ def test_zero_affinities_reduce_keys_to_self_projection(params, views):
     assert np.allclose(out.data, expected, atol=1e-15)
 
 
-def test_all_zero_inputs_give_zero_keys(params):
-    # x_hat = softmax(key(x)) ⊙ x, so at x = 0 the gradient of each view's
-    # attended sum is softmax(key(0)): uniform, 1/d, exactly when every key is 0
-    zeros = [Tensor(np.zeros((2, d)), requires_grad=True) for d in (D_H, D_B, D_S)]
-    with nx.GradTape() as tape:
-        attended = ca.co_attend(*zeros, params)
-        loss = nx.tsum(nx.concat(list(attended), axis=1))
-    tape.backward(loss)
-    for x, x_hat in zip(zeros, attended):
-        assert np.array_equal(x_hat.data, x.data)
-        assert np.allclose(x.grad, 1.0 / x.data.shape[1], rtol=1e-15, atol=0)
+def test_all_zero_inputs_give_zero_keys(params, monkeypatch):
+    zeros = [Tensor(np.zeros((2, d))) for d in (D_H, D_B, D_S)]
+    keys = co_attend_keys(zeros, params, monkeypatch)
+    assert [key.shape for key in keys] == [(2, D_H), (2, D_B), (2, D_S)]
+    for key in keys:
+        assert np.array_equal(key, np.zeros_like(key))
 
 
-def test_keys_stay_strictly_inside_unit_interval(params, views):
-    # with every key component in (-1, 1), each attention weight
-    # exp(k_i) / Σ exp(k_j) lies strictly between e^-2 / d and e^2 / d
-    for x_hat, x in zip(ca.co_attend(*views, params), views):
-        d = x.data.shape[1]
-        weights = x_hat.data / x.data
-        assert np.all((weights > np.exp(-2) / d) & (weights < np.exp(2) / d))
+def test_keys_stay_strictly_inside_unit_interval(params, views, monkeypatch):
+    keys = co_attend_keys(views, params, monkeypatch)
+    assert len(keys) == 3
+    for key in keys:
+        assert np.all(np.abs(key) < 1)
 
 
 def test_key_gradients_match_finite_differences(params, views):
