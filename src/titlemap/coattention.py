@@ -3,14 +3,23 @@
 Each title contributes one vector per view (topological h, semantic b,
 syntactic s), so the pairwise affinity of two views collapses to a scalar
 bilinear form per title, and every view's attention key mixes its own
-projection with affinity-scaled support from the other two views. All
-functions follow a row-batch convention: inputs are (batch, dim) tensors,
-single titles are 1-row matrices.
+projection with affinity-scaled support from the other two views. Inputs
+are (batch, dim) rows; a single title is a 1-row matrix.
+
+`co_attend` is one tape node with a hand-written backward. Its forward pass
+replays the float operations of composing the generic tape ops (matmul,
+tanh, softmax, products) in their order, so its value equals that
+composition bit for bit, in float32 as in float64, and an existing
+`model.json` serves the same bytes; taped and untaped calls are
+bit-identical. At float64 its value and every input gradient agree with
+that composition, which the tests keep as its oracle, within 1e-12
+relative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -66,35 +75,93 @@ class CoAttentionParams:
         return cls(**{name: _uniform_param(rng, *shape) for name, shape in shapes.items()})
 
 
-def _bilinear(x: Tensor, w: Tensor, y: Tensor) -> Tensor:
-    """Per-title scalar affinity tanh(x^T W y), shape (batch, 1), in (-1, 1)."""
-    return nx.tanh(nx.tsum(nx.mul(nx.matmul(x, w), y), axis=1, keepdims=True))
+# Views are numbered h 0, b 1, s 2. Each affinity joins two views, and each
+# view's key sums its self term, then its two cross terms (affinity, other
+# view, cross weight) in the order listed. Float addition is not
+# associative, so this order fixes a trained model's bits.
+_AFFINITY_VIEWS = {"w_aff_hb": (0, 1), "w_aff_hs": (0, 2), "w_aff_bs": (1, 2)}
+_KEY_TERMS = (
+    ("w_self_h", (("w_aff_hb", 1, "w_cross_bh"), ("w_aff_hs", 2, "w_cross_sh"))),
+    ("w_self_b", (("w_aff_hb", 0, "w_cross_hb"), ("w_aff_bs", 2, "w_cross_sb"))),
+    ("w_self_s", (("w_aff_hs", 0, "w_cross_hs"), ("w_aff_bs", 1, "w_cross_bs"))),
+)
 
 
-def _attend(x: Tensor, w_self: Tensor, *cross: tuple[Tensor, Tensor, Tensor]) -> Tensor:
-    """softmax(key) (over components) elementwise-weights x, where the key
-    tanh(x w_selfᵀ + Σ (a ⊙ y) w_crossᵀ) acknowledges each other view y
-    through its affinity a, for every (a, y, w_cross) in `cross`."""
-    key = nx.matmul(x, nx.transpose(w_self))
-    for a, y, w_cross in cross:
-        key = key + nx.matmul(nx.mul(a, y), nx.transpose(w_cross))
-    return nx.mul(nx.softmax(nx.tanh(key), axis=-1), x)
+def _affinity(x: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-title scalar affinity tanh(xᵀ W y), shape (batch, 1), in (-1, 1)."""
+    return np.tanh((x @ w * y).sum(axis=1, keepdims=True))
 
 
-def co_attend(
-    x_h: Tensor, x_b: Tensor, x_s: Tensor, params: CoAttentionParams
-) -> tuple[Tensor, Tensor, Tensor]:
-    """The attended views (x_hat_h, x_hat_b, x_hat_s).
+def _keys(views: Sequence[np.ndarray], w: dict[str, np.ndarray]) -> tuple[dict, list]:
+    """The affinities (by weight name) and the three attention keys of the
+    view arrays (x_h, x_b, x_s) under the weight arrays `w` (by field name).
 
-    Each key sums its self term, then its cross terms in this order; float
-    addition is not associative, so a trained model's bits depend on that
-    order."""
-    p = params
-    a_hb = _bilinear(x_h, p.w_aff_hb, x_b)
-    a_hs = _bilinear(x_h, p.w_aff_hs, x_s)
-    a_bs = _bilinear(x_b, p.w_aff_bs, x_s)
-    return (
-        _attend(x_h, p.w_self_h, (a_hb, x_b, p.w_cross_bh), (a_hs, x_s, p.w_cross_sh)),
-        _attend(x_b, p.w_self_b, (a_hb, x_h, p.w_cross_hb), (a_bs, x_s, p.w_cross_sb)),
-        _attend(x_s, p.w_self_s, (a_hs, x_h, p.w_cross_hs), (a_bs, x_b, p.w_cross_bs)),
-    )
+    A view's key is tanh(x W_selfᵀ + Σ (a ⊙ y) W_crossᵀ), summed in the
+    order of `_KEY_TERMS`: each other view y enters through its affinity a
+    with x, so every key lies in (-1, 1) and is zero for zero views."""
+    affinities = {name: _affinity(views[i], w[name], views[j])
+                  for name, (i, j) in _AFFINITY_VIEWS.items()}
+    keys = []
+    for x, (w_self, cross) in zip(views, _KEY_TERMS):
+        key = x @ w[w_self].T
+        for w_aff, other, w_cross in cross:
+            key += (affinities[w_aff] * views[other]) @ w[w_cross].T
+        keys.append(np.tanh(key, out=key))
+    return affinities, keys
+
+
+def co_attend(x_h: Tensor, x_b: Tensor, x_s: Tensor, params: CoAttentionParams) -> Tensor:
+    """The attended views softmax(key) ⊙ x of h, b and s, side by side in one
+    (batch, d_h + d_b + d_s) tensor: one tape node over the three views and
+    the twelve weights, in field order. Its backward returns the views'
+    gradients only if some view requires one."""
+    weights = nx.tensor_fields(params)
+    inputs = (x_h, x_b, x_s, *weights.values())
+    views = [x.data for x in inputs[:3]]
+    w = {name: t.data for name, t in weights.items()}
+    affinities, keys = _keys(views, w)
+    bounds = np.cumsum([0] + [x.shape[1] for x in views])
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    out = np.empty((views[0].shape[0], bounds[-1]), views[0].dtype)
+    probs = []
+    for x, key, (lo, hi) in zip(views, keys, blocks):
+        e = key - key.max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        e /= e.sum(axis=-1, keepdims=True)
+        probs.append(e)
+        np.multiply(e, x, out=out[:, lo:hi])
+
+    # the views' gradients cost nine more products; the mapper's views are
+    # constants, so they are computed only when a view requires one
+    views_grad = any(x.requires_grad for x in inputs[:3])
+
+    def backward(g):
+        grads = dict.fromkeys(w)
+        g_views = [g[:, lo:hi] * p if views_grad else None for p, (lo, hi) in zip(probs, blocks)]
+        g_affinities = {name: np.zeros_like(a) for name, a in affinities.items()}
+        for x, p, key, (lo, hi), (w_self, cross), g_x in zip(
+                views, probs, keys, blocks, _KEY_TERMS, g_views):
+            g_p = g[:, lo:hi] * x
+            g_key = g_p - (g_p * p).sum(axis=1, keepdims=True)
+            g_key *= p
+            g_key *= 1.0 - key * key  # through the key's tanh
+            grads[w_self] = g_key.T @ x
+            for w_aff, other, w_cross in cross:
+                a, y = affinities[w_aff], views[other]
+                grads[w_cross] = g_key.T @ (a * y)
+                g_term = g_key @ w[w_cross]
+                g_affinities[w_aff] += (g_term * y).sum(axis=1, keepdims=True)
+                if views_grad:
+                    g_views[other] += g_term * a
+            if views_grad:
+                g_x += g_key @ w[w_self]
+        for name, (i, j) in _AFFINITY_VIEWS.items():
+            x, y, a = views[i], views[j], affinities[name]
+            g_s = g_affinities[name] * (1.0 - a * a)  # through the affinity's tanh
+            grads[name] = x.T @ (g_s * y)
+            if views_grad:
+                g_views[i] += (g_s * y) @ w[name].T
+                g_views[j] += g_s * (x @ w[name])
+        return (*g_views, *grads.values())
+
+    return nx.fused_op(out, inputs, backward)

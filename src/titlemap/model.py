@@ -187,7 +187,7 @@ def _forward(
     attended = ca.co_attend(th, tb, ts, model.coatt)
     clause_b = rs.clause_representation(*pre_b, model.reason_b)
     clause_s = rs.clause_representation(*pre_s, model.reason_s)
-    fused = nx.concat([*attended, clause_b, clause_s], axis=1)
+    fused = nx.concat([attended, clause_b, clause_s], axis=1)
     logits = nx.relu(nx.matmul(fused, nx.transpose(model.fusion_w)) + model.fusion_b)
     return logits, {"b": clause_b, "s": clause_s}, {"b": pre_b, "s": pre_s}
 
@@ -201,16 +201,24 @@ def _reg_batch(
     """Vectors fed to the logical regularizers for one view, encoded in one
     pass from the view's projections: the events of a couple of sampled
     candidates, then each batch title and each sampled standard title alone,
-    with the other event slot zero. A sampled candidate's row is added to
-    every title row by broadcasting, so its gradient is one row sum."""
-    n_cand, batch_size = v_pre.data.shape[0], j_pre.data.shape[0]
-    pre = [
-        j_pre + nx.take_rows(v_pre, [k])
-        for k in reg_rng.choice(n_cand, size=min(2, n_cand), replace=False)
-    ]
-    sample = reg_rng.choice(n_cand, size=min(n_cand, batch_size), replace=False)
-    pre += [j_pre, nx.take_rows(v_pre, np.sort(sample)) + params.enc_b1]
-    return rs.event_head(nx.concat(pre, axis=0), params)
+    with the other event slot zero. One tape node (`rs.event_rows`): a
+    sampled candidate's row is added to every title row, so its gradient is
+    one row sum."""
+    j, v = j_pre.data, v_pre.data
+    n_cand, batch_size = v.shape[0], j.shape[0]
+    picks = reg_rng.choice(n_cand, size=min(2, n_cand), replace=False)
+    sample = np.sort(reg_rng.choice(n_cand, size=min(n_cand, batch_size), replace=False))
+    pre = np.concatenate([j + v[[k]] for k in picks] + [j, v[sample] + params.enc_b1.data])
+
+    def pre_grads(g_pre):
+        g_titles = g_pre[: -len(sample)].reshape(len(picks) + 1, batch_size, -1)
+        g_sample = g_pre[-len(sample) :]
+        g_v = np.zeros_like(v)
+        g_v[picks] += g_titles[:-1].sum(axis=1)
+        g_v[sample] += g_sample
+        return g_titles.sum(axis=0), g_v, g_sample.sum(axis=0, keepdims=True)
+
+    return rs.event_rows(pre, (j_pre, v_pre, params.enc_b1), pre_grads, params)
 
 
 def loss_on_batch(
@@ -589,6 +597,7 @@ def load_model(path) -> MapperModel:
     for key, valid in _ARTIFACT_FIELDS.items():
         if key not in doc or not valid(doc[key]):
             raise FormatError(f"{path}: field {key!r} is missing or ill-typed")
+    seen = set()
     for title in doc["taxonomy_titles"]:  # `train` stores the keys its reader made
         try:
             key = canonicalize_title(title)
@@ -596,6 +605,9 @@ def load_model(path) -> MapperModel:
             key = None
         if key != title:
             raise FormatError(f"{path}: taxonomy title {title!r} is not a canonical key")
+        if key in seen:
+            raise FormatError(f"{path}: taxonomy title {title!r} is repeated")
+        seen.add(key)
     taxonomy = Taxonomy(titles=doc["taxonomy_titles"], groups=doc["taxonomy_groups"])
     if taxonomy.version_id != doc["taxonomy_hash"]:
         raise DataError(f"{path}: taxonomy hash mismatch; artifact is inconsistent")

@@ -17,12 +17,17 @@ Python float does not, so a constant is built in the dtype of the tensor it
 meets. Off a tape nothing is checked: an op computes in the dtype numpy
 gives its operands.
 
-Scope is deliberately small: 1-D/2-D arrays, the operations the mapper
-actually needs, and a plain Adam optimizer. Gradients sum on node reuse; a
-tape lives for exactly one forward/backward pass and is confined to one
-thread. Tensors evaluated outside any tape are plain values and safe to share
-read-only. tanh/exp defer to the platform libm (worth a 1-ulp tolerance in
-any cross-platform comparison).
+Scope is deliberately small: 1-D/2-D arrays, the generic operations the
+mapper still records, `fused_op` for a hand-written composite, and a plain
+Adam optimizer. Co-attention, the clause, the gold events, the regularizer
+batch, the clause-truth loss and the regularizers are fused ops; the
+generic ops they replaced (`tanh`, `sub`, `div`, `sqrt`, `clip`,
+`take_rows`) live in `tests/helpers.py`, where they compose the fused ops'
+oracles. Gradients sum on node reuse; a tape lives for exactly one
+forward/backward pass and is confined to one thread. Tensors evaluated
+outside any tape are plain values and safe to share read-only. exp defers
+to the platform libm (worth a 1-ulp tolerance in any cross-platform
+comparison).
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, DomainError
+from .errors import ContractError, DimensionError
 
 __all__ = [
     "Tensor",
@@ -40,23 +45,17 @@ __all__ = [
     "GradTape",
     "Adam",
     "add",
-    "sub",
     "neg",
     "mul",
-    "div",
     "matmul",
     "transpose",
-    "tanh",
     "relu",
-    "sqrt",
     "softmax",
     "log_softmax",
     "tsum",
     "tmean",
     "concat",
-    "take_rows",
     "gather_rows",
-    "clip",
     "recording",
     "fused_op",
 ]
@@ -84,9 +83,6 @@ class Tensor:
 
     def __add__(self, other):
         return add(self, _as_tensor(other))
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
 
 
 def _as_tensor(value) -> Tensor:
@@ -229,15 +225,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "sub")
-    return _make(
-        a.data - b.data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)),
-    )
-
-
 def neg(a: Tensor) -> Tensor:
     return _make(-a.data, (a,), lambda g: (-g,))
 
@@ -252,18 +239,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         lambda g: (
             _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
             _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
-        ),
-    )
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "div")
-    return _make(
-        a.data / b.data,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
         ),
     )
 
@@ -292,21 +267,9 @@ def transpose(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # Nonlinearities
 
-def tanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-    return _make(out_data, (a,), lambda g: (g * (1.0 - out_data * out_data),))
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
     return _make(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    if np.any(a.data < 0):
-        raise DomainError("sqrt: input must be non-negative")
-    out_data = np.sqrt(a.data)
-    return _make(out_data, (a,), lambda g: (g * 0.5 / out_data,))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -379,18 +342,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(out_data, tuple(tensors), backward)
 
 
-def take_rows(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Select rows `a[indices]`; the gradient scatter-adds back into `a`."""
-    idx = np.asarray(indices, dtype=np.intp)
-
-    def backward(g):
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, idx, g)
-        return (buf,)
-
-    return _make(a.data[idx], (a,), backward)
-
-
 def gather_rows(a: Tensor, column_indices: np.ndarray) -> Tensor:
     """Pick one column per row: out[i] = a[i, column_indices[i]]."""
     if a.data.ndim != 2:
@@ -404,11 +355,6 @@ def gather_rows(a: Tensor, column_indices: np.ndarray) -> Tensor:
         return (buf,)
 
     return _make(a.data[rows, cols], (a,), backward)
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    mask = (a.data > lo) & (a.data < hi)
-    return _make(np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,))
 
 
 # ---------------------------------------------------------------------------

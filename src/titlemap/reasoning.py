@@ -16,22 +16,27 @@ correct candidate's positive literal only ever appears inside
 cannot encode the answer. The clause is a function of the candidate set, as
 in Deep Sets (Zaheer et al., arXiv:1703.06114): OR(p, p) of the mean p of
 the |Y| NOT literals, so it does not depend on the taxonomy's row order.
-It is one tape node whatever the number of candidates. Inside it, NOT is
-composed with the event head's second layer once per call, and the
-candidates run in blocks whose length comes from a working-set budget for
-the block's hidden layer (`_CLAUSE_BLOCK_BYTES`, see `clause_block_steps`);
-each block is a few wide array operations, forward and backward, with no
-recurrence. A taped call keeps 3·d_r floats per row per candidate, an
-untaped one a single block. The composed weights round differently from
-`or_op(p, p)` over the mean of `not_op(event_head(...))`, where `not_op`,
-tanh(e W_notᵀ + b_not), is the tests' oracle of NOT (`tests/helpers.py`; no
-code here applies NOT alone). So at float64 the clause agrees with that
-composition within 1e-12 relative (the tests' bound), not bit for bit.
-Every op here computes in the dtype of its inputs, float32 in the mapper
-and float64 in the tests' oracles, and taped and untaped clauses are
-bit-identical. The six regularizers with their cosines are one tape node
-per call as well, and agree with composing the tests' `not_op` with
-`or_op` and `row_cosine` within 1e-12 relative.
+
+Every op here past `encode_views` is one tape node with a hand-written
+backward, whatever the number of candidates: the clause, the gold events
+and the regularizer batch (both through `event_rows`), the clause-truth
+loss, and the six regularizers with their cosines. The tests keep the
+composition of generic tape ops each one replaces as its oracle
+(`tests/helpers.py`): the event head's second layer `event_head`, NOT alone
+(`not_op`, tanh(e W_notᵀ + b_not)), `or_op` and the clipped `row_cosine`.
+At float64 every op's value and input gradients agree with its oracle
+within 1e-12 relative. The event rows replay their oracle's float
+operations in order, so their values are equal bit for bit; the other ops
+sum in another order.
+
+Inside the clause, NOT is composed with the event head's second layer once
+per call, and the candidates run in blocks whose length comes from a
+working-set budget for the block's hidden layer (`_CLAUSE_BLOCK_BYTES`, see
+`clause_block_steps`); each block is a few wide array operations, forward
+and backward, with no recurrence. A taped call keeps 3·d_r floats per row
+per candidate, an untaped one a single block. Every op here computes in the
+dtype of its inputs, float32 in the mapper and float64 in the tests'
+oracles, and taped and untaped calls are bit-identical.
 """
 
 from __future__ import annotations
@@ -105,27 +110,6 @@ class ReasoningParams:
 
     def renormalize_anchor(self) -> None:
         self.true_anchor.data /= np.linalg.norm(self.true_anchor.data)
-
-
-def event_head(pre: Tensor, params: ReasoningParams) -> Tensor:
-    """Second encoder layer: event vectors from first-layer pre-activations."""
-    return nx.matmul(nx.tanh(pre), nx.transpose(params.enc_w2)) + params.enc_b2
-
-
-def or_op(a: Tensor, b: Tensor, params: ReasoningParams) -> Tensor:
-    return nx.tanh(
-        nx.matmul(a, nx.transpose(params.or_w_left))
-        + nx.matmul(b, nx.transpose(params.or_w_right))
-        + params.or_b
-    )
-
-
-def row_cosine(a: Tensor, b: Tensor) -> Tensor:
-    """Row-wise cosine of two (n, d) tensors (broadcasting rows), clipped to [-1, 1]."""
-    num = nx.tsum(nx.mul(a, b), axis=1, keepdims=True)
-    na = nx.sqrt(nx.tsum(nx.mul(a, a), axis=1, keepdims=True))
-    nb = nx.sqrt(nx.tsum(nx.mul(b, b), axis=1, keepdims=True))
-    return nx.clip(nx.div(num, nx.mul(na, nb)), -1.0, 1.0)
 
 
 def encode_views(
@@ -203,8 +187,8 @@ def _pooled_clause(arrays: Sequence[np.ndarray], taped: bool) -> tuple[np.ndarra
 
     A taped call keeps every candidate's hidden layer and literal, 3·d_r
     floats per row per candidate; an untaped call keeps one block. The
-    composed weights round differently from applying `event_head`, the
-    tests' oracle `not_op`, a mean and `or_op` in turn, so at float64 value
+    composed weights round differently from applying the tests' oracles
+    `event_head`, `not_op`, a mean and `or_op` in turn, so at float64 value
     and gradients agree with that composition within 1e-12 relative, not bit
     for bit. Taped and untaped calls run the same block shapes and are
     bit-identical.
@@ -278,21 +262,78 @@ def _pooled_clause(arrays: Sequence[np.ndarray], taped: bool) -> tuple[np.ndarra
     return clause, backward
 
 
+def event_rows(
+    pre: np.ndarray, inputs: Sequence[Tensor], pre_grads: Callable, params: ReasoningParams
+) -> Tensor:
+    """Event vectors tanh(pre) W2ᵀ + b2 of first-layer pre-activation rows
+    `pre`, which the caller built from `inputs`: one tape node over
+    `inputs`, `enc_w2` and `enc_b2`. `pre_grads(g_pre)` returns the
+    gradients of `inputs` from the gradient of `pre`.
+
+    The value is the tests' oracle `event_head` bit for bit: one tanh, one
+    product with the transposed weight and one bias add, in that order."""
+    w2, b2 = params.enc_w2.data, params.enc_b2.data
+    hidden = np.tanh(pre)
+    events = hidden @ w2.T + b2
+
+    def backward(g):
+        g_pre = g @ w2
+        g_pre *= 1.0 - hidden * hidden
+        return (*pre_grads(g_pre), g.T @ hidden, g.sum(axis=0, keepdims=True))
+
+    return nx.fused_op(events, (*inputs, params.enc_w2, params.enc_b2), backward)
+
+
 def correct_events(
     j_pre: Tensor,
     v_pre: Tensor,
     labels: np.ndarray,
     params: ReasoningParams,
 ) -> Tensor:
-    """Event vector of each row's gold candidate (training only)."""
-    return event_head(j_pre + nx.take_rows(v_pre, labels), params)
+    """Event vector of each row's gold candidate (training only), from the
+    projections of `encode_views`: one tape node (`event_rows`)."""
+    labels = np.asarray(labels, dtype=np.intp)
+
+    def pre_grads(g_pre):
+        g_v = np.zeros_like(v_pre.data)
+        np.add.at(g_v, labels, g_pre)
+        return g_pre, g_v
+
+    return event_rows(j_pre.data + v_pre.data[labels], (j_pre, v_pre), pre_grads, params)
 
 
 def clause_truth_loss(x_prime: Tensor, e_correct: Tensor, params: ReasoningParams) -> Tensor:
-    """1 - cosine(OR(clause, gold event), TRUE), averaged over the batch."""
-    disjunction = or_op(x_prime, e_correct, params)
-    cos = row_cosine(disjunction, params.true_anchor)
-    return nx.tmean(Tensor(cos.data.dtype.type(1.0)) - cos)
+    """1 - cosine(OR(clause, gold event), TRUE), averaged over the batch: one
+    tape node with a hand-written backward.
+
+    The row cosine is clipped to [-1, 1], and a clipped row passes no
+    gradient, as with the generic tape's clip. At float64 the value and the
+    six input gradients agree with the tests' composition of `or_op`,
+    `row_cosine` and a mean within 1e-12 relative."""
+    inputs = (x_prime, e_correct, params.or_w_left, params.or_w_right, params.or_b,
+              params.true_anchor)
+    x, e, w_left, w_right, b_or, anchor = (t.data for t in inputs)
+    n = x.shape[0]
+    disjunction = np.tanh(x @ w_left.T + e @ w_right.T + b_or)
+    dots = disjunction @ anchor[0]
+    sq = np.einsum("ij,ij->i", disjunction, disjunction)
+    norm_anchor = np.sqrt(anchor[0] @ anchor[0])
+    den = np.sqrt(sq) * norm_anchor
+    ratio = dots / den
+    loss = (1.0 - np.clip(ratio, -1.0, 1.0)).sum() * (1.0 / n)
+
+    def backward(g):
+        # d/d ratio, zero where the clip saturates; ratio = d·t / (|d| |t|)
+        # gives d the gradient t/den - ratio d/|d|², and t likewise
+        g_ratio = (-g / n) * ((ratio > -1.0) & (ratio < 1.0))
+        c, c_ratio = g_ratio / den, g_ratio * ratio
+        g_d = np.outer(c, anchor[0]) - (c_ratio / sq)[:, None] * disjunction
+        g_anchor = c @ disjunction - (c_ratio.sum() / (norm_anchor * norm_anchor)) * anchor[0]
+        g_pre = g_d * (1.0 - disjunction * disjunction)
+        return (g_pre @ w_left, g_pre @ w_right, g_pre.T @ x, g_pre.T @ e,
+                g_pre.sum(axis=0, keepdims=True), g_anchor[None])
+
+    return nx.fused_op(loss, inputs, backward)
 
 
 class RegularizerValues(NamedTuple):
@@ -326,7 +367,7 @@ def logical_regularizers(batch: Tensor, params: ReasoningParams) -> RegularizerV
 
     The four ORs share one left product, and their right operands are two
     full blocks (x, NOT x) and two rows (FALSE, TRUE). The sums run in
-    another order than composing the tests' oracle `not_op` with `or_op` and
+    another order than composing the tests' oracles `not_op`, `or_op` and
     `row_cosine` on the tape, so values and gradients agree with that
     composition within 1e-12 relative (the tests' bound), not bit for bit.
     """

@@ -164,6 +164,19 @@ def finite_difference_check(make_loss, params, h=1e-5):
     return worst
 
 
+def leaf_gradients(make_output, leaves, weight=None):
+    """The value of `make_output()` and the gradient of every leaf in
+    `leaves`, from the sum of the output weighted by `weight` (a scalar
+    output is taken as the loss)."""
+    for t in leaves:
+        t.grad = None
+    with nx.GradTape() as tape:
+        out = make_output()
+        loss = out if weight is None else nx.tsum(nx.mul(out, weight))
+    tape.backward(loss)
+    return out.data, [t.grad for t in leaves]
+
+
 def event_oracle(params, j: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Plain-numpy event encoder over aligned (or broadcast) title rows `j`
     and candidate rows `v`: tanh(j W1jᵀ + v W1vᵀ + b1) W2ᵀ + b2."""
@@ -173,10 +186,61 @@ def event_oracle(params, j: np.ndarray, v: np.ndarray) -> np.ndarray:
     return hidden @ params.enc_w2.data.T + params.enc_b2.data
 
 
+# ---------------------------------------------------------------------------
+# Generic tape ops that no `src/` code records: the building blocks of the
+# fused ops' oracles, recorded through `nx.fused_op` as `numerics`' own ops.
+
+def sub(a, b):
+    return nx.fused_op(a.data - b.data, (a, b), lambda g: (
+        nx._unbroadcast(g, a.data.shape), nx._unbroadcast(-g, b.data.shape)))
+
+
+def div(a, b):
+    return nx.fused_op(a.data / b.data, (a, b), lambda g: (
+        nx._unbroadcast(g / b.data, a.data.shape),
+        nx._unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
+    ))
+
+
+def tanh(a):
+    out_data = np.tanh(a.data)
+    return nx.fused_op(out_data, (a,), lambda g: (g * (1.0 - out_data * out_data),))
+
+
+def sqrt(a):
+    if np.any(a.data < 0):
+        raise DomainError("sqrt: input must be non-negative")
+    out_data = np.sqrt(a.data)
+    return nx.fused_op(out_data, (a,), lambda g: (g * 0.5 / out_data,))
+
+
+def clip(a, lo, hi):
+    mask = (a.data > lo) & (a.data < hi)
+    return nx.fused_op(np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,))
+
+
+def take_rows(a, indices):
+    """Select rows `a[indices]`; the gradient scatter-adds back into `a`."""
+    idx = np.asarray(indices, dtype=np.intp)
+
+    def backward(g):
+        buf = np.zeros_like(a.data)
+        np.add.at(buf, idx, g)
+        return (buf,)
+
+    return nx.fused_op(a.data[idx], (a,), backward)
+
+
+def event_head(pre, params):
+    """Second encoder layer: event vectors from first-layer pre-activations;
+    the oracle of `reasoning.event_rows`."""
+    return nx.matmul(tanh(pre), nx.transpose(params.enc_w2)) + params.enc_b2
+
+
 def not_op(e, params):
     """The NOT module applied alone, tanh(e W_notᵀ + b_not): the oracle that
     the clause fold and the regularizer op are checked against."""
-    return nx.tanh(nx.matmul(e, nx.transpose(params.not_w)) + params.not_b)
+    return tanh(nx.matmul(e, nx.transpose(params.not_w)) + params.not_b)
 
 
 def cast_tensors(params, dtype):
@@ -195,9 +259,74 @@ def cast_tensors(params, dtype):
     return replace(params, **changes)
 
 
+def or_op(a, b, params):
+    return tanh(
+        nx.matmul(a, nx.transpose(params.or_w_left))
+        + nx.matmul(b, nx.transpose(params.or_w_right))
+        + params.or_b
+    )
+
+
+def row_cosine(a, b):
+    """Row-wise cosine of two (n, d) tensors (broadcasting rows), clipped to [-1, 1]."""
+    num = nx.tsum(nx.mul(a, b), axis=1, keepdims=True)
+    na = sqrt(nx.tsum(nx.mul(a, a), axis=1, keepdims=True))
+    nb = sqrt(nx.tsum(nx.mul(b, b), axis=1, keepdims=True))
+    return clip(div(num, nx.mul(na, nb)), -1.0, 1.0)
+
+
+def taped_correct_events(j_pre, v_pre, labels, params):
+    """Tape-composed oracle of `reasoning.correct_events`."""
+    return event_head(j_pre + take_rows(v_pre, labels), params)
+
+
+def taped_truth_loss(x_prime, e_correct, params):
+    """Tape-composed oracle of `reasoning.clause_truth_loss`."""
+    cos = row_cosine(or_op(x_prime, e_correct, params), params.true_anchor)
+    return nx.tmean(sub(nx.Tensor(cos.data.dtype.type(1.0)), cos))
+
+
+def taped_reg_batch(j_pre, v_pre, params, reg_rng):
+    """Tape-composed oracle of `model._reg_batch`, drawing from `reg_rng` as
+    it does."""
+    n_cand, batch_size = v_pre.data.shape[0], j_pre.data.shape[0]
+    pre = [
+        j_pre + take_rows(v_pre, [k])
+        for k in reg_rng.choice(n_cand, size=min(2, n_cand), replace=False)
+    ]
+    sample = reg_rng.choice(n_cand, size=min(n_cand, batch_size), replace=False)
+    pre += [j_pre, take_rows(v_pre, np.sort(sample)) + params.enc_b1]
+    return event_head(nx.concat(pre, axis=0), params)
+
+
+def _bilinear(x, w, y):
+    return tanh(nx.tsum(nx.mul(nx.matmul(x, w), y), axis=1, keepdims=True))
+
+
+def _attend(x, w_self, *cross):
+    key = nx.matmul(x, nx.transpose(w_self))
+    for a, y, w_cross in cross:
+        key = key + nx.matmul(nx.mul(a, y), nx.transpose(w_cross))
+    return nx.mul(nx.softmax(tanh(key), axis=-1), x)
+
+
+def taped_co_attend(x_h, x_b, x_s, p):
+    """Tape-composed oracle of `coattention.co_attend`, in 52 nodes: three
+    affinities of 4 ops, three views of 13 (a key of 11, softmax, product)
+    and the concatenation."""
+    a_hb = _bilinear(x_h, p.w_aff_hb, x_b)
+    a_hs = _bilinear(x_h, p.w_aff_hs, x_s)
+    a_bs = _bilinear(x_b, p.w_aff_bs, x_s)
+    return nx.concat([
+        _attend(x_h, p.w_self_h, (a_hb, x_b, p.w_cross_bh), (a_hs, x_s, p.w_cross_sh)),
+        _attend(x_b, p.w_self_b, (a_hb, x_h, p.w_cross_hb), (a_bs, x_s, p.w_cross_sb)),
+        _attend(x_s, p.w_self_s, (a_hs, x_h, p.w_cross_hs), (a_bs, x_b, p.w_cross_bs)),
+    ], axis=1)
+
+
 def _sim(a, b):
     # cosine mapped to [0, 1] so every regularizer term is non-negative
-    return nx.mul(rs.row_cosine(a, b) + nx.Tensor(1.0), nx.Tensor(0.5))
+    return nx.mul(row_cosine(a, b) + nx.Tensor(1.0), nx.Tensor(0.5))
 
 
 def taped_regularizers(batch, params):
@@ -208,11 +337,11 @@ def taped_regularizers(batch, params):
     false_row = not_op(true_row, params)
     not_x = not_op(batch, params)
     r1 = nx.tsum(_sim(batch, not_x))
-    r2 = nx.tsum(one - _sim(batch, not_op(not_x, params)))
-    r3 = nx.tsum(one - _sim(rs.or_op(batch, false_row, params), batch))
-    r4 = nx.tsum(one - _sim(rs.or_op(batch, true_row, params), true_row))
-    r5 = nx.tsum(one - _sim(rs.or_op(batch, batch, params), batch))
-    r6 = nx.tsum(one - _sim(rs.or_op(batch, not_x, params), true_row))
+    r2 = nx.tsum(sub(one, _sim(batch, not_op(not_x, params))))
+    r3 = nx.tsum(sub(one, _sim(or_op(batch, false_row, params), batch)))
+    r4 = nx.tsum(sub(one, _sim(or_op(batch, true_row, params), true_row)))
+    r5 = nx.tsum(sub(one, _sim(or_op(batch, batch, params), batch)))
+    r6 = nx.tsum(sub(one, _sim(or_op(batch, not_x, params), true_row)))
     total = nx.mul(r1 + r2 + r3 + r4 + r5 + r6, nx.Tensor(1.0 / batch.data.shape[0]))
     return rs.RegularizerValues(r1, r2, r3, r4, r5, r6, total)
 

@@ -859,7 +859,7 @@ def test_seeded_train_report_is_pinned(tmp_path):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("model.json", "training_curve.csv")}
     assert digests == {
-        "model.json": "7f35122f155681f6d57e2696c0f756c1c4b509e5d6c488e5a98fb56373d1ca01",
+        "model.json": "8c9e8ab8e6cc518ae78af65a2d02992f5b326fb465563da2787442a78eaa8252",
         "training_curve.csv":
             "fee92bfa8f26234e1eb80cd6662197d4723d45b3c80a11cabb13739b2f7d1e18",
     }

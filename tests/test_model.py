@@ -36,6 +36,7 @@ from titlemap.syntactic import Taxonomy
 
 from helpers import (
     FLOAT32_PROB_TOL, cast_tensors, desk_serving_world, empty_ball_table, event_oracle,
+    finite_difference_check, leaf_gradients, taped_reg_batch,
 )
 
 
@@ -166,6 +167,68 @@ def test_regularizer_batch_rows_are_encoder_events(batch, n_cand):
     assert np.allclose(out, expected, rtol=0, atol=1e-12)
 
 
+# (batch rows, candidates, view width): a fit-g50 batch against its |Y| = 50
+# syntactic view, a 512-row chunk against |Y| = 200, and a small case
+REG_BATCH_SHAPES = [(192, 50, 50), (512, 200, 200), (3, 5, 6), (4, 1, 6)]
+
+
+def reg_batch_inputs(batch, n_cand, width, dtype, seed=5):
+    """A d_r 16 reasoning parameter set and one view's title and candidate
+    rows in `dtype`, the rows requiring a gradient."""
+    rng = np.random.default_rng(seed)
+    params = cast_tensors(rs.ReasoningParams.init(width, 16, seed=seed), dtype)
+    j, v = (Tensor(rng.uniform(-1, 1, shape).astype(dtype), requires_grad=True)
+            for shape in ((batch, width), (n_cand, width)))
+    return params, j, v
+
+
+@pytest.mark.parametrize("batch,n_cand,width", REG_BATCH_SHAPES)
+def test_float32_regularizer_batch_equals_the_tape_composition_bit_for_bit(batch, n_cand, width):
+    params, j, v = reg_batch_inputs(batch, n_cand, width, np.float32)
+    pre = rs.encode_views(j, v, params)
+    plain = _reg_batch(*pre, params, np.random.default_rng(6))
+    with nx.GradTape() as tape:
+        taped = _reg_batch(*pre, params, np.random.default_rng(6))
+    assert len(tape._nodes) == 1 and taped.requires_grad
+    oracle = taped_reg_batch(*pre, params, np.random.default_rng(6))
+    assert plain.data.dtype == np.float32
+    assert np.array_equal(plain.data, oracle.data)
+    assert np.array_equal(taped.data, plain.data)
+
+
+@pytest.mark.parametrize("batch,n_cand,width", REG_BATCH_SHAPES)
+def test_regularizer_batch_gradients_match_the_tape_composition(batch, n_cand, width):
+    # the seven input gradients within 1e-12 relative to the largest
+    # magnitude of the composition's (measured: at most 3.3e-16)
+    params, j, v = reg_batch_inputs(batch, n_cand, width, np.float64)
+    leaves = [j, v, params.enc_w1_j, params.enc_w1_v, params.enc_b1, params.enc_w2,
+              params.enc_b2]
+    rows = (min(2, n_cand) + 1) * batch + min(n_cand, batch)
+    weight = Tensor(np.random.default_rng(8).uniform(-1, 1, (rows, 16)))
+    value, grads = leaf_gradients(
+        lambda: _reg_batch(*rs.encode_views(j, v, params), params, np.random.default_rng(7)),
+        leaves, weight)
+    expected_value, expected = leaf_gradients(
+        lambda: taped_reg_batch(*rs.encode_views(j, v, params), params, np.random.default_rng(7)),
+        leaves, weight)
+    assert np.array_equal(value, expected_value)
+    for grad, want in zip(grads, expected):
+        assert np.max(np.abs(grad - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_regularizer_batch_gradients_match_finite_differences():
+    # two picked candidates and the lone titles (3 rows each), then 3 of the
+    # 4 candidates alone
+    params, j, v = reg_batch_inputs(3, 4, 5, np.float64)
+    weight = Tensor(np.random.default_rng(10).uniform(-1, 1, (3 * 3 + 3, 16)))
+    err = finite_difference_check(
+        lambda: nx.tsum(nx.mul(_reg_batch(*rs.encode_views(j, v, params), params,
+                                          np.random.default_rng(11)), weight)),
+        [j, v, params.enc_w1_j, params.enc_w1_v, params.enc_b1, params.enc_w2, params.enc_b2],
+    )
+    assert err <= 1e-6
+
+
 def tape_nodes_of_one_step(n_cand, batch=8, d_h=4, d_b=8):
     taxonomy = Taxonomy(titles=[f"title {chr(97 + i // 26)}{chr(97 + i % 26)}"
                                 for i in range(n_cand)])
@@ -181,9 +244,10 @@ def tape_nodes_of_one_step(n_cand, batch=8, d_h=4, d_b=8):
 
 
 def test_training_step_tape_is_small_and_independent_of_taxonomy_size():
-    # the clause and the six regularizers are one tape node each per view,
-    # so a step records the README's 159 nodes at any |Y|, 51 of them co-attention's
-    assert tape_nodes_of_one_step(12) == tape_nodes_of_one_step(60) == 159
+    # co-attention is one tape node; per view the clause, the gold events,
+    # the clause-truth loss, the regularizer batch and the six regularizers
+    # are one each, so a step records the README's 39 nodes at any |Y|
+    assert tape_nodes_of_one_step(12) == tape_nodes_of_one_step(60) == 39
 
 
 def test_training_loss_decreases_on_separable_data():
@@ -308,6 +372,22 @@ def test_tampered_taxonomy_hash_is_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(DataError):
         load_model(path)
+
+
+def test_repeated_taxonomy_title_is_rejected_naming_the_file(tmp_path):
+    # the titles are checked before the taxonomy is built from them, so the
+    # error names the artifact as every other artifact check does
+    taxonomy, pipeline, examples = tiny_world()
+    result = train(examples, pipeline, small_config(max_epochs=2, patience=2))
+    path = tmp_path / "model.json"
+    save_model(result.model, path)
+    doc = json.loads(path.read_text())
+    doc["taxonomy_titles"][1] = doc["taxonomy_titles"][0]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError) as exc:
+        load_model(path)
+    assert str(exc.value) == (f"{path}: taxonomy title {doc['taxonomy_titles'][0]!r} "
+                              "is repeated")
 
 
 def test_stored_title_that_is_not_its_own_key_is_rejected(tmp_path):
@@ -521,8 +601,7 @@ def test_serving_forward_stays_float32_end_to_end(monkeypatch):
     recorded(model_module.rs, "clause_representation")
     forward_probabilities(model, pipeline, titles)
     assert [name for name, _ in seen] == ["co_attend"] + ["clause_representation"] * 2
-    for t in seen[0][1]:
-        assert t.data.dtype == np.float32
+    assert seen[0][1].data.dtype == np.float32
     assert all(out.data.dtype == np.float32 for _, out in seen[1:])
     logits, _, _ = model_module._forward(model, *model_module._float32_views(pipeline, titles))
     assert logits.data.dtype == np.float32

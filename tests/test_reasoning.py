@@ -10,7 +10,8 @@ from titlemap.errors import ContractError, DegenerateInputError, DimensionError
 from titlemap.numerics import Tensor
 
 from helpers import (
-    cast_tensors, event_oracle, finite_difference_check, not_op, taped_regularizers,
+    cast_tensors, event_head, event_oracle, finite_difference_check, leaf_gradients, not_op,
+    or_op, row_cosine, taped_correct_events, taped_regularizers, taped_truth_loss,
 )
 
 D_VIEW, D_R = 6, 8
@@ -69,7 +70,7 @@ def test_not_and_or_preserve_shape(params):
     rng = np.random.default_rng(3)
     e = rand_rows(rng, 5, D_R)
     assert not_op(e, params).data.shape == (5, D_R)
-    assert rs.or_op(e, e, params).data.shape == (5, D_R)
+    assert or_op(e, e, params).data.shape == (5, D_R)
 
 
 # The pooled clause composes NOT with the event head's linear layer and OR's
@@ -101,18 +102,18 @@ def fold_of(j, v, params):
 
 
 def unrolled_fold(j, v, params):
-    """Tape-composed oracle: one `event_head` (through `correct_events`, every
-    row labelled with the candidate) and one `not_op` per candidate, then the
-    mean of the literals and `or_op` of the mean with itself."""
+    """Tape-composed oracle: one `event_head` (through `taped_correct_events`,
+    every row labelled with the candidate) and one `not_op` per candidate,
+    then the mean of the literals and `or_op` of the mean with itself."""
     j_pre, v_pre = rs.encode_views(j, v, params)
     n_cand = v.data.shape[0]
     total = None
     for k in range(n_cand):
         labels = np.full(j.data.shape[0], k)
-        literal = not_op(rs.correct_events(j_pre, v_pre, labels, params), params)
+        literal = not_op(taped_correct_events(j_pre, v_pre, labels, params), params)
         total = literal if total is None else total + literal
     pooled = nx.mul(total, Tensor(total.data.dtype.type(1.0 / n_cand)))
-    return rs.or_op(pooled, pooled, params)
+    return or_op(pooled, pooled, params)
 
 
 def test_clause_of_one_candidate_is_or_of_its_negated_event_with_itself(params):
@@ -121,7 +122,7 @@ def test_clause_of_one_candidate_is_or_of_its_negated_event_with_itself(params):
     v = rand_rows(rng, 1, D_VIEW)
     out = fold_of(j, v, params)
     negated = not_op(Tensor(event_oracle(params, j.data, v.data)), params)
-    expected = rs.or_op(negated, negated, params)
+    expected = or_op(negated, negated, params)
     assert np.allclose(out.data, expected.data, atol=1e-12)
     assert_fold_close(out.data, unrolled_fold(j, v, params).data)
     narrow = fold_of(*cast_leaves(np.float32, j, v, params))
@@ -156,7 +157,7 @@ def test_clause_fold_matches_hand_unrolled_oracle(params):
         return not_op(Tensor(event_oracle(params, j.data, v.data[k : k + 1])), params).data
 
     pooled = Tensor((literal(0) + literal(1) + literal(2)) / 3)
-    expected = rs.or_op(pooled, pooled, params)
+    expected = or_op(pooled, pooled, params)
     assert np.allclose(out.data, expected.data, atol=1e-12)
     assert_fold_close(out.data, unrolled_fold(j, v, params).data)
     narrow = fold_of(*cast_leaves(np.float32, j, v, params))
@@ -426,7 +427,7 @@ def test_truth_loss_formula_and_range(params):
     x_prime = rand_rows(rng, 4, D_R)
     e_gold = rand_rows(rng, 4, D_R)
     loss = rs.clause_truth_loss(x_prime, e_gold, params)
-    disjunction = rs.or_op(x_prime, e_gold, params).data
+    disjunction = or_op(x_prime, e_gold, params).data
     anchor = params.true_anchor.data[0]
     cosines = [
         float(d @ anchor / (np.linalg.norm(d) * np.linalg.norm(anchor)))
@@ -437,8 +438,138 @@ def test_truth_loss_formula_and_range(params):
 
 
 def test_truth_loss_zero_when_disjunction_equals_anchor(params):
-    cos = rs.row_cosine(params.true_anchor, params.true_anchor)
-    assert nx.tmean(Tensor(1.0) - cos).item() == pytest.approx(0.0, abs=1e-12)
+    # zero OR weights and a bias of atanh(TRUE) make every disjunction TRUE
+    for name in ("or_w_left", "or_w_right"):
+        getattr(params, name).data[...] = 0.0
+    params.or_b.data[...] = np.arctanh(params.true_anchor.data)
+    rows = Tensor(np.random.default_rng(8).uniform(-1, 1, (3, D_R)))
+    assert rs.clause_truth_loss(rows, rows, params).item() == pytest.approx(0.0, abs=1e-12)
+
+
+# (batch rows, candidates, view width) of the per-view training ops: a
+# fit-g50 batch against its |Y| = 50 syntactic view, a 512-row chunk against
+# |Y| = 200, and a small case
+VIEW_SHAPES = [(192, 50, 50), (512, 200, 200), (3, 4, D_VIEW)]
+
+
+def view_inputs(batch, n_cand, width, dtype, d_r=16, seed=30):
+    """A reasoning parameter set and one view's title and candidate rows in
+    `dtype`, the rows requiring a gradient, and gold labels."""
+    rng = np.random.default_rng(seed)
+    params = cast_tensors(rs.ReasoningParams.init(width, d_r, seed=seed), dtype)
+    j, v = (Tensor(rng.uniform(-1, 1, shape).astype(dtype), requires_grad=True)
+            for shape in ((batch, width), (n_cand, width)))
+    return params, j, v, rng.integers(0, n_cand, batch)
+
+
+def assert_grads_close(grads, expected, rtol=1e-12):
+    assert len(grads) == len(expected)
+    for grad, want in zip(grads, expected):
+        assert grad.dtype == want.dtype
+        assert np.max(np.abs(grad - want)) <= rtol * max(np.max(np.abs(want)), 1e-300)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_event_rows_equal_the_event_head(dtype):
+    # the shared op of the gold events and the regularizer batch: its value
+    # is the tape's `event_head` bit for bit, and at float64 its gradients
+    # agree within 1e-12 relative
+    rng = np.random.default_rng(34)
+    params = cast_tensors(rs.ReasoningParams.init(D_VIEW, D_R, seed=34), dtype)
+    pre = Tensor(rng.uniform(-2, 2, (9, 2 * D_R)).astype(dtype), requires_grad=True)
+    weight = Tensor(rng.uniform(-1, 1, (9, D_R)).astype(dtype))
+    leaves = [pre, params.enc_w2, params.enc_b2]
+    value, grads = leaf_gradients(
+        lambda: rs.event_rows(pre.data, (pre,), lambda g_pre: (g_pre,), params), leaves, weight)
+    expected_value, expected = leaf_gradients(lambda: event_head(pre, params), leaves, weight)
+    assert value.dtype == dtype and np.array_equal(value, expected_value)
+    assert_grads_close(grads, expected, 1e-12 if dtype == np.float64 else 1e-6)
+
+
+@pytest.mark.parametrize("batch,n_cand,width", VIEW_SHAPES)
+def test_float32_correct_events_equal_the_tape_composition_bit_for_bit(batch, n_cand, width):
+    params, j, v, labels = view_inputs(batch, n_cand, width, np.float32)
+    pre = rs.encode_views(j, v, params)
+    plain = rs.correct_events(*pre, labels, params)
+    with nx.GradTape() as tape:
+        taped = rs.correct_events(*pre, labels, params)
+    assert len(tape._nodes) == 1 and taped.requires_grad
+    assert plain.data.dtype == np.float32
+    assert np.array_equal(plain.data, taped_correct_events(*pre, labels, params).data)
+    assert np.array_equal(taped.data, plain.data)
+
+
+@pytest.mark.parametrize("batch,n_cand,width", VIEW_SHAPES)
+def test_correct_events_gradients_match_the_tape_composition(batch, n_cand, width):
+    params, j, v, labels = view_inputs(batch, n_cand, width, np.float64)
+    leaves = [j, v, params.enc_w1_j, params.enc_w1_v, params.enc_b1, params.enc_w2,
+              params.enc_b2]
+    weight = Tensor(np.random.default_rng(31).uniform(-1, 1, (batch, 16)))
+    value, grads = leaf_gradients(
+        lambda: rs.correct_events(*rs.encode_views(j, v, params), labels, params), leaves, weight)
+    expected_value, expected = leaf_gradients(
+        lambda: taped_correct_events(*rs.encode_views(j, v, params), labels, params),
+        leaves, weight)
+    assert np.array_equal(value, expected_value)
+    assert_grads_close(grads, expected)
+
+
+TRUTH_PARAMS = ("or_w_left", "or_w_right", "or_b", "true_anchor")
+
+
+def truth_inputs(batch, dtype, seed=32):
+    rng = np.random.default_rng(seed)
+    params = cast_tensors(rs.ReasoningParams.init(D_VIEW, 16, seed=seed), dtype)
+    x, e = (Tensor(rng.uniform(-1, 1, (batch, 16)).astype(dtype), requires_grad=True)
+            for _ in range(2))
+    return params, x, e
+
+
+@pytest.mark.parametrize("batch", [1, 3, 192, 512])
+def test_truth_loss_value_and_gradients_match_the_tape_composition(batch):
+    # one tape node, within 1e-12 relative of `or_op`, `row_cosine` and a
+    # mean composed on the tape (measured: at most 2.5e-15)
+    params, x, e = truth_inputs(batch, np.float64)
+    leaves = [x, e] + [getattr(params, name) for name in TRUTH_PARAMS]
+    with nx.GradTape() as tape:
+        rs.clause_truth_loss(x, e, params)
+    assert len(tape._nodes) == 1
+    value, grads = leaf_gradients(lambda: rs.clause_truth_loss(x, e, params), leaves)
+    expected_value, expected = leaf_gradients(lambda: taped_truth_loss(x, e, params), leaves)
+    assert value == pytest.approx(expected_value, rel=1e-12, abs=0)
+    assert_grads_close(grads, expected)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_taped_and_untaped_truth_loss_are_bit_identical(dtype):
+    params, x, e = truth_inputs(192, dtype)
+    plain = rs.clause_truth_loss(x, e, params)
+    with nx.GradTape():
+        taped = rs.clause_truth_loss(x, e, params)
+    assert plain.data.dtype == taped.data.dtype == dtype
+    assert np.array_equal(plain.data, taped.data)
+
+
+def test_clipped_truth_cosine_passes_no_gradient(params):
+    # a disjunction parallel to TRUE has cosine 1 up to rounding; the clip's
+    # strict mask then drops the row, as the tape composition's clip does
+    for name in ("or_w_left", "or_w_right"):
+        getattr(params, name).data[...] = 0.0
+    params.or_b.data[...] = np.arctanh(0.5 * params.true_anchor.data)
+    x = Tensor(np.zeros((2, D_R)), requires_grad=True)
+    leaves = [x, params.or_b, params.true_anchor]
+    _, grads = leaf_gradients(lambda: rs.clause_truth_loss(x, x, params), leaves)
+    _, expected = leaf_gradients(lambda: taped_truth_loss(x, x, params), leaves)
+    for grad, want in zip(grads, expected):
+        assert not np.any(grad) and np.array_equal(grad, want)
+
+
+def test_truth_loss_gradients_match_finite_differences(params):
+    rng = np.random.default_rng(33)
+    x, e = (Tensor(rng.uniform(-1, 1, (3, D_R)), requires_grad=True) for _ in range(2))
+    trainables = [x, e] + [getattr(params, name) for name in TRUTH_PARAMS]
+    err = finite_difference_check(lambda: rs.clause_truth_loss(x, e, params), trainables)
+    assert err <= 1e-6
 
 
 def test_regularizers_on_empty_batch_are_zero(params):
@@ -513,7 +644,7 @@ def test_fused_regularizers_match_taped_composition(params, n, case):
     fused, fused_grads = regularizer_gradients(rs.logical_regularizers, batch, params, 0.7)
     taped, taped_grads = regularizer_gradients(taped_regularizers, batch, params, 0.7)
     if case == "saturated":  # the clip's strict mask drops some rows, keeps others
-        q = rs.row_cosine(batch, not_op(batch, params)).data
+        q = row_cosine(batch, not_op(batch, params)).data
         assert np.any(q >= 1.0) and np.any(q < 1.0)
     scale = max(abs(expected.item()) for expected in taped)
     for name, value, expected in zip(rs.RegularizerValues._fields, fused, taped):
@@ -578,12 +709,12 @@ def test_regularizer_training_teaches_double_negation_and_identity(params):
     probe_t = Tensor(probe)
 
     def mean_cos(a, b):
-        return float(np.mean(rs.row_cosine(a, b).data))
+        return float(np.mean(row_cosine(a, b).data))
 
     def probes():
         not_not = not_op(not_op(probe_t, params), params)
         false_row = not_op(params.true_anchor, params)
-        or_false = rs.or_op(probe_t, Tensor(np.repeat(false_row.data, 16, axis=0)), params)
+        or_false = or_op(probe_t, Tensor(np.repeat(false_row.data, 16, axis=0)), params)
         return mean_cos(probe_t, not_not), mean_cos(probe_t, or_false)
 
     before_nn, before_of = probes()

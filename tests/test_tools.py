@@ -5,6 +5,7 @@ pairs two trees' seeded runs, so a tree compared with itself must read no
 difference."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -49,9 +50,16 @@ def test_paired_seeds_reads_no_difference_between_a_tree_and_itself(tmp_path, mo
     }
     rows, summary = paired_seeds.compare(config, range(1, 3), (ROOT, ROOT), tmp_path)
     assert [seed for seed, _, _ in rows] == [1, 2]
-    for _, a, b in rows:
+    for seed, a, b in rows:
         assert set(a) == set(paired_seeds.METRICS) and a == b
         assert all(0.0 <= value <= 1.0 for value in a.values())
+        # each split's `eval` keeps its own report; train hit@1 reads the
+        # training split's, which holds more rows than the test split
+        test, train = (json.loads((tmp_path / f"seed{seed}" / "a" / f"eval-{split}" /
+                                   "eval_report.json").read_text()) for split in ("test", "train"))
+        assert train["queries"] > test["queries"]
+        assert a["train hit@1"] == train["hit_rate_at"]["1"]
+        assert a["ndcg@10"] == test["ndcg_at_10"]
     for s in summary.values():
         assert s == {"median_diff": 0.0, "signs": (0, 0, 2), "p": 1.0}
 

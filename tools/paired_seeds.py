@@ -4,13 +4,17 @@
 
 For each seed and each tree, it sets every `seeds.*` key of CONFIG to the
 seed and runs gen-data, build-graph, train-poincare and train, then `eval`
-over the run's test split (`split_test.tsv`), each stage in a fresh process
-on the sources under TREE/src at one BLAS thread (`stage_digests.run_stages`).
-Runs write into DIR/seed<n>/a and DIR/seed<n>/b.
+over the run's test split (`split_test.tsv`) and over its training split
+(`split_train.tsv`), each stage in a fresh process on the sources under
+TREE/src at one BLAS thread (`stage_digests.run_stages`). Runs write into
+DIR/seed<n>/a and DIR/seed<n>/b, each split's `eval_report.json` into
+eval-test/ and eval-train/ there.
 
-Per seed it prints test hit@1 and hit@10 from `train_report.json` and
-NDCG@10 from the test split's `eval_report.json`, for both trees, and the
-paired difference (second tree minus first). Per metric it prints the median
+Per seed it prints test hit@1 and hit@10 from `train_report.json`, NDCG@10
+from the test split's `eval_report.json` and train hit@1 from the training
+split's, for both trees, and the paired difference (second tree minus
+first). Train hit@1 beside test hit@1 shows how much of the training set
+the model memorises. Per metric it prints the median
 difference, the sign count (+ / - / =) and the exact two-sided sign-flip
 p-value: the share of the 2^n ways to flip the signs of the n differences
 whose sum lies at least as far from zero as the observed sum.
@@ -29,21 +33,27 @@ from pathlib import Path
 from stage_digests import run_stages
 
 TRAIN_STAGES = ("gen-data", "build-graph", "train-poincare", "train")
-METRICS = ("hit@1", "hit@10", "ndcg@10")
+METRICS = ("hit@1", "hit@10", "ndcg@10", "train hit@1")
 SEED_KEYS = ("data", "poincare", "train", "linkpred")
 
 
+def eval_split(config: dict, out: Path, root: Path, split: str) -> dict:
+    """The `eval_report.json` of the run in `out` over its `split_<split>.tsv`,
+    written into out/eval-<split>."""
+    config["data"]["labels"] = str(out / f"split_{split}.tsv")
+    run_stages(config, out / f"eval-{split}", root, ("eval",))
+    return json.loads((out / f"eval-{split}" / "eval_report.json").read_text(encoding="utf-8"))
+
+
 def run_seed(config: dict, seed: int, root: Path, out: Path) -> dict:
-    """The test metrics of one seeded run of `config` on the tree `root`."""
+    """The metrics of one seeded run of `config` on the tree `root`."""
     config = json.loads(json.dumps(config))  # a fresh copy per run
     config["seeds"] = dict.fromkeys(SEED_KEYS, seed)
     run_stages(config, out, root, TRAIN_STAGES)
-    config["data"]["labels"] = str(out / "split_test.tsv")
-    run_stages(config, out, root, ("eval",))
     train = json.loads((out / "train_report.json").read_text(encoding="utf-8"))["metrics"]
-    test = json.loads((out / "eval_report.json").read_text(encoding="utf-8"))
     return {"hit@1": train["test_hit_at_1"], "hit@10": train["test_hit_at_10"],
-            "ndcg@10": test["ndcg_at_10"]}
+            "ndcg@10": eval_split(config, out, root, "test")["ndcg_at_10"],
+            "train hit@1": eval_split(config, out, root, "train")["hit_rate_at"]["1"]}
 
 
 def sign_flip_p(diffs: list[float]) -> float:
@@ -106,9 +116,9 @@ def main(argv=None) -> int:
         parser.error(f"{out} is not empty")
     config = json.loads(args.config.read_text(encoding="utf-8"))
     rows, summary = compare(config, args.seeds, tuple(r.resolve() for r in args.root), out)
-    print("seed  " + "  ".join(f"{m:>7} a  {m:>7} b  {'diff':>7}" for m in METRICS))
+    print("seed  " + "  ".join(f"{m:>11} a  {m:>11} b  {'diff':>7}" for m in METRICS))
     for seed, a, b in rows:
-        print(f"{seed:>4}  " + "  ".join(f"{a[m]:9.4f}  {b[m]:9.4f}  {b[m] - a[m]:+7.4f}"
+        print(f"{seed:>4}  " + "  ".join(f"{a[m]:13.4f}  {b[m]:13.4f}  {b[m] - a[m]:+7.4f}"
                                          for m in METRICS))
     for metric, s in summary.items():
         print(f"{metric}: median diff {s['median_diff']:+.4f}, signs +{s['signs'][0]} "
