@@ -11,7 +11,7 @@ replays the float operations of composing the generic tape ops (matmul,
 tanh, softmax, products) in their order, so its value equals that
 composition bit for bit, in float32 as in float64, and an existing
 `model.json` serves the same bytes; taped and untaped calls are
-bit-identical. At float64 its value and every input gradient agree with
+bit-identical. At float64 its value and every weight gradient agree with
 that composition, which the tests keep as its oracle, within 1e-12
 relative.
 """
@@ -110,19 +110,20 @@ def _keys(views: Sequence[np.ndarray], w: dict[str, np.ndarray]) -> tuple[dict, 
     return affinities, keys
 
 
-def co_attend(x_h: Tensor, x_b: Tensor, x_s: Tensor, params: CoAttentionParams) -> Tensor:
+def co_attend(
+    x_h: np.ndarray, x_b: np.ndarray, x_s: np.ndarray, params: CoAttentionParams
+) -> Tensor:
     """The attended views softmax(key) ⊙ x of h, b and s, side by side in one
-    (batch, d_h + d_b + d_s) tensor: one tape node over the three views and
-    the twelve weights, in field order. Its backward returns the views'
-    gradients only if some view requires one."""
+    (batch, d_h + d_b + d_s) tensor: one tape node over the twelve weights,
+    in field order. The views are arrays: they never learn, so the node
+    takes no gradient to them."""
     weights = nx.tensor_fields(params)
-    inputs = (x_h, x_b, x_s, *weights.values())
-    views = [x.data for x in inputs[:3]]
+    views = [x_h, x_b, x_s]
     w = {name: t.data for name, t in weights.items()}
     affinities, keys = _keys(views, w)
     bounds = np.cumsum([0] + [x.shape[1] for x in views])
     blocks = list(zip(bounds[:-1], bounds[1:]))
-    out = np.empty((views[0].shape[0], bounds[-1]), views[0].dtype)
+    out = np.empty((x_h.shape[0], bounds[-1]), x_h.dtype)
     probs = []
     for x, key, (lo, hi) in zip(views, keys, blocks):
         e = key - key.max(axis=-1, keepdims=True)
@@ -131,16 +132,10 @@ def co_attend(x_h: Tensor, x_b: Tensor, x_s: Tensor, params: CoAttentionParams) 
         probs.append(e)
         np.multiply(e, x, out=out[:, lo:hi])
 
-    # the views' gradients cost nine more products; the mapper's views are
-    # constants, so they are computed only when a view requires one
-    views_grad = any(x.requires_grad for x in inputs[:3])
-
     def backward(g):
         grads = dict.fromkeys(w)
-        g_views = [g[:, lo:hi] * p if views_grad else None for p, (lo, hi) in zip(probs, blocks)]
         g_affinities = {name: np.zeros_like(a) for name, a in affinities.items()}
-        for x, p, key, (lo, hi), (w_self, cross), g_x in zip(
-                views, probs, keys, blocks, _KEY_TERMS, g_views):
+        for x, p, key, (lo, hi), (w_self, cross) in zip(views, probs, keys, blocks, _KEY_TERMS):
             g_p = g[:, lo:hi] * x
             g_key = g_p - (g_p * p).sum(axis=1, keepdims=True)
             g_key *= p
@@ -149,19 +144,11 @@ def co_attend(x_h: Tensor, x_b: Tensor, x_s: Tensor, params: CoAttentionParams) 
             for w_aff, other, w_cross in cross:
                 a, y = affinities[w_aff], views[other]
                 grads[w_cross] = g_key.T @ (a * y)
-                g_term = g_key @ w[w_cross]
-                g_affinities[w_aff] += (g_term * y).sum(axis=1, keepdims=True)
-                if views_grad:
-                    g_views[other] += g_term * a
-            if views_grad:
-                g_x += g_key @ w[w_self]
+                g_affinities[w_aff] += ((g_key @ w[w_cross]) * y).sum(axis=1, keepdims=True)
         for name, (i, j) in _AFFINITY_VIEWS.items():
-            x, y, a = views[i], views[j], affinities[name]
+            a = affinities[name]
             g_s = g_affinities[name] * (1.0 - a * a)  # through the affinity's tanh
-            grads[name] = x.T @ (g_s * y)
-            if views_grad:
-                g_views[i] += (g_s * y) @ w[name].T
-                g_views[j] += g_s * (x @ w[name])
-        return (*g_views, *grads.values())
+            grads[name] = views[i].T @ (g_s * views[j])
+        return tuple(grads.values())
 
-    return nx.fused_op(out, inputs, backward)
+    return nx.fused_op(out, tuple(weights.values()), backward)

@@ -181,10 +181,10 @@ def _forward(
     It computes in the dtype of the model's tensors and the views, float32
     in training and serving alike; the two clauses run in turn on the
     calling thread."""
-    th, tb, ts = Tensor(x_h), Tensor(x_b), Tensor(x_s)
+    tb, ts = Tensor(x_b), Tensor(x_s)
     pre_b = rs.encode_views(tb, v_b, model.reason_b)
     pre_s = rs.encode_views(ts, v_s, model.reason_s)
-    attended = ca.co_attend(th, tb, ts, model.coatt)
+    attended = ca.co_attend(x_h, x_b, x_s, model.coatt)
     clause_b = rs.clause_representation(*pre_b, model.reason_b)
     clause_s = rs.clause_representation(*pre_s, model.reason_s)
     fused = nx.concat([attended, clause_b, clause_s], axis=1)

@@ -12,12 +12,11 @@ with arcosh(x) = ln(x + sqrt(x^2 - 1)) and the argument clamped to >= 1.
 The index work of an epoch is planned in one pass right after its shuffle:
 every step's negatives come from one draw, and every step's distinct rows
 and scatter slots from one sort. A step then only does arithmetic on the
-vectors, in work arrays allocated once per training run.
+vectors.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -69,12 +68,12 @@ def project_to_ball(x: np.ndarray, eps: float = BOUNDARY_EPS) -> np.ndarray:
     return x
 
 
-def _distance_batch(u: np.ndarray, cands: np.ndarray, diff: np.ndarray):
+def _distance_batch(u: np.ndarray, cands: np.ndarray):
     """Distances from each point u[b] to its candidates cands[b, k], plus the
-    intermediates the gradients reuse. u is (..., m), cands (..., K, m) and
-    diff holds u[b] - cands[b, k]."""
+    intermediates the gradients reuse. u is (..., m), cands (..., K, m)."""
     alpha = 1.0 - np.einsum("...i,...i->...", u, u)
     beta = 1.0 - np.einsum("...i,...i->...", cands, cands)
+    diff = u[..., None, :] - cands
     sq_diff = np.einsum("...i,...i->...", diff, diff)
     gamma = 1.0 + 2.0 * sq_diff / (alpha[..., None] * beta)
     gamma = np.maximum(gamma, 1.0)
@@ -201,39 +200,6 @@ class _NegativeSampler:
         return picks, valid, widths
 
 
-class _StepWork:
-    """Work arrays for `_rsgd_step`, allocated once per training run.
-
-    They are flat and sized for the widest block the sampler can return:
-    `pairs` (child, parent) rows, each with `width` candidates (its parent
-    and up to `width - 1` negatives). A step takes contiguous views of its
-    own block's shape from the front of each, so that no step allocates a
-    block-sized array: freed after every step, such arrays go back to the
-    system and are faulted in again, page by page, by the next.
-    """
-
-    def __init__(self, pairs: int, width: int, n: int, m: int):
-        block = pairs * width * m
-        entries = pairs * (1 + width)  # each child, then its candidates
-        rows = min(n, entries)  # distinct titles a block can touch
-        self.cands = np.empty(block)
-        self.u_rows = np.empty(block)  # each child's row, once per candidate
-        self.diff = np.empty(block)
-        self.terms = (np.empty(block), np.empty(block))
-        self.step = np.empty(entries * m)
-        self.index = np.empty(entries * m, dtype=np.intp)
-        self.grad = np.empty(rows * m)
-        self.x = np.empty(rows * m)
-        self.update = np.empty(rows * m)
-        # flat[r, i] = r * m + i: where row r's column i sits in a flat `grad`
-        self.flat = np.arange(rows * m).reshape(rows, m)
-
-
-def _view(buffer: np.ndarray, *shape: int) -> np.ndarray:
-    """The contiguous front of a flat work array, shaped `shape`."""
-    return buffer[: math.prod(shape)].reshape(shape)
-
-
 def _plan_epoch(
     block_pairs: np.ndarray,
     sampler: _NegativeSampler,
@@ -313,7 +279,6 @@ def _rsgd_step(
     rows: np.ndarray,
     slot: np.ndarray,
     lr: float,
-    work: _StepWork,
 ) -> tuple[float, int]:
     """One Riemannian SGD step on a block of children, each against its
     candidates `cand_idx` (its parent, then its negatives) where `valid`.
@@ -321,21 +286,11 @@ def _rsgd_step(
     Its index work is planned by `_plan_epoch`, so the step only does
     arithmetic on `vectors`, which it updates in place. Returns the block's
     summed -log p(parent) and the number of rows the projection moved.
-    Block-sized intermediates live in `work`. Each is formed from operands
-    of its own shape, a broadcast operand being copied out with `np.copyto`
-    first, because a ufunc that broadcasts allocates a buffer of up to
-    `np.getbufsize()` elements per call.
     """
-    b, k = cand_idx.shape
     m = vectors.shape[1]
     u = vectors[children]
-    # mode "clip" (the indices are in range): with "raise", `take` would
-    # write through a fresh copy of `out`
-    cands = np.take(vectors, cand_idx, axis=0, out=_view(work.cands, b, k, m), mode="clip")
-    u_rows = _view(work.u_rows, b, k, m)
-    np.copyto(u_rows, u[:, None, :])
-    diff = np.subtract(u_rows, cands, out=_view(work.diff, b, k, m))
-    dist, alpha, beta, gamma = _distance_batch(u, cands, diff)
+    cands = vectors[cand_idx]
+    dist, alpha, beta, gamma = _distance_batch(u, cands)
     nearest = np.where(valid, dist, np.inf).min(axis=1, keepdims=True)
     e = np.where(valid, np.exp(nearest - dist), 0.0)
     total = e.sum(axis=1, keepdims=True)
@@ -345,27 +300,17 @@ def _rsgd_step(
     grad_u, along_c, along_u = _distance_gradients(u, cands, alpha, beta, gamma, coeff)
 
     # the gradient rows to scatter: each child's, then its candidates'
-    step = _view(work.step, b + b * k, m)
-    step[:b] = grad_u
-    c_term, u_term = (_view(t, b, k, m) for t in work.terms)
-    np.copyto(c_term, along_c[..., None])
-    c_term *= cands
-    np.copyto(u_term, along_u[..., None])
-    u_term *= u_rows
-    np.subtract(c_term, u_term, out=step[b:].reshape(b, k, m))
-
+    grad_c = cands * along_c[..., None]
+    grad_c -= along_u[..., None] * u[:, None, :]
+    step = np.concatenate((grad_u, grad_c.reshape(-1, m)))
     # scatter-add over a flat view: one-dimensional `np.add.at` is the fast one
-    index = np.take(work.flat, slot, axis=0, out=_view(work.index, len(slot), m), mode="clip")
-    grad = _view(work.grad, len(rows), m)
-    grad.fill(0.0)
-    np.add.at(grad.reshape(-1), index.reshape(-1), step.reshape(-1))
-    x = np.take(vectors, rows, axis=0, out=_view(work.x, len(rows), m), mode="clip")
+    grad = np.zeros((len(rows), m))
+    np.add.at(grad.reshape(-1), (slot[:, None] * m + np.arange(m)).reshape(-1), step.reshape(-1))
+    x = vectors[rows]
     # the Riemannian step lr * (inverse metric * grad)
-    update = _view(work.update, len(rows), m)
-    np.copyto(update, _inverse_metric(x)[:, None])
-    update *= grad
-    update *= lr
-    x -= update
+    grad *= _inverse_metric(x)[:, None]
+    grad *= lr
+    x -= grad
     if not np.all(np.isfinite(x)):
         raise NumericError("train_poincare: an update produced non-finite coordinates")
     clamped = 0
@@ -385,7 +330,6 @@ def _train_epoch(
     negatives: int,
     lr: float,
     batch: int,
-    work: _StepWork,
 ) -> tuple[float, int]:
     """Shuffle the pairs, plan the epoch and take its steps; returns the
     summed -log p(parent) and the rows clamped."""
@@ -393,7 +337,7 @@ def _train_epoch(
     plan = _plan_epoch(pair_idx[order], sampler, rng, negatives, batch, len(vectors))
     loss, clamped = 0.0, 0
     for step in plan:
-        step_loss, step_clamped = _rsgd_step(vectors, *step, lr, work)
+        step_loss, step_clamped = _rsgd_step(vectors, *step, lr)
         loss += step_loss
         clamped += step_clamped
     return loss, clamped
@@ -432,13 +376,10 @@ def train_poincare(
     sampler = _NegativeSampler(pair_idx, n)
     # read at call time: the block size is not fixed at import
     batch = min(_BATCH_PAIRS, len(pairs))
-    work = _StepWork(batch, 1 + min(config.negatives, n), n, m)
 
     for epoch in range(config.epochs):
         lr = config.lr * (config.burn_in_lr_factor if epoch < config.burn_in_epochs else 1.0)
-        loss, clamped = _train_epoch(
-            vectors, pair_idx, sampler, rng, config.negatives, lr, batch, work
-        )
+        loss, clamped = _train_epoch(vectors, pair_idx, sampler, rng, config.negatives, lr, batch)
         table.history.append({"loss": loss / len(pairs), "clamped_rows": clamped})
         if on_epoch is not None:
             on_epoch(epoch, table)

@@ -382,8 +382,7 @@ def mean_parent_rank(table, pairs) -> float:
         parents_of.setdefault(index[pair.child], []).append(index[pair.parent])
     ranks = []
     for child, parents in parents_of.items():
-        u = matrix[child]
-        dist = poincare._distance_batch(u, matrix, u - matrix)[0]
+        dist = poincare._distance_batch(matrix[child], matrix)[0]
         target = dist[parents]
         # the parent never counts itself (equal distance); the child must be left out
         closer = np.count_nonzero(dist < target[:, None], axis=1) - (dist[child] < target)
